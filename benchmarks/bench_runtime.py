@@ -82,7 +82,7 @@ def test_runtime_parallel_speedup():
 
     configs = [("thread", WORKERS)]
     if not QUICK:
-        configs += [("thread", 8), ("process", 8)]
+        configs += [("thread", 8)]
 
     series = [{
         "executor": "serial", "workers": 1,

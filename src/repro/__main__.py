@@ -24,7 +24,13 @@ from .fl import (
     build_model,
     partition_clients,
 )
-from .runtime import EnclaveFaultConfig, FaultConfig, RuntimeConfig, ShardConfig
+from .runtime import (
+    EXECUTORS,
+    EnclaveFaultConfig,
+    FaultConfig,
+    RuntimeConfig,
+    ShardConfig,
+)
 
 logger = logging.getLogger("repro.demo")
 
@@ -49,7 +55,7 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
              "pool (results are bit-identical to serial)",
     )
     parser.add_argument(
-        "--executor", choices=("serial", "thread", "process", "vectorized"),
+        "--executor", choices=EXECUTORS,
         default=None,
         help="cohort executor override; 'vectorized' trains the whole "
              "cohort as stacked tensors (default: thread when "
@@ -209,9 +215,6 @@ def main(argv: Sequence[str] | None = None) -> None:
                         "accesses)", traces_equal(a.trace, b.trace),
                         len(a.trace))
             other.close()
-        # Close inside the session: executor shutdown drains any
-        # process-worker telemetry shards into the attached sinks
-        # before the summary is rendered and the final snapshot flushed.
         system.close()
         if recorder is not None:
             recorder.close()

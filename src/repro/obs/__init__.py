@@ -18,9 +18,8 @@ overhead guard in ``benchmarks/bench_trace_engine.py``).
 Since the flight-recorder PR the layer is also a distributed tracer:
 spans carry ``trace_id``/``span_id``/``parent_id``, contexts propagate
 explicitly across executor and shard boundaries
-(:func:`current_context` / ``span(parent=...)``), forked workers
-record to JSONL shards merged back with :func:`absorb_events`, and the
-recording renders as a round-health report (:mod:`repro.obs.report`,
+(:func:`current_context` / ``span(parent=...)``), and the recording
+renders as a round-health report (:mod:`repro.obs.report`,
 ``python -m repro report``) or diffs against another run
 (:mod:`repro.obs.diffing`).
 """
@@ -34,9 +33,7 @@ from .telemetry import (
     SpanStats,
     Telemetry,
     TraceContext,
-    absorb_events,
     add,
-    adopt_worker_session,
     configure,
     current_context,
     disable,
@@ -60,9 +57,7 @@ __all__ = [
     "SpanStats",
     "Telemetry",
     "TraceContext",
-    "absorb_events",
     "add",
-    "adopt_worker_session",
     "configure",
     "current_context",
     "disable",

@@ -7,10 +7,8 @@ need no synchronization of their own but must keep ``emit`` cheap.
 * :class:`MemorySink` -- in-process event list (tests, summary dumps).
 * :class:`JsonlSink` -- one JSON object per line, the machine-readable
   stream the benchmarks archive next to their results.  Crash-safe:
-  registers an atexit flush/close guard on first open, refuses to
-  write from a process that did not open it (a forked child), and
-  supports :meth:`disinherit` so a fork can drop the parent's buffered
-  handle without duplicating its contents.
+  registers an atexit flush/close guard on first open and refuses to
+  write from a process that did not open it (a forked child).
 * :class:`NullSink` -- swallows everything (placeholder wiring).
 
 :func:`read_jsonl` parses a stream back, tolerating a truncated final
@@ -71,11 +69,10 @@ class MemorySink:
 class JsonlSink:
     """Streams events as JSON Lines to ``path`` (created lazily).
 
-    ``append=False`` (default) truncates any previous stream on first
-    open so one benchmark run leaves exactly one coherent event file;
-    after the first open the mode switches to append, so a
-    close-then-reopen (atexit after an explicit close race) never
-    truncates what was already written.
+    The first open truncates any previous stream so one benchmark run
+    leaves exactly one coherent event file; after it the mode switches
+    to append, so a close-then-reopen (atexit after an explicit close
+    race) never truncates what was already written.
 
     A killed run must still leave a parseable stream, so the sink
     registers an atexit flush/close guard on first open (unregistered
@@ -84,9 +81,9 @@ class JsonlSink:
     bytes into the parent's file.
     """
 
-    def __init__(self, path: str | Path, append: bool = False) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._mode = "a" if append else "w"
+        self._mode = "w"
         self._fh: IO[str] | None = None
         self._owner_pid: int | None = None
 
@@ -125,26 +122,6 @@ class JsonlSink:
             self._fh.flush()
             self._fh.close()
             self._fh = None
-
-    def disinherit(self) -> None:
-        """Drop an inherited handle in a forked child without writing.
-
-        Closing normally would flush the parent's buffered lines a
-        second time from the child (``detach`` flushes too), so the
-        file descriptor is repointed at ``os.devnull`` first: the
-        close still flushes, but the buffered bytes land in the void
-        and the real stream is untouched.
-        """
-        fh, self._fh = self._fh, None
-        if fh is None:
-            return
-        try:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fh.fileno())
-            os.close(devnull)
-            fh.close()
-        except Exception:
-            pass
 
 
 def read_jsonl(path: str | Path, strict: bool = False) -> list[dict]:

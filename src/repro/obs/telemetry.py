@@ -6,9 +6,9 @@ decryption vs the oblivious kernel vs cost-model replay.  This module
 is the single instrumentation substrate for the whole stack, and since
 the flight-recorder PR it is also a *distributed tracer*: every span
 carries ``trace_id``/``span_id``/``parent_id``, contexts propagate
-explicitly across thread/process executor boundaries, and the merged
-event stream reconstructs one causally-linked tree per round even when
-parts of it were recorded inside forked workers.
+explicitly across thread executor boundaries, and the event stream
+reconstructs one causally-linked tree per round even when parts of it
+were recorded on worker threads.
 
 * :func:`span` -- a nested context manager recording wall time, CPU
   time, and (opt-in) the tracemalloc memory high-water mark of one
@@ -17,7 +17,7 @@ parts of it were recorded inside forked workers.
   explicit ``parent=`` :class:`TraceContext` (captured with
   :func:`current_context`, shipped to a worker inside its job) re-roots
   the span under a remote parent -- the worker's span then carries the
-  coordinator's ``trace_id`` and full path, so merged streams need no
+  coordinator's ``trace_id`` and full path, so the stream needs no
   path rewriting.  ``hist=`` additionally records the span's wall time
   into the named histogram.
 * :func:`add` / :func:`gauge` -- cumulative counters (accesses
@@ -42,15 +42,6 @@ instrumented hot paths cost nothing measurable (guarded by
 Consequently instrumentation sits at *call* granularity (one span per
 kernel invocation, per ECALL, per phase) -- never per element.
 
-**Fork safety**: a forked child inherits the parent's enabled flag and
-sink objects; left alone it would interleave garbage into the parent's
-stream.  An ``os.register_at_fork`` hook therefore disables telemetry
-in every forked child and discards inherited sink buffers unwritten --
-worker ``obs.add``/``obs.span`` calls degrade to true no-ops until the
-child explicitly opts in via :func:`adopt_worker_session` (the process
-executor's flight-recording path, which gives each worker its own
-JSONL shard the coordinator later merges with :func:`absorb_events`).
-
 Event schema (what sinks receive):
 
 ``{"type": "span", "seq": int, "name": str, "path": str, "depth": int,
@@ -73,13 +64,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import threading
 import time
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 
@@ -110,9 +99,9 @@ class TraceContext:
     Carries everything a remote child span needs to link itself into
     the originating tree -- the trace id, the parent's span id, and the
     parent's full path (so the child's path continues the tree without
-    any merge-time rewriting).  Plain picklable dataclass: it rides
-    inside :class:`repro.runtime.jobs.ClientJob` across fork/pickle
-    boundaries.
+    any rewriting).  It rides inside
+    :class:`repro.runtime.jobs.ClientJob` onto the thread executor's
+    workers, whose span stacks start empty.
     """
 
     trace_id: str
@@ -207,15 +196,6 @@ class Histogram:
                 return min(max(est, self.vmin), self.vmax)
         return self.vmax
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram (a worker shard's) into this one."""
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.total += other.total
-        self.vmin = min(self.vmin, other.vmin)
-        self.vmax = max(self.vmax, other.vmax)
-
     def snapshot(self, name: str) -> dict:
         """The ``hist`` snapshot event for this histogram."""
         return {
@@ -228,20 +208,6 @@ class Histogram:
             "p99": self.percentile(0.99),
             "buckets": {str(i): c for i, c in enumerate(self.counts) if c},
         }
-
-    @classmethod
-    def from_snapshot(cls, event: dict) -> "Histogram":
-        """Rebuild a histogram from its ``hist`` snapshot event."""
-        h = cls()
-        for key, c in event.get("buckets", {}).items():
-            h.counts[int(key)] = int(c)
-        h.count = int(event.get("count", sum(h.counts)))
-        h.total = float(event.get("sum", 0.0))
-        if h.count:
-            h.vmin = float(event.get("min", 0.0))
-            h.vmax = float(event.get("max", 0.0))
-        return h
-
 
 class Span:
     """A live span; use via ``with telemetry.span(name): ...``.
@@ -342,12 +308,6 @@ class Telemetry:
         self._local = threading.local()
         self._enabled = False
         self._track_memory = False
-        # Worker mode: stream counter/histogram mutations to the sinks
-        # as they happen.  Forked pool workers exit through os._exit
-        # (no atexit), so a final registry snapshot would never be
-        # written; incremental events make the shard complete at every
-        # tree-completion flush instead.
-        self._stream_stats = False
         self.sinks: list[Any] = []
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
@@ -356,7 +316,6 @@ class Telemetry:
         self._seq = 0
         self._epoch = time.perf_counter()
         self._ids = itertools.count(1)
-        self._pid_tag = "%x" % os.getpid()
         self.configure(enabled=enabled, sinks=sinks,
                        track_memory=track_memory)
 
@@ -374,8 +333,6 @@ class Telemetry:
         if sinks is not None:
             self.sinks = list(sinks)
         self._track_memory = track_memory
-        self._stream_stats = False
-        self._pid_tag = "%x" % os.getpid()
         if track_memory and enabled and not tracemalloc.is_tracing():
             tracemalloc.start()
         return self
@@ -390,12 +347,11 @@ class Telemetry:
             self._seq = 0
             self._epoch = time.perf_counter()
             self._ids = itertools.count(1)
-            self._pid_tag = "%x" % os.getpid()
 
     def _next_id(self, prefix: str) -> str:
-        # itertools.count.__next__ is atomic under the GIL; the pid tag
-        # keeps ids unique across forked workers recording in parallel.
-        return f"{prefix}{self._pid_tag}-{next(self._ids):x}"
+        # itertools.count.__next__ is atomic under the GIL, so thread
+        # workers opening spans in parallel never share an id.
+        return f"{prefix}{next(self._ids):x}"
 
     # -- recording -------------------------------------------------------
     def span(self, name: str, *, parent: TraceContext | None = None,
@@ -427,11 +383,6 @@ class Telemetry:
             return
         with self._lock:
             self.counters[name] = self.counters.get(name, 0.0) + value
-            if self._stream_stats and self.sinks:
-                event = {"type": "counter_add", "name": name,
-                         "value": float(value)}
-                for sink in self.sinks:
-                    sink.emit(event)
 
     def gauge(self, name: str, value: float) -> None:
         """Set a last-value-wins gauge (emitted to sinks with a time)."""
@@ -458,10 +409,6 @@ class Telemetry:
         if h is None:
             h = self.histograms[name] = Histogram()
         h.observe(value)
-        if self._stream_stats and self.sinks:
-            event = {"type": "observe", "name": name, "value": float(value)}
-            for sink in self.sinks:
-                sink.emit(event)
 
     def event(self, name: str, **attrs: Any) -> None:
         """Emit a timestamped point event linked to the open span."""
@@ -532,59 +479,6 @@ class Telemetry:
                 for sink in self.sinks:
                     sink.flush()
 
-    # -- merge (flight-recorder shards) ----------------------------------
-    def absorb_events(self, events: Sequence[dict]) -> int:
-        """Merge a drained worker shard's events into this registry.
-
-        Span events update ``span_stats`` (their paths are already
-        full, thanks to explicit-context propagation), counters add,
-        gauges last-write-win, histograms merge bucket-wise, and every
-        absorbed event is re-emitted to the attached sinks so the
-        coordinator's stream becomes the complete flight recording.
-        Returns the number of events absorbed.
-        """
-        if not self._enabled or not events:
-            return 0
-        n = 0
-        with self._lock:
-            for event in events:
-                kind = event.get("type")
-                if kind == "span":
-                    stats = self.span_stats.get(event["path"])
-                    if stats is None:
-                        stats = self.span_stats[event["path"]] = SpanStats()
-                    stats.count += 1
-                    stats.wall_s += event.get("wall_s", 0.0)
-                    stats.cpu_s += event.get("cpu_s", 0.0)
-                    if event.get("error"):
-                        stats.errors += 1
-                    if event.get("mem_peak", -1) > stats.mem_peak:
-                        stats.mem_peak = event["mem_peak"]
-                elif kind in ("counter", "counter_add"):
-                    self.counters[event["name"]] = (
-                        self.counters.get(event["name"], 0.0)
-                        + float(event["value"]))
-                elif kind == "observe":
-                    h = self.histograms.get(event["name"])
-                    if h is None:
-                        h = self.histograms[event["name"]] = Histogram()
-                    h.observe(float(event["value"]))
-                elif kind == "gauge":
-                    self.gauges[event["name"]] = float(event["value"])
-                elif kind == "hist":
-                    h = self.histograms.get(event["name"])
-                    if h is None:
-                        h = self.histograms[event["name"]] = Histogram()
-                    h.merge(Histogram.from_snapshot(event))
-                elif kind != "event":
-                    continue
-                n += 1
-                for sink in self.sinks:
-                    sink.emit(event)
-            for sink in self.sinks:
-                sink.flush()
-        return n
-
     # -- output ----------------------------------------------------------
     def snapshot_events(self) -> list[dict]:
         """Current counters, gauges, and histograms as snapshot events."""
@@ -616,36 +510,6 @@ class Telemetry:
 
 #: Process-global telemetry instance used by the instrumented modules.
 _GLOBAL = Telemetry()
-
-
-def _disable_in_forked_child() -> None:
-    """Make a forked child's inherited telemetry a true no-op.
-
-    The child shares the parent's sink objects (and, for file sinks,
-    the parent's buffered handle) by memory copy; recording through
-    them would interleave garbage into the parent's stream, and even a
-    GC-time flush of the inherited buffer would duplicate lines.  So:
-    disable, discard inherited sinks *without writing* (sinks expose
-    ``disinherit`` for exactly this), and give the child fresh
-    thread-local state and a fresh pid tag.  A worker that *should*
-    record opts back in through :func:`adopt_worker_session`.
-    """
-    tel = _GLOBAL
-    tel._enabled = False
-    for sink in tel.sinks:
-        disinherit = getattr(sink, "disinherit", None)
-        if disinherit is not None:
-            try:
-                disinherit()
-            except Exception:
-                pass
-    tel.sinks = []
-    tel._local = threading.local()
-    tel._pid_tag = "%x" % os.getpid()
-
-
-if hasattr(os, "register_at_fork"):  # not on Windows spawn-only platforms
-    os.register_at_fork(after_in_child=_disable_in_forked_child)
 
 
 def get_telemetry() -> Telemetry:
@@ -713,43 +577,9 @@ def event(name: str, **attrs: Any) -> None:
     _GLOBAL.event(name, **attrs)
 
 
-def absorb_events(events: Sequence[dict]) -> int:
-    """Merge drained worker-shard events into the global registry."""
-    return _GLOBAL.absorb_events(events)
-
-
 def enabled() -> bool:
     """Is the global instance recording?"""
     return _GLOBAL._enabled
-
-
-def adopt_worker_session(shard_dir: str | Path, epoch: float) -> Telemetry:
-    """Opt a forked worker into flight recording (its own JSONL shard).
-
-    Called from the process executor's worker initializer *after* the
-    at-fork hook disabled the inherited state.  The worker records to
-    ``<shard_dir>/worker-<pid>.jsonl``; ``epoch`` is the coordinator's
-    perf-counter epoch, so span ``t_start`` values from every worker
-    and the coordinator share one timeline (fork keeps the monotonic
-    clock origin).  Pool workers exit through ``os._exit`` (no atexit),
-    so the session runs in *streaming* mode: every counter increment
-    and histogram observation is written as its own ``counter_add`` /
-    ``observe`` event and the shard is flushed at each span-tree
-    completion -- the shard is always complete up to the last finished
-    job, even if the worker is killed.  The coordinator drains and
-    merges the shards with :func:`absorb_events`.
-    """
-    from .sinks import JsonlSink
-
-    tel = _GLOBAL
-    tel.reset()
-    path = Path(shard_dir) / f"worker-{os.getpid()}.jsonl"
-    sink = JsonlSink(path, append=True)
-    tel.configure(enabled=True, sinks=[sink])
-    tel._stream_stats = True
-    tel._epoch = epoch
-    sink.flush()  # create the shard eagerly so drains see every worker
-    return tel
 
 
 @contextmanager

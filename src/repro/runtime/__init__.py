@@ -2,9 +2,8 @@
 
 The subsystem OLIVE's round loop submits sampled cohorts through:
 
-* pluggable executors (``serial`` | ``thread`` | ``process`` with
-  shared-memory model broadcast | ``vectorized`` whole-cohort tensor
-  batching) -- :mod:`repro.runtime.executors`;
+* pluggable executors (``serial`` | ``thread`` | ``vectorized``
+  whole-cohort tensor batching) -- :mod:`repro.runtime.executors`;
 * per-``(round, client)`` seed derivation making every executor
   bit-identical -- :mod:`repro.runtime.seeding`;
 * deterministic fault injection (dropout, stragglers, corrupt/replayed

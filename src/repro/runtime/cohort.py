@@ -2,10 +2,10 @@
 
 :class:`CohortRuntime` is the engine OLIVE's round loop submits the
 sampled cohort through.  It owns a pluggable executor (serial, thread
-pool, or process pool with shared-memory model broadcast), applies the
-deterministic fault plan per ``(round, client)``, retries transient
-failures with exponential backoff, drops stragglers past the
-per-client timeout, and enforces the minimum-quorum completion policy.
+pool, or vectorized whole-cohort batching), applies the deterministic
+fault plan per ``(round, client)``, retries transient failures with
+exponential backoff, drops stragglers past the per-client timeout, and
+enforces the minimum-quorum completion policy.
 
 Two invariants the tests pin:
 
@@ -191,7 +191,7 @@ class CohortRuntime:
         return self._executor
 
     def close(self) -> None:
-        """Release pools and shared memory (idempotent)."""
+        """Release the executor's worker pool (idempotent)."""
         if self._executor is not None:
             self._executor.shutdown()
             self._executor = None
@@ -232,7 +232,7 @@ class CohortRuntime:
         executor.broadcast(weights)
         # Flight recorder: ship the open (round) span's context with
         # every job so worker-side client spans join the round's trace
-        # even across thread/process boundaries.
+        # even across thread boundaries.
         trace_ctx = obs.current_context()
 
         outcomes: dict[int, ClientOutcome] = {}
@@ -296,11 +296,6 @@ class CohortRuntime:
                 ))
                 obs.add("runtime.replays_injected")
         obs.gauge("runtime.completed_cohort", len(result.completed))
-        drain = getattr(executor, "drain_telemetry", None)
-        if drain is not None and obs.enabled():
-            # Merge what the process workers recorded so far; the final
-            # snapshots (written at worker exit) arrive at shutdown.
-            obs.absorb_events(drain())
         return result
 
     def _collect(self, executor, cid: int, job: ClientJob, future,

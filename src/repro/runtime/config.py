@@ -25,10 +25,14 @@ class RuntimeConfig:
     single client: injected straggler delays beyond it are dropped
     *analytically* (no wall clock spent, and deterministically -- the
     delay is part of the fault plan), while genuine non-completion is
-    retried then dropped.  ``min_quorum`` is the fraction of the
-    *sampled* cohort that must survive decryption for the enclave to
-    aggregate and release; below it the round aborts with
-    :class:`QuorumNotMetError`.
+    retried then dropped.  That wall-clock bound only applies on the
+    ``thread`` executor: ``serial`` and ``vectorized`` run each job
+    inline when its result is collected, so a client that never
+    finishes blocks the round there.
+
+    ``min_quorum`` is the fraction of the *sampled* cohort that must
+    survive decryption for the enclave to aggregate and release; below
+    it the round aborts with :class:`QuorumNotMetError`.
 
     ``realized_accounting`` selects whether the DP accountant charges
     each round at the realized cohort fraction (survivors / N) instead

@@ -1,4 +1,4 @@
-"""Pluggable cohort executors: serial, thread pool, process pool, vectorized.
+"""Pluggable cohort executors: serial, thread pool, vectorized.
 
 All expose the same tiny surface -- ``start(model, clients, d)``,
 ``broadcast(weights)``, ``submit(job)`` returning a future, and
@@ -15,11 +15,6 @@ vectorized executor batches whole chunks of the cohort through
   ``ThreadPoolExecutor``; each job deep-copies the model template, so
   no training state is shared.  Numpy releases the GIL in the heavy
   kernels and injected client latency overlaps fully.
-* :class:`ProcessExecutor` forks a worker pool and broadcasts the
-  global model through a :class:`multiprocessing.shared_memory` block:
-  the per-round weight vector is written once by the coordinator and
-  mapped zero-copy by every worker.  Job/result shuttling is the only
-  pickling on the round hot path.
 * :class:`VectorizedExecutor` trains the whole cohort as stacked numpy
   tensors (leading client axis) in chunks of ``vector_chunk`` clients:
   the mega-cohort path, an order of magnitude past the loop executors
@@ -29,22 +24,14 @@ vectorized executor batches whole chunks of the cohort through
 from __future__ import annotations
 
 import dataclasses
-import json
-import multiprocessing as mp
-import pickle
-import shutil
-import tempfile
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from multiprocessing import shared_memory
-from pathlib import Path
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
 
-from .. import obs
 from ..fl.datasets import ClientData
-from ..fl.models import Sequential, supports_batched_training
+from ..fl.models import Sequential
 from .jobs import (
     ClientJob,
     ClientJobResult,
@@ -56,7 +43,7 @@ from .jobs import (
     execute_train_task,
 )
 
-EXECUTORS = ("serial", "thread", "process", "vectorized")
+EXECUTORS = ("serial", "thread", "vectorized")
 
 
 class _LazyFuture:
@@ -93,7 +80,7 @@ class SerialExecutor:
 
     kind = "serial"
 
-    def __init__(self, workers: int = 1) -> None:
+    def __init__(self) -> None:
         self._ctx: WorkerContext | None = None
 
     def start(self, model: Sequential, clients: dict[int, ClientData],
@@ -197,23 +184,20 @@ class VectorizedExecutor:
     small batch -- still bit-identical, since derivation ignores the
     attempt counter), and injected straggler delay is slept once per
     flush at the chunk maximum (stragglers overlap, as they do under a
-    pooled executor).  Models without a batched counterpart
-    (convolutional nets) fall back to per-job serial execution.
+    pooled executor).
     """
 
     kind = "vectorized"
 
-    def __init__(self, workers: int = 1, vector_chunk: int = 8192) -> None:
+    def __init__(self, vector_chunk: int = 8192) -> None:
         self.vector_chunk = max(1, int(vector_chunk))
         self._ctx: WorkerContext | None = None
-        self._batched_model = False
         self._queue: list[tuple[ClientJob, _BatchFuture]] = []
 
     def start(self, model: Sequential, clients: dict[int, ClientData],
               d: int) -> None:
         self._ctx = WorkerContext(model=model, clients=clients,
                                   weights=np.zeros(max(d, 1)))
-        self._batched_model = supports_batched_training(model)
 
     def broadcast(self, weights: np.ndarray) -> None:
         assert self._ctx is not None
@@ -267,10 +251,7 @@ class VectorizedExecutor:
                 for job, _ in chunk
             ]
             try:
-                if self._batched_model:
-                    results = execute_client_jobs_batch(ctx, jobs)
-                else:
-                    results = [execute_client_job(ctx, job) for job in jobs]
+                results = execute_client_jobs_batch(ctx, jobs)
             except BaseException as exc:
                 for _, future in chunk:
                     future.set_exception(exc)
@@ -287,158 +268,12 @@ class VectorizedExecutor:
         self._ctx = None
 
 
-# -- process executor ---------------------------------------------------
-# Worker-resident context, installed by the pool initializer.  One slot
-# per process; forked or spawned children never share this with the
-# coordinator.
-_PROC_CTX: WorkerContext | None = None
-
-
-def _proc_init(payload: bytes, shm_name: str, d: int,
-               tele: tuple[str, float] | None = None) -> None:
-    global _PROC_CTX
-    model, clients = pickle.loads(payload)
-    shm = shared_memory.SharedMemory(name=shm_name)
-    weights = np.ndarray((max(d, 1),), dtype=np.float64, buffer=shm.buf)
-    _PROC_CTX = WorkerContext(model=model, clients=clients, weights=weights,
-                              extras={"shm": shm})
-    if tele is not None:
-        # Flight recording: opt this worker into its own JSONL shard
-        # (the at-fork hook already disabled the inherited telemetry).
-        shard_dir, epoch = tele
-        obs.adopt_worker_session(shard_dir, epoch)
-
-
-def _proc_job(job: ClientJob) -> ClientJobResult:
-    assert _PROC_CTX is not None, "worker not initialized"
-    return execute_client_job(_PROC_CTX, job)
-
-
-def _proc_task(task: TrainTask) -> np.ndarray:
-    assert _PROC_CTX is not None, "worker not initialized"
-    return execute_train_task(_PROC_CTX, task)
-
-
-def _mp_context():
-    try:
-        return mp.get_context("fork")
-    except ValueError:  # platforms without fork: spawn still works
-        return mp.get_context()
-
-
-class ProcessExecutor:
-    """Process pool with shared-memory numpy model broadcast."""
-
-    kind = "process"
-
-    def __init__(self, workers: int = 4) -> None:
-        self.workers = max(1, int(workers))
-        self._pool: ProcessPoolExecutor | None = None
-        self._shm: shared_memory.SharedMemory | None = None
-        self._weights_view: np.ndarray | None = None
-        self._tele_dir: Path | None = None
-        self._tele_offsets: dict[Path, int] = {}
-
-    def start(self, model: Sequential, clients: dict[int, ClientData],
-              d: int) -> None:
-        size = max(d, 1) * 8
-        self._shm = shared_memory.SharedMemory(create=True, size=size)
-        self._weights_view = np.ndarray(
-            (max(d, 1),), dtype=np.float64, buffer=self._shm.buf
-        )
-        self._weights_view[:] = 0.0
-        tele = None
-        if obs.enabled():
-            # Workers record to per-pid JSONL shards under a private
-            # dir; the coordinator drains and merges them (the events
-            # carry the coordinator's epoch so timelines line up).
-            self._tele_dir = Path(tempfile.mkdtemp(prefix="repro-obs-"))
-            self._tele_offsets = {}
-            tele = (str(self._tele_dir), obs.get_telemetry()._epoch)
-        payload = pickle.dumps((model, clients), protocol=pickle.HIGHEST_PROTOCOL)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=_mp_context(),
-            initializer=_proc_init,
-            initargs=(payload, self._shm.name, d, tele),
-        )
-
-    def broadcast(self, weights: np.ndarray) -> None:
-        assert self._weights_view is not None
-        # All outstanding jobs of the previous round were collected by
-        # the coordinator before a new broadcast, so no worker reads a
-        # half-written vector.
-        np.copyto(self._weights_view[: weights.size], weights)
-
-    def submit(self, job: ClientJob) -> Future:
-        assert self._pool is not None
-        return self._pool.submit(_proc_job, job)
-
-    def submit_task(self, task: TrainTask) -> Future:
-        assert self._pool is not None
-        return self._pool.submit(_proc_task, task)
-
-    def drain_telemetry(self) -> list[dict]:
-        """New, complete events from the workers' JSONL shards.
-
-        Reads each ``worker-<pid>.jsonl`` past the previously drained
-        byte offset, stopping at the last newline so a line a worker is
-        mid-write never parses as garbage (it is picked up next drain).
-        """
-        if self._tele_dir is None:
-            return []
-        events: list[dict] = []
-        for path in sorted(self._tele_dir.glob("worker-*.jsonl")):
-            offset = self._tele_offsets.get(path, 0)
-            try:
-                with open(path, "rb") as fh:
-                    fh.seek(offset)
-                    chunk = fh.read()
-            except OSError:
-                continue
-            end = chunk.rfind(b"\n")
-            if end < 0:
-                continue
-            self._tele_offsets[path] = offset + end + 1
-            for line in chunk[: end + 1].splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    events.append(json.loads(line))
-                except json.JSONDecodeError:  # torn write; drop the line
-                    continue
-        return events
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        if self._tele_dir is not None:
-            # Workers have exited (their atexit hooks wrote the final
-            # counter/histogram snapshots); fold the remainder in.
-            obs.absorb_events(self.drain_telemetry())
-            shutil.rmtree(self._tele_dir, ignore_errors=True)
-            self._tele_dir = None
-            self._tele_offsets = {}
-        if self._shm is not None:
-            self._weights_view = None
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except (FileNotFoundError, OSError):  # already reclaimed
-                pass
-            self._shm = None
-
-
 def make_executor(kind: str, workers: int, vector_chunk: int = 8192):
     """Build an executor by name (see :data:`EXECUTORS`)."""
     if kind == "serial":
-        return SerialExecutor(workers)
+        return SerialExecutor()
     if kind == "thread":
         return ThreadExecutor(workers)
-    if kind == "process":
-        return ProcessExecutor(workers)
     if kind == "vectorized":
-        return VectorizedExecutor(workers, vector_chunk=vector_chunk)
+        return VectorizedExecutor(vector_chunk=vector_chunk)
     raise ValueError(f"unknown executor {kind!r} (choose from {EXECUTORS})")

@@ -11,18 +11,16 @@ sealed ciphertext (enclave mode) or the plain sparse update
 of ``(context, job)``, it can run on any executor, any worker, any
 number of times (retries), and produce the same bits.
 
-Jobs and results are plain picklable dataclasses so the process
-executor can ship them across the fork boundary; the worker-resident
-state (model template, client shards, broadcast weights) lives in a
-:class:`WorkerContext` installed once per worker.
+Jobs and results are plain immutable dataclasses; the state every job
+reads (model template, client shards, broadcast weights) lives in a
+:class:`WorkerContext` installed once per executor.
 """
 
 from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,18 +51,16 @@ class TransientWorkerError(RuntimeError):
 
 @dataclass
 class WorkerContext:
-    """Per-worker state shared by every job the worker executes.
+    """State shared by every job an executor runs.
 
-    ``weights`` is the broadcast global model for the current round: a
-    plain array for in-process executors, a shared-memory view for the
-    process executor (zero-copy across workers).  Jobs treat it as
-    read-only.
+    ``weights`` is the broadcast global model for the current round.
+    Jobs treat the whole context as read-only, so thread workers can
+    share one instance.
     """
 
     model: Sequential
     clients: dict[int, ClientData]
     weights: np.ndarray
-    extras: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -81,8 +77,8 @@ class ClientJob:
     delay_s: float = 0.0          # injected straggler latency, slept in-job
     fail_attempts: int = 0        # attempts < fail_attempts raise transiently
     attempt: int = 0
-    # Flight recorder: the coordinator's open round span, so the
-    # worker-side client span joins the same trace even across a fork.
+    # Flight recorder: the coordinator's open round span, so a client
+    # span opened on a worker thread joins the same trace.
     trace_ctx: obs.TraceContext | None = None
 
 

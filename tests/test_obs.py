@@ -358,37 +358,6 @@ class TestHistogram:
     def test_empty_percentile_is_zero(self):
         assert obs.Histogram().percentile(0.5) == 0.0
 
-    def test_merge_equals_combined_observation(self):
-        import numpy as np
-
-        rng = np.random.default_rng(7)
-        a = rng.uniform(1e-5, 1.0, 200)
-        b = rng.uniform(1e-4, 10.0, 300)
-        h1, h2, ref = obs.Histogram(), obs.Histogram(), obs.Histogram()
-        for v in a:
-            h1.observe(v)
-            ref.observe(v)
-        for v in b:
-            h2.observe(v)
-            ref.observe(v)
-        h1.merge(h2)
-        assert h1.counts == ref.counts
-        assert h1.count == ref.count
-        assert h1.vmin == ref.vmin and h1.vmax == ref.vmax
-        for q in (0.5, 0.95, 0.99):
-            assert h1.percentile(q) == ref.percentile(q)
-
-    def test_snapshot_round_trip(self):
-        h = obs.Histogram()
-        for v in (0.001, 0.02, 0.3):
-            h.observe(v)
-        snap = h.snapshot("x")
-        assert snap["type"] == "hist" and snap["name"] == "x"
-        back = obs.Histogram.from_snapshot(snap)
-        assert back.counts == h.counts
-        assert back.count == h.count
-        assert back.vmin == h.vmin and back.vmax == h.vmax
-
     def test_observe_module_api(self):
         obs.configure(enabled=True, sinks=[])
         obs.observe("lat", 0.25)
@@ -456,49 +425,6 @@ class TestEventsAndGauges:
         assert series[0]["t"] <= series[1]["t"]
 
 
-class TestAbsorb:
-    def test_absorb_merges_every_kind(self):
-        sink = MemorySink()
-        tel = Telemetry(enabled=True, sinks=[sink])
-        tel.add("runtime.retries", 1)
-        shard = [
-            {"type": "span", "name": "client", "path": "round/client",
-             "depth": 1, "trace_id": "t1", "span_id": "w1",
-             "parent_id": "R1", "t_start": 0.0, "wall_s": 0.25,
-             "cpu_s": 0.2, "attrs": {}},
-            {"type": "counter_add", "name": "runtime.retries", "value": 2},
-            {"type": "observe", "name": "runtime.train_s", "value": 0.1},
-            {"type": "gauge", "name": "worker.gauge", "value": 7.0},
-            {"type": "event", "name": "shard.crash", "t": 1.0,
-             "trace_id": "t1", "parent_id": "R1", "attrs": {}},
-        ]
-        n = tel.absorb_events(shard)
-        assert n == len(shard)
-        assert tel.span_stats["round/client"].count == 1
-        assert tel.span_stats["round/client"].wall_s == 0.25
-        assert tel.counters["runtime.retries"] == 3
-        assert tel.histograms["runtime.train_s"].count == 1
-        assert tel.gauges["worker.gauge"] == 7.0
-        # every absorbed event is re-emitted to the coordinator sinks
-        assert [e["type"] for e in sink.events[-5:]] == [
-            "span", "counter_add", "observe", "gauge", "event"]
-
-    def test_absorb_hist_snapshot_merges(self):
-        tel = Telemetry(enabled=True, sinks=[])
-        h = obs.Histogram()
-        h.observe(0.5)
-        tel.observe("lat", 0.1)
-        tel.absorb_events([h.snapshot("lat")])
-        assert tel.histograms["lat"].count == 2
-        assert tel.histograms["lat"].vmax == 0.5
-
-    def test_absorb_disabled_noop(self):
-        tel = Telemetry(enabled=False)
-        assert tel.absorb_events([{"type": "counter", "name": "c",
-                                   "value": 1}]) == 0
-        assert tel.counters == {}
-
-
 class TestCrashSafety:
     def test_flush_on_span_tree_completion(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -533,99 +459,37 @@ class TestCrashSafety:
         sink.close()
         assert read_jsonl(path) == [{"n": 1}, {"n": 2}]
 
-    def test_disinherit_discards_buffered_unwritten(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        sink = JsonlSink(path)
-        sink.emit({"n": 1})
-        sink.flush()
-        sink.emit({"n": 2})  # buffered, not yet flushed
-        sink.disinherit()
-        assert read_jsonl(path) == [{"n": 1}]
-        # the sink object is inert afterwards
-        sink.emit({"n": 3})
-        sink.flush()
-
-
-class TestForkSafety:
-    @pytest.mark.skipif(not hasattr(__import__("os"), "register_at_fork"),
+    @pytest.mark.skipif(not hasattr(__import__("os"), "fork"),
                         reason="no fork on this platform")
-    def test_forked_child_degrades_to_noop(self, tmp_path):
+    def test_forked_child_cannot_write_parent_stream(self, tmp_path):
+        # A forked child inherits the enabled registry and the open
+        # JSONL handle; the sink's owner-pid guard keeps its spans and
+        # flushes out of the parent's file.
         import multiprocessing as mp
 
         path = tmp_path / "parent.jsonl"
         sink = JsonlSink(path)
         ctx = mp.get_context("fork")
-        queue = ctx.SimpleQueue()
 
-        def child(q):
-            q.put({
-                "enabled": obs.enabled(),
-                "n_sinks": len(obs.get_telemetry().sinks),
-            })
-            # All of these must be true no-ops in the child.
-            obs.add("child.counter")
-            obs.gauge("child.gauge", 1.0)
-            obs.observe("child.hist", 1.0)
-            with obs.span("child.span"):
-                pass
+        def child():
+            with obs.span("child.span"):  # tree completion flushes
+                obs.add("child.counter")
+            sink.emit({"type": "event", "name": "child.raw"})
+            sink.flush()
 
         with obs.session(sinks=[sink]):
-            obs.add("parent.counter")
             with obs.span("parent.before"):
                 pass  # opens the JSONL handle pre-fork
-            proc = ctx.Process(target=child, args=(queue,))
+            proc = ctx.Process(target=child)
             proc.start()
-            proc.join()
-            seen = queue.get()
+            proc.join(timeout=30)
+            assert not proc.is_alive()
+            assert proc.exitcode == 0
             with obs.span("parent.after"):
                 pass
-            tel = obs.get_telemetry()
-            assert seen["enabled"] is False
-            assert seen["n_sinks"] == 0
-            assert "child.counter" not in tel.counters
-            assert "child.hist" not in tel.histograms
-            assert "child.span" not in tel.span_stats
         events = read_jsonl(path)
         names = {e.get("name") for e in events}
         assert "parent.before" in names and "parent.after" in names
         assert not any(str(n).startswith("child.") for n in names)
-        # parent stream stayed coherent: exactly one copy of each line
         lines = [ln for ln in path.read_text().splitlines() if ln]
-        assert len(lines) == len(set(
-            (e.get("type"), e.get("seq"), e.get("name"), str(e)) 
-            for e in events))
-
-    @pytest.mark.skipif(not hasattr(__import__("os"), "register_at_fork"),
-                        reason="no fork on this platform")
-    def test_adopt_worker_session_records_shard(self, tmp_path):
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-
-        def worker(shard_dir, epoch):
-            obs.adopt_worker_session(shard_dir, epoch)
-            with obs.span("client", parent=obs.TraceContext(
-                    trace_id="T", span_id="R", path="round"),
-                    client=3):
-                obs.observe("runtime.train_s", 0.01)
-                obs.add("runtime.retries")
-
-        with obs.session(sinks=[]):
-            epoch = obs.get_telemetry()._epoch
-            proc = ctx.Process(target=worker, args=(str(tmp_path), epoch))
-            proc.start()
-            proc.join()
-            shards = list(tmp_path.glob("worker-*.jsonl"))
-            assert len(shards) == 1
-            events = read_jsonl(shards[0])
-            span = [e for e in events if e.get("type") == "span"][0]
-            assert span["trace_id"] == "T"
-            assert span["parent_id"] == "R"
-            assert span["path"] == "round/client"
-            kinds = {e["type"] for e in events}
-            assert "observe" in kinds and "counter_add" in kinds
-            tel = obs.get_telemetry()
-            tel.absorb_events(events)
-            assert tel.span_stats["round/client"].count == 1
-            assert tel.histograms["runtime.train_s"].count == 1
-            assert tel.counters["runtime.retries"] == 1
+        assert len(lines) == len(set(lines))

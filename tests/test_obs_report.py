@@ -1,9 +1,10 @@
 """Flight-recorder report tests: re-parenting, rendering, diffing.
 
 Covers the round-health report (:mod:`repro.obs.report`), the run
-comparator (:mod:`repro.obs.diffing`), and the property that merged
-worker telemetry shards re-parent into exactly one causally-linked
-tree per (round, trace) regardless of interleaving order.
+comparator (:mod:`repro.obs.diffing`), and the property that client
+spans recorded on parallel workers re-parent into exactly one
+causally-linked tree per (round, trace) regardless of interleaving
+order.
 """
 
 import json
@@ -13,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.obs import MemorySink, Telemetry
 from repro.obs import diffing, report
 
 
@@ -52,29 +52,25 @@ class TestShardMergeProperty:
            per_worker=st.integers(min_value=1, max_value=4))
     def test_any_interleaving_reparents_one_tree_per_round(
             self, data, n_rounds, n_workers, per_worker):
-        # Build per-worker telemetry shards: each worker contributes
-        # client spans for every round, parented on the round span ids.
-        shards = []
+        # Each worker thread finishes client spans for every round,
+        # parented on the round span ids it was handed.
+        per_worker_spans = []
         for w in range(n_workers):
-            shard = [_client_span(r, w, i, wall=0.1 * (w + 1))
+            spans = [_client_span(r, w, i, wall=0.1 * (w + 1))
                      for r in range(n_rounds) for i in range(per_worker)]
-            shards.append(shard)
-        expected_wall = sum(e["wall_s"] for s in shards for e in s)
+            per_worker_spans.append(spans)
+        expected_wall = sum(e["wall_s"] for s in per_worker_spans for e in s)
 
-        # Random interleaving that preserves each shard's own order --
-        # the shape a per-round drain of worker JSONL files produces.
-        labels = [w for w, s in enumerate(shards) for _ in s]
+        # Random interleaving that preserves each worker's own order --
+        # the shape a stream written by parallel worker threads has.
+        labels = [w for w, s in enumerate(per_worker_spans) for _ in s]
         order = data.draw(st.permutations(labels))
-        queues = [list(s) for s in shards]
+        queues = [list(s) for s in per_worker_spans]
         interleaved = [queues[w].pop(0) for w in order]
+        # Round spans close after their clients, as in a live stream.
+        events = interleaved + [_round_span(r) for r in range(n_rounds)]
 
-        sink = MemorySink()
-        tel = Telemetry(enabled=True, sinks=[sink])
-        tel.absorb_events([_round_span(r) for r in range(n_rounds)])
-        tel.absorb_events(interleaved)
-
-        rec = report.build_recording(
-            report.FlightRecording(events=sink.events))
+        rec = report.build_recording(report.FlightRecording(events=events))
         # Exactly one tree per (round, trace): every trace has a single
         # root, every client span found its round, nothing orphaned.
         assert not rec.orphans
@@ -87,13 +83,17 @@ class TestShardMergeProperty:
             assert all(c.event["trace_id"] == trace_id
                        for c in root.children)
 
-        # Summary totals equal the sum over merged shards.
-        stats = tel.span_stats["round/client"]
-        assert stats.count == n_rounds * n_workers * per_worker
-        assert stats.wall_s == pytest.approx(expected_wall)
-        text = obs.render_summary(tel)
-        assert "round" in text and "client" in text
-        assert f"x{stats.count}" in text
+        # The trees hold every worker's spans, and the waterfall
+        # folds each round's clients into one row.
+        clients = [c for nodes in rec.roots.values()
+                   for c in nodes[0].children]
+        assert len(clients) == n_rounds * n_workers * per_worker
+        assert sum(c.event["wall_s"] for c in clients) == \
+            pytest.approx(expected_wall)
+        text = report.render_report(rec)
+        per_round = n_workers * per_worker
+        assert (f"client x{per_round}" if per_round > 1 else "client") \
+            in text
 
 
 class TestBuildRecording:
@@ -192,14 +192,14 @@ class TestChaosEndToEnd:
         assert "p50" in text and "p95" in text and "p99" in text
         assert "shard event log" in text
 
-    def test_process_executor_worker_spans_merge(self, tmp_path):
-
+    def test_thread_executor_worker_spans_parent_under_rounds(
+            self, tmp_path):
         from repro.core import OliveConfig, OliveSystem
         from repro.fl import (SPECS, SyntheticClassData, TrainingConfig,
                               build_model, partition_clients)
         from repro.runtime import RuntimeConfig
 
-        out = tmp_path / "proc.jsonl"
+        out = tmp_path / "thread.jsonl"
         gen = SyntheticClassData(SPECS["tiny"], seed=0)
         clients = partition_clients(gen, 8, 16, 2, seed=0)
         config = OliveConfig(
@@ -208,15 +208,15 @@ class TestChaosEndToEnd:
                                     sparse_ratio=0.2))
         system = OliveSystem(
             build_model("tiny_mlp", seed=0), clients, config, seed=0,
-            runtime=RuntimeConfig(executor="process", workers=2))
+            runtime=RuntimeConfig(executor="thread", workers=2))
         with obs.session(sinks=[obs.JsonlSink(out)]):
             system.run(1)
-            system.close()  # drains the worker telemetry shards
+            system.close()
         rec = report.load_recording(out)
         assert not rec.orphans
         client_spans = [e for e in rec.spans
                         if e["path"] == "round/client"]
-        assert client_spans, "worker spans were not merged"
+        assert client_spans, "worker-thread client spans are missing"
         round_ids = {e["span_id"] for e in rec.spans
                      if e["name"] == "round"}
         assert {e["parent_id"] for e in client_spans} <= round_ids

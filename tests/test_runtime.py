@@ -1,9 +1,9 @@
 """Determinism suite for the cohort runtime (repro.runtime).
 
-Pins the subsystem's central contract: every executor (serial, thread,
-process), at every worker count, with or without injected faults,
-produces **bit-identical** per-client updates, round outcomes, and
-global trajectories -- because all randomness derives from
+Pins the subsystem's central contract: the serial and thread executors,
+at every worker count, with or without injected faults, produce
+**bit-identical** per-client updates, round outcomes, and global
+trajectories -- because all randomness derives from
 ``(round, client)`` identity, never from execution order.
 """
 
@@ -16,6 +16,7 @@ from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
 from repro.fl.server import FederatedSimulation, ServerConfig
 from repro.runtime import (
+    EXECUTORS,
     STREAM_FAULT,
     STREAM_TRAIN,
     FaultConfig,
@@ -87,7 +88,7 @@ class TestSeeding:
 
 
 class TestExecutorEquivalence:
-    """serial == thread == process, bit for bit."""
+    """serial == thread, bit for bit."""
 
     @pytest.mark.parametrize("executor,workers", [
         ("thread", 1), ("thread", 3), ("thread", 8),
@@ -96,9 +97,6 @@ class TestExecutorEquivalence:
         assert_logs_identical(run_olive("serial"),
                               run_olive(executor, workers))
 
-    def test_process_matches_serial(self):
-        assert_logs_identical(run_olive("serial"), run_olive("process", 2))
-
     @pytest.mark.parametrize("executor,workers", [
         ("serial", 1), ("thread", 5),
     ])
@@ -106,10 +104,6 @@ class TestExecutorEquivalence:
         base = run_olive("thread", 2, faults=FAULTS)
         other = run_olive(executor, workers, faults=FAULTS)
         assert_logs_identical(base, other)
-
-    def test_faulty_rounds_process_invariant(self):
-        assert_logs_identical(run_olive("serial", faults=FAULTS),
-                              run_olive("process", 2, faults=FAULTS))
 
     def test_rerun_is_bit_identical(self):
         assert_logs_identical(run_olive("serial"), run_olive("serial"))
@@ -127,7 +121,7 @@ class TestSimulationEquivalence:
         )
 
     @pytest.mark.parametrize("executor,workers", [
-        ("thread", 2), ("thread", 7), ("process", 2),
+        ("thread", 2), ("thread", 7),
     ])
     def test_parallel_matches_serial(self, executor, workers):
         with self._sim("serial") as serial, \
@@ -176,6 +170,17 @@ class TestRuntimeConfigValidation:
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
             RuntimeConfig(executor="gpu")
+
+    def test_executor_names(self):
+        from repro.__main__ import _parse_args
+
+        assert EXECUTORS == ("serial", "thread", "vectorized")
+        with pytest.raises(ValueError):
+            RuntimeConfig(executor="process")
+        with pytest.raises(SystemExit):
+            _parse_args(["--executor", "process"])
+        assert _parse_args(["--executor", "vectorized"]).executor \
+            == "vectorized"
 
     def test_bad_quorum_rejected(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
 from repro.fl.sparsify import densify
 from repro.runtime import (
+    REASON_TIMEOUT,
     STATUS_DROPPED,
     STATUS_FAILED,
     STATUS_OK,
@@ -212,6 +213,42 @@ class TestRetriesAndStragglers:
         with make_system(runtime) as system:
             log = system.run_round()
         assert len(log.updates) == 8
+
+    def test_client_that_never_finishes_times_out(self, monkeypatch):
+        # A job that hangs past the wall-clock bound (4x the timeout) is
+        # abandoned as failed.  Only the thread executor can reach this:
+        # serial and vectorized jobs run inline at collection time.
+        import threading
+
+        from repro.runtime import executors
+
+        release = threading.Event()
+        run_job = executors.execute_client_job
+
+        def hang_client_0(ctx, job):
+            if job.client_id == 0:
+                release.wait(timeout=10.0)
+            return run_job(ctx, job)
+
+        monkeypatch.setattr(executors, "execute_client_job", hang_client_0)
+        runtime = RuntimeConfig(executor="thread", workers=2,
+                                client_timeout_s=0.05, max_retries=0)
+        sink = obs.MemorySink()
+        with make_system(runtime) as system:
+            try:
+                with obs.session(sinks=[sink]):
+                    log = system.run_round()
+            finally:
+                release.set()  # let the pool shut down
+        hung = log.cohort.outcomes[0]
+        assert hung.status == STATUS_FAILED
+        assert hung.reason == REASON_TIMEOUT
+        assert hung.latency_s >= 4 * 0.05
+        assert 0 not in log.updates
+        assert set(log.updates) == set(range(1, 8))
+        counters = sink.last_values("counter")
+        assert counters["runtime.timeouts"] == 1
+        assert counters["runtime.failure_reason.timeout"] == 1
 
 
 class TestEnclaveReplayDefence:

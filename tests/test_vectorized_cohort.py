@@ -204,8 +204,8 @@ class TestVectorizedEquivalence:
         )
 
     def test_conv_model_batches_bit_identically(self):
-        # LeNet-5 trains through the batched conv/pool layers (no more
-        # per-job fallback) and must still match serial exactly.
+        # LeNet-5 trains through the batched conv/pool layers and must
+        # still match serial exactly.
         training = TrainingConfig(local_epochs=1, local_lr=0.05,
                                   batch_size=4, sparse_ratio=0.05, clip=1.0)
         assert_rounds_identical(
