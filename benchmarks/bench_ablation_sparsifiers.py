@@ -13,7 +13,7 @@ fix -- the paper's implicit design argument.
 import numpy as np
 
 from repro.core.olive import OliveConfig, OliveSystem
-from repro.fl.client import TrainingConfig, local_train, sparsify_delta
+from repro.fl.client import TrainingConfig, local_deltas, sparsify
 from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
 
@@ -49,13 +49,18 @@ def _retained_mass(sparsifier: str) -> float:
     model = build_model("tiny_mlp", seed=0)
     config = TrainingConfig(sparse_ratio=RATIO, sparsifier=sparsifier,
                             local_lr=0.3, local_epochs=3)
-    rng = np.random.default_rng(0)
+    rngs = [np.random.default_rng((0, c.client_id)) for c in clients]
+    dropout = {i: [np.random.default_rng((1, i, c.client_id)) for c in clients]
+               for i in model.dropout_indices}
+    deltas = local_deltas(model, model.get_flat(),
+                          np.stack([c.x for c in clients]),
+                          np.stack([c.y for c in clients]),
+                          config, rngs, dropout)
+    _, values = sparsify(deltas, config, rngs)
     ratios = []
-    for c in clients:
-        delta = local_train(model, model.get_flat(), c, config, rng)
-        _, values = sparsify_delta(delta, config, rng)
+    for delta, kept in zip(deltas, values):
         total = np.linalg.norm(delta)
-        ratios.append(float(np.linalg.norm(values) / total) if total else 0.0)
+        ratios.append(float(np.linalg.norm(kept) / total) if total else 0.0)
     return float(np.mean(ratios))
 
 

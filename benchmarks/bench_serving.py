@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.attack import AttackConfig, run_serving_attack
 from repro.fl.datasets import SPECS, SyntheticClassData
-from repro.fl.models import build_model, softmax_cross_entropy
+from repro.fl.models import build_model
 from repro.serving import (
     InferenceServer,
     ObliviousInferenceEngine,
@@ -55,10 +55,7 @@ def _trained_model(seed: int = 0):
     for _ in range(150):
         y = rng.integers(0, SPEC.n_labels, size=32)
         x = data.sample(y, rng)
-        logits = model.forward(x, train=True)
-        _, dlogits = softmax_cross_entropy(logits, y)
-        model.backward(dlogits)
-        model.sgd_step(0.1)
+        model.train_step(x[None], y[None], 0.1)
     return model, data
 
 

@@ -28,7 +28,7 @@ from repro.fl import (
     TrainingConfig,
     partition_clients,
 )
-from repro.fl.models import Dropout, Linear, ReLU, Sequential
+from repro.fl.models import Sequential, mlp
 
 N_CLINICS = 24
 DIAGNOSES = 20
@@ -38,13 +38,7 @@ ROUNDS = 8
 
 
 def build_clinic_model(seed: int = 0) -> Sequential:
-    rng = np.random.default_rng(seed)
-    return Sequential([
-        Linear(CLINICAL_FEATURES, 16, rng),
-        ReLU(),
-        Dropout(0.5, rng),
-        Linear(16, DIAGNOSES, rng),
-    ])
+    return mlp(CLINICAL_FEATURES, 16, DIAGNOSES, np.random.default_rng(seed))
 
 
 def main() -> None:

@@ -23,10 +23,11 @@ from repro.attack.leakage import coarsen_indices
 from repro.attack.pipeline import all_accuracy, chance_top1, top1_accuracy
 from repro.fl import (
     SPECS,
+    ClientData,
     SyntheticClassData,
     TrainingConfig,
     build_model,
-    compute_update,
+    client_updates,
     partition_clients,
     server_test_data_by_label,
 )
@@ -38,6 +39,14 @@ TRAIN = TrainingConfig(local_epochs=2, local_lr=0.25, batch_size=16,
                        sparse_ratio=0.1, clip=1.0)
 
 
+def local_updates(model, w0, datas, rng):
+    """EncClient for same-shape shards; every client's training and
+    dropout streams are spawned from ``rng``."""
+    train = rng.spawn(len(datas))
+    dropout = {i: rng.spawn(len(datas)) for i in model.dropout_indices}
+    return client_updates(model, w0, datas, TRAIN, train, dropout)
+
+
 def main() -> None:
     print("== Sparse secure aggregation leaks like a TEE side channel ==")
     spec = SPECS["tiny"]
@@ -47,9 +56,8 @@ def main() -> None:
     d = model.num_params
 
     # Clients train locally and upload pairwise-masked sparse updates.
-    rng = np.random.default_rng(0)
     w0 = model.get_flat()
-    updates = [compute_update(model, w0, c, TRAIN, rng) for c in clients]
+    updates = local_updates(model, w0, clients, np.random.default_rng(0))
     secagg = setup_pairwise_seeds([c.client_id for c in clients], seed=1)
     uploads = [secagg[u.client_id].mask_sparse(u, d) for u in updates]
 
@@ -70,16 +78,16 @@ def main() -> None:
     test_data = server_test_data_by_label(gen, 30, seed=9)
     teacher = {0: {}}
     teacher_rng = np.random.default_rng(7)
-    from repro.fl.datasets import ClientData
-
     for label, x in test_data.items():
-        samples = []
-        for shard in np.array_split(np.arange(len(x)), 3):
-            data = ClientData(-1, x[shard], np.full(len(shard), label),
-                              frozenset([label]))
-            update = compute_update(model, w0, data, TRAIN, teacher_rng)
-            samples.append(coarsen_indices(update.indices))
-        teacher[0][label] = samples
+        shards = [
+            ClientData(-1, x[shard], np.full(len(shard), label),
+                       frozenset([label]))
+            for shard in np.array_split(np.arange(len(x)), 3)
+        ]
+        teacher[0][label] = [
+            coarsen_indices(u.indices)
+            for u in local_updates(model, w0, shards, teacher_rng)
+        ]
 
     attack = JacAttack()
     true_labels = {c.client_id: c.label_set for c in clients}

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fl.models import Dropout, Linear, ReLU, Sequential, softmax_cross_entropy
+from ..fl.client import TrainingConfig, train_stack
+from ..fl.models import Sequential, mlp
 
 
 def jaccard(a: frozenset[int], b: frozenset[int]) -> float:
@@ -102,15 +103,7 @@ class JacAttack:
 
 def _attack_mlp(input_dim: int, n_labels: int, hidden: int,
                 seed: int) -> Sequential:
-    rng = np.random.default_rng(seed)
-    return Sequential(
-        [
-            Linear(input_dim, hidden, rng),
-            ReLU(),
-            Dropout(0.5, rng),
-            Linear(hidden, n_labels, rng),
-        ]
-    )
+    return mlp(input_dim, hidden, n_labels, np.random.default_rng(seed))
 
 
 def _train_classifier(
@@ -122,15 +115,10 @@ def _train_classifier(
     batch_size: int,
     rng: np.random.Generator,
 ) -> None:
-    n = len(y)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            logits = model.forward(x[batch], train=True)
-            _, dlogits = softmax_cross_entropy(logits, y[batch])
-            model.backward(dlogits)
-            model.sgd_step(lr)
+    """Minibatch SGD on the attack model, through the client trainer."""
+    config = TrainingConfig(local_epochs=epochs, local_lr=lr,
+                            batch_size=batch_size)
+    train_stack(model, x[None], y[None], config, [rng])
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -191,9 +179,9 @@ class NnAttack:
         for rnd, obs in observed_by_round.items():
             if rnd not in models:
                 continue
-            x = _nn_features(obs, feature_dim)[None, :]
+            x = _nn_features(obs, feature_dim)[None, None, :]
             logits = models[rnd].forward(x, train=False)
-            scores += _softmax(logits)[0]
+            scores += _softmax(logits)[0, 0]
             used += 1
         if used:
             scores /= used
@@ -263,9 +251,9 @@ class NnSingleAttack:
         rounds: list[int],
         feature_dim: int,
     ) -> np.ndarray:
-        x = self._concat_features(observed_by_round, rounds, feature_dim)[None, :]
-        logits = model.forward(x, train=False)
-        return _softmax(logits)[0]
+        x = self._concat_features(observed_by_round, rounds, feature_dim)
+        logits = model.forward(x[None, None, :], train=False)
+        return _softmax(logits)[0, 0]
 
 
 def decide_labels(

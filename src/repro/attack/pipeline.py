@@ -369,7 +369,7 @@ def run_serving_attack(
             features = np.stack(
                 [_nn_features(observed, dim) for observed in victim_obs]
             )
-            scores = _softmax(model.forward(features, train=False))
+            scores = _softmax(model.forward(features[None], train=False)[0])
 
         labels = np.asarray(victim_labels, dtype=np.int64)
         auc = macro_ovr_auc(scores, labels, n_labels)

@@ -34,6 +34,7 @@ import numpy as np
 from .. import obs
 from ..dp.accountant import PrivacyAccountant
 from ..dp.adaptive_clipping import AdaptiveClipper
+from ..dp.mechanisms import validate_noise_config
 from ..fl.client import LocalUpdate, TrainingConfig
 from ..fl.datasets import ClientData
 from ..fl.models import Sequential, accuracy
@@ -75,6 +76,7 @@ class OliveConfig:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
         if self.group_size is not None and self.aggregator != "advanced":
             raise ValueError("grouping only applies to the advanced aggregator")
+        validate_noise_config(self.noise_multiplier, self.expected_clients)
 
 
 @dataclass
@@ -329,9 +331,10 @@ class OliveSystem:
             sigma = self.config.noise_multiplier * clip
             with obs.span("noise", sigma=sigma):
                 noise = np.asarray(self.enclave.gauss_vector(sigma, self.d))
-            denominator = self.config.expected_clients or max(
-                1.0, self.config.sample_rate * len(self.clients)
-            )
+            denominator = self.config.expected_clients
+            if denominator is None:
+                denominator = max(
+                    1.0, self.config.sample_rate * len(self.clients))
             mean_update = (aggregate + noise) / denominator
 
             # Lines 13-14: only the DP update leaves the enclave.

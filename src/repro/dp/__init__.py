@@ -16,7 +16,11 @@ from .ldp import (
     perturb_local,
     shuffle_amplified_epsilon,
 )
-from .mechanisms import gaussian_perturb, sensitivity_of_mean
+from .mechanisms import (
+    gaussian_perturb,
+    sensitivity_of_mean,
+    validate_noise_config,
+)
 
 __all__ = [
     "AdaptiveClipper",
@@ -31,5 +35,6 @@ __all__ = [
     "perturb_local",
     "rdp_to_dp",
     "sensitivity_of_mean",
+    "validate_noise_config",
     "shuffle_amplified_epsilon",
 ]

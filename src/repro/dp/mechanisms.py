@@ -35,6 +35,24 @@ def gaussian_perturb(
     return (aggregate + noise) / denominator
 
 
+def validate_noise_config(
+    noise_multiplier: float, expected_clients: int | None
+) -> None:
+    """Reject server DP settings that would run with a meaningless budget.
+
+    A negative multiplier reports epsilon = inf while still training;
+    ``0.0`` stays allowed as the explicit no-DP mode.  ``expected_clients``
+    (the ``q N`` denominator) must be a positive count when set -- a
+    falsy ``0`` must not silently fall back to the default.
+    """
+    if not noise_multiplier >= 0.0:
+        raise ValueError(
+            f"noise_multiplier must be >= 0, got {noise_multiplier}")
+    if expected_clients is not None and expected_clients < 1:
+        raise ValueError(
+            f"expected_clients must be >= 1 when set, got {expected_clients}")
+
+
 def sensitivity_of_mean(clip: float, denominator: float) -> float:
     """L2 sensitivity of the normalized sum to one client's presence."""
     return clip / denominator

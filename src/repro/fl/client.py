@@ -4,32 +4,27 @@ Implements ``EncClient`` of Algorithm 1: starting from the current
 global weights, run local SGD over the private shard, take the model
 delta, top-k sparsify it, L2-clip the surviving values, and encrypt the
 ``(index, value)`` records for the enclave under the RA-negotiated key.
+
+There is one client path and it is batched: :func:`client_updates`
+trains C same-shape clients as one model stack (leading client axis,
+see :mod:`repro.fl.models`), then sparsifies and clips row-wise.  A
+lone client is the ``C = 1`` case.  Per-client randomness comes from
+each client's own Generators (the caller supplies them), so a client's
+update is the same bits whatever cohort it trains in -- pinned against
+the scalar reference loop in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..sgx import crypto
 from .datasets import ClientData
-from .models import (
-    BatchedSequential,
-    Sequential,
-    softmax_cross_entropy,
-    softmax_cross_entropy_batch,
-)
-from .sparsify import (
-    l2_clip,
-    l2_clip_batch,
-    random_k,
-    random_k_batch,
-    threshold,
-    threshold_batch,
-    top_ratio,
-    top_ratio_batch,
-)
+from .models import Sequential
+from .sparsify import l2_clip, random_k, threshold, top_k, top_ratio
 
 
 @dataclass(frozen=True)
@@ -81,188 +76,140 @@ class TrainingConfig:
             raise ValueError(f"unknown sparsifier {self.sparsifier!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        # Reject here what would otherwise upload zero-trained or
+        # non-finite updates, or fail only mid-round inside a worker.
+        if self.local_epochs < 1:
+            raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 < self.sparse_ratio <= 1.0:
+            raise ValueError(
+                f"sparse_ratio must be in (0, 1], got {self.sparse_ratio}")
+        if not self.clip > 0.0:
+            raise ValueError(f"clip must be positive, got {self.clip}")
+        if not (math.isfinite(self.local_lr) and self.local_lr > 0.0):
+            raise ValueError(
+                f"local_lr must be finite and positive, got {self.local_lr}")
+        if not self.threshold_tau >= 0.0:
+            raise ValueError(
+                f"threshold_tau must be >= 0, got {self.threshold_tau}")
 
 
-def local_train(
+def train_stack(
     model: Sequential,
-    global_weights: np.ndarray,
-    data: ClientData,
+    xs: np.ndarray,
+    ys: np.ndarray,
     config: TrainingConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Run local optimization from ``global_weights``; returns the
-    dense delta (multi-epoch SGD for FedAVG, one full-batch gradient
-    step for FedSGD)."""
-    model.set_flat(global_weights)
-    if config.algorithm == "fedsgd":
-        logits = model.forward(data.x, train=True)
-        _, dlogits = softmax_cross_entropy(logits, data.y)
-        model.backward(dlogits)
-        model.sgd_step(config.local_lr)
-        return model.get_flat() - global_weights
-    n = len(data)
-    for _ in range(config.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            logits = model.forward(data.x[batch], train=True)
-            _, dlogits = softmax_cross_entropy(logits, data.y[batch])
-            model.backward(dlogits)
-            model.sgd_step(config.local_lr)
-    return model.get_flat() - global_weights
+    train_rngs: list[np.random.Generator],
+) -> None:
+    """Local optimization, in place, on a C-client model stack.
 
-
-def sparsify_delta(
-    delta: np.ndarray, config: TrainingConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the configured sparsifier to a dense delta."""
-    if config.sparsifier == "top_k":
-        return top_ratio(delta, config.sparse_ratio)
-    if config.sparsifier == "threshold":
-        indices, values = threshold(delta, config.threshold_tau)
-        if len(indices) == 0:
-            # Never send an empty update; fall back to the single
-            # largest coordinate (threshold too aggressive).
-            return top_ratio(delta, 1.0 / max(delta.size, 1))
-        return indices, values
-    k = max(1, int(np.ceil(config.sparse_ratio * delta.size)))
-    return random_k(delta, k, rng)
-
-
-def compute_update(
-    model: Sequential,
-    global_weights: np.ndarray,
-    data: ClientData,
-    config: TrainingConfig,
-    rng: np.random.Generator,
-    clip_override: float | None = None,
-) -> LocalUpdate:
-    """EncClient lines 15-22: train, sparsify, L2-clip.
-
-    ``clip_override`` supports server-broadcast adaptive clipping
-    (Andrew et al.): when set -- including to an invalid ``0.0``, which
-    :func:`~repro.fl.sparsify.l2_clip` rejects loudly rather than
-    silently falling back to ``config.clip`` -- it replaces
-    ``config.clip`` this round.
+    ``xs``/``ys`` stack C same-shape shards.  FedAVG runs
+    ``local_epochs`` of minibatch SGD, drawing one permutation per
+    epoch from each client's ``train_rngs[c]`` (leaving the stream
+    positioned for the sparsifier); FedSGD takes one full-batch step.
+    Dropout masks come from the model's own per-client Generators.
     """
-    delta = local_train(model, global_weights, data, config, rng)
-    indices, values = sparsify_delta(delta, config, rng)
-    clip = clip_override if clip_override is not None else config.clip
-    values = l2_clip(values, clip)
-    return LocalUpdate(client_id=data.client_id, indices=indices, values=values)
+    c, n = ys.shape[0], ys.shape[1]
+    if config.algorithm == "fedsgd":
+        model.begin_training(n)
+        model.train_step(xs, ys, config.local_lr)
+        return
+    model.begin_training(config.local_epochs * n)
+    row_index = np.arange(c)[:, None]
+    for _ in range(config.local_epochs):
+        orders = np.empty((c, n), dtype=np.int64)
+        for i, rng in enumerate(train_rngs):
+            orders[i] = rng.permutation(n)
+        # One gather for the whole epoch; per-step batches are views.
+        ex = xs[row_index, orders]
+        ey = ys[row_index, orders]
+        for start in range(0, n, config.batch_size):
+            stop = start + config.batch_size
+            model.train_step(ex[:, start:stop], ey[:, start:stop],
+                             config.local_lr)
 
 
-# ----------------------------------------------------------------------
-# Batched (mega-cohort) client path
-# ----------------------------------------------------------------------
-#
-# The vectorized executor processes an entire cohort as stacked tensors:
-# one batched local-training run over ``(C, n, features)`` data, one
-# axis-1 sparsification over the ``(C, d)`` delta stack, one batched L2
-# clip.  Per-client randomness still comes from each client's own
-# derived Generators (the caller supplies them), so every row is
-# bit-identical to :func:`compute_update` run serially for that client.
-
-
-def local_train_batch(
+def local_deltas(
     model: Sequential,
     global_weights: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
     config: TrainingConfig,
     train_rngs: list[np.random.Generator],
-    dropout_rngs: list[dict[int, np.random.Generator]],
+    dropout_rngs: dict[int, list[np.random.Generator]],
 ) -> np.ndarray:
-    """Batched :func:`local_train`: returns the ``(C, d)`` delta stack.
+    """Train C clients from ``global_weights``; returns the ``(C, d)``
+    delta stack.
 
-    ``xs``/``ys`` stack C same-shape client shards; ``train_rngs`` are
-    the per-client training Generators (consumed exactly as serially:
-    one permutation per epoch, leaving the stream positioned for the
-    sparsifier); ``dropout_rngs[c]`` maps template-layer index to client
-    ``c``'s dropout Generator (:func:`~repro.runtime.seeding.reseed_model`'s
-    sub-streams).
+    ``model`` is only the architecture template (it is not modified);
+    ``dropout_rngs`` maps each dropout layer's index in ``model.layers``
+    to the C clients' Generators for that layer.
     """
-    c, n = ys.shape[0], ys.shape[1]
-    batched = BatchedSequential(model, global_weights, c)
-    if config.algorithm == "fedsgd":
-        batched.begin_training(n, dropout_rngs)
-        logits = batched.forward(xs, train=True)
-        dlogits = softmax_cross_entropy_batch(logits, ys)
-        batched.backward(dlogits)
-        batched.sgd_step(config.local_lr)
-        return batched.get_flat() - global_weights
-    batched.begin_training(config.local_epochs * n, dropout_rngs)
-    row_index = np.arange(c)[:, None]
-    for _ in range(config.local_epochs):
-        orders = np.empty((c, n), dtype=np.int64)
-        for i, rng in enumerate(train_rngs):
-            orders[i] = rng.permutation(n)
-        # One gather for the whole epoch; per-step batches are views of
-        # it (same elements as the serial per-batch gather).
-        ex = xs[row_index, orders]
-        ey = ys[row_index, orders]
-        for start in range(0, n, config.batch_size):
-            stop = start + config.batch_size
-            logits = batched.forward(ex[:, start:stop], train=True)
-            dlogits = softmax_cross_entropy_batch(logits, ey[:, start:stop])
-            batched.backward(dlogits)
-            batched.sgd_step(config.local_lr)
-    return batched.get_flat() - global_weights
+    stack = model.replicate(ys.shape[0], global_weights)
+    for i, rngs in dropout_rngs.items():
+        stack.layers[i].rngs = rngs
+    train_stack(stack, xs, ys, config, train_rngs)
+    return stack.flat_stack() - global_weights
 
 
-def sparsify_delta_batch(
+def sparsify(
     deltas: np.ndarray,
     config: TrainingConfig,
     rngs: list[np.random.Generator],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Batched :func:`sparsify_delta` over a ``(C, d)`` delta stack."""
+):
+    """Apply the configured sparsifier to a ``(C, d)`` delta stack.
+
+    Returns per-row ``(indices, values)``: ``(C, k)`` arrays for the
+    fixed-k sparsifiers, per-row lists for ``threshold``.  A threshold
+    row where nothing reaches tau falls back to its single largest
+    coordinate -- a client never sends an empty update.
+    """
     if config.sparsifier == "top_k":
-        indices, values = top_ratio_batch(deltas, config.sparse_ratio)
-        return list(zip(indices, values))
+        return top_ratio(deltas, config.sparse_ratio)
     if config.sparsifier == "threshold":
-        return threshold_batch(deltas, config.threshold_tau)
+        indices, values = threshold(deltas, config.threshold_tau)
+        for c, idx in enumerate(indices):
+            if len(idx) == 0:
+                best_idx, best_val = top_k(deltas[c : c + 1], 1)
+                indices[c], values[c] = best_idx[0], best_val[0]
+        return indices, values
     k = max(1, int(np.ceil(config.sparse_ratio * deltas.shape[1])))
-    indices, values = random_k_batch(deltas, k, rngs)
-    return list(zip(indices, values))
+    return random_k(deltas, k, rngs)
 
 
-def compute_updates_batch(
+def client_updates(
     model: Sequential,
     global_weights: np.ndarray,
     datas: list[ClientData],
     config: TrainingConfig,
     train_rngs: list[np.random.Generator],
-    dropout_rngs: list[dict[int, np.random.Generator]],
+    dropout_rngs: dict[int, list[np.random.Generator]],
     clip_override: float | None = None,
 ) -> list[LocalUpdate]:
-    """Batched :func:`compute_update` for C same-shape client shards.
+    """EncClient lines 15-22 for C same-shape client shards: train,
+    sparsify, L2-clip.
 
-    Every returned :class:`LocalUpdate` is bit-identical to the serial
-    call for that client (same Generators, same operations per client
-    slice) -- the contract the vectorized executor's equivalence suite
-    enforces.
+    ``train_rngs[c]`` drives client c's batch order and then its
+    ``random_k`` draw; ``dropout_rngs`` is as in :func:`local_deltas`.
+    ``clip_override`` supports server-broadcast adaptive clipping
+    (Andrew et al.): when set -- including to an invalid ``0.0``, which
+    :func:`~repro.fl.sparsify.l2_clip` rejects loudly rather than
+    silently falling back to ``config.clip`` -- it replaces
+    ``config.clip`` this round.
     """
-    xs = np.stack([d.x for d in datas])
-    ys = np.stack([d.y for d in datas])
-    deltas = local_train_batch(
-        model, global_weights, xs, ys, config, train_rngs, dropout_rngs
+    deltas = local_deltas(
+        model, global_weights,
+        np.stack([d.x for d in datas]), np.stack([d.y for d in datas]),
+        config, train_rngs, dropout_rngs,
     )
+    indices, values = sparsify(deltas, config, train_rngs)
     clip = clip_override if clip_override is not None else config.clip
     if config.sparsifier == "threshold":
-        # Ragged output: training and selection are batched; the final
-        # per-row clip reuses the scalar kernel on each short row.
-        sparse = threshold_batch(deltas, config.threshold_tau)
-        return [
-            LocalUpdate(client_id=data.client_id, indices=idx,
-                        values=l2_clip(val, clip))
-            for data, (idx, val) in zip(datas, sparse)
-        ]
-    if config.sparsifier == "top_k":
-        indices, values = top_ratio_batch(deltas, config.sparse_ratio)
+        # Ragged rows clip one at a time.
+        values = [l2_clip(val[None], clip)[0] for val in values]
     else:
-        k = max(1, int(np.ceil(config.sparse_ratio * deltas.shape[1])))
-        indices, values = random_k_batch(deltas, k, train_rngs)
-    values = l2_clip_batch(values, clip)
+        values = l2_clip(values, clip)
     return [
         LocalUpdate(client_id=data.client_id, indices=idx, values=val)
         for data, idx, val in zip(datas, indices, values)

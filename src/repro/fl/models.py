@@ -19,7 +19,17 @@ parameter counts exactly; ``cifar10_mlp`` differs by 2 (bias counting)
 and ``cifar100_cnn`` substitutes ResNet-18 with a small CNN of
 comparable (paper-reported) parameter count -- see DESIGN.md.
 
-Every model exposes its parameters as one flat float64 vector
+There is one layer stack, and every layer carries a leading **client
+axis**: weights are stacked ``(C, ...)`` and activations flow as
+``(C, batch, features)``.  :func:`build_model` returns a single model
+(``C = 1``); :meth:`Sequential.replicate` turns it into C independent
+copies that train in shared batched matmuls -- the path every cohort
+executor runs.  Each client slice performs exactly the operations of a
+lone model (same matmuls, same reductions, same elementwise ops), so a
+client's result never depends on the cohort it trained in; the scalar
+reference layers in ``tests/oracles.py`` pin this bit for bit.
+
+A single model exposes its parameters as one flat float64 vector
 (:meth:`Sequential.get_flat` / :meth:`Sequential.set_flat`), the
 representation federated learning exchanges and sparsifies.
 """
@@ -29,304 +39,13 @@ from __future__ import annotations
 import numpy as np
 
 
-class Layer:
-    """Base layer: forward/backward plus parameter access."""
+class Linear:
+    """C independent fully connected layers with bias.
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def grads(self) -> list[np.ndarray]:
-        return []
-
-
-class Linear(Layer):
-    """Fully connected layer with bias."""
-
-    def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator) -> None:
-        scale = np.sqrt(2.0 / in_features)
-        self.weight = rng.normal(0.0, scale, size=(in_features, out_features))
-        self.bias = np.zeros(out_features)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
-        self._x: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._x = x
-        return x @ self.weight + self.bias
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._x is not None
-        self.grad_weight = self._x.T @ grad_out
-        self.grad_bias = grad_out.sum(axis=0)
-        return grad_out @ self.weight.T
-
-    def params(self) -> list[np.ndarray]:
-        return [self.weight, self.bias]
-
-    def grads(self) -> list[np.ndarray]:
-        return [self.grad_weight, self.grad_bias]
-
-
-class ReLU(Layer):
-    """Rectified linear activation."""
-
-    def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out * self._mask
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at evaluation time."""
-
-    def __init__(self, p: float, rng: np.random.Generator) -> None:
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        self.p = p
-        self._rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if not train or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
-
-
-class Flatten(Layer):
-    """Collapse (N, ...) feature maps to (N, features)."""
-
-    def __init__(self) -> None:
-        self._shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out.reshape(self._shape)
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """Unfold (N, C, H, W) into (N, out_h, out_w, C*kh*kw) patches."""
-    n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
-    shape = (n, c, out_h, out_w, kh, kw)
-    strides = (
-        x.strides[0],
-        x.strides[1],
-        x.strides[2] * stride,
-        x.strides[3] * stride,
-        x.strides[2],
-        x.strides[3],
-    )
-    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(n, out_h, out_w, c * kh * kw)
-    return cols, out_h, out_w
-
-
-class Conv2d(Layer):
-    """2-D convolution via im2col with bias."""
-
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: int,
-        rng: np.random.Generator,
-        stride: int = 1,
-        padding: int = 0,
-    ) -> None:
-        fan_in = in_channels * kernel_size * kernel_size
-        scale = np.sqrt(2.0 / fan_in)
-        self.weight = rng.normal(
-            0.0, scale, size=(out_channels, in_channels, kernel_size, kernel_size)
-        )
-        self.bias = np.zeros(out_channels)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
-        self.stride = stride
-        self.padding = padding
-        self.kernel_size = kernel_size
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._x_shape = x.shape
-        k = self.kernel_size
-        cols, out_h, out_w = _im2col(x, k, k, self.stride, self.padding)
-        self._cols = cols
-        w_mat = self.weight.reshape(self.weight.shape[0], -1)
-        out = cols @ w_mat.T + self.bias
-        return out.transpose(0, 3, 1, 2)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._cols is not None and self._x_shape is not None
-        n, c, h, w = self._x_shape
-        k = self.kernel_size
-        go = grad_out.transpose(0, 2, 3, 1)  # (N, out_h, out_w, out_c)
-        out_c = go.shape[-1]
-        go_flat = go.reshape(-1, out_c)
-        cols_flat = self._cols.reshape(-1, self._cols.shape[-1])
-        self.grad_weight = (go_flat.T @ cols_flat).reshape(self.weight.shape)
-        self.grad_bias = go_flat.sum(axis=0)
-        w_mat = self.weight.reshape(out_c, -1)
-        dcols = (go_flat @ w_mat).reshape(self._cols.shape)
-        # Fold patches back (col2im).
-        out_h, out_w = dcols.shape[1], dcols.shape[2]
-        dx = np.zeros((n, c, h + 2 * self.padding, w + 2 * self.padding))
-        dpatches = dcols.reshape(n, out_h, out_w, c, k, k)
-        for i in range(out_h):
-            hi = i * self.stride
-            for j in range(out_w):
-                wj = j * self.stride
-                dx[:, :, hi : hi + k, wj : wj + k] += dpatches[:, i, j]
-        if self.padding:
-            dx = dx[:, :, self.padding : -self.padding, self.padding : -self.padding]
-        return dx
-
-    def params(self) -> list[np.ndarray]:
-        return [self.weight, self.bias]
-
-    def grads(self) -> list[np.ndarray]:
-        return [self.grad_weight, self.grad_bias]
-
-
-class MaxPool2d(Layer):
-    """Non-overlapping max pooling (kernel == stride)."""
-
-    def __init__(self, kernel_size: int) -> None:
-        self.k = kernel_size
-        self._argmax: np.ndarray | None = None
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
-        k = self.k
-        if h % k or w % k:
-            raise ValueError("input not divisible by pooling kernel")
-        self._x_shape = x.shape
-        blocks = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
-        flat = blocks.reshape(n, c, h // k, w // k, k * k)
-        self._argmax = flat.argmax(axis=-1)
-        return flat.max(axis=-1)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._argmax is not None and self._x_shape is not None
-        n, c, h, w = self._x_shape
-        k = self.k
-        dflat = np.zeros((n, c, h // k, w // k, k * k))
-        np.put_along_axis(
-            dflat, self._argmax[..., None], grad_out[..., None], axis=-1
-        )
-        dx = (
-            dflat.reshape(n, c, h // k, w // k, k, k)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
-        return dx
-
-
-class Sequential:
-    """A feed-forward stack with flat-vector parameter access."""
-
-    def __init__(self, layers: list[Layer]) -> None:
-        self.layers = layers
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x, train=train)
-        return x
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
-        return grad_out
-
-    def params(self) -> list[np.ndarray]:
-        return [p for layer in self.layers for p in layer.params()]
-
-    def grads(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.grads()]
-
-    @property
-    def num_params(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(p.size for p in self.params())
-
-    def get_flat(self) -> np.ndarray:
-        """Parameters as one flat float64 vector."""
-        parts = self.params()
-        if not parts:
-            return np.empty(0)
-        return np.concatenate([p.ravel() for p in parts])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        """Load parameters from a flat vector (inverse of get_flat)."""
-        if flat.size != self.num_params:
-            raise ValueError(
-                f"expected {self.num_params} parameters, got {flat.size}"
-            )
-        offset = 0
-        for p in self.params():
-            p[...] = flat[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
-
-    def get_flat_grads(self) -> np.ndarray:
-        """Gradients as one flat vector (aligned with get_flat)."""
-        return np.concatenate([g.ravel() for g in self.grads()])
-
-    def sgd_step(self, lr: float) -> None:
-        """One vanilla SGD step over all parameters."""
-        for p, g in zip(self.params(), self.grads()):
-            p -= lr * g
-
-
-# ----------------------------------------------------------------------
-# Batched (mega-cohort) execution: a whole cohort as one tensor
-# ----------------------------------------------------------------------
-#
-# The cohort runtime's ``vectorized`` executor trains every sampled
-# client in one stack of numpy tensors with a leading client axis:
-# weights ``(C, in, out)``, activations ``(C, batch, features)``.  Each
-# batched layer performs, per client slice, *exactly* the operations of
-# its scalar counterpart above (same matmuls, same reductions, same
-# elementwise ops), so the per-client results are bit-identical to a
-# serial loop of ``Sequential`` -- the equivalence contract pinned by
-# ``tests/test_vectorized_cohort.py``.  Only layers whose batched form
-# preserves that contract are supported (the paper's MLP family); see
-# :func:`supports_batched_training`.
-
-
-class BatchedLinear:
-    """A stack of C independent :class:`Linear` layers.
-
-    ``compute_dx`` is cleared on the first layer of a stack: its input
-    gradient is discarded by every caller, and at mega-cohort scale the
-    skipped batched matmul is measurable (the serial path computes and
-    discards it; the bits that matter are unaffected).
+    ``compute_dx`` is cleared on the first layer of a
+    :class:`Sequential`: its input gradient is discarded by every
+    caller, and at mega-cohort scale the skipped batched matmul is
+    measurable.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray) -> None:
@@ -337,16 +56,28 @@ class BatchedLinear:
         self.compute_dx = True
         self._x: np.ndarray | None = None
 
+    @classmethod
+    def init(cls, in_features: int, out_features: int,
+             rng: np.random.Generator) -> "Linear":
+        """One He-initialized layer (C = 1)."""
+        scale = np.sqrt(2.0 / in_features)
+        weight = rng.normal(0.0, scale, size=(in_features, out_features))
+        return cls(weight[None], np.zeros((1, out_features)))
+
+    def replicate(self, n_clients: int) -> "Linear":
+        return Linear(np.empty((n_clients,) + self.weight.shape[1:]),
+                      np.empty((n_clients,) + self.bias.shape[1:]))
+
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         self._x = x
         return np.matmul(x, self.weight) + self.bias[:, None, :]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         assert self._x is not None
         self.grad_weight = np.matmul(self._x.transpose(0, 2, 1), grad_out)
         self.grad_bias = grad_out.sum(axis=1)
         if not self.compute_dx:
-            return grad_out
+            return None
         return np.matmul(grad_out, self.weight.transpose(0, 2, 1))
 
     def sgd_step(self, lr: float) -> None:
@@ -357,11 +88,14 @@ class BatchedLinear:
         return [self.weight, self.bias]
 
 
-class BatchedReLU:
-    """Elementwise ReLU over the stacked activations."""
+class ReLU:
+    """Elementwise rectified linear activation."""
 
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
+
+    def replicate(self, n_clients: int) -> "ReLU":
+        return ReLU()
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         self._mask = x > 0
@@ -377,33 +111,37 @@ class BatchedReLU:
         return []
 
 
-class BatchedDropout:
-    """C independent inverted-dropout layers with pre-drawn masks.
+class Dropout:
+    """C independent inverted-dropout layers; identity at evaluation.
 
-    The serial :class:`Dropout` draws one ``rng.random(x.shape)`` per
-    forward call from its layer-private Generator.  ``Generator.random``
-    fills row-major from a sequential bit stream, so drawing all of a
-    client's masks in one ``(total_rows, width)`` call yields exactly
-    the concatenation of the per-batch draws -- one RNG call per client
-    per layer instead of one per batch.  Masks are stored as booleans
-    and divided by the keep rate at apply time (``True / keep`` equals
-    the serial ``(draw < keep) / keep`` bit for bit).
+    Client ``c`` draws its masks from its own Generator ``rngs[c]``.
+    ``Generator.random`` fills row-major from a sequential bit stream,
+    so drawing a whole training run's masks in one
+    ``(total_rows, width)`` call yields exactly the concatenation of
+    per-batch draws: after :meth:`begin` announces the run length, the
+    first training forward draws the run in one call per client (not
+    one per batch).  Unannounced, each training forward draws just its
+    own batch.  Masks are stored as booleans divided by the keep rate
+    (``True / keep`` equals ``(draw < keep) / keep`` bit for bit).
     """
 
-    def __init__(self, p: float) -> None:
+    def __init__(self, p: float, rng: np.random.Generator | None = None) -> None:
         if not 0.0 <= p < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         self.p = p
-        self._rngs: list[np.random.Generator] | None = None
-        self._total_rows = 0
-        self._pool: np.ndarray | None = None   # (C, total_rows, width) float
+        self.rngs: list[np.random.Generator] = [rng] if rng is not None else []
+        self._planned = 0
+        self._pool: np.ndarray | None = None  # (C, rows, ...) scaled masks
         self._cursor = 0
         self._mask: np.ndarray | None = None
 
-    def begin(self, total_rows: int, rngs: list[np.random.Generator]) -> None:
-        """Arm the layer for one local-training run of ``total_rows``."""
-        self._rngs = rngs
-        self._total_rows = total_rows
+    def replicate(self, n_clients: int) -> "Dropout":
+        """A copy without Generators; the caller installs ``rngs``."""
+        return Dropout(self.p)
+
+    def begin(self, total_rows: int) -> None:
+        """Announce a training run consuming ``total_rows`` rows."""
+        self._planned = total_rows
         self._pool = None
         self._cursor = 0
 
@@ -411,21 +149,23 @@ class BatchedDropout:
         if not train or self.p == 0.0:
             self._mask = None
             return x
-        assert self._rngs is not None, "begin() not called"
-        keep = 1.0 - self.p
-        if self._pool is None:
-            width = x.shape[-1]
-            pool = np.empty((len(self._rngs), self._total_rows, width),
-                            dtype=bool)
-            for i, rng in enumerate(self._rngs):
-                pool[i] = rng.random((self._total_rows, width)) < keep
-            # Divide the whole run's masks by the keep rate once; the
-            # per-step slices below are then allocation-free views.
-            self._pool = pool / keep
         b = x.shape[1]
-        self._mask = self._pool[:, self._cursor : self._cursor + b, :]
+        if self._pool is None or self._cursor + b > self._pool.shape[1]:
+            self._pool = self._draw(max(self._planned, b), x.shape[2:])
+            self._planned = 0
+            self._cursor = 0
+        self._mask = self._pool[:, self._cursor : self._cursor + b]
         self._cursor += b
         return x * self._mask
+
+    def _draw(self, rows: int, shape: tuple[int, ...]) -> np.ndarray:
+        if not self.rngs:
+            raise ValueError("dropout layer has no Generators installed")
+        keep = 1.0 - self.p
+        pool = np.empty((len(self.rngs), rows) + shape, dtype=bool)
+        for i, rng in enumerate(self.rngs):
+            pool[i] = rng.random((rows,) + shape) < keep
+        return pool / keep
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -439,11 +179,14 @@ class BatchedDropout:
         return []
 
 
-class BatchedFlatten:
+class Flatten:
     """Collapse (C, b, ...) feature maps to (C, b, features)."""
 
     def __init__(self) -> None:
         self._shape: tuple[int, ...] | None = None
+
+    def replicate(self, n_clients: int) -> "Flatten":
+        return Flatten()
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         self._shape = x.shape
@@ -459,12 +202,12 @@ class BatchedFlatten:
         return []
 
 
-def _im2col_batch(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     """Unfold (C, N, ch, H, W) into (C, N, out_h, out_w, ch*kh*kw).
 
-    The client-axis twin of :func:`_im2col`: identical window walk per
-    client slice, with the leading cohort axis carried through the
-    strides so the whole cohort unfolds in one ``as_strided`` view.
+    The leading client axis is carried through the strides, so the
+    whole cohort unfolds in one ``as_strided`` view with the same
+    window walk per client slice.
     """
     cc, n, ch, h, w = x.shape
     if pad:
@@ -488,21 +231,17 @@ def _im2col_batch(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return cols, out_h, out_w
 
 
-class BatchedConv2d:
-    """A stack of C independent :class:`Conv2d` layers.
+class Conv2d:
+    """C independent 2-D convolutions via im2col, with bias.
 
-    Per client slice this performs the exact im2col unfold, matmuls,
-    and col2im fold of the scalar layer (same operand shapes per
-    slice), so the results are bit-identical to a serial loop -- the
-    contract ``tests/test_fl_models.py`` / ``test_vectorized_cohort.py``
-    pin.  ``compute_dx`` mirrors :class:`BatchedLinear`: the first
-    layer's input gradient is discarded by every caller, and for conv
-    layers the skipped work (a matmul plus the col2im fold loop) is
-    the most expensive part of the backward pass.
+    ``compute_dx`` mirrors :class:`Linear`: the first layer's input
+    gradient is discarded by every caller, and for conv layers the
+    skipped work (a matmul plus the col2im fold loop) is the most
+    expensive part of the backward pass.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray,
-                 stride: int, padding: int) -> None:
+                 stride: int = 1, padding: int = 0) -> None:
         self.weight = weight          # (C, out_c, in_c, k, k)
         self.bias = bias              # (C, out_c)
         self.grad_weight = np.zeros_like(weight)
@@ -514,10 +253,27 @@ class BatchedConv2d:
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
 
+    @classmethod
+    def init(cls, in_channels: int, out_channels: int, kernel_size: int,
+             rng: np.random.Generator, stride: int = 1,
+             padding: int = 0) -> "Conv2d":
+        """One He-initialized convolution (C = 1)."""
+        fan_in = in_channels * kernel_size * kernel_size
+        scale = np.sqrt(2.0 / fan_in)
+        weight = rng.normal(
+            0.0, scale, size=(out_channels, in_channels, kernel_size, kernel_size)
+        )
+        return cls(weight[None], np.zeros((1, out_channels)), stride, padding)
+
+    def replicate(self, n_clients: int) -> "Conv2d":
+        return Conv2d(np.empty((n_clients,) + self.weight.shape[1:]),
+                      np.empty((n_clients,) + self.bias.shape[1:]),
+                      self.stride, self.padding)
+
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         self._x_shape = x.shape
         k = self.kernel_size
-        cols, out_h, out_w = _im2col_batch(x, k, k, self.stride, self.padding)
+        cols, out_h, out_w = _im2col(x, k, k, self.stride, self.padding)
         self._cols = cols
         cc = self.weight.shape[0]
         w_mat_t = self.weight.reshape(cc, self.weight.shape[1], -1)
@@ -526,7 +282,7 @@ class BatchedConv2d:
         out = out + self.bias[:, None, None, None, :]
         return out.transpose(0, 1, 4, 2, 3)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         assert self._cols is not None and self._x_shape is not None
         cc, n, c, h, w = self._x_shape
         k = self.kernel_size
@@ -539,9 +295,10 @@ class BatchedConv2d:
         ).reshape(self.weight.shape)
         self.grad_bias = go_flat.sum(axis=1)
         if not self.compute_dx:
-            return grad_out
+            return None
         w_mat = self.weight.reshape(cc, out_c, -1)
         dcols = np.matmul(go_flat, w_mat).reshape(self._cols.shape)
+        # Fold patches back (col2im).
         out_h, out_w = dcols.shape[2], dcols.shape[3]
         dx = np.zeros((cc, n, c, h + 2 * self.padding, w + 2 * self.padding))
         dpatches = dcols.reshape(cc, n, out_h, out_w, c, k, k)
@@ -563,13 +320,16 @@ class BatchedConv2d:
         return [self.weight, self.bias]
 
 
-class BatchedMaxPool2d:
-    """Non-overlapping max pooling over (C, N, ch, H, W) stacks."""
+class MaxPool2d:
+    """Non-overlapping max pooling (kernel == stride) over (C, N, ch, H, W)."""
 
     def __init__(self, kernel_size: int) -> None:
         self.k = kernel_size
         self._argmax: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
+
+    def replicate(self, n_clients: int) -> "MaxPool2d":
+        return MaxPool2d(self.k)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         cc, n, c, h, w = x.shape
@@ -605,169 +365,137 @@ class BatchedMaxPool2d:
         return []
 
 
-#: Template layers with a bit-identical batched counterpart.
-_BATCHABLE_LAYERS = (Linear, ReLU, Dropout, Flatten, Conv2d, MaxPool2d)
+def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of each client's mean softmax cross-entropy w.r.t. its
+    ``(C, n, classes)`` logits (``labels`` is ``(C, n)``).
+
+    Training never needs the loss value itself, so it is not computed.
+    """
+    exp = np.exp(logits - logits.max(axis=2, keepdims=True))
+    dlogits = exp / exp.sum(axis=2, keepdims=True)
+    c, n = labels.shape
+    dlogits[np.arange(c)[:, None], np.arange(n)[None, :], labels] -= 1.0
+    return dlogits / n
 
 
-def supports_batched_training(model: Sequential) -> bool:
-    """True when every layer of ``model`` has a batched counterpart."""
-    return all(isinstance(layer, _BATCHABLE_LAYERS) for layer in model.layers)
+class Sequential:
+    """A feed-forward stack of client-axis layers.
 
-
-class BatchedSequential:
-    """C independent copies of one :class:`Sequential`, as tensor stacks.
-
-    Initialized from a template architecture and one flat global weight
-    vector: every client starts at the broadcast weights (the serial
-    path's ``set_flat``) and diverges through its own data and dropout
-    masks while sharing each layer's batched matmul.
+    The first layer skips its input gradient (nothing consumes it), so
+    :meth:`backward` leaves parameter gradients on the layers and
+    returns nothing.
     """
 
-    def __init__(
-        self,
-        template: Sequential,
-        global_weights: np.ndarray,
-        n_clients: int,
-    ) -> None:
-        if not supports_batched_training(template):
-            unsupported = sorted(
-                {type(layer).__name__ for layer in template.layers
-                 if not isinstance(layer, _BATCHABLE_LAYERS)}
-            )
-            raise ValueError(
-                f"layers without a batched counterpart: {unsupported}"
-            )
-        if global_weights.size != template.num_params:
-            raise ValueError(
-                f"expected {template.num_params} parameters, "
-                f"got {global_weights.size}"
-            )
-        self.n_clients = n_clients
-        self.layers: list = []
-        self._dropout_indices: list[int] = []
-        offset = 0
+    def __init__(self, layers: list) -> None:
+        self.layers = layers
+        if layers and isinstance(layers[0], (Linear, Conv2d)):
+            layers[0].compute_dx = False
 
-        def stacked(shape: tuple[int, ...]) -> np.ndarray:
-            nonlocal offset
-            size = int(np.prod(shape)) if shape else 1
-            flat = global_weights[offset : offset + size]
-            offset += size
-            out = np.empty((n_clients,) + shape)
-            out[:] = flat.reshape(shape)
-            return out
+    @property
+    def n_clients(self) -> int:
+        """Size C of the leading client axis."""
+        parts = self.params()
+        return parts[0].shape[0] if parts else 1
 
-        for i, layer in enumerate(template.layers):
-            if isinstance(layer, Linear):
-                self.layers.append(BatchedLinear(
-                    stacked(layer.weight.shape), stacked(layer.bias.shape)
-                ))
-            elif isinstance(layer, ReLU):
-                self.layers.append(BatchedReLU())
-            elif isinstance(layer, Dropout):
-                self.layers.append(BatchedDropout(layer.p))
-                self._dropout_indices.append(i)
-            elif isinstance(layer, Flatten):
-                self.layers.append(BatchedFlatten())
-            elif isinstance(layer, Conv2d):
-                self.layers.append(BatchedConv2d(
-                    stacked(layer.weight.shape), stacked(layer.bias.shape),
-                    layer.stride, layer.padding,
-                ))
-            elif isinstance(layer, MaxPool2d):
-                self.layers.append(BatchedMaxPool2d(layer.k))
-        if self.layers and isinstance(
-            self.layers[0], (BatchedLinear, BatchedConv2d)
-        ):
-            self.layers[0].compute_dx = False
+    @property
+    def num_params(self) -> int:
+        """Scalar parameters per client."""
+        return sum(p[0].size for p in self.params())
 
     @property
     def dropout_indices(self) -> list[int]:
-        """Template-layer indices of the dropout layers (seeding keys)."""
-        return list(self._dropout_indices)
+        """Layer indices of the dropout layers (their seeding keys)."""
+        return [i for i, layer in enumerate(self.layers)
+                if isinstance(layer, Dropout)]
 
-    def begin_training(
-        self,
-        total_rows: int,
-        dropout_rngs: list[dict[int, np.random.Generator]],
-    ) -> None:
-        """Arm dropout layers for one run consuming ``total_rows`` rows.
+    def params(self) -> list[np.ndarray]:
+        return [p for layer in self.layers for p in layer.params()]
 
-        ``dropout_rngs[c][i]`` is client ``c``'s Generator for the
-        dropout layer at template index ``i`` -- the same sub-stream
-        :func:`repro.runtime.seeding.reseed_model` assigns serially.
+    def replicate(self, n_clients: int, weights: np.ndarray) -> "Sequential":
+        """``n_clients`` independent copies of this architecture, every
+        one at the flat vector ``weights``.
+
+        Dropout layers of the copy carry no Generators; install one per
+        client in ``layers[i].rngs`` before training.
         """
-        for i in self._dropout_indices:
-            self.layers[i].begin(
-                total_rows, [per_client[i] for per_client in dropout_rngs]
-            )
+        stack = Sequential([layer.replicate(n_clients) for layer in self.layers])
+        stack.set_flat(weights)
+        return stack
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> None:
         for layer in reversed(self.layers):
             grad_out = layer.backward(grad_out)
-        return grad_out
 
     def sgd_step(self, lr: float) -> None:
+        """One vanilla SGD step over all parameters."""
         for layer in self.layers:
             layer.sgd_step(lr)
 
-    def get_flat(self) -> np.ndarray:
+    def train_step(self, x: np.ndarray, y: np.ndarray, lr: float) -> None:
+        """Forward, cross-entropy backward, one SGD step."""
+        self.backward(cross_entropy_grad(self.forward(x, train=True), y))
+        self.sgd_step(lr)
+
+    def begin_training(self, total_rows: int) -> None:
+        """Announce a training run of ``total_rows`` rows per client, so
+        dropout draws the run's masks up front."""
+        for i in self.dropout_indices:
+            self.layers[i].begin(total_rows)
+
+    def flat_stack(self) -> np.ndarray:
         """Per-client flat parameter vectors, stacked to ``(C, d)``."""
-        parts = [p for layer in self.layers for p in layer.params()]
+        parts = self.params()
+        c = self.n_clients
         if not parts:
-            return np.empty((self.n_clients, 0))
-        return np.concatenate(
-            [p.reshape(self.n_clients, -1) for p in parts], axis=1
-        )
+            return np.empty((c, 0))
+        return np.concatenate([p.reshape(c, -1) for p in parts], axis=1)
 
+    def get_flat(self) -> np.ndarray:
+        """A single model's (C = 1) parameters as one flat vector."""
+        if self.n_clients != 1:
+            raise ValueError(
+                f"get_flat needs a single model; this stack holds "
+                f"{self.n_clients} clients (use flat_stack)"
+            )
+        return self.flat_stack()[0]
 
-def softmax_cross_entropy_batch(
-    logits: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Batched loss gradient: per-client slices bit-identical to
-    :func:`softmax_cross_entropy`'s ``dlogits`` (the loss value itself is
-    not needed for training and is skipped)."""
-    shifted = logits - logits.max(axis=2, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=2, keepdims=True)
-    c, n = labels.shape
-    dlogits = probs
-    dlogits[np.arange(c)[:, None], np.arange(n)[None, :], labels] -= 1.0
-    return dlogits / n
-
-
-def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy loss and gradient w.r.t. the logits."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    n = logits.shape[0]
-    loss = -np.log(probs[np.arange(n), labels] + 1e-12).mean()
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    return float(loss), dlogits / n
+    def set_flat(self, flat: np.ndarray) -> None:
+        """Load one flat vector into every client (inverse of get_flat)."""
+        if flat.size != self.num_params:
+            raise ValueError(
+                f"expected {self.num_params} parameters, got {flat.size}"
+            )
+        offset = 0
+        for p in self.params():
+            size = p[0].size
+            p[...] = flat[offset : offset + size].reshape(p.shape[1:])
+            offset += size
 
 
 def accuracy(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
-    """Classification accuracy at evaluation time."""
-    logits = model.forward(x, train=False)
+    """Classification accuracy of a single model at evaluation time."""
+    logits = model.forward(x[None], train=False)[0]
     return float((logits.argmax(axis=1) == y).mean())
 
 
-def _mlp(in_dim: int, hidden: int, out_dim: int,
-         rng: np.random.Generator) -> Sequential:
+def mlp(in_dim: int, hidden: int, out_dim: int,
+        rng: np.random.Generator) -> Sequential:
+    """The paper's MLP shape, Linear-ReLU-Dropout(0.5)-Linear (C = 1).
+
+    Weights are drawn from ``rng`` in layer order; the dropout layer
+    keeps ``rng`` as its mask Generator.
+    """
     return Sequential(
         [
-            Linear(in_dim, hidden, rng),
+            Linear.init(in_dim, hidden, rng),
             ReLU(),
             Dropout(0.5, rng),
-            Linear(hidden, out_dim, rng),
+            Linear.init(hidden, out_dim, rng),
         ]
     )
 
@@ -778,29 +506,29 @@ def build_model(name: str, seed: int = 0) -> Sequential:
     if name == "tiny_mlp":
         # Not in the paper: a 378-parameter model for fast traced runs
         # (tests, examples); same structure as the paper MLPs.
-        return _mlp(24, 12, 6, rng)
+        return mlp(24, 12, 6, rng)
     if name == "mnist_mlp":
-        return _mlp(28 * 28, 64, 10, rng)
+        return mlp(28 * 28, 64, 10, rng)
     if name == "cifar10_mlp":
-        return _mlp(3 * 32 * 32, 64, 10, rng)
+        return mlp(3 * 32 * 32, 64, 10, rng)
     if name == "purchase100_mlp":
-        return _mlp(600, 64, 100, rng)
+        return mlp(600, 64, 100, rng)
     if name == "cifar10_cnn":
         # LeNet-5: matches the paper's 62,006 parameters exactly.
         return Sequential(
             [
-                Conv2d(3, 6, 5, rng),
+                Conv2d.init(3, 6, 5, rng),
                 ReLU(),
                 MaxPool2d(2),
-                Conv2d(6, 16, 5, rng),
+                Conv2d.init(6, 16, 5, rng),
                 ReLU(),
                 MaxPool2d(2),
                 Flatten(),
-                Linear(16 * 5 * 5, 120, rng),
+                Linear.init(16 * 5 * 5, 120, rng),
                 ReLU(),
-                Linear(120, 84, rng),
+                Linear.init(120, 84, rng),
                 ReLU(),
-                Linear(84, 10, rng),
+                Linear.init(84, 10, rng),
             ]
         )
     if name == "cifar100_cnn":
@@ -808,16 +536,16 @@ def build_model(name: str, seed: int = 0) -> Sequential:
         # paper's reported 201,588 (see DESIGN.md substitution table).
         return Sequential(
             [
-                Conv2d(3, 16, 3, rng, padding=1),
+                Conv2d.init(3, 16, 3, rng, padding=1),
                 ReLU(),
                 MaxPool2d(2),
-                Conv2d(16, 32, 3, rng, padding=1),
+                Conv2d.init(16, 32, 3, rng, padding=1),
                 ReLU(),
                 MaxPool2d(2),
                 Flatten(),
-                Linear(32 * 8 * 8, 91, rng),
+                Linear.init(32 * 8 * 8, 91, rng),
                 ReLU(),
-                Linear(91, 100, rng),
+                Linear.init(91, 100, rng),
             ]
         )
     raise ValueError(f"unknown model {name!r}")

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dp.mechanisms import gaussian_perturb
+from ..dp.mechanisms import gaussian_perturb, validate_noise_config
 from ..runtime import CohortRuntime, RuntimeConfig
-from .client import LocalUpdate, TrainingConfig, local_train
+from .client import LocalUpdate, TrainingConfig, train_stack
 from .datasets import ClientData
 from .models import Sequential, accuracy
 from .sparsify import densify
@@ -35,6 +35,9 @@ class ServerConfig:
     server_lr: float = 1.0
     noise_multiplier: float = 1.12
     expected_clients: int | None = None  # q*N denominator; default q*len(clients)
+
+    def __post_init__(self) -> None:
+        validate_noise_config(self.noise_multiplier, self.expected_clients)
 
 
 @dataclass
@@ -122,9 +125,9 @@ class FederatedSimulation:
         aggregate = np.zeros(self.d)
         for update in updates.values():
             aggregate += densify(update.indices, update.values, self.d)
-        denominator = self.server.expected_clients or max(
-            1.0, self.server.sample_rate * len(self.clients)
-        )
+        denominator = self.server.expected_clients
+        if denominator is None:
+            denominator = max(1.0, self.server.sample_rate * len(self.clients))
         mean_update = gaussian_perturb(
             aggregate, self.training.clip, self.server.noise_multiplier,
             denominator, self._rng,
@@ -166,12 +169,16 @@ def run_ldp_round(
     Each client clips its dense delta to the training clip bound and
     adds ``N(0, (local_sigma * clip)^2)`` per coordinate before sending;
     the server (or shuffler output) is simply averaged.  Used by the
-    Table 1 utility comparison.
+    Table 1 utility comparison.  Clients train one after another on
+    ``model`` itself (its dropout Generator carries across clients),
+    drawing batch order and noise from the shared ``rng``.
     """
     d = global_weights.size
     aggregate = np.zeros(d)
     for data in participants:
-        delta = local_train(model, global_weights, data, training, rng)
+        model.set_flat(global_weights)
+        train_stack(model, data.x[None], data.y[None], training, [rng])
+        delta = model.get_flat() - global_weights
         norm = np.linalg.norm(delta)
         if norm > training.clip:
             delta = delta * (training.clip / norm)

@@ -6,6 +6,11 @@ choice* creates the side channel the paper attacks.  Threshold and
 random-k variants are included for the generality claim of Section 3.3
 (any data-dependent sparsification leaks; random-k is the
 data-independent strawman that does not).
+
+Every function works row-wise on a ``(C, d)`` stack of client deltas
+(a lone client is ``C = 1``): numpy's axis-1 ``argpartition``/``sort``/
+``nonzero`` run the same per-row routine the 1-D calls do, so a row's
+result does not depend on the rows stacked with it.
 """
 
 from __future__ import annotations
@@ -13,60 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def top_k(delta: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and values of the k largest-|.|$ coordinates.
+def top_k(deltas: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and values of each row's k largest-|.| coordinates, as
+    ``(C, k)`` arrays.
 
-    Indices are returned sorted ascending (the wire order the paper's
+    Indices are sorted ascending per row (the wire order the paper's
     clients use; the attack treats them as a set regardless).
     """
-    d = delta.size
-    if not 1 <= k <= d:
-        raise ValueError(f"k must be in [1, {d}], got {k}")
-    chosen = np.argpartition(np.abs(delta), d - k)[d - k :]
-    chosen.sort()
-    return chosen.astype(np.int64), delta[chosen].astype(np.float64)
-
-
-def top_ratio(delta: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k with k = ceil(alpha * d) (the paper's 'sparse ratio')."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("sparse ratio must be in (0, 1]")
-    k = max(1, int(np.ceil(alpha * delta.size)))
-    return top_k(delta, k)
-
-
-def threshold(delta: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """All coordinates with |value| >= tau (variable-length output)."""
-    if tau < 0:
-        raise ValueError("threshold must be non-negative")
-    chosen = np.flatnonzero(np.abs(delta) >= tau).astype(np.int64)
-    return chosen, delta[chosen].astype(np.float64)
-
-
-def random_k(
-    delta: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """k uniformly random coordinates -- data-independent, leak-free."""
-    d = delta.size
-    if not 1 <= k <= d:
-        raise ValueError(f"k must be in [1, {d}], got {k}")
-    chosen = np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64)
-    return chosen, delta[chosen].astype(np.float64)
-
-
-# ----------------------------------------------------------------------
-# Batched (mega-cohort) variants: one call for a whole (C, d) stack
-# ----------------------------------------------------------------------
-#
-# Each ``*_batch`` function applies the corresponding scalar sparsifier
-# above to every row of a stacked delta tensor, producing bit-identical
-# per-row results (numpy's axis-1 ``argpartition``/``sort``/``nonzero``
-# run the same per-row routine the 1-D calls do; the equivalence suite
-# pins this).
-
-
-def top_k_batch(deltas: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`top_k` over a ``(C, d)`` stack -> ``(C, k)`` pairs."""
     d = deltas.shape[1]
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
@@ -76,49 +34,41 @@ def top_k_batch(deltas: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return chosen.astype(np.int64), values.astype(np.float64)
 
 
-def top_ratio_batch(
+def top_ratio(
     deltas: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`top_ratio` (k = ceil(alpha * d), same k per row)."""
+    """Top-k with k = ceil(alpha * d) (the paper's 'sparse ratio')."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("sparse ratio must be in (0, 1]")
     k = max(1, int(np.ceil(alpha * deltas.shape[1])))
-    return top_k_batch(deltas, k)
+    return top_k(deltas, k)
 
 
-def threshold_batch(
+def threshold(
     deltas: np.ndarray, tau: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Row-wise :func:`threshold`; ragged, so returns per-row pairs.
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Every coordinate with |value| >= tau, per row.
 
-    Rows where nothing survives fall back to the single largest-|.|
-    coordinate, matching the serial never-send-empty rule in
-    :func:`repro.fl.client.sparsify_delta`.
+    The output is ragged (a row may even be empty), so indices and
+    values come back as per-row lists.
     """
     if tau < 0:
         raise ValueError("threshold must be non-negative")
     mask = np.abs(deltas) >= tau
-    counts = mask.sum(axis=1)
+    cuts = np.cumsum(mask.sum(axis=1))[:-1]
     rows, cols = np.nonzero(mask)              # row-major: cols ascending per row
-    cuts = np.cumsum(counts)[:-1]
-    idx_rows = np.split(cols.astype(np.int64), cuts)
-    val_rows = np.split(deltas[rows, cols].astype(np.float64), cuts)
-    out = []
-    for c, (idx, val) in enumerate(zip(idx_rows, val_rows)):
-        if len(idx) == 0:
-            idx, val = top_k(deltas[c], 1)
-        out.append((idx, val))
-    return out
+    return (np.split(cols.astype(np.int64), cuts),
+            np.split(deltas[rows, cols].astype(np.float64), cuts))
 
 
-def random_k_batch(
+def random_k(
     deltas: np.ndarray, k: int, rngs: list[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`random_k`, one per-client Generator per row.
+    """k uniformly random coordinates per row -- data-independent,
+    leak-free.
 
-    The index draws stay a per-row loop (each row consumes its own
-    stream, exactly as the serial path does); the value gather is
-    vectorized.
+    Row ``c`` draws its indices from its own Generator ``rngs[c]`` (a
+    per-row loop); the value gather is vectorized.
     """
     c, d = deltas.shape
     if not 1 <= k <= d:
@@ -132,12 +82,12 @@ def random_k_batch(
     return chosen, values.astype(np.float64)
 
 
-def l2_clip_batch(values: np.ndarray, clip: float) -> np.ndarray:
-    """Row-wise :func:`l2_clip` over ``(C, k)`` values.
+def l2_clip(values: np.ndarray, clip: float) -> np.ndarray:
+    """Scale each row of ``(C, k)`` values to L2 norm at most ``clip``
+    (Alg. 1 line 21); returns a copy.
 
-    Row norms are computed via a batched matmul (one BLAS dot per row,
-    the exact kernel ``np.linalg.norm`` uses for 1-D input), so the
-    scaling decision and the scaled bits match the serial path exactly.
+    Row norms are computed via a batched matmul -- one BLAS dot per
+    row, the exact kernel ``np.linalg.norm`` uses for 1-D input.
     """
     if clip <= 0:
         raise ValueError("clipping bound must be positive")
@@ -166,13 +116,3 @@ def densify(indices: np.ndarray, values: np.ndarray, d: int) -> np.ndarray:
     dense = np.zeros(d)
     np.add.at(dense, indices, values)
     return dense
-
-
-def l2_clip(values: np.ndarray, clip: float) -> np.ndarray:
-    """Scale values so their L2 norm is at most ``clip`` (Alg. 1 line 21)."""
-    if clip <= 0:
-        raise ValueError("clipping bound must be positive")
-    norm = float(np.linalg.norm(values))
-    if norm <= clip or norm == 0.0:
-        return values.copy()
-    return values * (clip / norm)

@@ -70,7 +70,6 @@ from .seeding import (
     derive_nonces_batch,
     derive_rng,
     derive_rngs_batch,
-    reseed_model,
     seed_sequence,
 )
 
@@ -134,7 +133,6 @@ __all__ = [
     "make_executor",
     "plan_shards",
     "record_failure_reason",
-    "reseed_model",
     "run_train_tasks",
     "seed_sequence",
 ]

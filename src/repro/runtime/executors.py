@@ -3,18 +3,19 @@
 All expose the same tiny surface -- ``start(model, clients, d)``,
 ``broadcast(weights)``, ``submit(job)`` returning a future, and
 ``shutdown()`` -- and all produce the *same bits* per job (pinned by
-the determinism suite): the loop executors run
-:func:`repro.runtime.jobs.execute_client_job` per client, while the
-vectorized executor batches whole chunks of the cohort through
+the determinism suite), because all run the same client core: the
+loop executors hand it one job at a time through
+:func:`repro.runtime.jobs.execute_client_job`, while the vectorized
+executor batches whole chunks of the cohort through
 :func:`repro.runtime.jobs.execute_client_jobs_batch`.
 
 * :class:`SerialExecutor` executes lazily at ``result()`` time in the
   coordinator thread: zero overhead, exact per-client span timings,
   and the default everywhere.
 * :class:`ThreadExecutor` shares the context read-only across a
-  ``ThreadPoolExecutor``; each job deep-copies the model template, so
-  no training state is shared.  Numpy releases the GIL in the heavy
-  kernels and injected client latency overlaps fully.
+  ``ThreadPoolExecutor``; each job trains a fresh replica of the model
+  template, so no training state is shared.  Numpy releases the GIL in
+  the heavy kernels and injected client latency overlaps fully.
 * :class:`VectorizedExecutor` trains the whole cohort as stacked numpy
   tensors (leading client axis) in chunks of ``vector_chunk`` clients:
   the mega-cohort path, an order of magnitude past the loop executors
@@ -41,6 +42,7 @@ from .jobs import (
     execute_client_job,
     execute_client_jobs_batch,
     execute_train_task,
+    raise_injected_failure,
 )
 
 EXECUTORS = ("serial", "thread", "vectorized")
@@ -107,7 +109,7 @@ class SerialExecutor:
 
 
 class ThreadExecutor:
-    """Shared-context thread pool; jobs clone the model per call."""
+    """Shared-context thread pool; jobs replicate the model per call."""
 
     kind = "thread"
 
@@ -225,11 +227,10 @@ class VectorizedExecutor:
         # resubmission flushes cleanly.
         runnable: list[tuple[ClientJob, _BatchFuture]] = []
         for job, future in queue:
-            if job.attempt < job.fail_attempts:
-                future.set_exception(TransientWorkerError(
-                    f"injected transient failure for client {job.client_id} "
-                    f"(attempt {job.attempt}/{job.fail_attempts})"
-                ))
+            try:
+                raise_injected_failure(job)
+            except TransientWorkerError as exc:
+                future.set_exception(exc)
             else:
                 runnable.append((job, future))
         if not runnable:

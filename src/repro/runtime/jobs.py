@@ -3,13 +3,18 @@
 A :class:`ClientJob` carries everything needed to reproduce one
 client's contribution -- identity ``(round, client)``, the training
 hyperparameters, and the base entropy -- but never live RNG state.
-:func:`execute_client_job` derives all randomness from the job's
-identity (see :mod:`repro.runtime.seeding`), clones the worker's model
-template, trains on the worker's shard table, and returns either the
+Every executor runs the same client core on a chunk of jobs: derive
+each client's Generators from its identity (see
+:mod:`repro.runtime.seeding`), train the chunk as one model stack
+replicated from the worker's template
+(:func:`~repro.fl.client.client_updates`), and return either the
 sealed ciphertext (enclave mode) or the plain sparse update
-(reference-simulation mode).  Because the function is a pure function
-of ``(context, job)``, it can run on any executor, any worker, any
-number of times (retries), and produce the same bits.
+(reference-simulation mode).  The loop executors hand it one job at a
+time through :func:`execute_client_job`; the vectorized executor hands
+it whole chunks through :func:`execute_client_jobs_batch`.  Because the
+core is a pure function of ``(context, jobs)``, a job can run on any
+executor, any worker, any number of times (retries), and produce the
+same bits.
 
 Jobs and results are plain immutable dataclasses; the state every job
 reads (model template, client shards, broadcast weights) lives in a
@@ -18,30 +23,22 @@ reads (model template, client shards, broadcast weights) lives in a
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import obs
-from ..fl.client import (
-    LocalUpdate,
-    TrainingConfig,
-    compute_update,
-    compute_updates_batch,
-)
+from ..fl.client import LocalUpdate, TrainingConfig, client_updates
 from ..fl.datasets import ClientData
-from ..fl.models import Dropout, Sequential
+from ..fl.models import Sequential
 from ..sgx import crypto
 from .seeding import (
     STREAM_MODEL,
     STREAM_TRAIN,
-    derive_nonce,
     derive_nonces_batch,
     derive_rng,
     derive_rngs_batch,
-    reseed_model,
 )
 
 
@@ -54,8 +51,8 @@ class WorkerContext:
     """State shared by every job an executor runs.
 
     ``weights`` is the broadcast global model for the current round.
-    Jobs treat the whole context as read-only, so thread workers can
-    share one instance.
+    Jobs treat the whole context as read-only (training replicates the
+    template), so thread workers can share one instance.
     """
 
     model: Sequential
@@ -121,23 +118,14 @@ class TrainTask:
     training: TrainingConfig
 
 
-def _train_once(
-    model_template: Sequential,
-    weights: np.ndarray,
-    data: ClientData,
-    training: TrainingConfig,
-    entropy: int,
-    stream_train: int,
-    stream_model: int,
-    key_parts: tuple[int, ...],
-    clip: float | None = None,
-) -> LocalUpdate:
-    """Clone the template, re-key its randomness, run one local round."""
-    model = copy.deepcopy(model_template)
-    reseed_model(model, entropy, stream_model, *key_parts)
-    rng = derive_rng(entropy, stream_train, *key_parts)
-    return compute_update(model, weights, data, training, rng,
-                          clip_override=clip)
+def raise_injected_failure(job: ClientJob) -> None:
+    """Raise :class:`TransientWorkerError` while the job's injected
+    failure budget is unspent."""
+    if job.attempt < job.fail_attempts:
+        raise TransientWorkerError(
+            f"injected transient failure for client {job.client_id} "
+            f"(attempt {job.attempt}/{job.fail_attempts})"
+        )
 
 
 def execute_client_job(ctx: WorkerContext, job: ClientJob) -> ClientJobResult:
@@ -146,91 +134,43 @@ def execute_client_job(ctx: WorkerContext, job: ClientJob) -> ClientJobResult:
     Raises :class:`TransientWorkerError` while the injected failure
     budget is unspent -- the coordinator retries with backoff and the
     successful attempt returns bits identical to a never-failed run
-    (the derivation ignores ``attempt``).
+    (the derivation ignores ``attempt``).  Injected straggler latency
+    is slept before the client core runs on the one-job chunk.
     """
     with obs.span("client", parent=job.trace_ctx, client=job.client_id,
                   attempt=job.attempt):
-        return _execute_client_job(ctx, job)
+        raise_injected_failure(job)
+        if job.delay_s > 0.0:
+            time.sleep(job.delay_s)
+        return _execute_client_jobs_batch(ctx, [job])[0]
 
 
-def _execute_client_job(ctx: WorkerContext, job: ClientJob) -> ClientJobResult:
-    if job.attempt < job.fail_attempts:
-        raise TransientWorkerError(
-            f"injected transient failure for client {job.client_id} "
-            f"(attempt {job.attempt}/{job.fail_attempts})"
-        )
-    if job.delay_s > 0.0:
-        time.sleep(job.delay_s)
-    t0 = time.perf_counter()
-    data = ctx.clients[job.client_id]
-    update = _train_once(
-        ctx.model, ctx.weights, data, job.training, job.entropy,
-        STREAM_TRAIN, STREAM_MODEL, (job.round_index, job.client_id),
-        clip=job.clip,
-    )
-    train_seconds = time.perf_counter() - t0
-    obs.observe("runtime.train_s", train_seconds)
+def _finalize_result(
+    job: ClientJob, update: LocalUpdate, train_seconds: float,
+    nonce: bytes | None, q_rng: np.random.Generator | None,
+    payload: bytes | None,
+) -> ClientJobResult:
+    """Package one client's update: plain, or sealed under its key.
 
+    ``nonce`` and ``q_rng`` are derived from the job's identity for the
+    whole chunk at once; ``payload`` is the pre-encoded sparse gradient
+    when the chunk encoded in one pass.
+    """
     if job.key is None:
         return ClientJobResult(
             client_id=job.client_id, round_index=job.round_index,
             ciphertext=None, indices=update.indices, values=update.values,
             upload_bytes=0, train_seconds=train_seconds, attempt=job.attempt,
         )
-
     if job.quantize_bits is not None:
         from ..fl.quantize import quantize_stochastic
 
         # Quantization draws from its own sub-stream of the client's
         # identity so the dither is executor- and retry-invariant too.
-        q_rng = derive_rng(job.entropy, STREAM_TRAIN,
-                           job.round_index, job.client_id, 1)
-        q = quantize_stochastic(update, job.quantize_bits, q_rng)
-        payload = crypto.encode_quantized_gradient(q.indices, q.levels, q.scale)
-    else:
-        payload = crypto.encode_sparse_gradient(update.indices, update.values)
-    nonce = derive_nonce(job.entropy, job.round_index, job.client_id)
-    ciphertext = crypto.seal(job.key, payload, nonce=nonce)
-    return ClientJobResult(
-        client_id=job.client_id, round_index=job.round_index,
-        ciphertext=ciphertext, indices=None, values=None,
-        upload_bytes=len(ciphertext.to_bytes()),
-        train_seconds=train_seconds, attempt=job.attempt,
-    )
-
-
-def _finalize_result(
-    job: ClientJob, update: LocalUpdate, train_seconds: float,
-    nonce: bytes | None = None,
-    q_rng: np.random.Generator | None = None,
-    payload: bytes | None = None,
-) -> ClientJobResult:
-    """Package one client's update exactly as :func:`execute_client_job`.
-
-    Shared by the serial and batched paths so the sealed bytes (payload
-    encoding, nonce derivation, quantization sub-stream) are produced by
-    one code path.  The batch path pre-derives ``nonce``/``q_rng`` for a
-    whole chunk (one vectorized mixing pass); when absent they are
-    derived per client, identically.
-    """
-    if job.key is None:
-        return ClientJobResult(
-            client_id=job.client_id, round_index=job.round_index,
-            ciphertext=None, indices=update.indices, values=update.values,
-            upload_bytes=0, train_seconds=train_seconds, attempt=job.attempt,
-        )
-    if job.quantize_bits is not None:
-        from ..fl.quantize import quantize_stochastic
-
-        if q_rng is None:
-            q_rng = derive_rng(job.entropy, STREAM_TRAIN,
-                               job.round_index, job.client_id, 1)
         q = quantize_stochastic(update, job.quantize_bits, q_rng)
         payload = crypto.encode_quantized_gradient(q.indices, q.levels, q.scale)
     elif payload is None:
         payload = crypto.encode_sparse_gradient(update.indices, update.values)
-    if nonce is None:
-        nonce = derive_nonce(job.entropy, job.round_index, job.client_id)
     ciphertext = crypto.seal(job.key, payload, nonce=nonce)
     return ClientJobResult(
         client_id=job.client_id, round_index=job.round_index,
@@ -246,12 +186,12 @@ def execute_client_jobs_batch(
     """Run one chunk of client jobs as stacked tensors; pure in (ctx, jobs).
 
     The mega-cohort hot path: jobs sharing a shard shape and training
-    configuration train as one :func:`~repro.fl.client.compute_updates_batch`
+    configuration train as one :func:`~repro.fl.client.client_updates`
     call (batched matmuls over a leading client axis), then seal in one
     contiguous pass.  Per-client randomness is derived from each job's
-    ``(round, client)`` identity exactly as the serial path does, so
-    every returned result -- indices, values, and ciphertext bytes --
-    is bit-identical to :func:`execute_client_job` on the same job.
+    ``(round, client)`` identity, so every returned result -- indices,
+    values, and ciphertext bytes -- is bit-identical to
+    :func:`execute_client_job` on the same job.
 
     Injected delay/failure faults are **not** interpreted here; the
     vectorized executor adjudicates them before a chunk is formed
@@ -266,10 +206,7 @@ def execute_client_jobs_batch(
 def _execute_client_jobs_batch(
     ctx: WorkerContext, jobs: list[ClientJob]
 ) -> list[ClientJobResult]:
-    dropout_indices = [
-        i for i, layer in enumerate(ctx.model.layers)
-        if isinstance(layer, Dropout)
-    ]
+    dropout_indices = ctx.model.dropout_indices
     # Batch compatibility requires identical tensor shapes and training
     # hyperparameters; everything per-client (rng streams, keys, clip
     # application) rides along per row.
@@ -286,19 +223,13 @@ def _execute_client_jobs_batch(
         datas = [ctx.clients[j.client_id] for j in chunk]
         entropy, round_index = chunk[0].entropy, chunk[0].round_index
         cids = [j.client_id for j in chunk]
-        # One vectorized SeedSequence pass per stream for the whole
-        # chunk (bit-identical to per-client derive_rng).
         train_rngs = derive_rngs_batch(entropy, STREAM_TRAIN, round_index, cids)
-        by_layer = {
+        dropout_rngs = {
             i: derive_rngs_batch(entropy, STREAM_MODEL, round_index, cids, i)
             for i in dropout_indices
         }
-        dropout_rngs = [
-            {i: by_layer[i][c] for i in dropout_indices}
-            for c in range(len(chunk))
-        ]
         t0 = time.perf_counter()
-        updates = compute_updates_batch(
+        updates = client_updates(
             ctx.model, ctx.weights, datas, chunk[0].training,
             train_rngs, dropout_rngs, clip_override=chunk[0].clip,
         )
@@ -332,16 +263,25 @@ def _execute_client_jobs_batch(
             positions, chunk, updates, nonces, q_rngs, payloads
         ):
             results[pos] = _finalize_result(job, update, per_client,
-                                            nonce=nonce, q_rng=q_rng,
-                                            payload=payload)
+                                            nonce, q_rng, payload)
     return results  # type: ignore[return-value]
 
 
 def execute_train_task(ctx: WorkerContext, task: TrainTask) -> np.ndarray:
-    """Run one generic replay task; returns the update's index set."""
+    """Run one generic replay task through the client core; returns the
+    update's index set.
+
+    The task's streams are keyed ``(*seed_key, 0)`` for training and
+    ``(*seed_key, 0, layer)`` for each dropout layer.
+    """
+    key = (*task.seed_key, 0)
     data = ClientData(client_id=-1, x=task.x, y=task.y)
-    update = _train_once(
-        ctx.model, task.weights, data, task.training, task.entropy,
-        task.stream, task.stream, (*task.seed_key, 0),
+    dropout_rngs = {
+        i: [derive_rng(task.entropy, task.stream, *key, i)]
+        for i in ctx.model.dropout_indices
+    }
+    [update] = client_updates(
+        ctx.model, task.weights, [data], task.training,
+        [derive_rng(task.entropy, task.stream, *key)], dropout_rngs,
     )
     return update.indices

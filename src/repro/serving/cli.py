@@ -22,7 +22,7 @@ import numpy as np
 
 from .. import obs
 from ..fl.datasets import SPECS, SyntheticClassData
-from ..fl.models import build_model, softmax_cross_entropy
+from ..fl.models import build_model
 from ..sgx.enclave import Enclave, provision_enclave_with_clients
 from .engine import ObliviousInferenceEngine, load_serving_model, replay_serving_cost
 from .envelopes import open_response, seal_request
@@ -100,10 +100,7 @@ def _quick_model(seed: int):
     for _ in range(200):
         y = rng.integers(0, spec.n_labels, size=32)
         x = data.sample(y, rng)
-        logits = model.forward(x, train=True)
-        _, dlogits = softmax_cross_entropy(logits, y)
-        model.backward(dlogits)
-        model.sgd_step(0.1)
+        model.train_step(x[None], y[None], 0.1)
     return model, spec
 
 

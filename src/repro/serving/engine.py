@@ -52,7 +52,7 @@ def model_output_dim(model: Sequential) -> int:
     """Number of output classes (the final Linear layer's width)."""
     for layer in reversed(model.layers):
         if isinstance(layer, Linear):
-            return int(layer.bias.size)
+            return int(layer.bias.shape[-1])
     raise ValueError("model has no Linear output layer")
 
 
@@ -194,7 +194,7 @@ class ObliviousInferenceEngine:
             # Fixed-order staging: each sealed request lands in its
             # batch slot (one write per slot, slot order).
             stage.write_block(0, self.batch_size, [1.0] * self.batch_size)
-            logits = self.model.forward(x, train=False)
+            logits = self.model.forward(x[None], train=False)[0]
             labels = logits.argmax(axis=1)
             rows = np.empty((self.batch_size, lab))
             eye = np.arange(lab)

@@ -1,0 +1,669 @@
+"""Scalar reference implementations: the oracle of the equivalence suite.
+
+The package trains through one layer stack with a leading client axis
+(``repro.fl.models``) and one client core (``repro.fl.client`` /
+``repro.runtime.jobs``).  This module keeps the per-client scalar code
+that stack replaced -- layers, loss, sparsifiers, the local-training
+loop, dropout reseeding, the per-client job body, and the trainers that
+drove the scalar stack directly -- verbatim, so the equivalence tests
+can pin the production path to it bit for bit.  Nothing in ``src/``
+imports this module.
+"""
+
+from __future__ import annotations
+
+import copy
+import time
+
+import numpy as np
+
+from repro import obs
+from repro.fl.client import LocalUpdate, TrainingConfig
+from repro.fl.datasets import SPECS, ClientData, SyntheticClassData
+from repro.runtime.jobs import (
+    ClientJob,
+    ClientJobResult,
+    TransientWorkerError,
+    WorkerContext,
+)
+from repro.runtime.seeding import (
+    STREAM_MODEL,
+    STREAM_TRAIN,
+    derive_nonce,
+    derive_rng,
+)
+from repro.sgx import crypto
+
+
+class Layer:
+    """Base layer: forward/backward plus parameter access."""
+
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        raise NotImplementedError
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def params(self) -> list[np.ndarray]:
+        return []
+
+    def grads(self) -> list[np.ndarray]:
+        return []
+
+
+class Linear(Layer):
+    """Fully connected layer with bias."""
+
+    def __init__(self, in_features: int, out_features: int,
+                 rng: np.random.Generator) -> None:
+        scale = np.sqrt(2.0 / in_features)
+        self.weight = rng.normal(0.0, scale, size=(in_features, out_features))
+        self.bias = np.zeros(out_features)
+        self.grad_weight = np.zeros_like(self.weight)
+        self.grad_bias = np.zeros_like(self.bias)
+        self._x: np.ndarray | None = None
+
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        self._x = x
+        return x @ self.weight + self.bias
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        assert self._x is not None
+        self.grad_weight = self._x.T @ grad_out
+        self.grad_bias = grad_out.sum(axis=0)
+        return grad_out @ self.weight.T
+
+    def params(self) -> list[np.ndarray]:
+        return [self.weight, self.bias]
+
+    def grads(self) -> list[np.ndarray]:
+        return [self.grad_weight, self.grad_bias]
+
+
+class ReLU(Layer):
+    """Rectified linear activation."""
+
+    def __init__(self) -> None:
+        self._mask: np.ndarray | None = None
+
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        self._mask = x > 0
+        return x * self._mask
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        return grad_out * self._mask
+
+
+class Dropout(Layer):
+    """Inverted dropout; identity at evaluation time."""
+
+    def __init__(self, p: float, rng: np.random.Generator) -> None:
+        if not 0.0 <= p < 1.0:
+            raise ValueError("dropout rate must be in [0, 1)")
+        self.p = p
+        self._rng = rng
+        self._mask: np.ndarray | None = None
+
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        if not train or self.p == 0.0:
+            self._mask = None
+            return x
+        keep = 1.0 - self.p
+        self._mask = (self._rng.random(x.shape) < keep) / keep
+        return x * self._mask
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if self._mask is None:
+            return grad_out
+        return grad_out * self._mask
+
+
+class Flatten(Layer):
+    """Collapse (N, ...) feature maps to (N, features)."""
+
+    def __init__(self) -> None:
+        self._shape: tuple[int, ...] | None = None
+
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        self._shape = x.shape
+        return x.reshape(x.shape[0], -1)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        return grad_out.reshape(self._shape)
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+    """Unfold (N, C, H, W) into (N, out_h, out_w, C*kh*kw) patches."""
+    n, c, h, w = x.shape
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out_h = (h + 2 * pad - kh) // stride + 1
+    out_w = (w + 2 * pad - kw) // stride + 1
+    shape = (n, c, out_h, out_w, kh, kw)
+    strides = (
+        x.strides[0],
+        x.strides[1],
+        x.strides[2] * stride,
+        x.strides[3] * stride,
+        x.strides[2],
+        x.strides[3],
+    )
+    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
+    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(n, out_h, out_w, c * kh * kw)
+    return cols, out_h, out_w
+
+
+class Conv2d(Layer):
+    """2-D convolution via im2col with bias."""
+
+    def __init__(
+        self,
+        in_channels: int,
+        out_channels: int,
+        kernel_size: int,
+        rng: np.random.Generator,
+        stride: int = 1,
+        padding: int = 0,
+    ) -> None:
+        fan_in = in_channels * kernel_size * kernel_size
+        scale = np.sqrt(2.0 / fan_in)
+        self.weight = rng.normal(
+            0.0, scale, size=(out_channels, in_channels, kernel_size, kernel_size)
+        )
+        self.bias = np.zeros(out_channels)
+        self.grad_weight = np.zeros_like(self.weight)
+        self.grad_bias = np.zeros_like(self.bias)
+        self.stride = stride
+        self.padding = padding
+        self.kernel_size = kernel_size
+        self._cols: np.ndarray | None = None
+        self._x_shape: tuple[int, ...] | None = None
+
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        self._x_shape = x.shape
+        k = self.kernel_size
+        cols, out_h, out_w = _im2col(x, k, k, self.stride, self.padding)
+        self._cols = cols
+        w_mat = self.weight.reshape(self.weight.shape[0], -1)
+        out = cols @ w_mat.T + self.bias
+        return out.transpose(0, 3, 1, 2)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        assert self._cols is not None and self._x_shape is not None
+        n, c, h, w = self._x_shape
+        k = self.kernel_size
+        go = grad_out.transpose(0, 2, 3, 1)  # (N, out_h, out_w, out_c)
+        out_c = go.shape[-1]
+        go_flat = go.reshape(-1, out_c)
+        cols_flat = self._cols.reshape(-1, self._cols.shape[-1])
+        self.grad_weight = (go_flat.T @ cols_flat).reshape(self.weight.shape)
+        self.grad_bias = go_flat.sum(axis=0)
+        w_mat = self.weight.reshape(out_c, -1)
+        dcols = (go_flat @ w_mat).reshape(self._cols.shape)
+        # Fold patches back (col2im).
+        out_h, out_w = dcols.shape[1], dcols.shape[2]
+        dx = np.zeros((n, c, h + 2 * self.padding, w + 2 * self.padding))
+        dpatches = dcols.reshape(n, out_h, out_w, c, k, k)
+        for i in range(out_h):
+            hi = i * self.stride
+            for j in range(out_w):
+                wj = j * self.stride
+                dx[:, :, hi : hi + k, wj : wj + k] += dpatches[:, i, j]
+        if self.padding:
+            dx = dx[:, :, self.padding : -self.padding, self.padding : -self.padding]
+        return dx
+
+    def params(self) -> list[np.ndarray]:
+        return [self.weight, self.bias]
+
+    def grads(self) -> list[np.ndarray]:
+        return [self.grad_weight, self.grad_bias]
+
+
+class MaxPool2d(Layer):
+    """Non-overlapping max pooling (kernel == stride)."""
+
+    def __init__(self, kernel_size: int) -> None:
+        self.k = kernel_size
+        self._argmax: np.ndarray | None = None
+        self._x_shape: tuple[int, ...] | None = None
+
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        n, c, h, w = x.shape
+        k = self.k
+        if h % k or w % k:
+            raise ValueError("input not divisible by pooling kernel")
+        self._x_shape = x.shape
+        blocks = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
+        flat = blocks.reshape(n, c, h // k, w // k, k * k)
+        self._argmax = flat.argmax(axis=-1)
+        return flat.max(axis=-1)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        assert self._argmax is not None and self._x_shape is not None
+        n, c, h, w = self._x_shape
+        k = self.k
+        dflat = np.zeros((n, c, h // k, w // k, k * k))
+        np.put_along_axis(
+            dflat, self._argmax[..., None], grad_out[..., None], axis=-1
+        )
+        dx = (
+            dflat.reshape(n, c, h // k, w // k, k, k)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(n, c, h, w)
+        )
+        return dx
+
+
+class Sequential:
+    """A feed-forward stack with flat-vector parameter access."""
+
+    def __init__(self, layers: list[Layer]) -> None:
+        self.layers = layers
+
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        for layer in self.layers:
+            x = layer.forward(x, train=train)
+        return x
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        for layer in reversed(self.layers):
+            grad_out = layer.backward(grad_out)
+        return grad_out
+
+    def params(self) -> list[np.ndarray]:
+        return [p for layer in self.layers for p in layer.params()]
+
+    def grads(self) -> list[np.ndarray]:
+        return [g for layer in self.layers for g in layer.grads()]
+
+    @property
+    def num_params(self) -> int:
+        """Total number of scalar parameters."""
+        return sum(p.size for p in self.params())
+
+    def get_flat(self) -> np.ndarray:
+        """Parameters as one flat float64 vector."""
+        parts = self.params()
+        if not parts:
+            return np.empty(0)
+        return np.concatenate([p.ravel() for p in parts])
+
+    def set_flat(self, flat: np.ndarray) -> None:
+        """Load parameters from a flat vector (inverse of get_flat)."""
+        if flat.size != self.num_params:
+            raise ValueError(
+                f"expected {self.num_params} parameters, got {flat.size}"
+            )
+        offset = 0
+        for p in self.params():
+            p[...] = flat[offset : offset + p.size].reshape(p.shape)
+            offset += p.size
+
+    def get_flat_grads(self) -> np.ndarray:
+        """Gradients as one flat vector (aligned with get_flat)."""
+        return np.concatenate([g.ravel() for g in self.grads()])
+
+    def sgd_step(self, lr: float) -> None:
+        """One vanilla SGD step over all parameters."""
+        for p, g in zip(self.params(), self.grads()):
+            p -= lr * g
+
+
+def softmax_cross_entropy(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy loss and gradient w.r.t. the logits."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    n = logits.shape[0]
+    loss = -np.log(probs[np.arange(n), labels] + 1e-12).mean()
+    dlogits = probs.copy()
+    dlogits[np.arange(n), labels] -= 1.0
+    return float(loss), dlogits / n
+
+
+def accuracy(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
+    """Classification accuracy at evaluation time."""
+    logits = model.forward(x, train=False)
+    return float((logits.argmax(axis=1) == y).mean())
+
+
+def mlp(in_dim: int, hidden: int, out_dim: int,
+         rng: np.random.Generator) -> Sequential:
+    return Sequential(
+        [
+            Linear(in_dim, hidden, rng),
+            ReLU(),
+            Dropout(0.5, rng),
+            Linear(hidden, out_dim, rng),
+        ]
+    )
+
+
+def build_model(name: str, seed: int = 0) -> Sequential:
+    """Construct a paper architecture by name (see module docstring)."""
+    rng = np.random.default_rng(seed)
+    if name == "tiny_mlp":
+        # Not in the paper: a 378-parameter model for fast traced runs
+        # (tests, examples); same structure as the paper MLPs.
+        return mlp(24, 12, 6, rng)
+    if name == "mnist_mlp":
+        return mlp(28 * 28, 64, 10, rng)
+    if name == "cifar10_mlp":
+        return mlp(3 * 32 * 32, 64, 10, rng)
+    if name == "purchase100_mlp":
+        return mlp(600, 64, 100, rng)
+    if name == "cifar10_cnn":
+        # LeNet-5: matches the paper's 62,006 parameters exactly.
+        return Sequential(
+            [
+                Conv2d(3, 6, 5, rng),
+                ReLU(),
+                MaxPool2d(2),
+                Conv2d(6, 16, 5, rng),
+                ReLU(),
+                MaxPool2d(2),
+                Flatten(),
+                Linear(16 * 5 * 5, 120, rng),
+                ReLU(),
+                Linear(120, 84, rng),
+                ReLU(),
+                Linear(84, 10, rng),
+            ]
+        )
+    if name == "cifar100_cnn":
+        # ResNet-18 stand-in with a parameter count close to the
+        # paper's reported 201,588 (see DESIGN.md substitution table).
+        return Sequential(
+            [
+                Conv2d(3, 16, 3, rng, padding=1),
+                ReLU(),
+                MaxPool2d(2),
+                Conv2d(16, 32, 3, rng, padding=1),
+                ReLU(),
+                MaxPool2d(2),
+                Flatten(),
+                Linear(32 * 8 * 8, 91, rng),
+                ReLU(),
+                Linear(91, 100, rng),
+            ]
+        )
+    raise ValueError(f"unknown model {name!r}")
+
+
+def top_k(delta: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and values of the k largest-|.|$ coordinates.
+
+    Indices are returned sorted ascending (the wire order the paper's
+    clients use; the attack treats them as a set regardless).
+    """
+    d = delta.size
+    if not 1 <= k <= d:
+        raise ValueError(f"k must be in [1, {d}], got {k}")
+    chosen = np.argpartition(np.abs(delta), d - k)[d - k :]
+    chosen.sort()
+    return chosen.astype(np.int64), delta[chosen].astype(np.float64)
+
+
+def top_ratio(delta: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k with k = ceil(alpha * d) (the paper's 'sparse ratio')."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("sparse ratio must be in (0, 1]")
+    k = max(1, int(np.ceil(alpha * delta.size)))
+    return top_k(delta, k)
+
+
+def threshold(delta: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """All coordinates with |value| >= tau (variable-length output)."""
+    if tau < 0:
+        raise ValueError("threshold must be non-negative")
+    chosen = np.flatnonzero(np.abs(delta) >= tau).astype(np.int64)
+    return chosen, delta[chosen].astype(np.float64)
+
+
+def random_k(
+    delta: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """k uniformly random coordinates -- data-independent, leak-free."""
+    d = delta.size
+    if not 1 <= k <= d:
+        raise ValueError(f"k must be in [1, {d}], got {k}")
+    chosen = np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64)
+    return chosen, delta[chosen].astype(np.float64)
+
+
+def l2_clip(values: np.ndarray, clip: float) -> np.ndarray:
+    """Scale values so their L2 norm is at most ``clip`` (Alg. 1 line 21)."""
+    if clip <= 0:
+        raise ValueError("clipping bound must be positive")
+    norm = float(np.linalg.norm(values))
+    if norm <= clip or norm == 0.0:
+        return values.copy()
+    return values * (clip / norm)
+
+
+def local_train(
+    model: Sequential,
+    global_weights: np.ndarray,
+    data: ClientData,
+    config: TrainingConfig,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Run local optimization from ``global_weights``; returns the
+    dense delta (multi-epoch SGD for FedAVG, one full-batch gradient
+    step for FedSGD)."""
+    model.set_flat(global_weights)
+    if config.algorithm == "fedsgd":
+        logits = model.forward(data.x, train=True)
+        _, dlogits = softmax_cross_entropy(logits, data.y)
+        model.backward(dlogits)
+        model.sgd_step(config.local_lr)
+        return model.get_flat() - global_weights
+    n = len(data)
+    for _ in range(config.local_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            logits = model.forward(data.x[batch], train=True)
+            _, dlogits = softmax_cross_entropy(logits, data.y[batch])
+            model.backward(dlogits)
+            model.sgd_step(config.local_lr)
+    return model.get_flat() - global_weights
+
+
+def sparsify_delta(
+    delta: np.ndarray, config: TrainingConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the configured sparsifier to a dense delta."""
+    if config.sparsifier == "top_k":
+        return top_ratio(delta, config.sparse_ratio)
+    if config.sparsifier == "threshold":
+        indices, values = threshold(delta, config.threshold_tau)
+        if len(indices) == 0:
+            # Never send an empty update; fall back to the single
+            # largest coordinate (threshold too aggressive).
+            return top_ratio(delta, 1.0 / max(delta.size, 1))
+        return indices, values
+    k = max(1, int(np.ceil(config.sparse_ratio * delta.size)))
+    return random_k(delta, k, rng)
+
+
+def compute_update(
+    model: Sequential,
+    global_weights: np.ndarray,
+    data: ClientData,
+    config: TrainingConfig,
+    rng: np.random.Generator,
+    clip_override: float | None = None,
+) -> LocalUpdate:
+    """EncClient lines 15-22: train, sparsify, L2-clip.
+
+    ``clip_override`` supports server-broadcast adaptive clipping
+    (Andrew et al.): when set -- including to an invalid ``0.0``, which
+    :func:`~repro.fl.sparsify.l2_clip` rejects loudly rather than
+    silently falling back to ``config.clip`` -- it replaces
+    ``config.clip`` this round.
+    """
+    delta = local_train(model, global_weights, data, config, rng)
+    indices, values = sparsify_delta(delta, config, rng)
+    clip = clip_override if clip_override is not None else config.clip
+    values = l2_clip(values, clip)
+    return LocalUpdate(client_id=data.client_id, indices=indices, values=values)
+
+
+def reseed_model(model: Sequential, entropy: int, stream: int, *key: int) -> None:
+    """Re-key every stochastic layer of ``model`` deterministically.
+
+    Dropout layers carry their own Generator; a model trained by two
+    different workers must draw identical masks, so each layer gets the
+    sub-stream ``(entropy, stream, *key, layer_index)``.
+    """
+    for i, layer in enumerate(model.layers):
+        if isinstance(layer, Dropout):
+            layer._rng = derive_rng(entropy, stream, *key, i)
+
+
+def train_once(
+    model_template: Sequential,
+    weights: np.ndarray,
+    data: ClientData,
+    training: TrainingConfig,
+    entropy: int,
+    stream_train: int,
+    stream_model: int,
+    key_parts: tuple[int, ...],
+    clip: float | None = None,
+) -> LocalUpdate:
+    """Clone the template, re-key its randomness, run one local round."""
+    model = copy.deepcopy(model_template)
+    reseed_model(model, entropy, stream_model, *key_parts)
+    rng = derive_rng(entropy, stream_train, *key_parts)
+    return compute_update(model, weights, data, training, rng,
+                          clip_override=clip)
+
+
+def execute_client_job(ctx: WorkerContext, job: ClientJob) -> ClientJobResult:
+    """The per-client loop body every executor once ran: derive, train, seal."""
+    if job.attempt < job.fail_attempts:
+        raise TransientWorkerError(
+            f"injected transient failure for client {job.client_id} "
+            f"(attempt {job.attempt}/{job.fail_attempts})"
+        )
+    if job.delay_s > 0.0:
+        time.sleep(job.delay_s)
+    t0 = time.perf_counter()
+    data = ctx.clients[job.client_id]
+    update = train_once(
+        ctx.model, ctx.weights, data, job.training, job.entropy,
+        STREAM_TRAIN, STREAM_MODEL, (job.round_index, job.client_id),
+        clip=job.clip,
+    )
+    train_seconds = time.perf_counter() - t0
+    obs.observe("runtime.train_s", train_seconds)
+
+    if job.key is None:
+        return ClientJobResult(
+            client_id=job.client_id, round_index=job.round_index,
+            ciphertext=None, indices=update.indices, values=update.values,
+            upload_bytes=0, train_seconds=train_seconds, attempt=job.attempt,
+        )
+
+    if job.quantize_bits is not None:
+        from repro.fl.quantize import quantize_stochastic
+
+        # Quantization draws from its own sub-stream of the client's
+        # identity so the dither is executor- and retry-invariant too.
+        q_rng = derive_rng(job.entropy, STREAM_TRAIN,
+                           job.round_index, job.client_id, 1)
+        q = quantize_stochastic(update, job.quantize_bits, q_rng)
+        payload = crypto.encode_quantized_gradient(q.indices, q.levels, q.scale)
+    else:
+        payload = crypto.encode_sparse_gradient(update.indices, update.values)
+    nonce = derive_nonce(job.entropy, job.round_index, job.client_id)
+    ciphertext = crypto.seal(job.key, payload, nonce=nonce)
+    return ClientJobResult(
+        client_id=job.client_id, round_index=job.round_index,
+        ciphertext=ciphertext, indices=None, values=None,
+        upload_bytes=len(ciphertext.to_bytes()),
+        train_seconds=train_seconds, attempt=job.attempt,
+    )
+
+
+def attack_mlp(input_dim: int, n_labels: int, hidden: int,
+                seed: int) -> Sequential:
+    rng = np.random.default_rng(seed)
+    return Sequential(
+        [
+            Linear(input_dim, hidden, rng),
+            ReLU(),
+            Dropout(0.5, rng),
+            Linear(hidden, n_labels, rng),
+        ]
+    )
+
+
+def train_classifier(
+    model: Sequential,
+    x: np.ndarray,
+    y: np.ndarray,
+    epochs: int,
+    lr: float,
+    batch_size: int,
+    rng: np.random.Generator,
+) -> None:
+    n = len(y)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            logits = model.forward(x[batch], train=True)
+            _, dlogits = softmax_cross_entropy(logits, y[batch])
+            model.backward(dlogits)
+            model.sgd_step(lr)
+
+
+def quick_model(seed: int):
+    """A tiny_mlp given a few hundred synthetic SGD steps."""
+    spec = SPECS["tiny"]
+    model = build_model(spec.model_name, seed=seed)
+    data = SyntheticClassData(spec, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        y = rng.integers(0, spec.n_labels, size=32)
+        x = data.sample(y, rng)
+        logits = model.forward(x, train=True)
+        _, dlogits = softmax_cross_entropy(logits, y)
+        model.backward(dlogits)
+        model.sgd_step(0.1)
+    return model, spec
+
+
+def run_ldp_round(
+    model: Sequential,
+    global_weights: np.ndarray,
+    participants: list[ClientData],
+    training: TrainingConfig,
+    local_sigma: float,
+    rng: np.random.Generator,
+    server_lr: float = 1.0,
+) -> np.ndarray:
+    """One LDP/Shuffle-style round: dense local perturbation, plain mean.
+
+    Each client clips its dense delta to the training clip bound and
+    adds ``N(0, (local_sigma * clip)^2)`` per coordinate before sending;
+    the server (or shuffler output) is simply averaged.  Used by the
+    Table 1 utility comparison.
+    """
+    d = global_weights.size
+    aggregate = np.zeros(d)
+    for data in participants:
+        delta = local_train(model, global_weights, data, training, rng)
+        norm = np.linalg.norm(delta)
+        if norm > training.clip:
+            delta = delta * (training.clip / norm)
+        noisy = delta + rng.normal(0.0, local_sigma * training.clip, size=d)
+        aggregate += noisy
+    mean_update = aggregate / max(len(participants), 1)
+    return global_weights + server_lr * mean_update

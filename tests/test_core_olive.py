@@ -8,6 +8,7 @@ from repro.core.obliviousness import traces_equal
 from repro.fl.client import TrainingConfig
 from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
+from repro.fl.server import ServerConfig
 from repro.sgx.enclave import EnclaveSecurityError
 
 
@@ -37,6 +38,37 @@ class TestConfig:
 
     def test_grouped_advanced_allowed(self):
         assert OliveConfig(aggregator="advanced", group_size=4).group_size == 4
+
+    @pytest.mark.parametrize("config_cls", [OliveConfig, ServerConfig])
+    @pytest.mark.parametrize("field,value", [
+        ("noise_multiplier", -0.5), ("noise_multiplier", float("nan")),
+        ("expected_clients", 0), ("expected_clients", -3),
+    ])
+    def test_invalid_dp_settings_rejected(self, config_cls, field, value):
+        # A negative multiplier used to run and report epsilon = inf; a
+        # zero expected_clients was silently replaced by qN.
+        with pytest.raises(ValueError, match=field):
+            config_cls(**{field: value})
+
+    @pytest.mark.parametrize("config_cls", [OliveConfig, ServerConfig])
+    def test_no_dp_and_explicit_denominator_allowed(self, config_cls):
+        config = config_cls(noise_multiplier=0.0, expected_clients=1)
+        assert config.noise_multiplier == 0.0
+        assert config.expected_clients == 1
+
+    def test_explicit_denominator_is_used(self):
+        # expected_clients=1 divides the sum by 1, not by qN = 4.
+        gen = SyntheticClassData(SPECS["tiny"], seed=0)
+        clients = partition_clients(gen, 8, 20, 2, seed=0)
+        deltas = []
+        for expected in (None, 1):
+            config = OliveConfig(sample_rate=0.5, noise_multiplier=0.0,
+                                 training=TRAIN, expected_clients=expected)
+            system = OliveSystem(build_model("tiny_mlp", seed=0), clients,
+                                 config, seed=0)
+            log = system.run_round()
+            deltas.append(log.weights_after - log.weights_before)
+        assert np.allclose(deltas[1], 4.0 * deltas[0])
 
 
 class TestProvisioning:

@@ -6,14 +6,16 @@ import pytest
 from repro.fl.client import (
     LocalUpdate,
     TrainingConfig,
-    compute_update,
+    client_updates,
     encrypt_update,
-    local_train,
+    local_deltas,
 )
 from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
 from repro.fl.server import FederatedSimulation, ServerConfig, run_ldp_round
 from repro.sgx import crypto
+
+from .oracles import softmax_cross_entropy
 
 
 def _setup(n_clients=6, labels_per_client=2, samples=30):
@@ -25,6 +27,25 @@ def _setup(n_clients=6, labels_per_client=2, samples=30):
 
 TRAIN = TrainingConfig(local_epochs=2, local_lr=0.1, batch_size=8,
                        sparse_ratio=0.1, clip=1.0)
+
+
+def _dropout_rngs(model, seed=0):
+    return {i: [np.random.default_rng(seed + i)]
+            for i in model.dropout_indices}
+
+
+def _delta(model, weights, data, config, rng):
+    """One client's dense delta through the batched trainer (C = 1)."""
+    return local_deltas(model, weights, data.x[None], data.y[None], config,
+                        [rng], _dropout_rngs(model))[0]
+
+
+def _update(model, data, config, rng, weights=None):
+    """One client's sparse update through the client core (C = 1)."""
+    weights = model.get_flat() if weights is None else weights
+    [update] = client_updates(model, weights, [data], config, [rng],
+                              _dropout_rngs(model))
+    return update
 
 
 class TestLocalUpdate:
@@ -41,36 +62,38 @@ class TestLocalTraining:
     def test_delta_shape(self):
         _, clients, model = _setup()
         w0 = model.get_flat()
-        delta = local_train(model, w0, clients[0], TRAIN,
-                            np.random.default_rng(0))
+        delta = _delta(model, w0, clients[0], TRAIN, np.random.default_rng(0))
         assert delta.shape == w0.shape
 
     def test_training_moves_weights(self):
         _, clients, model = _setup()
-        delta = local_train(model, model.get_flat(), clients[0], TRAIN,
-                            np.random.default_rng(0))
+        delta = _delta(model, model.get_flat(), clients[0], TRAIN,
+                       np.random.default_rng(0))
         assert np.linalg.norm(delta) > 0
 
     def test_training_reduces_local_loss(self):
-        from repro.fl.models import softmax_cross_entropy
-
         _, clients, model = _setup(samples=60)
         w0 = model.get_flat()
         data = clients[0]
-        loss0, _ = softmax_cross_entropy(model.forward(data.x), data.y)
+        loss0, _ = softmax_cross_entropy(model.forward(data.x[None])[0], data.y)
         config = TrainingConfig(local_epochs=8, local_lr=0.2, batch_size=16,
                                 sparse_ratio=0.1, clip=1.0)
-        delta = local_train(model, w0, data, config, np.random.default_rng(0))
+        delta = _delta(model, w0, data, config, np.random.default_rng(0))
         model.set_flat(w0 + delta)
-        loss1, _ = softmax_cross_entropy(model.forward(data.x), data.y)
+        loss1, _ = softmax_cross_entropy(model.forward(data.x[None])[0], data.y)
         assert loss1 < loss0
+
+    def test_template_is_not_modified(self):
+        _, clients, model = _setup()
+        w0 = model.get_flat()
+        _delta(model, w0 + 1.0, clients[0], TRAIN, np.random.default_rng(0))
+        assert np.array_equal(model.get_flat(), w0)
 
 
 class TestComputeUpdate:
     def test_sparsity_level(self):
         _, clients, model = _setup()
-        update = compute_update(model, model.get_flat(), clients[0], TRAIN,
-                                np.random.default_rng(0))
+        update = _update(model, clients[0], TRAIN, np.random.default_rng(0))
         d = model.num_params
         assert update.k == int(np.ceil(0.1 * d))
 
@@ -78,29 +101,25 @@ class TestComputeUpdate:
         _, clients, model = _setup()
         config = TrainingConfig(local_epochs=5, local_lr=1.0, sparse_ratio=0.2,
                                 clip=0.5)
-        update = compute_update(model, model.get_flat(), clients[0], config,
-                                np.random.default_rng(0))
+        update = _update(model, clients[0], config, np.random.default_rng(0))
         assert np.linalg.norm(update.values) <= 0.5 + 1e-9
 
     def test_indices_valid(self):
         _, clients, model = _setup()
-        update = compute_update(model, model.get_flat(), clients[0], TRAIN,
-                                np.random.default_rng(0))
+        update = _update(model, clients[0], TRAIN, np.random.default_rng(0))
         assert update.indices.min() >= 0
         assert update.indices.max() < model.num_params
 
     def test_client_id_propagated(self):
         _, clients, model = _setup()
-        update = compute_update(model, model.get_flat(), clients[3], TRAIN,
-                                np.random.default_rng(0))
+        update = _update(model, clients[3], TRAIN, np.random.default_rng(0))
         assert update.client_id == 3
 
 
 class TestEncryptUpdate:
     def test_roundtrip_through_enclave_codec(self):
         _, clients, model = _setup()
-        update = compute_update(model, model.get_flat(), clients[0], TRAIN,
-                                np.random.default_rng(0))
+        update = _update(model, clients[0], TRAIN, np.random.default_rng(0))
         key = crypto.generate_key(b"client-0")
         ct = encrypt_update(update, key)
         idx, val = crypto.decode_sparse_gradient(crypto.open_sealed(key, ct))

@@ -34,8 +34,8 @@ class TestSpecs:
         for name, spec in SPECS.items():
             model = build_model(spec.model_name)
             x = np.zeros((2,) + spec.input_shape)
-            logits = model.forward(x)
-            assert logits.shape == (2, spec.n_labels), name
+            logits = model.forward(x[None])
+            assert logits.shape == (1, 2, spec.n_labels), name
 
 
 class TestGenerator:

@@ -74,7 +74,7 @@ class TestIndexSetEncoding:
         # so deltas fit one varint byte each -> ~4x smaller than u32.
         rng = np.random.default_rng(0)
         delta = rng.normal(size=50_890)
-        idx, _ = top_ratio(delta, 0.1)
+        (idx,), _ = top_ratio(delta[None], 0.1)
         compressed = index_wire_bytes(idx)
         raw = raw_index_bytes(len(idx))
         assert compressed < raw / 2

@@ -1,19 +1,20 @@
 """Equivalence suite for the vectorized mega-cohort client path.
 
-Pins the tentpole contract: the ``vectorized`` executor -- batched
-seed derivation, batched local training over a leading client axis,
-axis-1 sparsification, chunked batched sealing -- produces results
-**bit-identical** to the serial reference executor, across every
-sparsifier, both FL algorithms, encrypted/plain/quantized modes, and
-injected faults.  Also pins the batched seeding primitives against
-their scalar counterparts and the ``clip_override`` falsy-zero
-regression.
+Pins the contract that chunking is invisible: the ``vectorized``
+executor -- batched seed derivation, local training over a leading
+client axis, axis-1 sparsification, chunked batched sealing -- produces
+results **bit-identical** to the serial executor's one-client chunks,
+across every sparsifier, both FL algorithms, encrypted/plain/quantized
+modes, and injected faults (both are pinned to the scalar oracle in
+``test_oracle_equivalence.py``).  Also pins the batched seeding
+primitives against their scalar counterparts, on both sides of the
+cohort-size crossover, and the ``clip_override`` falsy-zero regression.
 """
 
 import numpy as np
 import pytest
 
-from repro.fl.client import TrainingConfig, compute_update
+from repro.fl.client import TrainingConfig, client_updates
 from repro.fl.datasets import ClientData, SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
 from repro.runtime import (
@@ -28,6 +29,7 @@ from repro.runtime import (
     derive_rng,
     derive_rngs_batch,
 )
+from repro.runtime.seeding import MIN_BATCH_DERIVATION
 from repro.sgx import crypto
 
 ENTROPY = 11
@@ -87,7 +89,9 @@ class TestBatchedSeeding:
         (STREAM_MODEL, (2,)),
     ])
     def test_rngs_match_scalar(self, stream, suffix):
-        cids = [0, 1, 5, 17, 1000, 2**31]
+        # Past the crossover, so the vectorized column pass runs.
+        cids = [0, 1, 5, 17, 1000, 2**31] + list(
+            range(100, 100 + MIN_BATCH_DERIVATION))
         batch = derive_rngs_batch(ENTROPY, stream, 3, cids, *suffix)
         for cid, rng in zip(cids, batch):
             ref = derive_rng(ENTROPY, stream, 3, cid, *suffix)
@@ -111,6 +115,21 @@ class TestBatchedSeeding:
             assert nonce == derive_nonce(ENTROPY, 5, cid)
             assert len(nonce) == 16
 
+    @pytest.mark.parametrize("n", [
+        1, MIN_BATCH_DERIVATION - 1, MIN_BATCH_DERIVATION,
+        MIN_BATCH_DERIVATION + 1,
+    ])
+    def test_crossover_sizes_match_scalar(self, n):
+        # C = 1 (the loop executors' chunks) and both sides of the
+        # switch between per-client and vectorized derivation.
+        cids = list(range(7, 7 + 3 * n, 3))
+        rngs = derive_rngs_batch(ENTROPY, STREAM_MODEL, 2, cids, 2)
+        nonces = derive_nonces_batch(ENTROPY, 2, cids)
+        for cid, rng, nonce in zip(cids, rngs, nonces):
+            ref = derive_rng(ENTROPY, STREAM_MODEL, 2, cid, 2)
+            assert np.array_equal(rng.random(8), ref.random(8))
+            assert nonce == derive_nonce(ENTROPY, 2, cid)
+
     def test_negative_components_rejected(self):
         with pytest.raises(ValueError):
             derive_rngs_batch(ENTROPY, STREAM_TRAIN, -1, [0, 1])
@@ -124,7 +143,7 @@ class TestBatchedSeeding:
 
 
 class TestClipOverride:
-    """compute_update must honor falsy clip overrides (regression)."""
+    """client_updates must honor falsy clip overrides (regression)."""
 
     def _setup(self):
         model = build_model("tiny_mlp", seed=0)
@@ -134,20 +153,26 @@ class TestClipOverride:
                                   batch_size=8, sparse_ratio=0.2, clip=1.0)
         return model, data, training
 
+    def _update(self, model, data, training, clip_override):
+        dropout = {i: [derive_rng(ENTROPY, STREAM_MODEL, 0, 0, i)]
+                   for i in model.dropout_indices}
+        [update] = client_updates(
+            model, model.get_flat(), [data], training,
+            [derive_rng(ENTROPY, STREAM_TRAIN, 0, 0)], dropout,
+            clip_override=clip_override,
+        )
+        return update
+
     def test_zero_override_is_not_silently_dropped(self):
         # Pre-fix, `clip_override or config.clip` treated 0.0 as unset
         # and fell back to config.clip; l2_clip must reject it instead.
         model, data, training = self._setup()
-        rng = derive_rng(ENTROPY, STREAM_TRAIN, 0, 0)
         with pytest.raises(ValueError, match="positive"):
-            compute_update(model, model.get_flat(), data, training, rng,
-                           clip_override=0.0)
+            self._update(model, data, training, clip_override=0.0)
 
     def test_override_replaces_config_clip(self):
         model, data, training = self._setup()
-        rng = derive_rng(ENTROPY, STREAM_TRAIN, 0, 0)
-        tight = compute_update(model, model.get_flat(), data, training,
-                               rng, clip_override=1e-3)
+        tight = self._update(model, data, training, clip_override=1e-3)
         assert float(np.linalg.norm(tight.values)) <= 1e-3 + 1e-12
 
 
