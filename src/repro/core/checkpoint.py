@@ -63,20 +63,19 @@ def load_checkpoint(system: OliveSystem, path: str | Path) -> dict:
         raise ValueError(
             f"checkpoint holds {weights.size} weights, system expects {system.d}"
         )
+    # JSON round-trips floats exactly, so the DP parameters must match
+    # exactly: a nearby sigma would charge a different budget.
     for field_name in ("sample_rate", "noise_multiplier", "delta"):
-        if not np.isclose(meta[field_name], getattr(system.config, field_name)):
+        if meta[field_name] != getattr(system.config, field_name):
             raise ValueError(
                 f"checkpoint {field_name}={meta[field_name]} differs from "
                 f"system config; refusing to restore the privacy ledger"
             )
+    rounds, realized_rates = _ledger(meta)
     system.global_weights = weights.copy()
     system.model.set_flat(system.global_weights)
-    system.accountant.steps = int(meta["rounds"])
-    # Version 1 checkpoints predate realized-cohort accounting; they
-    # hold no realized rounds by construction.
-    system.accountant.realized_rates = [
-        float(q) for q in meta.get("realized_rates", [])
-    ]
+    system.accountant.steps = rounds
+    system.accountant.realized_rates = realized_rates
     if system.clipper is not None:
         system.clipper.clip = float(meta["clip"])
     # Version <3 checkpoints predate audit logging; nothing to check.
@@ -90,6 +89,32 @@ def load_checkpoint(system: OliveSystem, path: str | Path) -> dict:
                 "resume onto a diverged audit chain"
             )
     return meta
+
+
+def _ledger(meta: dict) -> tuple[int, list[float]]:
+    """The checkpoint's privacy ledger, refused unless every entry is valid.
+
+    A bad entry must fail here, not in the accountant: a negative or NaN
+    rate would be dropped from epsilon (an under-reported budget), and a
+    rate above 1 or a negative round count would only raise mid-round,
+    after the next update was already released.
+    """
+    rounds = meta["rounds"]
+    if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 0:
+        raise ValueError(
+            f"checkpoint rounds={rounds!r} is not a non-negative integer; "
+            "refusing to restore the privacy ledger"
+        )
+    # Version 1 checkpoints predate realized-cohort accounting; they
+    # hold no realized rounds by construction.
+    realized_rates = [float(q) for q in meta.get("realized_rates", [])]
+    for q in realized_rates:
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(
+                f"checkpoint realized_rates holds {q!r}, outside [0, 1]; "
+                "refusing to restore the privacy ledger"
+            )
+    return rounds, realized_rates
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:

@@ -76,7 +76,8 @@ class OliveConfig:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
         if self.group_size is not None and self.aggregator != "advanced":
             raise ValueError("grouping only applies to the advanced aggregator")
-        validate_noise_config(self.noise_multiplier, self.expected_clients)
+        validate_noise_config(self.noise_multiplier, self.expected_clients,
+                              sample_rate=self.sample_rate, delta=self.delta)
 
 
 @dataclass
@@ -349,7 +350,10 @@ class OliveSystem:
                     )
                 else:
                     self.accountant.step()
-            obs.gauge("dp.epsilon", self.accountant.epsilon)
+                # One read per round: the gauge, the round log and the
+                # audit record all carry this value.
+                epsilon = self.accountant.epsilon
+            obs.gauge("dp.epsilon", epsilon)
             if self.clipper is not None:
                 # Quantile feedback (Andrew et al.): clients report whether
                 # their pre-clip norm fit the bound; the enclave updates C.
@@ -369,7 +373,7 @@ class OliveSystem:
             trace=trace,
             weights_before=weights_before,
             weights_after=self.global_weights.copy(),
-            epsilon=self.accountant.epsilon,
+            epsilon=epsilon,
             cohort=cohort,
             shard_report=shard_report,
         )

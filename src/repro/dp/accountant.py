@@ -8,11 +8,21 @@ module implements:
 * :func:`compute_rdp` -- RDP at integer orders alpha of one subsampled
   Gaussian step with sampling rate q and noise multiplier sigma, via the
   exact binomial expansion
-  ``A(alpha) = sum_i C(alpha,i) (1-q)^(alpha-i) q^i exp(i(i-1)/(2 sigma^2))``;
+  ``A(alpha) = sum_i C(alpha,i) (1-q)^(alpha-i) q^i exp(i(i-1)/(2 sigma^2))``,
+  times the number of steps;
 * :func:`rdp_to_dp` -- conversion to ``(epsilon, delta)`` by minimizing
   ``rdp(alpha) + log(1/delta)/(alpha-1)`` over orders;
 * :class:`PrivacyAccountant` -- accumulates rounds and reports the
   current client-level budget.
+
+The one-round curve (RDP at every order for one ``(q, sigma)``) costs
+a few thousand binomial terms and is the same every round, so
+``_unit_rdp`` memoizes it on its pure inputs; ``steps`` rounds are the
+cached curve times ``steps``.  An epsilon read is then O(orders)
+arithmetic over cached curves.  Each order's terms are summed with one
+array ``logsumexp`` whose float operations match the scalar
+term-by-term loop kept in ``tests/oracles.py``, so every epsilon is
+bit-identical to it -- the audit replay compares epsilons exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +30,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
 from scipy.special import gammaln, logsumexp
 
 DEFAULT_ORDERS: tuple[int, ...] = tuple(range(2, 64)) + (
@@ -29,25 +41,51 @@ DEFAULT_ORDERS: tuple[int, ...] = tuple(range(2, 64)) + (
 )
 
 
-def _log_binom(n: int, k: int) -> float:
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+# Bound on the number of cached one-step curves.  Realized-cohort
+# accounting can see up to N + 1 distinct rates (survivors / N) and
+# noise_multiplier_for bisects over ~20 sigmas; one curve is 69 floats,
+# so a full cache stays around a few MB.
+_CURVE_CACHE_SIZE = 1024
 
 
-def _log_a_int(q: float, sigma: float, alpha: int) -> float:
+def _log_a(q: float, sigma: float, alpha: int) -> float:
     """log A(alpha) for integer alpha >= 2 (Mironov et al., eq. for
-    the Poisson-subsampled Gaussian)."""
-    terms = []
+    the Poisson-subsampled Gaussian).
+
+    All ``alpha + 1`` binomial terms are formed in one array expression
+    whose element-wise float operations match the term-by-term sum of
+    the scalar reference (``tests/oracles.py``), so the result is
+    bit-identical to it.  The ``logsumexp`` stays one call per order: a
+    padded 2-D reduction is faster but rounds differently in the last
+    bit, which would break replay of recorded audit logs.
+    """
+    i = np.arange(alpha + 1)
     log_q = math.log(q)
     log_1mq = math.log1p(-q)
-    for i in range(alpha + 1):
-        log_term = (
-            _log_binom(alpha, i)
-            + i * log_q
-            + (alpha - i) * log_1mq
-            + (i * i - i) / (2.0 * sigma * sigma)
-        )
-        terms.append(log_term)
+    log_binom = gammaln(alpha + 1) - gammaln(i + 1) - gammaln(alpha - i + 1)
+    terms = (
+        log_binom
+        + i * log_q
+        + (alpha - i) * log_1mq
+        + (i * i - i) / (2.0 * sigma * sigma)
+    )
     return float(logsumexp(terms))
+
+
+@lru_cache(maxsize=_CURVE_CACHE_SIZE)
+def _unit_rdp(
+    q: float, sigma: float, orders: tuple[int, ...]
+) -> tuple[float, ...]:
+    """RDP of one subsampled-Gaussian round at each order (memoized).
+
+    Keyed only on the pure inputs: accountants read their curves from
+    here rather than caching their own epsilon, because a checkpoint
+    restore assigns the ledger fields directly.
+    """
+    if q == 1.0:
+        # Unsubsampled Gaussian: RDP(alpha) = alpha / (2 sigma^2).
+        return tuple(alpha / (2.0 * sigma**2) for alpha in orders)
+    return tuple(_log_a(q, sigma, alpha) / (alpha - 1) for alpha in orders)
 
 
 def compute_rdp(
@@ -63,17 +101,10 @@ def compute_rdp(
         raise ValueError("noise multiplier must be positive for accounting")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    rdp = []
-    for alpha in orders:
-        if alpha < 2:
-            raise ValueError("orders must be integers >= 2")
-        if q == 1.0:
-            # Unsubsampled Gaussian: RDP(alpha) = alpha / (2 sigma^2).
-            eps_alpha = alpha / (2.0 * noise_multiplier**2)
-        else:
-            eps_alpha = _log_a_int(q, noise_multiplier, alpha) / (alpha - 1)
-        rdp.append(eps_alpha * steps)
-    return rdp
+    orders = tuple(orders)
+    if any(alpha < 2 for alpha in orders):
+        raise ValueError("orders must be integers >= 2")
+    return [u * steps for u in _unit_rdp(q, noise_multiplier, orders)]
 
 
 def rdp_to_dp(
@@ -167,7 +198,12 @@ class PrivacyAccountant:
 
     @property
     def epsilon(self) -> float:
-        """Current (epsilon, delta)-DP budget at the configured delta."""
+        """Current (epsilon, delta)-DP budget at the configured delta.
+
+        Recomputed from the ledger on every read (callers may assign
+        ``steps`` / ``realized_rates`` directly), over the cached
+        one-round curves: O(orders) arithmetic per distinct rate.
+        """
         realized = [q for q in self.realized_rates if q > 0.0]
         if self.steps == 0 and not realized:
             return 0.0

@@ -37,7 +37,8 @@ class ServerConfig:
     expected_clients: int | None = None  # q*N denominator; default q*len(clients)
 
     def __post_init__(self) -> None:
-        validate_noise_config(self.noise_multiplier, self.expected_clients)
+        validate_noise_config(self.noise_multiplier, self.expected_clients,
+                              sample_rate=self.sample_rate)
 
 
 @dataclass

@@ -5,7 +5,8 @@ The package trains through one layer stack with a leading client axis
 ``repro.runtime.jobs``).  This module keeps the per-client scalar code
 that stack replaced -- layers, loss, sparsifiers, the local-training
 loop, dropout reseeding, the per-client job body, and the trainers that
-drove the scalar stack directly -- verbatim, so the equivalence tests
+drove the scalar stack directly -- plus the term-by-term RDP expansion
+of the privacy accountant, verbatim, so the equivalence tests
 can pin the production path to it bit for bit.  Nothing in ``src/``
 imports this module.
 """
@@ -13,9 +14,11 @@ imports this module.
 from __future__ import annotations
 
 import copy
+import math
 import time
 
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
 from repro import obs
 from repro.fl.client import LocalUpdate, TrainingConfig
@@ -667,3 +670,35 @@ def run_ldp_round(
         aggregate += noisy
     mean_update = aggregate / max(len(participants), 1)
     return global_weights + server_lr * mean_update
+
+
+# ---------------------------------------------------------------------------
+# RDP accountant: the scalar binomial expansion that the array-per-order
+# ``repro.dp.accountant._log_a`` replaced.
+
+def _log_binom(n: int, k: int) -> float:
+    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+
+
+def log_a_int(q: float, sigma: float, alpha: int) -> float:
+    """log A(alpha) for integer alpha >= 2 (Mironov et al., eq. for
+    the Poisson-subsampled Gaussian)."""
+    terms = []
+    log_q = math.log(q)
+    log_1mq = math.log1p(-q)
+    for i in range(alpha + 1):
+        log_term = (
+            _log_binom(alpha, i)
+            + i * log_q
+            + (alpha - i) * log_1mq
+            + (i * i - i) / (2.0 * sigma * sigma)
+        )
+        terms.append(log_term)
+    return float(logsumexp(terms))
+
+
+def unit_rdp(q: float, sigma: float, orders) -> tuple[float, ...]:
+    """One-round RDP per order, computed term by term."""
+    if q == 1.0:
+        return tuple(alpha / (2.0 * sigma**2) for alpha in orders)
+    return tuple(log_a_int(q, sigma, alpha) / (alpha - 1) for alpha in orders)

@@ -1,5 +1,8 @@
 """Tests for checkpointing and trace serialization."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,58 @@ class TestCheckpoint:
         restored = _system(adaptive_clipping=True, seed=9)
         load_checkpoint(restored, path)
         assert restored.clipper.clip == pytest.approx(system.clipper.clip)
+
+
+def _rewrite_meta(path, **changes):
+    with np.load(path, allow_pickle=False) as archive:
+        weights = archive["global_weights"]
+        meta = json.loads(str(archive["meta"]))
+    meta.update(changes)
+    np.savez(path, global_weights=weights, meta=json.dumps(meta))
+
+
+class TestLedgerValidation:
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        system = _system()
+        system.run(2)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(system, path)
+        return path
+
+    @pytest.mark.parametrize("rates", [
+        [0.5, -0.25], [math.nan], [1.5], [0.5, math.inf],
+    ])
+    def test_bad_realized_rate_refused(self, ckpt, rates):
+        _rewrite_meta(ckpt, realized_rates=rates)
+        restored = _system(seed=9)
+        with pytest.raises(ValueError, match="realized_rates"):
+            load_checkpoint(restored, ckpt)
+        # Nothing was restored: the fresh ledger is untouched.
+        assert restored.accountant.steps == 0
+        assert restored.accountant.realized_rates == []
+
+    @pytest.mark.parametrize("rounds", [-1, 2.5, "3", True])
+    def test_bad_round_count_refused(self, ckpt, rounds):
+        _rewrite_meta(ckpt, rounds=rounds)
+        with pytest.raises(ValueError, match="rounds"):
+            load_checkpoint(_system(seed=9), ckpt)
+
+    def test_boundary_rates_restore(self, ckpt):
+        _rewrite_meta(ckpt, realized_rates=[0.0, 1.0, 299 / 600])
+        restored = _system(seed=9)
+        load_checkpoint(restored, ckpt)
+        assert restored.accountant.realized_rates == [0.0, 1.0, 299 / 600]
+
+    @pytest.mark.parametrize("field", ["sample_rate", "noise_multiplier",
+                                       "delta"])
+    def test_dp_parameters_compared_exactly(self, ckpt, field):
+        # A sigma of 1.12001 is np.isclose to 1.12 but charges a
+        # different budget; JSON keeps floats exact, so demand equality.
+        value = getattr(_system().config, field)
+        _rewrite_meta(ckpt, **{field: value * (1 + 1e-6)})
+        with pytest.raises(ValueError, match=field):
+            load_checkpoint(_system(seed=9), ckpt)
 
 
 class TestTraceSerialization:
