@@ -4,11 +4,8 @@ Sweeps d at the paper's alpha = 0.01 and n = 100 (so nk = d) and times
 the four aggregators.  Paper shape: Advanced is roughly an order of
 magnitude faster than Baseline at large d and far faster than
 PathORAM; Baseline wins only when the model is trivially small; the
-non-oblivious Linear lower-bounds everyone.
-
-Path ORAM is executed up to d = 4096 and linearly extrapolated per
-ORAM access beyond that (its per-access cost is size-stable at these
-tree heights); the extrapolation is marked in the output.
+non-oblivious Linear lower-bounds everyone.  Every aggregator,
+Path ORAM included, is measured at every point of the sweep.
 """
 
 import time
@@ -25,7 +22,6 @@ from .common import make_synthetic_updates, print_table, save_results
 D_SWEEP = (1024, 4096, 16384, 65536)
 ALPHA = 0.01
 N_CLIENTS = 100
-ORAM_MAX_D = 4096
 
 
 def _time(fn, *args, **kwargs):
@@ -37,8 +33,7 @@ def _time(fn, *args, **kwargs):
 def test_fig10_aggregation_time_vs_model_size(benchmark):
     def experiment():
         series = {"d": [], "linear": [], "baseline": [], "advanced": [],
-                  "path_oram": [], "oram_extrapolated": []}
-        oram_per_access = None
+                  "path_oram": []}
         for d in D_SWEEP:
             k = max(1, int(ALPHA * d))
             updates = make_synthetic_updates(N_CLIENTS, k, d, seed=0)
@@ -46,28 +41,17 @@ def test_fig10_aggregation_time_vs_model_size(benchmark):
             series["linear"].append(_time(aggregate_linear, updates, d))
             series["baseline"].append(_time(aggregate_baseline, updates, d))
             series["advanced"].append(_time(aggregate_advanced, updates, d))
-            accesses = 2 * N_CLIENTS * k + d
-            if d <= ORAM_MAX_D:
-                elapsed = _time(aggregate_path_oram, updates, d, seed=0)
-                oram_per_access = elapsed / accesses
-                series["path_oram"].append(elapsed)
-                series["oram_extrapolated"].append(False)
-            else:
-                series["path_oram"].append(oram_per_access * accesses)
-                series["oram_extrapolated"].append(True)
+            series["path_oram"].append(
+                _time(aggregate_path_oram, updates, d, seed=0))
         return series
 
     series = benchmark.pedantic(experiment, rounds=1, iterations=1)
 
-    rows = []
-    for i, d in enumerate(series["d"]):
-        oram = f"{series['path_oram'][i]:.4g}"
-        if series["oram_extrapolated"][i]:
-            oram += " (extrap.)"
-        rows.append([
-            d, f"{series['linear'][i]:.4g}", f"{series['baseline'][i]:.4g}",
-            f"{series['advanced'][i]:.4g}", oram,
-        ])
+    rows = [
+        [d] + [f"{series[k][i]:.4g}"
+               for k in ("linear", "baseline", "advanced", "path_oram")]
+        for i, d in enumerate(series["d"])
+    ]
     print_table(
         f"Figure 10: aggregation seconds (alpha={ALPHA}, n={N_CLIENTS})",
         ["d", "linear", "baseline", "advanced", "path_oram"], rows,

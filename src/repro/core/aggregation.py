@@ -383,16 +383,21 @@ def aggregate_path_oram(
 
     Initialize d zero blocks, read-modify-write one block per input
     weight, then read out all d blocks -- the general-purpose scheme the
-    paper compares against (Section 5, "ORAM-based method").
+    paper compares against (Section 5, "ORAM-based method").  Nothing
+    else records into ``trace`` meanwhile, so the ORAM defers its path
+    records and appends them in one call when the kernel exits.
     """
     idx, val = _concat_updates(updates)
     _validate(idx, d)
     oram = PathORAM(d, bucket_size=bucket_size, stash_limit=stash_limit,
                     trace=trace, seed=seed)
-    for index, value in zip(idx.tolist(), val.tolist()):
-        current = oram.read(index)
-        oram.write(index, current + value)
-    return np.asarray([oram.read(j) for j in range(d)], dtype=np.float64)
+    access = oram.access
+    with oram.deferred_trace():
+        for index, value in zip(idx.tolist(), val.tolist()):
+            current = access("read", index)
+            access("write", index, current + value)
+        out = [access("read", j) for j in range(d)]
+    return np.asarray(out, dtype=np.float64)
 
 
 # ----------------------------------------------------------------------

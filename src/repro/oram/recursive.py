@@ -139,9 +139,6 @@ class RecursivePathORAM:
             trace=trace,
             rng=self._rng,
         )
-        # Align the data ORAM's private map with the recursive one: the
-        # data ORAM must use OUR positions, so we drive it explicitly.
-        self._data._position = [0] * capacity  # neutralized; see access()
         self.capacity = capacity
         self.accesses = 0
 
@@ -151,12 +148,12 @@ class RecursivePathORAM:
             raise IndexError(f"block {block_id} out of range")
         self.accesses += 1
         # The recursive map is authoritative: fetch the old leaf and
-        # the freshly installed one; mirror them into the data ORAM's
-        # private array so its path fetch and write-back use them.
+        # the freshly installed one, and hand both to the data ORAM so
+        # its path fetch and write-back use them, not its private map.
         old_leaf, new_leaf = self._map.get_and_refresh(block_id)
-        self._data._position[block_id] = old_leaf
         return self._data.access(
-            op, block_id, new_value=new_value, new_leaf=new_leaf
+            op, block_id, new_value=new_value, new_leaf=new_leaf,
+            leaf=old_leaf,
         )
 
     def read(self, block_id: int) -> Any:

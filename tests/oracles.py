@@ -6,8 +6,9 @@ The package trains through one layer stack with a leading client axis
 that stack replaced -- layers, loss, sparsifiers, the local-training
 loop, dropout reseeding, the per-client job body, and the trainers that
 drove the scalar stack directly -- plus the term-by-term RDP expansion
-of the privacy accountant, verbatim, so the equivalence tests
-can pin the production path to it bit for bit.  Nothing in ``src/``
+of the privacy accountant and the per-bucket Path ORAM access,
+verbatim, so the equivalence tests can pin the production path to it
+bit for bit.  Nothing in ``src/``
 imports this module.
 """
 
@@ -15,14 +16,19 @@ from __future__ import annotations
 
 import copy
 import math
+import random
 import time
+from typing import Any
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from repro import obs
+from repro.core.aggregation import _concat_updates, _validate
 from repro.fl.client import LocalUpdate, TrainingConfig
 from repro.fl.datasets import SPECS, ClientData, SyntheticClassData
+from repro.oblivious.primitives import o_mov
+from repro.oram.path_oram import DUMMY, StashOverflow
 from repro.runtime.jobs import (
     ClientJob,
     ClientJobResult,
@@ -36,6 +42,7 @@ from repro.runtime.seeding import (
     derive_rng,
 )
 from repro.sgx import crypto
+from repro.sgx.memory import Trace, TracedArray
 
 
 class Layer:
@@ -702,3 +709,190 @@ def unit_rdp(q: float, sigma: float, orders) -> tuple[float, ...]:
     if q == 1.0:
         return tuple(alpha / (2.0 * sigma**2) for alpha in orders)
     return tuple(log_a_int(q, sigma, alpha) / (alpha - 1) for alpha in orders)
+
+
+# ---------------------------------------------------------------------------
+# Path ORAM: the per-bucket access that ``repro.oram.path_oram.PathORAM``
+# replaced (traced bucket array, ``_is_ancestor`` greedy write-back).
+
+class OraclePathORAM:
+    """A Path ORAM instance over ``capacity`` fixed blocks.
+
+    Parameters
+    ----------
+    capacity:
+        Number of addressable blocks (block ids ``0..capacity-1``).
+    bucket_size:
+        Z, blocks per tree bucket (4 is standard).
+    stash_limit:
+        Maximum number of real blocks allowed to remain in the stash
+        after write-back (the paper fixes 20).
+    trace:
+        Optional :class:`Trace`; when given, tree bucket accesses are
+        recorded so the adversary view can be inspected.
+    """
+
+    def __init__(
+        self,
+        capacity: int,
+        bucket_size: int = 4,
+        stash_limit: int = 20,
+        trace: Trace | None = None,
+        seed: int | None = None,
+    ) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        self.bucket_size = bucket_size
+        self.stash_limit = stash_limit
+        self._rng = random.Random(seed)
+        # Tree with at least `capacity` leaves.
+        self.height = max(1, (capacity - 1).bit_length())
+        self.n_leaves = 1 << self.height
+        self.n_buckets = 2 * self.n_leaves - 1
+        empty_bucket = tuple(
+            (DUMMY, 0, 0.0) for _ in range(bucket_size)
+        )
+        self._tree = TracedArray(
+            "oram_tree",
+            [empty_bucket] * self.n_buckets,
+            trace=trace,
+            itemsize=bucket_size * 16,
+        )
+        self._position: list[int] = [
+            self._rng.randrange(self.n_leaves) for _ in range(capacity)
+        ]
+        self._stash: list[tuple[int, int, Any]] = []
+        self.accesses = 0
+
+    # ------------------------------------------------------------------
+    # Tree geometry
+    # ------------------------------------------------------------------
+    def _path_buckets(self, leaf: int) -> list[int]:
+        """Bucket indices from root to ``leaf`` (root is bucket 0)."""
+        node = leaf + self.n_leaves - 1
+        path = []
+        while True:
+            path.append(node)
+            if node == 0:
+                break
+            node = (node - 1) // 2
+        path.reverse()
+        return path
+
+    @staticmethod
+    def _is_ancestor(node: int, descendant: int) -> bool:
+        while descendant > node:
+            descendant = (descendant - 1) // 2
+        return descendant == node
+
+    # ------------------------------------------------------------------
+    # Core access
+    # ------------------------------------------------------------------
+    def access(self, op: str, block_id: int, new_value: Any = None,
+               new_leaf: int | None = None) -> Any:
+        """One ORAM access; returns the block's (pre-write) value.
+
+        ``op`` is ``"read"`` or ``"write"``.  Missing blocks read as 0.0
+        (the aggregator initializes implicitly, like the paper's d-zero
+        initialization of g*).  ``new_leaf`` lets an external position
+        map (the recursive construction) dictate the remap target.
+        """
+        if not 0 <= block_id < self.capacity:
+            raise IndexError(f"block {block_id} out of range")
+        if op not in ("read", "write"):
+            raise ValueError("op must be 'read' or 'write'")
+        self.accesses += 1
+
+        leaf = self._position[block_id]
+        if new_leaf is None:
+            new_leaf = self._rng.randrange(self.n_leaves)
+        elif not 0 <= new_leaf < self.n_leaves:
+            raise IndexError("forced new leaf out of range")
+        self._position[block_id] = new_leaf
+
+        # 1. Fetch the whole path into the stash.
+        path = self._path_buckets(leaf)
+        for bucket_idx in path:
+            bucket = self._tree.read(bucket_idx)
+            for slot in bucket:
+                if slot[0] != DUMMY:
+                    self._stash.append(slot)
+            self._tree.write(
+                bucket_idx,
+                tuple((DUMMY, 0, 0.0) for _ in range(self.bucket_size)),
+            )
+
+        # 2. Serve the request from the stash with an oblivious scan:
+        #    every entry is touched; selection happens in registers (the
+        #    slot index is selected with o_mov so the scan's work is
+        #    position-independent; payloads may be any type).
+        found_at = -1
+        for i, (bid, _, _val) in enumerate(self._stash):
+            found_at = o_mov(bid == block_id, i, found_at)
+        value: Any = self._stash[found_at][2] if found_at >= 0 else 0.0
+        if op == "write":
+            entry = (block_id, self._position[block_id], new_value)
+            if found_at >= 0:
+                self._stash[found_at] = entry
+            else:
+                self._stash.append(entry)
+        elif found_at >= 0:
+            bid, _, val = self._stash[found_at]
+            self._stash[found_at] = (bid, self._position[block_id], val)
+        else:
+            self._stash.append((block_id, self._position[block_id], 0.0))
+
+        # 3. Greedy write-back, leaf to root.
+        for bucket_idx in reversed(path):
+            placed: list[tuple[int, int, Any]] = []
+            remaining: list[tuple[int, int, Any]] = []
+            for entry in self._stash:
+                entry_leaf_node = entry[1] + self.n_leaves - 1
+                fits = (
+                    len(placed) < self.bucket_size
+                    and self._is_ancestor(bucket_idx, entry_leaf_node)
+                )
+                if fits:
+                    placed.append(entry)
+                else:
+                    remaining.append(entry)
+            self._stash = remaining
+            bucket = list(placed)
+            while len(bucket) < self.bucket_size:
+                bucket.append((DUMMY, 0, 0.0))
+            self._tree.write(bucket_idx, tuple(bucket))
+
+        if len(self._stash) > self.stash_limit:
+            raise StashOverflow(
+                f"stash holds {len(self._stash)} blocks (limit {self.stash_limit})"
+            )
+        return value
+
+    def read(self, block_id: int) -> Any:
+        """Oblivious read of one block."""
+        return self.access("read", block_id)
+
+    def write(self, block_id: int, value: Any) -> None:
+        """Oblivious write of one block."""
+        self.access("write", block_id, new_value=value)
+
+    @property
+    def stash_size(self) -> int:
+        """Real blocks currently parked in the stash."""
+        return len(self._stash)
+
+
+def aggregate_path_oram(updates, d: int, trace: Trace | None = None,
+                        bucket_size: int = 4, stash_limit: int = 20,
+                        seed: int | None = None) -> np.ndarray:
+    """The ORAM aggregation kernel driven through the oracle ORAM:
+    one read and one write per input weight, then d read-outs."""
+    idx, val = _concat_updates(updates)
+    _validate(idx, d)
+    oram = OraclePathORAM(d, bucket_size=bucket_size,
+                          stash_limit=stash_limit, trace=trace, seed=seed)
+    for index, value in zip(idx.tolist(), val.tolist()):
+        current = oram.read(index)
+        oram.write(index, current + value)
+    return np.asarray([oram.read(j) for j in range(d)], dtype=np.float64)

@@ -22,6 +22,7 @@ from repro.core.aggregation import (
     aggregate_advanced_traced,
     aggregate_baseline_traced,
     aggregate_linear_traced,
+    aggregate_path_oram,
     next_power_of_two,
 )
 from repro.fl.client import LocalUpdate
@@ -33,7 +34,10 @@ from repro.oblivious.sort import (
     bitonic_sort_traced,
     bitonic_sort_traced_columns,
 )
+from repro.oram.path_oram import PathORAM
 from repro.sgx.memory import Trace, TracedArray
+from tests.oracles import OraclePathORAM
+from tests.oracles import aggregate_path_oram as ref_path_oram_traced
 
 
 # ----------------------------------------------------------------------
@@ -321,3 +325,32 @@ def test_signature_digest_tracks_signature():
     assert t1.signature_digest() == t3.signature_digest()
     t2.record("a", 3, "read")
     assert t1.signature_digest() != t2.signature_digest()
+
+
+@pytest.mark.parametrize("n,k,d", [(1, 1, 2), (5, 4, 33), (10, 12, 256)])
+def test_path_oram_trace_matches_per_bucket_recording(n, k, d):
+    # The production ORAM appends each aggregation's paths in one
+    # columnar call; the oracle records one scalar access per bucket
+    # read, clear and write-back.
+    updates = make_updates(n, k, d, seed=n + d)
+    t_cols, t_loop = Trace(), Trace()
+    out = aggregate_path_oram(updates, d, trace=t_cols, seed=d)
+    ref = ref_path_oram_traced(updates, d, trace=t_loop, seed=d)
+    assert t_cols.signature() == t_loop.signature()
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_path_oram_scalar_accesses_record_immediately():
+    # Outside a deferred block every access is in the trace on return,
+    # so an ORAM sharing its trace (the recursive position map) keeps
+    # its interleaving with other recorders.
+    t_cols, t_loop = Trace(), Trace()
+    oram = PathORAM(40, trace=t_cols, seed=2)
+    ref = OraclePathORAM(40, trace=t_loop, seed=2)
+    for i in range(30):
+        oram.write(i % 40, float(i))
+        ref.write(i % 40, float(i))
+        t_cols.record("other", i, "read")
+        t_loop.record("other", i, "read")
+        assert len(t_cols) == len(t_loop)
+    assert t_cols.signature() == t_loop.signature()
