@@ -8,13 +8,14 @@ an effect of the memory hierarchy, reproduced here by charging the
 algorithms' structural address streams to the scaled SGX cost model
 (see EXPERIMENTS.md for the scaling).
 
-The sweep itself is charged through the vectorized replay engine fed
-by the chunked numpy stream emitters.  The run additionally times the
+The sweep itself is charged through the vectorized replayer fed by the
+chunked numpy stream emitters.  The run additionally times the
 sequential reference pipeline (per-access Python generator + Python
-LRU, the pre-vectorization implementation) against the vectorized one
-on the largest common sweep point, asserts that both engines produce
-identical ``ReplayStats``, and records the measured replay speedup in
-``bench_results/fig11.json``.
+LRU, the pre-vectorization implementation kept in ``tests/oracles.py``)
+against the vectorized one on the largest common sweep point, asserts
+that both replayers produce identical ``ReplayStats``, and records the
+measured replay speedup in ``bench_results/fig11.json``.  The cycles
+are modeled (cost-model output), not measured.
 
 Set ``COST_BENCH_QUICK=1`` (the CI default) to stop the sweep at
 n = 256; the full sweep extends to the paper's n = 1000.
@@ -28,13 +29,9 @@ import os
 import time
 
 from repro.core.aggregation import aggregate_advanced, aggregate_baseline
-from repro.core.streams import (
-    advanced_stream,
-    advanced_stream_chunks,
-    baseline_stream,
-    baseline_stream_chunks,
-)
+from repro.core.streams import advanced_stream_chunks, baseline_stream_chunks
 from repro.sgx.cost import CostModel, CostParameters
+from tests.oracles import OracleCostModel, advanced_stream, baseline_stream
 
 from .common import make_synthetic_updates, print_table, save_results
 
@@ -64,12 +61,12 @@ MACHINE = CostParameters(
 )
 
 
-def _timed_replay(engine, charge, runs=1):
+def _timed_replay(model_cls, charge, runs=1):
     """Best-of-``runs`` wall seconds plus the last (model, report)."""
     best = float("inf")
     model = report = None
     for _ in range(runs):
-        model = CostModel(MACHINE, engine=engine)
+        model = model_cls(MACHINE)
         t0 = time.perf_counter()
         report = charge(model)
         best = min(best, time.perf_counter() - t0)
@@ -92,10 +89,10 @@ def _measure_speedup(nk: int) -> dict:
         ("advanced", advanced_stream, advanced_stream_chunks),
     ):
         t_vec, vec_model, vec_report = _timed_replay(
-            "vector", lambda m: m.charge_chunks(chunked(nk, D)), runs=2
+            CostModel, lambda m: m.charge_chunks(chunked(nk, D)), runs=2
         )
         t_ref, ref_model, ref_report = _timed_replay(
-            "reference", lambda m: m.charge_lines(gen(nk, D))
+            OracleCostModel, lambda m: m.charge_lines(gen(nk, D))
         )
         assert vec_model.stats == ref_model.stats, (
             f"{name}: vectorized ReplayStats diverged from reference"

@@ -7,11 +7,12 @@ thrash the cache/EPC, and an interior optimum h (a few hundred clients
 in the paper, a few here at the scaled sizes) is several times faster
 than the monolithic run.
 
-The sweep runs on the vectorized replay engine fed by the chunked
-numpy stream emitters; the sequential reference replayer is run on a
-sample of the sweep (the U-curve's two extremes and its optimum) and
-its ``ReplayStats`` asserted identical, so the recorded curve is
-backed by both engines.
+The sweep runs on the vectorized replayer fed by the chunked numpy
+stream emitters; the sequential reference replayer of
+``tests/oracles.py`` is run on a sample of the sweep (the U-curve's two
+extremes and its optimum) and its ``ReplayStats`` asserted identical,
+so the recorded curve is backed by both replayers.  The cycles are
+modeled (cost-model output), not measured.
 
 The functional equivalence of grouped and monolithic aggregation is
 asserted too (the optimization must not change results).
@@ -21,12 +22,9 @@ import numpy as np
 
 from repro.core.aggregation import aggregate_advanced
 from repro.core.grouping import aggregate_grouped
-from repro.core.streams import (
-    advanced_stream_chunks,
-    grouped_stream,
-    grouped_stream_chunks,
-)
+from repro.core.streams import advanced_stream_chunks, grouped_stream_chunks
 from repro.sgx.cost import CostModel, CostParameters
+from tests.oracles import OracleCostModel, grouped_stream
 
 from .common import make_synthetic_updates, print_table, save_results
 
@@ -88,7 +86,7 @@ def test_fig12_grouping_optimization(benchmark):
         vec_report = vec.charge_chunks(
             grouped_stream_chunks(N_CLIENTS, K, D, h)
         )
-        ref = CostModel(MACHINE, engine="reference")
+        ref = OracleCostModel(MACHINE)
         ref_report = ref.charge_lines(grouped_stream(N_CLIENTS, K, D, h))
         assert vec.stats == ref.stats, (
             f"h={h}: vectorized ReplayStats diverged from reference"

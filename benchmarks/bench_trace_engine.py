@@ -4,7 +4,7 @@ Times the traced aggregators in two formulations on the same workload:
 
 * **reference** -- the seed element-at-a-time implementation (one
   scalar ``Trace.record`` per access, scalar ``o_mov``/``o_swap``
-  comparators), kept verbatim for before/after comparison;
+  comparators), kept verbatim in ``tests/oracles.py``;
 * **batched** -- the production kernels (stage-batched bitonic sort,
   block-form scans, vectorized appends into the columnar arrays).
 
@@ -24,18 +24,16 @@ import numpy as np
 
 from repro import obs
 from repro.core.aggregation import (
-    G_REGION,
-    G_STAR_REGION,
-    M0,
-    WEIGHTS_PER_CACHELINE,
-    aggregate_advanced_traced,
-    aggregate_baseline_traced,
-    aggregate_linear_traced,
-    next_power_of_two,
+    aggregate_advanced,
+    aggregate_baseline,
+    aggregate_linear,
 )
-from repro.oblivious.primitives import o_mov
-from repro.oblivious.sort import apply_network_traced, bitonic_network
-from repro.sgx.memory import MemoryAccess, Trace, TracedArray
+from repro.sgx.memory import MemoryAccess, Trace
+from tests.oracles import (
+    ref_advanced_traced,
+    ref_baseline_traced,
+    ref_linear_traced,
+)
 
 from .common import make_synthetic_updates, print_table, save_results
 
@@ -45,70 +43,10 @@ N, K, D = (8, 10, 128) if QUICK else (20, 30, 600)
 MIN_SPEEDUP = 5.0 if QUICK else 10.0
 
 
-# -- reference recorders (seed element-at-a-time implementations) ------
-
-
-def ref_linear_traced(updates, d, trace):
-    idx = np.concatenate([u.indices for u in updates]).astype(np.int64)
-    val = np.concatenate([u.values for u in updates])
-    g = TracedArray(G_REGION, list(zip(idx.tolist(), val.tolist())),
-                    trace=trace, itemsize=8)
-    g_star = TracedArray.zeros(G_STAR_REGION, d, trace=trace, itemsize=4)
-    for pos in range(len(g)):
-        index, value = g.read(pos)
-        current = g_star.read(index)
-        g_star.write(index, current + value)
-    return np.asarray(g_star.snapshot())
-
-
-def ref_baseline_traced(updates, d, trace):
-    idx = np.concatenate([u.indices for u in updates]).astype(np.int64)
-    val = np.concatenate([u.values for u in updates])
-    c = WEIGHTS_PER_CACHELINE
-    g = TracedArray(G_REGION, list(zip(idx.tolist(), val.tolist())),
-                    trace=trace, itemsize=8)
-    g_star = TracedArray.zeros(G_STAR_REGION, d, trace=trace, itemsize=4)
-    n_lines = (d + c - 1) // c
-    for pos in range(len(g)):
-        index, value = g.read(pos)
-        offset = index % c
-        for line in range(n_lines):
-            target = min(line * c + offset, d - 1)
-            current = g_star.read(target)
-            g_star.write(target, o_mov(target == index,
-                                       current + value, current))
-    return np.asarray(g_star.snapshot())
-
-
-def ref_advanced_traced(updates, d, trace):
-    idx = np.concatenate([u.indices for u in updates]).astype(np.int64)
-    val = np.concatenate([u.values for u in updates])
-    base = len(idx) + d
-    m = next_power_of_two(base)
-    g = TracedArray.zeros(G_REGION, m, trace=trace, itemsize=8)
-    for pos in range(len(idx)):
-        g.write(pos, (int(idx[pos]), float(val[pos])))
-    for j in range(d):
-        g.write(len(idx) + j, (j, 0.0))
-    for pos in range(base, m):
-        g.write(pos, (M0, 0.0))
-    apply_network_traced(g, bitonic_network(m), key=lambda w: w[0])
-    carry_idx, carry_val = g.read(0)
-    for pos in range(1, m):
-        nxt_idx, nxt_val = g.read(pos)
-        flag = nxt_idx == carry_idx
-        g.write(pos - 1, o_mov(flag, (M0, 0.0), (carry_idx, carry_val)))
-        carry_val = o_mov(flag, carry_val + nxt_val, nxt_val)
-        carry_idx = nxt_idx
-    g.write(m - 1, (carry_idx, carry_val))
-    apply_network_traced(g, bitonic_network(m), key=lambda w: w[0])
-    return np.asarray([g.read(j)[1] for j in range(d)])
-
-
 PAIRS = [
-    ("linear", ref_linear_traced, aggregate_linear_traced),
-    ("baseline", ref_baseline_traced, aggregate_baseline_traced),
-    ("advanced", ref_advanced_traced, aggregate_advanced_traced),
+    ("linear", ref_linear_traced, aggregate_linear),
+    ("baseline", ref_baseline_traced, aggregate_baseline),
+    ("advanced", ref_advanced_traced, aggregate_advanced),
 ]
 
 
@@ -131,7 +69,7 @@ def test_trace_engine_speedup(benchmark):
             out_ref = ref(updates, D, ref_trace)
             t_ref = time.perf_counter() - t0
             t0 = time.perf_counter()
-            out_new = new(updates, D, new_trace)
+            out_new = new(updates, D, trace=new_trace)
             t_new = time.perf_counter() - t0
             assert np.allclose(out_ref, out_new)
             assert ref_trace.signature_digest() == new_trace.signature_digest()
@@ -202,7 +140,7 @@ def test_telemetry_overhead_guard():
         def timed_kernel():
             trace = Trace()
             t0 = time.perf_counter()
-            aggregate_advanced_traced(updates, D, trace)
+            aggregate_advanced(updates, D, trace=trace)
             return time.perf_counter() - t0
 
         t_kernel = min(timed_kernel() for _ in range(3))
@@ -210,7 +148,7 @@ def test_telemetry_overhead_guard():
         # How many spans would one such kernel call open when enabled?
         sink = obs.MemorySink()
         with obs.session(sinks=[sink], keep_state=True):
-            aggregate_advanced_traced(updates, D, Trace())
+            aggregate_advanced(updates, D, trace=Trace())
         n_spans = len(sink.spans())
         assert n_spans >= 1  # the kernel is instrumented
 

@@ -57,8 +57,8 @@ def main() -> None:
         24, 3, replace=False)).astype(np.int64), np.ones(3)) for c in range(4)]
     for name in ("linear", "baseline", "advanced"):
         ta, tb = Trace(), Trace()
-        AGGREGATORS[name].run_traced(small_a, 24, ta)
-        AGGREGATORS[name].run_traced(small_b, 24, tb)
+        AGGREGATORS[name].run(small_a, 24, trace=ta)
+        AGGREGATORS[name].run(small_b, 24, trace=tb)
         word = traces_equal(ta, tb)
         line = traces_equal(ta, tb, granularity="cacheline",
                             itemsizes={"g": 8, "g_star": 4})

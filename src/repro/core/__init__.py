@@ -14,11 +14,8 @@ from .aggregation import (
     M0,
     AggregatorSpec,
     aggregate_advanced,
-    aggregate_advanced_traced,
     aggregate_baseline,
-    aggregate_baseline_traced,
     aggregate_linear,
-    aggregate_linear_traced,
     aggregate_path_oram,
 )
 from .do_aggregation import (
@@ -27,7 +24,7 @@ from .do_aggregation import (
     do_padding_counts,
     do_padding_overhead,
 )
-from .grouping import aggregate_grouped, aggregate_grouped_traced, split_groups
+from .grouping import aggregate_grouped, split_groups
 from .obliviousness import (
     ObliviousnessReport,
     check_oblivious,
@@ -39,15 +36,10 @@ from .obliviousness import (
 )
 from .olive import OliveConfig, OliveRoundLog, OliveSystem
 from .streams import (
-    advanced_stream,
     advanced_stream_chunks,
-    baseline_stream,
     baseline_stream_chunks,
-    grouped_stream,
     grouped_stream_chunks,
-    linear_stream,
     linear_stream_chunks,
-    path_oram_stream,
 )
 
 __all__ = [
@@ -59,34 +51,25 @@ __all__ = [
     "OliveConfig",
     "OliveRoundLog",
     "OliveSystem",
-    "advanced_stream",
     "advanced_stream_chunks",
     "aggregate_advanced",
-    "aggregate_advanced_traced",
     "aggregate_baseline",
-    "aggregate_baseline_traced",
     "aggregate_do",
     "aggregate_grouped",
-    "aggregate_grouped_traced",
     "aggregate_linear",
-    "aggregate_linear_traced",
     "aggregate_path_oram",
-    "baseline_stream",
     "baseline_stream_chunks",
     "check_oblivious",
     "do_padding_counts",
     "do_padding_overhead",
     "empirical_statistical_distance",
-    "grouped_stream",
     "grouped_stream_chunks",
     "leaked_index_sets",
-    "linear_stream",
     "linear_stream_chunks",
     "load_checkpoint",
     "load_trace",
     "save_checkpoint",
     "save_trace",
-    "path_oram_stream",
     "split_groups",
     "trace_distance",
     "trace_key",

@@ -1,21 +1,19 @@
 """OLIVE's server-side aggregation algorithms (Sections 3.3 and 5).
 
-Four aggregators, each in two interchangeable implementations:
+Every aggregator is one kernel ``aggregate_<name>(updates, d, *,
+trace=None)``.  With ``trace=None`` it only computes; given a
+:class:`repro.sgx.memory.Trace` the same body also records the exact
+adversary-visible access pattern against the trace regions (used by
+the security analysis, the attack evaluation, and the obliviousness
+property tests).  The wall-clock benchmarks therefore time the very
+code whose access pattern the obliviousness tests check.
 
-* a **traced** implementation producing the exact adversary-visible
-  access pattern against the :class:`repro.sgx.memory.Trace` regions
-  (used by the security analysis, the attack evaluation, and the
-  obliviousness property tests);
-* a **fast** implementation (numpy-vectorized, same arithmetic and the
-  same asymptotic work) used by the wall-clock benchmarks.
-
-The traced implementations are *batched*: they compute on numpy columns
-and append whole access blocks to the trace (the columnar engine of
+Recording is *batched*: kernels compute on numpy columns and append
+whole access blocks to the trace (the columnar engine of
 :mod:`repro.sgx.memory`), producing byte-for-byte the access sequence
 of the original element-at-a-time formulation -- the trace-equivalence
-regression tests pin this against a reference recorder.  This makes the
-traced path 1-2 orders of magnitude faster, so the security experiments
-scale with n, k, and d almost like the fast path does.
+regression tests pin this against the reference recorders in
+``tests/oracles.py``.
 
 Algorithms:
 
@@ -43,7 +41,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,30 +58,33 @@ M0 = (1 << 31) - 1
 #: Weights per 64-byte cacheline in the aggregation buffer (4-byte weights).
 WEIGHTS_PER_CACHELINE = 16
 
+#: Sweep targets per Baseline block: bounds the (inputs x lines) matrix.
+BASELINE_BLOCK_CELLS = 1 << 16
+
 G_REGION = "g"
 G_STAR_REGION = "g_star"
 
 
-def _kernel_span(name: str):
+def _kernel_span(name: str, traced_name: str | None = None):
     """Wrap an aggregation kernel in a telemetry span.
 
-    Records input shape and, for traced kernels, the number of accesses
+    An untraced call opens ``name``; a traced one opens ``traced_name``
+    (default ``name + "_traced"``) and records the number of accesses
     the call appended to the trace.  With telemetry disabled the
     wrapper is one ``enabled()`` check per kernel *call* (never per
     element), preserving the no-op fast path.
     """
+    traced_name = traced_name or f"{name}_traced"
 
     def deco(fn):
         @functools.wraps(fn)
-        def wrapper(updates, d, *args, **kwargs):
+        def wrapper(updates, d, *, trace=None, **kwargs):
             if not obs.enabled():
-                return fn(updates, d, *args, **kwargs)
-            trace = kwargs.get("trace")
-            if trace is None and args and isinstance(args[0], Trace):
-                trace = args[0]
+                return fn(updates, d, trace=trace, **kwargs)
             before = len(trace) if trace is not None else 0
-            with obs.span(name, n_updates=len(updates), d=d) as sp:
-                out = fn(updates, d, *args, **kwargs)
+            span_name = name if trace is None else traced_name
+            with obs.span(span_name, n_updates=len(updates), d=d) as sp:
+                out = fn(updates, d, trace=trace, **kwargs)
                 if trace is not None:
                     sp.set(trace_accesses=len(trace) - before)
                 return out
@@ -115,18 +116,10 @@ def _validate(indices: np.ndarray, d: int) -> None:
 
 
 @_kernel_span("kernel.linear")
-def aggregate_linear(updates: Sequence[LocalUpdate], d: int) -> np.ndarray:
-    """Fast Linear aggregation: plain scatter-add."""
-    idx, val = _concat_updates(updates)
-    _validate(idx, d)
-    return densify(idx, val, d)
-
-
-@_kernel_span("kernel.linear_traced")
-def aggregate_linear_traced(
-    updates: Sequence[LocalUpdate], d: int, trace: Trace
+def aggregate_linear(
+    updates: Sequence[LocalUpdate], d: int, *, trace: Trace | None = None
 ) -> np.ndarray:
-    """Traced Linear aggregation.
+    """Linear aggregation: plain scatter-add.
 
     The scan of ``g`` is fixed-order, but every input weight triggers a
     read+write of ``g_star[index]`` -- the data-dependent accesses of
@@ -151,9 +144,7 @@ def aggregate_linear_traced(
             np.array([OP_READ, OP_READ, OP_WRITE], dtype=np.uint8), nk
         )
         trace.record_columns(rids, offs.reshape(-1), ops)
-    g_star = np.zeros(d)
-    np.add.at(g_star, idx, val)  # in-order accumulation, like the scan
-    return g_star
+    return densify(idx, val, d)
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +160,9 @@ def _baseline_targets(
     Row ``p`` holds, for input weight ``p``, the ``g_star`` offsets the
     sweep touches -- the position congruent to ``idx[p] mod c`` in each
     line, with the final partial line clamped to ``d - 1`` so every
-    input sweeps the same lines.
+    input sweeps the same lines.  Each row hits its own index exactly
+    once: only the final line clamps, and an index in the final line is
+    reached there unclamped.
     """
     n_lines = (d + cacheline_weights - 1) // cacheline_weights
     lines = np.arange(n_lines, dtype=np.int64) * cacheline_weights
@@ -178,43 +171,25 @@ def _baseline_targets(
 
 @_kernel_span("kernel.baseline")
 def aggregate_baseline(
-    updates: Sequence[LocalUpdate], d: int,
+    updates: Sequence[LocalUpdate], d: int, *,
+    trace: Trace | None = None,
     cacheline_weights: int = WEIGHTS_PER_CACHELINE,
 ) -> np.ndarray:
-    """Fast Baseline aggregation.
-
-    Performs the same Theta(nk * d / c) element-update work as the
-    traced version (one vectorized pass over the congruent stripe of
-    ``g_star`` per input weight), so wall-clock comparisons against
-    Advanced reproduce the paper's crossovers.
-    """
-    idx, val = _concat_updates(updates)
-    _validate(idx, d)
-    g_star = np.zeros(d)
-    n_lines = (d + cacheline_weights - 1) // cacheline_weights
-    lines = np.arange(n_lines)
-    for index, value in zip(idx.tolist(), val.tolist()):
-        offset = index % cacheline_weights
-        stripe = np.minimum(lines * cacheline_weights + offset, d - 1)
-        hits = stripe == index
-        g_star[stripe] = g_star[stripe] + hits * value
-    return g_star
-
-
-@_kernel_span("kernel.baseline_traced")
-def aggregate_baseline_traced(
-    updates: Sequence[LocalUpdate], d: int, trace: Trace,
-    cacheline_weights: int = WEIGHTS_PER_CACHELINE,
-) -> np.ndarray:
-    """Traced Baseline aggregation (Algorithm 3).
+    """Baseline aggregation (Algorithm 3).
 
     For every input weight the whole aggregation buffer is swept, one
     touched weight per cacheline (the position congruent to the secret
     index modulo c); the true update is merged in registers via
     ``o_mov``.  Word-level addresses depend on ``index mod c`` only,
     so the cacheline-level trace is input-independent (Prop. 5.1).
-    Each input weight's ``g`` read plus interleaved read/write sweep of
-    ``g_star`` is appended as one block.
+
+    Inputs are processed in blocks of about
+    :data:`BASELINE_BLOCK_CELLS` sweep targets.  Each block's targets
+    are computed once; with a trace they are recorded as each input's
+    ``g`` read followed by its interleaved read/write sweep of
+    ``g_star``, and the sweep itself is one scatter-add over the same
+    targets that adds the value at the hit and zero elsewhere -- the
+    Theta(nk * d / c) read-modify-writes of the algorithm.
     """
     idx, val = _concat_updates(updates)
     _validate(idx, d)
@@ -222,39 +197,38 @@ def aggregate_baseline_traced(
     g_star = np.zeros(d)
     if nk == 0:
         return g_star
-    targets = _baseline_targets(idx, d, cacheline_weights)
-    n_lines = targets.shape[1]
+    n_lines = (d + cacheline_weights - 1) // cacheline_weights
+    width = 1 + 2 * n_lines
     if trace is not None:
         g_id = trace.region_id(G_REGION)
         gstar_id = trace.region_id(G_STAR_REGION)
         # Per input weight: (g, pos, read) then per line
         # (g_star, target, read), (g_star, target, write).
-        width = 1 + 2 * n_lines
-        offs = np.empty((nk, width), dtype=np.int64)
-        offs[:, 0] = np.arange(nk)
-        offs[:, 1::2] = targets
-        offs[:, 2::2] = targets
         rids_row = np.full(width, gstar_id, dtype=np.uint16)
         rids_row[0] = g_id
         ops_row = np.empty(width, dtype=np.uint8)
         ops_row[0] = OP_READ
         ops_row[1::2] = OP_READ
         ops_row[2::2] = OP_WRITE
-        trace.record_columns(
-            np.tile(rids_row, nk), offs.reshape(-1), np.tile(ops_row, nk)
+    block = max(1, BASELINE_BLOCK_CELLS // n_lines)
+    for start in range(0, nk, block):
+        idx_blk = idx[start:start + block]
+        val_blk = val[start:start + block]
+        targets = _baseline_targets(idx_blk, d, cacheline_weights)
+        if trace is not None:
+            rows = len(idx_blk)
+            offs = np.empty((rows, width), dtype=np.int64)
+            offs[:, 0] = np.arange(start, start + rows)
+            offs[:, 1::2] = targets
+            offs[:, 2::2] = targets
+            trace.record_columns(
+                np.tile(rids_row, rows), offs.reshape(-1),
+                np.tile(ops_row, rows),
+            )
+        np.add.at(
+            g_star, targets.ravel(),
+            ((targets == idx_blk[:, None]) * val_blk[:, None]).ravel(),
         )
-    # The o_mov merge changes only the true index's weight.  A clamped
-    # final line can make the sweep hit ``d - 1`` more than once for
-    # index d-1; replicate the per-hit sequential adds exactly.
-    hits_per_input = (targets == idx[:, None]).sum(axis=1)
-    if np.all(hits_per_input == 1):
-        np.add.at(g_star, idx, val)
-    else:
-        for index, value, hits in zip(
-            idx.tolist(), val.tolist(), hits_per_input.tolist()
-        ):
-            for _ in range(hits):
-                g_star[index] = g_star[index] + value
     return g_star
 
 
@@ -285,18 +259,25 @@ def _fold_sorted(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return out_idx, out_val
 
 
-def _advanced_core(
-    idx: np.ndarray, val: np.ndarray, d: int, trace: Trace | None
+@_kernel_span("kernel.advanced")
+def aggregate_advanced(
+    updates: Sequence[LocalUpdate], d: int, *, trace: Trace | None = None
 ) -> np.ndarray:
-    """Algorithm 4 on numpy columns, optionally recording the trace.
+    """Advanced aggregation (Algorithm 4, stage-vectorized).
 
     initialization -> bitonic sort by index -> folding -> bitonic sort
-    -> first d values.  With a trace, every phase appends its accesses
-    in batches: the fill and output scans as contiguous blocks, each
-    sort stage as one comparator batch, and the folding pass as the
+    -> first d values.  Every phase touches memory in an order fixed by
+    ``nk + d`` alone: the fill is linear, both bitonic sorts follow the
+    length-determined comparator network, and oblivious folding is one
+    linear pass whose conditional carry/flush happens in registers
+    (Prop. 5.2).  With a trace, every phase appends its accesses in
+    batches: the fill and output scans as contiguous blocks, each sort
+    stage as one comparator batch, and the folding pass as the
     ``read 0, (read pos, write pos-1)..., write m-1`` stream -- the
     exact sequence of the element-at-a-time formulation.
     """
+    idx, val = _concat_updates(updates)
+    _validate(idx, d)
     base = len(idx) + d
     m = next_power_of_two(base)
     work_idx = np.full(m, M0, dtype=np.int64)
@@ -338,42 +319,14 @@ def _advanced_core(
     return folded_val[:d].copy()
 
 
-@_kernel_span("kernel.advanced")
-def aggregate_advanced(updates: Sequence[LocalUpdate], d: int) -> np.ndarray:
-    """Fast Advanced aggregation (Algorithm 4, stage-vectorized).
-
-    Identical network and arithmetic to the traced version (same core,
-    no trace); validated against it in the test suite.
-    """
-    idx, val = _concat_updates(updates)
-    _validate(idx, d)
-    return _advanced_core(idx, val, d, trace=None)
-
-
-@_kernel_span("kernel.advanced_traced")
-def aggregate_advanced_traced(
-    updates: Sequence[LocalUpdate], d: int, trace: Trace
-) -> np.ndarray:
-    """Traced Advanced aggregation (Algorithm 4, batched).
-
-    Every phase touches memory in an order fixed by ``nk + d`` alone:
-    the fill is linear, both bitonic sorts follow the length-determined
-    comparator network, and oblivious folding is one linear pass whose
-    conditional carry/flush happens in registers (Prop. 5.2).
-    """
-    idx, val = _concat_updates(updates)
-    _validate(idx, d)
-    return _advanced_core(idx, val, d, trace)
-
-
 # ----------------------------------------------------------------------
 # Path ORAM baseline
 # ----------------------------------------------------------------------
 
 
-@_kernel_span("kernel.path_oram")
+@_kernel_span("kernel.path_oram", traced_name="kernel.path_oram")
 def aggregate_path_oram(
-    updates: Sequence[LocalUpdate], d: int,
+    updates: Sequence[LocalUpdate], d: int, *,
     trace: Trace | None = None,
     bucket_size: int = 4,
     stash_limit: int = 20,
@@ -407,41 +360,31 @@ def aggregate_path_oram(
 
 @dataclass(frozen=True)
 class AggregatorSpec:
-    """Descriptor for one aggregation algorithm."""
+    """Descriptor for one aggregation algorithm and its kernel."""
 
     name: str
     oblivious_sparse: str  # 'none' | 'cacheline' | 'full'
+    kernel: Callable[..., np.ndarray]
 
-    def run(self, updates: Sequence[LocalUpdate], d: int) -> np.ndarray:
-        """Fast-path aggregation."""
-        return _FAST[self.name](updates, d)
+    def run(
+        self, updates: Sequence[LocalUpdate], d: int,
+        trace: Trace | None = None,
+    ) -> np.ndarray:
+        """Aggregate, recording the adversary-visible pattern into ``trace``."""
+        return self.kernel(updates, d, trace=trace)
 
     def run_traced(
         self, updates: Sequence[LocalUpdate], d: int, trace: Trace
     ) -> np.ndarray:
-        """Traced aggregation recording the adversary-visible pattern."""
-        return _TRACED[self.name](updates, d, trace)
+        """``run`` with a required trace, kept for the round benchmark."""
+        return self.kernel(updates, d, trace=trace)
 
-
-_FAST = {
-    "linear": aggregate_linear,
-    "baseline": aggregate_baseline,
-    "advanced": aggregate_advanced,
-    "path_oram": aggregate_path_oram,
-}
-
-_TRACED = {
-    "linear": aggregate_linear_traced,
-    "baseline": aggregate_baseline_traced,
-    "advanced": aggregate_advanced_traced,
-    "path_oram": lambda updates, d, trace: aggregate_path_oram(
-        updates, d, trace=trace
-    ),
-}
 
 AGGREGATORS: dict[str, AggregatorSpec] = {
-    "linear": AggregatorSpec("linear", oblivious_sparse="none"),
-    "baseline": AggregatorSpec("baseline", oblivious_sparse="cacheline"),
-    "advanced": AggregatorSpec("advanced", oblivious_sparse="full"),
-    "path_oram": AggregatorSpec("path_oram", oblivious_sparse="full"),
+    spec.name: spec for spec in (
+        AggregatorSpec("linear", "none", aggregate_linear),
+        AggregatorSpec("baseline", "cacheline", aggregate_baseline),
+        AggregatorSpec("advanced", "full", aggregate_advanced),
+        AggregatorSpec("path_oram", "full", aggregate_path_oram),
+    )
 }

@@ -24,7 +24,7 @@ import numpy as np
 from .. import obs
 from ..fl.client import LocalUpdate
 from ..sgx.memory import Trace
-from .aggregation import aggregate_advanced, aggregate_advanced_traced
+from .aggregation import aggregate_advanced
 
 
 def split_groups(
@@ -40,22 +40,10 @@ def split_groups(
 
 
 def aggregate_grouped(
-    updates: Sequence[LocalUpdate], d: int, group_size: int
+    updates: Sequence[LocalUpdate], d: int, group_size: int, *,
+    trace: Trace | None = None,
 ) -> np.ndarray:
-    """Fast grouped-Advanced aggregation."""
-    groups = split_groups(updates, group_size)
-    with obs.span("kernel.grouped", groups=len(groups), d=d,
-                  group_size=group_size):
-        total = np.zeros(d)
-        for group in groups:
-            total += aggregate_advanced(group, d)
-        return total
-
-
-def aggregate_grouped_traced(
-    updates: Sequence[LocalUpdate], d: int, group_size: int, trace: Trace
-) -> np.ndarray:
-    """Traced grouped-Advanced aggregation.
+    """Grouped-Advanced aggregation, optionally recording into ``trace``.
 
     Each group's Advanced pass is fully oblivious, and the carry
     accumulation is a linear pass over the enclave-resident buffer, so
@@ -63,9 +51,9 @@ def aggregate_grouped_traced(
     adversary already knows (it delivers the ciphertexts).
     """
     groups = split_groups(updates, group_size)
-    with obs.span("kernel.grouped_traced", groups=len(groups), d=d,
-                  group_size=group_size):
+    name = "kernel.grouped" if trace is None else "kernel.grouped_traced"
+    with obs.span(name, groups=len(groups), d=d, group_size=group_size):
         total = np.zeros(d)
         for group in groups:
-            total += aggregate_advanced_traced(group, d, trace)
+            total += aggregate_advanced(group, d, trace=trace)
         return total

@@ -16,7 +16,7 @@ Section 5.  Running a round with ``traced=True`` records the adversary-
 visible access pattern for the attack framework.
 
 Local training for the sampled cohort executes through the cohort
-runtime (:mod:`repro.runtime`): a pluggable serial/thread/process
+runtime (:mod:`repro.runtime`): a pluggable serial/thread/vectorized
 executor with per-``(round, client)`` seed derivation (bit-identical
 results across executors), deterministic fault injection, retries,
 per-client timeouts, and a minimum-quorum completion policy.  The
@@ -51,7 +51,7 @@ from ..runtime import (
 from ..sgx.enclave import Enclave, EnclaveSecurityError, provision_enclave_with_clients
 from ..sgx.memory import Trace
 from .aggregation import AGGREGATORS
-from .grouping import aggregate_grouped, aggregate_grouped_traced
+from .grouping import aggregate_grouped
 
 
 @dataclass(frozen=True)
@@ -177,16 +177,11 @@ class OliveSystem:
     def _aggregate(
         self, updates: list[LocalUpdate], trace: Trace | None
     ) -> np.ndarray:
-        spec = AGGREGATORS[self.config.aggregator]
         if self.config.group_size is not None:
-            if trace is not None:
-                return aggregate_grouped_traced(
-                    updates, self.d, self.config.group_size, trace
-                )
-            return aggregate_grouped(updates, self.d, self.config.group_size)
-        if trace is not None:
-            return spec.run_traced(updates, self.d, trace)
-        return spec.run(updates, self.d)
+            return aggregate_grouped(
+                updates, self.d, self.config.group_size, trace=trace
+            )
+        return AGGREGATORS[self.config.aggregator].run(updates, self.d, trace)
 
     def run_round(
         self, traced: bool = False, dropouts: set[int] | None = None

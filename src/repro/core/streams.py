@@ -2,13 +2,15 @@
 
 Every *oblivious* aggregation algorithm touches memory in an order
 determined by the input shape alone, so its address stream can be
-generated without running the algorithm.  These generators produce the
-streams (as cacheline indices laid out by a
-:class:`repro.sgx.memory.RegionLayout`-style packing: ``g`` first, then
-``g_star``, then any auxiliary buffer) that
-:class:`repro.sgx.cost.CostModel` charges to regenerate the paper's
-Figures 11 and 12, where cache and EPC effects -- invisible to a Python
-interpreter -- decide the winners.
+generated without running the algorithm.  These emitters produce the
+streams as int64 numpy chunks of cacheline indices, laid out by a
+:class:`repro.sgx.memory.RegionLayout`-style packing (``g`` first, then
+``g_star``, then any auxiliary buffer).
+:meth:`repro.sgx.cost.CostModel.charge_chunks` charges them to
+regenerate the paper's Figures 11 and 12, where cache and EPC effects
+-- invisible to a Python interpreter -- decide the winners.  Each
+stream equals the cacheline image of its production kernel's own trace
+(pinned by ``tests/test_core_streams.py``).
 
 All element sizes follow the paper: 8-byte gradient weights (u32 index
 + f32 value) in ``g``, 4-byte weights in ``g_star``.
@@ -30,152 +32,9 @@ _G_LINE_ELEMS = LINE_BYTES // G_ITEMSIZE          # 8 weights/line
 _G_STAR_LINE_ELEMS = LINE_BYTES // G_STAR_ITEMSIZE  # 16 weights/line
 
 
-def _g_lines(offsets: np.ndarray, base_line: int = 0) -> np.ndarray:
-    return base_line + offsets // _G_LINE_ELEMS
-
-
 def _region_lines(length_elems: int, line_elems: int) -> int:
     return (length_elems + line_elems - 1) // line_elems
 
-
-def linear_stream(nk: int, d: int, indices: np.ndarray) -> Iterator[int]:
-    """Linear algorithm: scan of g interleaved with g*[index] touches.
-
-    The only *data-dependent* stream here; ``indices`` is the real
-    concatenated index sequence.
-    """
-    if len(indices) != nk:
-        raise ValueError("indices length must equal nk")
-    g_lines = _region_lines(nk, _G_LINE_ELEMS)
-    for pos in range(nk):
-        yield pos // _G_LINE_ELEMS
-        target = g_lines + int(indices[pos]) // _G_STAR_LINE_ELEMS
-        yield target
-        yield target
-
-
-def baseline_stream(nk: int, d: int) -> Iterator[int]:
-    """Baseline: per input weight, one touch per g* cacheline."""
-    g_lines = _region_lines(nk, _G_LINE_ELEMS)
-    gstar_lines = _region_lines(d, _G_STAR_LINE_ELEMS)
-    for pos in range(nk):
-        yield pos // _G_LINE_ELEMS
-        for line in range(gstar_lines):
-            target = g_lines + line
-            yield target
-            yield target
-
-
-def advanced_stream(nk: int, d: int) -> Iterator[int]:
-    """Advanced: fill + two bitonic sorts + folding + output scan."""
-    m = next_power_of_two(nk + d)
-    # Fill (m linear writes).
-    for pos in range(m):
-        yield pos // _G_LINE_ELEMS
-    sort_offsets = network_access_offsets(m)
-    sort_lines = sort_offsets // _G_LINE_ELEMS
-    # First sort.
-    yield from sort_lines.tolist()
-    # Folding: read 0, then (read pos, write pos-1) pairs, final write.
-    yield 0
-    for pos in range(1, m):
-        yield pos // _G_LINE_ELEMS
-        yield (pos - 1) // _G_LINE_ELEMS
-    yield (m - 1) // _G_LINE_ELEMS
-    # Second sort.
-    yield from sort_lines.tolist()
-    # Output scan of the first d weights.
-    for j in range(d):
-        yield j // _G_LINE_ELEMS
-
-
-def grouped_stream(n: int, k: int, d: int, group_size: int) -> Iterator[int]:
-    """Grouped Advanced (Section 5.3): per-group Advanced + carry pass.
-
-    Groups reuse the same enclave working buffer (that is the point of
-    the optimization), so each group's stream starts at line 0 again;
-    the carry accumulator is a separate region after the buffer.
-    """
-    if group_size < 1:
-        raise ValueError("group size must be positive")
-    full_groups, rem = divmod(n, group_size)
-    sizes = [group_size] * full_groups + ([rem] if rem else [])
-    m_max = next_power_of_two(group_size * k + d)
-    acc_base = _region_lines(m_max, _G_LINE_ELEMS)
-    acc_lines = _region_lines(d, _G_STAR_LINE_ELEMS)
-    for h in sizes:
-        yield from advanced_stream(h * k, d)
-        # Accumulate the group's d outputs into the carry buffer.
-        for line in range(acc_lines):
-            yield acc_base + line
-            yield acc_base + line
-    # Final read-out of the accumulator.
-    for line in range(acc_lines):
-        yield acc_base + line
-
-
-def path_oram_stream(
-    nk: int, d: int, bucket_size: int = 4, stash_limit: int = 20,
-    seed: int = 0,
-) -> Iterator[int]:
-    """Path ORAM aggregation: random path + stash scan per access.
-
-    Each of the ``nk`` read-modify-writes performs two ORAM accesses
-    (read then write) and the read-out adds d more; every access reads
-    and rewrites the log(d)+1 buckets of a random path (1 cacheline per
-    Z=4 x 16 B bucket), linearly scans the stash, and -- modelling
-    Zerotrace's obliviously stored position map -- scans the d-entry
-    position map (4-byte entries).
-    """
-    rng = np.random.default_rng(seed)
-    height = max(1, (d - 1).bit_length())
-    n_leaves = 1 << height
-    tree_buckets = 2 * n_leaves - 1  # 1 line per bucket
-    posmap_base = tree_buckets
-    posmap_lines = _region_lines(d, _G_STAR_LINE_ELEMS)
-    stash_base = posmap_base + posmap_lines
-    stash_lines = _region_lines(
-        stash_limit + bucket_size * (height + 1), LINE_BYTES // 16
-    )
-    accesses = 2 * nk + d
-    for _ in range(accesses):
-        # Oblivious position-map scan.
-        for line in range(posmap_lines):
-            yield posmap_base + line
-        # Path read + write-back.
-        leaf = int(rng.integers(n_leaves))
-        node = leaf + n_leaves - 1
-        path = []
-        while True:
-            path.append(node)
-            if node == 0:
-                break
-            node = (node - 1) // 2
-        for bucket in path:
-            yield bucket
-        # Stash scan (oblivious service of the request).
-        for line in range(stash_lines):
-            yield stash_base + line
-        for bucket in reversed(path):
-            yield bucket
-
-
-STREAMS = {
-    "baseline": baseline_stream,
-    "advanced": advanced_stream,
-}
-
-
-# ---------------------------------------------------------------------------
-# Chunked numpy emitters
-# ---------------------------------------------------------------------------
-# The generators above yield one Python int per access, which is the
-# bottleneck once the cost-model replay itself is vectorized
-# (``repro.sgx.cost.CostModel.charge_chunks``).  The ``*_stream_chunks``
-# variants below emit the *same* access sequence as int64 numpy arrays
-# of ``chunk_size`` accesses (last chunk short), so trace -> cost model
-# is arrays the whole way.  Equality with the generator order is pinned
-# by tests/test_core_streams.py.
 
 #: Default accesses per emitted chunk; matches the cost model's
 #: internal replay block size so chunks flow through unsplit.
@@ -223,7 +82,12 @@ def linear_stream_chunks(
     nk: int, d: int, indices: np.ndarray,
     chunk_size: int = DEFAULT_CHUNK_ACCESSES,
 ) -> Iterator[np.ndarray]:
-    """:func:`linear_stream` as int64 chunks of ``chunk_size`` accesses."""
+    """Linear: scan of g interleaved with g*[index] touches.
+
+    The only *data-dependent* stream here; ``indices`` is the real
+    concatenated index sequence.  Chunks hold ``chunk_size`` accesses
+    (the last one fewer).
+    """
     if len(indices) != nk:
         raise ValueError("indices length must equal nk")
     block = max(1, chunk_size // 3)
@@ -246,7 +110,8 @@ def _baseline_segments(nk: int, d: int, block: int) -> Iterator[np.ndarray]:
 def baseline_stream_chunks(
     nk: int, d: int, chunk_size: int = DEFAULT_CHUNK_ACCESSES
 ) -> Iterator[np.ndarray]:
-    """:func:`baseline_stream` as int64 chunks of ``chunk_size`` accesses."""
+    """Baseline: per input weight, one g touch then a read and a write
+    of every g* cacheline, in chunks of ``chunk_size`` accesses."""
     gstar_lines = _region_lines(d, _G_STAR_LINE_ELEMS)
     block = max(1, chunk_size // (1 + 2 * gstar_lines))
     yield from _rechunk(_baseline_segments(nk, d, block), chunk_size)
@@ -272,7 +137,8 @@ def _advanced_segments(nk: int, d: int) -> Iterator[np.ndarray]:
 def advanced_stream_chunks(
     nk: int, d: int, chunk_size: int = DEFAULT_CHUNK_ACCESSES
 ) -> Iterator[np.ndarray]:
-    """:func:`advanced_stream` as int64 chunks of ``chunk_size`` accesses."""
+    """Advanced: fill + two bitonic sorts + folding + output scan, in
+    chunks of ``chunk_size`` accesses."""
     yield from _rechunk(_advanced_segments(nk, d), chunk_size)
 
 
@@ -293,13 +159,13 @@ def grouped_stream_chunks(
     n: int, k: int, d: int, group_size: int,
     chunk_size: int = DEFAULT_CHUNK_ACCESSES,
 ) -> Iterator[np.ndarray]:
-    """:func:`grouped_stream` as int64 chunks of ``chunk_size`` accesses."""
+    """Grouped Advanced (Section 5.3): per-group Advanced + carry pass.
+
+    Groups reuse the same enclave working buffer (that is the point of
+    the optimization), so each group's stream starts at line 0 again;
+    the carry accumulator is a separate region after the buffer.
+    Chunks hold ``chunk_size`` accesses (the last one fewer).
+    """
     if group_size < 1:
         raise ValueError("group size must be positive")
     yield from _rechunk(_grouped_segments(n, k, d, group_size), chunk_size)
-
-
-STREAM_CHUNKS = {
-    "baseline": baseline_stream_chunks,
-    "advanced": advanced_stream_chunks,
-}

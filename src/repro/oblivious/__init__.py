@@ -13,12 +13,9 @@ from .primitives import (
     o_swap,
     o_write,
 )
-from .shuffle import oblivious_shuffle_numpy, oblivious_shuffle_traced
+from .shuffle import oblivious_shuffle_numpy
 from .sort import (
-    apply_network_traced,
-    bitonic_network,
     bitonic_sort_numpy,
-    bitonic_sort_traced,
     comparator_count,
     is_power_of_two,
     network_access_offsets,
@@ -27,10 +24,7 @@ from .sort import (
 )
 
 __all__ = [
-    "apply_network_traced",
-    "bitonic_network",
     "bitonic_sort_numpy",
-    "bitonic_sort_traced",
     "comparator_count",
     "is_power_of_two",
     "network_access_offsets",
@@ -45,7 +39,6 @@ __all__ = [
     "o_write",
     "odd_even_merge_network",
     "oblivious_shuffle_numpy",
-    "oblivious_shuffle_traced",
     "pad_to_length",
     "pad_with_dummies",
     "truncated_geometric_noise",

@@ -10,39 +10,23 @@ collisions, which are negligible for 64-bit keys.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
-from .sort import bitonic_sort_numpy, bitonic_sort_traced, is_power_of_two
+from .sort import bitonic_sort_numpy
 
 _KEY_BITS = 62
-
-
-def oblivious_shuffle_traced(array, rng: random.Random | None = None) -> None:
-    """Shuffle a power-of-two :class:`TracedArray` in place.
-
-    Each element is tagged with a random key (register-held, untraced),
-    the pair array is bitonically sorted by key, and the tags dropped.
-    The key draw and the sort schedule are both data-independent.
-    """
-    rng = rng or random.Random()
-    n = len(array)
-    if not is_power_of_two(n):
-        raise ValueError("oblivious shuffle needs a power-of-two length")
-    for i in range(n):
-        value = array.read(i)
-        array.write(i, (rng.getrandbits(_KEY_BITS), value))
-    bitonic_sort_traced(array, key=lambda tagged: tagged[0])
-    for i in range(n):
-        tagged = array.read(i)
-        array.write(i, tagged[1])
 
 
 def oblivious_shuffle_numpy(
     *payloads: np.ndarray, rng: np.random.Generator | None = None
 ) -> None:
-    """Vectorized equivalent: shuffle payload arrays with one permutation."""
+    """Shuffle payload arrays in place with one shared permutation.
+
+    Every position is tagged with a fresh random key (register-held,
+    untraced), the keys are bitonically sorted carrying the payloads,
+    and the tags dropped.  The key draw and the sort schedule are both
+    data-independent.
+    """
     rng = rng or np.random.default_rng()
     if not payloads:
         return

@@ -6,21 +6,16 @@ the input *length* alone, so applying it with the register-oblivious
 fully oblivious sort: the access trace is the same for every input of a
 given length (the core of the paper's Proposition 5.2 proof).
 
-Three interchangeable implementations are provided:
+Two entry points share one stage-vectorized network:
 
-* :func:`bitonic_sort_traced` -- over a
-  :class:`repro.sgx.memory.TracedArray` with arbitrary Python elements;
-  every comparator contributes four accesses (read i, read j, write i,
-  write j) to the trace, recorded one network *stage* at a time as a
-  single vectorized append (the comparators within a stage touch
-  disjoint pairs, so batching preserves the exact access sequence).
-* :func:`bitonic_sort_traced_columns` -- the batched oblivious kernel:
-  numpy key/payload columns, stage-vectorized compare-exchanges *and*
-  stage-batched trace recording.  Produces byte-for-byte the same trace
-  as the element-at-a-time formulation while running orders of
-  magnitude faster; used by the traced aggregators.
-* :func:`bitonic_sort_numpy` -- the same network without a trace, for
-  the performance benchmarks.
+* :func:`bitonic_sort_traced_columns` -- the oblivious kernel over
+  numpy key/payload columns: stage-vectorized compare-exchanges, and
+  with a trace every comparator's four accesses (read i, read j, write
+  i, write j) appended one network *stage* at a time (the comparators
+  within a stage touch disjoint pairs, so batching preserves the exact
+  access sequence of the comparator-at-a-time formulation that
+  ``tests/oracles.py`` keeps);
+* :func:`bitonic_sort_numpy` -- the same network without a trace.
 
 All require no padding from callers: non-power-of-two inputs raise,
 because the aggregation algorithms pad with dummy weights themselves
@@ -29,12 +24,11 @@ because the aggregation algorithms pad with dummy weights themselves
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .. import obs
-from .primitives import o_swap
 
 
 def is_power_of_two(n: int) -> bool:
@@ -49,33 +43,15 @@ def next_power_of_two(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def bitonic_network(n: int) -> Iterator[tuple[int, int, bool]]:
-    """Comparator schedule ``(i, j, ascending)`` for a length-n network.
+def bitonic_stages(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Batcher's bitonic comparator schedule, one network stage per item.
 
     ``n`` must be a power of two.  The schedule depends only on ``n``;
     this data-independence is what makes the sort oblivious.
-    """
-    if not is_power_of_two(n):
-        raise ValueError(f"bitonic network needs a power-of-two length, got {n}")
-    k = 2
-    while k <= n:
-        j = k // 2
-        while j >= 1:
-            for i in range(n):
-                partner = i ^ j
-                if partner > i:
-                    ascending = (i & k) == 0
-                    yield i, partner, ascending
-            j //= 2
-        k *= 2
-
-
-def bitonic_stages(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The same comparator schedule, one network stage per item.
 
     Yields ``(i_lo, i_hi, ascending)`` numpy arrays holding every
     comparator of one ``(k, j)`` stage, ordered by increasing ``i_lo``
-    -- exactly the order :func:`bitonic_network` enumerates them.
+    -- the order a comparator-at-a-time loop visits them.
     Comparators within a stage touch disjoint position pairs, so a
     stage can be applied (and its accesses recorded) as one batch.
     """
@@ -141,56 +117,12 @@ def odd_even_merge_network(n: int) -> Iterator[tuple[int, int, bool]]:
         p *= 2
 
 
-def apply_network_traced(
-    array,
-    network: Iterator[tuple[int, int, bool]],
-    key: Callable[[object], object] = lambda w: w,
-) -> None:
-    """Run any comparator schedule obliviously over a traced array."""
-    for i, j, ascending in network:
-        a = array.read(i)
-        b = array.read(j)
-        out_of_order = (key(a) > key(b)) == ascending
-        a, b = o_swap(out_of_order, a, b)
-        array.write(i, a)
-        array.write(j, b)
-
-
 def comparator_count(n: int) -> int:
     """Number of comparators in the length-n network: n/2 * s(s+1)/2 stages."""
     if not is_power_of_two(n):
         raise ValueError("power-of-two length required")
     stages = n.bit_length() - 1
     return (n // 2) * stages * (stages + 1) // 2
-
-
-def bitonic_sort_traced(
-    array, key: Callable[[object], object] = lambda w: w
-) -> None:
-    """Sort a power-of-two :class:`TracedArray` in place, obliviously.
-
-    Every comparator reads both elements, computes the order flag in
-    registers, and conditionally swaps with ``o_swap``; both elements
-    are always written back, so the trace is length-determined.  The
-    four accesses per comparator are recorded one stage at a time via a
-    batched append -- the recorded sequence is identical to the
-    comparator-at-a-time loop.
-    """
-    n = len(array)
-    data = array.data
-    trace = array.trace
-    with obs.span("kernel.bitonic_sort", n=n, traced=trace is not None):
-        for i_lo, i_hi, ascending in bitonic_stages(n):
-            if trace is not None:
-                _record_stage(trace, array.name, i_lo, i_hi)
-            for i, j, asc in zip(i_lo.tolist(), i_hi.tolist(),
-                                 ascending.tolist()):
-                a = data[i]
-                b = data[j]
-                out_of_order = (key(a) > key(b)) == asc
-                a, b = o_swap(out_of_order, a, b)
-                data[i] = a
-                data[j] = b
 
 
 def bitonic_sort_traced_columns(
@@ -203,7 +135,7 @@ def bitonic_sort_traced_columns(
     ``read i, read j, write i, write j`` comparator accesses to
     ``region`` as one batch.  Because comparators within a stage are
     disjoint, both the data result and the recorded access sequence are
-    identical to the element-at-a-time :func:`bitonic_sort_traced`;
+    identical to the comparator-at-a-time formulation;
     ``trace=None`` degrades to a pure :func:`bitonic_sort_numpy`.
     """
     n = len(keys)

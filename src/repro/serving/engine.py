@@ -229,7 +229,6 @@ class ObliviousInferenceEngine:
 def replay_serving_cost(
     batch: ServedBatch,
     params: CostParameters | None = None,
-    engine: str = "vector",
 ) -> tuple[ReplayStats, CostReport]:
     """Price one traced inference batch on the modelled machine.
 
@@ -238,7 +237,5 @@ def replay_serving_cost(
     """
     if batch.trace is None or batch.layout is None:
         raise ValueError("batch was not traced; run infer_batch(traced=True)")
-    model, report = replay_trace_cost(
-        batch.trace, batch.layout, params=params, engine=engine
-    )
+    model, report = replay_trace_cost(batch.trace, batch.layout, params=params)
     return model.stats, report

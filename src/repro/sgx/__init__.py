@@ -16,7 +16,6 @@ from .cost import (
     CostReport,
     EpcPager,
     ReplayStats,
-    SetAssociativeCache,
 )
 from .crypto import (
     AuthenticationError,
@@ -62,7 +61,6 @@ __all__ = [
     "Quote",
     "RegionLayout",
     "ReplayStats",
-    "SetAssociativeCache",
     "SideChannelObserver",
     "Trace",
     "TracedArray",

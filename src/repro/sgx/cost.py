@@ -18,18 +18,13 @@ Algorithms feed their (data-independent) cacheline address streams to
 oblivious algorithm's stream is a pure function of the input *shape*,
 the streams are generated structurally (see :mod:`repro.core.streams`).
 
-Two replay engines share the model:
-
-* ``engine="reference"`` -- the original element-at-a-time Python LRU
-  (:class:`SetAssociativeCache` / :class:`EpcPager`), kept as the
-  executable specification;
-* ``engine="vector"`` (default) -- a vectorized replayer
-  (:class:`VectorSetAssociativeCache`) that consumes numpy chunks and
-  produces byte-for-byte identical :class:`ReplayStats`.  It collapses
-  repeated runs analytically (run-length fast path), proves most
-  cache hits via the LRU stack-distance inclusion property, and only
-  serializes the residual first-touch/far-reuse "events"
-  (see DESIGN.md section 9 for the argument of exactness).
+The replayer (:class:`VectorSetAssociativeCache`) consumes numpy
+chunks.  It collapses repeated runs analytically (run-length fast
+path), proves most cache hits via the LRU stack-distance inclusion
+property, and only serializes the residual first-touch/far-reuse
+"events" (see DESIGN.md section 9 for the argument of exactness).
+Its :class:`ReplayStats` are pinned byte-for-byte against the
+element-at-a-time LRU replayer that ``tests/oracles.py`` keeps.
 """
 
 from __future__ import annotations
@@ -78,39 +73,6 @@ class CostParameters:
     cycles_dram: int = 250          # DRAM + MEE decrypt/integrity check
     cycles_epc_page_fault: int = 140_000  # EWB/ELDU paging round trip
     cycles_per_element_op: int = 6  # ALU work per touched element
-
-
-class SetAssociativeCache:
-    """Set-associative LRU cache over cacheline addresses (reference)."""
-
-    def __init__(self, capacity_bytes: int, assoc: int, line_bytes: int) -> None:
-        if capacity_bytes % (assoc * line_bytes):
-            raise ValueError("capacity must be a multiple of assoc * line size")
-        self.line_bytes = line_bytes
-        self.assoc = assoc
-        self.n_sets = capacity_bytes // (assoc * line_bytes)
-        self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
-        self.hits = 0
-        self.misses = 0
-
-    def access(self, line: int) -> bool:
-        """Touch one cacheline; returns True on hit."""
-        ways = self._sets[line % self.n_sets]
-        if line in ways:
-            ways.remove(line)
-            ways.append(line)
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(ways) >= self.assoc:
-            ways.pop(0)
-        ways.append(line)
-        return False
-
-    def reset(self) -> None:
-        self._sets = [[] for _ in range(self.n_sets)]
-        self.hits = 0
-        self.misses = 0
 
 
 class EpcPager:
@@ -544,29 +506,13 @@ class ReplayStats:
 
 
 class CostModel:
-    """Charges an address stream through L2 -> L3 -> DRAM/EPC paging.
+    """Charges an address stream through L2 -> L3 -> DRAM/EPC paging."""
 
-    ``engine="vector"`` (default) replays numpy chunks through the
-    vectorized LRU; ``engine="reference"`` keeps the element-at-a-time
-    replay.  Both engines produce identical :class:`ReplayStats` and
-    per-call :class:`CostReport` values (pinned in
-    ``tests/test_sgx_cost.py``).
-    """
-
-    def __init__(
-        self, params: CostParameters | None = None, engine: str = "vector"
-    ) -> None:
-        if engine not in ("vector", "reference"):
-            raise ValueError(f"unknown replay engine: {engine!r}")
+    def __init__(self, params: CostParameters | None = None) -> None:
         self.params = params or CostParameters()
-        self.engine = engine
         p = self.params
-        cache_cls = (
-            VectorSetAssociativeCache if engine == "vector"
-            else SetAssociativeCache
-        )
-        self.l2 = cache_cls(p.l2_bytes, p.l2_assoc, p.line_bytes)
-        self.l3 = cache_cls(p.l3_bytes, p.l3_assoc, p.line_bytes)
+        self.l2 = VectorSetAssociativeCache(p.l2_bytes, p.l2_assoc, p.line_bytes)
+        self.l3 = VectorSetAssociativeCache(p.l3_bytes, p.l3_assoc, p.line_bytes)
         self.pager = EpcPager(p.epc_bytes, p.page_bytes)
         self._lines_per_page = p.page_bytes // p.line_bytes
         self._clock = 0
@@ -600,8 +546,6 @@ class CostModel:
         """Expose the cumulative stats as ``cost.*`` telemetry gauges."""
         for name, value in self.stats.as_gauges().items():
             obs.gauge(name, value)
-
-    # -- vectorized path ------------------------------------------------
 
     @staticmethod
     def _detect_period(heads: np.ndarray) -> int:
@@ -822,85 +766,33 @@ class CostModel:
                 break
             self._charge_array(arr, report)
 
-    def charge_chunks(self, chunks: Iterator[np.ndarray]) -> CostReport:
-        """Charge a stream of numpy cacheline chunks (vector engine).
-
-        This is the array-end-to-end fast path fed by the chunked
-        structural streams (``repro.core.streams.*_stream_chunks``).
-        The reference engine consumes the same chunks element-at-a-time
-        so both engines stay drop-in interchangeable.
-        """
+    def _charge(self, parts: Iterable) -> CostReport:
         report = CostReport()
         with obs.span("cost.charge") as charge_span:
-            if self.engine == "vector":
-                for arr in chunks:
-                    self._charge_vector(np.asarray(arr), report)
-                self._total_accesses += report.accesses
-                self._total_cycles += report.cycles
-            else:
-                for arr in chunks:
-                    self._charge_seq(np.asarray(arr).tolist(), report)
+            for part in parts:
+                self._charge_vector(part, report)
+            self._total_accesses += report.accesses
+            self._total_cycles += report.cycles
             charge_span.set(accesses=report.accesses, cycles=report.cycles)
         if obs.enabled():
             self.publish_telemetry()
         return report
 
-    # -- reference path -------------------------------------------------
+    def charge_chunks(self, chunks: Iterator[np.ndarray]) -> CostReport:
+        """Charge a stream of numpy cacheline chunks.
 
-    def _charge_seq(self, lines, report: CostReport) -> None:
-        """Element-at-a-time replay (the executable specification)."""
-        p = self.params
-        lines_per_page = self._lines_per_page
-        cycles = 0
-        n = 0
-        l2 = self.l2
-        l3 = self.l3
-        pager = self.pager
-        for line in lines:
-            n += 1
-            cycles += p.cycles_per_element_op
-            if l2.access(line):
-                cycles += p.cycles_l2_hit
-                report.l2_hits += 1
-                continue
-            if l3.access(line):
-                cycles += p.cycles_l3_hit
-                report.l3_hits += 1
-                continue
-            report.dram_accesses += 1
-            outcome = pager.access(line // lines_per_page)
-            if outcome == "evict":
-                report.page_faults += 1
-                cycles += p.cycles_epc_page_fault
-            else:
-                cycles += p.cycles_dram
-        report.accesses += n
-        report.cycles += cycles
-        self._total_accesses += n
-        self._total_cycles += cycles
+        This is the array-end-to-end path fed by the chunked structural
+        streams (``repro.core.streams.*_stream_chunks``).
+        """
+        return self._charge(np.asarray(arr) for arr in chunks)
 
     def charge_lines(self, lines: Iterable[int]) -> CostReport:
         """Charge a stream of cacheline indices; returns the report.
 
-        Accepts numpy arrays, lists, or generators; the vector engine
-        batches generators into numpy chunks, the reference engine
-        converts arrays to plain ints up front (several times faster
-        than iterating numpy scalars).
+        Accepts numpy arrays, lists, or generators; generators are
+        batched into numpy chunks.
         """
-        report = CostReport()
-        with obs.span("cost.charge") as charge_span:
-            if self.engine == "vector":
-                self._charge_vector(lines, report)
-                self._total_accesses += report.accesses
-                self._total_cycles += report.cycles
-            else:
-                if isinstance(lines, np.ndarray):
-                    lines = lines.tolist()
-                self._charge_seq(lines, report)
-            charge_span.set(accesses=report.accesses, cycles=report.cycles)
-        if obs.enabled():
-            self.publish_telemetry()
-        return report
+        return self._charge((lines,))
 
     def charge_addresses(self, byte_addresses: Iterable[int]) -> CostReport:
         """Charge byte addresses (coarsened to cachelines)."""
@@ -914,7 +806,6 @@ def replay_trace_cost(
     trace,
     layout,
     params: CostParameters | None = None,
-    engine: str = "vector",
 ) -> tuple[CostModel, CostReport]:
     """Replay a whole recorded trace through a fresh :class:`CostModel`.
 
@@ -928,7 +819,7 @@ def replay_trace_cost(
     cumulative :attr:`CostModel.stats`) and the batch's
     :class:`CostReport`.
     """
-    model = CostModel(params, engine=engine)
+    model = CostModel(params)
     rids, offs, _ = trace.columns()
     names = trace.region_names
     if len(rids) == 0:

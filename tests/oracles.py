@@ -6,10 +6,12 @@ The package trains through one layer stack with a leading client axis
 that stack replaced -- layers, loss, sparsifiers, the local-training
 loop, dropout reseeding, the per-client job body, and the trainers that
 drove the scalar stack directly -- plus the term-by-term RDP expansion
-of the privacy accountant and the per-bucket Path ORAM access,
-verbatim, so the equivalence tests can pin the production path to it
-bit for bit.  Nothing in ``src/``
-imports this module.
+of the privacy accountant, the per-bucket Path ORAM access, the
+element-at-a-time aggregation recorders, comparator-at-a-time sorting
+networks and shuffle, the per-access address-stream generators, and
+the element-at-a-time LRU cost replayer, verbatim, so the equivalence
+tests can pin the production path to them bit for bit.  Nothing in
+``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -18,16 +20,31 @@ import copy
 import math
 import random
 import time
-from typing import Any
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from repro import obs
-from repro.core.aggregation import _concat_updates, _validate
+from repro.core.aggregation import (
+    G_REGION,
+    G_STAR_REGION,
+    M0,
+    WEIGHTS_PER_CACHELINE,
+    _concat_updates,
+    _validate,
+)
+from repro.core.streams import LINE_BYTES, G_ITEMSIZE, G_STAR_ITEMSIZE
 from repro.fl.client import LocalUpdate, TrainingConfig
 from repro.fl.datasets import SPECS, ClientData, SyntheticClassData
-from repro.oblivious.primitives import o_mov
+from repro.oblivious.primitives import o_mov, o_swap
+from repro.oblivious.sort import (
+    _record_stage,
+    bitonic_stages,
+    is_power_of_two,
+    network_access_offsets,
+    next_power_of_two,
+)
 from repro.oram.path_oram import DUMMY, StashOverflow
 from repro.runtime.jobs import (
     ClientJob,
@@ -42,6 +59,7 @@ from repro.runtime.seeding import (
     derive_rng,
 )
 from repro.sgx import crypto
+from repro.sgx.cost import CostModel, CostReport
 from repro.sgx.memory import Trace, TracedArray
 
 
@@ -896,3 +914,317 @@ def aggregate_path_oram(updates, d: int, trace: Trace | None = None,
         current = oram.read(index)
         oram.write(index, current + value)
     return np.asarray([oram.read(j) for j in range(d)], dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
+# Sorting networks and shuffle: the comparator-at-a-time schedule and the
+# sorts over ``TracedArray`` that ``bitonic_sort_traced_columns`` replaced.
+
+def bitonic_network(n: int) -> Iterator[tuple[int, int, bool]]:
+    """Comparator schedule ``(i, j, ascending)`` for a length-n network.
+
+    ``n`` must be a power of two.  The schedule depends only on ``n``;
+    this data-independence is what makes the sort oblivious.
+    """
+    if not is_power_of_two(n):
+        raise ValueError(f"bitonic network needs a power-of-two length, got {n}")
+    k = 2
+    while k <= n:
+        j = k // 2
+        while j >= 1:
+            for i in range(n):
+                partner = i ^ j
+                if partner > i:
+                    ascending = (i & k) == 0
+                    yield i, partner, ascending
+            j //= 2
+        k *= 2
+
+
+def apply_network_traced(
+    array,
+    network: Iterator[tuple[int, int, bool]],
+    key: Callable[[object], object] = lambda w: w,
+) -> None:
+    """Run any comparator schedule obliviously over a traced array."""
+    for i, j, ascending in network:
+        a = array.read(i)
+        b = array.read(j)
+        out_of_order = (key(a) > key(b)) == ascending
+        a, b = o_swap(out_of_order, a, b)
+        array.write(i, a)
+        array.write(j, b)
+
+
+def bitonic_sort_traced(
+    array, key: Callable[[object], object] = lambda w: w
+) -> None:
+    """Sort a power-of-two :class:`TracedArray` in place, obliviously.
+
+    Every comparator reads both elements, computes the order flag in
+    registers, and conditionally swaps with ``o_swap``; both elements
+    are always written back.  The four accesses per comparator are
+    recorded one stage at a time via a batched append.
+    """
+    n = len(array)
+    data = array.data
+    trace = array.trace
+    for i_lo, i_hi, ascending in bitonic_stages(n):
+        if trace is not None:
+            _record_stage(trace, array.name, i_lo, i_hi)
+        for i, j, asc in zip(i_lo.tolist(), i_hi.tolist(),
+                             ascending.tolist()):
+            a = data[i]
+            b = data[j]
+            out_of_order = (key(a) > key(b)) == asc
+            a, b = o_swap(out_of_order, a, b)
+            data[i] = a
+            data[j] = b
+
+
+def oblivious_shuffle_traced(array, rng: random.Random | None = None) -> None:
+    """Shuffle a power-of-two :class:`TracedArray` in place.
+
+    Each element is tagged with a random key (register-held, untraced),
+    the pair array is bitonically sorted by key, and the tags dropped.
+    """
+    rng = rng or random.Random()
+    n = len(array)
+    if not is_power_of_two(n):
+        raise ValueError("oblivious shuffle needs a power-of-two length")
+    for i in range(n):
+        value = array.read(i)
+        array.write(i, (rng.getrandbits(62), value))
+    bitonic_sort_traced(array, key=lambda tagged: tagged[0])
+    for i in range(n):
+        tagged = array.read(i)
+        array.write(i, tagged[1])
+
+
+# ---------------------------------------------------------------------------
+# Aggregation: the element-at-a-time recorders (one scalar
+# ``Trace.record`` per access) that the batched kernels of
+# ``repro.core.aggregation`` replaced.
+
+def ref_linear_traced(updates, d, trace):
+    idx, val = _concat_updates(updates)
+    g = TracedArray(G_REGION, list(zip(idx.tolist(), val.tolist())),
+                    trace=trace, itemsize=8)
+    g_star = TracedArray.zeros(G_STAR_REGION, d, trace=trace, itemsize=4)
+    for pos in range(len(g)):
+        index, value = g.read(pos)
+        current = g_star.read(index)
+        g_star.write(index, current + value)
+    return np.asarray(g_star.snapshot(), dtype=np.float64)
+
+
+def ref_baseline_traced(updates, d, trace,
+                        cacheline_weights=WEIGHTS_PER_CACHELINE):
+    idx, val = _concat_updates(updates)
+    g = TracedArray(G_REGION, list(zip(idx.tolist(), val.tolist())),
+                    trace=trace, itemsize=8)
+    g_star = TracedArray.zeros(G_STAR_REGION, d, trace=trace, itemsize=4)
+    n_lines = (d + cacheline_weights - 1) // cacheline_weights
+    for pos in range(len(g)):
+        index, value = g.read(pos)
+        offset = index % cacheline_weights
+        for line in range(n_lines):
+            target = min(line * cacheline_weights + offset, d - 1)
+            current = g_star.read(target)
+            flag = target == index
+            g_star.write(target, o_mov(flag, current + value, current))
+    return np.asarray(g_star.snapshot(), dtype=np.float64)
+
+
+def ref_advanced_traced(updates, d, trace):
+    idx, val = _concat_updates(updates)
+    base = len(idx) + d
+    m = next_power_of_two(base)
+    g = TracedArray.zeros(G_REGION, m, trace=trace, itemsize=8)
+    for pos in range(len(idx)):
+        g.write(pos, (int(idx[pos]), float(val[pos])))
+    for j in range(d):
+        g.write(len(idx) + j, (j, 0.0))
+    for pos in range(base, m):
+        g.write(pos, (M0, 0.0))
+    apply_network_traced(g, bitonic_network(m), key=lambda w: w[0])
+    carry_idx, carry_val = g.read(0)
+    for pos in range(1, m):
+        nxt_idx, nxt_val = g.read(pos)
+        flag = nxt_idx == carry_idx
+        prior = o_mov(flag, (M0, 0.0), (carry_idx, carry_val))
+        g.write(pos - 1, prior)
+        carry_val = o_mov(flag, carry_val + nxt_val, nxt_val)
+        carry_idx = nxt_idx
+    g.write(m - 1, (carry_idx, carry_val))
+    apply_network_traced(g, bitonic_network(m), key=lambda w: w[0])
+    out = np.empty(d)
+    for j in range(d):
+        index, value = g.read(j)
+        assert index == j
+        out[j] = value
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Address streams: the per-access generators that the chunked emitters
+# of ``repro.core.streams`` replaced (same layout: ``g`` first, then
+# ``g_star``, then any auxiliary buffer).
+
+_G_LINE_ELEMS = LINE_BYTES // G_ITEMSIZE
+_G_STAR_LINE_ELEMS = LINE_BYTES // G_STAR_ITEMSIZE
+
+
+def _region_lines(length_elems: int, line_elems: int) -> int:
+    return (length_elems + line_elems - 1) // line_elems
+
+
+def linear_stream(nk: int, d: int, indices: np.ndarray) -> Iterator[int]:
+    """Linear: scan of g interleaved with g*[index] touches."""
+    if len(indices) != nk:
+        raise ValueError("indices length must equal nk")
+    g_lines = _region_lines(nk, _G_LINE_ELEMS)
+    for pos in range(nk):
+        yield pos // _G_LINE_ELEMS
+        target = g_lines + int(indices[pos]) // _G_STAR_LINE_ELEMS
+        yield target
+        yield target
+
+
+def baseline_stream(nk: int, d: int) -> Iterator[int]:
+    """Baseline: per input weight, one touch per g* cacheline."""
+    g_lines = _region_lines(nk, _G_LINE_ELEMS)
+    gstar_lines = _region_lines(d, _G_STAR_LINE_ELEMS)
+    for pos in range(nk):
+        yield pos // _G_LINE_ELEMS
+        for line in range(gstar_lines):
+            target = g_lines + line
+            yield target
+            yield target
+
+
+def advanced_stream(nk: int, d: int) -> Iterator[int]:
+    """Advanced: fill + two bitonic sorts + folding + output scan."""
+    m = next_power_of_two(nk + d)
+    for pos in range(m):
+        yield pos // _G_LINE_ELEMS
+    sort_lines = network_access_offsets(m) // _G_LINE_ELEMS
+    yield from sort_lines.tolist()
+    yield 0
+    for pos in range(1, m):
+        yield pos // _G_LINE_ELEMS
+        yield (pos - 1) // _G_LINE_ELEMS
+    yield (m - 1) // _G_LINE_ELEMS
+    yield from sort_lines.tolist()
+    for j in range(d):
+        yield j // _G_LINE_ELEMS
+
+
+def grouped_stream(n: int, k: int, d: int, group_size: int) -> Iterator[int]:
+    """Grouped Advanced: per-group Advanced + carry pass + read-out."""
+    if group_size < 1:
+        raise ValueError("group size must be positive")
+    full_groups, rem = divmod(n, group_size)
+    sizes = [group_size] * full_groups + ([rem] if rem else [])
+    m_max = next_power_of_two(group_size * k + d)
+    acc_base = _region_lines(m_max, _G_LINE_ELEMS)
+    acc_lines = _region_lines(d, _G_STAR_LINE_ELEMS)
+    for h in sizes:
+        yield from advanced_stream(h * k, d)
+        for line in range(acc_lines):
+            yield acc_base + line
+            yield acc_base + line
+    for line in range(acc_lines):
+        yield acc_base + line
+
+
+# ---------------------------------------------------------------------------
+# Cost model: the element-at-a-time LRU replay that the vectorized
+# replayer of ``repro.sgx.cost`` replaced.
+
+class SetAssociativeCache:
+    """Set-associative LRU cache over cacheline addresses."""
+
+    def __init__(self, capacity_bytes: int, assoc: int, line_bytes: int) -> None:
+        if capacity_bytes % (assoc * line_bytes):
+            raise ValueError("capacity must be a multiple of assoc * line size")
+        self.line_bytes = line_bytes
+        self.assoc = assoc
+        self.n_sets = capacity_bytes // (assoc * line_bytes)
+        self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
+        self.hits = 0
+        self.misses = 0
+
+    def access(self, line: int) -> bool:
+        """Touch one cacheline; returns True on hit."""
+        ways = self._sets[line % self.n_sets]
+        if line in ways:
+            ways.remove(line)
+            ways.append(line)
+            self.hits += 1
+            return True
+        self.misses += 1
+        if len(ways) >= self.assoc:
+            ways.pop(0)
+        ways.append(line)
+        return False
+
+    def reset(self) -> None:
+        self._sets = [[] for _ in range(self.n_sets)]
+        self.hits = 0
+        self.misses = 0
+
+
+class OracleCostModel(CostModel):
+    """:class:`CostModel` replaying one access at a time through
+    :class:`SetAssociativeCache` (the executable specification)."""
+
+    def __init__(self, params=None) -> None:
+        super().__init__(params)
+        p = self.params
+        self.l2 = SetAssociativeCache(p.l2_bytes, p.l2_assoc, p.line_bytes)
+        self.l3 = SetAssociativeCache(p.l3_bytes, p.l3_assoc, p.line_bytes)
+
+    def _charge_seq(self, lines, report: CostReport) -> None:
+        p = self.params
+        lines_per_page = self._lines_per_page
+        cycles = 0
+        n = 0
+        l2 = self.l2
+        l3 = self.l3
+        pager = self.pager
+        for line in lines:
+            n += 1
+            cycles += p.cycles_per_element_op
+            if l2.access(line):
+                cycles += p.cycles_l2_hit
+                report.l2_hits += 1
+                continue
+            if l3.access(line):
+                cycles += p.cycles_l3_hit
+                report.l3_hits += 1
+                continue
+            report.dram_accesses += 1
+            outcome = pager.access(line // lines_per_page)
+            if outcome == "evict":
+                report.page_faults += 1
+                cycles += p.cycles_epc_page_fault
+            else:
+                cycles += p.cycles_dram
+        report.accesses += n
+        report.cycles += cycles
+        self._total_accesses += n
+        self._total_cycles += cycles
+
+    def charge_lines(self, lines: Iterable[int]) -> CostReport:
+        report = CostReport()
+        if isinstance(lines, np.ndarray):
+            lines = lines.tolist()
+        self._charge_seq(lines, report)
+        return report
+
+    def charge_chunks(self, chunks: Iterator[np.ndarray]) -> CostReport:
+        report = CostReport()
+        for arr in chunks:
+            self._charge_seq(np.asarray(arr).tolist(), report)
+        return report

@@ -13,11 +13,8 @@ from repro.core.aggregation import (
     AGGREGATORS,
     M0,
     aggregate_advanced,
-    aggregate_advanced_traced,
     aggregate_baseline,
-    aggregate_baseline_traced,
     aggregate_linear,
-    aggregate_linear_traced,
     aggregate_path_oram,
 )
 from repro.fl.client import LocalUpdate
@@ -66,9 +63,9 @@ class TestAgreement:
         d = 25
         updates = make_updates(1, d=d)
         ref = aggregate_linear(updates, d)
-        assert np.allclose(aggregate_linear_traced(updates, d, Trace()), ref)
-        assert np.allclose(aggregate_baseline_traced(updates, d, Trace()), ref)
-        assert np.allclose(aggregate_advanced_traced(updates, d, Trace()), ref)
+        assert np.allclose(aggregate_linear(updates, d, trace=Trace()), ref)
+        assert np.allclose(aggregate_baseline(updates, d, trace=Trace()), ref)
+        assert np.allclose(aggregate_advanced(updates, d, trace=Trace()), ref)
 
     @given(updates_strategy())
     @settings(max_examples=30, deadline=None)
@@ -89,7 +86,7 @@ class TestAgreement:
     def test_traced_advanced_matches_fast(self, case):
         d, updates = case
         fast = aggregate_advanced(updates, d)
-        traced = aggregate_advanced_traced(updates, d, Trace())
+        traced = aggregate_advanced(updates, d, trace=Trace())
         assert np.allclose(fast, traced)
 
 
@@ -117,7 +114,7 @@ class TestEdgeCases:
         assert np.allclose(aggregate_linear(updates, 3), expected)
         assert np.allclose(aggregate_advanced(updates, 3), expected)
         assert np.allclose(
-            aggregate_advanced_traced(updates, 3, Trace()), expected
+            aggregate_advanced(updates, 3, trace=Trace()), expected
         )
 
     def test_all_clients_same_index(self):
@@ -131,7 +128,7 @@ class TestEdgeCases:
     def test_d_one(self):
         updates = [LocalUpdate(0, np.asarray([0]), np.asarray([1.5]))]
         assert np.allclose(aggregate_advanced(updates, 1), [1.5])
-        assert np.allclose(aggregate_advanced_traced(updates, 1, Trace()), [1.5])
+        assert np.allclose(aggregate_advanced(updates, 1, trace=Trace()), [1.5])
 
     def test_index_out_of_range_rejected(self):
         updates = [LocalUpdate(0, np.asarray([9]), np.asarray([1.0]))]
@@ -166,3 +163,18 @@ class TestAggregatorRegistry:
             out = spec.run_traced(updates, 16, trace)
             assert np.allclose(out, aggregate_linear(updates, 16)), name
             assert len(trace) > 0, name
+
+    def test_one_kernel_traced_or_not(self):
+        # run() with and without a trace, and the run_traced delegate,
+        # all go through the same kernel: identical output bytes, and
+        # (Path ORAM's random leaves aside) identical traces.
+        updates = make_updates(3, d=40, k=6)
+        for name, spec in AGGREGATORS.items():
+            t_run, t_delegate = Trace(), Trace()
+            plain = spec.run(updates, 40)
+            traced = spec.run(updates, 40, trace=t_run)
+            delegated = spec.run_traced(updates, 40, t_delegate)
+            assert plain.tobytes() == traced.tobytes() == delegated.tobytes(), name
+            assert len(t_run) == len(t_delegate) > 0, name
+            if name != "path_oram":
+                assert t_run.signature() == t_delegate.signature(), name

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.aggregation import aggregate_advanced_traced, aggregate_linear
+from repro.core.aggregation import aggregate_advanced, aggregate_linear
 from repro.core.do_aggregation import (
     DoParameters,
     aggregate_do,
@@ -14,7 +14,6 @@ from repro.core.do_aggregation import (
 )
 from repro.core.grouping import (
     aggregate_grouped,
-    aggregate_grouped_traced,
     split_groups,
 )
 from repro.core.obliviousness import traces_equal
@@ -70,10 +69,10 @@ class TestGroupedAggregation:
         h = 2
         ref = aggregate_linear(make_updates(3, n_clients=4, d=d, k=3), d)
         t1, t2 = Trace(), Trace()
-        out = aggregate_grouped_traced(make_updates(3, n_clients=4, d=d, k=3),
-                                       d, h, t1)
-        aggregate_grouped_traced(make_updates(4, n_clients=4, d=d, k=3),
-                                 d, h, t2)
+        out = aggregate_grouped(make_updates(3, n_clients=4, d=d, k=3),
+                                d, h, trace=t1)
+        aggregate_grouped(make_updates(4, n_clients=4, d=d, k=3),
+                          d, h, trace=t2)
         assert np.allclose(out, ref)
         assert traces_equal(t1, t2)
 
@@ -82,8 +81,8 @@ class TestGroupedAggregation:
         d = 12
         updates = make_updates(5, n_clients=4, d=d, k=3)
         grouped, mono = Trace(), Trace()
-        aggregate_grouped_traced(updates, d, 2, grouped)
-        aggregate_advanced_traced(updates, d, mono)
+        aggregate_grouped(updates, d, 2, trace=grouped)
+        aggregate_advanced(updates, d, trace=mono)
         assert len(grouped) != len(mono)
 
 

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.aggregation import (
-    aggregate_advanced_traced,
-    aggregate_baseline_traced,
-    aggregate_linear_traced,
+    aggregate_advanced,
+    aggregate_baseline,
+    aggregate_linear,
 )
 from repro.core.obliviousness import (
     check_oblivious,
@@ -49,7 +49,7 @@ def dense_updates(seed, n_clients=4, d=30):
 
 def run_traced(aggregator, updates, d):
     trace = Trace()
-    aggregator(updates, d, trace)
+    aggregator(updates, d, trace=trace)
     return trace
 
 
@@ -58,14 +58,14 @@ class TestProposition31:
 
     def test_dense_traces_identical(self):
         d = 30
-        t1 = run_traced(aggregate_linear_traced, dense_updates(1, d=d), d)
-        t2 = run_traced(aggregate_linear_traced, dense_updates(2, d=d), d)
+        t1 = run_traced(aggregate_linear, dense_updates(1, d=d), d)
+        t2 = run_traced(aggregate_linear, dense_updates(2, d=d), d)
         assert traces_equal(t1, t2)
 
     def test_check_oblivious_over_many_inputs(self):
         d = 20
         report = check_oblivious(
-            lambda s: run_traced(aggregate_linear_traced, dense_updates(s, d=d), d),
+            lambda s: run_traced(aggregate_linear, dense_updates(s, d=d), d),
             inputs=range(8),
         )
         assert report.oblivious
@@ -77,8 +77,8 @@ class TestProposition32:
 
     def test_sparse_traces_differ(self):
         d = 30
-        t1 = run_traced(aggregate_linear_traced, sparse_updates(1, d=d), d)
-        t2 = run_traced(aggregate_linear_traced, sparse_updates(2, d=d), d)
+        t1 = run_traced(aggregate_linear, sparse_updates(1, d=d), d)
+        t2 = run_traced(aggregate_linear, sparse_updates(2, d=d), d)
         assert not traces_equal(t1, t2)
         assert trace_distance(t1, t2) > 0
 
@@ -87,7 +87,7 @@ class TestProposition32:
         # "delta = 1, not oblivious" worst case).
         d = 30
         dist = empirical_statistical_distance(
-            lambda ups: run_traced(aggregate_linear_traced, ups, d),
+            lambda ups: run_traced(aggregate_linear, ups, d),
             sparse_updates(1, d=d),
             sparse_updates(2, d=d),
             samples=5,
@@ -97,7 +97,7 @@ class TestProposition32:
     def test_adversary_recovers_exact_index_sets(self):
         d = 30
         updates = sparse_updates(3, d=d)
-        trace = run_traced(aggregate_linear_traced, updates, d)
+        trace = run_traced(aggregate_linear, updates, d)
         boundaries = [0]
         for u in updates:
             boundaries.append(boundaries[-1] + u.k)
@@ -108,7 +108,7 @@ class TestProposition32:
     def test_check_oblivious_finds_witness(self):
         d = 20
         report = check_oblivious(
-            lambda s: run_traced(aggregate_linear_traced, sparse_updates(s, d=d), d),
+            lambda s: run_traced(aggregate_linear, sparse_updates(s, d=d), d),
             inputs=range(5),
         )
         assert not report.oblivious
@@ -120,8 +120,8 @@ class TestProposition51:
 
     @pytest.mark.parametrize("d", [16, 30, 37, 64])
     def test_cacheline_traces_identical(self, d):
-        t1 = run_traced(aggregate_baseline_traced, sparse_updates(1, d=d), d)
-        t2 = run_traced(aggregate_baseline_traced, sparse_updates(2, d=d), d)
+        t1 = run_traced(aggregate_baseline, sparse_updates(1, d=d), d)
+        t2 = run_traced(aggregate_baseline, sparse_updates(2, d=d), d)
         assert traces_equal(t1, t2, granularity="cacheline",
                             itemsizes=ITEMSIZES)
 
@@ -129,14 +129,14 @@ class TestProposition51:
         # Word-granularity addresses depend on (index mod 16); with d=30
         # two different index sets almost surely differ.
         d = 30
-        t1 = run_traced(aggregate_baseline_traced, sparse_updates(1, d=d), d)
-        t2 = run_traced(aggregate_baseline_traced, sparse_updates(2, d=d), d)
+        t1 = run_traced(aggregate_baseline, sparse_updates(1, d=d), d)
+        t2 = run_traced(aggregate_baseline, sparse_updates(2, d=d), d)
         assert not traces_equal(t1, t2)
 
     def test_every_cacheline_swept_per_weight(self):
         d = 64
         updates = [LocalUpdate(0, np.asarray([5]), np.asarray([1.0]))]
-        trace = run_traced(aggregate_baseline_traced, updates, d)
+        trace = run_traced(aggregate_baseline, updates, d)
         lines = set(trace.cachelines("g_star", itemsize=4))
         assert lines == {0, 1, 2, 3}
 
@@ -144,7 +144,7 @@ class TestProposition51:
         d = 37
         report = check_oblivious(
             lambda s: run_traced(
-                aggregate_baseline_traced, sparse_updates(s, d=d), d
+                aggregate_baseline, sparse_updates(s, d=d), d
             ),
             inputs=range(6),
             granularity="cacheline",
@@ -158,8 +158,8 @@ class TestProposition52:
 
     @pytest.mark.parametrize("d", [8, 20, 33])
     def test_traces_identical_across_inputs(self, d):
-        t1 = run_traced(aggregate_advanced_traced, sparse_updates(1, d=d), d)
-        t2 = run_traced(aggregate_advanced_traced, sparse_updates(2, d=d), d)
+        t1 = run_traced(aggregate_advanced, sparse_updates(1, d=d), d)
+        t2 = run_traced(aggregate_advanced, sparse_updates(2, d=d), d)
         assert traces_equal(t1, t2)
 
     def test_extreme_inputs_same_trace(self):
@@ -174,15 +174,15 @@ class TestProposition52:
             LocalUpdate(c, np.arange(k, dtype=np.int64) + c, np.ones(k))
             for c in range(3)
         ]
-        t1 = run_traced(aggregate_advanced_traced, concentrated, d)
-        t2 = run_traced(aggregate_advanced_traced, spread, d)
+        t1 = run_traced(aggregate_advanced, concentrated, d)
+        t2 = run_traced(aggregate_advanced, spread, d)
         assert traces_equal(t1, t2)
 
     def test_check_oblivious_many_inputs(self):
         d = 16
         report = check_oblivious(
             lambda s: run_traced(
-                aggregate_advanced_traced, sparse_updates(s, d=d, k=3), d
+                aggregate_advanced, sparse_updates(s, d=d, k=3), d
             ),
             inputs=range(10),
         )
@@ -193,10 +193,10 @@ class TestProposition52:
     def test_trace_depends_only_on_shape(self, seed_a, seed_b):
         d = 12
         t1 = run_traced(
-            aggregate_advanced_traced, sparse_updates(seed_a, d=d, k=3), d
+            aggregate_advanced, sparse_updates(seed_a, d=d, k=3), d
         )
         t2 = run_traced(
-            aggregate_advanced_traced, sparse_updates(seed_b, d=d, k=3), d
+            aggregate_advanced, sparse_updates(seed_b, d=d, k=3), d
         )
         assert traces_equal(t1, t2)
 
@@ -204,8 +204,8 @@ class TestProposition52:
         # Obliviousness is defined over equal-length inputs; different k
         # naturally yields a different (public-shape) trace.
         d = 16
-        t1 = run_traced(aggregate_advanced_traced, sparse_updates(1, d=d, k=2), d)
-        t2 = run_traced(aggregate_advanced_traced, sparse_updates(1, d=d, k=6), d)
+        t1 = run_traced(aggregate_advanced, sparse_updates(1, d=d, k=2), d)
+        t2 = run_traced(aggregate_advanced, sparse_updates(1, d=d, k=6), d)
         assert len(t1) != len(t2)
 
 

@@ -1,33 +1,39 @@
 """Tests for the structural address streams (repro.core.streams).
 
-The streams must agree with the traced implementations' access counts:
-they are the same access pattern, generated without running the
-algorithm.
+The streams are the kernels' access patterns, generated without running
+the algorithm: each chunked emitter must equal the cacheline image of
+its production kernel's own trace, and the per-access generators of
+``tests/oracles.py`` (still raced by the Fig. 11/12 benches) must agree
+with the emitters element for element.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.aggregation import (
-    aggregate_advanced_traced,
-    aggregate_baseline_traced,
-    aggregate_linear_traced,
+    aggregate_advanced,
+    aggregate_baseline,
+    aggregate_linear,
 )
 from repro.core.streams import (
-    STREAM_CHUNKS,
-    advanced_stream,
+    G_ITEMSIZE,
+    G_STAR_ITEMSIZE,
+    LINE_BYTES,
     advanced_stream_chunks,
-    baseline_stream,
     baseline_stream_chunks,
-    grouped_stream,
     grouped_stream_chunks,
-    linear_stream,
     linear_stream_chunks,
-    path_oram_stream,
 )
 from repro.fl.client import LocalUpdate
 from repro.sgx.cost import CostModel, CostParameters
 from repro.sgx.memory import Trace
+from tests.oracles import (
+    advanced_stream,
+    baseline_stream,
+    grouped_stream,
+    linear_stream,
+)
 
 
 def make_updates(seed, n_clients, d, k):
@@ -44,7 +50,7 @@ class TestStreamLengthsMatchTraces:
         n, k, d = 3, 4, 20
         updates = make_updates(0, n, d, k)
         trace = Trace()
-        aggregate_linear_traced(updates, d, trace)
+        aggregate_linear(updates, d, trace=trace)
         indices = np.concatenate([u.indices for u in updates])
         stream = list(linear_stream(n * k, d, indices))
         assert len(stream) == len(trace)
@@ -53,7 +59,7 @@ class TestStreamLengthsMatchTraces:
         n, k, d = 2, 3, 37
         updates = make_updates(1, n, d, k)
         trace = Trace()
-        aggregate_baseline_traced(updates, d, trace)
+        aggregate_baseline(updates, d, trace=trace)
         stream = list(baseline_stream(n * k, d))
         assert len(stream) == len(trace)
 
@@ -61,7 +67,7 @@ class TestStreamLengthsMatchTraces:
         n, k, d = 2, 3, 10
         updates = make_updates(2, n, d, k)
         trace = Trace()
-        aggregate_advanced_traced(updates, d, trace)
+        aggregate_advanced(updates, d, trace=trace)
         stream = list(advanced_stream(n * k, d))
         assert len(stream) == len(trace)
 
@@ -70,10 +76,59 @@ class TestStreamLengthsMatchTraces:
         n, k, d = 2, 2, 6
         updates = make_updates(3, n, d, k)
         trace = Trace()
-        aggregate_advanced_traced(updates, d, trace)
+        aggregate_advanced(updates, d, trace=trace)
         traced_lines = [a.offset * 8 // 64 for a in trace]
         stream = list(advanced_stream(n * k, d))
         assert stream == traced_lines
+
+
+def trace_cachelines(trace: Trace, nk: int) -> np.ndarray:
+    """Cacheline image of a kernel trace: ``g`` (8-byte cells) first,
+    then ``g_star`` (4-byte cells) from the next free line."""
+    rids, offs, _ = trace.columns()
+    names = trace.region_names
+    g_lines = -(-nk * G_ITEMSIZE // LINE_BYTES)
+    is_g = np.asarray([name == "g" for name in names], dtype=bool)[rids]
+    return np.where(
+        is_g,
+        offs * G_ITEMSIZE // LINE_BYTES,
+        g_lines + offs * G_STAR_ITEMSIZE // LINE_BYTES,
+    )
+
+
+class TestStreamsAreKernelTraceImages:
+    """Ground truth for the cost streams: each emitter reproduces the
+    production kernel's own trace, cacheline for cacheline, at any
+    chunk size."""
+
+    @staticmethod
+    def _emitted(chunks, chunk_size):
+        parts = list(chunks)
+        assert all(0 < p.size <= chunk_size for p in parts)
+        assert all(p.size == chunk_size for p in parts[:-1])
+        return np.concatenate(parts) if parts else np.empty(0, np.int64)
+
+    @given(n=st.integers(1, 4), k=st.integers(1, 6), d=st.integers(1, 70),
+           chunk_size=st.integers(1, 400), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_linear_baseline_advanced(self, n, k, d, chunk_size, seed):
+        updates = make_updates(seed, n, d, min(k, d))
+        idx = np.concatenate([u.indices for u in updates])
+        nk = len(idx)
+        for kernel, chunks in (
+            (aggregate_linear,
+             linear_stream_chunks(nk, d, idx, chunk_size=chunk_size)),
+            (aggregate_baseline,
+             baseline_stream_chunks(nk, d, chunk_size=chunk_size)),
+            (aggregate_advanced,
+             advanced_stream_chunks(nk, d, chunk_size=chunk_size)),
+        ):
+            trace = Trace()
+            kernel(updates, d, trace=trace)
+            np.testing.assert_array_equal(
+                self._emitted(chunks, chunk_size), trace_cachelines(trace, nk),
+                err_msg=kernel.__name__,
+            )
 
 
 class TestStreamValidation:
@@ -96,10 +151,6 @@ class TestStreamValidation:
     def test_grouped_stream_handles_remainder(self):
         stream = list(grouped_stream(5, 2, 8, group_size=2))
         assert len(stream) > 0
-
-    def test_path_oram_stream_nonempty(self):
-        stream = list(path_oram_stream(4, 16, seed=0))
-        assert len(stream) > 4 * 2
 
 
 class TestChunkedEmitters:
@@ -175,12 +226,6 @@ class TestChunkedEmitters:
         with pytest.raises(ValueError):
             list(grouped_stream_chunks(4, 2, 8, 0))
 
-    def test_stream_chunks_registry(self):
-        assert set(STREAM_CHUNKS) >= {"baseline", "advanced"}
-        for name, factory in STREAM_CHUNKS.items():
-            total = sum(c.size for c in factory(8, 32))
-            assert total > 0
-
 
 class TestStreamsThroughCostModel:
     SMALL = CostParameters(
@@ -237,11 +282,3 @@ class TestStreamsThroughCostModel:
             advanced_stream(nk, d)
         )
         assert chunked == generated
-
-    def test_path_oram_most_expensive_at_scale(self):
-        # Figure 10: Path ORAM's per-access position-map scan makes it
-        # an order of magnitude slower than Advanced at realistic d.
-        nk = d = 2048
-        oram = self._cycles(path_oram_stream(nk, d))
-        adv = self._cycles(advanced_stream(nk, d))
-        assert oram > 10 * adv

@@ -8,8 +8,8 @@ between the two representations of an access pattern.
 
 import numpy as np
 
-from repro.core.aggregation import aggregate_advanced_traced
-from repro.core.streams import advanced_stream
+from repro.core.aggregation import aggregate_advanced
+from repro.core.streams import advanced_stream_chunks
 from repro.fl.client import LocalUpdate
 from repro.sgx.cost import CostModel, CostParameters
 from repro.sgx.memory import RegionLayout, Trace
@@ -40,7 +40,7 @@ class TestTraceChargesLikeStream:
     def test_advanced_trace_equals_structural_stream(self):
         n, k, d = 3, 4, 12
         trace = Trace()
-        aggregate_advanced_traced(_updates(n, k, d), d, trace)
+        aggregate_advanced(_updates(n, k, d), d, trace=trace)
 
         from repro.oblivious.sort import next_power_of_two
 
@@ -49,13 +49,14 @@ class TestTraceChargesLikeStream:
         layout.add("g", m, 8)
 
         recorded = list(trace_to_lines(trace, layout))
-        structural = list(advanced_stream(n * k, d))
+        structural = np.concatenate(
+            list(advanced_stream_chunks(n * k, d))).tolist()
         assert recorded == structural
 
     def test_same_cycles_either_way(self):
         n, k, d = 2, 3, 10
         trace = Trace()
-        aggregate_advanced_traced(_updates(n, k, d), d, trace)
+        aggregate_advanced(_updates(n, k, d), d, trace=trace)
         from repro.oblivious.sort import next_power_of_two
 
         layout = RegionLayout()
@@ -63,8 +64,8 @@ class TestTraceChargesLikeStream:
         via_trace = CostModel(SMALL).charge_lines(
             trace_to_lines(trace, layout)
         )
-        via_stream = CostModel(SMALL).charge_lines(
-            advanced_stream(n * k, d)
+        via_stream = CostModel(SMALL).charge_chunks(
+            advanced_stream_chunks(n * k, d)
         )
         assert via_trace.cycles == via_stream.cycles
         assert via_trace.accesses == via_stream.accesses

@@ -8,7 +8,7 @@ selection included -- while data-independent random-k does not.
 import numpy as np
 import pytest
 
-from repro.core.aggregation import aggregate_linear_traced
+from repro.core.aggregation import aggregate_linear
 from repro.core.obliviousness import traces_equal
 from repro.fl.client import (
     ALGORITHMS,
@@ -163,15 +163,15 @@ class TestSparsifierLeakage:
     def test_topk_linear_aggregation_leaks(self):
         t1, t2 = Trace(), Trace()
         d = build_model("tiny_mlp").num_params
-        aggregate_linear_traced(self._round_updates("top_k", 1), d, t1)
-        aggregate_linear_traced(self._round_updates("top_k", 2), d, t2)
+        aggregate_linear(self._round_updates("top_k", 1), d, trace=t1)
+        aggregate_linear(self._round_updates("top_k", 2), d, trace=t2)
         assert not traces_equal(t1, t2)
 
     def test_threshold_linear_aggregation_leaks(self):
         t1, t2 = Trace(), Trace()
         d = build_model("tiny_mlp").num_params
-        aggregate_linear_traced(self._round_updates("threshold", 1), d, t1)
-        aggregate_linear_traced(self._round_updates("threshold", 2), d, t2)
+        aggregate_linear(self._round_updates("threshold", 1), d, trace=t1)
+        aggregate_linear(self._round_updates("threshold", 2), d, trace=t2)
         assert not traces_equal(t1, t2)
 
     def test_random_k_linear_aggregation_does_not_leak(self):
@@ -179,10 +179,10 @@ class TestSparsifierLeakage:
         # is data-independent, so the Linear trace is identical.
         t1, t2 = Trace(), Trace()
         d = build_model("tiny_mlp").num_params
-        aggregate_linear_traced(
-            self._round_updates("random_k", 1, rng_seed=5), d, t1
+        aggregate_linear(
+            self._round_updates("random_k", 1, rng_seed=5), d, trace=t1
         )
-        aggregate_linear_traced(
-            self._round_updates("random_k", 2, rng_seed=5), d, t2
+        aggregate_linear(
+            self._round_updates("random_k", 2, rng_seed=5), d, trace=t2
         )
         assert traces_equal(t1, t2)

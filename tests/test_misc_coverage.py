@@ -120,12 +120,12 @@ class TestBuildTeacher:
 
 class TestObserverRoundTripWithWrites:
     def test_write_set_subset_of_full_set(self):
-        from repro.core.aggregation import aggregate_linear_traced
+        from repro.core.aggregation import aggregate_linear
         from repro.sgx.observer import SideChannelObserver
 
         trace = Trace()
         updates = [LocalUpdate(0, np.asarray([1, 5]), np.asarray([1.0, 2.0]))]
-        aggregate_linear_traced(updates, 8, trace)
+        aggregate_linear(updates, 8, trace=trace)
         obs = SideChannelObserver("g_star")
         assert obs.observed_write_set(trace) <= obs.observed_set(trace)
         assert obs.observed_write_set(trace) == frozenset({1, 5})

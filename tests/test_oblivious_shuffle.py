@@ -11,8 +11,9 @@ from repro.oblivious.compaction import (
     pad_with_dummies,
     truncated_geometric_noise,
 )
-from repro.oblivious.shuffle import oblivious_shuffle_numpy, oblivious_shuffle_traced
+from repro.oblivious.shuffle import oblivious_shuffle_numpy
 from repro.sgx.memory import Trace, TracedArray
+from tests.oracles import oblivious_shuffle_traced
 
 
 class TestTracedShuffle:

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.oblivious.sort import (
-    bitonic_network,
     bitonic_sort_numpy,
-    bitonic_sort_traced,
     comparator_count,
     is_power_of_two,
     network_access_offsets,
     next_power_of_two,
 )
 from repro.sgx.memory import Trace, TracedArray
+from tests.oracles import bitonic_network, bitonic_sort_traced
 
 
 class TestPowerOfTwoHelpers:

@@ -5,7 +5,6 @@ import numpy as np
 from repro.core.aggregation import (
     M0,
     aggregate_advanced,
-    aggregate_advanced_traced,
     _fold_sorted,
 )
 from repro.fl.client import LocalUpdate
@@ -32,7 +31,7 @@ class TestFigure9RunningExample:
         assert np.allclose(result, [0.3, 0.6, 0.0, 0.9])
 
     def test_traced_advanced_matches_paper(self):
-        result = aggregate_advanced_traced(self._updates(), 4, Trace())
+        result = aggregate_advanced(self._updates(), 4, trace=Trace())
         assert np.allclose(result, [0.3, 0.6, 0.0, 0.9])
 
     def test_folding_intermediate_state(self):
@@ -80,12 +79,12 @@ class TestSection51CachelineArithmetic:
         assert WEIGHTS_PER_CACHELINE == 64 // 4 == 16
 
     def test_baseline_touches_d_over_c_lines_per_weight(self):
-        from repro.core.aggregation import aggregate_baseline_traced
+        from repro.core.aggregation import aggregate_baseline
 
         d = 64
         updates = [LocalUpdate(0, np.asarray([9]), np.asarray([1.0]))]
         trace = Trace()
-        aggregate_baseline_traced(updates, d, trace)
+        aggregate_baseline(updates, d, trace=trace)
         # 1 weight: 1 read of g + (d/16) read+write pairs on g_star.
         assert len(trace) == 1 + 2 * (d // 16)
 

@@ -53,6 +53,7 @@ from repro.sgx.enclave import (
     provision_enclave_with_clients,
 )
 from repro.sgx.memory import Trace, TracedArray
+from tests.oracles import OracleCostModel
 
 SPEC = SPECS["tiny"]
 
@@ -395,8 +396,15 @@ class TestCostReplay:
         batch = engine.infer_batch(
             data.sample(rng.integers(0, SPEC.n_labels, size=4), rng),
             traced=True)
-        _, vec = replay_serving_cost(batch, engine="vector")
-        _, ref = replay_serving_cost(batch, engine="reference")
+        stats, vec = replay_serving_cost(batch)
+        ref_model = OracleCostModel()
+        rids, offs, _ = batch.trace.columns()
+        names = batch.trace.region_names
+        ref = ref_model.charge_addresses([
+            batch.layout.byte_address(names[r], o)
+            for r, o in zip(rids.tolist(), offs.tolist())
+        ])
+        assert stats == ref_model.stats
         assert vec == ref
         assert vec.accesses == len(batch.trace)
 

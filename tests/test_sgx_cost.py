@@ -1,20 +1,18 @@
-"""Tests for the cycle cost model (repro.sgx.cost)."""
+"""Tests for the cycle cost model (repro.sgx.cost).
+
+The vectorized replayer is pinned against the element-at-a-time LRU
+replayer of ``tests/oracles.py`` (``OracleCostModel``)."""
 
 import numpy as np
 import pytest
 
-from repro.core.streams import (
-    advanced_stream,
-    advanced_stream_chunks,
-    baseline_stream,
-    baseline_stream_chunks,
-)
-from repro.sgx.cost import (
-    CostModel,
-    CostParameters,
-    CostReport,
-    EpcPager,
+from repro.core.streams import advanced_stream_chunks, baseline_stream_chunks
+from repro.sgx.cost import CostModel, CostParameters, CostReport, EpcPager
+from tests.oracles import (
+    OracleCostModel,
     SetAssociativeCache,
+    advanced_stream,
+    baseline_stream,
 )
 
 
@@ -157,17 +155,13 @@ class TestCostModel:
         # Same multiset of lines; sequential reuse must not be worse.
         assert sequential.cycles <= shuffled.cycles * 1.05
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            CostModel(SMALL, engine="turbo")
-
 
 def assert_engines_agree(lines, params=SMALL):
-    """Replay ``lines`` through both engines; everything must match."""
+    """Replay ``lines`` through both replayers; everything must match."""
     lines = np.asarray(lines, dtype=np.int64)
-    vec = CostModel(params, engine="vector")
+    vec = CostModel(params)
     vec_report = vec.charge_lines(lines)
-    ref = CostModel(params, engine="reference")
+    ref = OracleCostModel(params)
     ref_report = ref.charge_lines(int(x) for x in lines)
     assert vec.stats == ref.stats
     assert vec_report == ref_report
@@ -263,13 +257,13 @@ class TestVectorReferenceEquivalence:
         nk, d = 64, 256
         vec = CostModel(SMALL)
         vec_report = vec.charge_chunks(advanced_stream_chunks(nk, d))
-        ref = CostModel(SMALL, engine="reference")
+        ref = OracleCostModel(SMALL)
         ref_report = ref.charge_lines(advanced_stream(nk, d))
         assert vec.stats == ref.stats
         assert vec_report == ref_report
 
     def test_reference_engine_accepts_chunks(self):
-        ref = CostModel(SMALL, engine="reference")
+        ref = OracleCostModel(SMALL)
         via_chunks = ref.charge_chunks(baseline_stream_chunks(16, 64))
         vec = CostModel(SMALL)
         via_vec = vec.charge_chunks(baseline_stream_chunks(16, 64))

@@ -9,13 +9,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.oblivious.sort import (
-    apply_network_traced,
-    bitonic_network,
-    comparator_count,
-    odd_even_merge_network,
-)
+from repro.oblivious.sort import comparator_count, odd_even_merge_network
 from repro.sgx.memory import Trace, TracedArray
+from tests.oracles import apply_network_traced, bitonic_network
 
 
 def _run_network(network, values):

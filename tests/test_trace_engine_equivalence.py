@@ -4,8 +4,8 @@ The batched oblivious kernels (stage-batched bitonic sort, block-form
 aggregator scans, batch trace appends) must record **byte-for-byte**
 the access sequence of the original element-at-a-time formulation --
 batching may change how the trace is stored, never what the adversary
-sees.  This module keeps slow reference recorders (transcribed from the
-seed implementations, one scalar ``Trace.record`` per access) and pins
+sees.  The slow reference recorders (one scalar ``Trace.record`` per
+access) live in ``tests/oracles.py``; this module pins
 ``Trace.signature()`` of every batched kernel against them.
 """
 
@@ -14,105 +14,35 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import aggregation
 from repro.core.aggregation import (
-    G_REGION,
-    G_STAR_REGION,
-    M0,
-    WEIGHTS_PER_CACHELINE,
-    aggregate_advanced_traced,
-    aggregate_baseline_traced,
-    aggregate_linear_traced,
+    _baseline_targets,
+    aggregate_advanced,
+    aggregate_baseline,
+    aggregate_linear,
     aggregate_path_oram,
-    next_power_of_two,
 )
 from repro.fl.client import LocalUpdate
-from repro.oblivious.primitives import o_access, o_mov, o_write
-from repro.oblivious.shuffle import oblivious_shuffle_traced
-from repro.oblivious.sort import (
+from repro.oblivious.primitives import o_access, o_write
+from repro.oblivious.sort import bitonic_sort_traced_columns
+from repro.oram.path_oram import PathORAM
+from repro.sgx.memory import Trace, TracedArray
+from tests.oracles import (
+    OraclePathORAM,
     apply_network_traced,
     bitonic_network,
     bitonic_sort_traced,
-    bitonic_sort_traced_columns,
+    oblivious_shuffle_traced,
+    ref_advanced_traced,
+    ref_baseline_traced,
+    ref_linear_traced,
 )
-from repro.oram.path_oram import PathORAM
-from repro.sgx.memory import Trace, TracedArray
-from tests.oracles import OraclePathORAM
 from tests.oracles import aggregate_path_oram as ref_path_oram_traced
-
-
-# ----------------------------------------------------------------------
-# Reference recorders (seed element-at-a-time implementations)
-# ----------------------------------------------------------------------
-
-
-def _concat(updates):
-    idx = np.concatenate([u.indices for u in updates]).astype(np.int64)
-    val = np.concatenate([u.values for u in updates]).astype(np.float64)
-    return idx, val
-
-
-def ref_linear_traced(updates, d, trace):
-    idx, val = _concat(updates)
-    g = TracedArray(G_REGION, list(zip(idx.tolist(), val.tolist())),
-                    trace=trace, itemsize=8)
-    g_star = TracedArray.zeros(G_STAR_REGION, d, trace=trace, itemsize=4)
-    for pos in range(len(g)):
-        index, value = g.read(pos)
-        current = g_star.read(index)
-        g_star.write(index, current + value)
-    return np.asarray(g_star.snapshot(), dtype=np.float64)
-
-
-def ref_baseline_traced(updates, d, trace, cacheline_weights=WEIGHTS_PER_CACHELINE):
-    idx, val = _concat(updates)
-    g = TracedArray(G_REGION, list(zip(idx.tolist(), val.tolist())),
-                    trace=trace, itemsize=8)
-    g_star = TracedArray.zeros(G_STAR_REGION, d, trace=trace, itemsize=4)
-    n_lines = (d + cacheline_weights - 1) // cacheline_weights
-    for pos in range(len(g)):
-        index, value = g.read(pos)
-        offset = index % cacheline_weights
-        for line in range(n_lines):
-            target = min(line * cacheline_weights + offset, d - 1)
-            current = g_star.read(target)
-            flag = target == index
-            g_star.write(target, o_mov(flag, current + value, current))
-    return np.asarray(g_star.snapshot(), dtype=np.float64)
 
 
 def ref_bitonic_sort_traced(array, key=lambda w: w):
     """Comparator-at-a-time bitonic sort with scalar trace records."""
     apply_network_traced(array, bitonic_network(len(array)), key=key)
-
-
-def ref_advanced_traced(updates, d, trace):
-    idx, val = _concat(updates)
-    base = len(idx) + d
-    m = next_power_of_two(base)
-    g = TracedArray.zeros(G_REGION, m, trace=trace, itemsize=8)
-    for pos in range(len(idx)):
-        g.write(pos, (int(idx[pos]), float(val[pos])))
-    for j in range(d):
-        g.write(len(idx) + j, (j, 0.0))
-    for pos in range(base, m):
-        g.write(pos, (M0, 0.0))
-    ref_bitonic_sort_traced(g, key=lambda w: w[0])
-    carry_idx, carry_val = g.read(0)
-    for pos in range(1, m):
-        nxt_idx, nxt_val = g.read(pos)
-        flag = nxt_idx == carry_idx
-        prior = o_mov(flag, (M0, 0.0), (carry_idx, carry_val))
-        g.write(pos - 1, prior)
-        carry_val = o_mov(flag, carry_val + nxt_val, nxt_val)
-        carry_idx = nxt_idx
-    g.write(m - 1, (carry_idx, carry_val))
-    ref_bitonic_sort_traced(g, key=lambda w: w[0])
-    out = np.empty(d)
-    for j in range(d):
-        index, value = g.read(j)
-        assert index == j
-        out[j] = value
-    return out
 
 
 def make_updates(n, k, d, seed=0):
@@ -136,41 +66,75 @@ CASES = [(1, 1, 3), (2, 3, 10), (4, 5, 33), (5, 8, 64)]
 def test_linear_trace_matches_reference(n, k, d):
     updates = make_updates(n, k, d)
     new_trace, ref_trace = Trace(), Trace()
-    out_new = aggregate_linear_traced(updates, d, new_trace)
+    out_new = aggregate_linear(updates, d, trace=new_trace)
     out_ref = ref_linear_traced(updates, d, ref_trace)
     assert new_trace.signature() == ref_trace.signature()
-    assert np.allclose(out_new, out_ref)
+    assert out_new.tobytes() == out_ref.tobytes()
+    assert aggregate_linear(updates, d).tobytes() == out_ref.tobytes()
 
 
 @pytest.mark.parametrize("n,k,d", CASES)
 def test_baseline_trace_matches_reference(n, k, d):
     updates = make_updates(n, k, d)
     new_trace, ref_trace = Trace(), Trace()
-    out_new = aggregate_baseline_traced(updates, d, new_trace)
+    out_new = aggregate_baseline(updates, d, trace=new_trace)
     out_ref = ref_baseline_traced(updates, d, ref_trace)
     assert new_trace.signature() == ref_trace.signature()
-    assert np.allclose(out_new, out_ref)
+    assert out_new.tobytes() == out_ref.tobytes()
+    assert aggregate_baseline(updates, d).tobytes() == out_ref.tobytes()
 
 
 def test_baseline_trace_clamped_final_line():
-    # d not a multiple of c: the clamped final line can revisit d-1,
-    # including for index d-1 itself (the multi-hit edge case).
+    # d not a multiple of c: the clamped final line sweeps d-1 for
+    # every input whose offset lies past the end; index d-1 itself sits
+    # in that final line and is still hit exactly once.
     d = 19
     updates = [LocalUpdate(client_id=0,
                            indices=np.array([0, 3, d - 1], dtype=np.int64),
                            values=np.array([1.0, 2.0, 3.0]))]
     new_trace, ref_trace = Trace(), Trace()
-    out_new = aggregate_baseline_traced(updates, d, new_trace)
+    out_new = aggregate_baseline(updates, d, trace=new_trace)
     out_ref = ref_baseline_traced(updates, d, ref_trace)
     assert new_trace.signature() == ref_trace.signature()
-    assert np.allclose(out_new, out_ref)
+    assert out_new.tobytes() == out_ref.tobytes()
+    assert aggregate_baseline(updates, d).tobytes() == out_ref.tobytes()
+
+
+@pytest.mark.parametrize("c", [1, 3, 16, 32])
+@pytest.mark.parametrize("block_cells", [1, 7, aggregation.BASELINE_BLOCK_CELLS])
+def test_baseline_blocks_match_reference_at_any_line_width(
+    c, block_cells, monkeypatch
+):
+    # Blocking the sweep (here down to one input per block) changes
+    # neither the trace nor a single output bit, at any cacheline width.
+    monkeypatch.setattr(aggregation, "BASELINE_BLOCK_CELLS", block_cells)
+    d = 37
+    updates = make_updates(3, 5, d, seed=c)
+    new_trace, ref_trace = Trace(), Trace()
+    out_new = aggregate_baseline(updates, d, trace=new_trace,
+                                 cacheline_weights=c)
+    out_ref = ref_baseline_traced(updates, d, ref_trace, cacheline_weights=c)
+    out_fast = aggregate_baseline(updates, d, cacheline_weights=c)
+    assert new_trace.signature() == ref_trace.signature()
+    assert out_new.tobytes() == out_ref.tobytes() == out_fast.tobytes()
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 8, 16, 32])
+def test_baseline_sweep_hits_each_index_exactly_once(c):
+    # The invariant behind Baseline's single merge per input: the sweep
+    # row of index i touches g_star[i] once and only once, including
+    # when d is not a multiple of c and the final line is clamped.
+    for d in range(1, 513):
+        idx = np.arange(d, dtype=np.int64)
+        hits = (_baseline_targets(idx, d, c) == idx[:, None]).sum(axis=1)
+        assert (hits == 1).all(), (d, c)
 
 
 @pytest.mark.parametrize("n,k,d", CASES)
 def test_advanced_trace_matches_reference(n, k, d):
     updates = make_updates(n, k, d)
     new_trace, ref_trace = Trace(), Trace()
-    out_new = aggregate_advanced_traced(updates, d, new_trace)
+    out_new = aggregate_advanced(updates, d, trace=new_trace)
     out_ref = ref_advanced_traced(updates, d, ref_trace)
     assert new_trace.signature() == ref_trace.signature()
     assert np.allclose(out_new, out_ref)
