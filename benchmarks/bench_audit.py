@@ -76,15 +76,14 @@ def _round_under_audit():
     root.begin_round(sampled=keys.keys())
     aggregator = ShardedAggregator(
         root, ShardConfig(shards=SHARDS, oblivious_batch=64), entropy=11)
-    report = aggregator.aggregate_round(0, result.deliveries,
-                                        model.num_params,
-                                        sampled=set(keys.keys()))
+    aggregate, report = aggregator.aggregate_round(
+        0, result.deliveries, model.num_params, sampled=set(keys.keys()))
     round_s = time.perf_counter() - t0
-    return result, report, round_s
+    return result, aggregate, report, round_s
 
 
 def test_audit_overhead():
-    result, report, round_s = _round_under_audit()
+    result, aggregate, report, round_s = _round_under_audit()
     accepted = sorted(report.accepted_clients)
     ciphertexts = result.ciphertext_bytes(accepted)
     upload_bytes = sum(len(b) for b in ciphertexts.values())
@@ -105,8 +104,8 @@ def test_audit_overhead():
         with AuditRecorder(log_path, manifest) as recorder:
             recorder.record_round(
                 0, accepted=accepted, ciphertexts=ciphertexts,
-                weights_after=report.aggregate, epsilon=0.5, clip=1.0,
-                partials=report.sealed_partials, degraded=report.degraded,
+                weights_after=aggregate, epsilon=0.5, clip=1.0,
+                partials=report.partials, degraded=report.degraded,
                 n_shards=report.n_shards)
         commit_s = time.perf_counter() - t0
 

@@ -95,10 +95,10 @@ def _fresh_service(keys, config, entropy=11):
 def _aggregate(deliveries, keys, d, config, entropy=11):
     svc = _fresh_service(keys, config, entropy=entropy)
     t0 = time.perf_counter()
-    report = svc.aggregate_round(0, deliveries, d,
-                                 sampled=set(keys.keys()))
+    aggregate, report = svc.aggregate_round(0, deliveries, d,
+                                            sampled=set(keys.keys()))
     wall = time.perf_counter() - t0
-    return report, wall
+    return aggregate, report, wall
 
 
 def test_shard_scaling_and_faults():
@@ -115,7 +115,7 @@ def test_shard_scaling_and_faults():
     # -- shard-count sweep (fault-free) --------------------------------
     scaling = []
     for shards in shard_sweep:
-        report, wall = _aggregate(
+        _, report, wall = _aggregate(
             deliveries, keys, d,
             ShardConfig(shards=shards, oblivious_batch=64))
         assert report.completion_rate == 1.0
@@ -135,7 +135,7 @@ def test_shard_scaling_and_faults():
     )
 
     # -- fault sweep: crash probability vs completion/latency ----------
-    baseline_report, _ = _aggregate(
+    baseline_aggregate, _, _ = _aggregate(
         deliveries, keys, d,
         ShardConfig(shards=CHAOS_SHARDS, oblivious_batch=64,
                     max_shard_retries=CHAOS_RETRIES),
@@ -152,14 +152,14 @@ def test_shard_scaling_and_faults():
                 leaf_straggler_rate=min(1.0, crash),
             ),
         )
-        report, wall = _aggregate(deliveries, keys, d, cfg,
-                                  entropy=CHAOS_ENTROPY)
+        aggregate, report, wall = _aggregate(deliveries, keys, d, cfg,
+                                             entropy=CHAOS_ENTROPY)
         crashes = sum(o.crashes for o in report.outcomes)
         failovers = sum(o.failovers for o in report.outcomes)
         if report.completion_rate == 1.0:
             # Recovery must be invisible in the output bits.
-            assert (report.aggregate.tobytes()
-                    == baseline_report.aggregate.tobytes()), (
+            assert (aggregate.tobytes()
+                    == baseline_aggregate.tobytes()), (
                 f"recovered aggregate diverged at crash rate {crash}")
         if crash == 0.2:
             completion_at_probe = report.completion_rate

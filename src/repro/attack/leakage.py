@@ -48,7 +48,11 @@ def observe_round(
     boundaries = [0]
     for cid in participants:
         boundaries.append(boundaries[-1] + log.updates[cid].k)
-    raw_sets = leaked_index_sets(log.trace, G_STAR_REGION, boundaries)
+    # ``log.updates`` is in fold order; each leaf fold restarts ``g``.
+    folds = [(pos, boundaries[first])
+             for pos, first in log.shard_report.folds]
+    raw_sets = leaked_index_sets(log.trace, G_STAR_REGION, boundaries,
+                                 folds)
     observer = SideChannelObserver(
         G_STAR_REGION,
         ObserverConfig(granularity=granularity),

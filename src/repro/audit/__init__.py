@@ -29,6 +29,7 @@ Typical use::
     verify_log("run_audit.jsonl", strict=True)   # raises on any tamper
 """
 
+from ..runtime.shards import partial_digest
 from .log import (
     GENESIS,
     AuditChainError,
@@ -58,7 +59,6 @@ from .recorder import (
     AuditRecorder,
     aggregate_digest,
     make_manifest,
-    partial_digest,
     upload_merkle_root,
 )
 from .verify import (

@@ -16,7 +16,9 @@ code  meaning
 2     chain broken: a record was edited, reordered, or unlinked
 3     log truncated: missing/wrong terminal seal or a round gap
 4     commitment mismatch: logged ciphertexts vs the Merkle root
-5     replay mismatch: recomputed round disagrees with a commitment
+5     replay mismatch: recomputed round disagrees with a commitment,
+      or the manifest cannot be replayed (e.g. a ``shards.aggregator``
+      that differs from ``olive.aggregator``)
 6     inclusion-proof failure (or the requested round/client absent)
 ====  =============================================================
 """

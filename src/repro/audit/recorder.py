@@ -40,19 +40,11 @@ from .merkle import leaf_hash, merkle_root, upload_leaf
 #: Domain prefix for the released-aggregate commitment.
 _AGGREGATE_DOMAIN = b"olive-aggregate:"
 
-#: Domain prefix for sealed shard-partial digests.
-_PARTIAL_DOMAIN = b"olive-partial:"
-
 
 def aggregate_digest(weights: np.ndarray) -> str:
     """Commitment to a released weight vector (float64, contiguous)."""
     arr = np.ascontiguousarray(weights, dtype=np.float64)
     return hashlib.sha256(_AGGREGATE_DOMAIN + arr.tobytes()).hexdigest()
-
-
-def partial_digest(blob: bytes) -> str:
-    """Commitment to one sealed shard partial."""
-    return hashlib.sha256(_PARTIAL_DOMAIN + blob).hexdigest()
 
 
 def upload_merkle_root(ciphertexts: dict[int, bytes]) -> str:
@@ -122,7 +114,7 @@ class AuditRecorder:
         clip: float,
         traced: bool = False,
         forced_dropouts: list[int] | None = None,
-        partials: list[tuple[int, int, bytes]] | None = None,
+        partials: list[tuple[int, int, str]] | None = None,
         degraded: bool = False,
         n_shards: int | None = None,
     ) -> str:
@@ -154,9 +146,8 @@ class AuditRecorder:
             }
             if partials is not None:
                 record["partials"] = [
-                    {"shard": int(shard), "leaf": int(leaf),
-                     "sha256": partial_digest(blob)}
-                    for shard, leaf, blob in partials
+                    {"shard": int(shard), "leaf": int(leaf), "sha256": digest}
+                    for shard, leaf, digest in partials
                 ]
                 record["degraded"] = bool(degraded)
                 record["n_shards"] = int(n_shards or len(partials))

@@ -15,9 +15,10 @@ adversary:
    the manifest's seeds through the deterministic runtime: the
    recomputed released weights must hash bit-identically to the
    committed aggregate (:class:`~repro.audit.log.AuditReplayError`).
-   Sharded rounds additionally re-derive every completed shard's
-   sealed partial and compare digests, so failover / degraded rounds
-   replay under the same scrutiny.
+   Rounds that commit shard partials (every round of a current log)
+   additionally re-derive every completed shard's sealed partial and
+   compare digests, so failover / degraded rounds replay under the
+   same scrutiny.
 
 Replay rebuilds the system from the logged manifest (synthetic data
 spec + model + config dataclasses + seed) and steps it round by round;
@@ -47,7 +48,7 @@ from .merkle import (
     upload_leaf,
     verify_inclusion,
 )
-from .recorder import aggregate_digest, partial_digest, upload_merkle_root
+from .recorder import aggregate_digest, upload_merkle_root
 
 #: Consecutive quorum-aborted replay rounds tolerated before giving up.
 _MAX_ABORTED_ROUNDS = 100
@@ -61,7 +62,7 @@ class RoundVerdict:
     uploads: int
     merkle_ok: bool = False
     replay_ok: bool | None = None     # None: replay not attempted
-    sharded: bool = False
+    sharded: bool = False             # more than one leaf enclave
     degraded: bool = False
 
 
@@ -152,6 +153,15 @@ def build_system_from_manifest(manifest: dict):
     if manifest.get("shards") is not None:
         sh = dict(manifest["shards"])
         sh["faults"] = EnclaveFaultConfig(**sh["faults"])
+        # Older manifests name a leaf kernel under ``shards``; the
+        # leaves run the olive aggregator, so the two must agree.
+        legacy = sh.pop("aggregator", config.aggregator)
+        if legacy != config.aggregator:
+            raise AuditReplayError(
+                f"manifest field shards.aggregator={legacy!r} differs from "
+                f"olive.aggregator={config.aggregator!r}; the recorded run "
+                "cannot be replayed"
+            )
         shards = ShardConfig(**sh)
     model = build_model(manifest["model"]["name"],
                         seed=manifest["model"]["seed"])
@@ -210,15 +220,8 @@ def verify_round_replay(record: dict, log) -> None:
         )
     if "partials" in record:
         report = log.shard_report
-        if report is None:
-            raise AuditReplayError(
-                f"round {r}: log committed shard partials but the replay "
-                "ran unsharded", round_index=r,
-            )
-        replayed = [
-            {"shard": shard, "leaf": leaf, "sha256": partial_digest(blob)}
-            for shard, leaf, blob in report.sealed_partials
-        ]
+        replayed = [{"shard": shard, "leaf": leaf, "sha256": digest}
+                    for shard, leaf, digest in report.partials]
         if replayed != record["partials"]:
             raise AuditReplayError(
                 f"round {r}: replayed shard partials disagree with the "
@@ -257,10 +260,12 @@ def verify_log(
             sealed=bool(records) and records[-1].get("type") == "seal",
         )
         for record in rounds:
+            n_shards = record.get("n_shards",
+                                  len(record.get("partials", ())))
             verdict = RoundVerdict(
                 round_index=record["round"],
                 uploads=len(record["accepted"]),
-                sharded="partials" in record,
+                sharded=int(n_shards) > 1,
                 degraded=bool(record.get("degraded")),
             )
             if round_index is None or record["round"] == round_index:

@@ -190,7 +190,8 @@ def empirical_statistical_distance(
 
 
 def leaked_index_sets(
-    trace: Trace, region: str, boundaries: Sequence[int]
+    trace: Trace, region: str, boundaries: Sequence[int],
+    folds: Sequence[tuple[int, int]] | None = None,
 ) -> list[frozenset[int]]:
     """Split ``region`` accesses into per-client observed index sets.
 
@@ -202,6 +203,11 @@ def leaked_index_sets(
     g*[idx], write g*[idx]).  The attribution never moves backwards:
     the owning client is the running maximum over ``g`` reads so far,
     matching a forward scan of the concatenated gradient.
+
+    ``folds`` splits a trace of several kernel runs (leaf folds):
+    ``(trace position, g position)`` where each run starts and where
+    its ``g`` offset 0 sits in the concatenated gradient; the running
+    maximum restarts with every run.  ``None``: one run from 0.
     """
     n_clients = len(boundaries) - 1
     sets: list[frozenset[int]] = [frozenset() for _ in range(n_clients)]
@@ -218,11 +224,18 @@ def leaked_index_sets(
     g_pos = np.flatnonzero(g_read)
     if not len(g_pos):
         return sets
-    client_at_read = np.searchsorted(
-        bounds, offs[g_pos].astype(np.int64), side="right"
-    ) - 1
+    g_offs = offs[g_pos].astype(np.int64)
+    run = np.zeros(len(g_pos), dtype=np.int64)
+    if folds:
+        starts, bases = np.asarray(folds, dtype=np.int64).T
+        run = np.maximum(np.searchsorted(starts, g_pos, side="right") - 1, 0)
+        g_offs = g_offs + bases[run]
+    client_at_read = np.searchsorted(bounds, g_offs, side="right") - 1
     client_at_read = np.minimum(client_at_read, n_clients - 1)
-    client_at_read = np.maximum.accumulate(client_at_read)
+    # Running maximum within each run: shifting run r by r * n_clients
+    # keeps every run above all earlier ones.
+    shift = run * n_clients
+    client_at_read = np.maximum.accumulate(client_at_read + shift) - shift
 
     target_pos = np.flatnonzero(rids == target_id)
     if not len(target_pos):

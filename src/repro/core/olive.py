@@ -19,9 +19,14 @@ Local training for the sampled cohort executes through the cohort
 runtime (:mod:`repro.runtime`): a pluggable serial/thread/vectorized
 executor with per-``(round, client)`` seed derivation (bit-identical
 results across executors), deterministic fault injection, retries,
-per-client timeouts, and a minimum-quorum completion policy.  The
-enclave aggregates the surviving cohort and, under fault injection,
-the DP accountant charges the realized cohort fraction.
+per-client timeouts, and a minimum-quorum completion policy; under
+fault injection the DP accountant charges the realized cohort fraction.
+
+Every round aggregates through the shard service
+(:class:`repro.runtime.ShardedAggregator`) with the system's enclave as
+its root.  A single enclave is the one-leaf topology: one leaf folds
+every accepted upload through one kernel call, so aggregate and trace
+equal one kernel run over the whole cohort.
 """
 
 from __future__ import annotations
@@ -48,10 +53,9 @@ from ..runtime import (
     ShardRoundReport,
     record_failure_reason,
 )
-from ..sgx.enclave import Enclave, EnclaveSecurityError, provision_enclave_with_clients
+from ..sgx.enclave import Enclave, provision_enclave_with_clients
 from ..sgx.memory import Trace
 from .aggregation import AGGREGATORS
-from .grouping import aggregate_grouped
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,8 @@ class OliveRoundLog:
     weights_before: np.ndarray
     weights_after: np.ndarray
     epsilon: float
-    cohort: CohortResult | None = None
-    shard_report: ShardRoundReport | None = None
+    cohort: CohortResult
+    shard_report: ShardRoundReport
 
 
 class OliveSystem:
@@ -134,29 +138,21 @@ class OliveSystem:
             self.runtime_config, copy.deepcopy(model), clients,
             entropy=seed, keys=self.client_keys,
         )
-        # Sharded multi-enclave aggregation: the system's enclave
-        # becomes the *root*; leaf enclaves are spawned (attested, keys
-        # replicated) by the service on first use.
+        # The system's enclave is the shard service's *root*; leaves are
+        # spawned (attested, keys replicated) on first use.  Without a
+        # ShardConfig: one leaf whose batch holds everyone, one fold.
         # Verifiable rounds: when an AuditRecorder is attached, every
         # completed round appends a chained commitment record (accepted
         # ciphertext Merkle root + released-aggregate digest + sealed
         # shard-partial digests) to its append-only log.
         self.audit = audit
-        self.shard_service: ShardedAggregator | None = None
-        if shards is not None:
-            if config.adaptive_clipping:
-                raise ValueError(
-                    "adaptive clipping needs per-client norms at the "
-                    "root and is not supported with sharded aggregation"
-                )
-            if config.group_size is not None:
-                raise ValueError(
-                    "grouped aggregation is root-level; configure the "
-                    "leaf kernel via ShardConfig.aggregator instead"
-                )
-            self.shard_service = ShardedAggregator(
-                self.enclave, shards, entropy=seed
-            )
+        self.shard_service = ShardedAggregator(
+            self.enclave,
+            shards or ShardConfig(shards=1,
+                                  oblivious_batch=max(1, len(clients))),
+            entropy=seed, aggregator=config.aggregator,
+            group_size=config.group_size,
+        )
 
     @property
     def d(self) -> int:
@@ -174,15 +170,6 @@ class OliveSystem:
         self.close()
 
     # ------------------------------------------------------------------
-    def _aggregate(
-        self, updates: list[LocalUpdate], trace: Trace | None
-    ) -> np.ndarray:
-        if self.config.group_size is not None:
-            return aggregate_grouped(
-                updates, self.d, self.config.group_size, trace=trace
-            )
-        return AGGREGATORS[self.config.aggregator].run(updates, self.d, trace)
-
     def run_round(
         self, traced: bool = False, dropouts: set[int] | None = None
     ) -> OliveRoundLog:
@@ -196,14 +183,9 @@ class OliveSystem:
         expected participant count qN, so the guarantee is unaffected
         (dropouts only add averaging noise, the standard DP-FedAVG
         treatment), while the *accountant* charges the realized cohort
-        fraction when fault injection is active.
+        fraction when fault injection is active.  ``traced=True``
+        records every leaf fold, at any shard count.
         """
-        if traced and self.shard_service is not None:
-            raise ValueError(
-                "traced rounds are not supported with sharded "
-                "aggregation: the access pattern lives in the leaf "
-                "enclaves, not the root"
-            )
         self.enclave.reset_trace()
         # Explicit round boundary: reset the replay-defence state even
         # on paths that skip secure sampling (audits, replays).
@@ -234,96 +216,34 @@ class OliveSystem:
                 quantize_bits=self.config.quantize_bits,
                 forced_dropouts=dropouts,
             )
-            updates: dict[int, LocalUpdate] = {}
+
+            # Lines 8-12: leaf enclaves unseal, verify and fold the
+            # uploads; the root combines their sealed partials.  Quorum is
+            # enforced inside: QuorumNotMetError aborts before noise.
             trace = self.enclave.trace if traced else None
-            shard_report: ShardRoundReport | None = None
-            if self.shard_service is not None:
-                # Hierarchical path: leaf enclaves ingest shards of the
-                # staged deliveries asynchronously (crash recovery,
-                # failover, deadlines inside); the root combines sealed
-                # partials.  Quorum is enforced *inside* the service --
-                # QuorumNotMetError aborts before noise or accounting.
-                shard_report = self.shard_service.aggregate_round(
-                    len(self.history), cohort.deliveries, self.d,
-                    sampled=set(participants),
-                    quantize_bits=self.config.quantize_bits,
-                    min_accepted=self.runtime.quorum_threshold(
-                        len(participants)),
-                )
-                for cid, reason in shard_report.rejected.items():
-                    outcome = cohort.outcomes.get(cid)
-                    if outcome is not None:
-                        outcome.status = STATUS_REJECTED
-                        record_failure_reason(outcome, reason)
-                accepted = list(shard_report.accepted_clients)
-                aggregate = shard_report.aggregate
-                obs.add("round.clients_dropped",
-                        len(participants) - len(accepted))
-                self.runtime.check_quorum(len(accepted),
-                                          len(participants))
-            else:
-                for delivery in cohort.deliveries:
-                    cid = delivery.client_id
-                    assert delivery.ciphertext is not None
-                    with obs.span(
-                        "upload", client=cid,
-                        quantized=self.config.quantize_bits is not None,
-                    ):
-                        blob = delivery.ciphertext.to_bytes()
-                    obs.add("round.upload_bytes", len(blob))
-                    try:
-                        with obs.span("decrypt", client=cid):
-                            if self.config.quantize_bits is not None:
-                                indices, values = (
-                                    self.enclave.load_quantized_gradient(
-                                        cid, delivery.ciphertext
-                                    )
-                                )
-                            else:
-                                indices, values = self.enclave.load_gradient(
-                                    cid, delivery.ciphertext
-                                )
-                    except EnclaveSecurityError as exc:
-                        # Corrupt or replayed upload: the enclave
-                        # refused it.  Only the *extra* copy of a
-                        # replay is lost; a tampered original costs the
-                        # client its round.
-                        if not delivery.duplicate:
-                            cohort.outcomes[cid].status = STATUS_REJECTED
-                            record_failure_reason(cohort.outcomes[cid],
-                                                  exc.reason)
-                            updates.pop(cid, None)
-                        continue
-                    updates[cid] = LocalUpdate(
-                        client_id=cid,
-                        indices=np.asarray(indices, dtype=np.int64),
-                        values=np.asarray(values, dtype=np.float64),
-                    )
-                accepted = sorted(updates)
-                obs.add("round.clients_dropped",
-                        len(participants) - len(accepted))
+            aggregate, shard_report = self.shard_service.aggregate_round(
+                len(self.history), cohort.deliveries, self.d,
+                sampled=set(participants),
+                quantize_bits=self.config.quantize_bits,
+                min_accepted=self.runtime.quorum_threshold(
+                    len(participants)),
+                trace=trace,
+            )
+            obs.add("runtime.quorum_met")
+            for cid, reason in shard_report.rejected.items():
+                outcome = cohort.outcomes.get(cid)
+                if outcome is not None:
+                    outcome.status = STATUS_REJECTED
+                    record_failure_reason(outcome, reason)
+            accepted = shard_report.accepted_clients
+            obs.add("round.clients_dropped",
+                    len(participants) - len(accepted))
+            if trace is not None:
+                obs.add("trace.accesses_recorded", len(trace))
+                obs.gauge("trace.accesses", len(trace))
+                obs.gauge("trace.nbytes", trace.nbytes)
 
-                # Completion policy: abort before anything leaves the
-                # enclave if too few clients survived.
-                self.runtime.check_quorum(len(accepted),
-                                          len(participants))
-
-                # Line 12: oblivious aggregation + enclave-private
-                # perturbation.
-                trace_before = len(trace) if trace is not None else 0
-                with obs.span("aggregate",
-                              aggregator=self.config.aggregator,
-                              n_updates=len(updates)):
-                    if updates:
-                        aggregate = self._aggregate(
-                            list(updates.values()), trace)
-                    else:
-                        aggregate = np.zeros(self.d)
-                if trace is not None:
-                    obs.add("trace.accesses_recorded",
-                            len(trace) - trace_before)
-                    obs.gauge("trace.accesses", len(trace))
-                    obs.gauge("trace.nbytes", trace.nbytes)
+            # Line 12 (cont.): enclave-private perturbation.
             sigma = self.config.noise_multiplier * clip
             with obs.span("noise", sigma=sigma):
                 noise = np.asarray(self.enclave.gauss_vector(sigma, self.d))
@@ -356,15 +276,15 @@ class OliveSystem:
                     bits = [
                         int(float(np.linalg.norm(u.values))
                             <= clip * (1 - 1e-9))
-                        for u in updates.values()
+                        for u in shard_report.updates.values()
                     ]
                     self.clipper.update(bits)
                 obs.gauge("dp.clip", self.clipper.clip)
 
         log = OliveRoundLog(
             round_index=len(self.history),
-            participants=sorted(accepted),
-            updates=updates,
+            participants=accepted,
+            updates=shard_report.updates,
             trace=trace,
             weights_before=weights_before,
             weights_after=self.global_weights.copy(),
@@ -382,12 +302,9 @@ class OliveSystem:
                 clip=clip,
                 traced=traced,
                 forced_dropouts=sorted(dropouts),
-                partials=(shard_report.sealed_partials
-                          if shard_report is not None else None),
-                degraded=(shard_report.degraded
-                          if shard_report is not None else False),
-                n_shards=(shard_report.n_shards
-                          if shard_report is not None else None),
+                partials=shard_report.partials,
+                degraded=shard_report.degraded,
+                n_shards=shard_report.n_shards,
             )
         self.history.append(log)
         return log

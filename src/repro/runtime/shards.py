@@ -1,14 +1,18 @@
 """Sharded multi-enclave aggregation: crash recovery, failover, deadlines.
 
-One enclave with a 96 MB EPC cannot absorb a million uploads per
-round.  This module builds the hierarchical topology the ROADMAP names:
-*leaf* enclaves each obliviously aggregate one shard of the cohort's
-ciphertexts -- sized EPC-aware from the upload bytes the untrusted host
-observes -- and a *root* enclave combines the sealed partial aggregates
-over mutually attested leaf<->root channels.  Ingest is asynchronous:
-a leaf folds uploads into its partial aggregate as they arrive (in
-batches of ``oblivious_batch``, each folded through the configured
-oblivious kernel) instead of waiting for a per-round barrier.
+Every round aggregates here (Algorithm 1, line 12).  *Leaf* enclaves
+each obliviously aggregate one shard of the cohort's ciphertexts --
+sized EPC-aware from the upload bytes the untrusted host observes --
+and a *root* enclave combines the sealed partial aggregates over
+mutually attested leaf<->root channels.  A single enclave is the
+one-leaf topology whose ``oblivious_batch`` covers the cohort: one
+kernel call folds every accepted upload.  Ingest is asynchronous: a
+leaf folds uploads into its partial aggregate as they arrive (in
+batches of ``oblivious_batch``, each through the caller's oblivious
+kernel) instead of waiting for a per-round barrier.  A traced round
+threads one :class:`~repro.sgx.memory.Trace` through every leaf fold
+in execution order, crash re-runs included: what an adversary holding
+every leaf host observes.
 
 The topology is born robustness-first, with a full server-side fault
 model (:class:`repro.runtime.faults.EnclaveFaultConfig`):
@@ -28,8 +32,9 @@ model (:class:`repro.runtime.faults.EnclaveFaultConfig`):
 * **EPC oversubscription** -- a shard whose staging working set
   exceeds the leaf's EPC is charged the SGX paging penalty from the
   cost model's parameters and flagged;
-* **root restart** -- the root checkpoints after every combine and
-  rolls back to its last checkpoint, refusing replayed partials.
+* **root restart** -- the root checkpoints after every combine but the
+  last and rolls back to its last checkpoint, refusing replayed
+  partials.
 
 **Degraded completion**: a shard whose retry/failover budget is
 exhausted fails; the round completes with the surviving shards when
@@ -51,6 +56,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -59,6 +65,7 @@ from ..fl.client import LocalUpdate
 from ..sgx import crypto
 from ..sgx.cost import CostParameters
 from ..sgx.enclave import DEFAULT_EPC_BYTES, Enclave, EnclaveSecurityError
+from ..sgx.memory import Trace
 from .cohort import Delivery
 from .config import QuorumNotMetError
 from .faults import EnclaveFaultConfig, EnclaveFaultInjector
@@ -66,18 +73,26 @@ from .faults import EnclaveFaultConfig, EnclaveFaultInjector
 #: Sealed-partial wire-format version tag.
 PARTIAL_MAGIC = b"OLVPART1"
 
+#: Domain prefix of the sealed-partial commitment audit logs record.
+_PARTIAL_DOMAIN = b"olive-partial:"
+
 #: Coordinator-side bookkeeping bytes per staged upload (digest, pointers).
 _PER_UPLOAD_OVERHEAD = 96
 #: Fixed per-leaf enclave overhead (code, heap, keystore) in the sizing model.
 _LEAF_FIXED_BYTES = 8 * 1024 * 1024
 
 
-def _available_aggregators() -> dict:
+def _core():
     # Imported lazily: repro.core imports repro.runtime at package load,
     # so a top-level import here would be circular.
-    from ..core.aggregation import AGGREGATORS
+    from ..core import aggregation, grouping
 
-    return AGGREGATORS
+    return aggregation, grouping
+
+
+def partial_digest(blob: bytes) -> str:
+    """Commitment to one sealed shard partial."""
+    return hashlib.sha256(_PARTIAL_DOMAIN + blob).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -89,8 +104,8 @@ class ShardConfig:
     it (and may deliberately oversubscribe the EPC -- the paging
     penalty is then charged and flagged).  ``oblivious_batch`` is the
     async-ingest granularity: uploads are folded into the partial
-    aggregate through the ``aggregator`` kernel every that-many
-    accepted uploads, and sealed checkpoints are cut every
+    aggregate through the service's kernel every that-many accepted
+    uploads, and sealed checkpoints are cut every
     ``checkpoint_every_batches`` folds (checkpoints are fold-aligned by
     construction, which is what makes recovery bit-identical).
     """
@@ -99,7 +114,6 @@ class ShardConfig:
     max_shards: int = 64
     epc_bytes: int = DEFAULT_EPC_BYTES
     epc_utilization: float = 0.8
-    aggregator: str = "advanced"
     oblivious_batch: int = 64
     checkpoint_every_batches: int = 1
     shard_deadline_s: float | None = None
@@ -130,8 +144,6 @@ class ShardConfig:
             raise ValueError("backoff seconds must be >= 0")
         if not 0.0 <= self.min_shard_quorum <= 1.0:
             raise ValueError("min_shard_quorum must be in [0, 1]")
-        if self.aggregator not in _available_aggregators():
-            raise ValueError(f"unknown aggregator {self.aggregator!r}")
 
 
 def plan_shards(
@@ -183,11 +195,14 @@ class ShardOutcome:
 
 @dataclass
 class ShardRoundReport:
-    """Everything one sharded aggregation round produced."""
+    """How one sharded aggregation round went (its sum is returned beside).
+
+    It holds nothing ``d``-sized, so a per-round history of reports
+    grows with the cohort, not with the model.
+    """
 
     round_index: int
     n_shards: int
-    aggregate: np.ndarray
     accepted_clients: list[int]
     rejected: dict[int, str]      # non-duplicate rejects: cid -> reason
     outcomes: list[ShardOutcome]
@@ -195,11 +210,18 @@ class ShardRoundReport:
     root_restarts: int = 0
     latency_s: float = 0.0        # max shard latency + combine
     wall_s: float = 0.0
-    #: (shard, leaf, sealed blob) per completed shard, in combine order
-    #: -- the evidence the audit subsystem commits to, so failover and
-    #: degraded rounds stay verifiable against deterministic replay.
-    sealed_partials: list[tuple[int, int, bytes]] = field(
-        default_factory=list)
+    #: (shard, leaf, :func:`partial_digest` of the sealed blob) per
+    #: completed shard, in combine order -- the evidence the audit
+    #: subsystem commits to, so failover and degraded rounds stay
+    #: verifiable against deterministic replay.
+    partials: list[tuple[int, int, str]] = field(default_factory=list)
+    #: Accepted updates of the completed shards by client id, in fold
+    #: order (shard order, then ingest order).
+    updates: dict[int, LocalUpdate] = field(default_factory=dict)
+    #: ``(trace position, position in updates)`` where each leaf fold of
+    #: a traced round starts, in execution order, crash re-runs
+    #: included (empty when the round is untraced).
+    folds: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def completion_rate(self) -> float:
@@ -231,18 +253,21 @@ class _LeafRound:
     The partial aggregate and the pending (not yet folded) batch live
     *inside* the enclave; the coordinator only holds this handle.  A
     crash drops the object; recovery rebuilds it from the sealed
-    checkpoint through :meth:`Enclave.restore_round_state`.
+    checkpoint through :meth:`Enclave.restore_round_state`.  ``folded``
+    lists the updates already inside ``partial``, in fold order.
     """
 
-    def __init__(self, leaf: _Leaf, d: int, aggregator: str,
-                 quantize_bits: int | None) -> None:
+    def __init__(self, leaf: _Leaf, d: int,
+                 fold: Callable[[list[LocalUpdate], int], np.ndarray],
+                 quantize_bits: int | None,
+                 folded: list[LocalUpdate] | None = None) -> None:
         self.leaf = leaf
         self.d = d
         self.partial = np.zeros(d)
         self.pending: list[LocalUpdate] = []
-        self.accepted = 0
-        self.folds = 0
-        self._spec = _available_aggregators()[aggregator]
+        self.folded: list[LocalUpdate] = folded or []
+        self.accepted = len(self.folded)
+        self._fold = fold
         self._quantize_bits = quantize_bits
 
     def ingest(self, delivery: Delivery) -> None:
@@ -268,9 +293,9 @@ class _LeafRound:
         """Fold the pending batch through the oblivious kernel."""
         if not self.pending:
             return
-        self.partial += self._spec.run(self.pending, self.d)
+        self.partial += self._fold(self.pending, len(self.folded))
+        self.folded.extend(self.pending)
         self.pending = []
-        self.folds += 1
 
     def checkpoint(self, round_index: int) -> crypto.Ciphertext:
         """Seal the fold-aligned recovery state (pending must be empty)."""
@@ -336,6 +361,9 @@ class ShardedAggregator:
     double-count defence, checkpoint authenticity, partial
     authenticity) is made inside an enclave.  A lying coordinator can
     delay or drop work, never double-count it.
+
+    ``aggregator`` and ``group_size`` pick the leaf kernel, as in
+    :class:`repro.core.olive.OliveConfig`.
     """
 
     def __init__(
@@ -343,10 +371,16 @@ class ShardedAggregator:
         root: Enclave,
         config: ShardConfig,
         entropy: int = 0,
+        aggregator: str = "advanced",
+        group_size: int | None = None,
     ) -> None:
+        if aggregator not in _core()[0].AGGREGATORS:
+            raise ValueError(f"unknown aggregator {aggregator!r}")
         self.root = root
         self.config = config
         self.entropy = int(entropy)
+        self.aggregator = aggregator
+        self.group_size = group_size
         self.injector = EnclaveFaultInjector(config.faults, self.entropy)
         self._leaves: list[_Leaf] = []
         self._paging_penalty_s_per_page = (
@@ -400,16 +434,35 @@ class ShardedAggregator:
         sampled: set[int] | None = None,
         quantize_bits: int | None = None,
         min_accepted: int = 0,
-    ) -> ShardRoundReport:
-        """Run one sharded aggregation round over staged deliveries.
+        trace: Trace | None = None,
+    ) -> tuple[np.ndarray, ShardRoundReport]:
+        """Run one sharded aggregation round; returns (sum, report).
 
         ``min_accepted`` is the caller's global quorum threshold: when
         shard failures (after retries and failover) leave fewer
         accepted uploads, the round aborts with
         :class:`QuorumNotMetError` before anything leaves the root.
+        ``trace``, when given, records every leaf fold in execution
+        order (see :attr:`ShardRoundReport.folds`).
         """
         t0 = time.perf_counter()
         cfg = self.config
+        aggregation, grouping = _core()
+        updates: dict[int, LocalUpdate] = {}
+        folds: list[tuple[int, int]] = []
+
+        def fold(batch: list[LocalUpdate], first: int) -> np.ndarray:
+            # ``first`` counts the shard's own folded updates; ``updates``
+            # holds the earlier completed shards'.  The spec is looked up
+            # per call, so patches of AggregatorSpec.run apply.
+            if trace is not None:
+                folds.append((len(trace), len(updates) + first))
+            if self.group_size is not None:
+                return grouping.aggregate_grouped(batch, d, self.group_size,
+                                                  trace=trace)
+            return aggregation.AGGREGATORS[self.aggregator].run(batch, d,
+                                                                trace)
+
         sampled = set(sampled if sampled is not None
                       else self.root.sampled_clients)
 
@@ -442,14 +495,15 @@ class ShardedAggregator:
             for shard_index in range(n_shards):
                 flat = [dv for grp in shard_groups[shard_index]
                         for dv in grp]
-                outcome, blob = self._run_shard(
+                outcome, blob, folded = self._run_shard(
                     round_index, shard_index, flat, sampled, d,
-                    quantize_bits, rejected,
+                    quantize_bits, rejected, fold,
                 )
                 outcomes.append(outcome)
                 if outcome.completed and blob is not None:
                     sealed_partials.append(
                         (shard_index, outcome.leaf_index, blob))
+                    updates.update((u.client_id, u) for u in folded)
             degraded = any(not o.completed for o in outcomes)
             if degraded:
                 obs.add("shard.degraded_rounds")
@@ -469,16 +523,19 @@ class ShardedAggregator:
             latency = max((o.latency_s for o in outcomes), default=0.0)
             report = ShardRoundReport(
                 round_index=round_index, n_shards=n_shards,
-                aggregate=aggregate, accepted_clients=accepted,
+                accepted_clients=accepted,
                 rejected=rejected, outcomes=outcomes, degraded=degraded,
                 root_restarts=root_restarts,
                 latency_s=latency + combine_wall,
                 wall_s=time.perf_counter() - t0,
-                sealed_partials=sealed_partials,
+                partials=[(shard, leaf, partial_digest(blob))
+                          for shard, leaf, blob in sealed_partials],
+                updates=updates,
+                folds=folds,
             )
             obs.gauge("shard.completion_rate", report.completion_rate)
             obs.gauge("shard.round_latency_s", report.latency_s)
-        return report
+        return aggregate, report
 
     # -- one shard ------------------------------------------------------
     def _estimate_working_set(self, assigned: int, d: int,
@@ -495,8 +552,13 @@ class ShardedAggregator:
         d: int,
         quantize_bits: int | None,
         rejected: dict[int, str],
-    ) -> tuple[ShardOutcome, bytes | None]:
-        """Ingest one shard with retry, restart, failover, and deadline."""
+        fold: Callable[[list[LocalUpdate], int], np.ndarray],
+    ) -> tuple[ShardOutcome, bytes | None, list[LocalUpdate]]:
+        """Ingest one shard with retry, restart, failover, and deadline.
+
+        Returns the outcome, the sealed partial (``None`` on failure)
+        and the shard's accepted updates in fold order.
+        """
         cfg = self.config
         t0 = time.perf_counter()
         leaf = self._leaves[shard_index % len(self._leaves)]
@@ -520,13 +582,14 @@ class ShardedAggregator:
 
         ckpt: crypto.Ciphertext | None = None
         ckpt_pos = 0
+        ckpt_folded = 0
         resume_pos = 0
         attempt = 0
         batch_every = cfg.oblivious_batch
         ckpt_every = cfg.oblivious_batch * cfg.checkpoint_every_batches
 
         leaf.enclave.begin_round(sampled=sampled)
-        state = _LeafRound(leaf, d, cfg.aggregator, quantize_bits)
+        state = _LeafRound(leaf, d, fold, quantize_bits)
 
         while True:
             plan = self.injector.leaf_plan(round_index, shard_index, attempt)
@@ -551,7 +614,7 @@ class ShardedAggregator:
                 # alive for others); a sibling resumes from the sealed
                 # checkpoint.
                 leaf, state = self._reassign(
-                    leaf, ckpt, sampled, d, quantize_bits, outcome,
+                    leaf, state, ckpt, ckpt_folded, sampled, outcome,
                     kill=False, move=True)
                 resume_pos = ckpt_pos
                 continue
@@ -584,6 +647,7 @@ class ShardedAggregator:
                                       shard=shard_index, leaf=leaf.index):
                             ckpt = state.checkpoint(round_index)
                         ckpt_pos = pos
+                        ckpt_folded = len(state.folded)
                         outcome.checkpoints += 1
                         obs.add("shard.checkpoints")
 
@@ -601,7 +665,7 @@ class ShardedAggregator:
                 outcome.latency_s += outcome.wall_s
                 obs.add("shard.uploads_accepted", state.accepted)
                 obs.observe("shard.latency_s", outcome.latency_s)
-                return outcome, blob
+                return outcome, blob, state.folded
 
             # Crash: volatile state (partial + pending batch + the
             # enclave's post-checkpoint digest entries) is gone.
@@ -619,7 +683,7 @@ class ShardedAggregator:
             outcome.attempts += 1
             outcome.latency_s += self._backoff(attempt)
             leaf, state = self._reassign(
-                leaf, ckpt, sampled, d, quantize_bits, outcome,
+                leaf, state, ckpt, ckpt_folded, sampled, outcome,
                 kill=plan.fatal, move=plan.fatal)
             resume_pos = ckpt_pos
 
@@ -651,10 +715,10 @@ class ShardedAggregator:
     def _reassign(
         self,
         leaf: _Leaf,
+        lost: _LeafRound,
         ckpt: crypto.Ciphertext | None,
+        ckpt_folded: int,
         sampled: set[int],
-        d: int,
-        quantize_bits: int | None,
         outcome: ShardOutcome,
         kill: bool,
         move: bool,
@@ -665,7 +729,8 @@ class ShardedAggregator:
         ``move`` reassigns the shard to the next surviving sibling
         (fatal crash or deadline miss -- a stalled-but-alive leaf keeps
         serving other shards).  Neither set is a process restart in
-        place.
+        place.  The new state keeps the first ``ckpt_folded`` updates
+        of ``lost``: those the checkpoint's partial holds.
         """
         if kill:
             leaf.alive = False
@@ -688,14 +753,14 @@ class ShardedAggregator:
             obs.event("shard.restart", shard=outcome.shard_index,
                       leaf=leaf.index, from_checkpoint=ckpt is not None)
 
-        state = _LeafRound(leaf, d, self.config.aggregator, quantize_bits)
+        state = _LeafRound(leaf, lost.d, lost._fold, lost._quantize_bits,
+                           lost.folded[:ckpt_folded])
         if ckpt is not None:
             with obs.span("shard.restore", leaf=leaf.index):
                 _, partial = leaf.enclave.restore_round_state(ckpt)
             assert partial is not None
+            assert state.accepted == len(leaf.enclave._loaded_clients)
             state.partial = partial
-            state.accepted = len(leaf.enclave._loaded_clients)
-            state.folds = state.accepted // self.config.oblivious_batch
             obs.add("shard.recoveries")
         else:
             leaf.enclave.begin_round(sampled=sampled)
@@ -763,9 +828,10 @@ class ShardedAggregator:
                 root.record_partial(digest, ids)
                 partial += vec
                 pos += 1
-                ckpt = root.export_round_state(round_index=round_index,
-                                               partial=partial)
-                ckpt_pos = pos
+                if pos < n:  # a restart never lands after the last one
+                    ckpt = root.export_round_state(round_index=round_index,
+                                                   partial=partial)
+                    ckpt_pos = pos
         accepted = sorted(root._loaded_clients)
         if cfg.faults.active:
             obs.gauge("shard.partials_combined", n)
@@ -773,7 +839,7 @@ class ShardedAggregator:
 
     def _shard_failed(
         self, outcome: ShardOutcome, t0: float
-    ) -> tuple[ShardOutcome, None]:
+    ) -> tuple[ShardOutcome, None, list[LocalUpdate]]:
         outcome.completed = False
         outcome.wall_s = time.perf_counter() - t0
         obs.add("shard.failed")
@@ -781,4 +847,4 @@ class ShardedAggregator:
                   leaf=outcome.leaf_index, crashes=outcome.crashes,
                   deadline_misses=outcome.deadline_misses)
         obs.observe("shard.latency_s", outcome.latency_s)
-        return outcome, None
+        return outcome, None, []

@@ -372,6 +372,60 @@ class TestReplay:
 
 
 # ----------------------------------------------------------------------
+# One-leaf rounds and logs of older recorders
+# ----------------------------------------------------------------------
+class TestOneLeafAndLegacyLogs:
+    """Every round runs through the shard service; older logs verify."""
+
+    @staticmethod
+    def _strip_round_partials(records):
+        for r in records:
+            if r.get("type") == "round":
+                for key in ("partials", "degraded", "n_shards"):
+                    r.pop(key, None)
+        return records
+
+    def test_one_leaf_rounds_commit_a_partial_but_print_unsharded(
+            self, tmp_path):
+        path = _recorded_run(tmp_path, rounds=2)
+        rounds = [r for r in read_records(path) if r["type"] == "round"]
+        assert all(r["n_shards"] == 1 and len(r["partials"]) == 1
+                   for r in rounds)
+        report = verify_log(path, strict=True)
+        assert all(v.replay_ok and not v.sharded for v in report.rounds)
+
+    def test_log_without_partials_still_verifies(self, tmp_path):
+        # Single-enclave rounds of older recorders commit no partials.
+        path = _recorded_run(tmp_path, rounds=2)
+        records = self._strip_round_partials(
+            copy.deepcopy(read_records(path)))
+        _rewrite(path, chain_records(records))
+        report = verify_log(path, strict=True)
+        assert report.replayed
+        assert all(v.replay_ok and not v.sharded for v in report.rounds)
+
+    def _with_legacy_leaf_aggregator(self, tmp_path, aggregator):
+        path = _recorded_run(tmp_path, rounds=2,
+                             shards=ShardConfig(shards=2))
+        records = copy.deepcopy(read_records(path))
+        records[0]["manifest"]["shards"]["aggregator"] = aggregator
+        _rewrite(path, chain_records(records))
+        return path
+
+    def test_legacy_leaf_aggregator_equal_to_olive_is_dropped(
+            self, tmp_path):
+        path = self._with_legacy_leaf_aggregator(tmp_path, "advanced")
+        report = verify_log(path, strict=True)
+        assert all(v.replay_ok and v.sharded for v in report.rounds)
+
+    def test_legacy_leaf_aggregator_mismatch_names_the_field(
+            self, tmp_path):
+        path = self._with_legacy_leaf_aggregator(tmp_path, "linear")
+        with pytest.raises(AuditReplayError, match="shards.aggregator"):
+            verify_log(path, strict=True)
+
+
+# ----------------------------------------------------------------------
 # Inclusion proofs against a recorded log
 # ----------------------------------------------------------------------
 class TestProofs:

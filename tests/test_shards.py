@@ -24,6 +24,8 @@ import types
 import numpy as np
 import pytest
 
+from repro.core.aggregation import AGGREGATORS, AggregatorSpec
+from repro.core.grouping import aggregate_grouped
 from repro.core.olive import OliveConfig, OliveSystem
 from repro.fl.client import TrainingConfig
 from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
@@ -54,6 +56,7 @@ from repro.sgx.enclave import (
     EnclaveSecurityError,
     provision_enclave_with_clients,
 )
+from repro.sgx.memory import Trace
 
 D = 40
 K = 4
@@ -88,10 +91,9 @@ def run_shards(faults=None, n=60, entropy=123, min_accepted=0,
     service = ShardedAggregator(root, cfg, entropy=entropy)
     if injector is not None:
         service.injector = injector
-    report = service.aggregate_round(0, deliveries, D,
-                                     sampled=set(range(n)),
-                                     min_accepted=min_accepted)
-    return report, service, deliveries
+    aggregate, report = service.aggregate_round(
+        0, deliveries, D, sampled=set(range(n)), min_accepted=min_accepted)
+    return aggregate, report, service, deliveries
 
 
 def stub_injector(leaf_plans=None, root_plan=None):
@@ -146,7 +148,7 @@ class TestPlanning:
         {"shard_deadline_s": 0.0},
         {"max_shard_retries": -1},
         {"min_shard_quorum": 1.5},
-        {"aggregator": "nope"},
+        {"max_shards": 0},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -180,17 +182,17 @@ class TestEnclaveFaultInjector:
 
 class TestFaultFreeSharding:
     def test_accepts_everything_and_matches_dense_sum(self):
-        report, service, deliveries = run_shards()
+        aggregate, report, service, deliveries = run_shards()
         assert report.completion_rate == 1.0
         assert not report.degraded
         assert report.accepted_clients == list(range(60))
         ref = dense_sum(deliveries, service.root, set(range(60)))
-        np.testing.assert_allclose(report.aggregate, ref, atol=1e-12)
+        np.testing.assert_allclose(aggregate, ref, atol=1e-12)
 
     def test_deterministic_across_instances(self):
-        a, _, _ = run_shards()
-        b, _, _ = run_shards()
-        assert a.aggregate.tobytes() == b.aggregate.tobytes()
+        agg_a, a, _, _ = run_shards()
+        agg_b, b, _, _ = run_shards()
+        assert agg_a.tobytes() == agg_b.tobytes()
         assert a.accepted_clients == b.accepted_clients
 
     def test_replayed_duplicate_deduped_once(self):
@@ -200,7 +202,7 @@ class TestFaultFreeSharding:
                                    ciphertext=dup.ciphertext,
                                    result=None, duplicate=True))
         service = ShardedAggregator(root, ShardConfig(shards=4), entropy=1)
-        report = service.aggregate_round(0, deliveries, D,
+        _, report = service.aggregate_round(0, deliveries, D,
                                          sampled=set(range(60)))
         assert sum(o.deduped for o in report.outcomes) == 1
         assert report.accepted_clients == list(range(60))
@@ -215,7 +217,7 @@ class TestFaultFreeSharding:
         deliveries[3] = Delivery(client_id=3, ciphertext=tampered,
                                  result=None, corrupt=True)
         service = ShardedAggregator(root, ShardConfig(shards=4), entropy=1)
-        report = service.aggregate_round(0, deliveries, D,
+        _, report = service.aggregate_round(0, deliveries, D,
                                          sampled=set(range(60)))
         assert report.rejected == {3: "corrupt"}
         assert 3 not in report.accepted_clients
@@ -224,7 +226,7 @@ class TestFaultFreeSharding:
     def test_unsampled_upload_rejected(self):
         root, deliveries = build_root()
         service = ShardedAggregator(root, ShardConfig(shards=2), entropy=1)
-        report = service.aggregate_round(0, deliveries, D,
+        _, report = service.aggregate_round(0, deliveries, D,
                                          sampled=set(range(30)))
         assert len(report.accepted_clients) == 30
         assert all(reason == "unsampled"
@@ -233,76 +235,77 @@ class TestFaultFreeSharding:
 
 class TestRecovery:
     def _clean(self):
-        report, _, _ = run_shards()
-        return report
+        aggregate, report, _, _ = run_shards()
+        return aggregate, report
 
     def test_restart_resumes_from_checkpoint(self):
-        clean = self._clean()
+        clean_agg, clean = self._clean()
         # Shard 1 crashes (non-fatal) mid-attempt 0, then runs clean.
         inj = stub_injector({(1, 0): LeafFaultPlan(crash_fraction=0.7)})
-        report, _, _ = run_shards(injector=inj)
+        aggregate, report, _, _ = run_shards(injector=inj)
         out = report.outcomes[1]
         assert out.crashes == 1 and out.restarts == 1 and out.failovers == 0
         assert out.checkpoints >= 1
-        assert report.aggregate.tobytes() == clean.aggregate.tobytes()
+        assert aggregate.tobytes() == clean_agg.tobytes()
         assert report.accepted_clients == clean.accepted_clients
 
     def test_fatal_crash_fails_over_to_sibling(self):
-        clean = self._clean()
+        clean_agg, _ = self._clean()
         inj = stub_injector({(2, 0): LeafFaultPlan(crash_fraction=0.5,
                                                    fatal=True)})
-        report, service, _ = run_shards(injector=inj)
+        aggregate, report, service, _ = run_shards(injector=inj)
         out = report.outcomes[2]
         assert out.failovers == 1 and out.restarts == 0
         assert not service._leaves[out.shard_index % 4].alive or \
             out.leaf_index != out.shard_index
-        assert report.aggregate.tobytes() == clean.aggregate.tobytes()
+        assert aggregate.tobytes() == clean_agg.tobytes()
 
     def test_crash_before_any_checkpoint_resumes_from_zero(self):
-        clean = self._clean()
+        clean_agg, _ = self._clean()
         # Checkpoint cadence longer than the shard: ckpt stays None.
         inj = stub_injector({(0, 0): LeafFaultPlan(crash_fraction=0.9)})
-        report, _, _ = run_shards(injector=inj, checkpoint_every_batches=100)
+        aggregate, report, _, _ = run_shards(injector=inj,
+                                             checkpoint_every_batches=100)
         out = report.outcomes[0]
         assert out.crashes == 1 and out.checkpoints == 0
         # Re-ingesting from zero must not double-count anything.
-        assert report.aggregate.tobytes() == clean.aggregate.tobytes()
+        assert aggregate.tobytes() == clean_agg.tobytes()
 
     def test_double_crash_same_shard(self):
-        clean = self._clean()
+        clean_agg, _ = self._clean()
         inj = stub_injector({
             (3, 0): LeafFaultPlan(crash_fraction=0.4),
             (3, 1): LeafFaultPlan(crash_fraction=0.8, fatal=True),
         })
-        report, _, _ = run_shards(injector=inj)
+        aggregate, report, _, _ = run_shards(injector=inj)
         out = report.outcomes[3]
         assert out.crashes == 2
         assert out.restarts == 1 and out.failovers == 1
-        assert report.aggregate.tobytes() == clean.aggregate.tobytes()
+        assert aggregate.tobytes() == clean_agg.tobytes()
 
     def test_root_restart_recovers_from_checkpoint(self):
-        clean = self._clean()
+        clean_agg, clean = self._clean()
         inj = stub_injector(root_plan=RootFaultPlan(restart_fraction=0.6))
-        report, _, _ = run_shards(injector=inj)
+        aggregate, report, _, _ = run_shards(injector=inj)
         assert report.root_restarts == 1
-        assert report.aggregate.tobytes() == clean.aggregate.tobytes()
+        assert aggregate.tobytes() == clean_agg.tobytes()
         assert report.accepted_clients == clean.accepted_clients
 
     def test_root_restart_before_first_checkpoint(self):
-        clean = self._clean()
+        clean_agg, _ = self._clean()
         inj = stub_injector(root_plan=RootFaultPlan(restart_fraction=0.0))
-        report, _, _ = run_shards(injector=inj)
+        aggregate, report, _, _ = run_shards(injector=inj)
         assert report.root_restarts == 1
-        assert report.aggregate.tobytes() == clean.aggregate.tobytes()
+        assert aggregate.tobytes() == clean_agg.tobytes()
 
     def test_seeded_faults_replay_bit_identically(self):
         faults = EnclaveFaultConfig(leaf_crash_rate=0.4,
                                     crash_fatal_rate=0.5,
                                     leaf_straggler_rate=0.3,
                                     root_restart_rate=1.0)
-        a, _, _ = run_shards(faults=faults, entropy=8)
-        b, _, _ = run_shards(faults=faults, entropy=8)
-        assert a.aggregate.tobytes() == b.aggregate.tobytes()
+        agg_a, a, _, _ = run_shards(faults=faults, entropy=8)
+        agg_b, b, _, _ = run_shards(faults=faults, entropy=8)
+        assert agg_a.tobytes() == agg_b.tobytes()
         assert a.accepted_clients == b.accepted_clients
         assert [(o.crashes, o.failovers, o.restarts, o.attempts)
                 for o in a.outcomes] == \
@@ -310,22 +313,23 @@ class TestRecovery:
                 for o in b.outcomes]
 
     def test_deadline_miss_reassigns_and_completes(self):
-        clean = self._clean()
+        clean_agg, _ = self._clean()
         inj = stub_injector({(1, 0): LeafFaultPlan(delay_s=10.0),
                              (1, 1): LeafFaultPlan(delay_s=10.0)})
-        report, _, _ = run_shards(injector=inj, shard_deadline_s=1.0)
+        aggregate, report, _, _ = run_shards(injector=inj,
+                                             shard_deadline_s=1.0)
         out = report.outcomes[1]
         assert out.deadline_misses == 2 and out.failovers == 2
         assert out.completed
         assert out.latency_s >= 2.0  # two full deadlines burned
-        assert report.aggregate.tobytes() == clean.aggregate.tobytes()
+        assert aggregate.tobytes() == clean_agg.tobytes()
 
     def test_permanently_slow_shard_degrades_the_round(self):
         faults = EnclaveFaultConfig(leaf_straggler_rate=1.0,
                                     leaf_straggler_delay_s=10.0,
                                     leaf_straggler_jitter=False)
-        report, _, _ = run_shards(faults=faults, shard_deadline_s=1.0,
-                                  max_shard_retries=2)
+        _, report, _, _ = run_shards(faults=faults, shard_deadline_s=1.0,
+                                     max_shard_retries=2)
         assert report.degraded
         assert report.completion_rate == 0.0
         assert report.accepted_clients == []
@@ -335,20 +339,20 @@ class TestRecovery:
         # Shard 0 always crashes; everyone else completes.
         inj = stub_injector({(0, a): LeafFaultPlan(crash_fraction=0.5)
                              for a in range(10)})
-        report, service, deliveries = run_shards(injector=inj,
-                                                 max_shard_retries=2)
+        aggregate, report, service, deliveries = run_shards(
+            injector=inj, max_shard_retries=2)
         assert report.degraded
         assert report.completion_rate == 0.75
         assert report.failed_shards == [0]
         accepted = set(report.accepted_clients)
         assert 0 < len(accepted) < 60
         ref = dense_sum(deliveries, service.root, accepted)
-        np.testing.assert_allclose(report.aggregate, ref, atol=1e-12)
+        np.testing.assert_allclose(aggregate, ref, atol=1e-12)
 
     def test_epc_oversubscription_flagged_and_charged(self):
         # Below the fixed per-leaf working set, so the single shard
         # must page: flagged, penalized in latency, yet still correct.
-        report, _, _ = run_shards(shards=1, epc_bytes=4 * 1024 * 1024)
+        _, report, _, _ = run_shards(shards=1, epc_bytes=4 * 1024 * 1024)
         out = report.outcomes[0]
         assert out.epc_oversubscribed
         assert out.latency_s > out.wall_s  # paging penalty added
@@ -467,11 +471,11 @@ class TestEnclaveCheckpoint:
 
 
 def make_system(runtime=None, shards=None, seed=1, n_clients=12,
-                **cfg_kwargs):
+                aggregator="advanced", **cfg_kwargs):
     gen = SyntheticClassData(SPECS["tiny"], seed=0)
     clients = partition_clients(gen, n_clients, 20, 2, seed=0)
     config = OliveConfig(sample_rate=1.0, noise_multiplier=0.8,
-                         aggregator="advanced", training=TRAIN,
+                         aggregator=aggregator, training=TRAIN,
                          **cfg_kwargs)
     return OliveSystem(build_model("tiny_mlp", seed=0), clients, config,
                        seed=seed, runtime=runtime, shards=shards)
@@ -652,19 +656,105 @@ class TestOliveShardIntegration:
         assert log_sharded.shard_report is not None
         assert log_sharded.shard_report.n_shards == 3
 
-    def test_traced_sharded_round_rejected(self):
-        with make_system(shards=ShardConfig(shards=2)) as system:
-            with pytest.raises(ValueError, match="traced"):
-                system.run_round(traced=True)
+    def test_unsharded_round_is_one_leaf_one_fold(self):
+        with make_system() as system:
+            # The batch covers the population, so any cohort folds once.
+            assert system.shard_service.config == ShardConfig(
+                shards=1, oblivious_batch=12)
+            log = system.run_round(traced=True)
+        report = log.shard_report
+        assert report.n_shards == 1 and len(report.outcomes) == 1
+        assert len(report.partials) == 1
+        assert report.folds == [(0, 0)]
+        assert list(log.updates) == log.participants
+        reference = Trace()
+        AGGREGATORS["advanced"].run(list(log.updates.values()), system.d,
+                                    reference)
+        assert log.trace == reference
 
-    def test_adaptive_clipping_incompatible(self):
-        with pytest.raises(ValueError, match="adaptive"):
-            make_system(shards=ShardConfig(shards=2),
-                        adaptive_clipping=True)
+    def test_traced_sharded_round_records_every_leaf_fold(self):
+        runtime = RuntimeConfig(executor="vectorized")
+        with make_system(runtime=runtime, shards=ShardConfig(
+                shards=2, oblivious_batch=4)) as system:
+            log = system.run_round(traced=True)
+        report = log.shard_report
+        assert log.updates is report.updates
+        updates = list(log.updates.values())
+        assert sorted(log.updates) == log.participants == list(range(12))
+        # Shard s holds clients [s::2]; six uploads fold as 4 + 2.
+        assert [u.client_id for u in updates] == [0, 2, 4, 6, 8, 10,
+                                                  1, 3, 5, 7, 9, 11]
+        firsts = [first for _, first in report.folds]
+        assert firsts == [0, 4, 6, 10]
+        reference = Trace()
+        for (pos, lo), hi in zip(report.folds, firsts[1:] + [len(updates)]):
+            assert pos == len(reference)
+            AGGREGATORS["advanced"].run(updates[lo:hi], system.d, reference)
+        assert log.trace == reference
 
-    def test_group_size_incompatible(self):
-        with pytest.raises(ValueError, match="leaf kernel"):
-            make_system(shards=ShardConfig(shards=2), group_size=4)
+    def test_traced_crash_rerun_stays_in_the_trace(self):
+        # A crash after the first fold loses the second batch; the
+        # adversary saw its fold, so the trace keeps both runs of it.
+        inj = stub_injector({(0, 0): LeafFaultPlan(crash_fraction=0.9)})
+        with make_system(shards=ShardConfig(
+                shards=2, oblivious_batch=2,
+                checkpoint_every_batches=100)) as system:
+            system.shard_service.injector = inj
+            log = system.run_round(traced=True)
+        report = log.shard_report
+        assert report.outcomes[0].crashes == 1
+        firsts = [first for _, first in report.folds]
+        # Shard 0 (six uploads, crash at position 5) folds 0, 2, then
+        # restarts from zero: 0, 2, 4; shard 1 folds 6, 8, 10.
+        assert firsts == [0, 2, 0, 2, 4, 6, 8, 10]
+        assert sorted(log.updates) == log.participants == list(range(12))
+
+    def test_adaptive_clipping_at_any_shard_count(self):
+        runtime = RuntimeConfig(executor="vectorized")
+        clips, weights = [], []
+        for shards in (None, ShardConfig(shards=2)):
+            with make_system(runtime=runtime, shards=shards,
+                             adaptive_clipping=True) as system:
+                for log in system.run(2):
+                    assert sorted(log.updates) == log.participants
+                clips.append(system.clipper.clip)
+                weights.append(system.global_weights)
+        assert clips[0] == clips[1] != TRAIN.clip
+        np.testing.assert_allclose(weights[1], weights[0], atol=1e-10)
+
+    def test_group_size_folds_at_the_leaves(self):
+        runtime = RuntimeConfig(executor="vectorized")
+        logs = []
+        for shards in (None, ShardConfig(shards=2)):
+            with make_system(runtime=runtime, shards=shards,
+                             group_size=4) as system:
+                logs.append(system.run_round(traced=True))
+        plain, sharded = logs
+        np.testing.assert_allclose(sharded.weights_after,
+                                   plain.weights_after, atol=1e-10)
+        updates = list(sharded.updates.values())
+        reference = Trace()
+        for lo, hi in ((0, 6), (6, 12)):
+            aggregate_grouped(updates[lo:hi], sharded.weights_after.size, 4,
+                              trace=reference)
+        assert sharded.trace == reference
+
+    @pytest.mark.parametrize("aggregator", ["linear", "baseline",
+                                            "path_oram"])
+    def test_leaves_run_the_configured_aggregator(self, aggregator,
+                                                  monkeypatch):
+        seen = []
+        run = AggregatorSpec.run
+
+        def spy(spec, updates, d, trace=None):
+            seen.append(spec.name)
+            return run(spec, updates, d, trace)
+
+        monkeypatch.setattr(AggregatorSpec, "run", spy)
+        with make_system(shards=ShardConfig(shards=2),
+                         aggregator=aggregator) as system:
+            system.run_round()
+        assert seen == [aggregator, aggregator]
 
     def test_sharded_rejects_surface_in_outcomes(self):
         runtime = RuntimeConfig(faults=FaultConfig(corrupt_rate=1.0))
