@@ -63,11 +63,10 @@ def _round_under_audit():
             for c in clients}
 
     t0 = time.perf_counter()
-    runtime = CohortRuntime(RuntimeConfig(executor="vectorized"), model,
-                            clients, entropy=11, keys=keys)
-    with runtime:
-        result = runtime.run_cohort(0, [c.client_id for c in clients],
-                                    model.get_flat(), TRAIN)
+    runtime = CohortRuntime(RuntimeConfig(), model, clients, entropy=11,
+                            keys=keys)
+    result = runtime.run_cohort(0, [c.client_id for c in clients],
+                                model.get_flat(), TRAIN)
     service = AttestationService(signing_key=b"s" * 32,
                                  platform_secret=b"p" * 32)
     root = Enclave(attestation_service=service, seed=0)

@@ -1,25 +1,23 @@
-"""Mega-cohort client-path benchmark: vectorized executor vs the scalar loop.
+"""Mega-cohort client-path benchmark: the batched cohort vs the scalar loop.
 
 Times one full client round -- local training, sparsification, L2
 clipping, and authenticated encryption for every sampled client --
-three ways:
+two ways:
 
-* the **vectorized** executor, which processes the whole cohort as
-  stacked tensors (batched seed derivation, batched training,
-  axis-1 sparsification, chunked batched sealing);
+* the **cohort runtime**, which processes the whole cohort as stacked
+  tensors (batched seed derivation, batched training, axis-1
+  sparsification, chunked batched sealing);
 * the **scalar per-client loop** the package ran before its layer
   stacks were unified, kept as the test oracle (``tests/oracles.py``:
   derive, train on the scalar layers, seal -- one client at a time);
-  the speedup is measured against this loop;
-* the **serial** executor, which feeds the same batched core one client
-  per chunk; reported as its own measured row.
+  the speedup is measured against this loop.
 
 The workload models cross-device federated learning: many clients,
 each holding a small shard and training with a small local batch, so
 the per-client paths are dominated by Python/numpy dispatch overhead
 that the vectorized path amortizes across the cohort.
 
-Before any number is reported, the vectorized executor is asserted
+Before any number is reported, the cohort runtime is asserted
 **bit-identical** to the oracle loop on a 256-client cohort --
 ciphertext bytes included.  A speedup that changed a single byte would
 be a bug, not a win.
@@ -27,8 +25,8 @@ be a bug, not a win.
 Set ``MEGACOHORT_BENCH_QUICK=1`` for the reduced CI workload (1024
 clients, with a >= 10x speedup floor also enforced by the regression
 gate).  The full run sweeps cohort sizes up to 10^5 clients, timing
-the per-client paths directly up to 4096 clients and extrapolating them
-linearly beyond (their cost is per-client by construction).
+the per-client loop directly up to 4096 clients and extrapolating it
+linearly beyond (its cost is per-client by construction).
 """
 
 import os
@@ -54,9 +52,9 @@ ENTROPY = 11
 
 IDENTITY_CLIENTS = 256
 QUICK_CLIENTS = 1024
-#: Per-client paths are timed directly up to this size and
+#: The per-client loop is timed directly up to this size and
 #: extrapolated beyond.
-SERIAL_CAP = 4096
+LOOP_CAP = 4096
 FULL_SWEEP = (4096, 16384, 65536, 100_000)
 MIN_VECTORIZED_SPEEDUP = 10.0
 
@@ -70,22 +68,21 @@ def _cohort(n_clients):
     return clients, keys
 
 
-def _runtime_round(executor, n_clients, reps, warm=1):
-    """Best-of-``reps`` wall seconds of one cohort round through an
-    executor (after ``warm`` warm-up rounds), plus the last round's
+def _runtime_round(n_clients, reps, warm=1):
+    """Best-of-``reps`` wall seconds of one cohort round through the
+    runtime (after ``warm`` warm-up rounds), plus the last round's
     ciphertexts."""
     clients, keys = _cohort(n_clients)
     model = build_model("tiny_mlp", seed=0)
-    runtime = CohortRuntime(RuntimeConfig(executor=executor), model,
-                            clients, entropy=ENTROPY, keys=keys)
+    runtime = CohortRuntime(RuntimeConfig(), model, clients,
+                            entropy=ENTROPY, keys=keys)
     cohort, weights = [c.client_id for c in clients], model.get_flat()
     times = []
-    with runtime:
-        for r in range(warm + reps):
-            t0 = time.perf_counter()
-            result = runtime.run_cohort(r, cohort, weights, TRAIN)
-            if r >= warm:
-                times.append(time.perf_counter() - t0)
+    for r in range(warm + reps):
+        t0 = time.perf_counter()
+        result = runtime.run_cohort(r, cohort, weights, TRAIN)
+        if r >= warm:
+            times.append(time.perf_counter() - t0)
     sealed = {d.client_id: d.ciphertext.to_bytes() for d in result.deliveries}
     return min(times), sealed
 
@@ -117,11 +114,11 @@ def _oracle_round(n_clients, reps, warm=1, round_index=None):
 
 
 def _assert_identical(n_clients):
-    """Vectorized and the oracle loop agree byte-for-byte (ciphertexts)."""
-    _, vectorized = _runtime_round("vectorized", n_clients, reps=1, warm=0)
+    """The runtime and the oracle loop agree byte-for-byte (ciphertexts)."""
+    _, vectorized = _runtime_round(n_clients, reps=1, warm=0)
     _, oracle = _oracle_round(n_clients, reps=1, warm=0, round_index=0)
     assert vectorized == oracle, (
-        "vectorized executor diverged from the scalar oracle loop"
+        "cohort runtime diverged from the scalar oracle loop"
     )
 
 
@@ -131,22 +128,21 @@ def test_megacohort_speedup():
     series = []
     if QUICK:
         sweep = (QUICK_CLIENTS,)
-        oracle_reps, serial_reps, vector_reps = 2, 1, 3
+        oracle_reps, vector_reps = 2, 3
     else:
         sweep = FULL_SWEEP
-        oracle_reps, serial_reps, vector_reps = 2, 1, 2
+        oracle_reps, vector_reps = 2, 2
 
     per_client = None
     quick_speedup = None
     for n in sweep:
-        vector_wall, _ = _runtime_round("vectorized", n, reps=vector_reps)
-        if n <= SERIAL_CAP or QUICK:
+        vector_wall, _ = _runtime_round(n, reps=vector_reps)
+        if n <= LOOP_CAP or QUICK:
             oracle_wall, _ = _oracle_round(n, reps=oracle_reps)
-            serial_wall, _ = _runtime_round("serial", n, reps=serial_reps)
-            per_client = (oracle_wall / n, serial_wall / n)
+            per_client = oracle_wall / n
             kind = "measured"
         else:
-            oracle_wall, serial_wall = (c * n for c in per_client)
+            oracle_wall = per_client * n
             kind = "extrapolated"
         speedup = oracle_wall / vector_wall
         if n == QUICK_CLIENTS:
@@ -154,8 +150,7 @@ def test_megacohort_speedup():
         series.append({
             "n_clients": n,
             "oracle_seconds": oracle_wall,
-            "serial_seconds": serial_wall,
-            "serial_kind": kind,
+            "oracle_kind": kind,
             "vectorized_seconds": vector_wall,
             "speedup": speedup,
         })
@@ -164,10 +159,8 @@ def test_megacohort_speedup():
         f"Mega-cohort client path: {SAMPLES_PER_CLIENT} samples/client, "
         f"batch {TRAIN.batch_size}, {TRAIN.local_epochs} epochs, sealed "
         f"top-k uploads (speedup vs the scalar per-client loop)",
-        ["clients", "scalar loop s", "serial executor s", "",
-         "vectorized s", "speedup"],
-        [[r["n_clients"], f"{r['oracle_seconds']:.2f}",
-          f"{r['serial_seconds']:.2f}", r["serial_kind"],
+        ["clients", "scalar loop s", "", "vectorized s", "speedup"],
+        [[r["n_clients"], f"{r['oracle_seconds']:.2f}", r["oracle_kind"],
           f"{r['vectorized_seconds']:.2f}",
           f"{r['speedup']:.1f}x"] for r in series],
     )
@@ -188,7 +181,7 @@ def test_megacohort_speedup():
         payload["vectorized_speedup"] = quick_speedup
     save_results("megacohort", payload)
 
-    # Acceptance bar: the vectorized executor must clear 10x over the
+    # Acceptance bar: the cohort runtime must clear 10x over the
     # scalar per-client loop on the 1024-client workload (the floor is
     # also enforced by the CI regression gate on the saved payload).
     if quick_speedup is not None:

@@ -73,11 +73,10 @@ def _client_phase(n_clients):
     model = build_model("tiny_mlp", seed=0)
     keys = {c.client_id: crypto.generate_key(b"k%d" % c.client_id)
             for c in clients}
-    runtime = CohortRuntime(RuntimeConfig(executor="vectorized"), model,
-                            clients, entropy=11, keys=keys)
-    with runtime:
-        result = runtime.run_cohort(0, [c.client_id for c in clients],
-                                    model.get_flat(), TRAIN)
+    runtime = CohortRuntime(RuntimeConfig(), model, clients, entropy=11,
+                            keys=keys)
+    result = runtime.run_cohort(0, [c.client_id for c in clients],
+                                model.get_flat(), TRAIN)
     return result.deliveries, keys, model.num_params
 
 

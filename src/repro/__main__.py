@@ -25,7 +25,6 @@ from .fl import (
     partition_clients,
 )
 from .runtime import (
-    EXECUTORS,
     EnclaveFaultConfig,
     FaultConfig,
     RuntimeConfig,
@@ -48,18 +47,6 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     parser.add_argument(
         "--telemetry-out", metavar="PATH", default=None,
         help="write the demo's telemetry event stream to PATH as JSONL",
-    )
-    parser.add_argument(
-        "--workers", type=int, metavar="N", default=1,
-        help="cohort runtime workers; N > 1 trains clients on a thread "
-             "pool (results are bit-identical to serial)",
-    )
-    parser.add_argument(
-        "--executor", choices=EXECUTORS,
-        default=None,
-        help="cohort executor override; 'vectorized' trains the whole "
-             "cohort as stacked tensors (default: thread when "
-             "--workers > 1, else serial)",
     )
     parser.add_argument(
         "--dropout-rate", type=float, metavar="P", default=0.0,
@@ -142,10 +129,7 @@ def main(argv: Sequence[str] | None = None) -> None:
         training=TrainingConfig(local_epochs=2, local_lr=0.3,
                                 sparse_ratio=0.1),
     )
-    executor = args.executor or ("thread" if args.workers > 1 else "serial")
     runtime = RuntimeConfig(
-        executor=executor,
-        workers=max(1, args.workers),
         faults=FaultConfig(dropout_rate=args.dropout_rate,
                            straggler_rate=args.straggler_rate),
     )
@@ -174,8 +158,8 @@ def main(argv: Sequence[str] | None = None) -> None:
     x, y = gen.balanced(20, np.random.default_rng(1))
     logger.info("  %d clients attested; %d-parameter model",
                 len(clients), system.d)
-    logger.info("  cohort runtime: %s executor, %d worker(s), "
-                "dropout rate %.2f", runtime.executor, runtime.workers,
+    logger.info("  cohort runtime: batched in chunks of %d clients "
+                "(vector_chunk), dropout rate %.2f", runtime.vector_chunk,
                 args.dropout_rate)
     if shards is not None:
         logger.info("  sharded aggregation: %d leaf enclaves, leaf "

@@ -23,7 +23,7 @@ from .. import obs
 from ..core.olive import OliveRoundLog
 from ..fl.client import TrainingConfig
 from ..fl.models import Sequential
-from ..runtime import STREAM_TEACHER, RuntimeConfig, TrainTask, run_train_tasks
+from ..runtime import STREAM_TEACHER, TrainTask, run_train_tasks
 from ..serving.engine import ServedBatch
 from .classifiers import (
     JacAttack,
@@ -82,7 +82,6 @@ def build_teacher(
     test_data_by_label: dict[int, np.ndarray],
     training: TrainingConfig,
     config: AttackConfig,
-    runtime: RuntimeConfig | None = None,
 ) -> dict[int, dict[int, list[frozenset[int]]]]:
     """Teacher observations teacher[t][l] (Algorithm 2, lines 9-12).
 
@@ -91,10 +90,10 @@ def build_teacher(
     procedure (local SGD from theta^t, top-k sparsify) on each shard,
     yielding several observation samples per (round, label).
 
-    All replays are independent, so they batch through the cohort
-    runtime executor (``runtime``; serial by default).  Each replay's
+    All replays are independent and run through the cohort runtime's
+    client core (:func:`repro.runtime.run_train_tasks`).  Each replay's
     randomness derives from its ``(round, label, shard)`` identity, so
-    the teacher is bit-identical for every executor and worker count.
+    the teacher does not depend on the order the replays run in.
     """
     splits = max(1, config.teacher_samples_per_label)
     tasks: list[TrainTask] = []
@@ -124,7 +123,7 @@ def build_teacher(
     with obs.span("attack.build_teacher", rounds=len(logs),
                   labels=len(test_data_by_label), splits=splits,
                   tasks=len(tasks)):
-        index_sets = run_train_tasks(model, tasks, runtime)
+        index_sets = run_train_tasks(model, tasks)
         for (round_index, label), indices in zip(slots, index_sets):
             teacher[round_index][label].append(
                 coarsen_indices(indices, config.granularity)
@@ -141,7 +140,6 @@ def run_attack(
     true_labels: dict[int, frozenset[int]],
     d: int,
     config: AttackConfig | None = None,
-    runtime: RuntimeConfig | None = None,
 ) -> AttackResult:
     """Execute Algorithm 2 over a sequence of traced rounds."""
     config = config or AttackConfig()
@@ -163,7 +161,7 @@ def run_attack(
         obs.add("attack.clients_observed", len(per_client))
 
         teacher = build_teacher(logs, model, test_data_by_label, training,
-                                config, runtime=runtime)
+                                config)
 
         scores: dict[int, np.ndarray] = {}
         with obs.span("attack.score", method=config.method,

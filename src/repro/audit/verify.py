@@ -111,6 +111,28 @@ def verify_round_commitment(record: dict) -> None:
         )
 
 
+def runtime_from_manifest(section: dict):
+    """A manifest's ``runtime`` section as a :class:`RuntimeConfig`.
+
+    Older manifests name a cohort executor and a worker count.  The
+    ``workers`` key is dropped, and an executor of ``serial`` or
+    ``thread`` maps to the one batched path, which produces the same
+    bits; any other executor name is refused.
+    """
+    from ..runtime import FaultConfig, RuntimeConfig
+
+    rt = dict(section)
+    rt.pop("workers", None)
+    executor = rt.pop("executor", "vectorized")
+    if executor not in ("serial", "thread", "vectorized"):
+        raise AuditReplayError(
+            f"manifest field runtime.executor={executor!r} names no cohort "
+            "path; the recorded run cannot be replayed"
+        )
+    rt["faults"] = FaultConfig(**rt["faults"])
+    return RuntimeConfig(**rt)
+
+
 def build_system_from_manifest(manifest: dict):
     """Reconstruct the recorded run's OliveSystem, ready to replay."""
     # Imported here: repro.core imports repro.runtime at package load
@@ -119,12 +141,7 @@ def build_system_from_manifest(manifest: dict):
     from ..fl.client import TrainingConfig
     from ..fl.datasets import SPECS, SyntheticClassData, partition_clients
     from ..fl.models import build_model
-    from ..runtime import (
-        EnclaveFaultConfig,
-        FaultConfig,
-        RuntimeConfig,
-        ShardConfig,
-    )
+    from ..runtime import EnclaveFaultConfig, ShardConfig
 
     if manifest.get("kind") != "synthetic":
         raise AuditReplayError(
@@ -146,9 +163,7 @@ def build_system_from_manifest(manifest: dict):
     config = OliveConfig(**olive)
     runtime = None
     if manifest.get("runtime") is not None:
-        rt = dict(manifest["runtime"])
-        rt["faults"] = FaultConfig(**rt["faults"])
-        runtime = RuntimeConfig(**rt)
+        runtime = runtime_from_manifest(manifest["runtime"])
     shards = None
     if manifest.get("shards") is not None:
         sh = dict(manifest["shards"])

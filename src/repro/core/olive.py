@@ -16,10 +16,11 @@ Section 5.  Running a round with ``traced=True`` records the adversary-
 visible access pattern for the attack framework.
 
 Local training for the sampled cohort executes through the cohort
-runtime (:mod:`repro.runtime`): a pluggable serial/thread/vectorized
-executor with per-``(round, client)`` seed derivation (bit-identical
-results across executors), deterministic fault injection, retries,
-per-client timeouts, and a minimum-quorum completion policy; under
+runtime (:mod:`repro.runtime`): the whole cohort trains as stacked
+tensors in one batched flush, with per-``(round, client)`` seed
+derivation (bit-identical results however the cohort is chunked),
+deterministic fault injection, retries and per-client timeouts settled
+from the fault plan, and a minimum-quorum completion policy; under
 fault injection the DP accountant charges the realized cohort fraction.
 
 Every round aggregates through the shard service
@@ -160,8 +161,8 @@ class OliveSystem:
         return self.global_weights.size
 
     def close(self) -> None:
-        """Release runtime pools / shared memory (idempotent)."""
-        self.runtime.close()
+        """Nothing to release (the cohort runtime holds no pool); kept
+        so ``with OliveSystem(...)`` and ``close()`` callers work."""
 
     def __enter__(self) -> "OliveSystem":
         return self
@@ -196,7 +197,6 @@ class OliveSystem:
         with obs.span(
             "round", hist="round.wall_s", index=len(self.history),
             aggregator=self.config.aggregator, traced=traced,
-            executor=self.runtime_config.executor,
         ):
             # Line 4: secure sampling inside the enclave.
             with obs.span("sample"):

@@ -24,7 +24,7 @@ axis**: weights are stacked ``(C, ...)`` and activations flow as
 ``(C, batch, features)``.  :func:`build_model` returns a single model
 (``C = 1``); :meth:`Sequential.replicate` turns it into C independent
 copies that train in shared batched matmuls -- the path every cohort
-executor runs.  Each client slice performs exactly the operations of a
+trains through.  Each client slice performs exactly the operations of a
 lone model (same matmuls, same reductions, same elementwise ops), so a
 client's result never depends on the cohort it trained in; the scalar
 reference layers in ``tests/oracles.py`` pin this bit for bit.

@@ -89,8 +89,9 @@ class FederatedSimulation:
         return self.global_weights.size
 
     def close(self) -> None:
-        """Release runtime pools / shared memory (idempotent)."""
-        self.runtime.close()
+        """Nothing to release (the cohort runtime holds no pool); kept
+        so ``with FederatedSimulation(...)`` and ``close()`` callers
+        work."""
 
     def __enter__(self) -> "FederatedSimulation":
         return self
@@ -108,9 +109,9 @@ class FederatedSimulation:
     def run_round(self, participants: list[int] | None = None) -> RoundLog:
         """One DP-FedAVG round; returns its log.
 
-        Local training executes through the cohort runtime: parallel
-        executors and injected faults change wall clock and who
-        completes, never the surviving clients' update bits.
+        Local training executes through the cohort runtime: chunking
+        and injected faults change wall clock and who completes, never
+        the surviving clients' update bits.
         """
         if participants is None:
             participants = self._sample_participants()

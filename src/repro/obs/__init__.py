@@ -17,7 +17,7 @@ overhead guard in ``benchmarks/bench_trace_engine.py``).
 
 Since the flight-recorder PR the layer is also a distributed tracer:
 spans carry ``trace_id``/``span_id``/``parent_id``, contexts propagate
-explicitly across executor and shard boundaries
+explicitly across thread boundaries
 (:func:`current_context` / ``span(parent=...)``), and the recording
 renders as a round-health report (:mod:`repro.obs.report`,
 ``python -m repro report``) or diffs against another run

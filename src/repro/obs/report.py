@@ -6,8 +6,8 @@ bench archives) into the questions an operator actually asks:
 
 * **where did each round's time go?** -- a per-round phase waterfall
   reconstructed from the span trees (spans are causally linked through
-  ``trace_id``/``parent_id``, including spans recorded inside process
-  workers and shard leaves);
+  ``trace_id``/``parent_id``, including spans recorded inside shard
+  leaves);
 * **what failed, and why?** -- failure-reason and retry breakdowns from
   the runtime counters, plus the shard crash/failover/restart event
   log in time order;
@@ -160,7 +160,7 @@ def _tree_lines(node: SpanNode, lines: list[str], depth: int,
     attrs = node.event.get("attrs") or {}
     label = ", ".join(f"{k}={v}" for k, v in attrs.items()
                       if k in ("index", "client", "shard", "leaf",
-                               "attempt", "executor"))
+                               "attempt"))
     err = "  ERROR" if node.event.get("error") else ""
     lines.append(f"{'  ' * depth}{node.name:<22} "
                  f"+{node.t_start:8.3f}s  {_fmt_s(node.wall_s):>9}"
@@ -258,8 +258,7 @@ def render_report(rec: FlightRecording, title: str = "round-health report",
                if k.startswith("runtime.failure_reason.")}
     rejects = {k.split(".", 2)[2]: v for k, v in rec.counters.items()
                if k.startswith("shard.reject_reason.")}
-    retry_keys = ("runtime.retries", "runtime.timeouts",
-                  "runtime.transient_failures", "runtime.failures",
+    retry_keys = ("runtime.retries", "runtime.transient_failures", "runtime.failures",
                   "runtime.dropouts", "runtime.stragglers_dropped")
     retries = {k: rec.counters[k] for k in retry_keys if k in rec.counters}
     if reasons or rejects or retries:

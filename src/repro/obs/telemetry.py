@@ -5,18 +5,18 @@ knowing *where* a round spends its time -- client training vs ECALL
 decryption vs the oblivious kernel vs cost-model replay.  This module
 is the single instrumentation substrate for the whole stack, and since
 the flight-recorder PR it is also a *distributed tracer*: every span
-carries ``trace_id``/``span_id``/``parent_id``, contexts propagate
-explicitly across thread executor boundaries, and the event stream
+carries ``trace_id``/``span_id``/``parent_id``, contexts can propagate
+explicitly across thread boundaries, and the event stream
 reconstructs one causally-linked tree per round even when parts of it
-were recorded on worker threads.
+were recorded on other threads.
 
 * :func:`span` -- a nested context manager recording wall time, CPU
   time, and (opt-in) the tracemalloc memory high-water mark of one
   phase.  Spans know their parents: ``span("round")`` containing
   ``span("aggregate")`` yields the path ``"round/aggregate"``.  An
   explicit ``parent=`` :class:`TraceContext` (captured with
-  :func:`current_context`, shipped to a worker inside its job) re-roots
-  the span under a remote parent -- the worker's span then carries the
+  :func:`current_context`, handed to work on another thread) re-roots
+  the span under a remote parent -- the remote span then carries the
   coordinator's ``trace_id`` and full path, so the stream needs no
   path rewriting.  ``hist=`` additionally records the span's wall time
   into the named histogram.
@@ -99,9 +99,8 @@ class TraceContext:
     Carries everything a remote child span needs to link itself into
     the originating tree -- the trace id, the parent's span id, and the
     parent's full path (so the child's path continues the tree without
-    any rewriting).  It rides inside
-    :class:`repro.runtime.jobs.ClientJob` onto the thread executor's
-    workers, whose span stacks start empty.
+    any rewriting).  Hand it to work running on another thread, whose
+    span stack starts empty.
     """
 
     trace_id: str
@@ -249,8 +248,8 @@ class Span:
         ctx = self._parent_ctx
         if ctx is not None:
             # Explicit (possibly remote) parent wins over the local
-            # stack: every executor's client spans then share one path
-            # family regardless of where the work physically ran.
+            # stack: remote spans then share one path family
+            # regardless of where the work physically ran.
             self.trace_id = ctx.trace_id
             self.parent_id = ctx.span_id
             self.path = (ctx.path + "/" + self.name) if ctx.path \

@@ -1,22 +1,22 @@
-"""Cohort runtime: parallel, fault-tolerant client execution.
+"""Cohort runtime: fault-tolerant client execution.
 
 The subsystem OLIVE's round loop submits sampled cohorts through:
 
-* pluggable executors (``serial`` | ``thread`` | ``vectorized``
-  whole-cohort tensor batching) -- :mod:`repro.runtime.executors`;
-* per-``(round, client)`` seed derivation making every executor
-  bit-identical -- :mod:`repro.runtime.seeding`;
+* one batched client core that trains a chunk of clients as stacked
+  tensors and seals it in one pass -- :mod:`repro.runtime.jobs`;
+* per-``(round, client)`` seed derivation making every client's bits
+  independent of chunking -- :mod:`repro.runtime.seeding`;
 * deterministic fault injection (dropout, stragglers, corrupt/replayed
   ciphertexts, transient worker failures) -- :mod:`repro.runtime.faults`;
-* retries with exponential backoff, per-client timeouts, and a
-  minimum-quorum completion policy -- :mod:`repro.runtime.cohort`.
+* retries with exponential backoff and per-client timeouts, both
+  settled from the fault plan, and a minimum-quorum completion policy
+  -- :mod:`repro.runtime.cohort`.
 
 Typical use::
 
     from repro.runtime import CohortRuntime, FaultConfig, RuntimeConfig
 
-    cfg = RuntimeConfig(executor="thread", workers=8,
-                        faults=FaultConfig(dropout_rate=0.05))
+    cfg = RuntimeConfig(faults=FaultConfig(dropout_rate=0.05))
     system = OliveSystem(model, clients, olive_config, runtime=cfg)
 """
 
@@ -24,7 +24,6 @@ from .cohort import (
     REASON_DROPOUT,
     REASON_FORCED,
     REASON_STRAGGLER,
-    REASON_TIMEOUT,
     REASON_TRANSIENT,
     STATUS_DROPPED,
     STATUS_FAILED,
@@ -39,7 +38,6 @@ from .cohort import (
     run_train_tasks,
 )
 from .config import QuorumNotMetError, RuntimeConfig
-from .executors import EXECUTORS, make_executor
 from .faults import (
     ClientFaultPlan,
     EnclaveFaultConfig,
@@ -53,9 +51,7 @@ from .jobs import (
     ClientJob,
     ClientJobResult,
     TrainTask,
-    TransientWorkerError,
     WorkerContext,
-    execute_client_job,
     execute_client_jobs_batch,
     execute_train_task,
 )
@@ -84,11 +80,9 @@ from .shards import (  # noqa: E402
 )
 
 __all__ = [
-    "EXECUTORS",
     "REASON_DROPOUT",
     "REASON_FORCED",
     "REASON_STRAGGLER",
-    "REASON_TIMEOUT",
     "REASON_TRANSIENT",
     "STATUS_DROPPED",
     "STATUS_FAILED",
@@ -121,16 +115,13 @@ __all__ = [
     "ShardRoundReport",
     "ShardedAggregator",
     "TrainTask",
-    "TransientWorkerError",
     "WorkerContext",
     "derive_nonce",
     "derive_nonces_batch",
     "derive_rng",
     "derive_rngs_batch",
-    "execute_client_job",
     "execute_client_jobs_batch",
     "execute_train_task",
-    "make_executor",
     "plan_shards",
     "record_failure_reason",
     "run_train_tasks",

@@ -1,19 +1,20 @@
-"""The cohort runtime: parallel, fault-tolerant client execution.
+"""The cohort runtime: fault-tolerant client execution in one batched flush.
 
 :class:`CohortRuntime` is the engine OLIVE's round loop submits the
-sampled cohort through.  It owns a pluggable executor (serial, thread
-pool, or vectorized whole-cohort batching), applies the deterministic
-fault plan per ``(round, client)``, retries transient failures with
-exponential backoff, drops stragglers past the per-client timeout, and
+sampled cohort through.  It applies the deterministic fault plan per
+``(round, client)``, settles retries of injected transient failures and
+drops stragglers past the per-client timeout from that plan, trains the
+survivors as stacked tensors in ``vector_chunk``-sized chunks, and
 enforces the minimum-quorum completion policy.
 
 Two invariants the tests pin:
 
-1. **Executor invariance** -- every executor produces bit-identical
-   per-client results and round outcomes for the same configuration,
-   regardless of worker count or completion order (all randomness is
-   derived from ``(round, client)`` identity, and deliveries are
-   finalized in client-id order).
+1. **Oracle equivalence** -- the runtime's per-client results, outcomes
+   and runtime counters equal the per-client loop that trains, retries
+   and backs off one client at a time
+   (``tests/oracles.py::run_cohort_loop``), bit for bit: all randomness
+   is derived from ``(round, client)`` identity, and deliveries are
+   finalized in client-id order.
 2. **Fault isolation** -- injected faults only ever *exclude* clients;
    the surviving clients' updates are bit-identical to a fault-free
    run, so the aggregate differs exactly by the excluded contributions.
@@ -21,10 +22,8 @@ Two invariants the tests pin:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -36,26 +35,31 @@ from ..fl.datasets import ClientData
 from ..fl.models import Sequential
 from ..sgx.crypto import Ciphertext
 from .config import QuorumNotMetError, RuntimeConfig
-from .executors import make_executor
 from .faults import ClientFaultPlan, FaultInjector
-from .jobs import ClientJob, ClientJobResult, TrainTask, TransientWorkerError
+from .jobs import (
+    ClientJob,
+    ClientJobResult,
+    TrainTask,
+    WorkerContext,
+    execute_client_jobs_batch,
+    execute_train_task,
+)
 
 #: Terminal per-client statuses after one round.
 STATUS_OK = "ok"
 STATUS_DROPPED = "dropped"              # fault-injected or forced dropout
 STATUS_STRAGGLER = "straggler"          # injected delay beyond the timeout
-STATUS_FAILED = "failed"                # retries exhausted / timed out
+STATUS_FAILED = "failed"                # transient-failure retries exhausted
 STATUS_REJECTED = "rejected"            # enclave refused the ciphertext
 
 #: Failure *reasons*: why a non-ok status happened, one level finer
-#: than the status (a STATUS_FAILED client timed out or kept failing
-#: transiently; a STATUS_REJECTED upload was corrupt, replayed, or from
+#: than the status (a STATUS_FAILED client kept failing transiently; a
+#: STATUS_REJECTED upload was corrupt, replayed, or from
 #: an unsampled client -- the enclave's ``EnclaveSecurityError.reason``
 #: is recorded verbatim for rejects).
 REASON_DROPOUT = "dropout"              # fault-injected dropout
 REASON_FORCED = "forced"                # caller-forced dropout
 REASON_STRAGGLER = "straggler"          # injected delay beyond the timeout
-REASON_TIMEOUT = "timeout"              # wall-clock attempt timeout
 REASON_TRANSIENT = "transient"          # transient worker failures
 
 
@@ -71,7 +75,16 @@ def record_failure_reason(outcome: "ClientOutcome", reason: str) -> None:
 
 @dataclass
 class ClientOutcome:
-    """What happened to one sampled client this round."""
+    """What happened to one sampled client this round.
+
+    ``latency_s`` of a trained client has two parts: the wait it was
+    charged -- injected delay plus its backoff schedule, slept (once,
+    overlapped with every other client's wait) -- and its amortized
+    share of its chunk's measured training time, ``train_seconds``.
+    A client that exhausted its retries carries only its backoff
+    schedule; a dropped straggler carries its injected delay, which is
+    never slept.
+    """
 
     client_id: int
     status: str
@@ -162,7 +175,7 @@ def _tamper(ciphertext: Ciphertext) -> Ciphertext:
 
 
 class CohortRuntime:
-    """Executes sampled cohorts through a pluggable, seeded executor."""
+    """Executes sampled cohorts as seeded, batched client jobs."""
 
     def __init__(
         self,
@@ -176,37 +189,9 @@ class CohortRuntime:
         self.entropy = int(entropy)
         self.keys = keys
         self.injector = FaultInjector(config.faults, self.entropy)
-        self._model = model
-        self._clients = {c.client_id: c for c in clients}
-        self._d = model.num_params
-        self._executor = None
-
-    # -- lifecycle -----------------------------------------------------
-    def _ensure_executor(self):
-        if self._executor is None:
-            self._executor = make_executor(self.config.executor,
-                                           self.config.workers,
-                                           vector_chunk=self.config.vector_chunk)
-            self._executor.start(self._model, self._clients, self._d)
-        return self._executor
-
-    def close(self) -> None:
-        """Release the executor's worker pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "CohortRuntime":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # best-effort cleanup for leaked runtimes
-        try:
-            self.close()
-        except Exception:
-            pass
+        self._context = WorkerContext(
+            model=model, clients={c.client_id: c for c in clients},
+            weights=np.zeros(max(model.num_params, 1)))
 
     # -- cohort execution ----------------------------------------------
     def run_cohort(
@@ -221,22 +206,21 @@ class CohortRuntime:
     ) -> CohortResult:
         """Execute one sampled cohort; returns outcomes + deliveries.
 
-        Jobs for all admitted clients are submitted up front (so pooled
-        executors overlap them) and collected in **client-id order** --
-        the canonical order that makes aggregation input, and therefore
-        every downstream bit, independent of completion order.
+        Four steps: plan each client's faults and drop dropouts and
+        stragglers past ``client_timeout_s``; settle injected transient
+        failures from the plan (:meth:`_settle_retries`); sleep once
+        for the longest admitted wait, so stragglers and backoffs
+        overlap; train the survivors in ``vector_chunk``-sized chunks.
+        Deliveries are built in **client-id order** -- the canonical
+        order that makes aggregation input, and therefore every
+        downstream bit, independent of chunking.
         """
         cfg = self.config
         forced = forced_dropouts or set()
-        executor = self._ensure_executor()
-        executor.broadcast(weights)
-        # Flight recorder: ship the open (round) span's context with
-        # every job so worker-side client spans join the round's trace
-        # even across thread boundaries.
-        trace_ctx = obs.current_context()
+        self._context.weights = weights
 
         outcomes: dict[int, ClientOutcome] = {}
-        pending: dict[int, tuple[ClientJob, object]] = {}
+        jobs: list[ClientJob] = []
         for cid in sorted(cohort):
             plan = self.injector.plan(round_index, cid)
             if cid in forced or plan.dropped:
@@ -257,20 +241,32 @@ class CohortRuntime:
                 record_failure_reason(outcomes[cid], REASON_STRAGGLER)
                 obs.add("runtime.stragglers_dropped")
                 continue
-            job = ClientJob(
-                round_index=round_index, client_id=cid, entropy=self.entropy,
-                training=training, clip=clip, quantize_bits=quantize_bits,
-                key=self.keys.get(cid) if self.keys is not None else None,
-                delay_s=plan.delay_s, fail_attempts=plan.fail_attempts,
-                trace_ctx=trace_ctx,
-            )
-            pending[cid] = (job, plan, executor.submit(job))
+            outcomes[cid] = outcome = self._settle_retries(cid, plan)
+            if outcome.status == STATUS_OK:
+                jobs.append(ClientJob(
+                    round_index=round_index, client_id=cid,
+                    entropy=self.entropy, training=training, clip=clip,
+                    quantize_bits=quantize_bits,
+                    key=self.keys.get(cid) if self.keys is not None else None,
+                    attempt=outcome.retries,
+                ))
 
-        for cid in sorted(pending):
-            job, plan, future = pending[cid]
-            with obs.span("train", client=cid, executor=executor.kind):
-                outcome = self._collect(executor, cid, job, future, plan)
-            outcomes[cid] = outcome
+        chunk = cfg.vector_chunk
+        with obs.span("train", clients=len(jobs),
+                      chunks=math.ceil(len(jobs) / chunk)):
+            wait = max((o.latency_s for o in outcomes.values()
+                        if o.status in (STATUS_OK, STATUS_FAILED)),
+                       default=0.0)
+            if wait > 0.0:
+                time.sleep(wait)
+            for start in range(0, len(jobs), chunk):
+                for res in execute_client_jobs_batch(
+                        self._context, jobs[start:start + chunk]):
+                    outcome = outcomes[res.client_id]
+                    outcome.result = res
+                    outcome.latency_s += res.train_seconds
+                    obs.observe("runtime.client_latency_s",
+                                outcome.latency_s)
 
         result = CohortResult(round_index=round_index,
                               sampled=sorted(cohort), outcomes=outcomes)
@@ -298,58 +294,42 @@ class CohortRuntime:
         obs.gauge("runtime.completed_cohort", len(result.completed))
         return result
 
-    def _collect(self, executor, cid: int, job: ClientJob, future,
-                 plan: ClientFaultPlan) -> ClientOutcome:
-        """Wait for one client with retry + exponential backoff."""
-        cfg = self.config
-        t0 = time.perf_counter()
-        attempt = 0
-        retries = 0
-        while True:
-            try:
-                res = future.result(timeout=self._wall_timeout(job))
-                latency = time.perf_counter() - t0
-                obs.observe("runtime.client_latency_s", latency)
-                return ClientOutcome(cid, STATUS_OK, attempts=attempt + 1,
-                                     retries=retries, latency_s=latency,
-                                     plan=plan, result=res)
-            except (TransientWorkerError, FutureTimeoutError) as exc:
-                timed_out = isinstance(exc, FutureTimeoutError)
-                if timed_out:
-                    obs.add("runtime.timeouts")
-                    future.cancel()
-                else:
-                    obs.add("runtime.transient_failures")
-                if attempt >= cfg.max_retries:
-                    obs.add("runtime.failures")
-                    latency = time.perf_counter() - t0
-                    outcome = ClientOutcome(cid, STATUS_FAILED,
-                                            attempts=attempt + 1,
-                                            retries=retries,
-                                            latency_s=latency, plan=plan)
-                    record_failure_reason(
-                        outcome,
-                        REASON_TIMEOUT if timed_out else REASON_TRANSIENT)
-                    return outcome
-                backoff = min(cfg.backoff_base_s * (2.0 ** attempt),
-                              cfg.backoff_cap_s)
-                if backoff > 0:
-                    obs.observe("runtime.backoff_s", backoff)
-                    time.sleep(backoff)
-                attempt += 1
-                retries += 1
-                obs.add("runtime.retries")
-                job = dataclasses.replace(job, attempt=attempt)
-                future = executor.submit(job)
+    def _settle_retries(self, cid: int,
+                        plan: ClientFaultPlan) -> ClientOutcome:
+        """The retry loop's result for one admitted client, from its plan.
 
-    def _wall_timeout(self, job: ClientJob) -> float | None:
-        """Wall-clock bound for one attempt (injected delay + timeout)."""
-        if self.config.client_timeout_s is None:
-            return None
-        # The injected delay was admitted (<= timeout), so grant it on
-        # top of the compute budget; queue wait under a saturated pool
-        # is covered by the generous 4x factor.
-        return job.delay_s + 4.0 * self.config.client_timeout_s
+        Attempt ``a`` fails while ``a < plan.fail_attempts``; after a
+        failed attempt with retries left the client backs off
+        ``min(backoff_base_s * 2**a, backoff_cap_s)``.  With
+        ``f = plan.fail_attempts`` and ``r = max_retries``: if ``f <= r``
+        the client succeeds on attempt ``f`` after ``f`` retries,
+        otherwise it fails after ``r + 1`` attempts.  The counters and
+        backoff observations are the ones that loop would emit.  The
+        returned ``latency_s`` is the client's wait before training:
+        its backoff schedule, plus its injected delay if it succeeds.
+        """
+        cfg = self.config
+        retries = min(plan.fail_attempts, cfg.max_retries)
+        failures = min(plan.fail_attempts, cfg.max_retries + 1)
+        backoffs = [min(cfg.backoff_base_s * (2.0 ** a), cfg.backoff_cap_s)
+                    for a in range(retries)]
+        if failures:
+            obs.add("runtime.transient_failures", failures)
+        for backoff in backoffs:
+            if backoff > 0:
+                obs.observe("runtime.backoff_s", backoff)
+        if retries:
+            obs.add("runtime.retries", retries)
+        outcome = ClientOutcome(cid, STATUS_OK, attempts=retries + 1,
+                                retries=retries, latency_s=sum(backoffs),
+                                plan=plan)
+        if plan.fail_attempts > cfg.max_retries:
+            obs.add("runtime.failures")
+            outcome.status = STATUS_FAILED
+            record_failure_reason(outcome, REASON_TRANSIENT)
+        else:
+            outcome.latency_s += plan.delay_s
+        return outcome
 
     # -- policies -------------------------------------------------------
     def quorum_threshold(self, sampled: int) -> int:
@@ -367,22 +347,10 @@ class CohortRuntime:
             )
         obs.add("runtime.quorum_met")
 
-    # -- generic replay tasks (attack teacher, ablations) ---------------
-    def map_train_tasks(self, tasks: list[TrainTask]) -> list[np.ndarray]:
-        """Run independent local-training replays; order-preserving."""
-        executor = self._ensure_executor()
-        futures = [executor.submit_task(t) for t in tasks]
-        return [f.result() for f in futures]
 
-
-def run_train_tasks(
-    model: Sequential,
-    tasks: list[TrainTask],
-    config: RuntimeConfig | None = None,
-) -> list[np.ndarray]:
-    """One-shot convenience: execute replay tasks on a fresh runtime."""
-    runtime = CohortRuntime(config or RuntimeConfig(), model, [], entropy=0)
-    try:
-        return runtime.map_train_tasks(tasks)
-    finally:
-        runtime.close()
+def run_train_tasks(model: Sequential,
+                    tasks: list[TrainTask]) -> list[np.ndarray]:
+    """Run independent local-training replays (attack teacher,
+    ablations) through the client core; order-preserving."""
+    context = WorkerContext(model=model, clients={}, weights=np.zeros(1))
+    return [execute_train_task(context, task) for task in tasks]

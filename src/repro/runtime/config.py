@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .executors import EXECUTORS
 from .faults import FaultConfig
 
 
@@ -21,14 +20,18 @@ class QuorumNotMetError(RuntimeError):
 class RuntimeConfig:
     """How the sampled cohort is executed each round.
 
-    ``client_timeout_s`` bounds how long the coordinator waits on any
-    single client: injected straggler delays beyond it are dropped
-    *analytically* (no wall clock spent, and deterministically -- the
-    delay is part of the fault plan), while genuine non-completion is
-    retried then dropped.  That wall-clock bound only applies on the
-    ``thread`` executor: ``serial`` and ``vectorized`` run each job
-    inline when its result is collected, so a client that never
-    finishes blocks the round there.
+    Every cohort trains as one batched flush (see
+    :meth:`repro.runtime.CohortRuntime.run_cohort`).  ``executor``
+    names that one path and accepts only ``"vectorized"``; the field is
+    kept for configurations written when there were several.
+
+    ``client_timeout_s`` bounds the injected straggler delay the
+    coordinator admits: delays beyond it are dropped *analytically*
+    (no wall clock spent, and deterministically -- the delay is part of
+    the fault plan).  Injected transient failures are retried up to
+    ``max_retries`` times with exponential backoff
+    (``backoff_base_s * 2**attempt``, capped at ``backoff_cap_s``);
+    both are settled from the plan, not by re-running the client.
 
     ``min_quorum`` is the fraction of the *sampled* cohort that must
     survive decryption for the enclave to aggregate and release; below
@@ -40,15 +43,13 @@ class RuntimeConfig:
     exactly when fault injection is active, keeping fault-free
     deployments on the paper's fixed-q accounting.
 
-    ``vector_chunk`` bounds how many clients the ``vectorized``
-    executor stacks into one tensor batch -- peak memory grows with
-    ``chunk * d`` while throughput saturates well below the default,
-    so mega-cohorts stream through in constant space.  Ignored by the
-    loop executors.
+    ``vector_chunk`` bounds how many clients are stacked into one
+    tensor batch -- peak memory grows with ``chunk * d`` while
+    throughput saturates well below the default, so mega-cohorts
+    stream through in constant space.
     """
 
-    executor: str = "serial"
-    workers: int = 4
+    executor: str = "vectorized"
     vector_chunk: int = 8192
     client_timeout_s: float | None = None
     max_retries: int = 2
@@ -59,12 +60,11 @@ class RuntimeConfig:
     realized_accounting: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.executor not in EXECUTORS:
+        if self.executor != "vectorized":
             raise ValueError(
-                f"unknown executor {self.executor!r} (choose from {EXECUTORS})"
+                f"unknown executor {self.executor!r}: the cohort runtime "
+                "has one path, 'vectorized'"
             )
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.vector_chunk < 1:
             raise ValueError("vector_chunk must be >= 1")
         if not 0.0 <= self.min_quorum <= 1.0:

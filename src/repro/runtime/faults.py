@@ -20,7 +20,7 @@ ciphertexts):
 
 Every decision is a pure function of ``(entropy, round, client)``
 through :mod:`repro.runtime.seeding`'s ``STREAM_FAULT`` stream, so a
-fault plan is identical across executors, worker counts, and re-runs:
+fault plan is identical across chunkings and re-runs:
 fault-path tests can replay a faulty round bit-for-bit.
 """
 

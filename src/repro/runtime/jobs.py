@@ -3,22 +3,19 @@
 A :class:`ClientJob` carries everything needed to reproduce one
 client's contribution -- identity ``(round, client)``, the training
 hyperparameters, and the base entropy -- but never live RNG state.
-Every executor runs the same client core on a chunk of jobs: derive
-each client's Generators from its identity (see
+:func:`execute_client_jobs_batch` runs a chunk of jobs through the
+client core: derive each client's Generators from its identity (see
 :mod:`repro.runtime.seeding`), train the chunk as one model stack
-replicated from the worker's template
+replicated from the context's template
 (:func:`~repro.fl.client.client_updates`), and return either the
 sealed ciphertext (enclave mode) or the plain sparse update
-(reference-simulation mode).  The loop executors hand it one job at a
-time through :func:`execute_client_job`; the vectorized executor hands
-it whole chunks through :func:`execute_client_jobs_batch`.  Because the
-core is a pure function of ``(context, jobs)``, a job can run on any
-executor, any worker, any number of times (retries), and produce the
-same bits.
+(reference-simulation mode).  Because the core is a pure function of
+``(context, jobs)``, a job produces the same bits in any chunk, at any
+position, on any attempt.
 
 Jobs and results are plain immutable dataclasses; the state every job
-reads (model template, client shards, broadcast weights) lives in a
-:class:`WorkerContext` installed once per executor.
+reads (model template, client shards, broadcast weights) lives in one
+:class:`WorkerContext` per runtime.
 """
 
 from __future__ import annotations
@@ -42,17 +39,13 @@ from .seeding import (
 )
 
 
-class TransientWorkerError(RuntimeError):
-    """An injected (or real) transient execution failure; retryable."""
-
-
 @dataclass
 class WorkerContext:
-    """State shared by every job an executor runs.
+    """State shared by every job a runtime runs.
 
     ``weights`` is the broadcast global model for the current round.
     Jobs treat the whole context as read-only (training replicates the
-    template), so thread workers can share one instance.
+    template).
     """
 
     model: Sequential
@@ -71,12 +64,7 @@ class ClientJob:
     clip: float | None = None
     quantize_bits: int | None = None
     key: bytes | None = None      # seal the update when set (enclave mode)
-    delay_s: float = 0.0          # injected straggler latency, slept in-job
-    fail_attempts: int = 0        # attempts < fail_attempts raise transiently
-    attempt: int = 0
-    # Flight recorder: the coordinator's open round span, so a client
-    # span opened on a worker thread joins the same trace.
-    trace_ctx: obs.TraceContext | None = None
+    attempt: int = 0              # injected transient failures before it
 
 
 @dataclass(frozen=True)
@@ -118,33 +106,6 @@ class TrainTask:
     training: TrainingConfig
 
 
-def raise_injected_failure(job: ClientJob) -> None:
-    """Raise :class:`TransientWorkerError` while the job's injected
-    failure budget is unspent."""
-    if job.attempt < job.fail_attempts:
-        raise TransientWorkerError(
-            f"injected transient failure for client {job.client_id} "
-            f"(attempt {job.attempt}/{job.fail_attempts})"
-        )
-
-
-def execute_client_job(ctx: WorkerContext, job: ClientJob) -> ClientJobResult:
-    """Run one client job inside a worker; pure in ``(ctx, job)``.
-
-    Raises :class:`TransientWorkerError` while the injected failure
-    budget is unspent -- the coordinator retries with backoff and the
-    successful attempt returns bits identical to a never-failed run
-    (the derivation ignores ``attempt``).  Injected straggler latency
-    is slept before the client core runs on the one-job chunk.
-    """
-    with obs.span("client", parent=job.trace_ctx, client=job.client_id,
-                  attempt=job.attempt):
-        raise_injected_failure(job)
-        if job.delay_s > 0.0:
-            time.sleep(job.delay_s)
-        return _execute_client_jobs_batch(ctx, [job])[0]
-
-
 def _finalize_result(
     job: ClientJob, update: LocalUpdate, train_seconds: float,
     nonce: bytes | None, q_rng: np.random.Generator | None,
@@ -166,7 +127,7 @@ def _finalize_result(
         from ..fl.quantize import quantize_stochastic
 
         # Quantization draws from its own sub-stream of the client's
-        # identity so the dither is executor- and retry-invariant too.
+        # identity so the dither is chunk- and retry-invariant too.
         q = quantize_stochastic(update, job.quantize_bits, q_rng)
         payload = crypto.encode_quantized_gradient(q.indices, q.levels, q.scale)
     elif payload is None:
@@ -190,81 +151,76 @@ def execute_client_jobs_batch(
     call (batched matmuls over a leading client axis), then seal in one
     contiguous pass.  Per-client randomness is derived from each job's
     ``(round, client)`` identity, so every returned result -- indices,
-    values, and ciphertext bytes -- is bit-identical to
-    :func:`execute_client_job` on the same job.
+    values, and ciphertext bytes -- is bit-identical to training that
+    job alone (``tests/oracles.py::execute_client_job``).
 
-    Injected delay/failure faults are **not** interpreted here; the
-    vectorized executor adjudicates them before a chunk is formed
-    (faulty rows never enter the batch).
+    Injected faults are **not** interpreted here; the cohort runtime
+    settles them from the fault plan before a chunk is formed.
+    ``train_seconds`` of each result is the chunk's measured training
+    time amortized over its clients.
     """
     if not jobs:
         return []
-    with obs.span("client_batch", parent=jobs[0].trace_ctx, n=len(jobs)):
-        return _execute_client_jobs_batch(ctx, jobs)
+    with obs.span("client_batch", n=len(jobs)):
+        dropout_indices = ctx.model.dropout_indices
+        # Batch compatibility requires identical tensor shapes and training
+        # hyperparameters; everything per-client (rng streams, keys, clip
+        # application) rides along per row.
+        groups: dict[tuple, list[int]] = {}
+        for pos, job in enumerate(jobs):
+            data = ctx.clients[job.client_id]
+            key = (data.x.shape, data.y.shape, job.training, job.clip,
+                   job.entropy, job.round_index)
+            groups.setdefault(key, []).append(pos)
 
-
-def _execute_client_jobs_batch(
-    ctx: WorkerContext, jobs: list[ClientJob]
-) -> list[ClientJobResult]:
-    dropout_indices = ctx.model.dropout_indices
-    # Batch compatibility requires identical tensor shapes and training
-    # hyperparameters; everything per-client (rng streams, keys, clip
-    # application) rides along per row.
-    groups: dict[tuple, list[int]] = {}
-    for pos, job in enumerate(jobs):
-        data = ctx.clients[job.client_id]
-        key = (data.x.shape, data.y.shape, job.training, job.clip,
-               job.entropy, job.round_index)
-        groups.setdefault(key, []).append(pos)
-
-    results: list[ClientJobResult | None] = [None] * len(jobs)
-    for positions in groups.values():
-        chunk = [jobs[p] for p in positions]
-        datas = [ctx.clients[j.client_id] for j in chunk]
-        entropy, round_index = chunk[0].entropy, chunk[0].round_index
-        cids = [j.client_id for j in chunk]
-        train_rngs = derive_rngs_batch(entropy, STREAM_TRAIN, round_index, cids)
-        dropout_rngs = {
-            i: derive_rngs_batch(entropy, STREAM_MODEL, round_index, cids, i)
-            for i in dropout_indices
-        }
-        t0 = time.perf_counter()
-        updates = client_updates(
-            ctx.model, ctx.weights, datas, chunk[0].training,
-            train_rngs, dropout_rngs, clip_override=chunk[0].clip,
-        )
-        per_client = (time.perf_counter() - t0) / len(chunk)
-        if obs.enabled():
-            # One observation per client (amortized) so the latency
-            # histogram is comparable across executors.
-            for _ in chunk:
-                obs.observe("runtime.train_s", per_client)
-        sealed = any(j.key is not None for j in chunk)
-        nonces = derive_nonces_batch(entropy, round_index, cids) if sealed \
-            else [None] * len(chunk)
-        if sealed and any(j.quantize_bits is not None for j in chunk):
-            q_rngs = derive_rngs_batch(entropy, STREAM_TRAIN, round_index,
-                                       cids, 1)
-        else:
-            q_rngs = [None] * len(chunk)
-        payloads: list[bytes | None] = [None] * len(chunk)
-        if sealed and all(
-            j.key is not None and j.quantize_bits is None for j in chunk
-        ):
-            k0 = updates[0].indices.shape
-            if all(u.indices.shape == k0 for u in updates):
-                # Uniform-k sparsifiers (top_k, random_k): encode the
-                # whole chunk's payloads in one record-array pass.
-                payloads = crypto.encode_sparse_gradients_batch(
-                    np.stack([u.indices for u in updates]),
-                    np.stack([u.values for u in updates]),
-                )
-        for pos, job, update, nonce, q_rng, payload in zip(
-            positions, chunk, updates, nonces, q_rngs, payloads
-        ):
-            results[pos] = _finalize_result(job, update, per_client,
-                                            nonce, q_rng, payload)
-    return results  # type: ignore[return-value]
+        results: list[ClientJobResult | None] = [None] * len(jobs)
+        for positions in groups.values():
+            chunk = [jobs[p] for p in positions]
+            datas = [ctx.clients[j.client_id] for j in chunk]
+            entropy, round_index = chunk[0].entropy, chunk[0].round_index
+            cids = [j.client_id for j in chunk]
+            train_rngs = derive_rngs_batch(entropy, STREAM_TRAIN, round_index, cids)
+            dropout_rngs = {
+                i: derive_rngs_batch(entropy, STREAM_MODEL, round_index, cids, i)
+                for i in dropout_indices
+            }
+            t0 = time.perf_counter()
+            updates = client_updates(
+                ctx.model, ctx.weights, datas, chunk[0].training,
+                train_rngs, dropout_rngs, clip_override=chunk[0].clip,
+            )
+            per_client = (time.perf_counter() - t0) / len(chunk)
+            if obs.enabled():
+                # One observation per client (amortized), so the
+                # histogram counts clients, not chunks.
+                for _ in chunk:
+                    obs.observe("runtime.train_s", per_client)
+            sealed = any(j.key is not None for j in chunk)
+            nonces = derive_nonces_batch(entropy, round_index, cids) if sealed \
+                else [None] * len(chunk)
+            if sealed and any(j.quantize_bits is not None for j in chunk):
+                q_rngs = derive_rngs_batch(entropy, STREAM_TRAIN, round_index,
+                                           cids, 1)
+            else:
+                q_rngs = [None] * len(chunk)
+            payloads: list[bytes | None] = [None] * len(chunk)
+            if sealed and all(
+                j.key is not None and j.quantize_bits is None for j in chunk
+            ):
+                k0 = updates[0].indices.shape
+                if all(u.indices.shape == k0 for u in updates):
+                    # Uniform-k sparsifiers (top_k, random_k): encode the
+                    # whole chunk's payloads in one record-array pass.
+                    payloads = crypto.encode_sparse_gradients_batch(
+                        np.stack([u.indices for u in updates]),
+                        np.stack([u.values for u in updates]),
+                    )
+            for pos, job, update, nonce, q_rng, payload in zip(
+                positions, chunk, updates, nonces, q_rngs, payloads
+            ):
+                results[pos] = _finalize_result(job, update, per_client,
+                                                nonce, q_rng, payload)
+        return results  # type: ignore[return-value]
 
 
 def execute_train_task(ctx: WorkerContext, task: TrainTask) -> np.ndarray:

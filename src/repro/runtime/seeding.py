@@ -6,8 +6,8 @@ dropout masks, the fault injector's coin flips, and the encryption
 nonce -- is derived from one base entropy plus a structured key
 ``(stream, round, client, ...)`` through :class:`numpy.random.SeedSequence`.
 Because the derivation depends only on *identity* (which round, which
-client) and never on execution order, worker count, or completion
-order, every executor produces bit-identical :class:`LocalUpdate`s:
+client) and never on execution order, chunking, or retries, every
+client's :class:`LocalUpdate` is bit-identical to training it alone:
 the property BlazeFL calls simulation-reproducibility, and the one the
 determinism suite in ``tests/test_runtime.py`` pins.
 
@@ -53,7 +53,7 @@ def derive_nonce(entropy: int, round_index: int, client_id: int) -> bytes:
     Unique per message (the key namespace guarantees no two jobs share
     a ``(round, client)`` pair within a deployment), so keystream reuse
     cannot occur; determinism makes whole ciphertexts replayable
-    bit-for-bit across executors and re-runs.
+    bit-for-bit across chunkings and re-runs.
     """
     seq = seed_sequence(entropy, STREAM_NONCE, round_index, client_id)
     return seq.generate_state(4, np.uint32).tobytes()
@@ -65,7 +65,7 @@ def derive_nonce(entropy: int, round_index: int, client_id: int) -> bytes:
 #
 # Deriving one Generator per client through SeedSequence is a fixed
 # per-client cost (~30 us each: entropy-pool mixing, state generation,
-# PCG64 init) that caps the vectorized executor's speedup once training
+# PCG64 init) that caps the batched cohort's speedup once training
 # itself is batched.  The functions below reimplement SeedSequence's
 # entropy-mixing and state-generation loops as uint32 numpy ops over a
 # *stack* of spawn keys that differ only in the client-id word.  The
@@ -82,7 +82,7 @@ def derive_nonce(entropy: int, round_index: int, client_id: int) -> bytes:
 #: Measured on a 2-core Intel Xeon with numpy 2.4: the column pass costs
 #: ~210 us whatever the cohort size, a scalar derivation ~14 us per
 #: client (Generator) or ~11 us (nonce), so the pass wins from about 16
-#: clients.  Every single-job chunk of the loop executors falls below.
+#: clients.  A one-client chunk (``vector_chunk=1``) falls below.
 MIN_BATCH_DERIVATION = 16
 
 _INIT_A = np.uint32(0x43B0D7E5)
@@ -238,7 +238,7 @@ def derive_rngs_batch(
     :func:`derive_rng` ``(entropy, stream, round_index, cid, *suffix)``.
 
     One vectorized mixing pass over the stacked spawn keys replaces C
-    SeedSequence constructions (the mega-cohort executor's per-client
+    SeedSequence constructions (the mega-cohort path's per-client
     rng floor); PCG64 is then seeded from the precomputed state rows.
     """
     ids = _batch_ids(stream, (round_index, *suffix), client_ids)

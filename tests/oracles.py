@@ -4,8 +4,9 @@ The package trains through one layer stack with a leading client axis
 (``repro.fl.models``) and one client core (``repro.fl.client`` /
 ``repro.runtime.jobs``).  This module keeps the per-client scalar code
 that stack replaced -- layers, loss, sparsifiers, the local-training
-loop, dropout reseeding, the per-client job body, and the trainers that
-drove the scalar stack directly -- plus the term-by-term RDP expansion
+loop, dropout reseeding, the per-client job body and the one-client-at-
+a-time cohort loop with its retry/backoff handling, and the trainers
+that drove the scalar stack directly -- plus the term-by-term RDP expansion
 of the privacy accountant, the per-bucket Path ORAM access, the
 element-at-a-time aggregation recorders, comparator-at-a-time sorting
 networks and shuffle, the per-access address-stream generators, and
@@ -17,6 +18,7 @@ tests can pin the production path to them bit for bit.  Nothing in
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import random
 import time
@@ -46,12 +48,24 @@ from repro.oblivious.sort import (
     next_power_of_two,
 )
 from repro.oram.path_oram import DUMMY, StashOverflow
-from repro.runtime.jobs import (
-    ClientJob,
-    ClientJobResult,
-    TransientWorkerError,
-    WorkerContext,
+from repro.runtime.cohort import (
+    REASON_DROPOUT,
+    REASON_FORCED,
+    REASON_STRAGGLER,
+    REASON_TRANSIENT,
+    STATUS_DROPPED,
+    STATUS_FAILED,
+    STATUS_OK,
+    STATUS_STRAGGLER,
+    ClientOutcome,
+    CohortResult,
+    Delivery,
+    _tamper,
+    record_failure_reason,
 )
+from repro.runtime.config import RuntimeConfig
+from repro.runtime.faults import ClientFaultPlan, FaultInjector
+from repro.runtime.jobs import ClientJob, ClientJobResult, WorkerContext
 from repro.runtime.seeding import (
     STREAM_MODEL,
     STREAM_TRAIN,
@@ -572,15 +586,23 @@ def train_once(
                           clip_override=clip)
 
 
-def execute_client_job(ctx: WorkerContext, job: ClientJob) -> ClientJobResult:
-    """The per-client loop body every executor once ran: derive, train, seal."""
-    if job.attempt < job.fail_attempts:
+class TransientWorkerError(RuntimeError):
+    """An injected transient execution failure; retryable."""
+
+
+def execute_client_job(ctx: WorkerContext, job: ClientJob,
+                       delay_s: float = 0.0,
+                       fail_attempts: int = 0) -> ClientJobResult:
+    """The per-client loop body the cohort executors once ran: fail while
+    ``job.attempt < fail_attempts``, sleep the injected delay, then
+    derive, train, seal."""
+    if job.attempt < fail_attempts:
         raise TransientWorkerError(
             f"injected transient failure for client {job.client_id} "
-            f"(attempt {job.attempt}/{job.fail_attempts})"
+            f"(attempt {job.attempt}/{fail_attempts})"
         )
-    if job.delay_s > 0.0:
-        time.sleep(job.delay_s)
+    if delay_s > 0.0:
+        time.sleep(delay_s)
     t0 = time.perf_counter()
     data = ctx.clients[job.client_id]
     update = train_once(
@@ -617,6 +639,114 @@ def execute_client_job(ctx: WorkerContext, job: ClientJob) -> ClientJobResult:
         upload_bytes=len(ciphertext.to_bytes()),
         train_seconds=train_seconds, attempt=job.attempt,
     )
+
+
+def _collect_with_retries(config: RuntimeConfig, ctx: WorkerContext,
+                          job: ClientJob,
+                          plan: ClientFaultPlan) -> ClientOutcome:
+    """Run one client, retrying transient failures with backoff."""
+    cid = job.client_id
+    t0 = time.perf_counter()
+    attempt = 0
+    while True:
+        try:
+            res = execute_client_job(
+                ctx, dataclasses.replace(job, attempt=attempt),
+                plan.delay_s, plan.fail_attempts)
+        except TransientWorkerError:
+            obs.add("runtime.transient_failures")
+            if attempt >= config.max_retries:
+                obs.add("runtime.failures")
+                outcome = ClientOutcome(
+                    cid, STATUS_FAILED, attempts=attempt + 1,
+                    retries=attempt, latency_s=time.perf_counter() - t0,
+                    plan=plan)
+                record_failure_reason(outcome, REASON_TRANSIENT)
+                return outcome
+            backoff = min(config.backoff_base_s * (2.0 ** attempt),
+                          config.backoff_cap_s)
+            if backoff > 0:
+                obs.observe("runtime.backoff_s", backoff)
+                time.sleep(backoff)
+            attempt += 1
+            obs.add("runtime.retries")
+            continue
+        latency = time.perf_counter() - t0
+        obs.observe("runtime.client_latency_s", latency)
+        return ClientOutcome(cid, STATUS_OK, attempts=attempt + 1,
+                             retries=attempt, latency_s=latency, plan=plan,
+                             result=res)
+
+
+def run_cohort_loop(
+    config: RuntimeConfig,
+    model: Sequential,
+    clients: list[ClientData],
+    entropy: int,
+    round_index: int,
+    cohort: list[int],
+    weights: np.ndarray,
+    training: TrainingConfig,
+    *,
+    keys: dict[int, bytes] | None = None,
+    clip: float | None = None,
+    quantize_bits: int | None = None,
+    forced_dropouts: set[int] | None = None,
+) -> CohortResult:
+    """One cohort the way the serial executor ran it: one client at a
+    time in client-id order, each admitted straggler's delay slept in
+    turn, each injected transient failure raised, backed off and
+    retried.  Same outcomes, deliveries and runtime counters as
+    ``CohortRuntime.run_cohort``; ``latency_s`` is measured per client.
+    """
+    injector = FaultInjector(config.faults, entropy)
+    ctx = WorkerContext(model=model,
+                        clients={c.client_id: c for c in clients},
+                        weights=weights)
+    forced = forced_dropouts or set()
+    outcomes: dict[int, ClientOutcome] = {}
+    for cid in sorted(cohort):
+        plan = injector.plan(round_index, cid)
+        if cid in forced or plan.dropped:
+            outcome = ClientOutcome(cid, STATUS_DROPPED, plan=plan)
+            record_failure_reason(
+                outcome, REASON_FORCED if cid in forced else REASON_DROPOUT)
+            obs.add("runtime.dropouts")
+        elif (config.client_timeout_s is not None
+                and plan.delay_s > config.client_timeout_s):
+            outcome = ClientOutcome(cid, STATUS_STRAGGLER, plan=plan,
+                                    latency_s=plan.delay_s)
+            record_failure_reason(outcome, REASON_STRAGGLER)
+            obs.add("runtime.stragglers_dropped")
+        else:
+            job = ClientJob(
+                round_index=round_index, client_id=cid, entropy=entropy,
+                training=training, clip=clip, quantize_bits=quantize_bits,
+                key=keys.get(cid) if keys is not None else None,
+            )
+            outcome = _collect_with_retries(config, ctx, job, plan)
+        outcomes[cid] = outcome
+
+    result = CohortResult(round_index=round_index, sampled=sorted(cohort),
+                          outcomes=outcomes)
+    for cid in result.completed:
+        outcome = outcomes[cid]
+        plan = outcome.plan
+        ciphertext = outcome.result.ciphertext
+        corrupt = bool(plan.corrupt and ciphertext is not None)
+        if corrupt:
+            ciphertext = _tamper(ciphertext)
+            obs.add("runtime.corrupted")
+        result.deliveries.append(Delivery(
+            client_id=cid, ciphertext=ciphertext, result=outcome.result,
+            corrupt=corrupt))
+        if plan.replay and ciphertext is not None:
+            result.deliveries.append(Delivery(
+                client_id=cid, ciphertext=ciphertext, result=outcome.result,
+                duplicate=True, corrupt=corrupt))
+            obs.add("runtime.replays_injected")
+    obs.gauge("runtime.completed_cohort", len(result.completed))
+    return result
 
 
 def attack_mlp(input_dim: int, n_labels: int, hidden: int,

@@ -11,6 +11,7 @@ clean.
 import copy
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +56,11 @@ DATA = {"spec": "tiny", "seed": 0, "n_clients": 12,
         "samples_per_client": 20, "labels_per_client": 2,
         "partition_seed": 0}
 MODEL = {"name": "tiny_mlp", "seed": 0}
+#: Two rounds recorded by the thread executor (``executor="thread"``,
+#: ``workers=8``) before the cohort runtime had one path, with
+#: dropouts, corrupt uploads and retried transient failures.
+THREAD_EXECUTOR_LOG = Path(__file__).parent / "data" / \
+    "audit_thread_executor.jsonl"
 
 
 def _config(**overrides):
@@ -422,6 +428,31 @@ class TestOneLeafAndLegacyLogs:
             self, tmp_path):
         path = self._with_legacy_leaf_aggregator(tmp_path, "linear")
         with pytest.raises(AuditReplayError, match="shards.aggregator"):
+            verify_log(path, strict=True)
+
+    def test_thread_executor_manifest_replays_bit_identically(self):
+        runtime = read_records(THREAD_EXECUTOR_LOG)[0]["manifest"]["runtime"]
+        assert (runtime["executor"], runtime["workers"]) == ("thread", 8)
+        report = verify_log(THREAD_EXECUTOR_LOG, strict=True)
+        assert report.replayed and report.sealed
+        assert all(v.merkle_ok and v.replay_ok for v in report.rounds)
+
+    def _with_legacy_executor(self, tmp_path, executor):
+        records = copy.deepcopy(read_records(THREAD_EXECUTOR_LOG))
+        records[0]["manifest"]["runtime"]["executor"] = executor
+        path = tmp_path / "audit.jsonl"
+        _rewrite(path, chain_records(records))
+        return path
+
+    def test_serial_executor_manifest_replays(self, tmp_path):
+        path = self._with_legacy_executor(tmp_path, "serial")
+        report = verify_log(path, strict=True)
+        assert all(v.replay_ok for v in report.rounds)
+
+    def test_unknown_executor_is_refused_by_name(self, tmp_path):
+        path = self._with_legacy_executor(tmp_path, "process")
+        with pytest.raises(AuditReplayError,
+                           match="runtime.executor='process'"):
             verify_log(path, strict=True)
 
 

@@ -192,36 +192,6 @@ class TestChaosEndToEnd:
         assert "p50" in text and "p95" in text and "p99" in text
         assert "shard event log" in text
 
-    def test_thread_executor_worker_spans_parent_under_rounds(
-            self, tmp_path):
-        from repro.core import OliveConfig, OliveSystem
-        from repro.fl import (SPECS, SyntheticClassData, TrainingConfig,
-                              build_model, partition_clients)
-        from repro.runtime import RuntimeConfig
-
-        out = tmp_path / "thread.jsonl"
-        gen = SyntheticClassData(SPECS["tiny"], seed=0)
-        clients = partition_clients(gen, 8, 16, 2, seed=0)
-        config = OliveConfig(
-            sample_rate=0.5, noise_multiplier=1.12,
-            training=TrainingConfig(local_epochs=1, local_lr=0.3,
-                                    sparse_ratio=0.2))
-        system = OliveSystem(
-            build_model("tiny_mlp", seed=0), clients, config, seed=0,
-            runtime=RuntimeConfig(executor="thread", workers=2))
-        with obs.session(sinks=[obs.JsonlSink(out)]):
-            system.run(1)
-            system.close()
-        rec = report.load_recording(out)
-        assert not rec.orphans
-        client_spans = [e for e in rec.spans
-                        if e["path"] == "round/client"]
-        assert client_spans, "worker-thread client spans are missing"
-        round_ids = {e["span_id"] for e in rec.spans
-                     if e["name"] == "round"}
-        assert {e["parent_id"] for e in client_spans} <= round_ids
-        assert "runtime.train_s" in rec.hists
-
 
 class TestDiffing:
     def _archive(self, path, scale=1.0):

@@ -3,10 +3,13 @@ against the scalar oracle (``tests/oracles.py``).
 
 The package keeps one layer stack (leading client axis) and one client
 core.  These tests pin each path that used to run the scalar stack to
-the scalar code it replaced: executor ciphertexts, attack-teacher
-replay, attack-classifier training and scoring, the LDP round, the
+the scalar code it replaced: cohort ciphertexts (against the
+per-client loop, for every executor name a recorded manifest may
+carry), attack-teacher replay, attack-classifier training and scoring, the LDP round, the
 serving CLI's quick model, and evaluation forward passes.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,13 +19,14 @@ from repro.fl.client import TrainingConfig
 from repro.fl.datasets import SPECS, ClientData, SyntheticClassData, partition_clients
 from repro.fl.models import accuracy, build_model
 from repro.fl.server import run_ldp_round
+from repro.audit.verify import runtime_from_manifest
+from repro.core.olive import OliveConfig, OliveSystem
 from repro.runtime import (
     STREAM_TEACHER,
-    ClientJob,
     CohortRuntime,
+    FaultConfig,
     RuntimeConfig,
     TrainTask,
-    WorkerContext,
     run_train_tasks,
 )
 from repro.serving.cli import _quick_model
@@ -32,6 +36,8 @@ from repro.sgx import crypto
 from . import oracles
 
 ENTROPY = 11
+#: Executor names a recorded manifest may carry; each replays on the
+#: one batched path (``repro.audit.verify.runtime_from_manifest``).
 EXECUTORS = ("serial", "thread", "vectorized")
 
 
@@ -41,37 +47,53 @@ def _clients(model_name="tiny_mlp", n_clients=10, samples=20):
     return partition_clients(gen, n_clients, samples, 2, seed=0)
 
 
-def _cohort(executor, training, clients, *, model_name="tiny_mlp",
-            sealed=True, quantize_bits=None, round_index=0):
-    """Run one cohort round; returns ``{client_id: bytes or (idx, val)}``."""
-    model = build_model(model_name, seed=0)
-    keys = ({c.client_id: crypto.generate_key(b"k%d" % c.client_id)
+def _replay_config(executor, faults=None):
+    """The runtime a manifest recorded under ``executor`` replays as."""
+    return runtime_from_manifest({
+        "executor": executor, "workers": 2,
+        "faults": dataclasses.asdict(faults or FaultConfig()),
+    })
+
+
+def _keys(clients, sealed):
+    return ({c.client_id: crypto.generate_key(b"k%d" % c.client_id)
              for c in clients} if sealed else None)
-    runtime = CohortRuntime(RuntimeConfig(executor=executor, workers=2),
-                            model, clients, ENTROPY, keys=keys)
-    with runtime:
-        result = runtime.run_cohort(
-            round_index, [c.client_id for c in clients], model.get_flat(),
-            training, quantize_bits=quantize_bits,
-        )
-    return {d.client_id: _payload(d.result) for d in result.deliveries}
+
+
+def _cohort(executor, training, clients, *, model_name="tiny_mlp",
+            sealed=True, quantize_bits=None, round_index=0, faults=None):
+    """Run one cohort round under the config a manifest recorded with
+    ``executor`` replays as; returns ``{client_id: bytes or (idx, val)}``
+    per delivery."""
+    model = build_model(model_name, seed=0)
+    runtime = CohortRuntime(_replay_config(executor, faults), model,
+                            clients, ENTROPY,
+                            keys=_keys(clients, sealed))
+    result = runtime.run_cohort(
+        round_index, [c.client_id for c in clients], model.get_flat(),
+        training, quantize_bits=quantize_bits,
+    )
+    return _deliveries(result)
 
 
 def _oracle_cohort(training, clients, *, model_name="tiny_mlp", sealed=True,
-                   quantize_bits=None, round_index=0):
+                   quantize_bits=None, round_index=0, faults=None):
     """The same round as the scalar per-client loop."""
     template = oracles.build_model(model_name, seed=0)
-    ctx = WorkerContext(model=template,
-                        clients={c.client_id: c for c in clients},
-                        weights=template.get_flat())
-    out = {}
-    for c in clients:
-        key = crypto.generate_key(b"k%d" % c.client_id) if sealed else None
-        job = ClientJob(round_index=round_index, client_id=c.client_id,
-                        entropy=ENTROPY, training=training, key=key,
-                        quantize_bits=quantize_bits)
-        out[c.client_id] = _payload(oracles.execute_client_job(ctx, job))
-    return out
+    result = oracles.run_cohort_loop(
+        RuntimeConfig(backoff_base_s=0.0, faults=faults or FaultConfig()),
+        template, clients, ENTROPY, round_index,
+        [c.client_id for c in clients], template.get_flat(), training,
+        keys=_keys(clients, sealed), quantize_bits=quantize_bits,
+    )
+    return _deliveries(result)
+
+
+def _deliveries(result):
+    return [(d.client_id, d.duplicate, d.corrupt,
+             d.ciphertext.to_bytes() if d.ciphertext is not None
+             else _payload(d.result))
+            for d in result.deliveries]
 
 
 def _payload(result):
@@ -81,7 +103,8 @@ def _payload(result):
 
 
 class TestExecutorsMatchOracle:
-    """Ciphertext bytes of every executor equal the scalar loop's."""
+    """Ciphertext bytes of the runtime equal the scalar loop's, whichever
+    executor the run was recorded under."""
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("sparsifier", ["top_k", "threshold", "random_k"])
@@ -124,26 +147,51 @@ class TestExecutorsMatchOracle:
                        model_name="cifar10_cnn") == \
             _oracle_cohort(training, clients, model_name="cifar10_cnn")
 
+    def test_faulty_round(self):
+        # Dropouts, stragglers, corrupt and replayed uploads, and
+        # transient failures retried to success.
+        faults = FaultConfig(dropout_rate=0.2, straggler_rate=0.3,
+                             straggler_delay_s=0.001, corrupt_rate=0.2,
+                             replay_rate=0.2, transient_failure_rate=0.3)
+        training = TrainingConfig(local_lr=0.1, batch_size=8)
+        clients = _clients(n_clients=12)
+        got = _cohort("vectorized", training, clients, faults=faults,
+                      round_index=3)
+        assert got == _oracle_cohort(training, clients, faults=faults,
+                                     round_index=3)
+        assert any(dup for _, dup, _, _ in got)
+        assert any(bad for _, _, bad, _ in got)
+
 
 class TestTeacherReplay:
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_train_tasks_match_oracle(self, executor):
+        # The attacker replays from each round's weights of a run
+        # recorded under ``executor``.
         training = TrainingConfig(local_epochs=2, local_lr=0.2,
                                   batch_size=4, sparse_ratio=0.1)
         gen = SyntheticClassData(SPECS["tiny"], seed=1)
+        system = OliveSystem(
+            build_model("tiny_mlp", seed=4),
+            partition_clients(gen, 6, 10, 2, seed=0),
+            OliveConfig(sample_rate=0.5, training=training),
+            seed=0, runtime=_replay_config(executor),
+        )
+        logs = system.run(2)
         rng = np.random.default_rng(2)
-        weights = build_model("tiny_mlp", seed=4).get_flat()
         tasks = []
-        for label in range(3):
-            x = gen.sample(np.full(9, label), rng)
-            for shard, idx in enumerate(np.array_split(np.arange(9), 2)):
-                tasks.append(TrainTask(
-                    seed_key=(5, label, shard), stream=STREAM_TEACHER,
-                    entropy=ENTROPY, weights=weights, x=x[idx],
-                    y=np.full(len(idx), label), training=training,
-                ))
-        got = run_train_tasks(build_model("tiny_mlp", seed=0), tasks,
-                              RuntimeConfig(executor=executor, workers=2))
+        for log in logs:
+            for label in range(3):
+                x = gen.sample(np.full(9, label), rng)
+                for shard, idx in enumerate(
+                        np.array_split(np.arange(9), 2)):
+                    tasks.append(TrainTask(
+                        seed_key=(log.round_index, label, shard),
+                        stream=STREAM_TEACHER, entropy=ENTROPY,
+                        weights=log.weights_before, x=x[idx],
+                        y=np.full(len(idx), label), training=training,
+                    ))
+        got = run_train_tasks(build_model("tiny_mlp", seed=0), tasks)
         template = oracles.build_model("tiny_mlp", seed=0)
         for task, indices in zip(tasks, got):
             ref = oracles.train_once(

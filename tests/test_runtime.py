@@ -1,30 +1,42 @@
 """Determinism suite for the cohort runtime (repro.runtime).
 
-Pins the subsystem's central contract: the serial and thread executors,
-at every worker count, with or without injected faults, produce
+Pins the subsystem's central contract: however the cohort is chunked,
+and whichever executor a recorded manifest names, the runtime produces
 **bit-identical** per-client updates, round outcomes, and global
 trajectories -- because all randomness derives from
-``(round, client)`` identity, never from execution order.
+``(round, client)`` identity, never from execution order.  Injected
+transient failures are settled from the fault plan; the per-client
+retry loop (``tests/oracles.py::run_cohort_loop``) and values recorded
+from that loop pin the outcomes and runtime counters.
 """
+
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.audit import AuditReplayError
+from repro.audit.verify import runtime_from_manifest
 from repro.core.olive import OliveConfig, OliveSystem
 from repro.fl.client import TrainingConfig
 from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
 from repro.fl.server import FederatedSimulation, ServerConfig
 from repro.runtime import (
-    EXECUTORS,
+    STATUS_OK,
     STREAM_FAULT,
     STREAM_TRAIN,
+    CohortRuntime,
     FaultConfig,
     RuntimeConfig,
     derive_nonce,
     derive_rng,
-    make_executor,
 )
+from repro.sgx import crypto
+
+from . import oracles
 
 TRAIN = TrainingConfig(local_epochs=1, local_lr=0.1, batch_size=8,
                        sparse_ratio=0.1, clip=1.0)
@@ -34,11 +46,18 @@ FAULTS = FaultConfig(dropout_rate=0.2, straggler_rate=0.2,
                      replay_rate=0.15, transient_failure_rate=0.2)
 
 
-def olive_system(executor="serial", workers=2, faults=None, seed=1):
+def recorded_runtime(executor, workers, faults=None):
+    """The config a manifest recorded with ``(executor, workers)`` replays
+    under."""
+    return runtime_from_manifest({
+        "executor": executor, "workers": workers,
+        "faults": dataclasses.asdict(faults or FaultConfig()),
+    })
+
+
+def olive_system(runtime=None, seed=1):
     gen = SyntheticClassData(SPECS["tiny"], seed=0)
     clients = partition_clients(gen, 8, 20, 2, seed=0)
-    runtime = RuntimeConfig(executor=executor, workers=workers,
-                            faults=faults or FaultConfig())
     return OliveSystem(
         build_model("tiny_mlp", seed=0), clients,
         OliveConfig(sample_rate=0.8, noise_multiplier=0.8,
@@ -47,9 +66,14 @@ def olive_system(executor="serial", workers=2, faults=None, seed=1):
     )
 
 
-def run_olive(executor, workers=2, faults=None, rounds=2, seed=1):
-    with olive_system(executor, workers, faults, seed) as system:
+def run_olive(runtime=None, rounds=2, seed=1):
+    with olive_system(runtime, seed) as system:
         return system.run(rounds)
+
+
+def one_client_chunks(faults=None):
+    """Every client trained alone, as the old serial executor did."""
+    return RuntimeConfig(vector_chunk=1, faults=faults or FaultConfig())
 
 
 def assert_logs_identical(a_logs, b_logs):
@@ -88,44 +112,44 @@ class TestSeeding:
 
 
 class TestExecutorEquivalence:
-    """serial == thread, bit for bit."""
+    """A run recorded under any executor replays bit for bit on the one
+    batched path, which equals training every client alone."""
 
     @pytest.mark.parametrize("executor,workers", [
         ("thread", 1), ("thread", 3), ("thread", 8),
     ])
     def test_thread_matches_serial(self, executor, workers):
-        assert_logs_identical(run_olive("serial"),
-                              run_olive(executor, workers))
+        assert_logs_identical(run_olive(one_client_chunks()),
+                              run_olive(recorded_runtime(executor, workers)))
 
     @pytest.mark.parametrize("executor,workers", [
         ("serial", 1), ("thread", 5),
     ])
     def test_faulty_rounds_executor_invariant(self, executor, workers):
-        base = run_olive("thread", 2, faults=FAULTS)
-        other = run_olive(executor, workers, faults=FAULTS)
+        base = run_olive(one_client_chunks(FAULTS))
+        other = run_olive(recorded_runtime(executor, workers, FAULTS))
         assert_logs_identical(base, other)
 
     def test_rerun_is_bit_identical(self):
-        assert_logs_identical(run_olive("serial"), run_olive("serial"))
+        assert_logs_identical(run_olive(), run_olive())
 
 
 class TestSimulationEquivalence:
-    def _sim(self, executor, workers=2):
+    def _sim(self, runtime):
         gen = SyntheticClassData(SPECS["tiny"], seed=0)
         clients = partition_clients(gen, 8, 20, 2, seed=0)
         return FederatedSimulation(
             model=build_model("tiny_mlp", seed=0), clients=clients,
             training=TRAIN, server=ServerConfig(sample_rate=0.8),
-            seed=2,
-            runtime_config=RuntimeConfig(executor=executor, workers=workers),
+            seed=2, runtime_config=runtime,
         )
 
     @pytest.mark.parametrize("executor,workers", [
         ("thread", 2), ("thread", 7),
     ])
     def test_parallel_matches_serial(self, executor, workers):
-        with self._sim("serial") as serial, \
-                self._sim(executor, workers) as parallel:
+        with self._sim(one_client_chunks()) as serial, \
+                self._sim(recorded_runtime(executor, workers)) as parallel:
             a_logs = serial.run(2)
             b_logs = parallel.run(2)
         for a, b in zip(a_logs, b_logs):
@@ -153,16 +177,13 @@ class TestTeacherEquivalence:
         from repro.fl.datasets import server_test_data_by_label
 
         gen = SyntheticClassData(SPECS["tiny"], seed=0)
-        with olive_system() as system:
-            logs = system.run(2)
         by_label = server_test_data_by_label(gen, 12, seed=9)
         model = build_model("tiny_mlp", seed=0)
         cfg = AttackConfig(teacher_samples_per_label=3)
-        serial = build_teacher(logs, model, by_label, TRAIN, cfg)
-        threaded = build_teacher(
-            logs, model, by_label, TRAIN, cfg,
-            runtime=RuntimeConfig(executor="thread", workers=4),
-        )
+        serial = build_teacher(run_olive(one_client_chunks()), model,
+                               by_label, TRAIN, cfg)
+        threaded = build_teacher(run_olive(recorded_runtime("thread", 4)),
+                                 model, by_label, TRAIN, cfg)
         assert serial == threaded
 
 
@@ -174,21 +195,28 @@ class TestRuntimeConfigValidation:
     def test_executor_names(self):
         from repro.__main__ import _parse_args
 
-        assert EXECUTORS == ("serial", "thread", "vectorized")
-        with pytest.raises(ValueError):
-            RuntimeConfig(executor="process")
+        # One cohort path: the config names it, the CLI has no choice.
+        assert RuntimeConfig().executor == "vectorized"
+        for name in ("serial", "thread", "process"):
+            with pytest.raises(ValueError, match="one path"):
+                RuntimeConfig(executor=name)
         with pytest.raises(SystemExit):
-            _parse_args(["--executor", "process"])
-        assert _parse_args(["--executor", "vectorized"]).executor \
-            == "vectorized"
+            _parse_args(["--executor", "vectorized"])
+        # Recorded manifests keep their old names; unknown ones are
+        # refused by name.
+        for name in ("serial", "thread", "vectorized"):
+            assert recorded_runtime(name, 8) == RuntimeConfig()
+        with pytest.raises(AuditReplayError, match="'process'"):
+            recorded_runtime("process", 2)
 
     def test_bad_quorum_rejected(self):
         with pytest.raises(ValueError):
             RuntimeConfig(min_quorum=1.5)
 
     def test_bad_workers_rejected(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(workers=0)
+        # There is no worker pool to size: the field is gone.
+        with pytest.raises(TypeError):
+            RuntimeConfig(workers=2)
 
     def test_bad_timeout_rejected(self):
         with pytest.raises(ValueError):
@@ -207,6 +235,149 @@ class TestRuntimeConfigValidation:
             realized_accounting=False,
         ).use_realized_accounting()
 
-    def test_make_executor_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            make_executor("gpu", 2)
+
+# -- fault settlement: recorded values and the per-client loop ----------
+
+SETTLE_FAULTS = FaultConfig(dropout_rate=0.15, straggler_rate=0.3,
+                            straggler_delay_s=0.004, corrupt_rate=0.1,
+                            replay_rate=0.1, transient_failure_rate=0.4,
+                            transient_failures=2)
+SETTLE_CLIENTS = 16
+
+# Recorded from the per-client retry loop (the serial executor) on the
+# round below.  Clients 3, 4, 6, 7, 8, 12 draw two injected failures.
+_OK1 = ("ok", None, 1, 0, 0)
+_DROP = ("dropped", "dropout", 0, 0, None)
+_SLOW = ("straggler", "straggler", 0, 0, None)
+_TWICE = {1: ("failed", "transient", 2, 1, None), 2: ("ok", None, 3, 2, 2)}
+RECORDED = {
+    max_retries: {
+        "outcomes": {
+            cid: (_TWICE[max_retries] if cid in (3, 4, 6, 7, 8, 12)
+                  else _DROP if cid in (2, 9, 14)
+                  else _SLOW if cid in (11, 13) else _OK1)
+            for cid in range(SETTLE_CLIENTS)
+        },
+        "counters": counters,
+        "backoff": backoff,
+        "completed": completed,
+        "digest": digest,
+    }
+    for max_retries, counters, backoff, completed, digest in (
+        (1, {"runtime.corrupted": 1, "runtime.dropouts": 3,
+             "runtime.failure_reason.dropout": 3,
+             "runtime.failure_reason.straggler": 2,
+             "runtime.failure_reason.transient": 6,
+             "runtime.failures": 6, "runtime.retries": 6,
+             "runtime.stragglers_dropped": 2,
+             "runtime.transient_failures": 12},
+         (6, 0.006), 5,
+         "0bfddcc388d5d67d064f9ead414de62e595f1c6f136350d39c1f87dfe721fb09"),
+        (2, {"runtime.corrupted": 1, "runtime.dropouts": 3,
+             "runtime.failure_reason.dropout": 3,
+             "runtime.failure_reason.straggler": 2,
+             "runtime.retries": 12, "runtime.stragglers_dropped": 2,
+             "runtime.transient_failures": 12},
+         (12, 0.015), 11,
+         "2c4f8589dea217a54dba4e16b74b58c53cf6039db34eabb153d96bd9cc9d723e"),
+    )
+}
+
+
+def settle_config(max_retries, faults=SETTLE_FAULTS):
+    return RuntimeConfig(max_retries=max_retries, backoff_base_s=0.001,
+                         backoff_cap_s=0.0015, client_timeout_s=0.006,
+                         faults=faults)
+
+
+def settle_round(config, loop=False):
+    """One seeded cohort round; returns (result, counters, hists)."""
+    gen = SyntheticClassData(SPECS["tiny"], seed=0)
+    clients = partition_clients(gen, SETTLE_CLIENTS, 20, 2, seed=0)
+    keys = {c.client_id: crypto.generate_key(b"k%d" % c.client_id)
+            for c in clients}
+    cohort = [c.client_id for c in clients]
+    sink = obs.MemorySink()
+    with obs.session(sinks=[sink]):
+        if loop:
+            model = oracles.build_model("tiny_mlp", seed=0)
+            result = oracles.run_cohort_loop(
+                config, model, clients, 5, 1, cohort, model.get_flat(),
+                TRAIN, keys=keys)
+        else:
+            model = build_model("tiny_mlp", seed=0)
+            result = CohortRuntime(config, model, clients, 5,
+                                   keys=keys).run_cohort(
+                1, cohort, model.get_flat(), TRAIN)
+    counters = {k: v for k, v in sink.last_values("counter").items()
+                if k.startswith("runtime.")}
+    hists = {e["name"]: e for e in sink.events if e.get("type") == "hist"}
+    return result, counters, hists
+
+
+def outcome_rows(result):
+    return {cid: (o.status, o.reason, o.attempts, o.retries,
+                  None if o.result is None else o.result.attempt)
+            for cid, o in result.outcomes.items()}
+
+
+class TestFaultSettlement:
+    @pytest.mark.parametrize("max_retries", [1, 2])
+    def test_seeded_faulty_round_matches_recorded_loop(self, max_retries):
+        want = RECORDED[max_retries]
+        result, counters, hists = settle_round(settle_config(max_retries))
+        assert outcome_rows(result) == want["outcomes"]
+        assert counters == want["counters"]
+        backoff = hists["runtime.backoff_s"]
+        assert backoff["count"] == want["backoff"][0]
+        assert backoff["sum"] == pytest.approx(want["backoff"][1])
+        assert len(result.completed) == want["completed"]
+        digest = hashlib.sha256()
+        for d in result.deliveries:
+            digest.update(d.client_id.to_bytes(4, "little")
+                          + d.ciphertext.to_bytes())
+        assert digest.hexdigest() == want["digest"]
+
+    @pytest.mark.parametrize("transient_failures", [0, 1, 3])
+    def test_runtime_matches_per_client_loop(self, transient_failures):
+        config = settle_config(2, dataclasses.replace(
+            SETTLE_FAULTS, transient_failures=transient_failures))
+        got, got_counters, got_hists = settle_round(config)
+        ref, ref_counters, ref_hists = settle_round(config, loop=True)
+        assert outcome_rows(got) == outcome_rows(ref)
+        assert got_counters == ref_counters
+        assert ({k: h["count"] for k, h in got_hists.items()
+                 if k != "runtime.train_s"}
+                == {k: h["count"] for k, h in ref_hists.items()
+                    if k != "runtime.train_s"})
+        assert [(d.client_id, d.duplicate, d.corrupt,
+                 d.ciphertext.to_bytes()) for d in got.deliveries] \
+            == [(d.client_id, d.duplicate, d.corrupt,
+                 d.ciphertext.to_bytes()) for d in ref.deliveries]
+
+
+class TestClientLatency:
+    """latency_s = slept wait (delay + backoff) + amortized training."""
+
+    def test_latency_splits_into_wait_and_amortized_train(self):
+        config = settle_config(2)
+        result, _, hists = settle_round(config)
+        ok = [o for o in result.outcomes.values() if o.status == STATUS_OK]
+        train = {o.result.train_seconds for o in ok}
+        # One chunk: every client carries the same amortized share.
+        assert len(train) == 1 and train.pop() > 0.0
+        for o in ok:
+            backoffs = sum(min(config.backoff_base_s * 2.0 ** a,
+                               config.backoff_cap_s)
+                           for a in range(o.retries))
+            assert o.latency_s == (backoffs + o.plan.delay_s
+                                   + o.result.train_seconds)
+        latency = hists["runtime.client_latency_s"]
+        assert latency["count"] == len(ok)
+        assert latency["min"] == pytest.approx(
+            min(o.latency_s for o in ok), rel=0.05)
+
+    def test_clean_cohort_latency_is_the_amortized_train_time(self):
+        result, _, _ = settle_round(settle_config(2, FaultConfig()))
+        assert {o.latency_s for o in result.outcomes.values()} \
+            == {o.result.train_seconds for o in result.outcomes.values()}

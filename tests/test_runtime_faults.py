@@ -21,7 +21,6 @@ from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
 from repro.fl.sparsify import densify
 from repro.runtime import (
-    REASON_TIMEOUT,
     STATUS_DROPPED,
     STATUS_FAILED,
     STATUS_OK,
@@ -208,47 +207,10 @@ class TestRetriesAndStragglers:
     def test_short_straggler_delay_is_slept_and_completes(self):
         faults = FaultConfig(straggler_rate=1.0, straggler_delay_s=0.005,
                              straggler_jitter=False)
-        runtime = RuntimeConfig(client_timeout_s=5.0, faults=faults,
-                                executor="thread", workers=8)
+        runtime = RuntimeConfig(client_timeout_s=5.0, faults=faults)
         with make_system(runtime) as system:
             log = system.run_round()
         assert len(log.updates) == 8
-
-    def test_client_that_never_finishes_times_out(self, monkeypatch):
-        # A job that hangs past the wall-clock bound (4x the timeout) is
-        # abandoned as failed.  Only the thread executor can reach this:
-        # serial and vectorized jobs run inline at collection time.
-        import threading
-
-        from repro.runtime import executors
-
-        release = threading.Event()
-        run_job = executors.execute_client_job
-
-        def hang_client_0(ctx, job):
-            if job.client_id == 0:
-                release.wait(timeout=10.0)
-            return run_job(ctx, job)
-
-        monkeypatch.setattr(executors, "execute_client_job", hang_client_0)
-        runtime = RuntimeConfig(executor="thread", workers=2,
-                                client_timeout_s=0.05, max_retries=0)
-        sink = obs.MemorySink()
-        with make_system(runtime) as system:
-            try:
-                with obs.session(sinks=[sink]):
-                    log = system.run_round()
-            finally:
-                release.set()  # let the pool shut down
-        hung = log.cohort.outcomes[0]
-        assert hung.status == STATUS_FAILED
-        assert hung.reason == REASON_TIMEOUT
-        assert hung.latency_s >= 4 * 0.05
-        assert 0 not in log.updates
-        assert set(log.updates) == set(range(1, 8))
-        counters = sink.last_values("counter")
-        assert counters["runtime.timeouts"] == 1
-        assert counters["runtime.failure_reason.timeout"] == 1
 
 
 class TestEnclaveReplayDefence:
@@ -405,8 +367,7 @@ class TestRuntimeTelemetry:
         faults = FaultConfig(dropout_rate=0.3, straggler_rate=0.2,
                              straggler_delay_s=0.001, corrupt_rate=0.2,
                              replay_rate=0.2, transient_failure_rate=0.2)
-        runtime = RuntimeConfig(executor="thread", workers=4,
-                                backoff_base_s=0.0, faults=faults)
+        runtime = RuntimeConfig(backoff_base_s=0.0, faults=faults)
         sink = obs.MemorySink()
         with make_system(runtime) as system:
             with obs.session(sinks=[sink]):
@@ -424,11 +385,12 @@ class TestRuntimeTelemetry:
         # the accepted set afterwards.
         assert (len(log.updates) <= gauges["runtime.completed_cohort"]
                 <= len(log.cohort.sampled))
-        # Per-client train spans still nest directly under the round.
+        # One train span per cohort, nested directly under the round.
         spans = [e for e in sink.events if e.get("type") == "span"]
         train = [e for e in spans if e["name"] == "train"]
-        assert train and all(e["path"] == "round/train" for e in train)
-        assert all(e["attrs"]["executor"] == "thread" for e in train)
+        assert [e["path"] for e in train] == ["round/train"]
+        assert train[0]["attrs"] == {
+            "clients": gauges["runtime.completed_cohort"], "chunks": 1}
 
     def test_dropped_clients_recorded_in_outcomes(self):
         faults = FaultConfig(dropout_rate=0.5)
@@ -445,7 +407,10 @@ class TestCliFlags:
     def test_demo_accepts_runtime_flags(self, capsys):
         from repro.__main__ import main
 
-        main(["--workers", "2", "--dropout-rate", "0.2", "--seed", "1"])
+        main(["--dropout-rate", "0.2", "--seed", "1"])
         out = capsys.readouterr().out
-        assert "thread executor, 2 worker(s)" in out
+        assert "chunks of 8192 clients (vector_chunk)" in out
         assert "dropout rate 0.20" in out
+        for flag in (["--workers", "2"], ["--executor", "thread"]):
+            with pytest.raises(SystemExit):
+                main(flag)

@@ -16,7 +16,7 @@ Pins the tentpole contracts of :mod:`repro.runtime.shards`:
 
 Plus the satellite regressions: explicit ``Enclave.begin_round``,
 sealed-checkpoint integrity, per-client failure reasons, and the
-vectorized-executor fault edges.
+batched cohort's fault edges.
 """
 
 import types
@@ -57,6 +57,8 @@ from repro.sgx.enclave import (
     provision_enclave_with_clients,
 )
 from repro.sgx.memory import Trace
+
+from . import oracles
 
 D = 40
 K = 4
@@ -484,7 +486,7 @@ def make_system(runtime=None, shards=None, seed=1, n_clients=12,
 class TestFailureReasons:
     def test_dropout_and_straggler_reasons(self):
         runtime = RuntimeConfig(
-            executor="serial", client_timeout_s=0.01,
+            client_timeout_s=0.01,
             faults=FaultConfig(dropout_rate=0.4, straggler_rate=0.4,
                                straggler_delay_s=10.0,
                                straggler_jitter=False))
@@ -523,11 +525,11 @@ class TestFailureReasons:
 
 
 class TestVectorizedEdges:
-    """Satellite coverage: fault/quorum paths under the vectorized
-    executor, including retried jobs flushing as their own batch."""
+    """Fault/quorum paths of the batched cohort, including retried
+    clients against the per-client loop (the old serial executor)."""
 
     def test_quorum_abort_spends_no_budget(self):
-        runtime = RuntimeConfig(executor="vectorized", min_quorum=1.0,
+        runtime = RuntimeConfig(min_quorum=1.0,
                                 faults=FaultConfig(dropout_rate=0.5))
         with make_system(runtime=runtime) as system:
             eps_before = system.accountant.epsilon
@@ -540,7 +542,7 @@ class TestVectorizedEdges:
     def test_sharded_quorum_abort_spends_no_budget(self):
         inj = stub_injector({(s, a): LeafFaultPlan(crash_fraction=0.5)
                              for s in range(2) for a in range(10)})
-        runtime = RuntimeConfig(executor="vectorized", min_quorum=0.9)
+        runtime = RuntimeConfig(min_quorum=0.9)
         with make_system(runtime=runtime,
                          shards=ShardConfig(shards=2,
                                             max_shard_retries=1)) as system:
@@ -551,30 +553,32 @@ class TestVectorizedEdges:
             assert system.accountant.epsilon == eps_before
 
     def test_retries_flush_as_own_batch_match_serial(self):
+        # Retried clients train in the same batch as everyone else; their
+        # bytes must equal the per-client loop that re-ran each attempt.
         faults = FaultConfig(transient_failure_rate=0.4,
                              transient_failures=1)
-        deliveries = {}
-        for executor in ("serial", "vectorized"):
-            gen = SyntheticClassData(SPECS["tiny"], seed=0)
-            clients = partition_clients(gen, 12, 20, 2, seed=0)
-            model = build_model("tiny_mlp", seed=0)
-            keys = {c.client_id: crypto.generate_key(b"k%d" % c.client_id)
-                    for c in clients}
-            runtime = CohortRuntime(
-                RuntimeConfig(executor=executor, backoff_base_s=0.0,
-                              faults=faults),
-                model, clients, entropy=3, keys=keys)
-            with runtime:
-                result = runtime.run_cohort(
-                    0, [c.client_id for c in clients], model.get_flat(),
-                    TRAIN)
-            retried = [o for o in result.outcomes.values() if o.retries]
-            assert retried, "fault plan injected no transient failures"
-            deliveries[executor] = {
-                d.client_id: d.ciphertext.to_bytes()
-                for d in result.deliveries
-            }
-        assert deliveries["serial"] == deliveries["vectorized"]
+        config = RuntimeConfig(backoff_base_s=0.0, faults=faults)
+        gen = SyntheticClassData(SPECS["tiny"], seed=0)
+        clients = partition_clients(gen, 12, 20, 2, seed=0)
+        cohort = [c.client_id for c in clients]
+        keys = {c.client_id: crypto.generate_key(b"k%d" % c.client_id)
+                for c in clients}
+        model = build_model("tiny_mlp", seed=0)
+        result = CohortRuntime(config, model, clients, entropy=3,
+                               keys=keys).run_cohort(
+            0, cohort, model.get_flat(), TRAIN)
+        template = oracles.build_model("tiny_mlp", seed=0)
+        loop = oracles.run_cohort_loop(config, template, clients, 3, 0,
+                                       cohort, template.get_flat(), TRAIN,
+                                       keys=keys)
+        retried = [o for o in result.outcomes.values() if o.retries]
+        assert retried, "fault plan injected no transient failures"
+        assert {c: (o.attempts, o.retries)
+                for c, o in result.outcomes.items()} == \
+            {c: (o.attempts, o.retries) for c, o in loop.outcomes.items()}
+        assert [(d.client_id, d.ciphertext.to_bytes())
+                for d in result.deliveries] == \
+            [(d.client_id, d.ciphertext.to_bytes()) for d in loop.deliveries]
 
 
 def _chaos_seed(shards, crash_rate):
@@ -601,7 +605,7 @@ class TestChaosEndToEnd:
         faults = EnclaveFaultConfig(leaf_crash_rate=crash,
                                     crash_fatal_rate=0.5,
                                     leaf_straggler_rate=0.3)
-        runtime = RuntimeConfig(executor="vectorized")
+        runtime = RuntimeConfig()
 
         def run(fault_cfg):
             shards = ShardConfig(shards=4, oblivious_batch=4,
@@ -633,7 +637,7 @@ class TestChaosEndToEnd:
         shards = ShardConfig(shards=4, oblivious_batch=4,
                              max_shard_retries=8, shard_deadline_s=5.0,
                              faults=faults)
-        runtime = RuntimeConfig(executor="vectorized")
+        runtime = RuntimeConfig()
         with make_system(runtime=runtime, shards=shards, seed=seed,
                          n_clients=24) as system:
             log = system.run_round()
@@ -644,7 +648,7 @@ class TestChaosEndToEnd:
 
 class TestOliveShardIntegration:
     def test_sharded_round_matches_unsharded_numerically(self):
-        runtime = RuntimeConfig(executor="vectorized")
+        runtime = RuntimeConfig()
         with make_system(runtime=runtime) as plain:
             log_plain = plain.run_round()
         with make_system(runtime=runtime,
@@ -673,7 +677,7 @@ class TestOliveShardIntegration:
         assert log.trace == reference
 
     def test_traced_sharded_round_records_every_leaf_fold(self):
-        runtime = RuntimeConfig(executor="vectorized")
+        runtime = RuntimeConfig()
         with make_system(runtime=runtime, shards=ShardConfig(
                 shards=2, oblivious_batch=4)) as system:
             log = system.run_round(traced=True)
@@ -710,7 +714,7 @@ class TestOliveShardIntegration:
         assert sorted(log.updates) == log.participants == list(range(12))
 
     def test_adaptive_clipping_at_any_shard_count(self):
-        runtime = RuntimeConfig(executor="vectorized")
+        runtime = RuntimeConfig()
         clips, weights = [], []
         for shards in (None, ShardConfig(shards=2)):
             with make_system(runtime=runtime, shards=shards,
@@ -723,7 +727,7 @@ class TestOliveShardIntegration:
         np.testing.assert_allclose(weights[1], weights[0], atol=1e-10)
 
     def test_group_size_folds_at_the_leaves(self):
-        runtime = RuntimeConfig(executor="vectorized")
+        runtime = RuntimeConfig()
         logs = []
         for shards in (None, ShardConfig(shards=2)):
             with make_system(runtime=runtime, shards=shards,

@@ -1,12 +1,12 @@
 """Equivalence suite for the vectorized mega-cohort client path.
 
-Pins the contract that chunking is invisible: the ``vectorized``
-executor -- batched seed derivation, local training over a leading
-client axis, axis-1 sparsification, chunked batched sealing -- produces
-results **bit-identical** to the serial executor's one-client chunks,
+Pins the contract that chunking is invisible: the cohort runtime --
+batched seed derivation, local training over a leading client axis,
+axis-1 sparsification, chunked batched sealing -- produces results
+**bit-identical** to the per-client loop (``tests/oracles.py::
+run_cohort_loop``) that trains, retries and seals one client at a time,
 across every sparsifier, both FL algorithms, encrypted/plain/quantized
-modes, and injected faults (both are pinned to the scalar oracle in
-``test_oracle_equivalence.py``).  Also pins the batched seeding
+modes, and injected faults.  Also pins the batched seeding
 primitives against their scalar counterparts, on both sides of the
 cohort-size crossover, and the ``clip_override`` falsy-zero regression.
 """
@@ -32,45 +32,55 @@ from repro.runtime import (
 from repro.runtime.seeding import MIN_BATCH_DERIVATION
 from repro.sgx import crypto
 
+from . import oracles
+
 ENTROPY = 11
 N_CLIENTS = 12
 
 
-def make_runtime(executor, *, model_name="tiny_mlp", sealed=True,
-                 faults=None, vector_chunk=8192, n_clients=N_CLIENTS,
-                 samples=20):
+def make_clients(model_name="tiny_mlp", n_clients=N_CLIENTS, samples=20):
     gen = SyntheticClassData(SPECS["tiny"], seed=0)
     clients = partition_clients(gen, n_clients, samples, 2, seed=0)
-    model = build_model(model_name, seed=0)
     if model_name != "tiny_mlp":
         spec = next(s for s in SPECS.values() if s.model_name == model_name)
         gen = SyntheticClassData(spec, seed=0)
         clients = partition_clients(gen, n_clients, samples, 2, seed=0)
+    return clients
+
+
+def run_round(training, *, loop=False, rounds=1, clients=None,
+              model_name="tiny_mlp", sealed=True, faults=None,
+              vector_chunk=8192, n_clients=N_CLIENTS, samples=20,
+              **cohort_kwargs):
+    """``rounds`` cohort rounds through the runtime, or through the
+    per-client oracle loop when ``loop``."""
+    clients = clients or make_clients(model_name, n_clients, samples)
     keys = None
     if sealed:
         keys = {c.client_id: crypto.generate_key(b"k%d" % c.client_id)
                 for c in clients}
-    config = RuntimeConfig(executor=executor, vector_chunk=vector_chunk,
+    config = RuntimeConfig(vector_chunk=vector_chunk, backoff_base_s=0.0,
                            faults=faults or FaultConfig())
-    return (CohortRuntime(config, model, clients, ENTROPY, keys=keys),
-            [c.client_id for c in clients], model.get_flat())
-
-
-def run_round(executor, training, *, rounds=1, **kwargs):
-    runtime, cohort, weights = make_runtime(executor, **kwargs)
-    results = []
-    with runtime:
-        for r in range(rounds):
-            results.append(runtime.run_cohort(r, cohort, weights, training))
-    return results
+    cohort = [c.client_id for c in clients]
+    if loop:
+        model = oracles.build_model(model_name, seed=0)
+        return [oracles.run_cohort_loop(
+            config, model, clients, ENTROPY, r, cohort, model.get_flat(),
+            training, keys=keys, **cohort_kwargs) for r in range(rounds)]
+    model = build_model(model_name, seed=0)
+    runtime = CohortRuntime(config, model, clients, ENTROPY, keys=keys)
+    return [runtime.run_cohort(r, cohort, model.get_flat(), training,
+                               **cohort_kwargs) for r in range(rounds)]
 
 
 def assert_rounds_identical(a_rounds, b_rounds):
-    """Outcome statuses and delivery bytes/arrays must match exactly."""
+    """Outcomes and delivery bytes/arrays must match exactly."""
     assert len(a_rounds) == len(b_rounds)
     for a, b in zip(a_rounds, b_rounds):
-        assert {cid: o.status for cid, o in a.outcomes.items()} == \
-               {cid: o.status for cid, o in b.outcomes.items()}
+        assert {cid: (o.status, o.attempts, o.retries)
+                for cid, o in a.outcomes.items()} == \
+               {cid: (o.status, o.attempts, o.retries)
+                for cid, o in b.outcomes.items()}
         assert len(a.deliveries) == len(b.deliveries)
         for da, db in zip(a.deliveries, b.deliveries):
             assert da.client_id == db.client_id
@@ -120,7 +130,7 @@ class TestBatchedSeeding:
         MIN_BATCH_DERIVATION + 1,
     ])
     def test_crossover_sizes_match_scalar(self, n):
-        # C = 1 (the loop executors' chunks) and both sides of the
+        # C = 1 (a one-client chunk) and both sides of the
         # switch between per-client and vectorized derivation.
         cids = list(range(7, 7 + 3 * n, 3))
         rngs = derive_rngs_batch(ENTROPY, STREAM_MODEL, 2, cids, 2)
@@ -177,7 +187,7 @@ class TestClipOverride:
 
 
 class TestVectorizedEquivalence:
-    """vectorized == serial, bit for bit, through the cohort runtime."""
+    """runtime == per-client loop, bit for bit."""
 
     @pytest.mark.parametrize("sparsifier", ["top_k", "threshold", "random_k"])
     @pytest.mark.parametrize("algorithm", ["fedavg", "fedsgd"])
@@ -187,26 +197,21 @@ class TestVectorizedEquivalence:
             clip=1.0, sparsifier=sparsifier, algorithm=algorithm,
             threshold_tau=1e-3,
         )
-        assert_rounds_identical(run_round("serial", training),
-                                run_round("vectorized", training))
+        assert_rounds_identical(run_round(training, loop=True),
+                                run_round(training))
 
     def test_plain_mode(self):
         training = TrainingConfig(local_epochs=1, local_lr=0.1,
                                   batch_size=8, sparse_ratio=0.1, clip=1.0)
-        assert_rounds_identical(run_round("serial", training, sealed=False),
-                                run_round("vectorized", training,
-                                          sealed=False))
+        assert_rounds_identical(run_round(training, loop=True, sealed=False),
+                                run_round(training, sealed=False))
 
     def test_quantized_uploads(self):
         training = TrainingConfig(local_epochs=1, local_lr=0.1,
                                   batch_size=8, sparse_ratio=0.1, clip=1.0)
-        serial, vector = [], []
-        for executor, out in (("serial", serial), ("vectorized", vector)):
-            runtime, cohort, weights = make_runtime(executor)
-            with runtime:
-                out.append(runtime.run_cohort(0, cohort, weights, training,
-                                              quantize_bits=4))
-        assert_rounds_identical(serial, vector)
+        assert_rounds_identical(
+            run_round(training, loop=True, quantize_bits=4),
+            run_round(training, quantize_bits=4))
 
     def test_faulty_rounds_match(self):
         faults = FaultConfig(dropout_rate=0.15, straggler_rate=0.2,
@@ -215,8 +220,8 @@ class TestVectorizedEquivalence:
         training = TrainingConfig(local_epochs=1, local_lr=0.1,
                                   batch_size=8, sparse_ratio=0.1, clip=1.0)
         assert_rounds_identical(
-            run_round("serial", training, faults=faults, rounds=2),
-            run_round("vectorized", training, faults=faults, rounds=2),
+            run_round(training, loop=True, faults=faults, rounds=2),
+            run_round(training, faults=faults, rounds=2),
         )
 
     def test_small_vector_chunk(self):
@@ -224,21 +229,18 @@ class TestVectorizedEquivalence:
         training = TrainingConfig(local_epochs=1, local_lr=0.1,
                                   batch_size=8, sparse_ratio=0.1, clip=1.0)
         assert_rounds_identical(
-            run_round("serial", training),
-            run_round("vectorized", training, vector_chunk=3),
+            run_round(training, loop=True),
+            run_round(training, vector_chunk=3),
         )
 
     def test_conv_model_batches_bit_identically(self):
         # LeNet-5 trains through the batched conv/pool layers and must
-        # still match serial exactly.
+        # still match the per-client loop exactly.
         training = TrainingConfig(local_epochs=1, local_lr=0.05,
                                   batch_size=4, sparse_ratio=0.05, clip=1.0)
-        assert_rounds_identical(
-            run_round("serial", training, model_name="cifar10_cnn",
-                      n_clients=3, samples=8),
-            run_round("vectorized", training, model_name="cifar10_cnn",
-                      n_clients=3, samples=8),
-        )
+        kwargs = dict(model_name="cifar10_cnn", n_clients=3, samples=8)
+        assert_rounds_identical(run_round(training, loop=True, **kwargs),
+                                run_round(training, **kwargs))
 
     def test_heterogeneous_shard_shapes(self):
         # Clients with different shard sizes cannot share one tensor
@@ -254,30 +256,12 @@ class TestVectorizedEquivalence:
                        label_set=c.label_set)
             for i, c in enumerate(base)
         ]
-        model = build_model("tiny_mlp", seed=0)
-        keys = {c.client_id: crypto.generate_key(b"k%d" % c.client_id)
-                for c in clients}
-        rounds = {}
-        for executor in ("serial", "vectorized"):
-            runtime = CohortRuntime(
-                RuntimeConfig(executor=executor), model, clients,
-                ENTROPY, keys=keys,
-            )
-            with runtime:
-                rounds[executor] = [runtime.run_cohort(
-                    0, [c.client_id for c in clients], model.get_flat(),
-                    training,
-                )]
-        assert_rounds_identical(rounds["serial"], rounds["vectorized"])
+        assert_rounds_identical(
+            run_round(training, loop=True, clients=clients),
+            run_round(training, clients=clients))
 
     def test_clip_broadcast_matches(self):
         training = TrainingConfig(local_epochs=1, local_lr=0.1,
                                   batch_size=8, sparse_ratio=0.1, clip=1.0)
-        rounds = {}
-        for executor in ("serial", "vectorized"):
-            runtime, cohort, weights = make_runtime(executor)
-            with runtime:
-                rounds[executor] = [runtime.run_cohort(
-                    0, cohort, weights, training, clip=0.05,
-                )]
-        assert_rounds_identical(rounds["serial"], rounds["vectorized"])
+        assert_rounds_identical(run_round(training, loop=True, clip=0.05),
+                                run_round(training, clip=0.05))
