@@ -48,7 +48,11 @@ import numpy as np
 from .. import obs
 from ..fl.client import LocalUpdate
 from ..fl.sparsify import densify
-from ..oblivious.sort import bitonic_sort_traced_columns, next_power_of_two
+from ..oblivious.sort import (
+    bitonic_sort_traced_columns,
+    comparator_count,
+    next_power_of_two,
+)
 from ..oram.path_oram import PathORAM
 from ..sgx.memory import OP_READ, OP_WRITE, Trace
 
@@ -287,7 +291,10 @@ def aggregate_advanced(
     work_idx[len(idx) : base] = np.arange(d)  # zero-valued initialization
 
     # Initialization (lines 1-3): inputs, d zero-valued weights, padding.
+    # The kernel's whole trace (fill, two sorts, fold, read-out) is
+    # length-determined, so it is reserved once and appends in place.
     if trace is not None:
+        trace.reserve(3 * m + d + 8 * comparator_count(m))
         trace.record_block(G_REGION, 0, m, "write")
 
     # First oblivious sort by index (lines 4-5).

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..oblivious.sort import network_access_offsets, next_power_of_two
+from ..oblivious.sort import network_stage_offsets, next_power_of_two
 
 G_ITEMSIZE = 8
 G_STAR_ITEMSIZE = 4
@@ -117,11 +117,16 @@ def baseline_stream_chunks(
     yield from _rechunk(_baseline_segments(nk, d, block), chunk_size)
 
 
+def _sort_segments(m: int) -> Iterator[np.ndarray]:
+    """The bitonic sort's cacheline stream, one network stage at a time."""
+    for stage in network_stage_offsets(m):
+        yield np.floor_divide(stage, _G_LINE_ELEMS, out=stage)
+
+
 def _advanced_segments(nk: int, d: int) -> Iterator[np.ndarray]:
     m = next_power_of_two(nk + d)
     yield np.arange(m, dtype=np.int64) // _G_LINE_ELEMS
-    sort_lines = network_access_offsets(m) // _G_LINE_ELEMS
-    yield sort_lines
+    yield from _sort_segments(m)
     # Folding: read 0, (read pos, write pos-1) pairs, final write.
     fold = np.empty(2 * m, dtype=np.int64)
     fold[0] = 0
@@ -130,7 +135,7 @@ def _advanced_segments(nk: int, d: int) -> Iterator[np.ndarray]:
     fold[2:-1:2] = (pos - 1) // _G_LINE_ELEMS
     fold[-1] = (m - 1) // _G_LINE_ELEMS
     yield fold
-    yield sort_lines
+    yield from _sort_segments(m)
     yield np.arange(d, dtype=np.int64) // _G_LINE_ELEMS
 
 

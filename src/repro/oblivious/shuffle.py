@@ -5,7 +5,8 @@ which pads the gradient multiset with dummies and then obliviously
 shuffles before a linear scatter pass.  Sorting by fresh uniform random
 keys yields a permutation whose trace is input-independent (the network
 schedule is fixed); the permutation itself is uniform up to key
-collisions, which are negligible for 64-bit keys.
+collisions, which are negligible for the 62-bit keys drawn here
+(``_KEY_BITS``; they stay non-negative in ``int64``).
 """
 
 from __future__ import annotations

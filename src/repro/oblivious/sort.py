@@ -6,16 +6,23 @@ the input *length* alone, so applying it with the register-oblivious
 fully oblivious sort: the access trace is the same for every input of a
 given length (the core of the paper's Proposition 5.2 proof).
 
-Two entry points share one stage-vectorized network:
+Stage ``(k, j)`` of the network pairs ``i`` with ``i + j`` for every
+``i`` whose bit ``j`` is clear; viewed as ``(n // 2j, 2, j)``, a column
+holds those pairs at ``[:, 0, :]`` / ``[:, 1, :]`` and each row of ``2j``
+elements shares one direction.  Everything here is built from those
+strides:
 
 * :func:`bitonic_sort_traced_columns` -- the oblivious kernel over
-  numpy key/payload columns: stage-vectorized compare-exchanges, and
-  with a trace every comparator's four accesses (read i, read j, write
-  i, write j) appended one network *stage* at a time (the comparators
-  within a stage touch disjoint pairs, so batching preserves the exact
-  access sequence of the comparator-at-a-time formulation that
+  numpy key/payload columns: each stage is one masked ``np.where`` swap
+  through the views, and with a trace every comparator's four accesses
+  (read i, read j, write i, write j) are appended one network *stage*
+  at a time, straight from the strides (the comparators within a stage
+  touch disjoint pairs, so batching preserves the exact access
+  sequence of the comparator-at-a-time formulation that
   ``tests/oracles.py`` keeps);
-* :func:`bitonic_sort_numpy` -- the same network without a trace.
+* :func:`bitonic_sort_numpy` -- the same network without a trace;
+* :func:`network_stage_offsets` / :func:`network_access_offsets` -- the
+  recorded offset stream, per stage or whole, for the cost model.
 
 All require no padding from callers: non-power-of-two inputs raise,
 because the aggregation algorithms pad with dummy weights themselves
@@ -29,6 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .. import obs
+from ..sgx.memory import OP_READ, OP_WRITE, tile_strided
 
 
 def is_power_of_two(n: int) -> bool:
@@ -43,53 +51,64 @@ def next_power_of_two(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def bitonic_stages(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Batcher's bitonic comparator schedule, one network stage per item.
+def bitonic_stages(n: int) -> Iterator[tuple[int, int]]:
+    """Batcher's bitonic schedule as its ``(k, j)`` stages, in order.
 
     ``n`` must be a power of two.  The schedule depends only on ``n``;
-    this data-independence is what makes the sort oblivious.
-
-    Yields ``(i_lo, i_hi, ascending)`` numpy arrays holding every
-    comparator of one ``(k, j)`` stage, ordered by increasing ``i_lo``
-    -- the order a comparator-at-a-time loop visits them.
-    Comparators within a stage touch disjoint position pairs, so a
-    stage can be applied (and its accesses recorded) as one batch.
+    this data-independence is what makes the sort oblivious.  Stage
+    ``(k, j)`` compares every ``i`` with bit ``j`` clear against
+    ``i + j``, ascending iff bit ``k`` of ``i`` is clear.  Viewing a
+    column as ``(n // 2j, 2, j)`` puts those pairs at ``[:, 0, :]`` and
+    ``[:, 1, :]`` in increasing-``i`` order, with the direction fixed
+    per row of ``2j`` elements.
     """
     if not is_power_of_two(n):
         raise ValueError(f"bitonic network needs a power-of-two length, got {n}")
-    idx = np.arange(n)
     k = 2
     while k <= n:
         j = k // 2
         while j >= 1:
-            partner = idx ^ j
-            lower = idx < partner
-            i_lo = idx[lower]
-            i_hi = partner[lower]
-            ascending = (i_lo & k) == 0
-            yield i_lo, i_hi, ascending
+            yield k, j
             j //= 2
         k *= 2
 
 
-def _comparator_offsets(i_lo: np.ndarray, i_hi: np.ndarray) -> np.ndarray:
-    """Flattened ``i, j, i, j`` offset stream of one stage's comparators."""
-    offs = np.empty((len(i_lo), 4), dtype=np.int64)
-    offs[:, 0] = i_lo
-    offs[:, 1] = i_hi
-    offs[:, 2] = i_lo
-    offs[:, 3] = i_hi
-    return offs.reshape(-1)
-
-
 #: Per-comparator op pattern: read i, read j, write i, write j.
-_RRWW = np.array([0, 0, 1, 1], dtype=np.uint8)
+_RRWW = (OP_READ, OP_READ, OP_WRITE, OP_WRITE)
 
 
-def _record_stage(trace, region: str, i_lo: np.ndarray, i_hi: np.ndarray) -> None:
-    trace.record_batch(
-        region, _comparator_offsets(i_lo, i_hi), np.tile(_RRWW, len(i_lo))
+def _stage_pattern(n: int, j: int):
+    """Stage ``j``'s comparator offsets as one ``i, i + j, i, i + j``
+    period and its nested ``(count, stride)`` repeats: ``j`` consecutive
+    ``i`` per row, one row every ``2j`` elements (see
+    :func:`repro.sgx.memory.tile_strided`)."""
+    return (0, j, 0, j), ((j, 1), (n // (2 * j), 2 * j))
+
+
+#: Stages with ``j < _LANE_SPLIT`` and at least ``_LANE_MIN_ROWS`` rows
+#: run one lane ``t < j`` at a time, so every ufunc call walks a long
+#: 1-D strided view instead of ``n // 2j`` rows of ``j`` elements; with
+#: fewer rows the extra per-lane calls cost more than they save.
+_LANE_SPLIT = 8
+_LANE_MIN_ROWS = 256
+
+
+def _compare_exchange(columns: tuple[np.ndarray, ...], k: int, j: int) -> None:
+    """Apply stage ``(k, j)`` to every column in place through views."""
+    views = [c.reshape(-1, 2, j) for c in columns]
+    block_start = np.arange(0, len(columns[0]), 2 * j)
+    ascending = ((block_start & k) == 0)[:, None]
+    lanes = (
+        [slice(t, t + 1) for t in range(j)]
+        if j < _LANE_SPLIT and len(block_start) >= _LANE_MIN_ROWS
+        else [slice(None)]
     )
+    for lane in lanes:
+        swap = (views[0][:, 0, lane] > views[0][:, 1, lane]) == ascending
+        for v in views:
+            lo = v[:, 0, lane]
+            hi = v[:, 1, lane]
+            lo[...], hi[...] = np.where(swap, hi, lo), np.where(swap, lo, hi)
 
 
 def odd_even_merge_network(n: int) -> Iterator[tuple[int, int, bool]]:
@@ -97,9 +116,9 @@ def odd_even_merge_network(n: int) -> Iterator[tuple[int, int, bool]]:
 
     The second classic O(n log^2 n) sorting network; slightly fewer
     comparators than the bitonic network and every comparator is
-    ascending.  Offered as an alternative backend for the oblivious
-    sort (see the sorting-network ablation benchmark); ``n`` must be a
-    power of two.
+    ascending.  Only the sorting-network ablation benchmark uses it, to
+    count comparators against the bitonic network; the oblivious sort
+    always runs the bitonic network.  ``n`` must be a power of two.
     """
     if not is_power_of_two(n):
         raise ValueError(f"odd-even merge network needs a power of two, got {n}")
@@ -128,34 +147,37 @@ def comparator_count(n: int) -> int:
 def bitonic_sort_traced_columns(
     trace, region: str, keys: np.ndarray, *payloads: np.ndarray
 ) -> None:
-    """Batched oblivious sort over numpy columns, recording into ``trace``.
+    """Batched oblivious sort over 1-D numpy columns, recording into ``trace``.
 
-    Sorts ``keys`` (and permutes each payload identically) with
-    stage-vectorized compare-exchanges while appending each stage's
-    ``read i, read j, write i, write j`` comparator accesses to
-    ``region`` as one batch.  Because comparators within a stage are
-    disjoint, both the data result and the recorded access sequence are
-    identical to the comparator-at-a-time formulation;
-    ``trace=None`` degrades to a pure :func:`bitonic_sort_numpy`.
+    Sorts ``keys`` (and permutes each payload identically) one network
+    stage at a time through ``(n // 2j, 2, j)`` views of every column,
+    with no index arrays, gathers or scatters.  With a trace, each
+    stage's ``read i, read j, write i, write j`` comparator accesses are
+    written straight into the trace columns from the same strides
+    (:meth:`Trace.record_periodic`), after one up-front
+    :meth:`Trace.reserve` for the whole network.  Because comparators
+    within a stage are disjoint, both the data result and the recorded
+    access sequence are identical to the comparator-at-a-time
+    formulation; ``trace=None`` degrades to a pure
+    :func:`bitonic_sort_numpy`.
     """
     n = len(keys)
     for p in payloads:
         if len(p) != n:
             raise ValueError("payload length mismatch")
+    if not is_power_of_two(n):
+        raise ValueError(f"bitonic network needs a power-of-two length, got {n}")
     if n == 1:
         return
+    columns = (keys,) + payloads
     with obs.span("kernel.bitonic_sort", n=n, traced=trace is not None):
-        for i_lo, i_hi, ascending in bitonic_stages(n):
+        if trace is not None:
+            trace.reserve(4 * comparator_count(n))
+        for k, j in bitonic_stages(n):
             if trace is not None:
-                _record_stage(trace, region, i_lo, i_hi)
-            a = keys[i_lo]
-            b = keys[i_hi]
-            swap = (a > b) == ascending
-            sw_lo = i_lo[swap]
-            sw_hi = i_hi[swap]
-            keys[sw_lo], keys[sw_hi] = keys[sw_hi].copy(), keys[sw_lo].copy()
-            for p in payloads:
-                p[sw_lo], p[sw_hi] = p[sw_hi].copy(), p[sw_lo].copy()
+                offsets, repeats = _stage_pattern(n, j)
+                trace.record_periodic(region, offsets, _RRWW, repeats)
+            _compare_exchange(columns, k, j)
 
 
 def bitonic_sort_numpy(keys: np.ndarray, *payloads: np.ndarray) -> None:
@@ -167,17 +189,26 @@ def bitonic_sort_numpy(keys: np.ndarray, *payloads: np.ndarray) -> None:
     bitonic_sort_traced_columns(None, "", keys, *payloads)
 
 
+def network_stage_offsets(n: int) -> Iterator[np.ndarray]:
+    """The traced sort's element offsets, one stage (``2n``) at a time.
+
+    Each comparator touches offsets ``i, j, i, j`` (two reads, two
+    writes), built from the same strides the sort records.  Lets the
+    cost model stream the network without materializing all of it.
+    """
+    for _, j in bitonic_stages(n):
+        out = np.empty(2 * n, dtype=np.int64)
+        tile_strided(*_stage_pattern(n, j), out)
+        yield out
+
+
 def network_access_offsets(n: int) -> np.ndarray:
     """Element offsets touched by the traced sort, in order.
 
-    Each comparator touches offsets ``i, j, i, j`` (two reads, two
-    writes).  Because the schedule is length-determined, this stream is
-    exactly the adversary-visible access pattern of the oblivious sort
-    and feeds the cycle cost model.
+    Because the schedule is length-determined, this stream is exactly
+    the adversary-visible access pattern of the oblivious sort.
     """
-    chunks = [
-        _comparator_offsets(i_lo, i_hi) for i_lo, i_hi, _ in bitonic_stages(n)
-    ]
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
+    out = np.empty(4 * comparator_count(n), dtype=np.int64)
+    for s, (_, j) in enumerate(bitonic_stages(n)):
+        tile_strided(*_stage_pattern(n, j), out[2 * n * s : 2 * n * (s + 1)])
+    return out

@@ -24,11 +24,13 @@ Storage layout
 
 The trace is *columnar* (structure of arrays): three parallel numpy
 arrays -- ``int32`` element offsets, ``uint8`` region ids, ``uint8``
-operation codes -- grown by amortized doubling.  One recorded access
-costs 6 bytes instead of one frozen dataclass plus a list slot
+operation codes -- grown by amortized doubling, or presized once with
+:meth:`Trace.reserve` by a caller that knows its length.  One recorded
+access costs 6 bytes instead of one frozen dataclass plus a list slot
 (~100+ bytes), and whole access blocks append as single vectorized
 ``numpy`` copies via :meth:`Trace.record_block` /
-:meth:`Trace.record_batch` / :meth:`Trace.record_columns`.  Region
+:meth:`Trace.record_batch` / :meth:`Trace.record_periodic` /
+:meth:`Trace.record_columns`.  Region
 names are interned into a per-trace table in first-use order.  The
 object-based views (:meth:`Trace.__iter__`, :meth:`Trace.project`,
 :meth:`Trace.offsets`, ...) are preserved as compatibility wrappers
@@ -95,6 +97,37 @@ class MemoryAccess:
     def cacheline(self, itemsize: int, line_bytes: int = CACHELINE_BYTES) -> int:
         """Cacheline index of this access for ``itemsize``-byte elements."""
         return (self.offset * itemsize) // line_bytes
+
+
+def tile_strided(
+    pattern: Any, repeats: Sequence[tuple[int, int]], out: np.ndarray
+) -> None:
+    """Fill ``out`` with ``pattern`` repeated at nested strides.
+
+    ``repeats`` lists ``(count, stride)`` levels, innermost first; level
+    ``(c, s)`` repeats everything inside it ``c`` times, adding ``s`` to
+    the values per repetition.  ``out`` must hold exactly
+    ``len(pattern) * prod(counts)`` elements.  Each level doubles the
+    filled prefix with one contiguous add per step, so the fill costs
+    ``O(log len(out))`` numpy calls whatever the pattern's shape.
+    """
+    size = len(pattern)
+    total = size
+    for count, _ in repeats:
+        total *= count
+    if total != len(out):
+        raise ValueError("tile_strided output length mismatch")
+    if total == 0:
+        return
+    out[:size] = pattern
+    for count, stride in repeats:
+        done = 1
+        while done < count:
+            step = min(done, count - done)
+            np.add(out[: step * size], done * stride,
+                   out=out[done * size : (done + step) * size])
+            done += step
+        size *= count
 
 
 class Trace:
@@ -185,6 +218,23 @@ class Trace:
         new_cap = cap
         while new_cap < need:
             new_cap *= 2
+        self._resize(new_cap)
+
+    def reserve(self, extra: int) -> None:
+        """Presize the columns so ``extra`` more accesses append in place.
+
+        Grows at most once: to exactly the needed capacity, or to double
+        the current one when that is larger (so repeated small
+        reservations stay amortized).  The recorded accesses, ``==`` and
+        :meth:`signature_digest` are unaffected; only the copies and the
+        overshoot of growth-by-doubling are saved.
+        """
+        need = self._n + extra
+        cap = len(self._offs)
+        if need > cap:
+            self._resize(max(need, 2 * cap))
+
+    def _resize(self, new_cap: int) -> None:
         for attr in ("_rids", "_offs", "_ops"):
             old = getattr(self, attr)
             grown = self._alloc(new_cap, old.dtype)
@@ -254,6 +304,42 @@ class Trace:
             if ops_arr.dtype.kind not in "iu":
                 ops_arr = np.asarray([_norm_op(o) for o in op], dtype=np.uint8)
             self._ops[n : n + count] = ops_arr.reshape(-1)
+        self._n = n + count
+
+    def record_periodic(self, region: str, offsets: Any, ops: Any,
+                        repeats: Sequence[tuple[int, int]]) -> None:
+        """Append one access pattern repeated at nested strides.
+
+        ``offsets`` / ``ops`` (equal length) are one period.  ``repeats``
+        lists ``(count, stride)`` levels, innermost first: each level
+        repeats everything inside it ``count`` times, shifting the
+        offsets by ``stride`` per repetition.  Equivalent to
+        :meth:`record_batch` of the expanded stream, but the columns are
+        written by doubling copies (see :func:`tile_strided`) with no
+        temporary and no scan.  One bitonic network stage ``(k, j)`` over
+        ``n`` elements is ``offsets=(0, j, 0, j)``, ``ops=(R, R, W, W)``,
+        ``repeats=((j, 1), (n // 2j, 2j))``.  Strides must be
+        non-negative.
+        """
+        pattern = np.asarray(offsets, dtype=np.int64).reshape(-1)
+        codes = np.asarray([_norm_op(o) for o in ops], dtype=np.uint8)
+        if pattern.size != codes.size:
+            raise ValueError("record_periodic requires one op per offset")
+        count = pattern.size
+        hi = int(pattern.max()) if count else 0
+        for reps, stride in repeats:
+            if stride < 0:
+                raise ValueError("record_periodic strides must be non-negative")
+            count *= reps
+            hi += (reps - 1) * stride
+        if count <= 0:
+            return
+        self._widen_offsets_if_needed(int(pattern.min()), hi)
+        self._ensure(count)
+        n = self._n
+        self._rids[n : n + count] = self.region_id(region)
+        tile_strided(pattern, repeats, self._offs[n : n + count])
+        tile_strided(codes, ((count // codes.size, 0),), self._ops[n : n + count])
         self._n = n + count
 
     def record_columns(self, region_ids: Any, offsets: Any, ops: Any) -> None:

@@ -40,13 +40,7 @@ from repro.core.streams import LINE_BYTES, G_ITEMSIZE, G_STAR_ITEMSIZE
 from repro.fl.client import LocalUpdate, TrainingConfig
 from repro.fl.datasets import SPECS, ClientData, SyntheticClassData
 from repro.oblivious.primitives import o_mov, o_swap
-from repro.oblivious.sort import (
-    _record_stage,
-    bitonic_stages,
-    is_power_of_two,
-    network_access_offsets,
-    next_power_of_two,
-)
+from repro.oblivious.sort import is_power_of_two, next_power_of_two
 from repro.oram.path_oram import DUMMY, StashOverflow
 from repro.runtime.cohort import (
     REASON_DROPOUT,
@@ -1091,25 +1085,21 @@ def bitonic_sort_traced(
 ) -> None:
     """Sort a power-of-two :class:`TracedArray` in place, obliviously.
 
-    Every comparator reads both elements, computes the order flag in
-    registers, and conditionally swaps with ``o_swap``; both elements
-    are always written back.  The four accesses per comparator are
-    recorded one stage at a time via a batched append.
+    Every comparator of :func:`bitonic_network` reads both elements,
+    computes the order flag in registers, and conditionally swaps with
+    ``o_swap``; both elements are always written back, each access
+    recorded as it happens.
     """
-    n = len(array)
-    data = array.data
-    trace = array.trace
-    for i_lo, i_hi, ascending in bitonic_stages(n):
-        if trace is not None:
-            _record_stage(trace, array.name, i_lo, i_hi)
-        for i, j, asc in zip(i_lo.tolist(), i_hi.tolist(),
-                             ascending.tolist()):
-            a = data[i]
-            b = data[j]
-            out_of_order = (key(a) > key(b)) == asc
-            a, b = o_swap(out_of_order, a, b)
-            data[i] = a
-            data[j] = b
+    apply_network_traced(array, bitonic_network(len(array)), key=key)
+
+
+def network_offsets(n: int) -> Iterator[int]:
+    """The ``i, j, i, j`` offset stream of :func:`bitonic_network`."""
+    for i, j, _ in bitonic_network(n):
+        yield i
+        yield j
+        yield i
+        yield j
 
 
 def oblivious_shuffle_traced(array, rng: random.Random | None = None) -> None:
@@ -1238,14 +1228,15 @@ def advanced_stream(nk: int, d: int) -> Iterator[int]:
     m = next_power_of_two(nk + d)
     for pos in range(m):
         yield pos // _G_LINE_ELEMS
-    sort_lines = network_access_offsets(m) // _G_LINE_ELEMS
-    yield from sort_lines.tolist()
+    sort_lines = (np.fromiter(network_offsets(m), dtype=np.int64)
+                  // _G_LINE_ELEMS).tolist()
+    yield from sort_lines
     yield 0
     for pos in range(1, m):
         yield pos // _G_LINE_ELEMS
         yield (pos - 1) // _G_LINE_ELEMS
     yield (m - 1) // _G_LINE_ELEMS
-    yield from sort_lines.tolist()
+    yield from sort_lines
     for j in range(d):
         yield j // _G_LINE_ELEMS
 

@@ -90,6 +90,25 @@ class TestAgreement:
         assert np.allclose(fast, traced)
 
 
+class TestAdvancedTraceReservation:
+    @pytest.mark.parametrize("n,k,d", [(1, 1, 200), (3, 5, 25), (20, 30, 600)])
+    def test_fresh_trace_is_sized_exactly_once(self, n, k, d):
+        # The kernel reserves its whole length-determined trace up front:
+        # no growth copies and no doubling overshoot.
+        trace = Trace()
+        aggregate_advanced(make_updates(n, n, d, k), d, trace=trace)
+        assert len(trace._offs) == len(trace)
+
+    def test_reservation_keeps_the_trace(self):
+        updates = make_updates(2, n_clients=3, d=40, k=6)
+        reserved, grown = Trace(), Trace()
+        aggregate_advanced(updates, 40, trace=reserved)
+        for access in reserved:
+            grown.record(access.region, access.offset, access.op)
+        assert reserved == grown
+        assert reserved.signature_digest() == grown.signature_digest()
+
+
 class TestEdgeCases:
     def test_no_updates_yields_zeros(self):
         for name, spec in AGGREGATORS.items():

@@ -26,6 +26,7 @@ from repro.core.streams import (
     linear_stream_chunks,
 )
 from repro.fl.client import LocalUpdate
+from repro.oblivious.sort import network_access_offsets, next_power_of_two
 from repro.sgx.cost import CostModel, CostParameters
 from repro.sgx.memory import Trace
 from tests.oracles import (
@@ -282,3 +283,50 @@ class TestStreamsThroughCostModel:
             advanced_stream(nk, d)
         )
         assert chunked == generated
+
+
+def monolithic_advanced_stream(nk: int, d: int) -> np.ndarray:
+    """The Advanced stream built whole: fill, sort, fold, sort, read-out."""
+    m = next_power_of_two(nk + d)
+    sort_lines = network_access_offsets(m) // 8
+    pos = np.arange(1, m, dtype=np.int64)
+    fold = np.empty(2 * m, dtype=np.int64)
+    fold[0] = 0
+    fold[1:-1:2] = pos // 8
+    fold[2:-1:2] = (pos - 1) // 8
+    fold[-1] = (m - 1) // 8
+    return np.concatenate([np.arange(m, dtype=np.int64) // 8, sort_lines,
+                           fold, sort_lines,
+                           np.arange(d, dtype=np.int64) // 8])
+
+
+class TestAdvancedStreamIsChunked:
+    """The Advanced emitter streams its sorts one network stage at a
+    time: same accesses as the whole stream, memory bounded by the
+    chunk size rather than the network."""
+
+    @pytest.mark.parametrize("nk,d", [(1, 1), (5, 11), (96, 160), (300, 724)])
+    @pytest.mark.parametrize("chunk_size", [97, 4096, 1 << 19])
+    def test_equals_monolithic_stream(self, nk, d, chunk_size):
+        got = np.concatenate(list(advanced_stream_chunks(
+            nk, d, chunk_size=chunk_size)))
+        np.testing.assert_array_equal(got, monolithic_advanced_stream(nk, d))
+
+    def test_peak_memory_bounded_at_two_to_the_sixteen(self):
+        import tracemalloc
+
+        nk, d = 30_000, 35_536  # m = 2**16: the sorts are 17.8M accesses
+        m = next_power_of_two(nk + d)
+        expected = 2 * 4 * (m // 2) * 16 * 17 // 2 + 3 * m + d
+        tracemalloc.start()
+        try:
+            total = 0
+            for chunk in advanced_stream_chunks(nk, d):
+                total += chunk.size
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == expected
+        # Whole-stream emission held >= 142 MB (one sort's int64 lines);
+        # chunks are 4 MB and a stage is 1 MB.
+        assert peak < 24 * 2**20, peak

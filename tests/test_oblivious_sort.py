@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.oblivious.sort import (
     bitonic_sort_numpy,
+    bitonic_sort_traced_columns,
     comparator_count,
     is_power_of_two,
     network_access_offsets,
+    network_stage_offsets,
     next_power_of_two,
 )
 from repro.sgx.memory import Trace, TracedArray
-from tests.oracles import bitonic_network, bitonic_sort_traced
+from tests.oracles import bitonic_network, bitonic_sort_traced, network_offsets
 
 
 class TestPowerOfTwoHelpers:
@@ -150,3 +152,78 @@ class TestNumpySort:
         assert keys.tolist() == [0, 0, 1, 1]
         assert sorted(payload[:2].tolist()) == [0.0, 1.0]
         assert sorted(payload[2:].tolist()) == [10.0, 11.0]
+
+
+class TestStridedKernelAgainstOracle:
+    """The strided-view kernel against the comparator-at-a-time oracle,
+    whose schedule comes from its own ``bitonic_network``: keys, payload
+    bytes and traces must be identical, ties included (a descending
+    comparator swaps equal keys, which moves their payloads)."""
+
+    @staticmethod
+    def _run_both(keys, payload):
+        trace = Trace()
+        k, p = keys.copy(), payload.copy()
+        bitonic_sort_traced_columns(trace, "g", k, p)
+        ref_trace = Trace()
+        arr = TracedArray("g", list(zip(keys.tolist(), payload.tolist())),
+                          trace=ref_trace)
+        bitonic_sort_traced(arr, key=lambda w: w[0])
+        out = arr.snapshot()
+        assert k.tolist() == [w[0] for w in out]
+        assert p.tobytes() == np.asarray([w[1] for w in out]).tobytes()
+        assert trace == ref_trace
+
+    @pytest.mark.parametrize("log_n", range(13))
+    def test_heavy_ties_match_oracle(self, log_n):
+        n = 1 << log_n
+        rng = np.random.default_rng(log_n)
+        keys = rng.integers(0, 3, size=n).astype(np.int64)
+        payload = rng.standard_normal(n)
+        self._run_both(keys, payload)
+
+    @given(st.integers(0, 7), st.integers(1, 4), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_random_ties_match_oracle(self, log_n, distinct, seed):
+        n = 1 << log_n
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, distinct, size=n).astype(np.int64)
+        self._run_both(keys, rng.standard_normal(n))
+
+    @pytest.mark.parametrize("log_n", range(13))
+    def test_access_offsets_match_oracle_stream(self, log_n):
+        n = 1 << log_n
+        expected = np.fromiter(network_offsets(n), dtype=np.int64)
+        got = network_access_offsets(n)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+        staged = list(network_stage_offsets(n))
+        assert all(s.size == 2 * n for s in staged)
+        joined = np.concatenate(staged) if staged else np.empty(0, np.int64)
+        np.testing.assert_array_equal(joined, expected)
+
+    def test_recorded_offsets_are_the_access_stream(self):
+        trace = Trace()
+        bitonic_sort_traced_columns(trace, "g", np.arange(64)[::-1].copy())
+        np.testing.assert_array_equal(trace.offsets_array("g"),
+                                      network_access_offsets(64))
+
+    @pytest.mark.parametrize("n", [0, 3, 6, 12, 100])
+    def test_non_power_of_two_raises(self, n):
+        with pytest.raises(ValueError):
+            bitonic_sort_traced_columns(Trace(), "g", np.zeros(n))
+        with pytest.raises(ValueError):
+            bitonic_sort_numpy(np.zeros(n), np.zeros(n))
+        with pytest.raises(ValueError):
+            network_access_offsets(n)
+        with pytest.raises(ValueError):
+            list(network_stage_offsets(n))
+
+    def test_strided_payload_columns_sort_in_place(self):
+        keys = np.asarray([3, 1, 2, 0, 9, 9, 9, 9], dtype=np.int64)
+        backing = np.arange(16, dtype=np.float64)
+        payload = backing[::2]
+        bitonic_sort_numpy(keys[:4], payload[:4])
+        assert keys[:4].tolist() == [0, 1, 2, 3]
+        assert payload[:4].tolist() == [6.0, 2.0, 4.0, 0.0]
+        assert backing[1::2].tolist() == list(np.arange(1, 16, 2.0))

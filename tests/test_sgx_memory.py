@@ -224,3 +224,106 @@ class TestTraceMemmap:
         assert enclave.trace._memmap_dir == str(tmp_path)
         enclave.reset_trace()
         assert enclave.trace._memmap_dir == str(tmp_path)
+
+
+def _columns(trace):
+    return trace._rids, trace._offs, trace._ops
+
+
+class TestTraceReserve:
+    """``reserve(m)`` presizes once: the next ``m`` appends reuse the
+    same columns, and the recorded trace is unchanged."""
+
+    def _append(self, trace, m):
+        # Mixed append paths totalling m accesses.
+        trace.record("g", 3, "read")
+        trace.record_block("g", 0, m // 2, "write")
+        rest = m - 1 - m // 2
+        trace.record_batch("h", np.arange(rest) % 7, "read")
+
+    @pytest.mark.parametrize("m", [1, 255, 256, 257, 5000])
+    @pytest.mark.parametrize("memmap", [False, True])
+    def test_appends_after_reserve_do_not_reallocate(self, m, memmap,
+                                                     tmp_path):
+        trace = Trace(memmap_dir=str(tmp_path) if memmap else None)
+        trace.record("h", 1, "write")
+        trace.reserve(m)
+        before = _columns(trace)
+        self._append(trace, m)
+        after = _columns(trace)
+        assert all(a is b for a, b in zip(before, after))
+        assert len(trace._offs) >= len(trace)
+        if memmap:
+            assert all(isinstance(c, np.memmap) for c in after)
+
+    @pytest.mark.parametrize("memmap", [False, True])
+    def test_reserve_leaves_equality_and_digest_alone(self, memmap,
+                                                      tmp_path):
+        reserved = Trace(memmap_dir=str(tmp_path) if memmap else None)
+        grown = Trace()
+        reserved.reserve(10_000)
+        for t in (reserved, grown):
+            t.record("h", 1, "write")
+            self._append(t, 4000)
+        assert reserved == grown
+        assert reserved.signature_digest() == grown.signature_digest()
+
+    def test_fresh_reserve_is_exact(self):
+        trace = Trace()
+        trace.reserve(100_000)
+        assert len(trace._offs) == 100_000
+
+    def test_small_reserves_stay_amortized(self):
+        trace = Trace()
+        trace.reserve(1000)
+        trace.record_block("g", 0, 1000, "read")
+        trace.reserve(1)
+        assert len(trace._offs) == 2000
+
+    def test_reserve_within_capacity_is_a_noop(self):
+        trace = Trace()
+        before = _columns(trace)
+        trace.reserve(10)
+        assert all(a is b for a, b in zip(before, _columns(trace)))
+
+
+class TestRecordPeriodic:
+    """``record_periodic`` appends exactly the expanded stream."""
+
+    @staticmethod
+    def _expand(offsets, ops, repeats):
+        stream = [(o, op) for o, op in zip(offsets, ops)]
+        for count, stride in repeats:
+            stream = [(o + r * stride, op) for r in range(count)
+                      for o, op in stream]
+        return stream
+
+    @pytest.mark.parametrize("offsets,ops,repeats", [
+        ((0, 1, 0, 1), (0, 0, 1, 1), ((1, 1), (8, 2))),
+        ((0, 4, 0, 4), (0, 0, 1, 1), ((4, 1), (2, 8))),
+        ((5,), ("write",), ((7, 1),)),
+        ((2, 0), ("read", "write"), ((3, 0), (5, 11), (2, 100))),
+        ((0, 1), (0, 1), ((0, 1),)),
+        ((9,), (1,), ()),
+    ])
+    def test_equals_record_batch(self, offsets, ops, repeats):
+        periodic, batch = Trace(), Trace()
+        periodic.record("x", 1, "read")
+        batch.record("x", 1, "read")
+        periodic.record_periodic("g", offsets, ops, repeats)
+        stream = self._expand(offsets, ops, repeats)
+        if stream:
+            offs, codes = zip(*stream)
+            batch.record_batch("g", np.asarray(offs), list(codes))
+        assert periodic.signature() == batch.signature()
+
+    def test_widens_past_int32(self):
+        trace = Trace()
+        trace.record_periodic("g", (0,), ("read",), ((3, 2**31),))
+        assert trace.offsets("g") == [0, 2**31, 2**32]
+
+    def test_rejects_negative_stride_and_op_mismatch(self):
+        with pytest.raises(ValueError):
+            Trace().record_periodic("g", (0,), ("read",), ((2, -1),))
+        with pytest.raises(ValueError):
+            Trace().record_periodic("g", (0, 1), ("read",), ((2, 1),))
