@@ -39,6 +39,7 @@ from .log import (
     AuditProofError,
     AuditReplayError,
     AuditTruncationError,
+    AuditVersionError,
     chain_records,
     read_records,
     record_hash,
@@ -82,6 +83,7 @@ __all__ = [
     "AuditReplayError",
     "AuditReport",
     "AuditTruncationError",
+    "AuditVersionError",
     "InclusionProof",
     "RoundVerdict",
     "aggregate_digest",

@@ -17,9 +17,10 @@ code  meaning
 3     log truncated: missing/wrong terminal seal or a round gap
 4     commitment mismatch: logged ciphertexts vs the Merkle root
 5     replay mismatch: recomputed round disagrees with a commitment,
-      or the manifest cannot be replayed (e.g. a ``shards.aggregator``
-      that differs from ``olive.aggregator``)
+      or the manifest cannot be replayed
 6     inclusion-proof failure (or the requested round/client absent)
+7     unsupported log version: the manifest was written by code whose
+      rounds this version cannot replay
 ====  =============================================================
 """
 

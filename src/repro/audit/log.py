@@ -22,8 +22,9 @@ i.e. detectably incomplete).
 Verification failures raise the distinct exception taxonomy the CLI
 maps to exit codes: :class:`AuditChainError` (edited / reordered
 records), :class:`AuditTruncationError` (missing or lying seal, round
-gaps), and -- from :mod:`repro.audit.verify` -- commitment, replay and
-proof errors.
+gaps), :class:`AuditVersionError` (a manifest of another format
+version), and -- from :mod:`repro.audit.verify` -- commitment, replay
+and proof errors.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ GENESIS = "0" * 64
 #: Domain prefix mixed into every record hash.
 _RECORD_DOMAIN = b"olive-audit-record:"
 
-#: Audit log format version (bumped on incompatible record changes).
-LOG_VERSION = 1
+#: Audit log format version, bumped whenever a log recorded by older
+#: code can no longer replay bit-identically.  Version 2: keyed BLAKE2b
+#: seed derivation, and an empty Poisson draw releases a noise-only
+#: round.
+LOG_VERSION = 2
 
 
 class AuditError(Exception):
@@ -85,6 +89,12 @@ class AuditProofError(AuditError):
     """An inclusion proof failed verification."""
 
     exit_code = 6
+
+
+class AuditVersionError(AuditError):
+    """The log was written in a format version this code cannot replay."""
+
+    exit_code = 7
 
 
 def record_hash(record: dict) -> str:
@@ -160,10 +170,12 @@ def read_records(path: str | Path) -> list[dict]:
 
 
 def verify_chain(records: list[dict], require_seal: bool = True) -> None:
-    """Structural verification: hashes, links, ordering, and the seal.
+    """Structural verification: hashes, links, ordering, the manifest's
+    format version, and the seal.
 
-    Raises :class:`AuditChainError` or :class:`AuditTruncationError`;
-    returns ``None`` when the chain is intact and complete.
+    Raises :class:`AuditChainError`, :class:`AuditVersionError` or
+    :class:`AuditTruncationError`; returns ``None`` when the chain is
+    intact and complete.
     ``require_seal=False`` tolerates a log that is still being written
     (no terminal seal yet) while checking everything else.
     """
@@ -188,6 +200,12 @@ def verify_chain(records: list[dict], require_seal: bool = True) -> None:
 
     if records[0].get("type") != "manifest":
         raise AuditChainError("first record must be the run manifest")
+    version = records[0].get("version")
+    if version != LOG_VERSION:
+        raise AuditVersionError(
+            f"log format version {version!r} is not the supported version "
+            f"{LOG_VERSION}; its rounds cannot be replayed by this code"
+        )
     rounds = [r for r in records[1:] if r.get("type") == "round"]
     for expected_index, record in enumerate(rounds):
         if record.get("round") != expected_index:

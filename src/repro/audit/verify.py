@@ -30,6 +30,7 @@ function of the recorded seeds.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -112,25 +113,29 @@ def verify_round_commitment(record: dict) -> None:
 
 
 def runtime_from_manifest(section: dict):
-    """A manifest's ``runtime`` section as a :class:`RuntimeConfig`.
-
-    Older manifests name a cohort executor and a worker count.  The
-    ``workers`` key is dropped, and an executor of ``serial`` or
-    ``thread`` maps to the one batched path, which produces the same
-    bits; any other executor name is refused.
-    """
+    """A manifest's ``runtime`` section as a :class:`RuntimeConfig`."""
     from ..runtime import FaultConfig, RuntimeConfig
 
     rt = dict(section)
-    rt.pop("workers", None)
-    executor = rt.pop("executor", "vectorized")
-    if executor not in ("serial", "thread", "vectorized"):
-        raise AuditReplayError(
-            f"manifest field runtime.executor={executor!r} names no cohort "
-            "path; the recorded run cannot be replayed"
-        )
     rt["faults"] = FaultConfig(**rt["faults"])
     return RuntimeConfig(**rt)
+
+
+@contextmanager
+def _manifest_section(name: str):
+    """Refuse a manifest section the current configs cannot rebuild.
+
+    An unknown field (``TypeError``) or a rejected value
+    (``ValueError``) becomes an :class:`AuditReplayError` naming the
+    section, so the CLI exits with the cannot-replay code.
+    """
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise AuditReplayError(
+            f"manifest section {name!r} cannot be rebuilt ({exc}); the "
+            "recorded run cannot be replayed"
+        ) from exc
 
 
 def build_system_from_manifest(manifest: dict):
@@ -158,26 +163,20 @@ def build_system_from_manifest(manifest: dict):
         data["labels_per_client"], fixed=data.get("fixed", True),
         seed=data.get("partition_seed", data["seed"]),
     )
-    olive = dict(manifest["olive"])
-    olive["training"] = TrainingConfig(**olive["training"])
-    config = OliveConfig(**olive)
+    with _manifest_section("olive"):
+        olive = dict(manifest["olive"])
+        olive["training"] = TrainingConfig(**olive["training"])
+        config = OliveConfig(**olive)
     runtime = None
     if manifest.get("runtime") is not None:
-        runtime = runtime_from_manifest(manifest["runtime"])
+        with _manifest_section("runtime"):
+            runtime = runtime_from_manifest(manifest["runtime"])
     shards = None
     if manifest.get("shards") is not None:
-        sh = dict(manifest["shards"])
-        sh["faults"] = EnclaveFaultConfig(**sh["faults"])
-        # Older manifests name a leaf kernel under ``shards``; the
-        # leaves run the olive aggregator, so the two must agree.
-        legacy = sh.pop("aggregator", config.aggregator)
-        if legacy != config.aggregator:
-            raise AuditReplayError(
-                f"manifest field shards.aggregator={legacy!r} differs from "
-                f"olive.aggregator={config.aggregator!r}; the recorded run "
-                "cannot be replayed"
-            )
-        shards = ShardConfig(**sh)
+        with _manifest_section("shards"):
+            sh = dict(manifest["shards"])
+            sh["faults"] = EnclaveFaultConfig(**sh["faults"])
+            shards = ShardConfig(**sh)
     model = build_model(manifest["model"]["name"],
                         seed=manifest["model"]["seed"])
     return OliveSystem(model, clients, config, seed=manifest["seed"],

@@ -20,6 +20,12 @@ import numpy as np
 from ..sgx.memory import Trace
 from .olive import OliveSystem
 
+#: Checkpoint format version, bumped whenever a checkpoint written by
+#: older code would resume onto a different trajectory.  Version 4:
+#: keyed BLAKE2b seed derivation, and an empty Poisson draw releases a
+#: noise-only round.
+CHECKPOINT_VERSION = 4
+
 
 def save_checkpoint(system: OliveSystem, path: str | Path) -> None:
     """Write the restartable server state to ``path`` (.npz)."""
@@ -38,7 +44,7 @@ def save_checkpoint(system: OliveSystem, path: str | Path) -> None:
         # rewound log before resuming.
         "audit_head": system.audit.head if system.audit else None,
         "audit_rounds": system.audit.rounds if system.audit else None,
-        "version": 3,
+        "version": CHECKPOINT_VERSION,
     }
     np.savez(
         path,
@@ -59,6 +65,11 @@ def load_checkpoint(system: OliveSystem, path: str | Path) -> dict:
     with np.load(path, allow_pickle=False) as archive:
         weights = archive["global_weights"]
         meta = json.loads(str(archive["meta"]))
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"checkpoint version {meta.get('version')!r} is not the "
+            f"supported version {CHECKPOINT_VERSION}; refusing to resume"
+        )
     if weights.size != system.d:
         raise ValueError(
             f"checkpoint holds {weights.size} weights, system expects {system.d}"
@@ -78,8 +89,7 @@ def load_checkpoint(system: OliveSystem, path: str | Path) -> dict:
     system.accountant.realized_rates = realized_rates
     if system.clipper is not None:
         system.clipper.clip = float(meta["clip"])
-    # Version <3 checkpoints predate audit logging; nothing to check.
-    expected_head = meta.get("audit_head")
+    expected_head = meta["audit_head"]
     if expected_head is not None and system.audit is not None:
         if system.audit.head != expected_head:
             raise ValueError(
@@ -105,9 +115,7 @@ def _ledger(meta: dict) -> tuple[int, list[float]]:
             f"checkpoint rounds={rounds!r} is not a non-negative integer; "
             "refusing to restore the privacy ledger"
         )
-    # Version 1 checkpoints predate realized-cohort accounting; they
-    # hold no realized rounds by construction.
-    realized_rates = [float(q) for q in meta.get("realized_rates", [])]
+    realized_rates = [float(q) for q in meta["realized_rates"]]
     for q in realized_rates:
         if not 0.0 <= q <= 1.0:
             raise ValueError(

@@ -184,8 +184,9 @@ class OliveSystem:
         expected participant count qN, so the guarantee is unaffected
         (dropouts only add averaging noise, the standard DP-FedAVG
         treatment), while the *accountant* charges the realized cohort
-        fraction when fault injection is active.  ``traced=True``
-        records every leaf fold, at any shard count.
+        fraction when fault injection is active.  An empty Poisson draw
+        releases a noise-only round, charged like any other.
+        ``traced=True`` records every leaf fold, at any shard count.
         """
         self.enclave.reset_trace()
         # Explicit round boundary: reset the replay-defence state even

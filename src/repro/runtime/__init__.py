@@ -63,10 +63,7 @@ from .seeding import (
     STREAM_TEACHER,
     STREAM_TRAIN,
     derive_nonce,
-    derive_nonces_batch,
     derive_rng,
-    derive_rngs_batch,
-    seed_sequence,
 )
 
 # Imported last: repro.core (pulled in transitively by shard leaves'
@@ -117,13 +114,10 @@ __all__ = [
     "TrainTask",
     "WorkerContext",
     "derive_nonce",
-    "derive_nonces_batch",
     "derive_rng",
-    "derive_rngs_batch",
     "execute_client_jobs_batch",
     "execute_train_task",
     "plan_shards",
     "record_failure_reason",
     "run_train_tasks",
-    "seed_sequence",
 ]

@@ -30,13 +30,7 @@ from ..fl.client import LocalUpdate, TrainingConfig, client_updates
 from ..fl.datasets import ClientData
 from ..fl.models import Sequential
 from ..sgx import crypto
-from .seeding import (
-    STREAM_MODEL,
-    STREAM_TRAIN,
-    derive_nonces_batch,
-    derive_rng,
-    derive_rngs_batch,
-)
+from .seeding import STREAM_MODEL, STREAM_TRAIN, derive_nonce, derive_rng
 
 
 @dataclass
@@ -179,9 +173,11 @@ def execute_client_jobs_batch(
             datas = [ctx.clients[j.client_id] for j in chunk]
             entropy, round_index = chunk[0].entropy, chunk[0].round_index
             cids = [j.client_id for j in chunk]
-            train_rngs = derive_rngs_batch(entropy, STREAM_TRAIN, round_index, cids)
+            train_rngs = [derive_rng(entropy, STREAM_TRAIN, round_index, c)
+                          for c in cids]
             dropout_rngs = {
-                i: derive_rngs_batch(entropy, STREAM_MODEL, round_index, cids, i)
+                i: [derive_rng(entropy, STREAM_MODEL, round_index, c, i)
+                    for c in cids]
                 for i in dropout_indices
             }
             t0 = time.perf_counter()
@@ -196,11 +192,11 @@ def execute_client_jobs_batch(
                 for _ in chunk:
                     obs.observe("runtime.train_s", per_client)
             sealed = any(j.key is not None for j in chunk)
-            nonces = derive_nonces_batch(entropy, round_index, cids) if sealed \
-                else [None] * len(chunk)
+            nonces = [derive_nonce(entropy, round_index, c) for c in cids] \
+                if sealed else [None] * len(chunk)
             if sealed and any(j.quantize_bits is not None for j in chunk):
-                q_rngs = derive_rngs_batch(entropy, STREAM_TRAIN, round_index,
-                                           cids, 1)
+                q_rngs = [derive_rng(entropy, STREAM_TRAIN, round_index, c, 1)
+                          for c in cids]
             else:
                 q_rngs = [None] * len(chunk)
             payloads: list[bytes | None] = [None] * len(chunk)

@@ -239,15 +239,17 @@ class Enclave:
         obs.add("enclave.rounds_begun")
 
     def sample_clients(self, population: Sequence[int], rate: float) -> list[int]:
-        """Poisson-sample the round's participants inside the enclave."""
+        """Poisson-sample the round's participants inside the enclave.
+
+        Each client is included independently with probability ``rate``
+        -- the inclusion the DP accountant charges for -- so the draw
+        may be empty; the round then releases noise only.
+        """
         if not 0.0 < rate <= 1.0:
             raise ValueError("sampling rate must be in (0, 1]")
         with obs.span("ecall.sample_clients", hist="ecall.wall_s",
                       population=len(population)):
             sampled = [cid for cid in population if self._rng.random() < rate]
-            if not sampled:
-                # Guarantee progress on tiny populations: resample one.
-                sampled = [population[self._rng.randrange(len(population))]]
             self.begin_round(sampled=sampled)
         return sampled
 

@@ -9,6 +9,7 @@ clean.
 """
 
 import copy
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -25,6 +26,7 @@ from repro.audit import (
     AuditRecorder,
     AuditReplayError,
     AuditTruncationError,
+    AuditVersionError,
     aggregate_digest,
     chain_records,
     inclusion_proof,
@@ -40,6 +42,8 @@ from repro.audit import (
     verify_inclusion,
     verify_log,
 )
+from repro.audit.cli import main as audit_main
+from repro.audit.log import LOG_VERSION
 from repro.audit.verify import generate_proof, verify_proof_payload
 from repro.core.olive import OliveConfig, OliveSystem
 from repro.fl.client import TrainingConfig
@@ -56,9 +60,10 @@ DATA = {"spec": "tiny", "seed": 0, "n_clients": 12,
         "samples_per_client": 20, "labels_per_client": 2,
         "partition_seed": 0}
 MODEL = {"name": "tiny_mlp", "seed": 0}
-#: Two rounds recorded by the thread executor (``executor="thread"``,
-#: ``workers=8``) before the cohort runtime had one path, with
-#: dropouts, corrupt uploads and retried transient failures.
+#: A version-1 log: two rounds recorded by the thread executor
+#: (``executor="thread"``, ``workers=8``) under the SeedSequence seed
+#: derivation, with dropouts, corrupt uploads and retried transient
+#: failures.  Kept as the refusal fixture.
 THREAD_EXECUTOR_LOG = Path(__file__).parent / "data" / \
     "audit_thread_executor.jsonl"
 
@@ -300,6 +305,23 @@ class TestReplay:
         assert [v.round_index for v in report.rounds] == [0, 1, 2]
         assert all(v.merkle_ok and v.replay_ok for v in report.rounds)
 
+    def test_empty_draw_rounds_release_noise_and_replay(self, tmp_path):
+        # At q = 0.05 over 12 clients a round's Poisson draw is empty
+        # with probability 0.54; such a round releases noise only, is
+        # charged by the accountant, and replays like any other.
+        config = _config(sample_rate=0.05)
+        path = _recorded_run(tmp_path, rounds=8, config=config)
+        rounds = [r for r in read_records(path) if r["type"] == "round"]
+        sizes = [len(r["accepted"]) for r in rounds]
+        assert 0 in sizes and max(sizes) > 0, sizes
+        assert all(r["merkle_root"] == EMPTY_ROOT.hex()
+                   for r in rounds if not r["accepted"])
+        epsilons = [r["epsilon"] for r in rounds]
+        assert epsilons == sorted(set(epsilons))     # every round charged
+        report = verify_log(path, strict=True)
+        assert report.replayed and all(v.replay_ok for v in report.rounds)
+        assert audit_main([str(path), "--strict"]) == 0
+
     def test_faulty_cohort_run_audits_clean(self, tmp_path):
         runtime = RuntimeConfig(faults=FaultConfig(
             dropout_rate=0.2, straggler_rate=0.3))
@@ -381,7 +403,8 @@ class TestReplay:
 # One-leaf rounds and logs of older recorders
 # ----------------------------------------------------------------------
 class TestOneLeafAndLegacyLogs:
-    """Every round runs through the shard service; older logs verify."""
+    """Every round runs through the shard service; logs of another
+    format version are refused."""
 
     @staticmethod
     def _strip_round_partials(records):
@@ -410,50 +433,48 @@ class TestOneLeafAndLegacyLogs:
         assert report.replayed
         assert all(v.replay_ok and not v.sharded for v in report.rounds)
 
-    def _with_legacy_leaf_aggregator(self, tmp_path, aggregator):
-        path = _recorded_run(tmp_path, rounds=2,
-                             shards=ShardConfig(shards=2))
-        records = copy.deepcopy(read_records(path))
-        records[0]["manifest"]["shards"]["aggregator"] = aggregator
-        _rewrite(path, chain_records(records))
-        return path
-
-    def test_legacy_leaf_aggregator_equal_to_olive_is_dropped(
-            self, tmp_path):
-        path = self._with_legacy_leaf_aggregator(tmp_path, "advanced")
-        report = verify_log(path, strict=True)
-        assert all(v.replay_ok and v.sharded for v in report.rounds)
-
     def test_legacy_leaf_aggregator_mismatch_names_the_field(
             self, tmp_path):
-        path = self._with_legacy_leaf_aggregator(tmp_path, "linear")
-        with pytest.raises(AuditReplayError, match="shards.aggregator"):
-            verify_log(path, strict=True)
-
-    def test_thread_executor_manifest_replays_bit_identically(self):
-        runtime = read_records(THREAD_EXECUTOR_LOG)[0]["manifest"]["runtime"]
-        assert (runtime["executor"], runtime["workers"]) == ("thread", 8)
-        report = verify_log(THREAD_EXECUTOR_LOG, strict=True)
-        assert report.replayed and report.sealed
-        assert all(v.merkle_ok and v.replay_ok for v in report.rounds)
-
-    def _with_legacy_executor(self, tmp_path, executor):
-        records = copy.deepcopy(read_records(THREAD_EXECUTOR_LOG))
-        records[0]["manifest"]["runtime"]["executor"] = executor
-        path = tmp_path / "audit.jsonl"
+        # Version-1 manifests named a leaf kernel under ``shards``; a
+        # current manifest carrying one is refused, naming the field.
+        path = _recorded_run(tmp_path, rounds=1,
+                             shards=ShardConfig(shards=2))
+        records = copy.deepcopy(read_records(path))
+        records[0]["manifest"]["shards"]["aggregator"] = "linear"
         _rewrite(path, chain_records(records))
-        return path
+        with pytest.raises(AuditReplayError,
+                           match="section 'shards'.*'aggregator'"):
+            verify_log(path, strict=True)
+        assert audit_main([str(path), "--strict"]) == 5
 
-    def test_serial_executor_manifest_replays(self, tmp_path):
-        path = self._with_legacy_executor(tmp_path, "serial")
-        report = verify_log(path, strict=True)
-        assert all(v.replay_ok for v in report.rounds)
+    def test_manifest_carries_the_log_version(self, tmp_path):
+        path = _recorded_run(tmp_path, rounds=1)
+        assert read_records(path)[0]["version"] == LOG_VERSION == 2
+
+    def test_version1_log_is_refused(self, tmp_path):
+        # Recorded under the SeedSequence derivation: its rounds cannot
+        # replay, so every entry point refuses it before reading rounds.
+        assert read_records(THREAD_EXECUTOR_LOG)[0]["version"] == 1
+        for replay in (True, False):
+            with pytest.raises(AuditVersionError, match="version 1") as e:
+                verify_log(THREAD_EXECUTOR_LOG, strict=True, replay=replay)
+            assert e.value.exit_code == 7
+        with pytest.raises(AuditVersionError):
+            generate_proof(THREAD_EXECUTOR_LOG, 0, 0)
+        with pytest.raises(AuditVersionError):
+            verify_proof_payload(THREAD_EXECUTOR_LOG, {"round": 0})
 
     def test_unknown_executor_is_refused_by_name(self, tmp_path):
-        path = self._with_legacy_executor(tmp_path, "process")
+        path = _recorded_run(tmp_path, rounds=1)
+        records = copy.deepcopy(read_records(path))
+        records[0]["manifest"]["runtime"] = dataclasses.asdict(
+            RuntimeConfig())
+        records[0]["manifest"]["runtime"]["executor"] = "process"
+        _rewrite(path, chain_records(records))
         with pytest.raises(AuditReplayError,
-                           match="runtime.executor='process'"):
+                           match="section 'runtime'.*executor 'process'"):
             verify_log(path, strict=True)
+        assert audit_main([str(path), "--strict"]) == 5
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +530,7 @@ class TestCheckpointAuditContinuity:
         save_checkpoint(system, tmp_path / "ckpt.npz")
         with np.load(tmp_path / "ckpt.npz") as archive:
             meta = json.loads(str(archive["meta"]))
-        assert meta["version"] == 3
+        assert meta["version"] == 4
         assert meta["audit_head"] == recorder.head
         assert meta["audit_rounds"] == 2
         system.close()

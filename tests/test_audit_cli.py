@@ -115,6 +115,19 @@ class TestExitCodes:
                            "--prove-client", "424242"]) == 6
         assert "AuditProofError" in capsys.readouterr().out
 
+    def test_old_log_version_exits_seven(self, recorded_log, tmp_path,
+                                         capsys):
+        # A version-1 manifest under a re-minted chain: refused by every
+        # mode, before any round is read.
+        def mutate(records):
+            records[0]["version"] = 1
+            records[:] = chain_records(records)
+        path = _tampered_copy(recorded_log, tmp_path, mutate)
+        for extra in ([], ["--no-replay"], ["--round", "0",
+                                             "--prove-client", "0"]):
+            assert audit_main([str(path), "--strict", *extra]) == 7
+        assert "AuditVersionError" in capsys.readouterr().out
+
     def test_prove_client_requires_round(self, recorded_log):
         assert audit_main([str(recorded_log),
                            "--prove-client", "1"]) == 1

@@ -4,12 +4,11 @@ against the scalar oracle (``tests/oracles.py``).
 The package keeps one layer stack (leading client axis) and one client
 core.  These tests pin each path that used to run the scalar stack to
 the scalar code it replaced: cohort ciphertexts (against the
-per-client loop, for every executor name a recorded manifest may
-carry), attack-teacher replay, attack-classifier training and scoring, the LDP round, the
-serving CLI's quick model, and evaluation forward passes.
+per-client loop, under every executor name a recorded run may
+carry), attack-teacher replay, attack-classifier training and scoring,
+the LDP round, the serving CLI's quick model, and evaluation forward
+passes.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from repro.fl.client import TrainingConfig
 from repro.fl.datasets import SPECS, ClientData, SyntheticClassData, partition_clients
 from repro.fl.models import accuracy, build_model
 from repro.fl.server import run_ldp_round
-from repro.audit.verify import runtime_from_manifest
 from repro.core.olive import OliveConfig, OliveSystem
 from repro.runtime import (
     STREAM_TEACHER,
@@ -36,8 +34,8 @@ from repro.sgx import crypto
 from . import oracles
 
 ENTROPY = 11
-#: Executor names a recorded manifest may carry; each replays on the
-#: one batched path (``repro.audit.verify.runtime_from_manifest``).
+#: Former executor names, kept as test ids; each stands for the one
+#: batched path at its default chunking (``_replay_config``).
 EXECUTORS = ("serial", "thread", "vectorized")
 
 
@@ -48,11 +46,8 @@ def _clients(model_name="tiny_mlp", n_clients=10, samples=20):
 
 
 def _replay_config(executor, faults=None):
-    """The runtime a manifest recorded under ``executor`` replays as."""
-    return runtime_from_manifest({
-        "executor": executor, "workers": 2,
-        "faults": dataclasses.asdict(faults or FaultConfig()),
-    })
+    """The runtime a run recorded under ``executor`` ran as."""
+    return RuntimeConfig(faults=faults or FaultConfig())
 
 
 def _keys(clients, sealed):
@@ -62,8 +57,8 @@ def _keys(clients, sealed):
 
 def _cohort(executor, training, clients, *, model_name="tiny_mlp",
             sealed=True, quantize_bits=None, round_index=0, faults=None):
-    """Run one cohort round under the config a manifest recorded with
-    ``executor`` replays as; returns ``{client_id: bytes or (idx, val)}``
+    """Run one cohort round under the runtime a run recorded with
+    ``executor`` ran as; returns ``{client_id: bytes or (idx, val)}``
     per delivery."""
     model = build_model(model_name, seed=0)
     runtime = CohortRuntime(_replay_config(executor, faults), model,
@@ -149,12 +144,14 @@ class TestExecutorsMatchOracle:
 
     def test_faulty_round(self):
         # Dropouts, stragglers, corrupt and replayed uploads, and
-        # transient failures retried to success.
+        # transient failures retried to success.  At these rates a
+        # 40-client cohort lacks a corrupt or a replayed upload with
+        # probability below 1e-4, whatever the seed derivation.
         faults = FaultConfig(dropout_rate=0.2, straggler_rate=0.3,
-                             straggler_delay_s=0.001, corrupt_rate=0.2,
-                             replay_rate=0.2, transient_failure_rate=0.3)
+                             straggler_delay_s=0.001, corrupt_rate=0.3,
+                             replay_rate=0.3, transient_failure_rate=0.3)
         training = TrainingConfig(local_lr=0.1, batch_size=8)
-        clients = _clients(n_clients=12)
+        clients = _clients(n_clients=40)
         got = _cohort("vectorized", training, clients, faults=faults,
                       round_index=3)
         assert got == _oracle_cohort(training, clients, faults=faults,

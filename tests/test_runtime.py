@@ -1,10 +1,9 @@
 """Determinism suite for the cohort runtime (repro.runtime).
 
 Pins the subsystem's central contract: however the cohort is chunked,
-and whichever executor a recorded manifest names, the runtime produces
-**bit-identical** per-client updates, round outcomes, and global
-trajectories -- because all randomness derives from
-``(round, client)`` identity, never from execution order.  Injected
+the runtime produces **bit-identical** per-client updates, round
+outcomes, and global trajectories -- because all randomness derives
+from ``(round, client)`` identity, never from execution order.  Injected
 transient failures are settled from the fault plan; the per-client
 retry loop (``tests/oracles.py::run_cohort_loop``) and values recorded
 from that loop pin the outcomes and runtime counters.
@@ -17,8 +16,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.audit import AuditReplayError
-from repro.audit.verify import runtime_from_manifest
 from repro.core.olive import OliveConfig, OliveSystem
 from repro.fl.client import TrainingConfig
 from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
@@ -26,7 +23,11 @@ from repro.fl.models import build_model
 from repro.fl.server import FederatedSimulation, ServerConfig
 from repro.runtime import (
     STATUS_OK,
+    STREAM_ENCLAVE,
     STREAM_FAULT,
+    STREAM_MODEL,
+    STREAM_NONCE,
+    STREAM_TEACHER,
     STREAM_TRAIN,
     CohortRuntime,
     FaultConfig,
@@ -47,12 +48,12 @@ FAULTS = FaultConfig(dropout_rate=0.2, straggler_rate=0.2,
 
 
 def recorded_runtime(executor, workers, faults=None):
-    """The config a manifest recorded with ``(executor, workers)`` replays
-    under."""
-    return runtime_from_manifest({
-        "executor": executor, "workers": workers,
-        "faults": dataclasses.asdict(faults or FaultConfig()),
-    })
+    """The runtime a run recorded with ``(executor, workers)`` ran as.
+
+    Every former executor name and worker count stands for the one
+    batched path at its default (whole-cohort) chunking.
+    """
+    return RuntimeConfig(faults=faults or FaultConfig())
 
 
 def olive_system(runtime=None, seed=1):
@@ -89,6 +90,60 @@ def assert_logs_identical(a_logs, b_logs):
         assert a.epsilon == b.epsilon
 
 
+#: Golden PCG64 outputs (``random_raw(2)``) of ``derive_rng(entropy,
+#: stream, *key)``: every stream, key lengths 0-4, entropy 0 (encoded
+#: as zero bytes) and identities past 64 bits of entropy / 32 bits of
+#: client id.  Any change here changes every recorded run.
+GOLDEN_DRAWS = [
+    (7, STREAM_TRAIN, (), (0x51D9151703E13F5A, 0x12CDF717F364DC2F)),
+    (7, STREAM_TRAIN, (3,), (0x059895196F875B4D, 0xCFB32D198074D684)),
+    (7, STREAM_TRAIN, (3, 5), (0x61D0ACCCEC8305D6, 0x0C8714595D7E2B68)),
+    (7, STREAM_TRAIN, (3, 5, 1), (0xAA13E4E82C6C4BE4, 0xBB89D11F9E1AC748)),
+    (7, STREAM_MODEL, (3, 5, 2), (0x8B02B8972595E33B, 0x129DF6EBF099C2C7)),
+    (7, STREAM_FAULT, (3, 5), (0x03FEBC578244B3DF, 0x35713E37C504A796)),
+    (7, STREAM_NONCE, (3, 5), (0xA0B4FEA1E329C76D, 0xB76D7FBA3FC055B2)),
+    (7, STREAM_TEACHER, (3, 1, 0, 0),
+     (0xEFB8050C6A3361B2, 0x5DB3BF23C8540A61)),
+    (7, STREAM_ENCLAVE, (3, 2, 1), (0xF20CC1BEFA6330C2, 0xFF79C0B1D4999FC4)),
+    (0, STREAM_TRAIN, (0, 0), (0x3BAEAA38A0E8CC87, 0x752F826121C146EE)),
+    (2**80 + 3, STREAM_TRAIN, (0, 2**40),
+     (0xB64759039267D811, 0x151044D95C946DDA)),
+]
+
+GOLDEN_IDS = ["train-k0", "train-k1", "train", "train-quantize",
+              "model-layer", "fault", "nonce-stream", "teacher-k4",
+              "enclave-k3", "entropy-0", "wide-entropy-and-id"]
+
+GOLDEN_NONCES = [
+    ((7, 3, 5), "61e54c0ee7aa394af245f33e2cb7c81a"),
+    ((0, 0, 0), "7836953da7446593ddf0c3d5828b0444"),
+    ((2**80 + 3, 1, 2**40), "38fc9aeca2b2fde5550dee5da6877fc6"),
+]
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U128 = (1 << 128) - 1
+
+
+def spec_state(entropy, stream, *key):
+    """BLAKE2b-256 over the documented identity encoding."""
+    ent = entropy.to_bytes((entropy.bit_length() + 7) // 8, "little")
+    encoding = (len(ent).to_bytes(4, "little") + ent
+                + b"".join(w.to_bytes(8, "little") for w in (stream, *key)))
+    return hashlib.blake2b(encoding, digest_size=32).digest()
+
+
+def spec_pcg64_state(state):
+    """PCG64's (state, inc) after seeding with the four LE uint64 words
+    of ``state`` (O'Neill's pcg_setseq_128_srandom_r)."""
+    w = [int.from_bytes(state[i:i + 8], "little") for i in range(0, 32, 8)]
+    initstate, initseq = (w[0] << 64) | w[1], (w[2] << 64) | w[3]
+    inc = ((initseq << 1) | 1) & _U128
+    s = inc                                   # step from state 0
+    s = (s + initstate) & _U128
+    s = (s * _PCG_MULT + inc) & _U128
+    return s, inc
+
+
 class TestSeeding:
     def test_identity_derivation_is_stable(self):
         a = derive_rng(7, STREAM_TRAIN, 3, 5).random(8)
@@ -96,13 +151,30 @@ class TestSeeding:
         assert np.array_equal(a, b)
 
     def test_streams_partition_the_namespace(self):
-        a = derive_rng(7, STREAM_TRAIN, 3, 5).random(8)
-        b = derive_rng(7, STREAM_FAULT, 3, 5).random(8)
+        draws = {stream: derive_rng(7, stream, 3, 5).random(4).tobytes()
+                 for stream in range(STREAM_ENCLAVE + 1)}
+        assert len(set(draws.values())) == len(draws)
+        # Key length is part of the identity, too.
+        a = derive_rng(7, STREAM_TRAIN, 3, 5).random(4)
+        b = derive_rng(7, STREAM_TRAIN, 3, 5, 0).random(4)
         assert not np.array_equal(a, b)
 
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError):
             derive_rng(0, STREAM_TRAIN, -1)
+        with pytest.raises(ValueError):
+            derive_rng(0, -1, 0)
+        with pytest.raises(ValueError):
+            derive_rng(-1, STREAM_TRAIN, 0)
+        with pytest.raises(ValueError):
+            derive_nonce(0, 0, -2)
+
+    def test_oversize_key_rejected(self):
+        derive_rng(0, STREAM_TRAIN, 2**64 - 1)
+        with pytest.raises(ValueError):
+            derive_rng(0, STREAM_TRAIN, 2**64)
+        with pytest.raises(ValueError):
+            derive_nonce(0, 2**64, 0)
 
     def test_nonce_shape_and_uniqueness(self):
         nonces = {derive_nonce(0, r, c) for r in range(5) for c in range(5)}
@@ -110,10 +182,31 @@ class TestSeeding:
         assert all(len(n) == 16 for n in nonces)
         assert derive_nonce(0, 1, 2) == derive_nonce(0, 1, 2)
 
+    @pytest.mark.parametrize("entropy,stream,key,raw", GOLDEN_DRAWS,
+                             ids=GOLDEN_IDS)
+    def test_golden_draws(self, entropy, stream, key, raw):
+        rng = derive_rng(entropy, stream, *key)
+        assert tuple(rng.bit_generator.random_raw(2).tolist()) == raw
+
+    @pytest.mark.parametrize("identity,nonce", GOLDEN_NONCES,
+                             ids=["base", "entropy-0", "wide-entropy-and-id"])
+    def test_golden_nonces(self, identity, nonce):
+        assert derive_nonce(*identity).hex() == nonce
+
+    @pytest.mark.parametrize("entropy,stream,key,raw", GOLDEN_DRAWS,
+                             ids=GOLDEN_IDS)
+    def test_state_follows_the_documented_encoding(
+            self, entropy, stream, key, raw):
+        state = spec_state(entropy, stream, *key)
+        pcg = derive_rng(entropy, stream, *key).bit_generator.state["state"]
+        assert (pcg["state"], pcg["inc"]) == spec_pcg64_state(state)
+        if stream == STREAM_NONCE:
+            assert derive_nonce(entropy, *key) == state[:16]
+
 
 class TestExecutorEquivalence:
-    """A run recorded under any executor replays bit for bit on the one
-    batched path, which equals training every client alone."""
+    """A run recorded under any former executor name equals training
+    every client alone, bit for bit."""
 
     @pytest.mark.parametrize("executor,workers", [
         ("thread", 1), ("thread", 3), ("thread", 8),
@@ -202,12 +295,6 @@ class TestRuntimeConfigValidation:
                 RuntimeConfig(executor=name)
         with pytest.raises(SystemExit):
             _parse_args(["--executor", "vectorized"])
-        # Recorded manifests keep their old names; unknown ones are
-        # refused by name.
-        for name in ("serial", "thread", "vectorized"):
-            assert recorded_runtime(name, 8) == RuntimeConfig()
-        with pytest.raises(AuditReplayError, match="'process'"):
-            recorded_runtime("process", 2)
 
     def test_bad_quorum_rejected(self):
         with pytest.raises(ValueError):
@@ -244,8 +331,8 @@ SETTLE_FAULTS = FaultConfig(dropout_rate=0.15, straggler_rate=0.3,
                             transient_failures=2)
 SETTLE_CLIENTS = 16
 
-# Recorded from the per-client retry loop (the serial executor) on the
-# round below.  Clients 3, 4, 6, 7, 8, 12 draw two injected failures.
+# Recorded from the per-client retry loop (``oracles.run_cohort_loop``)
+# on the round below.  Clients 3, 5, 13, 14 draw two injected failures.
 _OK1 = ("ok", None, 1, 0, 0)
 _DROP = ("dropped", "dropout", 0, 0, None)
 _SLOW = ("straggler", "straggler", 0, 0, None)
@@ -253,9 +340,9 @@ _TWICE = {1: ("failed", "transient", 2, 1, None), 2: ("ok", None, 3, 2, 2)}
 RECORDED = {
     max_retries: {
         "outcomes": {
-            cid: (_TWICE[max_retries] if cid in (3, 4, 6, 7, 8, 12)
-                  else _DROP if cid in (2, 9, 14)
-                  else _SLOW if cid in (11, 13) else _OK1)
+            cid: (_TWICE[max_retries] if cid in (3, 5, 13, 14)
+                  else _DROP if cid in (2, 8, 12)
+                  else _SLOW if cid in (6, 7) else _OK1)
             for cid in range(SETTLE_CLIENTS)
         },
         "counters": counters,
@@ -264,22 +351,23 @@ RECORDED = {
         "digest": digest,
     }
     for max_retries, counters, backoff, completed, digest in (
-        (1, {"runtime.corrupted": 1, "runtime.dropouts": 3,
+        (1, {"runtime.dropouts": 3,
              "runtime.failure_reason.dropout": 3,
              "runtime.failure_reason.straggler": 2,
-             "runtime.failure_reason.transient": 6,
-             "runtime.failures": 6, "runtime.retries": 6,
+             "runtime.failure_reason.transient": 4,
+             "runtime.failures": 4, "runtime.retries": 4,
              "runtime.stragglers_dropped": 2,
-             "runtime.transient_failures": 12},
-         (6, 0.006), 5,
-         "0bfddcc388d5d67d064f9ead414de62e595f1c6f136350d39c1f87dfe721fb09"),
-        (2, {"runtime.corrupted": 1, "runtime.dropouts": 3,
+             "runtime.transient_failures": 8},
+         (4, 0.004), 7,
+         "448867e52dc12e701ce6586b31d7f5e87deaeb04983cdf66eafde2ebba447b1f"),
+        (2, {"runtime.dropouts": 3,
              "runtime.failure_reason.dropout": 3,
              "runtime.failure_reason.straggler": 2,
-             "runtime.retries": 12, "runtime.stragglers_dropped": 2,
-             "runtime.transient_failures": 12},
-         (12, 0.015), 11,
-         "2c4f8589dea217a54dba4e16b74b58c53cf6039db34eabb153d96bd9cc9d723e"),
+             "runtime.replays_injected": 1,
+             "runtime.retries": 8, "runtime.stragglers_dropped": 2,
+             "runtime.transient_failures": 8},
+         (8, 0.01), 11,
+         "02341bb00730c7180b262a9673ca12faddd1803ecd44fbd33492cd9981678d70"),
     )
 }
 

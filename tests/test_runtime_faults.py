@@ -338,53 +338,73 @@ class TestCheckpointRealizedRates:
 
         with make_system(RuntimeConfig(faults=faults)) as fresh:
             meta = load_checkpoint(fresh, path)
-        assert meta["version"] == 3
+        assert meta["version"] == 4
         assert fresh.accountant.realized_rates == rates
         assert fresh.accountant.epsilon == pytest.approx(eps_before)
 
-    def test_version1_checkpoint_still_loads(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_older_checkpoint_versions_refused(self, tmp_path, version):
         with make_system() as system:
             system.run_round()
-            path = tmp_path / "v1.npz"
+            path = tmp_path / "old.npz"
             save_checkpoint(system, path)
-        # Rewrite the archive with version-1 metadata (no realized key).
+        # Rewrite the archive with older metadata: its draws came from
+        # another seed derivation, so resuming would fork the run.
         with np.load(path, allow_pickle=False) as archive:
             weights = archive["global_weights"]
             meta = json.loads(str(archive["meta"]))
-        meta.pop("realized_rates")
-        meta["version"] = 1
+        meta["version"] = version
         np.savez(path, global_weights=weights, meta=json.dumps(meta))
 
         with make_system() as fresh:
-            loaded = load_checkpoint(fresh, path)
-        assert loaded["version"] == 1
-        assert fresh.accountant.steps == 1
-        assert fresh.accountant.realized_rates == []
+            with pytest.raises(ValueError,
+                               match=f"version {version} .* version 4"):
+                load_checkpoint(fresh, path)
+            assert fresh.accountant.steps == 0
 
 
 class TestRuntimeTelemetry:
     def test_faulty_round_emits_runtime_counters_and_spans(self):
-        faults = FaultConfig(dropout_rate=0.3, straggler_rate=0.2,
-                             straggler_delay_s=0.001, corrupt_rate=0.2,
-                             replay_rate=0.2, transient_failure_rate=0.2)
-        runtime = RuntimeConfig(backoff_base_s=0.0, faults=faults)
+        # Every runtime counter is checked against the round's own fault
+        # plan.  At these rates a 64-client cohort misses some fault kind
+        # with probability below 1e-4, whatever the seed derivation.
+        faults = FaultConfig(dropout_rate=0.2, straggler_rate=0.3,
+                             straggler_delay_s=0.001, corrupt_rate=0.3,
+                             replay_rate=0.4, transient_failure_rate=0.2,
+                             transient_failures=2)
+        runtime = RuntimeConfig(backoff_base_s=0.0, max_retries=1,
+                                faults=faults)
         sink = obs.MemorySink()
-        with make_system(runtime) as system:
+        with make_system(runtime, n_clients=64) as system:
             with obs.session(sinks=[sink]):
                 log = system.run_round()
 
+        plans = [o.plan for o in log.cohort.outcomes.values()]
+        admitted = [p for p in plans if not p.dropped]
+        completed = [p for p in admitted if p.fail_attempts <= 1]
+        expected = {
+            "runtime.dropouts": len(plans) - len(admitted),
+            "runtime.transient_failures": sum(p.fail_attempts
+                                              for p in admitted),
+            "runtime.retries": sum(min(p.fail_attempts, 1)
+                                   for p in admitted),
+            "runtime.failures": len(admitted) - len(completed),
+            "runtime.corrupted": sum(p.corrupt for p in completed),
+            "runtime.replays_injected": sum(p.replay for p in completed),
+            # A replayed intact upload is refused as a duplicate; a
+            # replayed corrupt one fails authentication instead.
+            "runtime.rejected": sum(p.replay and not p.corrupt
+                                    for p in completed),
+        }
+        assert all(expected.values()), expected   # every fault kind occurs
+        assert any(p.delay_s > 0 for p in completed)
         counters = sink.last_values("counter")
-        assert counters["runtime.dropouts"] >= 1
-        assert counters["runtime.corrupted"] >= 1
-        assert counters["runtime.replays_injected"] >= 1
-        assert counters["runtime.rejected"] >= 1
+        assert {k: counters.get(k, 0) for k in expected} == expected
         assert counters["runtime.quorum_met"] == 1
         gauges = sink.last_values("gauge")
-        # The gauge snapshots job completion (pre-enclave): at least
-        # every accepted client completed, and rejections only shrink
-        # the accepted set afterwards.
-        assert (len(log.updates) <= gauges["runtime.completed_cohort"]
-                <= len(log.cohort.sampled))
+        assert gauges["runtime.completed_cohort"] == len(completed)
+        assert len(log.updates) == len(completed) - expected[
+            "runtime.corrupted"]
         # One train span per cohort, nested directly under the round.
         spans = [e for e in sink.events if e.get("type") == "span"]
         train = [e for e in spans if e["name"] == "train"]

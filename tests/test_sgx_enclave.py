@@ -87,10 +87,33 @@ class TestSecureSampling:
         assert 120 <= len(sampled) <= 280
         assert set(sampled) <= set(population)
 
-    def test_sampling_never_empty(self):
+    def test_empty_draw_samples_nobody(self):
+        # A Poisson draw may be empty; the round then samples nobody
+        # (and releases noise only) rather than forcing a participant.
         enclave = Enclave(seed=3)
-        for _ in range(50):
-            assert len(enclave.sample_clients([1, 2], 0.01)) >= 1
+        draws = [enclave.sample_clients([1, 2], 0.01) for _ in range(50)]
+        assert [] in draws
+        assert enclave.sample_clients([], 0.5) == []
+        assert enclave.sampled_clients == set()
+
+    @pytest.mark.parametrize("n,rate", [
+        (1, 0.05), (2, 0.05), (3, 0.05), (3, 0.5), (12, 0.05), (12, 0.3),
+    ])
+    def test_inclusion_frequency_matches_rate(self, n, rate):
+        # Chi-square over the per-client inclusion counts of T draws:
+        # each count is Binomial(T, rate) exactly when every client is
+        # included independently with probability ``rate``.
+        from scipy.stats import chi2
+
+        draws = 4000
+        enclave = Enclave(seed=n * 100 + int(rate * 100))
+        counts = np.zeros(n)
+        for _ in range(draws):
+            for cid in enclave.sample_clients(list(range(n)), rate):
+                counts[cid] += 1
+        mean, var = draws * rate, draws * rate * (1 - rate)
+        statistic = float(((counts - mean) ** 2 / var).sum())
+        assert chi2.sf(statistic, df=n) > 1e-4, counts / draws
 
     def test_invalid_rate_raises(self):
         enclave = Enclave(seed=0)
