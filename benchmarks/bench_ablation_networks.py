@@ -13,20 +13,46 @@ Two design decisions the paper discusses:
 """
 
 import time
+from typing import Iterator
 
 import numpy as np
 
-from repro.oblivious.sort import (
-    bitonic_sort_numpy,
-    comparator_count,
-    odd_even_merge_network,
-)
+from repro.oblivious.sort import bitonic_sort_numpy, comparator_count
 from repro.oram.path_oram import PathORAM
 from repro.oram.recursive import RecursivePathORAM
 
 from .common import print_table, save_results
 
 SIZES = (64, 256, 1024, 4096)
+
+#: A non-power-of-two length: the bitonic network runs truncated there,
+#: with no padding to the next power of two.
+TRUNCATED_N = 3000
+
+
+def odd_even_merge_network(n: int) -> Iterator[tuple[int, int, bool]]:
+    """Batcher's odd-even mergesort comparator schedule ``(i, j, True)``.
+
+    The second classic O(n log^2 n) sorting network; slightly fewer
+    comparators than the bitonic network and every comparator is
+    ascending.  Only this ablation uses it, to count comparators against
+    the bitonic network; the oblivious sort always runs the bitonic
+    network.  ``n`` must be a power of two.
+    """
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"odd-even merge network needs a power of two, got {n}")
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(k):
+                    left = i + j
+                    right = i + j + k
+                    if left // (2 * p) == right // (2 * p):
+                        yield left, right, True
+            k //= 2
+        p *= 2
 
 
 def test_ablation_sorting_networks(benchmark):
@@ -59,14 +85,32 @@ def test_ablation_sorting_networks(benchmark):
         "Ablation: sorting networks (comparator counts)",
         ["n", "bitonic", "odd-even merge", "odd-even saving"], rows,
     )
-    save_results("ablation_networks", {"series": series})
+    padded_n = 1 << (TRUNCATED_N - 1).bit_length()
+    truncated = {
+        "n": TRUNCATED_N,
+        "bitonic_comparators": comparator_count(TRUNCATED_N),
+        "padded_n": padded_n,
+        "padded_comparators": comparator_count(padded_n),
+    }
+    print_table(
+        "Ablation: truncated bitonic network at a non-power-of-two length",
+        ["n", "bitonic (truncated)", f"padded to {padded_n}"],
+        [[TRUNCATED_N, truncated["bitonic_comparators"],
+          truncated["padded_comparators"]]],
+    )
+    save_results("ablation_networks", {"series": series,
+                                       "truncated": truncated})
     benchmark.extra_info["series"] = series
+    benchmark.extra_info["truncated"] = truncated
 
     for r in series:
         assert r["odd_even_comparators"] < r["bitonic_comparators"]
     # The saving approaches ~1/3 at scale but never flips the
     # asymptotics: both are Theta(n log^2 n).
     assert 0.1 < series[-1]["saving"] < 0.5
+    # Dropping the comparators that reach past n saves about the padded
+    # fraction of the work.
+    assert truncated["bitonic_comparators"] < truncated["padded_comparators"]
 
 
 def test_ablation_recursive_position_map(benchmark):

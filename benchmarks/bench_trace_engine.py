@@ -13,6 +13,11 @@ digest and in ``tests/test_trace_engine_equivalence.py``); the numbers
 quantify the speedup and the storage savings of the structure-of-arrays
 layout over one frozen dataclass per access.
 
+It also records ``sort_pad_ratio``: the untraced bitonic sort at
+2^15 + 1 elements over the sort at 2^16 (median of 5).  The network
+runs at exactly n, so the ratio is ~0.5; a sort that padded to the next
+power of two would read ~1.0, and the CI regression gate caps it.
+
 Set ``TRACE_BENCH_QUICK=1`` to run a reduced workload (CI).
 """
 
@@ -28,6 +33,7 @@ from repro.core.aggregation import (
     aggregate_baseline,
     aggregate_linear,
 )
+from repro.oblivious.sort import bitonic_sort_numpy
 from repro.sgx.memory import MemoryAccess, Trace
 from tests.oracles import (
     ref_advanced_traced,
@@ -56,6 +62,35 @@ def _object_trace_bytes(n_accesses: int) -> int:
     # One dataclass instance plus its boxed offset plus the list slot.
     per_access = sys.getsizeof(sample) + sys.getsizeof(sample.offset) + 8
     return n_accesses * per_access
+
+
+#: ``sort_pad_ratio`` times the untraced sort at one past a power of
+#: two against the next power of two.  The network runs at exactly n,
+#: so the ratio sits near 0.5; sorting a padded 2^16 would read ~1.0.
+PAD_PROBE_N = (1 << 15) + 1
+PAD_PROBE_REPEATS = 5
+
+
+def _sort_pad_ratio() -> dict:
+    """Median untraced sort time of int64 keys at ``PAD_PROBE_N`` over
+    that at ``2 * (PAD_PROBE_N - 1)``.  Keys only: a payload scales both
+    sizes alike and would only lengthen the bench."""
+    rng = np.random.default_rng(0)
+
+    def median_seconds(n):
+        keys = rng.integers(0, n, size=n, dtype=np.int64)
+        times = []
+        for _ in range(PAD_PROBE_REPEATS):
+            k = keys.copy()
+            t0 = time.perf_counter()
+            bitonic_sort_numpy(k)
+            times.append(time.perf_counter() - t0)
+        return float(np.median(times))
+
+    probe = median_seconds(PAD_PROBE_N)
+    power = median_seconds(2 * (PAD_PROBE_N - 1))
+    return {"probe_seconds": probe, "power_seconds": power,
+            "ratio": probe / power}
 
 
 def test_trace_engine_speedup(benchmark):
@@ -101,9 +136,19 @@ def test_trace_engine_speedup(benchmark):
          "ops/s (new)", "memory saved"],
         rows,
     )
+    sort_pad_ratio = _sort_pad_ratio()
+    print_table(
+        "Untraced bitonic sort: one past a power of two vs the next one",
+        [f"n={PAD_PROBE_N}", f"n={2 * (PAD_PROBE_N - 1)}", "ratio"],
+        [[f"{sort_pad_ratio['probe_seconds']:.4f}",
+          f"{sort_pad_ratio['power_seconds']:.4f}",
+          f"{sort_pad_ratio['ratio']:.2f}"]],
+    )
     save_results("trace_engine", {
         "workload": {"n": N, "k": K, "d": D, "quick": QUICK},
         "series": series,
+        "sort_pad_ratio": sort_pad_ratio["ratio"],
+        "sort_pad_seconds": sort_pad_ratio,
     })
     benchmark.extra_info["series"] = series
 

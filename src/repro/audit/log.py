@@ -42,8 +42,10 @@ _RECORD_DOMAIN = b"olive-audit-record:"
 #: Audit log format version, bumped whenever a log recorded by older
 #: code can no longer replay bit-identically.  Version 2: keyed BLAKE2b
 #: seed derivation, and an empty Poisson draw releases a noise-only
-#: round.
-LOG_VERSION = 2
+#: round.  Version 3: the Advanced sort runs its network at exactly
+#: nk + d (no power-of-two padding), which changes the fold order of
+#: equal indices and so the aggregate bits.
+LOG_VERSION = 3
 
 
 class AuditError(Exception):

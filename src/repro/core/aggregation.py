@@ -48,11 +48,7 @@ import numpy as np
 from .. import obs
 from ..fl.client import LocalUpdate
 from ..fl.sparsify import densify
-from ..oblivious.sort import (
-    bitonic_sort_traced_columns,
-    comparator_count,
-    next_power_of_two,
-)
+from ..oblivious.sort import bitonic_sort_traced_columns, comparator_count
 from ..oram.path_oram import PathORAM
 from ..sgx.memory import OP_READ, OP_WRITE, Trace
 
@@ -282,15 +278,11 @@ def aggregate_advanced(
     """
     idx, val = _concat_updates(updates)
     _validate(idx, d)
-    base = len(idx) + d
-    m = next_power_of_two(base)
-    work_idx = np.full(m, M0, dtype=np.int64)
-    work_val = np.zeros(m)
-    work_idx[: len(idx)] = idx
-    work_val[: len(val)] = val
-    work_idx[len(idx) : base] = np.arange(d)  # zero-valued initialization
+    m = len(idx) + d
+    work_idx = np.concatenate([idx, np.arange(d, dtype=np.int64)])
+    work_val = np.concatenate([val, np.zeros(d)])
 
-    # Initialization (lines 1-3): inputs, d zero-valued weights, padding.
+    # Initialization (lines 1-3): inputs, then d zero-valued weights.
     # The kernel's whole trace (fill, two sorts, fold, read-out) is
     # length-determined, so it is reserved once and appends in place.
     if trace is not None:
@@ -303,18 +295,10 @@ def aggregate_advanced(
     # Oblivious folding (lines 6-14): one linear pass whose conditional
     # carry/flush happens in registers; the trace is read 0, then
     # (read pos, write pos-1) pairs, then the final write of m-1.
-    if trace is not None:
-        offs = np.empty(2 * m, dtype=np.int64)
-        ops = np.empty(2 * m, dtype=np.uint8)
-        offs[0] = 0
-        ops[0] = OP_READ
-        offs[1 : 2 * m - 1 : 2] = np.arange(1, m)
-        ops[1 : 2 * m - 1 : 2] = OP_READ
-        offs[2 : 2 * m - 1 : 2] = np.arange(0, m - 1)
-        ops[2 : 2 * m - 1 : 2] = OP_WRITE
-        offs[2 * m - 1] = m - 1
-        ops[2 * m - 1] = OP_WRITE
-        trace.record_batch(G_REGION, offs, ops)
+    if trace is not None and m:
+        trace.record(G_REGION, 0, "read")
+        trace.record_periodic(G_REGION, (1, 0), ("read", "write"), ((m - 1, 1),))
+        trace.record(G_REGION, m - 1, "write")
     folded_idx, folded_val = _fold_sorted(work_idx, work_val)
 
     # Second oblivious sort (lines 15-16) and output (line 17).

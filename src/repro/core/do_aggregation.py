@@ -105,18 +105,10 @@ def aggregate_do(
     idx, val = _concat_updates(updates)
     _validate(idx, d)
     dummy_counts = do_padding_counts(d, params, rng)
-    padded_idx, padded_val = pad_with_dummies(idx, val, dummy_counts, M0)
-    # Oblivious shuffle over a power-of-two working vector.
-    from ..oblivious.sort import next_power_of_two
-
-    m = next_power_of_two(max(len(padded_idx), 1))
-    work_idx = np.full(m, M0, dtype=np.int64)
-    work_val = np.zeros(m)
-    work_idx[: len(padded_idx)] = padded_idx
-    work_val[: len(padded_val)] = padded_val
-    oblivious_shuffle_numpy(work_idx, work_val, rng=rng)
-    # Linear scatter; the adversary observes one access per element.
-    real = work_idx != M0
-    aggregate = densify(work_idx[real], work_val[real], d)
-    histogram = np.bincount(work_idx[real], minlength=d).astype(np.int64)
+    idx, val = pad_with_dummies(idx, val, dummy_counts, M0)
+    # Oblivious shuffle of the padded multiset, then the linear scatter
+    # in which the adversary observes one access per element.
+    oblivious_shuffle_numpy(idx, val, rng=rng)
+    aggregate = densify(idx, val, d)
+    histogram = np.bincount(idx, minlength=d).astype(np.int64)
     return aggregate, histogram

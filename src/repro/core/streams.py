@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..oblivious.sort import network_stage_offsets, next_power_of_two
+from ..oblivious.sort import network_stage_offsets
 
 G_ITEMSIZE = 8
 G_STAR_ITEMSIZE = 4
@@ -124,7 +124,7 @@ def _sort_segments(m: int) -> Iterator[np.ndarray]:
 
 
 def _advanced_segments(nk: int, d: int) -> Iterator[np.ndarray]:
-    m = next_power_of_two(nk + d)
+    m = nk + d
     yield np.arange(m, dtype=np.int64) // _G_LINE_ELEMS
     yield from _sort_segments(m)
     # Folding: read 0, (read pos, write pos-1) pairs, final write.
@@ -150,7 +150,7 @@ def advanced_stream_chunks(
 def _grouped_segments(n: int, k: int, d: int, group_size: int) -> Iterator[np.ndarray]:
     full_groups, rem = divmod(n, group_size)
     sizes = [group_size] * full_groups + ([rem] if rem else [])
-    m_max = next_power_of_two(group_size * k + d)
+    m_max = group_size * k + d
     acc_base = _region_lines(m_max, _G_LINE_ELEMS)
     acc_lines = _region_lines(d, _G_STAR_LINE_ELEMS)
     acc = acc_base + np.arange(acc_lines, dtype=np.int64)

@@ -100,11 +100,13 @@ class FederatedSimulation:
         self.close()
 
     def _sample_participants(self) -> list[int]:
+        """Poisson sampling: each client joins independently with
+        probability q.  An empty draw stays empty (a noise-only round),
+        as in the enclave: forcing a participant would raise every
+        client's inclusion probability above the q the accountant
+        charges."""
         mask = self._rng.random(len(self.clients)) < self.server.sample_rate
-        chosen = [c.client_id for c, m in zip(self.clients, mask) if m]
-        if not chosen:
-            chosen = [int(self._rng.integers(len(self.clients)))]
-        return chosen
+        return [c.client_id for c, m in zip(self.clients, mask) if m]
 
     def run_round(self, participants: list[int] | None = None) -> RoundLog:
         """One DP-FedAVG round; returns its log.

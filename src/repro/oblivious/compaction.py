@@ -28,8 +28,8 @@ def pad_with_dummies(
 
     Dummies carry the *real* index (so the observed histogram is
     ``true + noise``) but a zero value, leaving the aggregate unchanged.
-    A final block of ``dummy_index`` entries may be appended by callers
-    needing a power-of-two length.
+    ``dummy_index`` is unused here (every dummy carries a real index);
+    it mirrors :func:`pad_to_length`'s sentinel argument.
     """
     if len(dummy_counts) == 0:
         return indices.copy(), values.copy()

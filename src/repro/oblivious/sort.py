@@ -6,27 +6,35 @@ the input *length* alone, so applying it with the register-oblivious
 fully oblivious sort: the access trace is the same for every input of a
 given length (the core of the paper's Proposition 5.2 proof).
 
-Stage ``(k, j)`` of the network pairs ``i`` with ``i + j`` for every
-``i`` whose bit ``j`` is clear; viewed as ``(n // 2j, 2, j)``, a column
-holds those pairs at ``[:, 0, :]`` / ``[:, 1, :]`` and each row of ``2j``
-elements shares one direction.  Everything here is built from those
-strides:
+The network runs at any length ``n``, in its all-ascending form: every
+comparator puts the smaller key at the lower position.  Merge ``k``
+(``k = 2, 4, ...`` up to the power of two at or above ``n``) opens with
+a *mirror* stage that pairs ``i`` with ``block + k - 1 - (i - block)``
+inside each block of ``k``; its later stages pair ``i`` with ``i + j``
+for every ``i`` whose bit ``j`` is clear.  This is the power-of-two
+network over ``n`` real elements and a virtual ``+inf`` tail: a tail
+element never moves, so every comparator whose upper end is ``>= n`` is
+dropped and nothing is padded.  The schedule still depends on ``n``
+alone.
+
+Every stage splits a column into rows of ``2j`` elements.  Full rows
+are one ``(rows, 2, j)`` reshape view whose halves ``[:, 0]`` and
+``[:, 1]`` hold the pairs (``[:, 1, ::-1]`` for a mirror stage); the
+one partial row at the end is a short contiguous slice (reversed for a
+mirror stage).  Everything here is built from those strides:
 
 * :func:`bitonic_sort_traced_columns` -- the oblivious kernel over
-  numpy key/payload columns: each stage is one masked ``np.where`` swap
-  through the views, and with a trace every comparator's four accesses
-  (read i, read j, write i, write j) are appended one network *stage*
-  at a time, straight from the strides (the comparators within a stage
+  numpy key/payload columns: each stage is one ``min``/``max`` on the
+  keys and one masked ``np.where`` swap per payload through the views,
+  and with a trace every comparator's four accesses
+  (read i, read j, write i, write j) are written one network *stage* at
+  a time, straight from the strides (the comparators within a stage
   touch disjoint pairs, so batching preserves the exact access
   sequence of the comparator-at-a-time formulation that
   ``tests/oracles.py`` keeps);
 * :func:`bitonic_sort_numpy` -- the same network without a trace;
 * :func:`network_stage_offsets` / :func:`network_access_offsets` -- the
   recorded offset stream, per stage or whole, for the cost model.
-
-All require no padding from callers: non-power-of-two inputs raise,
-because the aggregation algorithms pad with dummy weights themselves
-(the padding *is* part of the algorithm in the paper).
 """
 
 from __future__ import annotations
@@ -39,109 +47,119 @@ from .. import obs
 from ..sgx.memory import OP_READ, OP_WRITE, tile_strided
 
 
-def is_power_of_two(n: int) -> bool:
-    """True when n is a positive power of two."""
-    return n > 0 and (n & (n - 1)) == 0
+def bitonic_stages(n: int) -> Iterator[tuple[int, bool]]:
+    """The network's stages as ``(j, mirror)`` pairs, in order.
 
-
-def next_power_of_two(n: int) -> int:
-    """Smallest power of two >= n (>= 1)."""
-    if n <= 1:
-        return 1
-    return 1 << (n - 1).bit_length()
-
-
-def bitonic_stages(n: int) -> Iterator[tuple[int, int]]:
-    """Batcher's bitonic schedule as its ``(k, j)`` stages, in order.
-
-    ``n`` must be a power of two.  The schedule depends only on ``n``;
-    this data-independence is what makes the sort oblivious.  Stage
-    ``(k, j)`` compares every ``i`` with bit ``j`` clear against
-    ``i + j``, ascending iff bit ``k`` of ``i`` is clear.  Viewing a
-    column as ``(n // 2j, 2, j)`` puts those pairs at ``[:, 0, :]`` and
-    ``[:, 1, :]`` in increasing-``i`` order, with the direction fixed
-    per row of ``2j`` elements.
+    Each merge ``k`` yields ``(k // 2, True)`` -- its mirror stage --
+    then ``(j, False)`` for ``j = k // 4, ..., 1``.  Merges run while
+    ``k // 2 < n``; lengths 0 and 1 have no stages.
     """
-    if not is_power_of_two(n):
-        raise ValueError(f"bitonic network needs a power-of-two length, got {n}")
+    if n < 0:
+        raise ValueError(f"sort length must be non-negative, got {n}")
     k = 2
-    while k <= n:
-        j = k // 2
+    while k // 2 < n:
+        yield k // 2, True
+        j = k // 4
         while j >= 1:
-            yield k, j
+            yield j, False
             j //= 2
         k *= 2
+
+
+def _stage_rows(n: int, j: int) -> tuple[int, int]:
+    """``(full, part)``: the stage's full rows of ``2j`` elements and the
+    comparators of its partial last row (``0`` when it has none)."""
+    full, tail = divmod(n, 2 * j)
+    return full, max(0, tail - j)
+
+
+def comparator_count(n: int) -> int:
+    """Number of comparators in the length-``n`` network (any ``n >= 0``)."""
+    total = 0
+    for j, _ in bitonic_stages(n):
+        full, part = _stage_rows(n, j)
+        total += full * j + part
+    return total
 
 
 #: Per-comparator op pattern: read i, read j, write i, write j.
 _RRWW = (OP_READ, OP_READ, OP_WRITE, OP_WRITE)
 
+#: Per-slot stride of a mirror stage's ``i, partner, i, partner`` period:
+#: ``i`` climbs while its partner descends.
+_MIRROR_STRIDE = (1, -1, 1, -1)
 
-def _stage_pattern(n: int, j: int):
-    """Stage ``j``'s comparator offsets as one ``i, i + j, i, i + j``
-    period and its nested ``(count, stride)`` repeats: ``j`` consecutive
-    ``i`` per row, one row every ``2j`` elements (see
-    :func:`repro.sgx.memory.tile_strided`)."""
-    return (0, j, 0, j), ((j, 1), (n // (2 * j), 2 * j))
+
+def _stage_offsets(n: int, j: int, mirror: bool, out: np.ndarray) -> int:
+    """Write stage ``(j, mirror)``'s ``i, partner, i, partner`` offsets at
+    the start of ``out`` and return how many were written.
+
+    The full rows are one tile; the partial row, if any, is a second
+    short tile of its ``part`` comparators: the first ones of a plain
+    row, the last ones of a mirror row (``i`` from ``end + j - part``
+    up, its partner from ``n - 1`` down).
+    """
+    full, part = _stage_rows(n, j)
+    width = 2 * j
+    if mirror:
+        period, stride = (0, width - 1, 0, width - 1), _MIRROR_STRIDE
+    else:
+        period, stride = (0, j, 0, j), 1
+    body = 4 * j * full
+    tile_strided(period, ((j, stride), (full, width)), out[:body])
+    if part:
+        end = full * width
+        lo = end + j - part if mirror else end
+        hi = n - 1 if mirror else end + j
+        tile_strided((lo, hi, lo, hi), ((part, stride),),
+                     out[body : body + 4 * part])
+    return body + 4 * part
 
 
 #: Stages with ``j < _LANE_SPLIT`` and at least ``_LANE_MIN_ROWS`` rows
 #: run one lane ``t < j`` at a time, so every ufunc call walks a long
-#: 1-D strided view instead of ``n // 2j`` rows of ``j`` elements; with
+#: 1-D strided view instead of ``rows`` rows of ``j`` elements; with
 #: fewer rows the extra per-lane calls cost more than they save.
 _LANE_SPLIT = 8
 _LANE_MIN_ROWS = 256
 
 
-def _compare_exchange(columns: tuple[np.ndarray, ...], k: int, j: int) -> None:
-    """Apply stage ``(k, j)`` to every column in place through views."""
-    views = [c.reshape(-1, 2, j) for c in columns]
-    block_start = np.arange(0, len(columns[0]), 2 * j)
-    ascending = ((block_start & k) == 0)[:, None]
-    lanes = (
-        [slice(t, t + 1) for t in range(j)]
-        if j < _LANE_SPLIT and len(block_start) >= _LANE_MIN_ROWS
-        else [slice(None)]
-    )
-    for lane in lanes:
-        swap = (views[0][:, 0, lane] > views[0][:, 1, lane]) == ascending
-        for v in views:
-            lo = v[:, 0, lane]
-            hi = v[:, 1, lane]
-            lo[...], hi[...] = np.where(swap, hi, lo), np.where(swap, lo, hi)
+def _swap(pairs: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Order every ``(lo, hi)`` view pair ascending by the first pair's
+    keys, permuting the other pairs identically.
 
-
-def odd_even_merge_network(n: int) -> Iterator[tuple[int, int, bool]]:
-    """Batcher's odd-even mergesort comparator schedule.
-
-    The second classic O(n log^2 n) sorting network; slightly fewer
-    comparators than the bitonic network and every comparator is
-    ascending.  Only the sorting-network ablation benchmark uses it, to
-    count comparators against the bitonic network; the oblivious sort
-    always runs the bitonic network.  ``n`` must be a power of two.
+    The keys themselves become ``(min, max)``, which is what the
+    conditional swap leaves (ties included) without a masked select.
     """
-    if not is_power_of_two(n):
-        raise ValueError(f"odd-even merge network needs a power of two, got {n}")
-    p = 1
-    while p < n:
-        k = p
-        while k >= 1:
-            for j in range(k % p, n - k, 2 * k):
-                for i in range(k):
-                    left = i + j
-                    right = i + j + k
-                    if left // (2 * p) == right // (2 * p):
-                        yield left, right, True
-            k //= 2
-        p *= 2
+    (key_lo, key_hi), *rest = pairs
+    if rest:
+        swap = key_lo > key_hi
+        for lo, hi in rest:
+            lo[...], hi[...] = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    low = np.minimum(key_lo, key_hi)
+    np.maximum(key_lo, key_hi, out=key_hi)
+    key_lo[...] = low
 
 
-def comparator_count(n: int) -> int:
-    """Number of comparators in the length-n network: n/2 * s(s+1)/2 stages."""
-    if not is_power_of_two(n):
-        raise ValueError("power-of-two length required")
-    stages = n.bit_length() - 1
-    return (n // 2) * stages * (stages + 1) // 2
+def _compare_exchange(columns: tuple[np.ndarray, ...], j: int, mirror: bool) -> None:
+    """Apply stage ``(j, mirror)`` to every column in place through views."""
+    n = len(columns[0])
+    full, part = _stage_rows(n, j)
+    end = full * 2 * j
+    if full:
+        views = [c[:end].reshape(full, 2, j) for c in columns]
+        halves = [(v[:, 0], v[:, 1, ::-1] if mirror else v[:, 1]) for v in views]
+        lanes = (
+            [slice(t, t + 1) for t in range(j)]
+            if j < _LANE_SPLIT and full >= _LANE_MIN_ROWS
+            else [slice(None)]
+        )
+        for lane in lanes:
+            _swap([(lo[:, lane], hi[:, lane]) for lo, hi in halves])
+    if part:
+        lo = slice(end + j - part, end + j) if mirror else slice(end, end + part)
+        hi = slice(n - 1, end + j - 1, -1) if mirror else slice(end + j, n)
+        _swap([(c[lo], c[hi]) for c in columns])
 
 
 def bitonic_sort_traced_columns(
@@ -150,55 +168,57 @@ def bitonic_sort_traced_columns(
     """Batched oblivious sort over 1-D numpy columns, recording into ``trace``.
 
     Sorts ``keys`` (and permutes each payload identically) one network
-    stage at a time through ``(n // 2j, 2, j)`` views of every column,
-    with no index arrays, gathers or scatters.  With a trace, each
-    stage's ``read i, read j, write i, write j`` comparator accesses are
-    written straight into the trace columns from the same strides
-    (:meth:`Trace.record_periodic`), after one up-front
-    :meth:`Trace.reserve` for the whole network.  Because comparators
-    within a stage are disjoint, both the data result and the recorded
-    access sequence are identical to the comparator-at-a-time
-    formulation; ``trace=None`` degrades to a pure
+    stage at a time through row views of every column, with no index
+    arrays, gathers or scatters.  With a trace, the whole network's
+    accesses are opened at once (:meth:`Trace.record_open` writes the
+    region and the repeating ``read, read, write, write`` ops), and each
+    stage tiles its offsets into place from the same strides, with a
+    per-slot stride of ``(1, -1, 1, -1)`` on a mirror stage.  Because
+    comparators within a stage are disjoint, both the data result and
+    the recorded access sequence are identical to the
+    comparator-at-a-time formulation; ``trace=None`` degrades to a pure
     :func:`bitonic_sort_numpy`.
     """
     n = len(keys)
     for p in payloads:
         if len(p) != n:
             raise ValueError("payload length mismatch")
-    if not is_power_of_two(n):
-        raise ValueError(f"bitonic network needs a power-of-two length, got {n}")
-    if n == 1:
+    if n <= 1:
         return
     columns = (keys,) + payloads
     with obs.span("kernel.bitonic_sort", n=n, traced=trace is not None):
+        offsets = None
         if trace is not None:
-            trace.reserve(4 * comparator_count(n))
-        for k, j in bitonic_stages(n):
-            if trace is not None:
-                offsets, repeats = _stage_pattern(n, j)
-                trace.record_periodic(region, offsets, _RRWW, repeats)
-            _compare_exchange(columns, k, j)
+            offsets = trace.record_open(region, _RRWW, 4 * comparator_count(n),
+                                        max_offset=n - 1)
+            pos = 0
+        for j, mirror in bitonic_stages(n):
+            if offsets is not None:
+                pos += _stage_offsets(n, j, mirror, offsets[pos:])
+            _compare_exchange(columns, j, mirror)
 
 
 def bitonic_sort_numpy(keys: np.ndarray, *payloads: np.ndarray) -> None:
     """Apply the same network to numpy arrays in place, stage-vectorized.
 
     ``keys`` drives the comparisons; each payload array is permuted
-    identically.  All arrays must share a power-of-two length.
+    identically.  All arrays must share one length.
     """
     bitonic_sort_traced_columns(None, "", keys, *payloads)
 
 
 def network_stage_offsets(n: int) -> Iterator[np.ndarray]:
-    """The traced sort's element offsets, one stage (``2n``) at a time.
+    """The traced sort's element offsets, one stage at a time.
 
     Each comparator touches offsets ``i, j, i, j`` (two reads, two
-    writes), built from the same strides the sort records.  Lets the
-    cost model stream the network without materializing all of it.
+    writes), built by the same stage writer the sort records with.
+    Lets the cost model stream the network without materializing all
+    of it.
     """
-    for _, j in bitonic_stages(n):
-        out = np.empty(2 * n, dtype=np.int64)
-        tile_strided(*_stage_pattern(n, j), out)
+    for j, mirror in bitonic_stages(n):
+        full, part = _stage_rows(n, j)
+        out = np.empty(4 * (full * j + part), dtype=np.int64)
+        _stage_offsets(n, j, mirror, out)
         yield out
 
 
@@ -209,6 +229,7 @@ def network_access_offsets(n: int) -> np.ndarray:
     the adversary-visible access pattern of the oblivious sort.
     """
     out = np.empty(4 * comparator_count(n), dtype=np.int64)
-    for s, (_, j) in enumerate(bitonic_stages(n)):
-        tile_strided(*_stage_pattern(n, j), out[2 * n * s : 2 * n * (s + 1)])
+    pos = 0
+    for j, mirror in bitonic_stages(n):
+        pos += _stage_offsets(n, j, mirror, out[pos:])
     return out

@@ -280,7 +280,14 @@ class VectorSetAssociativeCache:
                 hit_cap = distinct >= assoc
                 cert_miss[u[hit_cap]] = True
                 unresolved[u[hit_cap]] = False
-                rem = ~hit_cap & (realwin > depth)
+                # A window read whole with fewer than ``assoc`` firsts
+                # holds fewer than ``assoc`` distinct lines (a same-set
+                # pair alternating, as in a bitonic mirror stage):
+                # certain hit.
+                whole = ~hit_cap & (realwin <= depth)
+                cert_hit[u[whole]] = True
+                unresolved[u[whole]] = False
+                rem = ~hit_cap & ~whole
                 if not rem.any():
                     break
                 u, p_u, base, start, realwin = (

@@ -30,7 +30,7 @@ access costs 6 bytes instead of one frozen dataclass plus a list slot
 (~100+ bytes), and whole access blocks append as single vectorized
 ``numpy`` copies via :meth:`Trace.record_block` /
 :meth:`Trace.record_batch` / :meth:`Trace.record_periodic` /
-:meth:`Trace.record_columns`.  Region
+:meth:`Trace.record_open` / :meth:`Trace.record_columns`.  Region
 names are interned into a per-trace table in first-use order.  The
 object-based views (:meth:`Trace.__iter__`, :meth:`Trace.project`,
 :meth:`Trace.offsets`, ...) are preserved as compatibility wrappers
@@ -100,18 +100,22 @@ class MemoryAccess:
 
 
 def tile_strided(
-    pattern: Any, repeats: Sequence[tuple[int, int]], out: np.ndarray
+    pattern: Any, repeats: Sequence[tuple[Any, Any]], out: np.ndarray
 ) -> None:
     """Fill ``out`` with ``pattern`` repeated at nested strides.
 
     ``repeats`` lists ``(count, stride)`` levels, innermost first; level
     ``(c, s)`` repeats everything inside it ``c`` times, adding ``s`` to
-    the values per repetition.  ``out`` must hold exactly
-    ``len(pattern) * prod(counts)`` elements.  Each level doubles the
-    filled prefix with one contiguous add per step, so the fill costs
+    the values per repetition.  A stride is one int or a per-slot
+    vector of ``len(pattern)`` ints, slot ``t`` of every copy of the
+    pattern moving by ``s[t]`` (a bitonic mirror stage walks ``i`` up
+    and its partner down with ``(1, -1, 1, -1)``).  ``out`` must hold
+    exactly ``len(pattern) * prod(counts)`` elements.  Each level
+    doubles the filled prefix with one add per step, so the fill costs
     ``O(log len(out))`` numpy calls whatever the pattern's shape.
     """
-    size = len(pattern)
+    period = len(pattern)
+    size = period
     total = size
     for count, _ in repeats:
         total *= count
@@ -121,11 +125,13 @@ def tile_strided(
         return
     out[:size] = pattern
     for count, stride in repeats:
+        if not np.isscalar(stride):
+            stride = np.asarray(stride)
         done = 1
         while done < count:
             step = min(done, count - done)
-            np.add(out[: step * size], done * stride,
-                   out=out[done * size : (done + step) * size])
+            np.add(out[: step * size].reshape(-1, period), done * stride,
+                   out=out[done * size : (done + step) * size].reshape(-1, period))
             done += step
         size *= count
 
@@ -165,10 +171,17 @@ class Trace:
         """An uninitialized column of ``length`` elements.
 
         RAM by default; an unlinked disk-backed memmap when
-        ``memmap_dir`` was given.
+        ``memmap_dir`` was given.  A RAM column is an exact-length view
+        of an allocation rounded up to a power of two: per-round traces
+        whose length varies a little then request one allocation size,
+        so the allocator keeps mapping and unmapping large columns
+        instead of leaving freed ones as heap holes that raise the
+        process's resident memory.  The tail is never written, so its
+        pages are never faulted in.
         """
         if self._memmap_dir is None:
-            return np.empty(length, dtype=dtype)
+            size = 1 << max(length - 1, 0).bit_length()
+            return np.empty(size, dtype=dtype)[:length]
         import os
         import tempfile
 
@@ -306,41 +319,59 @@ class Trace:
             self._ops[n : n + count] = ops_arr.reshape(-1)
         self._n = n + count
 
+    def record_open(self, region: str, ops: Any, count: int, *,
+                    max_offset: int) -> np.ndarray:
+        """Append ``count`` accesses to ``region`` and leave their offsets
+        for the caller to write.
+
+        The region column is filled and the op column repeats the
+        period ``ops`` (``count`` must be a multiple of its length).
+        Returns the writable offsets view of the new accesses, which
+        the caller fills (e.g. by :func:`tile_strided`) before the next
+        append; every offset it writes must lie in ``[0, max_offset]``.
+        """
+        codes = np.asarray([_norm_op(o) for o in ops], dtype=np.uint8)
+        if count % codes.size:
+            raise ValueError("record_open count must be a multiple of the op period")
+        self._widen_offsets_if_needed(0, max_offset)
+        self._ensure(count)
+        n = self._n
+        self._rids[n : n + count] = self.region_id(region)
+        tile_strided(codes, ((count // codes.size, 0),), self._ops[n : n + count])
+        self._n = n + count
+        return self._offs[n : n + count]
+
     def record_periodic(self, region: str, offsets: Any, ops: Any,
-                        repeats: Sequence[tuple[int, int]]) -> None:
+                        repeats: Sequence[tuple[Any, Any]]) -> None:
         """Append one access pattern repeated at nested strides.
 
         ``offsets`` / ``ops`` (equal length) are one period.  ``repeats``
         lists ``(count, stride)`` levels, innermost first: each level
         repeats everything inside it ``count`` times, shifting the
-        offsets by ``stride`` per repetition.  Equivalent to
-        :meth:`record_batch` of the expanded stream, but the columns are
-        written by doubling copies (see :func:`tile_strided`) with no
-        temporary and no scan.  One bitonic network stage ``(k, j)`` over
-        ``n`` elements is ``offsets=(0, j, 0, j)``, ``ops=(R, R, W, W)``,
-        ``repeats=((j, 1), (n // 2j, 2j))``.  Strides must be
-        non-negative.
+        offsets by ``stride`` -- one int, or one int per slot of the
+        period -- per repetition.  Equivalent to :meth:`record_batch` of
+        the expanded stream, but the columns are written by doubling
+        copies (see :func:`tile_strided`) with no temporary and no scan.
+        The Advanced fold's ``(read pos, write pos - 1)`` pairs are
+        ``offsets=(1, 0)``, ``ops=(R, W)``, ``repeats=((m - 1, 1),)``.
+        An expansion that would reach a negative offset raises.
         """
         pattern = np.asarray(offsets, dtype=np.int64).reshape(-1)
-        codes = np.asarray([_norm_op(o) for o in ops], dtype=np.uint8)
-        if pattern.size != codes.size:
+        if pattern.size != len(ops):
             raise ValueError("record_periodic requires one op per offset")
         count = pattern.size
-        hi = int(pattern.max()) if count else 0
+        lo, hi = pattern.copy(), pattern.copy()
         for reps, stride in repeats:
-            if stride < 0:
-                raise ValueError("record_periodic strides must be non-negative")
             count *= reps
-            hi += (reps - 1) * stride
+            shift = max(reps - 1, 0) * np.asarray(stride, dtype=np.int64)
+            lo += np.minimum(shift, 0)
+            hi += np.maximum(shift, 0)
         if count <= 0:
             return
-        self._widen_offsets_if_needed(int(pattern.min()), hi)
-        self._ensure(count)
-        n = self._n
-        self._rids[n : n + count] = self.region_id(region)
-        tile_strided(pattern, repeats, self._offs[n : n + count])
-        tile_strided(codes, ((count // codes.size, 0),), self._ops[n : n + count])
-        self._n = n + count
+        if int(lo.min()) < 0:
+            raise ValueError("record_periodic offsets must be non-negative")
+        tile_strided(pattern, repeats, self.record_open(
+            region, ops, count, max_offset=int(hi.max())))
 
     def record_columns(self, region_ids: Any, offsets: Any, ops: Any) -> None:
         """Append pre-built columns (ids from :meth:`region_id`).

@@ -40,7 +40,6 @@ from repro.core.streams import LINE_BYTES, G_ITEMSIZE, G_STAR_ITEMSIZE
 from repro.fl.client import LocalUpdate, TrainingConfig
 from repro.fl.datasets import SPECS, ClientData, SyntheticClassData
 from repro.oblivious.primitives import o_mov, o_swap
-from repro.oblivious.sort import is_power_of_two, next_power_of_two
 from repro.oram.path_oram import DUMMY, StashOverflow
 from repro.runtime.cohort import (
     REASON_DROPOUT,
@@ -1047,20 +1046,26 @@ def aggregate_path_oram(updates, d: int, trace: Trace | None = None,
 def bitonic_network(n: int) -> Iterator[tuple[int, int, bool]]:
     """Comparator schedule ``(i, j, ascending)`` for a length-n network.
 
-    ``n`` must be a power of two.  The schedule depends only on ``n``;
-    this data-independence is what makes the sort oblivious.
+    Batcher's bitonic network for any ``n``, all comparators ascending:
+    merge ``k`` first pairs ``i`` with its mirror ``block + k - 1 -
+    (i - block)`` in each block of ``k``, then ``i`` with ``i + j`` for
+    ``j = k/4, ..., 1`` (bit ``j`` of ``i`` clear).  Comparators whose
+    upper end is ``>= n`` are dropped (a virtual ``+inf`` tail never
+    moves).  The schedule depends only on ``n``.
     """
-    if not is_power_of_two(n):
-        raise ValueError(f"bitonic network needs a power-of-two length, got {n}")
     k = 2
-    while k <= n:
-        j = k // 2
+    while k // 2 < n:
+        for i in range(n):
+            block = i - i % k
+            partner = block + k - 1 - (i - block)
+            if i < partner < n:
+                yield i, partner, True
+        j = k // 4
         while j >= 1:
             for i in range(n):
-                partner = i ^ j
-                if partner > i:
-                    ascending = (i & k) == 0
-                    yield i, partner, ascending
+                partner = i + j
+                if i & j == 0 and partner < n:
+                    yield i, partner, True
             j //= 2
         k *= 2
 
@@ -1083,7 +1088,7 @@ def apply_network_traced(
 def bitonic_sort_traced(
     array, key: Callable[[object], object] = lambda w: w
 ) -> None:
-    """Sort a power-of-two :class:`TracedArray` in place, obliviously.
+    """Sort a :class:`TracedArray` in place, obliviously.
 
     Every comparator of :func:`bitonic_network` reads both elements,
     computes the order flag in registers, and conditionally swaps with
@@ -1103,15 +1108,13 @@ def network_offsets(n: int) -> Iterator[int]:
 
 
 def oblivious_shuffle_traced(array, rng: random.Random | None = None) -> None:
-    """Shuffle a power-of-two :class:`TracedArray` in place.
+    """Shuffle a :class:`TracedArray` in place.
 
     Each element is tagged with a random key (register-held, untraced),
     the pair array is bitonically sorted by key, and the tags dropped.
     """
     rng = rng or random.Random()
     n = len(array)
-    if not is_power_of_two(n):
-        raise ValueError("oblivious shuffle needs a power-of-two length")
     for i in range(n):
         value = array.read(i)
         array.write(i, (rng.getrandbits(62), value))
@@ -1158,15 +1161,12 @@ def ref_baseline_traced(updates, d, trace,
 
 def ref_advanced_traced(updates, d, trace):
     idx, val = _concat_updates(updates)
-    base = len(idx) + d
-    m = next_power_of_two(base)
+    m = len(idx) + d
     g = TracedArray.zeros(G_REGION, m, trace=trace, itemsize=8)
     for pos in range(len(idx)):
         g.write(pos, (int(idx[pos]), float(val[pos])))
     for j in range(d):
         g.write(len(idx) + j, (j, 0.0))
-    for pos in range(base, m):
-        g.write(pos, (M0, 0.0))
     apply_network_traced(g, bitonic_network(m), key=lambda w: w[0])
     carry_idx, carry_val = g.read(0)
     for pos in range(1, m):
@@ -1225,7 +1225,7 @@ def baseline_stream(nk: int, d: int) -> Iterator[int]:
 
 def advanced_stream(nk: int, d: int) -> Iterator[int]:
     """Advanced: fill + two bitonic sorts + folding + output scan."""
-    m = next_power_of_two(nk + d)
+    m = nk + d
     for pos in range(m):
         yield pos // _G_LINE_ELEMS
     sort_lines = (np.fromiter(network_offsets(m), dtype=np.int64)
@@ -1247,7 +1247,7 @@ def grouped_stream(n: int, k: int, d: int, group_size: int) -> Iterator[int]:
         raise ValueError("group size must be positive")
     full_groups, rem = divmod(n, group_size)
     sizes = [group_size] * full_groups + ([rem] if rem else [])
-    m_max = next_power_of_two(group_size * k + d)
+    m_max = group_size * k + d
     acc_base = _region_lines(m_max, _G_LINE_ELEMS)
     acc_lines = _region_lines(d, _G_STAR_LINE_ELEMS)
     for h in sizes:

@@ -449,7 +449,7 @@ class TestOneLeafAndLegacyLogs:
 
     def test_manifest_carries_the_log_version(self, tmp_path):
         path = _recorded_run(tmp_path, rounds=1)
-        assert read_records(path)[0]["version"] == LOG_VERSION == 2
+        assert read_records(path)[0]["version"] == LOG_VERSION == 3
 
     def test_version1_log_is_refused(self, tmp_path):
         # Recorded under the SeedSequence derivation: its rounds cannot
@@ -463,6 +463,18 @@ class TestOneLeafAndLegacyLogs:
             generate_proof(THREAD_EXECUTOR_LOG, 0, 0)
         with pytest.raises(AuditVersionError):
             verify_proof_payload(THREAD_EXECUTOR_LOG, {"round": 0})
+
+    def test_version2_log_is_refused(self, tmp_path):
+        # Recorded before the unpadded Advanced sort: its aggregates fold
+        # equal indices in another order, so it is refused, not replayed.
+        path = _recorded_run(tmp_path, rounds=1)
+        records = copy.deepcopy(read_records(path))
+        records[0]["version"] = 2
+        _rewrite(path, chain_records(records))
+        with pytest.raises(AuditVersionError, match="version 2") as e:
+            verify_log(path, strict=True)
+        assert e.value.exit_code == 7
+        assert audit_main([str(path), "--strict"]) == 7
 
     def test_unknown_executor_is_refused_by_name(self, tmp_path):
         path = _recorded_run(tmp_path, rounds=1)

@@ -158,3 +158,45 @@ class TestDoCostAnalysis:
             "do_elements", "advanced_elements", "overhead_ratio",
             "expected_dummies",
         }
+
+
+def _dense_sum(updates, d):
+    out = np.zeros(d)
+    for u in updates:
+        np.add.at(out, u.indices, u.values)
+    return out
+
+
+class TestUnpaddedLengths:
+    """Advanced, grouped and DO aggregate correctly when the sorted
+    length (nk + d for Advanced, nk + dummies for DO) is not a power of
+    two: the network runs truncated, with no padding."""
+
+    @pytest.mark.parametrize("n,k,d", [(1, 1, 2), (2, 3, 7), (5, 9, 50),
+                                       (12, 30, 1000), (3, 1, 2)])
+    def test_advanced_matches_dense_sum(self, n, k, d):
+        assert (n * k + d) & (n * k + d - 1)
+        updates = make_updates(n * 100 + k, n_clients=n, d=d, k=k)
+        trace = Trace()
+        out = aggregate_advanced(updates, d, trace=trace)
+        np.testing.assert_allclose(out, _dense_sum(updates, d), atol=1e-12)
+        assert max(trace.offsets_array("g")) == n * k + d - 1
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 5])
+    def test_grouped_matches_dense_sum(self, h):
+        d = 37
+        updates = make_updates(6, n_clients=7, d=d, k=5)
+        out = aggregate_grouped(updates, d, h, trace=Trace())
+        np.testing.assert_allclose(out, _dense_sum(updates, d), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_do_matches_dense_sum(self, seed):
+        d = 23
+        updates = make_updates(seed, n_clients=5, d=d, k=3)
+        params = DoParameters(epsilon=2.0, sensitivity=3)
+        out, observed = aggregate_do(updates, d, params,
+                                     np.random.default_rng(seed))
+        np.testing.assert_allclose(out, _dense_sum(updates, d), atol=1e-12)
+        true_hist = np.bincount(
+            np.concatenate([u.indices for u in updates]), minlength=d)
+        assert np.all(observed >= true_hist)

@@ -26,7 +26,7 @@ from repro.core.streams import (
     linear_stream_chunks,
 )
 from repro.fl.client import LocalUpdate
-from repro.oblivious.sort import network_access_offsets, next_power_of_two
+from repro.oblivious.sort import network_access_offsets
 from repro.sgx.cost import CostModel, CostParameters
 from repro.sgx.memory import Trace
 from tests.oracles import (
@@ -287,7 +287,7 @@ class TestStreamsThroughCostModel:
 
 def monolithic_advanced_stream(nk: int, d: int) -> np.ndarray:
     """The Advanced stream built whole: fill, sort, fold, sort, read-out."""
-    m = next_power_of_two(nk + d)
+    m = nk + d
     sort_lines = network_access_offsets(m) // 8
     pos = np.arange(1, m, dtype=np.int64)
     fold = np.empty(2 * m, dtype=np.int64)
@@ -316,7 +316,7 @@ class TestAdvancedStreamIsChunked:
         import tracemalloc
 
         nk, d = 30_000, 35_536  # m = 2**16: the sorts are 17.8M accesses
-        m = next_power_of_two(nk + d)
+        m = nk + d
         expected = 2 * 4 * (m // 2) * 16 * 17 // 2 + 3 * m + d
         tracemalloc.start()
         try:

@@ -42,11 +42,8 @@ class TestTraceChargesLikeStream:
         trace = Trace()
         aggregate_advanced(_updates(n, k, d), d, trace=trace)
 
-        from repro.oblivious.sort import next_power_of_two
-
-        m = next_power_of_two(n * k + d)
         layout = RegionLayout()
-        layout.add("g", m, 8)
+        layout.add("g", n * k + d, 8)
 
         recorded = list(trace_to_lines(trace, layout))
         structural = np.concatenate(
@@ -57,10 +54,9 @@ class TestTraceChargesLikeStream:
         n, k, d = 2, 3, 10
         trace = Trace()
         aggregate_advanced(_updates(n, k, d), d, trace=trace)
-        from repro.oblivious.sort import next_power_of_two
 
         layout = RegionLayout()
-        layout.add("g", next_power_of_two(n * k + d), 8)
+        layout.add("g", n * k + d, 8)
         via_trace = CostModel(SMALL).charge_lines(
             trace_to_lines(trace, layout)
         )

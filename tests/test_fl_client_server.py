@@ -162,6 +162,33 @@ class TestFederatedSimulation:
         counts = [len(sim.run_round().participants) for _ in range(20)]
         assert 2 <= np.mean(counts) <= 8  # 10 clients at q=0.5
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 12])
+    def test_inclusion_frequency_matches_rate(self, n):
+        # Chi-square over the per-client inclusion counts of T draws,
+        # as for the enclave's sampler: each count is Binomial(T, q)
+        # exactly when every client joins independently with
+        # probability q, so an empty draw must stay empty.
+        from scipy.stats import chi2
+
+        rate, draws = 0.05, 4000
+        _, clients, model = _setup(n_clients=n)
+        sim = FederatedSimulation(
+            model, clients, training=TRAIN,
+            server=ServerConfig(sample_rate=rate), seed=n)
+        counts = np.zeros(n)
+        for _ in range(draws):
+            for cid in sim._sample_participants():
+                counts[cid] += 1
+        mean, var = draws * rate, draws * rate * (1 - rate)
+        statistic = float(((counts - mean) ** 2 / var).sum())
+        assert chi2.sf(statistic, df=n) > 1e-4, counts / draws
+
+    def test_empty_draw_releases_a_noise_only_round(self):
+        sim = self._sim()
+        log = sim.run_round(participants=[])
+        assert log.participants == [] and log.updates == {}
+        assert not np.array_equal(log.weights_before, log.weights_after)
+
     def test_evaluate_returns_accuracy(self):
         gen, clients, model = _setup(n_clients=10)
         sim = FederatedSimulation(model, clients, training=TRAIN, seed=0)

@@ -22,10 +22,13 @@ class TestTracedShuffle:
         oblivious_shuffle_traced(arr, rng=random.Random(0))
         assert sorted(arr.snapshot()) == [float(i) for i in range(8)]
 
-    def test_rejects_non_power_of_two(self):
-        arr = TracedArray("s", [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            oblivious_shuffle_traced(arr)
+    def test_non_power_of_two_is_a_permutation(self):
+        trace = Trace()
+        arr = TracedArray("s", [1.0, 2.0, 3.0], trace=trace)
+        oblivious_shuffle_traced(arr, rng=random.Random(3))
+        assert sorted(arr.snapshot()) == [1.0, 2.0, 3.0]
+        # Tag pass, the length-3 network (3 comparators), untag pass.
+        assert len(trace) == 2 * 3 + 4 * 3 + 2 * 3
 
     def test_trace_independent_of_data(self):
         signatures = []

@@ -102,10 +102,12 @@ class TestSection53MemoryArithmetic:
         assert 110e6 < total < 130e6   # the paper's ~122 MB
 
     def test_advanced_working_set_formula(self):
-        from repro.oblivious.sort import next_power_of_two
+        from repro.core.streams import advanced_stream_chunks
 
-        # Our Advanced pads to a power of two; the working set is
-        # m * 8 bytes, as charged by the cost model streams.
+        # Advanced sorts exactly nk + d cells, with no power-of-two
+        # padding; the cost model's fill scan touches each 8-byte cell.
         nk, d = 16_000, 50_890
-        m = next_power_of_two(nk + d)
-        assert m == 131_072
+        m = nk + d
+        fill = next(advanced_stream_chunks(nk, d, chunk_size=m))
+        assert fill.size == m == 66_890
+        assert int(fill[-1]) == (m * 8 - 1) // 64

@@ -13,7 +13,7 @@ from repro.core.do_aggregation import DoParameters, aggregate_do
 from repro.core.grouping import aggregate_grouped
 from repro.fl.client import LocalUpdate
 from repro.fl.sparsify import densify, l2_clip, top_k
-from repro.oblivious.sort import bitonic_sort_numpy, next_power_of_two
+from repro.oblivious.sort import bitonic_sort_numpy
 from repro.sgx import crypto
 
 
@@ -125,8 +125,7 @@ class TestSortProperties:
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=128))
     @settings(max_examples=30, deadline=None)
     def test_sort_is_idempotent(self, values):
-        n = next_power_of_two(len(values))
-        keys = np.asarray(values + [2**40] * (n - len(values)), dtype=np.int64)
+        keys = np.asarray(values, dtype=np.int64)
         bitonic_sort_numpy(keys)
         snapshot = keys.copy()
         bitonic_sort_numpy(keys)
@@ -135,8 +134,7 @@ class TestSortProperties:
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=128))
     @settings(max_examples=30, deadline=None)
     def test_sort_preserves_multiset(self, values):
-        n = next_power_of_two(len(values))
-        keys = np.asarray(values + [2**40] * (n - len(values)), dtype=np.int64)
+        keys = np.asarray(values, dtype=np.int64)
         before = sorted(keys.tolist())
         bitonic_sort_numpy(keys)
         assert sorted(keys.tolist()) == before

@@ -280,6 +280,17 @@ class TestTraceReserve:
         trace.reserve(1)
         assert len(trace._offs) == 2000
 
+    def test_columns_are_exact_views_of_power_of_two_allocations(self):
+        # Traces of nearby lengths share one allocation size, so
+        # per-round traces reuse it; the visible capacity stays exact.
+        a, b = Trace(), Trace()
+        a.reserve(3000)
+        b.reserve(3500)
+        for trace, need in ((a, 3000), (b, 3500)):
+            for column in _columns(trace):
+                assert len(column) == need
+                assert column.base is not None and column.base.size == 4096
+
     def test_reserve_within_capacity_is_a_noop(self):
         trace = Trace()
         before = _columns(trace)
@@ -292,10 +303,12 @@ class TestRecordPeriodic:
 
     @staticmethod
     def _expand(offsets, ops, repeats):
+        period = len(offsets)
         stream = [(o, op) for o, op in zip(offsets, ops)]
         for count, stride in repeats:
-            stream = [(o + r * stride, op) for r in range(count)
-                      for o, op in stream]
+            per_slot = np.broadcast_to(stride, (period,)).tolist()
+            stream = [(o + r * per_slot[t % period], op) for r in range(count)
+                      for t, (o, op) in enumerate(stream)]
         return stream
 
     @pytest.mark.parametrize("offsets,ops,repeats", [
@@ -305,6 +318,9 @@ class TestRecordPeriodic:
         ((2, 0), ("read", "write"), ((3, 0), (5, 11), (2, 100))),
         ((0, 1), (0, 1), ((0, 1),)),
         ((9,), (1,), ()),
+        # Per-slot strides: a bitonic mirror stage, i up and partner down.
+        ((0, 7, 0, 7), (0, 0, 1, 1), ((4, (1, -1, 1, -1)), (3, 8))),
+        ((3, 1), ("read", "write"), ((2, 5), (3, (0, 2)))),
     ])
     def test_equals_record_batch(self, offsets, ops, repeats):
         periodic, batch = Trace(), Trace()
@@ -321,6 +337,22 @@ class TestRecordPeriodic:
         trace = Trace()
         trace.record_periodic("g", (0,), ("read",), ((3, 2**31),))
         assert trace.offsets("g") == [0, 2**31, 2**32]
+
+    def test_negative_slot_stride_within_bounds_is_accepted(self):
+        trace = Trace()
+        trace.record_periodic("g", (0, 3), ("read", "write"), ((4, (1, -1)),))
+        assert trace.offsets("g") == [0, 3, 1, 2, 2, 1, 3, 0]
+
+    def test_record_open_leaves_offsets_to_the_writer(self):
+        trace = Trace()
+        trace.record("x", 5, "write")
+        offs = trace.record_open("g", ("read", "write"), 4, max_offset=9)
+        assert len(offs) == 4 and len(trace) == 5
+        offs[:] = [9, 8, 7, 6]
+        assert trace.offsets("g") == [9, 8, 7, 6]
+        assert trace.offsets("g", "write") == [8, 6]
+        with pytest.raises(ValueError):
+            trace.record_open("g", ("read", "write"), 3, max_offset=1)
 
     def test_rejects_negative_stride_and_op_mismatch(self):
         with pytest.raises(ValueError):

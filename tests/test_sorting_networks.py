@@ -9,7 +9,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.oblivious.sort import comparator_count, odd_even_merge_network
+from benchmarks.bench_ablation_networks import odd_even_merge_network
+from repro.oblivious.sort import comparator_count
 from repro.sgx.memory import Trace, TracedArray
 from tests.oracles import apply_network_traced, bitonic_network
 
@@ -23,7 +24,7 @@ def _run_network(network, values):
 
 
 class TestZeroOnePrinciple:
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 3, 5, 11])
     def test_bitonic_sorts_all_01_inputs(self, n):
         net = list(bitonic_network(n))
         for bits in product([0, 1], repeat=n):
@@ -58,9 +59,7 @@ class TestOddEvenMerge:
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=64))
     @settings(max_examples=30, deadline=None)
     def test_sorts_arbitrary_integers(self, values):
-        from repro.oblivious.sort import next_power_of_two
-
-        n = next_power_of_two(len(values))
+        n = 1 << (len(values) - 1).bit_length()
         padded = values + [10**6] * (n - len(values))
         assert _run_network(odd_even_merge_network(n), padded) == sorted(padded)
 
