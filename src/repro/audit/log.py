@@ -44,8 +44,9 @@ _RECORD_DOMAIN = b"olive-audit-record:"
 #: seed derivation, and an empty Poisson draw releases a noise-only
 #: round.  Version 3: the Advanced sort runs its network at exactly
 #: nk + d (no power-of-two padding), which changes the fold order of
-#: equal indices and so the aggregate bits.
-LOG_VERSION = 3
+#: equal indices and so the aggregate bits.  Version 4: the enclave's
+#: sampling and noise come from streams keyed on the round index.
+LOG_VERSION = 4
 
 
 class AuditError(Exception):

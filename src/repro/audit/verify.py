@@ -51,9 +51,6 @@ from .merkle import (
 )
 from .recorder import aggregate_digest, upload_merkle_root
 
-#: Consecutive quorum-aborted replay rounds tolerated before giving up.
-_MAX_ABORTED_ROUNDS = 100
-
 
 @dataclass
 class RoundVerdict:
@@ -186,26 +183,24 @@ def build_system_from_manifest(manifest: dict):
 def _replay_one(system, record: dict):
     """Advance the replayed system to the next *recorded* round.
 
-    Rounds the original run aborted on quorum never reached the log;
-    the replay skips them the same way (the abort consumes the same
-    enclave randomness, so determinism is preserved).
+    Rounds the original run aborted on quorum never reached the log and
+    did not advance its round index, and round r's draws are keyed on r
+    alone, so the replay's next round is the recorded one.  A replay
+    that aborts on quorum cannot have produced the log.
     """
     from ..runtime import QuorumNotMetError
 
-    for _ in range(_MAX_ABORTED_ROUNDS):
-        try:
-            return system.run_round(
-                traced=bool(record.get("traced")),
-                dropouts=set(record.get("forced_dropouts", [])),
-            )
-        except QuorumNotMetError:
-            continue
-    raise AuditReplayError(
-        f"round {record['round']}: replay aborted on quorum "
-        f"{_MAX_ABORTED_ROUNDS} times in a row; the log cannot have "
-        "been produced by this manifest",
-        round_index=record["round"],
-    )
+    try:
+        return system.run_round(
+            traced=bool(record.get("traced")),
+            dropouts=set(record.get("forced_dropouts", [])),
+        )
+    except QuorumNotMetError as exc:
+        raise AuditReplayError(
+            f"round {record['round']}: replay aborted on quorum; the log "
+            "cannot have been produced by this manifest",
+            round_index=record["round"],
+        ) from exc
 
 
 def verify_round_replay(record: dict, log) -> None:

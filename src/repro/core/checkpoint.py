@@ -1,10 +1,12 @@
 """Checkpointing and trace serialization.
 
 Production FL servers checkpoint between rounds; OLIVE's state is the
-global weights plus the privacy ledger (rounds consumed) and, when
-adaptive clipping is active, the current clip.  Enclave session keys
-are deliberately NOT serialized -- on restart, clients re-attest the
-fresh enclave, exactly as a real SGX redeployment would require.
+global weights, the privacy ledger (rounds consumed), the index of the
+next round (which keys that round's enclave and client randomness)
+and, when adaptive clipping is active, the current clip.  Enclave
+session keys are deliberately NOT serialized -- on restart, clients
+re-attest the fresh enclave, exactly as a real SGX redeployment would
+require.
 
 Traces serialize to a compact ``.npz`` for offline analysis (the
 attack and the leakage metrics both accept reloaded traces).
@@ -23,8 +25,9 @@ from .olive import OliveSystem
 #: Checkpoint format version, bumped whenever a checkpoint written by
 #: older code would resume onto a different trajectory.  Version 4:
 #: keyed BLAKE2b seed derivation, and an empty Poisson draw releases a
-#: noise-only round.
-CHECKPOINT_VERSION = 4
+#: noise-only round.  Version 5: the enclave's sampling and noise are
+#: keyed on the round, and the checkpoint carries ``round_index``.
+CHECKPOINT_VERSION = 5
 
 
 def save_checkpoint(system: OliveSystem, path: str | Path) -> None:
@@ -32,6 +35,7 @@ def save_checkpoint(system: OliveSystem, path: str | Path) -> None:
     path = Path(path)
     meta = {
         "rounds": system.accountant.steps,
+        "round_index": system.round_index,
         "realized_rates": list(system.accountant.realized_rates),
         "sample_rate": system.config.sample_rate,
         "noise_multiplier": system.config.noise_multiplier,
@@ -83,10 +87,12 @@ def load_checkpoint(system: OliveSystem, path: str | Path) -> dict:
                 f"system config; refusing to restore the privacy ledger"
             )
     rounds, realized_rates = _ledger(meta)
+    round_index = _round_index(meta)
     system.global_weights = weights.copy()
     system.model.set_flat(system.global_weights)
     system.accountant.steps = rounds
     system.accountant.realized_rates = realized_rates
+    system.round_index = round_index
     if system.clipper is not None:
         system.clipper.clip = float(meta["clip"])
     expected_head = meta["audit_head"]
@@ -99,6 +105,29 @@ def load_checkpoint(system: OliveSystem, path: str | Path) -> dict:
                 "resume onto a diverged audit chain"
             )
     return meta
+
+
+def _round_index(meta: dict) -> int:
+    """The checkpoint's next round, refused unless it is a valid index.
+
+    It keys round r's sampling and noise, so a wrong value would replay
+    an earlier round's randomness.  A checkpoint that pins an audit head
+    must resume at the round after the last one the log committed.
+    """
+    round_index = meta["round_index"]
+    if (isinstance(round_index, bool) or not isinstance(round_index, int)
+            or round_index < 0):
+        raise ValueError(
+            f"checkpoint round_index={round_index!r} is not a non-negative "
+            "integer; refusing to resume"
+        )
+    if meta["audit_head"] is not None and round_index != meta["audit_rounds"]:
+        raise ValueError(
+            f"checkpoint round_index={round_index} differs from its audit "
+            f"log's {meta['audit_rounds']} committed rounds; refusing to "
+            "resume"
+        )
+    return round_index
 
 
 def _ledger(meta: dict) -> tuple[int, list[float]]:

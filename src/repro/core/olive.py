@@ -127,6 +127,11 @@ class OliveSystem:
             delta=config.delta,
         )
         self.history: list[OliveRoundLog] = []
+        # The next round to release.  It keys the round's sampling,
+        # noise, client streams and shard faults, advances only when a
+        # round releases, and is checkpointed -- a resumed run continues
+        # its trajectory instead of replaying round 0's randomness.
+        self.round_index = 0
         self.clipper: AdaptiveClipper | None = None
         if config.adaptive_clipping:
             self.clipper = AdaptiveClipper(
@@ -187,6 +192,12 @@ class OliveSystem:
         fraction when fault injection is active.  An empty Poisson draw
         releases a noise-only round, charged like any other.
         ``traced=True`` records every leaf fold, at any shard count.
+
+        The round is number :attr:`round_index`, which advances only
+        when the round releases: a round that aborts (e.g. on
+        :class:`~repro.runtime.QuorumNotMetError`) and is run again
+        re-draws the same cohort and noise, so the untrusted host
+        cannot reroll the sample by forcing aborts.
         """
         self.enclave.reset_trace()
         # Explicit round boundary: reset the replay-defence state even
@@ -194,16 +205,17 @@ class OliveSystem:
         self.enclave.begin_round()
         weights_before = self.global_weights.copy()
         dropouts = dropouts or set()
+        r = self.round_index
 
         with obs.span(
-            "round", hist="round.wall_s", index=len(self.history),
+            "round", hist="round.wall_s", index=r,
             aggregator=self.config.aggregator, traced=traced,
         ):
             # Line 4: secure sampling inside the enclave.
             with obs.span("sample"):
                 participants = self.enclave.sample_clients(
                     [c.client_id for c in self.clients],
-                    self.config.sample_rate,
+                    self.config.sample_rate, r,
                 )
             obs.add("round.clients_sampled", len(participants))
 
@@ -212,7 +224,7 @@ class OliveSystem:
             clip = (self.clipper.clip if self.clipper
                     else self.config.training.clip)
             cohort = self.runtime.run_cohort(
-                len(self.history), participants, weights_before,
+                r, participants, weights_before,
                 self.config.training, clip=clip,
                 quantize_bits=self.config.quantize_bits,
                 forced_dropouts=dropouts,
@@ -223,7 +235,7 @@ class OliveSystem:
             # enforced inside: QuorumNotMetError aborts before noise.
             trace = self.enclave.trace if traced else None
             aggregate, shard_report = self.shard_service.aggregate_round(
-                len(self.history), cohort.deliveries, self.d,
+                r, cohort.deliveries, self.d,
                 sampled=set(participants),
                 quantize_bits=self.config.quantize_bits,
                 min_accepted=self.runtime.quorum_threshold(
@@ -247,7 +259,7 @@ class OliveSystem:
             # Line 12 (cont.): enclave-private perturbation.
             sigma = self.config.noise_multiplier * clip
             with obs.span("noise", sigma=sigma):
-                noise = np.asarray(self.enclave.gauss_vector(sigma, self.d))
+                noise = self.enclave.gauss_vector(sigma, self.d, r)
             denominator = self.config.expected_clients
             if denominator is None:
                 denominator = max(
@@ -283,7 +295,7 @@ class OliveSystem:
                 obs.gauge("dp.clip", self.clipper.clip)
 
         log = OliveRoundLog(
-            round_index=len(self.history),
+            round_index=r,
             participants=accepted,
             updates=shard_report.updates,
             trace=trace,
@@ -308,6 +320,7 @@ class OliveSystem:
                 n_shards=shard_report.n_shards,
             )
         self.history.append(log)
+        self.round_index = r + 1
         return log
 
     def run(self, rounds: int, traced: bool = False) -> list[OliveRoundLog]:

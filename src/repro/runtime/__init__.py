@@ -56,10 +56,13 @@ from .jobs import (
     execute_train_task,
 )
 from .seeding import (
+    STREAM_DH,
     STREAM_ENCLAVE,
     STREAM_FAULT,
     STREAM_MODEL,
+    STREAM_NOISE,
     STREAM_NONCE,
+    STREAM_SAMPLE,
     STREAM_TEACHER,
     STREAM_TRAIN,
     derive_nonce,
@@ -86,10 +89,13 @@ __all__ = [
     "STATUS_OK",
     "STATUS_REJECTED",
     "STATUS_STRAGGLER",
+    "STREAM_DH",
     "STREAM_ENCLAVE",
     "STREAM_FAULT",
     "STREAM_MODEL",
+    "STREAM_NOISE",
     "STREAM_NONCE",
+    "STREAM_SAMPLE",
     "STREAM_TEACHER",
     "STREAM_TRAIN",
     "ClientFaultPlan",

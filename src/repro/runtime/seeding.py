@@ -1,10 +1,11 @@
-"""Deterministic per-task seed derivation for the cohort runtime.
+"""Deterministic per-task seed derivation.
 
-Every source of client-side randomness -- the local-SGD batch order,
-the ``random_k`` sparsifier, QSGD stochastic quantization, the model's
-dropout masks, the fault injector's coin flips, and the encryption
-nonce -- is derived from one base entropy plus a structured key
-``(stream, round, client, ...)`` through one documented keyed function:
+Every source of randomness in a run -- the local-SGD batch order, the
+``random_k`` sparsifier, QSGD stochastic quantization, the model's
+dropout masks, the fault injector's coin flips, the encryption nonce,
+and the enclave's secure sampling, Gaussian noise and DH secret -- is
+derived from one base entropy plus a structured key ``(stream, round,
+client, ...)`` through one documented keyed function:
 
 * the identity is encoded as ``u32le(len(e)) || e || u64le(stream) ||
   u64le(k)`` for each key word ``k``, where ``e`` is the entropy as a
@@ -42,6 +43,9 @@ STREAM_FAULT = 2    # fault-injector coin flips and delay draws
 STREAM_NONCE = 3    # per-(round, client) encryption nonce
 STREAM_TEACHER = 4  # attack teacher replay (round, label, shard)
 STREAM_ENCLAVE = 5  # server-side enclave faults (round, shard, attempt)
+STREAM_SAMPLE = 6   # enclave Poisson sampling of round r's cohort (round)
+STREAM_NOISE = 7    # enclave Gaussian noise of round r's release (round)
+STREAM_DH = 8       # the enclave's Diffie-Hellman secret (no key words)
 
 
 def seed_state(entropy: int, stream: int, *key: int) -> bytes:

@@ -282,11 +282,7 @@ class _LeafRound:
             indices, values = enclave.load_gradient(
                 delivery.client_id, delivery.ciphertext
             )
-        self.pending.append(LocalUpdate(
-            client_id=delivery.client_id,
-            indices=np.asarray(indices, dtype=np.int64),
-            values=np.asarray(values, dtype=np.float64),
-        ))
+        self.pending.append(LocalUpdate(delivery.client_id, indices, values))
         self.accepted += 1
 
     def fold(self) -> None:

@@ -196,52 +196,57 @@ def encode_sparse_gradients_batch(indices, values) -> list[bytes]:
     return [header + blob[c * stride : (c + 1) * stride] for c in range(n)]
 
 
-def decode_sparse_gradient(raw: bytes) -> tuple[list[int], list[float]]:
-    """Inverse of :func:`encode_sparse_gradient`."""
+def decode_sparse_gradient(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`encode_sparse_gradient`: int64 indices and
+    float64 values, read as one record array."""
     if len(raw) < 4:
         raise ValueError("truncated gradient payload")
-    (k,) = struct.unpack(">I", raw[:4])
-    expected = 4 + k * 12
-    if len(raw) != expected:
+    (k,) = struct.unpack_from(">I", raw)
+    if len(raw) != 4 + k * _SPARSE_RECORD.itemsize:
         raise ValueError("gradient payload length mismatch")
-    indices: list[int] = []
-    values: list[float] = []
-    for i in range(k):
-        idx, val = struct.unpack(">Id", raw[4 + i * 12 : 16 + i * 12])
-        indices.append(idx)
-        values.append(val)
-    return indices, values
+    records = np.frombuffer(raw, _SPARSE_RECORD, count=k, offset=4)
+    return records["i"].astype(np.int64), records["v"].astype(np.float64)
+
+
+#: Header (u32 count, f64 scale) and big-endian (u32 index, i16 level)
+#: record of the quantized wire format.
+_QUANTIZED_HEADER = struct.Struct(">Id")
+_QUANTIZED_RECORD = np.dtype([("i", ">u4"), ("q", ">i2")])
 
 
 def encode_quantized_gradient(indices, levels, scale: float) -> bytes:
     """Compact wire format for a quantized sparse gradient.
 
-    ``k`` records of (u32 index, i16 level) after an 8-byte scale --
-    the bandwidth-saving upload format sparsification+quantization
-    exists for (Section 6's 1-3 orders of magnitude).
+    ``k`` records of (u32 index, i16 level) after a 12-byte (count,
+    scale) header -- the bandwidth-saving upload format
+    sparsification+quantization exists for (Section 6's 1-3 orders of
+    magnitude).
     """
     if len(indices) != len(levels):
         raise ValueError("indices and levels must have equal length")
-    out = [struct.pack(">Id", len(indices), float(scale))]
-    for idx, level in zip(indices, levels):
-        if not -32768 <= int(level) <= 32767:
-            raise ValueError("quantization level exceeds 16-bit range")
-        out.append(struct.pack(">Ih", int(idx), int(level)))
-    return b"".join(out)
+    idx = np.asarray(indices, dtype=np.int64)
+    lev = np.asarray(levels, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() > 0xFFFFFFFF):
+        raise ValueError("index out of u32 range")
+    if lev.size and (lev.min() < -32768 or lev.max() > 32767):
+        raise ValueError("quantization level exceeds 16-bit range")
+    records = np.empty(idx.size, dtype=_QUANTIZED_RECORD)
+    records["i"] = idx
+    records["q"] = lev
+    return _QUANTIZED_HEADER.pack(idx.size, float(scale)) + records.tobytes()
 
 
-def decode_quantized_gradient(raw: bytes) -> tuple[list[int], list[int], float]:
-    """Inverse of :func:`encode_quantized_gradient`."""
-    if len(raw) < 12:
+def decode_quantized_gradient(
+    raw: bytes,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Inverse of :func:`encode_quantized_gradient`: int64 indices,
+    int64 levels and the scale."""
+    if len(raw) < _QUANTIZED_HEADER.size:
         raise ValueError("truncated quantized payload")
-    k, scale = struct.unpack(">Id", raw[:12])
-    expected = 12 + k * 6
-    if len(raw) != expected:
+    k, scale = _QUANTIZED_HEADER.unpack_from(raw)
+    if len(raw) != _QUANTIZED_HEADER.size + k * _QUANTIZED_RECORD.itemsize:
         raise ValueError("quantized payload length mismatch")
-    indices: list[int] = []
-    levels: list[int] = []
-    for i in range(k):
-        idx, level = struct.unpack(">Ih", raw[12 + i * 6 : 18 + i * 6])
-        indices.append(idx)
-        levels.append(level)
-    return indices, levels, scale
+    records = np.frombuffer(raw, _QUANTIZED_RECORD, count=k,
+                            offset=_QUANTIZED_HEADER.size)
+    return (records["i"].astype(np.int64), records["q"].astype(np.int64),
+            scale)

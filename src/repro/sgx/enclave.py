@@ -6,9 +6,9 @@ Models the pieces of Intel SGX that OLIVE's protocol depends on:
   :mod:`repro.sgx.attestation`);
 * a sealed per-client :class:`KeyStore` populated during provisioning
   (Algorithm 1, line 1);
-* *secure client sampling* performed inside the enclave with an
-  enclave-private RNG (line 4), so the untrusted server can neither bias
-  nor predict the sampled set;
+* *secure client sampling* performed inside the enclave from
+  enclave-private entropy (line 4), so the untrusted server can neither
+  bias nor predict the sampled set;
 * AE-mode verification of loaded gradients against the sampled set
   (lines 7-11): contributions from unsampled clients or ciphertexts
   that fail authentication are rejected;
@@ -18,12 +18,19 @@ Models the pieces of Intel SGX that OLIVE's protocol depends on:
 
 Memory allocated through :meth:`Enclave.alloc` is traced: the adversary
 observes its access pattern through :class:`repro.sgx.observer.SideChannelObserver`.
+
+Round r's enclave randomness -- the Poisson sample and the Gaussian
+noise -- is a pure function of ``(entropy, r)``: each draw comes from a
+fresh keyed stream (:func:`repro.runtime.seeding.derive_rng`), never
+from a sequential RNG.  A resumed run therefore continues the
+trajectory it left, and a round the untrusted host aborts re-draws the
+same cohort when it is retried.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
+import secrets
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -39,6 +46,14 @@ DEFAULT_EPC_BYTES = 96 * 1024 * 1024
 
 #: Version tag of the sealed round-state checkpoint wire format.
 CHECKPOINT_MAGIC = b"OLVCKPT1"
+
+
+def _seeding():
+    # Imported lazily: repro.runtime imports this module at package load,
+    # so a top-level import here would be circular.
+    from ..runtime import seeding
+
+    return seeding
 
 
 class EnclaveSecurityError(Exception):
@@ -95,13 +110,9 @@ class Enclave:
         Usable EPC size; allocations beyond it mark the enclave as
         oversubscribed (paging cost applies in the cost model).
     seed:
-        Seed for the enclave-private RNG (secure sampling); ``None``
-        draws from OS entropy.
-    trace_memmap_dir:
-        When set, back the access trace's columnar storage with
-        disk-backed memmaps in this directory -- traced mega-cohort
-        rounds record hundreds of millions of accesses, more than
-        fits in RAM.  ``None`` (default) keeps the trace in memory.
+        The enclave's private entropy, from which its sampling, noise
+        and DH secret are derived; ``None`` draws 256 bits from the OS.
+        A fixed seed stands for sealed entropy, so runs replay.
     """
 
     def __init__(
@@ -110,20 +121,18 @@ class Enclave:
         attestation_service: AttestationService | None = None,
         epc_bytes: int = DEFAULT_EPC_BYTES,
         seed: int | None = None,
-        trace_memmap_dir: str | None = None,
     ) -> None:
         self.code_identity = code_identity
         self.measurement = measure(code_identity)
         self.attestation_service = attestation_service or AttestationService()
         self.epc_bytes = epc_bytes
         self.keystore = KeyStore()
-        self.trace_memmap_dir = trace_memmap_dir
-        self.trace = Trace(memmap_dir=trace_memmap_dir)
+        self.trace = Trace()
         self.layout = RegionLayout()
-        self._rng = random.Random(seed)
-        self._dh = DiffieHellman(
-            secret=self._rng.getrandbits(256) if seed is not None else None
-        )
+        seeding = _seeding()
+        self._entropy = secrets.randbits(256) if seed is None else seed
+        self._dh = DiffieHellman(secret=int.from_bytes(
+            seeding.seed_state(self._entropy, seeding.STREAM_DH), "big"))
         self._allocated_bytes = 0
         self._region_counter = 0
         self._sampled: set[int] = set()
@@ -210,7 +219,7 @@ class Enclave:
 
     def reset_trace(self) -> None:
         """Start a fresh observation window (new round)."""
-        self.trace = Trace(memmap_dir=self.trace_memmap_dir)
+        self.trace = Trace()
         self.layout = RegionLayout()
         self._allocated_bytes = 0
         self._region_counter = 0
@@ -238,18 +247,25 @@ class Enclave:
             self._sampled = {int(cid) for cid in sampled}
         obs.add("enclave.rounds_begun")
 
-    def sample_clients(self, population: Sequence[int], rate: float) -> list[int]:
-        """Poisson-sample the round's participants inside the enclave.
+    def sample_clients(self, population: Sequence[int], rate: float,
+                       round_index: int) -> list[int]:
+        """Poisson-sample round ``round_index``'s participants.
 
         Each client is included independently with probability ``rate``
         -- the inclusion the DP accountant charges for -- so the draw
-        may be empty; the round then releases noise only.
+        may be empty; the round then releases noise only.  The draw is
+        keyed on the round: sampling round r again (a retry after an
+        abort, a resumed run) yields the same cohort.
         """
         if not 0.0 < rate <= 1.0:
             raise ValueError("sampling rate must be in (0, 1]")
         with obs.span("ecall.sample_clients", hist="ecall.wall_s",
                       population=len(population)):
-            sampled = [cid for cid in population if self._rng.random() < rate]
+            seeding = _seeding()
+            rng = seeding.derive_rng(self._entropy, seeding.STREAM_SAMPLE,
+                                     round_index)
+            keep = rng.random(len(population)) < rate
+            sampled = [population[i] for i in np.flatnonzero(keep)]
             self.begin_round(sampled=sampled)
         return sampled
 
@@ -431,7 +447,7 @@ class Enclave:
 
     def load_gradient(
         self, client_id: int, ciphertext: crypto.Ciphertext
-    ) -> tuple[list[int], list[float]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Decrypt and verify one client contribution.
 
         Rejects clients outside the sampled set and ciphertexts that
@@ -457,7 +473,7 @@ class Enclave:
 
     def load_quantized_gradient(
         self, client_id: int, ciphertext: crypto.Ciphertext
-    ) -> tuple[list[int], list[float]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Decrypt, verify, and dequantize a compact client upload."""
         with obs.span("ecall.load_quantized_gradient", hist="ecall.wall_s",
                       client=client_id):
@@ -475,20 +491,20 @@ class Enclave:
             obs.add("enclave.gradients_loaded")
             obs.add("enclave.bytes_decrypted", len(ciphertext.body))
             indices, levels, scale = crypto.decode_quantized_gradient(payload)
-            return indices, [level * scale for level in levels]
+            return indices, levels.astype(np.float64) * scale
 
     # ------------------------------------------------------------------
     # Enclave-private randomness (DP noise must be drawn inside)
     # ------------------------------------------------------------------
-    def gauss(self, sigma: float) -> float:
-        """One sample of enclave-private Gaussian noise."""
-        return self._rng.gauss(0.0, sigma)
-
-    def gauss_vector(self, sigma: float, length: int) -> list[float]:
-        """A vector of enclave-private Gaussian noise."""
+    def gauss_vector(self, sigma: float, length: int,
+                     round_index: int) -> np.ndarray:
+        """Round ``round_index``'s enclave-private N(0, sigma^2) noise."""
         with obs.span("ecall.gauss_vector", hist="ecall.wall_s",
                       length=length):
-            return [self._rng.gauss(0.0, sigma) for _ in range(length)]
+            seeding = _seeding()
+            rng = seeding.derive_rng(self._entropy, seeding.STREAM_NOISE,
+                                     round_index)
+            return rng.standard_normal(length) * sigma
 
 
 def provision_enclave_with_clients(

@@ -146,54 +146,29 @@ class Trace:
     """
 
     __slots__ = ("_region_names", "_region_ids", "_rids", "_offs", "_ops",
-                 "_n", "_memmap_dir")
+                 "_n")
 
-    def __init__(self, memmap_dir: str | None = None) -> None:
-        """``memmap_dir`` (opt-in) backs the columns with anonymous
-        disk-backed memmaps in that directory instead of RAM.
-
-        A traced 10^5-client round records hundreds of millions of
-        accesses; memmap backing lets the trace grow past physical
-        memory while every recording/projection API behaves
-        identically (memmaps are ndarrays).  Files are unlinked at
-        creation, so the space is reclaimed when the trace is
-        garbage-collected, superseded by growth, or the process exits.
-        """
+    def __init__(self) -> None:
         self._region_names: list[str] = []
         self._region_ids: dict[str, int] = {}
-        self._memmap_dir = memmap_dir
         self._rids = self._alloc(_INITIAL_CAPACITY, np.uint8)
         self._offs = self._alloc(_INITIAL_CAPACITY, np.int32)
         self._ops = self._alloc(_INITIAL_CAPACITY, np.uint8)
         self._n = 0
 
-    def _alloc(self, length: int, dtype: Any) -> np.ndarray:
+    @staticmethod
+    def _alloc(length: int, dtype: Any) -> np.ndarray:
         """An uninitialized column of ``length`` elements.
 
-        RAM by default; an unlinked disk-backed memmap when
-        ``memmap_dir`` was given.  A RAM column is an exact-length view
-        of an allocation rounded up to a power of two: per-round traces
-        whose length varies a little then request one allocation size,
-        so the allocator keeps mapping and unmapping large columns
-        instead of leaving freed ones as heap holes that raise the
-        process's resident memory.  The tail is never written, so its
-        pages are never faulted in.
+        The column is an exact-length view of an allocation rounded up
+        to a power of two: per-round traces whose length varies a little
+        then request one allocation size, so the allocator keeps mapping
+        and unmapping large columns instead of leaving freed ones as
+        heap holes that raise the process's resident memory.  The tail
+        is never written, so its pages are never faulted in.
         """
-        if self._memmap_dir is None:
-            size = 1 << max(length - 1, 0).bit_length()
-            return np.empty(size, dtype=dtype)[:length]
-        import os
-        import tempfile
-
-        fd, path = tempfile.mkstemp(prefix="trace-", suffix=".col",
-                                    dir=self._memmap_dir)
-        try:
-            column = np.memmap(path, dtype=dtype, mode="w+",
-                               shape=(max(length, 1),))
-        finally:
-            os.close(fd)
-            os.unlink(path)
-        return column
+        size = 1 << max(length - 1, 0).bit_length()
+        return np.empty(size, dtype=dtype)[:length]
 
     # ------------------------------------------------------------------
     # Region table

@@ -10,8 +10,9 @@ that drove the scalar stack directly -- plus the term-by-term RDP expansion
 of the privacy accountant, the per-bucket Path ORAM access, the
 element-at-a-time aggregation recorders, comparator-at-a-time sorting
 networks and shuffle, the per-access address-stream generators, and
-the element-at-a-time LRU cost replayer, verbatim, so the equivalence
-tests can pin the production path to them bit for bit.  Nothing in
+the element-at-a-time LRU cost replayer, and the per-record struct
+codecs of the upload wire formats, verbatim, so the equivalence tests
+can pin the production path to them bit for bit.  Nothing in
 ``src/`` imports this module.
 """
 
@@ -21,6 +22,7 @@ import copy
 import dataclasses
 import math
 import random
+import struct
 import time
 from typing import Any, Callable, Iterable, Iterator
 
@@ -1349,3 +1351,54 @@ class OracleCostModel(CostModel):
         for arr in chunks:
             self._charge_seq(np.asarray(arr).tolist(), report)
         return report
+
+
+# ----------------------------------------------------------------------
+# Upload wire formats, one struct call per record
+# ----------------------------------------------------------------------
+def decode_sparse_gradient(raw: bytes) -> tuple[list[int], list[float]]:
+    """``k`` big-endian (u32, f64) records after a u32 count."""
+    if len(raw) < 4:
+        raise ValueError("truncated gradient payload")
+    (k,) = struct.unpack(">I", raw[:4])
+    expected = 4 + k * 12
+    if len(raw) != expected:
+        raise ValueError("gradient payload length mismatch")
+    indices: list[int] = []
+    values: list[float] = []
+    for i in range(k):
+        idx, val = struct.unpack(">Id", raw[4 + i * 12 : 16 + i * 12])
+        indices.append(idx)
+        values.append(val)
+    return indices, values
+
+
+def encode_quantized_gradient(indices, levels, scale: float) -> bytes:
+    """``k`` big-endian (u32, i16) records after a (u32, f64) header."""
+    if len(indices) != len(levels):
+        raise ValueError("indices and levels must have equal length")
+    out = [struct.pack(">Id", len(indices), float(scale))]
+    for idx, level in zip(indices, levels):
+        if not -32768 <= int(level) <= 32767:
+            raise ValueError("quantization level exceeds 16-bit range")
+        out.append(struct.pack(">Ih", int(idx), int(level)))
+    return b"".join(out)
+
+
+def decode_quantized_gradient(
+    raw: bytes,
+) -> tuple[list[int], list[int], float]:
+    """Inverse of :func:`encode_quantized_gradient`."""
+    if len(raw) < 12:
+        raise ValueError("truncated quantized payload")
+    k, scale = struct.unpack(">Id", raw[:12])
+    expected = 12 + k * 6
+    if len(raw) != expected:
+        raise ValueError("quantized payload length mismatch")
+    indices: list[int] = []
+    levels: list[int] = []
+    for i in range(k):
+        idx, level = struct.unpack(">Ih", raw[12 + i * 6 : 18 + i * 6])
+        indices.append(idx)
+        levels.append(level)
+    return indices, levels, scale

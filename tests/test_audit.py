@@ -449,7 +449,7 @@ class TestOneLeafAndLegacyLogs:
 
     def test_manifest_carries_the_log_version(self, tmp_path):
         path = _recorded_run(tmp_path, rounds=1)
-        assert read_records(path)[0]["version"] == LOG_VERSION == 3
+        assert read_records(path)[0]["version"] == LOG_VERSION == 4
 
     def test_version1_log_is_refused(self, tmp_path):
         # Recorded under the SeedSequence derivation: its rounds cannot
@@ -475,6 +475,17 @@ class TestOneLeafAndLegacyLogs:
             verify_log(path, strict=True)
         assert e.value.exit_code == 7
         assert audit_main([str(path), "--strict"]) == 7
+
+    def test_version3_log_is_refused(self, tmp_path):
+        # Recorded with sequential enclave sampling and noise: its rounds
+        # drew other cohorts and noise, so it is refused, not replayed.
+        path = _recorded_run(tmp_path, rounds=1)
+        records = copy.deepcopy(read_records(path))
+        records[0]["version"] = 3
+        _rewrite(path, chain_records(records))
+        with pytest.raises(AuditVersionError, match="version 3") as e:
+            verify_log(path, strict=True)
+        assert e.value.exit_code == 7
 
     def test_unknown_executor_is_refused_by_name(self, tmp_path):
         path = _recorded_run(tmp_path, rounds=1)
@@ -542,9 +553,9 @@ class TestCheckpointAuditContinuity:
         save_checkpoint(system, tmp_path / "ckpt.npz")
         with np.load(tmp_path / "ckpt.npz") as archive:
             meta = json.loads(str(archive["meta"]))
-        assert meta["version"] == 4
+        assert meta["version"] == 5
         assert meta["audit_head"] == recorder.head
-        assert meta["audit_rounds"] == 2
+        assert meta["audit_rounds"] == meta["round_index"] == 2
         system.close()
         recorder.close()
 
@@ -570,6 +581,67 @@ class TestCheckpointAuditContinuity:
             load_checkpoint(fresh, tmp_path / "ckpt.npz")
         fresh.close()
         other.close()
+
+    @pytest.mark.parametrize("runtime,adaptive", [
+        (None, False),
+        (RuntimeConfig(faults=FaultConfig(dropout_rate=0.3)), False),
+        (None, True),
+    ], ids=["clean", "dropouts", "adaptive-clip"])
+    def test_audited_resume_equals_straight_run_and_replays(
+            self, tmp_path, runtime, adaptive):
+        # k rounds, a checkpoint, a rebuild with the same seed onto the
+        # same open recorder, then the rest: bit for bit the straight
+        # run, and the one log replays strictly across the resume.
+        from repro.core.checkpoint import load_checkpoint, save_checkpoint
+
+        config = _config(adaptive_clipping=adaptive)
+        straight = _build(config, runtime=runtime)
+        straight.run(4)
+        manifest = make_manifest(data=DATA, model=MODEL, config=config,
+                                 runtime=runtime)
+        path = tmp_path / "log.jsonl"
+        with AuditRecorder(path, manifest) as recorder:
+            first = _build(config, runtime=runtime)
+            first.audit = recorder
+            first.run(2)
+            save_checkpoint(first, tmp_path / "ckpt.npz")
+            resumed = _build(config, runtime=runtime)
+            resumed.audit = recorder
+            load_checkpoint(resumed, tmp_path / "ckpt.npz")
+            resumed.run(2)
+        assert resumed.round_index == 4
+        logs = first.history + resumed.history
+        assert [log.round_index for log in logs] == [0, 1, 2, 3]
+        for log, want in zip(logs, straight.history):
+            assert log.participants == want.participants
+            assert log.weights_after.tobytes() == want.weights_after.tobytes()
+            assert log.epsilon == want.epsilon
+        report = verify_log(path, strict=True)
+        assert report.replayed and len(report.rounds) == 4
+        assert all(v.replay_ok for v in report.rounds)
+
+    def test_round_index_must_match_audit_rounds(self, tmp_path):
+        from repro.core.checkpoint import load_checkpoint, save_checkpoint
+
+        config = _config()
+        manifest = make_manifest(data=DATA, model=MODEL, config=config)
+        with AuditRecorder(tmp_path / "log.jsonl", manifest) as recorder:
+            system = _build(config)
+            system.audit = recorder
+            system.run(2)
+            save_checkpoint(system, tmp_path / "ckpt.npz")
+            with np.load(tmp_path / "ckpt.npz") as archive:
+                weights = archive["global_weights"]
+                meta = json.loads(str(archive["meta"]))
+            for bad in (0, 1, 3):
+                meta["round_index"] = bad
+                np.savez(tmp_path / "ckpt.npz", global_weights=weights,
+                         meta=json.dumps(meta))
+                fresh = _build(config)
+                fresh.audit = recorder
+                with pytest.raises(ValueError, match="audit log's 2"):
+                    load_checkpoint(fresh, tmp_path / "ckpt.npz")
+                assert fresh.round_index == 0
 
     def test_unaudited_restore_still_works(self, tmp_path):
         from repro.core.checkpoint import load_checkpoint, save_checkpoint

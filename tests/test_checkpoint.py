@@ -124,6 +124,15 @@ class TestLedgerValidation:
         with pytest.raises(ValueError, match="rounds"):
             load_checkpoint(_system(seed=9), ckpt)
 
+    @pytest.mark.parametrize("round_index", [-1, 2.5, "3", True, None])
+    def test_bad_round_index_refused(self, ckpt, round_index):
+        _rewrite_meta(ckpt, round_index=round_index)
+        restored = _system(seed=9)
+        with pytest.raises(ValueError, match="round_index"):
+            load_checkpoint(restored, ckpt)
+        assert restored.round_index == 0
+        assert restored.accountant.steps == 0
+
     def test_boundary_rates_restore(self, ckpt):
         _rewrite_meta(ckpt, realized_rates=[0.0, 1.0, 299 / 600])
         restored = _system(seed=9)

@@ -244,7 +244,7 @@ class TestSecurityProperties:
         from repro.sgx import crypto
 
         _, system = make_system()
-        system.enclave.sample_clients(list(range(8)), 1.0)
+        system.enclave.sample_clients(list(range(8)), 1.0, 0)
         attacker_key = crypto.generate_key(b"mallory")
         forged = crypto.seal(
             attacker_key, crypto.encode_sparse_gradient([0], [9999.0])
@@ -256,7 +256,7 @@ class TestSecurityProperties:
         from repro.sgx import crypto
 
         _, system = make_system()
-        system.enclave.sample_clients([0, 1], 1.0)
+        system.enclave.sample_clients([0, 1], 1.0, 0)
         ct = crypto.seal(
             system.client_keys[5], crypto.encode_sparse_gradient([0], [1.0])
         )

@@ -123,7 +123,7 @@ class TestEncryptUpdate:
         key = crypto.generate_key(b"client-0")
         ct = encrypt_update(update, key)
         idx, val = crypto.decode_sparse_gradient(crypto.open_sealed(key, ct))
-        assert idx == update.indices.tolist()
+        assert idx.tolist() == update.indices.tolist()
         assert np.allclose(val, update.values)
 
 

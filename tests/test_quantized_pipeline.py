@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.olive import OliveConfig, OliveSystem
 from repro.fl.client import (
@@ -15,18 +15,23 @@ from repro.fl.models import build_model
 from repro.sgx import crypto
 from repro.sgx.enclave import Enclave, provision_enclave_with_clients
 
+from . import oracles
+
 
 class TestQuantizedCodec:
     def test_roundtrip(self):
         raw = crypto.encode_quantized_gradient([1, 5, 9], [-3, 0, 127], 0.25)
         idx, levels, scale = crypto.decode_quantized_gradient(raw)
-        assert idx == [1, 5, 9]
-        assert levels == [-3, 0, 127]
+        assert idx.dtype == levels.dtype == np.int64
+        assert idx.tolist() == [1, 5, 9]
+        assert levels.tolist() == [-3, 0, 127]
         assert scale == 0.25
 
     def test_empty(self):
         raw = crypto.encode_quantized_gradient([], [], 1.0)
-        assert crypto.decode_quantized_gradient(raw) == ([], [], 1.0)
+        idx, levels, scale = crypto.decode_quantized_gradient(raw)
+        assert idx.shape == levels.shape == (0,)
+        assert scale == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -35,26 +40,40 @@ class TestQuantizedCodec:
     def test_level_range_enforced(self):
         with pytest.raises(ValueError):
             crypto.encode_quantized_gradient([1], [70_000], 1.0)
+        with pytest.raises(ValueError, match="16-bit"):
+            crypto.encode_quantized_gradient([1, 2], [0, -32769], 1.0)
+        crypto.encode_quantized_gradient([1, 2], [-32768, 32767], 1.0)
 
     def test_truncated_rejected(self):
         raw = crypto.encode_quantized_gradient([1], [2], 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length mismatch"):
             crypto.decode_quantized_gradient(raw[:-1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="truncated"):
             crypto.decode_quantized_gradient(b"\x00" * 4)
+        raw = crypto.encode_quantized_gradient([1, 2], [2, 3], 1.0)
+        # Trailing bytes, and a count claiming more records than sent.
+        with pytest.raises(ValueError, match="length mismatch"):
+            crypto.decode_quantized_gradient(raw + b"\x00")
+        with pytest.raises(ValueError, match="length mismatch"):
+            crypto.decode_quantized_gradient(b"\x00\x00\x00\x03" + raw[4:])
 
     @given(st.lists(st.tuples(st.integers(0, 2**32 - 1),
                               st.integers(-32768, 32767)), max_size=40),
            st.floats(1e-6, 1e6))
     @settings(max_examples=30, deadline=None)
+    @example(records=[], scale=1.0)
     def test_roundtrip_property(self, records, scale):
         idx = [r[0] for r in records]
         lev = [r[1] for r in records]
-        out = crypto.decode_quantized_gradient(
-            crypto.encode_quantized_gradient(idx, lev, scale)
-        )
-        assert out[0] == idx and out[1] == lev
+        raw = crypto.encode_quantized_gradient(idx, lev, scale)
+        out = crypto.decode_quantized_gradient(raw)
+        assert out[0].tolist() == idx and out[1].tolist() == lev
         assert out[2] == pytest.approx(scale, rel=1e-12)
+        # Bytes and decoded arrays equal the struct-per-record codec's,
+        # k = 0 included.
+        assert raw == oracles.encode_quantized_gradient(idx, lev, scale)
+        assert (out[0].tolist(), out[1].tolist(), out[2]) == \
+            oracles.decode_quantized_gradient(raw)
 
     def test_smaller_than_float_wire(self):
         idx = list(range(100))
@@ -67,7 +86,7 @@ class TestEnclaveQuantizedLoad:
     def _provisioned(self):
         enclave = Enclave(seed=0)
         keys = provision_enclave_with_clients(enclave, [0, 1])
-        enclave.sample_clients([0, 1], 1.0)
+        enclave.sample_clients([0, 1], 1.0, 0)
         return enclave, keys
 
     def test_roundtrip_through_enclave(self):
@@ -77,10 +96,18 @@ class TestEnclaveQuantizedLoad:
         ct = encrypt_quantized_update(update, keys[0], bits=10,
                                       rng=np.random.default_rng(0))
         idx, val = enclave.load_quantized_gradient(0, ct)
-        assert idx == [2, 7]
+        assert idx.tolist() == [2, 7]
+        assert val.dtype == np.float64
         # Dequantization error bounded by one level (scale).
         assert abs(val[0] - 0.5) < 0.51 / 511 + 1e-9
         assert abs(val[1] + 0.25) < 0.51 / 511 + 1e-9
+
+    def test_dequantization_matches_per_level_product(self):
+        enclave, keys = self._provisioned()
+        levels, scale = [-511, -3, 0, 1, 255, 511], 0.1 / 511
+        raw = crypto.encode_quantized_gradient(range(6), levels, scale)
+        _, val = enclave.load_quantized_gradient(0, crypto.seal(keys[0], raw))
+        assert val.tolist() == [level * scale for level in levels]
 
     def test_unsampled_rejected(self):
         enclave, keys = self._provisioned()

@@ -23,10 +23,13 @@ from repro.fl.models import build_model
 from repro.fl.server import FederatedSimulation, ServerConfig
 from repro.runtime import (
     STATUS_OK,
+    STREAM_DH,
     STREAM_ENCLAVE,
     STREAM_FAULT,
     STREAM_MODEL,
+    STREAM_NOISE,
     STREAM_NONCE,
+    STREAM_SAMPLE,
     STREAM_TEACHER,
     STREAM_TRAIN,
     CohortRuntime,
@@ -105,6 +108,9 @@ GOLDEN_DRAWS = [
     (7, STREAM_TEACHER, (3, 1, 0, 0),
      (0xEFB8050C6A3361B2, 0x5DB3BF23C8540A61)),
     (7, STREAM_ENCLAVE, (3, 2, 1), (0xF20CC1BEFA6330C2, 0xFF79C0B1D4999FC4)),
+    (7, STREAM_SAMPLE, (3,), (0x3CD1D9071D168B3A, 0x6374E686BC77F5FA)),
+    (7, STREAM_NOISE, (3,), (0xD481AEF857BB56E1, 0x864A59F407C46744)),
+    (7, STREAM_DH, (), (0xCCB747A1F22C8F57, 0x97BDE97D9B0F9856)),
     (0, STREAM_TRAIN, (0, 0), (0x3BAEAA38A0E8CC87, 0x752F826121C146EE)),
     (2**80 + 3, STREAM_TRAIN, (0, 2**40),
      (0xB64759039267D811, 0x151044D95C946DDA)),
@@ -112,7 +118,8 @@ GOLDEN_DRAWS = [
 
 GOLDEN_IDS = ["train-k0", "train-k1", "train", "train-quantize",
               "model-layer", "fault", "nonce-stream", "teacher-k4",
-              "enclave-k3", "entropy-0", "wide-entropy-and-id"]
+              "enclave-k3", "sample", "noise", "dh", "entropy-0",
+              "wide-entropy-and-id"]
 
 GOLDEN_NONCES = [
     ((7, 3, 5), "61e54c0ee7aa394af245f33e2cb7c81a"),
@@ -152,7 +159,7 @@ class TestSeeding:
 
     def test_streams_partition_the_namespace(self):
         draws = {stream: derive_rng(7, stream, 3, 5).random(4).tobytes()
-                 for stream in range(STREAM_ENCLAVE + 1)}
+                 for stream in range(STREAM_DH + 1)}
         assert len(set(draws.values())) == len(draws)
         # Key length is part of the identity, too.
         a = derive_rng(7, STREAM_TRAIN, 3, 5).random(4)

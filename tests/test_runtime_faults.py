@@ -41,10 +41,11 @@ TRAIN = TrainingConfig(local_epochs=1, local_lr=0.1, batch_size=8,
                        sparse_ratio=0.1, clip=1.0)
 
 
-def make_system(runtime=None, seed=1, n_clients=8, **cfg_kwargs):
+def make_system(runtime=None, seed=1, n_clients=8, sample_rate=1.0,
+                **cfg_kwargs):
     gen = SyntheticClassData(SPECS["tiny"], seed=0)
     clients = partition_clients(gen, n_clients, 20, 2, seed=0)
-    config = OliveConfig(sample_rate=1.0, noise_multiplier=0.8,
+    config = OliveConfig(sample_rate=sample_rate, noise_multiplier=0.8,
                          aggregator="advanced", training=TRAIN,
                          **cfg_kwargs)
     return OliveSystem(build_model("tiny_mlp", seed=0), clients, config,
@@ -149,6 +150,26 @@ class TestQuorum:
         assert log.round_index == 0
         assert len(log.updates) == 8
 
+    def test_quorum_retry_redraws_the_same_cohort(self):
+        # The round index advances only when a round releases, and the
+        # enclave keys round r's sample on r: forcing an abort cannot
+        # reroll the Poisson draw.
+        runtime = RuntimeConfig(min_quorum=1.0)
+        with make_system(runtime, n_clients=12, sample_rate=0.5) as system:
+            aborted = []
+            for kept in range(3):
+                with pytest.raises(QuorumNotMetError):
+                    system.run_round(dropouts=set(range(12)) - {kept})
+                aborted.append(sorted(system.enclave.sampled_clients))
+                assert system.round_index == 0
+            log = system.run_round()
+        with make_system(runtime, n_clients=12, sample_rate=0.5) as fresh:
+            straight = fresh.run_round()
+        assert aborted == [straight.participants] * 3
+        assert log.round_index == 0 and system.round_index == 1
+        assert log.participants == straight.participants
+        assert np.array_equal(log.weights_after, straight.weights_after)
+
 
 class TestRetriesAndStragglers:
     def test_transient_failures_are_retried_to_success(self):
@@ -217,7 +238,7 @@ class TestEnclaveReplayDefence:
     def _provisioned(self):
         enclave = Enclave(seed=0)
         keys = provision_enclave_with_clients(enclave, [0, 1])
-        enclave.sample_clients([0, 1], 1.0)
+        enclave.sample_clients([0, 1], 1.0, 0)
         return enclave, keys
 
     def test_same_ciphertext_twice_rejected(self):
@@ -245,14 +266,16 @@ class TestEnclaveReplayDefence:
         with pytest.raises(EnclaveSecurityError, match="authentication"):
             enclave.load_gradient(0, bad)
         # The tampered upload must not lock client 0 out of the round.
-        assert enclave.load_gradient(0, good) == ([1], [1.0])
+        idx, val = enclave.load_gradient(0, good)
+        assert (idx.tolist(), val.tolist()) == ([1], [1.0])
 
     def test_replay_state_resets_on_new_round(self):
         enclave, keys = self._provisioned()
         ct = crypto.seal(keys[0], crypto.encode_sparse_gradient([1], [1.0]))
         enclave.load_gradient(0, ct)
-        enclave.sample_clients([0, 1], 1.0)
-        assert enclave.load_gradient(0, ct) == ([1], [1.0])
+        enclave.sample_clients([0, 1], 1.0, 1)
+        idx, val = enclave.load_gradient(0, ct)
+        assert (idx.tolist(), val.tolist()) == ([1], [1.0])
 
     def test_rejections_counted(self):
         enclave, keys = self._provisioned()
@@ -338,18 +361,19 @@ class TestCheckpointRealizedRates:
 
         with make_system(RuntimeConfig(faults=faults)) as fresh:
             meta = load_checkpoint(fresh, path)
-        assert meta["version"] == 4
+        assert meta["version"] == 5
         assert fresh.accountant.realized_rates == rates
         assert fresh.accountant.epsilon == pytest.approx(eps_before)
 
-    @pytest.mark.parametrize("version", [1, 3])
+    @pytest.mark.parametrize("version", [1, 3, 4])
     def test_older_checkpoint_versions_refused(self, tmp_path, version):
         with make_system() as system:
             system.run_round()
             path = tmp_path / "old.npz"
             save_checkpoint(system, path)
         # Rewrite the archive with older metadata: its draws came from
-        # another seed derivation, so resuming would fork the run.
+        # another seed derivation (version 4: sequential enclave
+        # sampling and noise), so resuming would fork the run.
         with np.load(path, allow_pickle=False) as archive:
             weights = archive["global_weights"]
             meta = json.loads(str(archive["meta"]))
@@ -358,7 +382,7 @@ class TestCheckpointRealizedRates:
 
         with make_system() as fresh:
             with pytest.raises(ValueError,
-                               match=f"version {version} .* version 4"):
+                               match=f"version {version} .* version 5"):
                 load_checkpoint(fresh, path)
             assert fresh.accountant.steps == 0
 

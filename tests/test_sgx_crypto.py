@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from repro.sgx import crypto
 
+from . import oracles
+
 
 KEY = crypto.generate_key(b"test-seed")
 OTHER_KEY = crypto.generate_key(b"other-seed")
@@ -107,12 +109,14 @@ class TestGradientCodec:
         val = [0.5, -1.25, 3.0]
         raw = crypto.encode_sparse_gradient(idx, val)
         out_idx, out_val = crypto.decode_sparse_gradient(raw)
-        assert out_idx == idx
-        assert out_val == val
+        assert out_idx.dtype == np.int64 and out_val.dtype == np.float64
+        assert out_idx.tolist() == idx
+        assert out_val.tolist() == val
 
     def test_empty_gradient(self):
         raw = crypto.encode_sparse_gradient([], [])
-        assert crypto.decode_sparse_gradient(raw) == ([], [])
+        out_idx, out_val = crypto.decode_sparse_gradient(raw)
+        assert out_idx.shape == out_val.shape == (0,)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -120,10 +124,16 @@ class TestGradientCodec:
 
     def test_truncated_payload_raises(self):
         raw = crypto.encode_sparse_gradient([1], [2.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length mismatch"):
             crypto.decode_sparse_gradient(raw[:-1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="truncated"):
             crypto.decode_sparse_gradient(b"\x00")
+        raw = crypto.encode_sparse_gradient([1, 2], [2.0, 3.0])
+        # Trailing bytes, and a count claiming more records than sent.
+        with pytest.raises(ValueError, match="length mismatch"):
+            crypto.decode_sparse_gradient(raw + b"\x00")
+        with pytest.raises(ValueError, match="length mismatch"):
+            crypto.decode_sparse_gradient(b"\x00\x00\x00\x03" + raw[4:])
 
     @given(
         st.lists(
@@ -137,15 +147,17 @@ class TestGradientCodec:
     def test_roundtrip_property(self, records):
         idx = [r[0] for r in records]
         val = [float(np.float64(r[1])) for r in records]
-        out_idx, out_val = crypto.decode_sparse_gradient(
-            crypto.encode_sparse_gradient(idx, val)
-        )
-        assert out_idx == idx
-        assert out_val == val
+        raw = crypto.encode_sparse_gradient(idx, val)
+        out_idx, out_val = crypto.decode_sparse_gradient(raw)
+        assert out_idx.tolist() == idx
+        assert out_val.tolist() == val
+        # The record-array decode reads what the per-record loop reads.
+        assert (out_idx.tolist(), out_val.tolist()) == \
+            oracles.decode_sparse_gradient(raw)
 
     def test_sealed_gradient_end_to_end(self):
         raw = crypto.encode_sparse_gradient([5, 9], [1.0, -2.0])
         ct = crypto.seal(KEY, raw)
         idx, val = crypto.decode_sparse_gradient(crypto.open_sealed(KEY, ct))
-        assert idx == [5, 9]
-        assert val == [1.0, -2.0]
+        assert idx.tolist() == [5, 9]
+        assert val.tolist() == [1.0, -2.0]

@@ -44,6 +44,13 @@ class TestProvisioning:
         enclave.complete_ra(9, client_dh.public)
         assert enclave.keystore.get(9) == key
 
+    def test_dh_secret_comes_from_the_seed(self):
+        # A seeded enclave's DH share is a function of its seed (stream
+        # STREAM_DH); an unseeded one draws fresh OS entropy.
+        assert Enclave(seed=3)._dh.public == Enclave(seed=3)._dh.public
+        assert Enclave(seed=3)._dh.public != Enclave(seed=4)._dh.public
+        assert Enclave()._dh.public != Enclave()._dh.public
+
     def test_measurement_reflects_code_identity(self):
         a = Enclave(code_identity=b"v1", seed=0)
         b = Enclave(code_identity=b"v2", seed=0)
@@ -83,7 +90,7 @@ class TestSecureSampling:
     def test_sampling_rate_respected(self):
         enclave = Enclave(seed=0)
         population = list(range(2000))
-        sampled = enclave.sample_clients(population, 0.1)
+        sampled = enclave.sample_clients(population, 0.1, 0)
         assert 120 <= len(sampled) <= 280
         assert set(sampled) <= set(population)
 
@@ -91,9 +98,9 @@ class TestSecureSampling:
         # A Poisson draw may be empty; the round then samples nobody
         # (and releases noise only) rather than forcing a participant.
         enclave = Enclave(seed=3)
-        draws = [enclave.sample_clients([1, 2], 0.01) for _ in range(50)]
+        draws = [enclave.sample_clients([1, 2], 0.01, r) for r in range(50)]
         assert [] in draws
-        assert enclave.sample_clients([], 0.5) == []
+        assert enclave.sample_clients([], 0.5, 0) == []
         assert enclave.sampled_clients == set()
 
     @pytest.mark.parametrize("n,rate", [
@@ -108,8 +115,8 @@ class TestSecureSampling:
         draws = 4000
         enclave = Enclave(seed=n * 100 + int(rate * 100))
         counts = np.zeros(n)
-        for _ in range(draws):
-            for cid in enclave.sample_clients(list(range(n)), rate):
+        for t in range(draws):
+            for cid in enclave.sample_clients(list(range(n)), rate, t):
                 counts[cid] += 1
         mean, var = draws * rate, draws * rate * (1 - rate)
         statistic = float(((counts - mean) ** 2 / var).sum())
@@ -118,29 +125,38 @@ class TestSecureSampling:
     def test_invalid_rate_raises(self):
         enclave = Enclave(seed=0)
         with pytest.raises(ValueError):
-            enclave.sample_clients([1], 0.0)
+            enclave.sample_clients([1], 0.0, 0)
         with pytest.raises(ValueError):
-            enclave.sample_clients([1], 1.5)
+            enclave.sample_clients([1], 1.5, 0)
 
     def test_deterministic_with_seed(self):
-        a = Enclave(seed=7).sample_clients(list(range(100)), 0.3)
-        b = Enclave(seed=7).sample_clients(list(range(100)), 0.3)
-        assert a == b
+        # Round r's cohort depends on (seed, r) alone: drawing it again
+        # (a retry after an abort) repeats it, whatever ran in between.
+        population = list(range(100))
+        enclave = Enclave(seed=7)
+        first = enclave.sample_clients(population, 0.3, 2)
+        enclave.sample_clients(population, 0.3, 3)
+        enclave.gauss_vector(1.0, 10, 2)
+        assert enclave.sample_clients(population, 0.3, 2) == first
+        assert Enclave(seed=7).sample_clients(population, 0.3, 2) == first
+        assert enclave.sample_clients(population, 0.3, 3) != first
+        assert Enclave(seed=8).sample_clients(population, 0.3, 2) != first
 
 
 class TestGradientLoading:
     def _provisioned(self):
         enclave = Enclave(seed=0)
         keys = provision_enclave_with_clients(enclave, [0, 1, 2])
-        enclave.sample_clients([0, 1, 2], 1.0)
+        enclave.sample_clients([0, 1, 2], 1.0, 0)
         return enclave, keys
 
     def test_valid_gradient_accepted(self):
         enclave, keys = self._provisioned()
         ct = crypto.seal(keys[1], crypto.encode_sparse_gradient([2, 5], [1.0, -1.0]))
         idx, val = enclave.load_gradient(1, ct)
-        assert idx == [2, 5]
-        assert val == [1.0, -1.0]
+        assert idx.dtype == np.int64 and val.dtype == np.float64
+        assert idx.tolist() == [2, 5]
+        assert val.tolist() == [1.0, -1.0]
 
     def test_unsampled_client_rejected(self):
         enclave = Enclave(seed=0)
@@ -177,9 +193,26 @@ class TestGradientLoading:
 class TestEnclaveNoise:
     def test_gauss_vector_statistics(self):
         enclave = Enclave(seed=0)
-        samples = np.asarray(enclave.gauss_vector(2.0, 4000))
+        samples = enclave.gauss_vector(2.0, 4000, 0)
+        assert samples.shape == (4000,) and samples.dtype == np.float64
         assert abs(samples.mean()) < 0.2
         assert abs(samples.std() - 2.0) < 0.2
 
     def test_gauss_deterministic_with_seed(self):
-        assert Enclave(seed=5).gauss(1.0) == Enclave(seed=5).gauss(1.0)
+        from repro.runtime import STREAM_NOISE, derive_rng
+
+        a = Enclave(seed=5).gauss_vector(2.5, 32, 9)
+        b = Enclave(seed=5).gauss_vector(2.5, 32, 9)
+        want = derive_rng(5, STREAM_NOISE, 9).standard_normal(32) * 2.5
+        assert a.tobytes() == b.tobytes() == want.tobytes()
+
+    def test_distinct_rounds_draw_distinct_noise(self):
+        enclave = Enclave(seed=5)
+        draws = {enclave.gauss_vector(1.0, 64, r).tobytes()
+                 for r in range(20)}
+        assert len(draws) == 20
+        # Re-drawing a round (an aborted round run again) repeats it.
+        assert enclave.gauss_vector(1.0, 64, 7).tobytes() in draws
+        assert (Enclave(seed=6).gauss_vector(1.0, 64, 7).tobytes()
+                not in draws)
+

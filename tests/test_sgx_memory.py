@@ -176,56 +176,6 @@ class TestRegionLayout:
         assert layout.total_bytes() == 64
 
 
-class TestTraceMemmap:
-    """Opt-in disk-backed columns must be invisible to every Trace API."""
-
-    def _fill(self, trace, n=3000):
-        for i in range(n):
-            trace.record("g" if i % 3 else "h", i * 7, "read" if i % 2
-                         else "write")
-        trace.record_block("g", 10, 40, "write")
-
-    def test_roundtrip_matches_ram_trace(self, tmp_path):
-        ram, disk = Trace(), Trace(memmap_dir=str(tmp_path))
-        for t in (ram, disk):
-            self._fill(t)
-        assert ram == disk
-        assert list(ram) == list(disk)
-        assert ram.signature() == disk.signature()
-
-    def test_growth_and_widening_stay_memmapped(self, tmp_path):
-        trace = Trace(memmap_dir=str(tmp_path))
-        # Offset past int32 forces the int64 widening path; enough
-        # records force capacity doubling.
-        trace.record("g", 2**40, "read")
-        for i in range(5000):
-            trace.record("g", i, "read")
-        ref = Trace()
-        ref.record("g", 2**40, "read")
-        for i in range(5000):
-            ref.record("g", i, "read")
-        assert trace == ref
-        assert isinstance(trace._offs, np.memmap)
-        assert trace._offs.dtype == np.int64
-
-    def test_region_id_widening_memmapped(self, tmp_path):
-        trace = Trace(memmap_dir=str(tmp_path))
-        ref = Trace()
-        for t in (trace, ref):
-            for r in range(300):  # past uint8's 255 regions
-                t.record(f"r{r}", r, "read")
-        assert trace == ref
-        assert isinstance(trace._rids, np.memmap)
-
-    def test_enclave_opt_in(self, tmp_path):
-        from repro.sgx.enclave import Enclave
-
-        enclave = Enclave(trace_memmap_dir=str(tmp_path))
-        assert enclave.trace._memmap_dir == str(tmp_path)
-        enclave.reset_trace()
-        assert enclave.trace._memmap_dir == str(tmp_path)
-
-
 def _columns(trace):
     return trace._rids, trace._offs, trace._ops
 
@@ -242,10 +192,8 @@ class TestTraceReserve:
         trace.record_batch("h", np.arange(rest) % 7, "read")
 
     @pytest.mark.parametrize("m", [1, 255, 256, 257, 5000])
-    @pytest.mark.parametrize("memmap", [False, True])
-    def test_appends_after_reserve_do_not_reallocate(self, m, memmap,
-                                                     tmp_path):
-        trace = Trace(memmap_dir=str(tmp_path) if memmap else None)
+    def test_appends_after_reserve_do_not_reallocate(self, m):
+        trace = Trace()
         trace.record("h", 1, "write")
         trace.reserve(m)
         before = _columns(trace)
@@ -253,13 +201,9 @@ class TestTraceReserve:
         after = _columns(trace)
         assert all(a is b for a, b in zip(before, after))
         assert len(trace._offs) >= len(trace)
-        if memmap:
-            assert all(isinstance(c, np.memmap) for c in after)
 
-    @pytest.mark.parametrize("memmap", [False, True])
-    def test_reserve_leaves_equality_and_digest_alone(self, memmap,
-                                                      tmp_path):
-        reserved = Trace(memmap_dir=str(tmp_path) if memmap else None)
+    def test_reserve_leaves_equality_and_digest_alone(self):
+        reserved = Trace()
         grown = Trace()
         reserved.reserve(10_000)
         for t in (reserved, grown):

@@ -119,7 +119,7 @@ def dense_sum(deliveries, keys_root, accepted):
         payload = crypto.open_sealed(keys_root.keystore.get(dv.client_id),
                                      dv.ciphertext)
         idx, vals = crypto.decode_sparse_gradient(payload)
-        np.add.at(total, np.asarray(idx), np.asarray(vals))
+        np.add.at(total, idx, vals)
     return total
 
 
@@ -444,7 +444,8 @@ class TestEnclaveCheckpoint:
         assert err.value.reason == "duplicate"
         # New round without resampling: the regression begin_round fixes.
         enclave.begin_round()
-        assert enclave.load_gradient(7, ct) == ([0, 1], [0.5, -0.5])
+        idx, vals = enclave.load_gradient(7, ct)
+        assert (idx.tolist(), vals.tolist()) == ([0, 1], [0.5, -0.5])
 
     def test_record_partial_refuses_replay_and_overlap(self):
         a, _ = self._enclave_pair()
