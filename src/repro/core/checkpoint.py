@@ -2,8 +2,9 @@
 
 Production FL servers checkpoint between rounds; OLIVE's state is the
 global weights, the privacy ledger (rounds consumed), the index of the
-next round (which keys that round's enclave and client randomness)
-and, when adaptive clipping is active, the current clip.  Enclave
+next round (which keys that round's enclave and client randomness),
+the shard service's leaf pool (how many leaves were spawned and which
+died) and, when adaptive clipping is active, the current clip.  Enclave
 session keys are deliberately NOT serialized -- on restart, clients
 re-attest the fresh enclave, exactly as a real SGX redeployment would
 require.
@@ -27,7 +28,8 @@ from .olive import OliveSystem
 #: keyed BLAKE2b seed derivation, and an empty Poisson draw releases a
 #: noise-only round.  Version 5: the enclave's sampling and noise are
 #: keyed on the round, and the checkpoint carries ``round_index``.
-CHECKPOINT_VERSION = 5
+#: Version 6: the checkpoint carries the shard service's leaf pool.
+CHECKPOINT_VERSION = 6
 
 
 def save_checkpoint(system: OliveSystem, path: str | Path) -> None:
@@ -36,6 +38,7 @@ def save_checkpoint(system: OliveSystem, path: str | Path) -> None:
     meta = {
         "rounds": system.accountant.steps,
         "round_index": system.round_index,
+        "leaf_pool": system.shard_service.pool_state(),
         "realized_rates": list(system.accountant.realized_rates),
         "sample_rate": system.config.sample_rate,
         "noise_multiplier": system.config.noise_multiplier,
@@ -88,6 +91,8 @@ def load_checkpoint(system: OliveSystem, path: str | Path) -> dict:
             )
     rounds, realized_rates = _ledger(meta)
     round_index = _round_index(meta)
+    spawned, dead = _leaf_pool(meta)
+    system.shard_service.restore_pool(spawned, dead)
     system.global_weights = weights.copy()
     system.model.set_flat(system.global_weights)
     system.accountant.steps = rounds
@@ -128,6 +133,28 @@ def _round_index(meta: dict) -> int:
             "resume"
         )
     return round_index
+
+
+def _leaf_pool(meta: dict) -> tuple[int, list[int]]:
+    """The checkpoint's leaf pool, refused unless it is well formed."""
+    pool = meta.get("leaf_pool")
+    if not isinstance(pool, dict) or set(pool) != {"spawned", "dead"}:
+        raise ValueError(
+            f"checkpoint leaf_pool={pool!r} is not a mapping of exactly "
+            "'spawned' and 'dead'; refusing to resume")
+    spawned, dead = pool["spawned"], pool["dead"]
+    if isinstance(spawned, bool) or not isinstance(spawned, int) \
+            or spawned < 0:
+        raise ValueError(
+            f"checkpoint leaf_pool spawned={spawned!r} is not a "
+            "non-negative integer; refusing to resume")
+    if (not isinstance(dead, list) or len(set(dead)) != len(dead)
+            or not all(isinstance(i, int) and not isinstance(i, bool)
+                       and 0 <= i < spawned for i in dead)):
+        raise ValueError(
+            f"checkpoint leaf_pool dead={dead!r} is not a list of distinct "
+            f"leaf indices below {spawned}; refusing to resume")
+    return spawned, dead
 
 
 def _ledger(meta: dict) -> tuple[int, list[float]]:

@@ -56,7 +56,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -408,6 +408,29 @@ class ShardedAggregator:
         """Grow the leaf pool to at least ``count`` live enclaves."""
         while sum(1 for lf in self._leaves if lf.alive) < count:
             self._spawn_leaf()
+
+    def pool_state(self) -> dict:
+        """The leaf pool as a checkpoint records it: how many leaves were
+        spawned and the indices of the dead ones."""
+        return {"spawned": len(self._leaves),
+                "dead": [lf.index for lf in self._leaves if not lf.alive]}
+
+    def restore_pool(self, spawned: int, dead: Iterable[int]) -> None:
+        """Rebuild the pool :meth:`pool_state` recorded.
+
+        Leaves are spawned by index up to ``spawned`` and ``dead`` ones
+        marked lost.  A leaf's seed derives from its index, so these are
+        the leaves the checkpointed run held, and later rounds fail over
+        and seal partials under the same leaf indices.
+        """
+        if spawned < len(self._leaves):
+            raise ValueError(
+                f"cannot restore a pool of {spawned} leaves over "
+                f"{len(self._leaves)} already spawned")
+        while len(self._leaves) < spawned:
+            self._spawn_leaf()
+        for index in dead:
+            self._leaves[index].alive = False
 
     def _next_leaf(self, after_index: int) -> _Leaf:
         """The failover target: next surviving leaf, else a fresh spawn."""

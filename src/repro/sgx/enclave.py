@@ -39,7 +39,16 @@ import numpy as np
 
 from .. import obs
 from . import crypto
-from .attestation import AttestationService, DiffieHellman, Quote, measure
+from .attestation import (
+    _DH_GENERATOR,
+    AttestationService,
+    DiffieHellman,
+    FixedBase,
+    Quote,
+    client_attest,
+    comb_window,
+    measure,
+)
 from .memory import RegionLayout, Trace, TracedArray
 
 DEFAULT_EPC_BYTES = 96 * 1024 * 1024
@@ -512,19 +521,27 @@ def provision_enclave_with_clients(
 ) -> dict[int, bytes]:
     """Run RA for every client; returns client-side session keys.
 
-    Convenience used by tests and examples: each client verifies the
-    enclave quote against the expected measurement and both sides derive
-    the same shared key.
+    Each client verifies the quote's signature and the enclave's
+    measurement and range-checks the enclave's DH share; the enclave
+    range-checks each client's share and seals the key.  Both bases a
+    client raises its secret to -- the generator and the one share in
+    the quote -- are fixed for the batch, so each gets one comb table
+    (window :func:`~repro.sgx.attestation.comb_window` of the batch
+    size, or none for batches too small to repay one) that lives for
+    this call; only the enclave's ``pow(share_i, b, p)`` is a full
+    modexp per client.
     """
-    from .attestation import client_attest
-
+    client_ids = list(client_ids)
     quote = enclave.quote()
     keys: dict[int, bytes] = {}
+    window = comb_window(len(client_ids))
+    generator = quote_share = None
+    if window is not None:
+        generator = FixedBase(_DH_GENERATOR, window)
+        quote_share = FixedBase(quote.dh_public, window)
     for cid in client_ids:
-        dh = DiffieHellman()
-        key = client_attest(
-            enclave.attestation_service, quote, enclave.measurement, dh
-        )
+        dh = DiffieHellman(generator=generator)
+        keys[cid] = client_attest(enclave.attestation_service, quote,
+                                  enclave.measurement, dh, quote_share)
         enclave.complete_ra(cid, dh.public)
-        keys[cid] = key
     return keys

@@ -10,20 +10,23 @@ that drove the scalar stack directly -- plus the term-by-term RDP expansion
 of the privacy accountant, the per-bucket Path ORAM access, the
 element-at-a-time aggregation recorders, comparator-at-a-time sorting
 networks and shuffle, the per-access address-stream generators, and
-the element-at-a-time LRU cost replayer, and the per-record struct
-codecs of the upload wire formats, verbatim, so the equivalence tests
-can pin the production path to them bit for bit.  Nothing in
+the element-at-a-time LRU cost replayer, the per-record struct
+codecs of the upload wire formats, and the per-client RA loop with
+three builtin ``pow`` modexps per client, verbatim, so the equivalence
+tests can pin the production path to them bit for bit.  Nothing in
 ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import math
 import random
 import struct
 import time
+import types
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -67,7 +70,8 @@ from repro.runtime.seeding import (
     derive_nonce,
     derive_rng,
 )
-from repro.sgx import crypto
+from repro.sgx import attestation, crypto
+from repro.sgx.attestation import DiffieHellman, client_attest
 from repro.sgx.cost import CostModel, CostReport
 from repro.sgx.memory import Trace, TracedArray
 
@@ -1402,3 +1406,37 @@ def decode_quantized_gradient(
         indices.append(idx)
         levels.append(level)
     return indices, levels, scale
+
+
+# ----------------------------------------------------------------------
+# Remote attestation, one builtin modexp per power
+# ----------------------------------------------------------------------
+def provision_enclave_with_clients(enclave, client_ids):
+    """Per-client RA: each client's share, key and enclave key by ``pow``."""
+    quote = enclave.quote()
+    keys: dict[int, bytes] = {}
+    for cid in client_ids:
+        dh = DiffieHellman()
+        key = client_attest(
+            enclave.attestation_service, quote, enclave.measurement, dh
+        )
+        enclave.complete_ra(cid, dh.public)
+        keys[cid] = key
+    return keys
+
+
+@contextlib.contextmanager
+def seeded_dh_secrets(seed):
+    """Draw every fresh DH secret from ``random.Random(seed)`` meanwhile.
+
+    Both provisioning paths draw client secrets from the one source in
+    ``repro.sgx.attestation``; two runs under the same seed give their
+    clients the same secrets, in order.
+    """
+    saved = attestation.secrets
+    attestation.secrets = types.SimpleNamespace(
+        randbelow=random.Random(seed).randrange)
+    try:
+        yield
+    finally:
+        attestation.secrets = saved

@@ -77,11 +77,11 @@ def _config(**overrides):
     return OliveConfig(**defaults)
 
 
-def _build(config, runtime=None, shards=None, seed=0):
-    gen = SyntheticClassData(SPECS[DATA["spec"]], seed=DATA["seed"])
+def _build(config, runtime=None, shards=None, seed=0, data=DATA):
+    gen = SyntheticClassData(SPECS[data["spec"]], seed=data["seed"])
     clients = partition_clients(
-        gen, DATA["n_clients"], DATA["samples_per_client"],
-        DATA["labels_per_client"], seed=DATA["partition_seed"])
+        gen, data["n_clients"], data["samples_per_client"],
+        data["labels_per_client"], seed=data["partition_seed"])
     return OliveSystem(build_model(MODEL["name"], seed=MODEL["seed"]),
                        clients, config, seed=seed, runtime=runtime,
                        shards=shards)
@@ -553,7 +553,7 @@ class TestCheckpointAuditContinuity:
         save_checkpoint(system, tmp_path / "ckpt.npz")
         with np.load(tmp_path / "ckpt.npz") as archive:
             meta = json.loads(str(archive["meta"]))
-        assert meta["version"] == 5
+        assert meta["version"] == 6
         assert meta["audit_head"] == recorder.head
         assert meta["audit_rounds"] == meta["round_index"] == 2
         system.close()
@@ -616,6 +616,42 @@ class TestCheckpointAuditContinuity:
             assert log.participants == want.participants
             assert log.weights_after.tobytes() == want.weights_after.tobytes()
             assert log.epsilon == want.epsilon
+        report = verify_log(path, strict=True)
+        assert report.replayed and len(report.rounds) == 4
+        assert all(v.replay_ok for v in report.rounds)
+
+    def test_sharded_resume_keeps_the_leaf_pool(self, tmp_path):
+        # Fatal leaf crashes kill leaves before the checkpoint.  The
+        # resumed service must rebuild the same pool (same leaves dead),
+        # or it seals round 2's partials under other leaf indices than
+        # the straight run and the log cannot replay across the resume.
+        from repro.core.checkpoint import load_checkpoint, save_checkpoint
+
+        config = _config()
+        data = {**DATA, "n_clients": 24}
+        shards = ShardConfig(shards=3, faults=EnclaveFaultConfig(
+            leaf_crash_rate=0.5, crash_fatal_rate=1.0))
+        straight = _build(config, shards=shards, data=data)
+        straight.run(4)
+        manifest = make_manifest(data=data, model=MODEL, config=config,
+                                 shards=shards)
+        path = tmp_path / "log.jsonl"
+        with AuditRecorder(path, manifest) as recorder:
+            first = _build(config, shards=shards, data=data)
+            first.audit = recorder
+            first.run(2)
+            assert any(not lf.alive for lf in first.shard_service._leaves)
+            save_checkpoint(first, tmp_path / "ckpt.npz")
+            resumed = _build(config, shards=shards, data=data)
+            resumed.audit = recorder
+            load_checkpoint(resumed, tmp_path / "ckpt.npz")
+            resumed.run(2)
+        logs = first.history + resumed.history
+        for log, want in zip(logs, straight.history, strict=True):
+            assert ([leaf for _, leaf, _ in log.shard_report.partials]
+                    == [leaf for _, leaf, _ in want.shard_report.partials])
+            assert log.shard_report.partials == want.shard_report.partials
+            assert log.weights_after.tobytes() == want.weights_after.tobytes()
         report = verify_log(path, strict=True)
         assert report.replayed and len(report.rounds) == 4
         assert all(v.replay_ok for v in report.rounds)

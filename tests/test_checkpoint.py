@@ -133,6 +133,42 @@ class TestLedgerValidation:
         assert restored.round_index == 0
         assert restored.accountant.steps == 0
 
+    @pytest.mark.parametrize("pool", [
+        {"spawned": -1, "dead": []}, {"spawned": True, "dead": []},
+        {"spawned": 2.0, "dead": []}, {"spawned": 2, "dead": [2]},
+        {"spawned": 2, "dead": [0, 0]}, {"spawned": 2, "dead": [-1]},
+        {"spawned": 2, "dead": [True]}, {"spawned": 2, "dead": "0"},
+        [], {}, None, {"spawned": 2}, {"dead": []},
+        {"spawned": 2, "dead": [], "extra": 0},
+    ])
+    def test_bad_leaf_pool_refused(self, ckpt, pool):
+        _rewrite_meta(ckpt, leaf_pool=pool)
+        restored = _system(seed=9)
+        with pytest.raises(ValueError, match="leaf_pool"):
+            load_checkpoint(restored, ckpt)
+        assert restored.shard_service.pool_state() == {"spawned": 0,
+                                                       "dead": []}
+        assert restored.round_index == 0
+
+    def test_leaf_pool_restored_by_index(self, ckpt):
+        _rewrite_meta(ckpt, leaf_pool={"spawned": 3, "dead": [0, 2]})
+        restored = _system(seed=9)
+        load_checkpoint(restored, ckpt)
+        leaves = restored.shard_service._leaves
+        assert [lf.index for lf in leaves] == [0, 1, 2]
+        assert [lf.alive for lf in leaves] == [False, True, False]
+        # Seeds derive from the index: leaf i is the one spawned i-th.
+        fresh = _system(seed=9).shard_service
+        fresh.ensure_leaves(3)
+        assert ([lf.enclave._dh.public for lf in leaves]
+                == [lf.enclave._dh.public for lf in fresh._leaves])
+
+    def test_pool_smaller_than_the_spawned_one_refused(self, ckpt):
+        restored = _system(seed=9)
+        restored.shard_service.ensure_leaves(2)
+        with pytest.raises(ValueError, match="restore a pool of 1"):
+            load_checkpoint(restored, ckpt)
+
     def test_boundary_rates_restore(self, ckpt):
         _rewrite_meta(ckpt, realized_rates=[0.0, 1.0, 299 / 600])
         restored = _system(seed=9)

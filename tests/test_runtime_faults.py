@@ -361,11 +361,11 @@ class TestCheckpointRealizedRates:
 
         with make_system(RuntimeConfig(faults=faults)) as fresh:
             meta = load_checkpoint(fresh, path)
-        assert meta["version"] == 5
+        assert meta["version"] == 6
         assert fresh.accountant.realized_rates == rates
         assert fresh.accountant.epsilon == pytest.approx(eps_before)
 
-    @pytest.mark.parametrize("version", [1, 3, 4])
+    @pytest.mark.parametrize("version", [1, 3, 4, 5])
     def test_older_checkpoint_versions_refused(self, tmp_path, version):
         with make_system() as system:
             system.run_round()
@@ -373,7 +373,8 @@ class TestCheckpointRealizedRates:
             save_checkpoint(system, path)
         # Rewrite the archive with older metadata: its draws came from
         # another seed derivation (version 4: sequential enclave
-        # sampling and noise), so resuming would fork the run.
+        # sampling and noise), or it lacks the shard service's leaf pool
+        # (version 5), so resuming would fork the run.
         with np.load(path, allow_pickle=False) as archive:
             weights = archive["global_weights"]
             meta = json.loads(str(archive["meta"]))
@@ -382,7 +383,7 @@ class TestCheckpointRealizedRates:
 
         with make_system() as fresh:
             with pytest.raises(ValueError,
-                               match=f"version {version} .* version 5"):
+                               match=f"version {version} .* version 6"):
                 load_checkpoint(fresh, path)
             assert fresh.accountant.steps == 0
 

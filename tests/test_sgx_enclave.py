@@ -4,13 +4,21 @@ import numpy as np
 import pytest
 
 from repro.sgx import crypto
-from repro.sgx.attestation import DiffieHellman, client_attest
+from repro.sgx.attestation import (
+    _DH_PRIME,
+    AttestationError,
+    DiffieHellman,
+    Quote,
+    client_attest,
+    measure,
+)
 from repro.sgx.enclave import (
     Enclave,
     EnclaveSecurityError,
     KeyStore,
     provision_enclave_with_clients,
 )
+from tests import oracles
 
 
 class TestKeyStore:
@@ -55,6 +63,92 @@ class TestProvisioning:
         a = Enclave(code_identity=b"v1", seed=0)
         b = Enclave(code_identity=b"v2", seed=0)
         assert a.measurement != b.measurement
+
+
+class TestProvisioningAgainstOracle:
+    """The comb-table path against the per-client ``pow`` loop."""
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 12, 80])
+    def test_keys_bit_identical_to_pow_loop(self, n):
+        # 0 and 1 clients take the no-table path, 4 the smallest table.
+        ids = [3 * i + 1 for i in range(n)]
+        fast, slow = Enclave(seed=5), Enclave(seed=5)
+        with oracles.seeded_dh_secrets(n):
+            keys = provision_enclave_with_clients(fast, ids)
+        with oracles.seeded_dh_secrets(n):
+            want = oracles.provision_enclave_with_clients(slow, ids)
+        assert keys == want
+        assert list(keys) == ids
+        assert len(fast.keystore) == len(slow.keystore) == n
+        for cid in ids:
+            assert fast.keystore.get(cid) == slow.keystore.get(cid)
+            assert fast.keystore.get(cid) == keys[cid]
+
+    def _quote_over(self, enclave, measurement, dh_public, signed=True):
+        service = enclave.attestation_service
+        quote = service.sign_quote(measurement, dh_public)
+        if not signed:
+            quote = Quote(quote.measurement, quote.dh_public, b"\x11" * 32)
+        enclave.quote = lambda: quote
+
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_forged_quote_aborts(self, n):
+        enclave = Enclave(seed=0)
+        self._quote_over(enclave, enclave.measurement, enclave._dh.public,
+                         signed=False)
+        with pytest.raises(AttestationError, match="signature"):
+            provision_enclave_with_clients(enclave, range(n))
+        assert len(enclave.keystore) == 0
+
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_wrong_measurement_aborts(self, n):
+        enclave = Enclave(seed=0)
+        self._quote_over(enclave, measure(b"evil"), enclave._dh.public)
+        with pytest.raises(AttestationError, match="measurement"):
+            provision_enclave_with_clients(enclave, range(n))
+        assert len(enclave.keystore) == 0
+
+    @pytest.mark.parametrize("n", [1, 12])
+    @pytest.mark.parametrize("share", [1, _DH_PRIME - 1])
+    def test_out_of_range_enclave_share_aborts(self, share, n):
+        enclave = Enclave(seed=0)
+        self._quote_over(enclave, enclave.measurement, share)
+        with pytest.raises(AttestationError, match="invalid DH public"):
+            provision_enclave_with_clients(enclave, range(n))
+        assert len(enclave.keystore) == 0
+
+    @pytest.mark.parametrize("share", [0, 1, _DH_PRIME - 1])
+    def test_enclave_range_checks_client_share(self, share):
+        enclave = Enclave(seed=0)
+        with pytest.raises(AttestationError, match="invalid DH public"):
+            enclave.complete_ra(4, share)
+        assert 4 not in enclave.keystore
+
+    def test_every_client_runs_every_check(self, monkeypatch):
+        # One quote verification, measurement comparison and range
+        # check per client, on both sides: tables replace modexps only.
+        from repro.sgx import attestation
+
+        calls = {"verify": 0, "compare": 0, "range": 0}
+        enclave = Enclave(seed=0)
+        service = enclave.attestation_service
+        verify = service.verify_quote
+        compare = attestation.hmac.compare_digest
+        shared_key = DiffieHellman.shared_key
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(service, "verify_quote", counted("verify", verify))
+        monkeypatch.setattr(attestation.hmac, "compare_digest",
+                            counted("compare", compare))
+        monkeypatch.setattr(DiffieHellman, "shared_key",
+                            counted("range", shared_key))
+        provision_enclave_with_clients(enclave, range(12))
+        assert calls == {"verify": 12, "compare": 24, "range": 24}
 
 
 class TestAllocation:
