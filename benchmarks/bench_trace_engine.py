@@ -24,6 +24,7 @@ Set ``TRACE_BENCH_QUICK=1`` to run a reduced workload (CI).
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from repro.core.aggregation import (
     aggregate_linear,
 )
 from repro.oblivious.sort import bitonic_sort_numpy
-from repro.sgx.memory import MemoryAccess, Trace
+from repro.sgx.memory import Trace
 from tests.oracles import (
     ref_advanced_traced,
     ref_baseline_traced,
@@ -56,9 +57,18 @@ PAIRS = [
 ]
 
 
+@dataclass(frozen=True)
+class _AccessRecord:
+    """One access as the seed layout stored it: a frozen dataclass."""
+
+    region: str
+    offset: int
+    op: str
+
+
 def _object_trace_bytes(n_accesses: int) -> int:
     """Storage of the seed object-per-access layout for n accesses."""
-    sample = MemoryAccess(region="g_star", offset=123456, op="read")
+    sample = _AccessRecord(region="g_star", offset=123456, op="read")
     # One dataclass instance plus its boxed offset plus the list slot.
     per_access = sys.getsizeof(sample) + sys.getsizeof(sample.offset) + 8
     return n_accesses * per_access

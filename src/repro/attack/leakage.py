@@ -20,7 +20,7 @@ from ..core.aggregation import G_STAR_REGION
 from ..core.obliviousness import leaked_index_sets
 from ..core.olive import OliveRoundLog
 from ..serving.engine import SERVE_TABLE_REGION, ServedBatch
-from ..sgx.observer import ObserverConfig, SideChannelObserver
+from ..sgx.observer import coarsen
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,8 @@ def observe_round(
              for pos, first in log.shard_report.folds]
     raw_sets = leaked_index_sets(log.trace, G_STAR_REGION, boundaries,
                                  folds)
-    observer = SideChannelObserver(
-        G_STAR_REGION,
-        ObserverConfig(granularity=granularity),
-        itemsize=gstar_itemsize,
-    )
     observed = {
-        cid: observer.indices_to_observation(raw)
+        cid: coarsen_indices(raw, granularity, gstar_itemsize)
         for cid, raw in zip(participants, raw_sets)
     }
     return RoundObservation(round_index=log.round_index, observed=observed)
@@ -75,13 +70,15 @@ def observe_rounds(
 def coarsen_indices(
     indices, granularity: str = "word", itemsize: int = 4, line_bytes: int = 64
 ) -> frozenset[int]:
-    """Coarsen ground-truth/teacher indices to the observation space."""
-    observer = SideChannelObserver(
-        G_STAR_REGION,
-        ObserverConfig(granularity=granularity, line_bytes=line_bytes),
-        itemsize=itemsize,
-    )
-    return observer.indices_to_observation(indices)
+    """Distinct observed offsets/lines of an index set.
+
+    Coarsens leaked sets and ground-truth/teacher indices alike, so
+    teacher observations live in the same feature space as leaked ones
+    (Algorithm 2, lines 9-12).
+    """
+    arr = np.asarray(list(indices), dtype=np.int64)
+    return frozenset(np.unique(
+        coarsen(arr, granularity, itemsize, line_bytes)).tolist())
 
 
 def feature_dim(d: int, granularity: str = "word",
@@ -118,27 +115,19 @@ def serving_slot_observations(
     if batch.trace is None or batch.layout is None:
         raise ValueError("batch was not traced; run infer_batch(traced=True)")
     n_slots = len(batch.labels)
-    rids, offs, _ = batch.trace.columns()
-    names = batch.trace.region_names
-    if SERVE_TABLE_REGION not in names:
+    if batch.trace.region_index(SERVE_TABLE_REGION) is None:
         raise ValueError("trace has no serve_table region")
-    table_rid = names.index(SERVE_TABLE_REGION)
-    table_offs = offs[np.asarray(rids) == table_rid]
+    table_offs = batch.trace.offsets_array(SERVE_TABLE_REGION)
     if len(table_offs) % n_slots:
         raise ValueError(
             f"{len(table_offs)} table accesses do not split into "
             f"{n_slots} slots"
         )
     per_slot = len(table_offs) // n_slots
-    observer = SideChannelObserver(
-        SERVE_TABLE_REGION,
-        ObserverConfig(granularity=granularity, line_bytes=line_bytes),
-        itemsize=batch.layout.itemsize(SERVE_TABLE_REGION),
-    )
+    itemsize = batch.layout.itemsize(SERVE_TABLE_REGION)
     return [
-        observer.indices_to_observation(
-            table_offs[slot * per_slot : (slot + 1) * per_slot]
-        )
+        coarsen_indices(table_offs[slot * per_slot : (slot + 1) * per_slot],
+                        granularity, itemsize, line_bytes)
         for slot in range(n_slots)
     ]
 

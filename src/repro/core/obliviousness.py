@@ -15,9 +15,11 @@ executable checks used by the property tests and the security analysis:
   distance between trace distributions of a *randomized* algorithm on
   two fixed inputs (used for the shuffle-based components).
 
-All checks operate on the trace's columnar arrays directly; the
-tuple-returning :func:`trace_key` is kept for hashing (distribution
-estimation) and for callers that want a materialized projection.
+At cacheline granularity each check first builds the coarsened trace
+once (same region table and ops, offsets through
+:func:`repro.sgx.observer.coarsen` with the region's itemsize) and then
+compares it like a word-level one: ``==`` for equality,
+:meth:`Trace.signature_digest` as the hashable :func:`trace_key`.
 """
 
 from __future__ import annotations
@@ -29,75 +31,42 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..sgx.memory import OP_READ, Trace
+from ..sgx.observer import WORD, coarsen
 
 
-def _coarse_columns(
-    trace: Trace, itemsizes: dict[str, int], line_bytes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns of the trace with offsets coarsened to cachelines."""
+def _observed(trace: Trace, granularity: str,
+              itemsizes: dict[str, int] | None, line_bytes: int) -> Trace:
+    """The trace an adversary at ``granularity`` records.
+
+    Word level is the trace itself.  At cacheline level, offsets go
+    through :func:`coarsen` with their region's itemsize (``itemsizes``,
+    default 8 bytes); the region table and ops are kept.
+    """
+    if granularity == WORD:
+        return trace
     rids, offs, ops = trace.columns()
     names = trace.region_names
-    isz = np.array([itemsizes.get(nm, 8) for nm in names], dtype=np.int64)
-    if not len(isz):
-        isz = np.ones(1, dtype=np.int64)
-    coarse = (offs.astype(np.int64) * isz[rids.astype(np.int64)]) // line_bytes
-    return rids, coarse, ops
+    sizes = np.array([(itemsizes or {}).get(nm, 8) for nm in names],
+                     dtype=np.int64)
+    coarse = coarsen(offs, granularity, sizes[rids], line_bytes)
+    return Trace.from_columns(names, rids, coarse, ops)
 
 
-def trace_key(trace: Trace, granularity: str = "word",
-              line_bytes: int = 64, itemsizes: dict[str, int] | None = None):
-    """Hashable projection of a trace at the chosen granularity."""
-    if granularity == "word":
-        return trace.signature()
-    if granularity != "cacheline":
-        raise ValueError(f"unknown granularity {granularity!r}")
-    rids, coarse, ops = _coarse_columns(trace, itemsizes or {}, line_bytes)
-    names = trace.region_names
-    op_names = ("read", "write")
-    return tuple(
-        (names[r], c, op_names[o])
-        for r, c, o in zip(rids.tolist(), coarse.tolist(), ops.tolist())
-    )
+def trace_key(trace: Trace, granularity: str = WORD,
+              line_bytes: int = 64, itemsizes: dict[str, int] | None = None
+              ) -> str:
+    """Hashable key of a trace at the chosen granularity: the
+    :meth:`Trace.signature_digest` of what the adversary records."""
+    return _observed(trace, granularity, itemsizes,
+                     line_bytes).signature_digest()
 
 
-def _region_translation(a: Trace, b: Trace) -> np.ndarray | None:
-    """Map b's region ids into a's id space; None when untranslatable."""
-    names_a = a.region_names
-    index_a = {nm: i for i, nm in enumerate(names_a)}
-    trans = np.empty(len(b.region_names), dtype=np.int64)
-    for i, nm in enumerate(b.region_names):
-        j = index_a.get(nm)
-        if j is None:
-            trans[i] = -1
-        else:
-            trans[i] = j
-    return trans
-
-
-def traces_equal(a: Trace, b: Trace, granularity: str = "word",
+def traces_equal(a: Trace, b: Trace, granularity: str = WORD,
                  itemsizes: dict[str, int] | None = None,
                  line_bytes: int = 64) -> bool:
-    """True when two traces are indistinguishable at the granularity.
-
-    Pure array comparison (no tuple materialization): equivalent to
-    ``trace_key(a, ...) == trace_key(b, ...)`` but linear-time in numpy.
-    """
-    if granularity == "word":
-        return a == b
-    if granularity != "cacheline":
-        raise ValueError(f"unknown granularity {granularity!r}")
-    if len(a) != len(b):
-        return False
-    itemsizes = itemsizes or {}
-    rids_a, coarse_a, ops_a = _coarse_columns(a, itemsizes, line_bytes)
-    rids_b, coarse_b, ops_b = _coarse_columns(b, itemsizes, line_bytes)
-    trans = _region_translation(a, b)
-    rids_b_in_a = trans[rids_b.astype(np.int64)]
-    return (
-        bool(np.array_equal(ops_a, ops_b))
-        and bool(np.array_equal(coarse_a, coarse_b))
-        and bool(np.array_equal(rids_a.astype(np.int64), rids_b_in_a))
-    )
+    """True when two traces are indistinguishable at the granularity."""
+    return (_observed(a, granularity, itemsizes, line_bytes)
+            == _observed(b, granularity, itemsizes, line_bytes))
 
 
 def trace_distance(a: Trace, b: Trace) -> int:
@@ -109,14 +78,12 @@ def trace_distance(a: Trace, b: Trace) -> int:
     rids_a, offs_a, ops_a = a.columns()
     rids_b, offs_b, ops_b = b.columns()
     n = min(len(offs_a), len(offs_b))
-    trans = _region_translation(a, b)
     same = (
         (offs_a[:n].astype(np.int64) == offs_b[:n].astype(np.int64))
         & (ops_a[:n] == ops_b[:n])
-        & (rids_a[:n].astype(np.int64) == trans[rids_b[:n].astype(np.int64)])
+        & (rids_a[:n] == a._translate_ids(b)[rids_b[:n]])
     )
-    common = int(same.sum())
-    return max(len(offs_a), len(offs_b)) - common
+    return max(len(offs_a), len(offs_b)) - int(same.sum())
 
 
 @dataclass
@@ -134,7 +101,7 @@ class ObliviousnessReport:
 def check_oblivious(
     run: Callable[[object], Trace],
     inputs: Iterable[object],
-    granularity: str = "word",
+    granularity: str = WORD,
     itemsizes: dict[str, int] | None = None,
 ) -> ObliviousnessReport:
     """Execute ``run`` on each input; all traces must match the first.
@@ -162,20 +129,18 @@ def empirical_statistical_distance(
     input_a: object,
     input_b: object,
     samples: int = 50,
-    granularity: str = "word",
+    granularity: str = WORD,
     itemsizes: dict[str, int] | None = None,
 ) -> float:
     """Monte-Carlo total-variation distance between trace distributions.
 
     Runs the (randomized) algorithm ``samples`` times on each input and
-    compares the empirical distributions of trace keys (hashed via the
-    canonical columnar digest -- exact, order-sensitive).  0 means the
-    samples are indistinguishable; 1 means disjoint support (the
-    Linear-on-sparse case of Proposition 3.2).
+    compares the empirical distributions of their :func:`trace_key`
+    digests (exact, order-sensitive).  0 means the samples are
+    indistinguishable; 1 means disjoint support (the Linear-on-sparse
+    case of Proposition 3.2).
     """
-    def key(trace: Trace):
-        if granularity == "word":
-            return trace.signature_digest()
+    def key(trace: Trace) -> str:
         return trace_key(trace, granularity, itemsizes=itemsizes)
 
     counts_a: Counter = Counter()

@@ -34,12 +34,11 @@ from .enclave import (
 )
 from .memory import (
     CACHELINE_BYTES,
-    MemoryAccess,
     RegionLayout,
     Trace,
     TracedArray,
 )
-from .observer import CACHELINE, WORD, ObserverConfig, SideChannelObserver
+from .observer import CACHELINE, WORD, coarsen
 
 __all__ = [
     "AttestationError",
@@ -56,16 +55,14 @@ __all__ = [
     "EnclaveSecurityError",
     "EpcPager",
     "KeyStore",
-    "MemoryAccess",
-    "ObserverConfig",
     "Quote",
     "RegionLayout",
     "ReplayStats",
-    "SideChannelObserver",
     "Trace",
     "TracedArray",
     "WORD",
     "client_attest",
+    "coarsen",
     "decode_sparse_gradient",
     "encode_sparse_gradient",
     "generate_key",

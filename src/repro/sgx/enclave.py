@@ -17,7 +17,8 @@ Models the pieces of Intel SGX that OLIVE's protocol depends on:
   charge paging penalties.
 
 Memory allocated through :meth:`Enclave.alloc` is traced: the adversary
-observes its access pattern through :class:`repro.sgx.observer.SideChannelObserver`.
+observes its access pattern as the trace's columns, coarsened to its
+granularity by :func:`repro.sgx.observer.coarsen`.
 
 Round r's enclave randomness -- the Poisson sample and the Gaussian
 noise -- is a pure function of ``(entropy, r)``: each draw comes from a

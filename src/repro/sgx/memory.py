@@ -7,12 +7,10 @@ granularity (64 bytes, what published SGX attacks achieve).  This module
 provides the simulated memory substrate on which every aggregation
 algorithm in :mod:`repro.core` runs:
 
-* :class:`MemoryAccess` -- one observed access ``(region, offset, op)``,
-  matching the paper's triple ``a = (A[i], op, val)`` with ``val``
-  withheld from the adversary (data is encrypted inside the enclave; the
-  side channel leaks *addresses*, not plaintext).
-* :class:`Trace` -- an append-only recording of accesses with projection
-  helpers (restrict to one region, coarsen to cachelines).
+* :class:`Trace` -- an append-only recording of the paper's accesses
+  ``a = (A[i], op, val)`` as ``(region, offset, op)`` columns, with
+  ``val`` withheld from the adversary (data is encrypted inside the
+  enclave; the side channel leaks *addresses*, not plaintext).
 * :class:`TracedArray` -- a fixed-length array whose ``read``/``write``
   record into a :class:`Trace`.
 
@@ -29,14 +27,12 @@ operation codes -- grown by amortized doubling, or presized once with
 access costs 6 bytes instead of one frozen dataclass plus a list slot
 (~100+ bytes), and whole access blocks append as single vectorized
 ``numpy`` copies via :meth:`Trace.record_block` /
-:meth:`Trace.record_batch` / :meth:`Trace.record_periodic` /
-:meth:`Trace.record_open` / :meth:`Trace.record_columns`.  Region
-names are interned into a per-trace table in first-use order.  The
-object-based views (:meth:`Trace.__iter__`, :meth:`Trace.project`,
-:meth:`Trace.offsets`, ...) are preserved as compatibility wrappers
-that materialize :class:`MemoryAccess` records on demand; batched
-consumers should prefer the ``*_array`` variants, which return numpy
-arrays without constructing any per-access objects.
+:meth:`Trace.record_periodic` / :meth:`Trace.record_open` /
+:meth:`Trace.record_columns`.  Region names are interned into a
+per-trace table in first-use order.  The columns are the only view of
+a trace: :meth:`Trace.columns`, :meth:`Trace.offsets_array`, ``==`` and
+:meth:`Trace.signature_digest`; coarsening to cachelines is
+:func:`repro.sgx.observer.coarsen`.
 
 The batched-recording contract: every batch API appends exactly the
 access sequence that the equivalent loop of scalar :meth:`Trace.record`
@@ -49,7 +45,7 @@ enforce this byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import hashlib
 
@@ -60,12 +56,10 @@ CACHELINE_BYTES = 64
 READ = "read"
 WRITE = "write"
 
-#: Numeric operation codes used by the columnar storage and the
-#: ``*_array`` fast paths (``ops`` columns hold these values).
+#: Numeric operation codes of the columnar storage (``ops`` columns
+#: hold these values).
 OP_READ = 0
 OP_WRITE = 1
-
-_OP_NAMES = (READ, WRITE)
 
 _INITIAL_CAPACITY = 256
 _INT32_MAX = np.iinfo(np.int32).max
@@ -79,24 +73,6 @@ def _norm_op(op: Any) -> int:
     if op == WRITE or op == OP_WRITE:
         return OP_WRITE
     raise ValueError(f"unknown memory operation {op!r}")
-
-
-@dataclass(frozen=True)
-class MemoryAccess:
-    """A single observed memory access.
-
-    Mirrors the paper's formal model ``a = (A[i], op, val)`` from
-    Section 3.3, except ``val`` is never exposed: the adversary sees
-    addresses and operation types only.
-    """
-
-    region: str
-    offset: int
-    op: str
-
-    def cacheline(self, itemsize: int, line_bytes: int = CACHELINE_BYTES) -> int:
-        """Cacheline index of this access for ``itemsize``-byte elements."""
-        return (self.offset * itemsize) // line_bytes
 
 
 def tile_strided(
@@ -266,34 +242,6 @@ class Trace:
         self._ops[n : n + count] = _norm_op(op)
         self._n = n + count
 
-    def record_batch(self, region: str, offsets: Any, op: Any) -> None:
-        """Append many accesses to one region in one call.
-
-        ``offsets`` is any integer array-like; ``op`` is either a single
-        operation (applied to every offset) or a per-offset array of
-        operation codes / names.  Order follows ``offsets``.
-        """
-        offs = np.asarray(offsets)
-        count = offs.size
-        if count == 0:
-            return
-        if offs.ndim != 1:
-            offs = offs.reshape(-1)
-        if offs.size:
-            self._widen_offsets_if_needed(int(offs.min()), int(offs.max()))
-        self._ensure(count)
-        n = self._n
-        self._rids[n : n + count] = self.region_id(region)
-        self._offs[n : n + count] = offs
-        if isinstance(op, (str, int)):
-            self._ops[n : n + count] = _norm_op(op)
-        else:
-            ops_arr = np.asarray(op)
-            if ops_arr.dtype.kind not in "iu":
-                ops_arr = np.asarray([_norm_op(o) for o in op], dtype=np.uint8)
-            self._ops[n : n + count] = ops_arr.reshape(-1)
-        self._n = n + count
-
     def record_open(self, region: str, ops: Any, count: int, *,
                     max_offset: int) -> np.ndarray:
         """Append ``count`` accesses to ``region`` and leave their offsets
@@ -324,9 +272,10 @@ class Trace:
         lists ``(count, stride)`` levels, innermost first: each level
         repeats everything inside it ``count`` times, shifting the
         offsets by ``stride`` -- one int, or one int per slot of the
-        period -- per repetition.  Equivalent to :meth:`record_batch` of
-        the expanded stream, but the columns are written by doubling
-        copies (see :func:`tile_strided`) with no temporary and no scan.
+        period -- per repetition.  Equivalent to scalar :meth:`record`
+        calls over the expanded stream, but the columns are written by
+        doubling copies (see :func:`tile_strided`) with no temporary and
+        no scan.
         The Advanced fold's ``(read pos, write pos - 1)`` pairs are
         ``offsets=(1, 0)``, ``ops=(R, W)``, ``repeats=((m - 1, 1),)``.
         An expansion that would reach a negative offset raises.
@@ -375,7 +324,7 @@ class Trace:
         self._n = n + count
 
     # ------------------------------------------------------------------
-    # Columnar views (fast paths)
+    # Views
     # ------------------------------------------------------------------
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The raw ``(region_ids, offsets, ops)`` columns.
@@ -391,61 +340,27 @@ class Trace:
         """Bytes of columnar storage currently allocated."""
         return self._rids.nbytes + self._offs.nbytes + self._ops.nbytes
 
-    def _mask(self, region: str, op: Any | None = None) -> np.ndarray | None:
+    def offsets_array(self, region: str, op: str | None = None) -> np.ndarray:
+        """Offsets touched in ``region`` (optionally one op), in order,
+        as an ``int64`` numpy array."""
         rid = self._region_ids.get(region)
         if rid is None:
-            return None
-        rids, _, ops = self.columns()
+            return np.empty(0, dtype=np.int64)
+        rids, offs, ops = self.columns()
         mask = rids == rid
         if op is not None:
             mask &= ops == _norm_op(op)
-        return mask
-
-    def offsets_array(self, region: str, op: str | None = None) -> np.ndarray:
-        """Offsets touched in ``region`` as an ``int64`` numpy array."""
-        mask = self._mask(region, op)
-        if mask is None:
-            return np.empty(0, dtype=np.int64)
-        return self._offs[: self._n][mask].astype(np.int64, copy=False)
-
-    def cachelines_array(
-        self,
-        region: str,
-        itemsize: int,
-        line_bytes: int = CACHELINE_BYTES,
-        op: str | None = None,
-    ) -> np.ndarray:
-        """Cacheline indices touched in ``region`` as a numpy array."""
-        offs = self.offsets_array(region, op)
-        return (offs * itemsize) // line_bytes
-
-    def project_arrays(self, region: str) -> tuple[np.ndarray, np.ndarray]:
-        """``(offsets, op_codes)`` of one region, order preserved."""
-        mask = self._mask(region)
-        if mask is None:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-        n = self._n
-        return (
-            self._offs[:n][mask].astype(np.int64, copy=False),
-            self._ops[:n][mask],
-        )
-
-    # ------------------------------------------------------------------
-    # Object-based compatibility API
-    # ------------------------------------------------------------------
-    @property
-    def accesses(self) -> list[MemoryAccess]:
-        """The trace as :class:`MemoryAccess` objects (materialized)."""
-        return list(self)
+        return offs[mask].astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return self._n
 
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        names = self._region_names
-        rids, offs, ops = self.columns()
-        for rid, off, op in zip(rids.tolist(), offs.tolist(), ops.tolist()):
-            yield MemoryAccess(names[rid], off, _OP_NAMES[op])
+    def _translate_ids(self, other: "Trace") -> np.ndarray:
+        """``other``'s region ids in this trace's table (-1: absent)."""
+        return np.asarray(
+            [self._region_ids.get(name, -1) for name in other._region_names],
+            dtype=np.int64,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
@@ -458,44 +373,8 @@ class Trace:
             return False
         if self._region_names == other._region_names:
             return bool(np.array_equal(rids_a, rids_b))
-        # Different interning orders: translate b's ids into a's table.
-        translate = np.asarray(
-            [self._region_ids.get(name, -1) for name in other._region_names],
-            dtype=np.int64,
-        )
-        if translate.size == 0:
-            return True
-        return bool(np.array_equal(rids_a, translate[rids_b]))
-
-    def project(self, region: str) -> list[MemoryAccess]:
-        """Accesses restricted to one named region, order preserved."""
-        offs, ops = self.project_arrays(region)
-        return [
-            MemoryAccess(region, off, _OP_NAMES[op])
-            for off, op in zip(offs.tolist(), ops.tolist())
-        ]
-
-    def offsets(self, region: str, op: str | None = None) -> list[int]:
-        """Offsets touched in ``region`` (optionally one op), in order."""
-        return self.offsets_array(region, op).tolist()
-
-    def cachelines(
-        self,
-        region: str,
-        itemsize: int,
-        line_bytes: int = CACHELINE_BYTES,
-        op: str | None = None,
-    ) -> list[int]:
-        """Cacheline indices touched in ``region``, in access order."""
-        return self.cachelines_array(region, itemsize, line_bytes, op).tolist()
-
-    def signature(self) -> tuple[tuple[str, int, str], ...]:
-        """Hashable representation of the full trace."""
-        names = self._region_names
-        rids, offs, ops = self.columns()
-        region_col = [names[r] for r in rids.tolist()]
-        op_col = [_OP_NAMES[o] for o in ops.tolist()]
-        return tuple(zip(region_col, offs.tolist(), op_col))
+        # Different interning orders: compare in a's table.
+        return bool(np.array_equal(rids_a, self._translate_ids(other)[rids_b]))
 
     def signature_digest(self) -> str:
         """SHA-256 digest of the canonical trace, for O(n) equality.
@@ -504,8 +383,8 @@ class Trace:
         traces with identical access sequences (even if their region
         tables were interned differently) hash identically.  Collisions
         aside, ``a.signature_digest() == b.signature_digest()`` iff
-        ``a.signature() == b.signature()`` -- but without building the
-        per-access tuples, so it stays usable at millions of accesses.
+        ``a == b``; the digest is the hashable key of a trace (one pass
+        over the columns, no per-access objects).
         """
         rids, offs, ops = self.columns()
         h = hashlib.sha256()
@@ -532,13 +411,29 @@ class Trace:
         """Build a trace directly from columnar data.
 
         ``regions`` is the id -> name table referenced by
-        ``region_ids``; ``ops`` holds numeric operation codes.  Used by
-        trace deserialization (:mod:`repro.core.checkpoint`).
+        ``region_ids``; ``ops`` holds numeric operation codes.  This is
+        the entry for columns read from a file
+        (:func:`repro.core.checkpoint.load_trace`), so it refuses op
+        codes outside ``{OP_READ, OP_WRITE}``, region ids outside the
+        table and a table that names a region twice with
+        :class:`ValueError` before anything is stored (a cast to the
+        ``uint8`` columns would wrap ``-1`` to 255).
         """
+        if len(set(regions)) != len(regions):
+            raise ValueError("region table names a region twice")
+        rids = np.asarray(region_ids).reshape(-1)
+        ops_arr = np.asarray(ops).reshape(-1)
+        if rids.size and (int(rids.min()) < 0
+                          or int(rids.max()) >= len(regions)):
+            raise ValueError(
+                f"region ids must lie in [0, {len(regions)}), the region table")
+        if ops_arr.size and not np.isin(ops_arr, (OP_READ, OP_WRITE)).all():
+            raise ValueError(
+                f"op codes must be {OP_READ} (read) or {OP_WRITE} (write)")
         trace = cls()
         for name in regions:
             trace.region_id(name)
-        trace.record_columns(region_ids, offsets, ops)
+        trace.record_columns(rids, offsets, ops_arr)
         return trace
 
 
@@ -625,33 +520,6 @@ class TracedArray:
         if self.trace is not None:
             self.trace.record_block(self.name, start, stop, WRITE)
         self._data[start:stop] = list(values)
-
-    def _check_batch(self, offsets: np.ndarray) -> None:
-        if offsets.size and (
-            int(offsets.min()) < 0 or int(offsets.max()) >= len(self._data)
-        ):
-            raise IndexError(f"{self.name} batch access out of bounds")
-
-    def read_batch(self, offsets: Any) -> list[Any]:
-        """Traced read at a vector of offsets (one batched append)."""
-        offs = np.asarray(offsets, dtype=np.int64).reshape(-1)
-        self._check_batch(offs)
-        if self.trace is not None:
-            self.trace.record_batch(self.name, offs, READ)
-        data = self._data
-        return [data[o] for o in offs.tolist()]
-
-    def write_batch(self, offsets: Any, values: Sequence[Any]) -> None:
-        """Traced write at a vector of offsets (one batched append)."""
-        offs = np.asarray(offsets, dtype=np.int64).reshape(-1)
-        self._check_batch(offs)
-        if len(values) != offs.size:
-            raise ValueError("write_batch length mismatch")
-        if self.trace is not None:
-            self.trace.record_batch(self.name, offs, WRITE)
-        data = self._data
-        for o, v in zip(offs.tolist(), values):
-            data[o] = v
 
     def snapshot(self) -> list[Any]:
         """Copy of the contents without generating trace records.

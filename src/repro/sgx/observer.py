@@ -1,94 +1,49 @@
 """Side-channel adversary view of an enclave trace.
 
 The semi-honest server of Section 3.1 cannot read enclave data, but it
-observes which addresses the enclave touches.  This module projects a
-recorded :class:`repro.sgx.memory.Trace` into what such an adversary
-learns, at the two granularities the paper evaluates:
+observes which addresses the enclave touches, at the two granularities
+the paper evaluates:
 
 * ``granularity="word"`` -- every element offset (the strongest,
   page-probe-plus-probe-everything adversary used in Figures 4-7);
 * ``granularity="cacheline"`` -- 64-byte lines, what cache attacks on
   SGX realistically achieve (Figure 8).
 
-The central quantity for the attack of Section 4 is, per client, the
-set of offsets of the *aggregation buffer* ``g*`` touched while that
-client's gradient was being folded in; for the non-oblivious Linear
-algorithm that set equals the client's top-k index set.
-
-Projection runs on the trace's columnar arrays (one vectorized coarsen
-plus ``np.unique`` instead of a Python loop per access); the
-list/frozenset return types are unchanged, and ``*_array`` variants
-expose the raw numpy views for bulk consumers.
+:func:`coarsen` maps element offsets to what such an adversary
+resolves; it is the one place that holds the line rule.  A region's
+view is ``coarsen(trace.offsets_array(region), ...)``; the attack of
+Section 4 feeds it the per-client offsets of the aggregation buffer
+``g*`` (for the non-oblivious Linear algorithm, the client's top-k
+index set).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .memory import Trace
+from .memory import CACHELINE_BYTES
 
 WORD = "word"
 CACHELINE = "cacheline"
 
 
-@dataclass(frozen=True)
-class ObserverConfig:
-    """What the adversary can resolve."""
+def coarsen(offsets, granularity: str = WORD, itemsize=8,
+            line_bytes: int = CACHELINE_BYTES) -> np.ndarray:
+    """Element offsets as an adversary at ``granularity`` observes them.
 
-    granularity: str = WORD
-    line_bytes: int = 64
-
-    def __post_init__(self) -> None:
-        if self.granularity not in (WORD, CACHELINE):
-            raise ValueError(f"unknown granularity {self.granularity!r}")
-
-
-class SideChannelObserver:
-    """Adversary that watches accesses to one named region."""
-
-    def __init__(self, region: str, config: ObserverConfig | None = None,
-                 itemsize: int = 8) -> None:
-        self.region = region
-        self.config = config or ObserverConfig()
-        self.itemsize = itemsize
-
-    def _coarsen(self, offset: int) -> int:
-        if self.config.granularity == WORD:
-            return offset
-        return (offset * self.itemsize) // self.config.line_bytes
-
-    def _coarsen_array(self, offsets: np.ndarray) -> np.ndarray:
-        if self.config.granularity == WORD:
-            return offsets
-        return (offsets.astype(np.int64) * self.itemsize) // self.config.line_bytes
-
-    def observed_sequence_array(self, trace: Trace) -> np.ndarray:
-        """Ordered observed offsets/lines as a numpy array."""
-        return self._coarsen_array(trace.offsets_array(self.region))
-
-    def observed_sequence(self, trace: Trace) -> list[int]:
-        """Ordered (possibly repeating) observed offsets/lines."""
-        return self.observed_sequence_array(trace).tolist()
-
-    def observed_set(self, trace: Trace) -> frozenset[int]:
-        """Distinct observed offsets/lines -- the attack's raw feature."""
-        return frozenset(np.unique(self.observed_sequence_array(trace)).tolist())
-
-    def observed_write_set(self, trace: Trace) -> frozenset[int]:
-        """Distinct observed *written* offsets/lines."""
-        offs = self._coarsen_array(trace.offsets_array(self.region, op="write"))
-        return frozenset(np.unique(offs).tolist())
-
-    def indices_to_observation(self, indices) -> frozenset[int]:
-        """Coarsen a ground-truth index set the way this observer would.
-
-        Used by the attack pipeline to build *teacher* observations that
-        live in the same feature space as leaked ones (Algorithm 2,
-        lines 9-12).
-        """
-        arr = np.asarray(list(indices), dtype=np.int64)
-        if arr.size == 0:
-            return frozenset()
-        return frozenset(np.unique(self._coarsen_array(arr)).tolist())
+    ``word`` returns ``offsets`` unchanged; ``cacheline`` maps each to
+    ``offset * itemsize // line_bytes`` (int64) for ``itemsize``-byte
+    elements.  ``itemsize`` is one int or one per offset.  Refuses an
+    unknown granularity and a non-positive ``itemsize`` or
+    ``line_bytes``.
+    """
+    if granularity not in (WORD, CACHELINE):
+        raise ValueError(f"unknown granularity {granularity!r}")
+    if line_bytes <= 0:
+        raise ValueError(f"line_bytes must be positive, got {line_bytes}")
+    sizes = np.asarray(itemsize)
+    if sizes.size and sizes.min() <= 0:
+        raise ValueError(f"itemsize must be positive, got {sizes.min()}")
+    if granularity == WORD:
+        return offsets
+    return (np.asarray(offsets).astype(np.int64) * sizes) // line_bytes

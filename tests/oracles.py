@@ -11,8 +11,9 @@ of the privacy accountant, the per-bucket Path ORAM access, the
 element-at-a-time aggregation recorders, comparator-at-a-time sorting
 networks and shuffle, the per-access address-stream generators, and
 the element-at-a-time LRU cost replayer, the per-record struct
-codecs of the upload wire formats, and the per-client RA loop with
-three builtin ``pow`` modexps per client, verbatim, so the equivalence
+codecs of the upload wire formats, the per-client RA loop with
+three builtin ``pow`` modexps per client, and the per-access tuple
+projection of a trace (word and cacheline), verbatim, so the equivalence
 tests can pin the production path to them bit for bit.  Nothing in
 ``src/`` imports this module.
 """
@@ -1128,6 +1129,33 @@ def oblivious_shuffle_traced(array, rng: random.Random | None = None) -> None:
     for i in range(n):
         tagged = array.read(i)
         array.write(i, tagged[1])
+
+
+# ---------------------------------------------------------------------------
+# Trace views: the per-access tuple projection that ``Trace.signature()``
+# and ``trace_key`` returned before the columns (compared with ``==`` and
+# ``Trace.signature_digest``) became the only view of a trace.
+
+def trace_tuples(trace, granularity="word", line_bytes=64, itemsizes=None):
+    """``((region, offset or line, "read"/"write"), ...)`` of a trace.
+
+    ``word`` is the old ``Trace.signature()``; ``cacheline`` is the old
+    ``trace_key(trace, "cacheline", line_bytes, itemsizes)``: each
+    offset becomes ``offset * itemsize // line_bytes`` with its region's
+    itemsize (default 8 bytes).
+    """
+    if granularity not in ("word", "cacheline"):
+        raise ValueError(f"unknown granularity {granularity!r}")
+    itemsizes = itemsizes or {}
+    names = trace.region_names
+    rids, offs, ops = trace.columns()
+    out = []
+    for rid, offset, op in zip(rids.tolist(), offs.tolist(), ops.tolist()):
+        region = names[rid]
+        if granularity == "cacheline":
+            offset = offset * itemsizes.get(region, 8) // line_bytes
+        out.append((region, offset, ("read", "write")[op]))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

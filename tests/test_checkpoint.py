@@ -210,3 +210,37 @@ class TestTraceSerialization:
         restored = load_trace(path)
         assert traces_equal(log.trace, restored)
         assert len(restored) == len(log.trace)
+
+    @staticmethod
+    def _tampered(tmp_path, **columns):
+        """A saved two-access trace with some columns replaced."""
+        trace = Trace()
+        trace.record("g", 0, "read")
+        trace.record("g_star", 17, "write")
+        path = tmp_path / "trace.npz"
+        save_trace(trace, path)
+        with np.load(path) as archive:
+            fields = {name: archive[name] for name in archive.files}
+        fields.update({name: np.asarray(col) for name, col in columns.items()})
+        np.savez_compressed(path, **fields)
+        return path
+
+    @pytest.mark.parametrize("ops", [[0, 5], [-1, 1], [2, 0]])
+    def test_unknown_op_code_refused(self, tmp_path, ops):
+        path = self._tampered(tmp_path, op=np.asarray(ops, dtype=np.int8))
+        with pytest.raises(ValueError, match="op codes"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("region", [[0, -1], [2, 0], [0, 255]])
+    def test_region_id_outside_table_refused(self, tmp_path, region):
+        path = self._tampered(tmp_path,
+                              region=np.asarray(region, dtype=np.int32))
+        with pytest.raises(ValueError, match="region ids"):
+            load_trace(path)
+
+    def test_duplicate_region_name_refused(self, tmp_path):
+        # Interning would drop the second "g" and read id 1 as "g_star".
+        path = self._tampered(tmp_path,
+                              regions=json.dumps(["g", "g", "g_star"]))
+        with pytest.raises(ValueError, match="twice"):
+            load_trace(path)

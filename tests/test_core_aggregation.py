@@ -103,8 +103,9 @@ class TestAdvancedTraceReservation:
         updates = make_updates(2, n_clients=3, d=40, k=6)
         reserved, grown = Trace(), Trace()
         aggregate_advanced(updates, 40, trace=reserved)
-        for access in reserved:
-            grown.record(access.region, access.offset, access.op)
+        rids, offs, ops = reserved.columns()
+        for rid, offset, op in zip(rids.tolist(), offs.tolist(), ops.tolist()):
+            grown.record(reserved.region_names[rid], offset, op)
         assert reserved == grown
         assert reserved.signature_digest() == grown.signature_digest()
 
@@ -196,4 +197,4 @@ class TestAggregatorRegistry:
             assert plain.tobytes() == traced.tobytes() == delegated.tobytes(), name
             assert len(t_run) == len(t_delegate) > 0, name
             if name != "path_oram":
-                assert t_run.signature() == t_delegate.signature(), name
+                assert t_run == t_delegate, name

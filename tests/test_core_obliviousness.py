@@ -26,6 +26,8 @@ from repro.core.obliviousness import (
 )
 from repro.fl.client import LocalUpdate
 from repro.sgx.memory import Trace
+from repro.sgx.observer import CACHELINE, coarsen
+from tests.oracles import trace_tuples
 
 ITEMSIZES = {"g": 8, "g_star": 4}
 
@@ -137,7 +139,8 @@ class TestProposition51:
         d = 64
         updates = [LocalUpdate(0, np.asarray([5]), np.asarray([1.0]))]
         trace = run_traced(aggregate_baseline, updates, d)
-        lines = set(trace.cachelines("g_star", itemsize=4))
+        lines = set(coarsen(trace.offsets_array("g_star"), CACHELINE,
+                            itemsize=4).tolist())
         assert lines == {0, 1, 2, 3}
 
     def test_check_oblivious_at_cacheline(self):
@@ -211,12 +214,16 @@ class TestProposition52:
 
 class TestTraceKeyHelpers:
     def test_trace_key_granularities(self):
-        trace = Trace()
+        # The key is the digest of what the adversary records: the trace
+        # itself at word level, offset 17 of 4-byte cells as line 1.
+        trace, line = Trace(), Trace()
         trace.record("g_star", 17, "read")
-        assert trace_key(trace) == (("g_star", 17, "read"),)
+        line.record("g_star", 1, "read")
+        assert trace_key(trace) == trace.signature_digest()
         assert trace_key(trace, "cacheline", itemsizes={"g_star": 4}) == (
-            ("g_star", 1, "read"),
+            line.signature_digest()
         )
+        assert trace_key(trace, "cacheline") != trace_key(trace)
 
     def test_trace_key_unknown_granularity(self):
         with pytest.raises(ValueError):
@@ -231,3 +238,86 @@ class TestTraceKeyHelpers:
         t1, t2 = Trace(), Trace()
         t1.record("g", 0, "read")
         assert trace_distance(t1, t2) == 1
+
+
+# One access: (region position, offset, op code).
+_ACCESS = st.tuples(st.integers(0, 2), st.integers(0, 40), st.integers(0, 1))
+
+
+def _nudge(accesses, how, at, bit):
+    """A variant of ``accesses``; an offset nudge flips ``bit``, which
+    keeps the cacheline or not depending on the region's itemsize."""
+    out = list(accesses)
+    if not out or how == "same":
+        return out
+    at %= len(out)
+    region, offset, op = out[at]
+    if how == "offset":
+        out[at] = (region, offset ^ bit, op)
+    elif how == "region":
+        out[at] = ((region + 1) % 3, offset, op)
+    elif how == "op":
+        out[at] = (region, offset, 1 - op)
+    else:
+        del out[at]
+    return out
+
+
+def _record(order, interned, accesses):
+    """Intern ``interned`` regions of ``order`` first, then record."""
+    trace = Trace()
+    for name in interned:
+        trace.region_id(name)
+    for region, offset, op in accesses:
+        trace.record(order[region], offset, op)
+    return trace
+
+
+class TestCoarsenedEqualityAgainstOracle:
+    """``traces_equal``, ``trace_key`` and ``trace_distance`` agree with
+    the per-access tuple projection at word and cacheline granularity,
+    whatever order the two traces interned their regions in."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        regions=st.permutations(["g", "g_star", "h"]),
+        n_regions=st.integers(2, 3),
+        accesses=st.lists(_ACCESS, max_size=12),
+        how=st.sampled_from(["same", "offset", "region", "op", "drop"]),
+        at=st.integers(0, 11),
+        bit=st.sampled_from([1, 2, 4, 8]),
+        flip=st.booleans(),
+        line_bytes=st.sampled_from([16, 64]),
+    )
+    def test_agrees_with_tuple_projection(self, regions, n_regions, accesses,
+                                          how, at, bit, flip, line_bytes):
+        order = regions[:n_regions]
+        accesses = [(r % n_regions, o, p) for r, o, p in accesses]
+        other = [(r % n_regions, o, p) for r, o, p in _nudge(accesses, how, at, bit)]
+        # a interns every region up front, b its table reversed and
+        # without one region (interned late, if b touches it at all).
+        a = _record(order, order, accesses)
+        b = _record(order, order[::-1][1:], other)
+        if flip:
+            a, b = b, a
+        itemsizes = {"g": 8, "g_star": 4}
+        for granularity in ("word", "cacheline"):
+            want_a = trace_tuples(a, granularity, line_bytes, itemsizes)
+            want_b = trace_tuples(b, granularity, line_bytes, itemsizes)
+            equal = want_a == want_b
+            assert traces_equal(a, b, granularity, itemsizes=itemsizes,
+                                line_bytes=line_bytes) == equal
+            assert (trace_key(a, granularity, line_bytes, itemsizes)
+                    == trace_key(b, granularity, line_bytes, itemsizes)) == equal
+            # The distance of what the adversary records at this
+            # granularity, traced from the oracle's tuples.
+            seen_a, seen_b = (
+                _record(order, t.region_names,
+                        [(order.index(r), o, op) for r, o, op in w])
+                for t, w in ((a, want_a), (b, want_b)))
+            diff = max(len(want_a), len(want_b)) - sum(
+                x == y for x, y in zip(want_a, want_b))
+            assert trace_distance(seen_a, seen_b) == diff
+            assert (trace_distance(seen_a, seen_b) == 0) == equal
+            if granularity == "word":
+                assert trace_distance(a, b) == diff

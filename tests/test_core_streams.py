@@ -78,7 +78,7 @@ class TestStreamLengthsMatchTraces:
         updates = make_updates(3, n, d, k)
         trace = Trace()
         aggregate_advanced(updates, d, trace=trace)
-        traced_lines = [a.offset * 8 // 64 for a in trace]
+        traced_lines = [offset * 8 // 64 for offset in trace.columns()[1].tolist()]
         stream = list(advanced_stream(n * k, d))
         assert stream == traced_lines
 

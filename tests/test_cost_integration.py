@@ -32,8 +32,9 @@ def _updates(n, k, d, seed=0):
 
 def trace_to_lines(trace: Trace, layout: RegionLayout):
     """Cacheline stream of a recorded trace under a layout."""
-    for access in trace:
-        yield layout.byte_address(access.region, access.offset) // 64
+    rids, offs, _ = trace.columns()
+    for rid, offset in zip(rids.tolist(), offs.tolist()):
+        yield layout.byte_address(trace.region_names[rid], offset) // 64
 
 
 class TestTraceChargesLikeStream:

@@ -14,6 +14,7 @@ from repro.fl.models import Flatten, Sequential, build_model
 from repro.fl.quantize import quantize_deterministic
 from repro.fl.client import LocalUpdate
 from repro.sgx.memory import Trace
+from repro.sgx.observer import CACHELINE, coarsen
 
 
 class TestAccountantEdgeCases:
@@ -58,8 +59,9 @@ class TestTraceOpFilters:
         trace = Trace()
         trace.record("g", 0, "read")
         trace.record("g", 20, "write")
-        assert trace.cachelines("g", itemsize=8, op="write") == [2]
-        assert trace.cachelines("g", itemsize=8, op="read") == [0]
+        for op, line in (("write", 2), ("read", 0)):
+            offsets = trace.offsets_array("g", op=op)
+            assert coarsen(offsets, CACHELINE, itemsize=8).tolist() == [line]
 
 
 class TestBuildTeacher:
@@ -121,11 +123,10 @@ class TestBuildTeacher:
 class TestObserverRoundTripWithWrites:
     def test_write_set_subset_of_full_set(self):
         from repro.core.aggregation import aggregate_linear
-        from repro.sgx.observer import SideChannelObserver
 
         trace = Trace()
         updates = [LocalUpdate(0, np.asarray([1, 5]), np.asarray([1.0, 2.0]))]
         aggregate_linear(updates, 8, trace=trace)
-        obs = SideChannelObserver("g_star")
-        assert obs.observed_write_set(trace) <= obs.observed_set(trace)
-        assert obs.observed_write_set(trace) == frozenset({1, 5})
+        written = set(trace.offsets_array("g_star", op="write").tolist())
+        assert written <= set(trace.offsets_array("g_star").tolist())
+        assert written == {1, 5}

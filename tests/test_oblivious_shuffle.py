@@ -36,7 +36,7 @@ class TestTracedShuffle:
             trace = Trace()
             arr = TracedArray("s", data, trace=trace)
             oblivious_shuffle_traced(arr, rng=random.Random(7))
-            signatures.append(trace.signature())
+            signatures.append(trace.signature_digest())
         assert signatures[0] == signatures[1]
 
     def test_actually_permutes_sometimes(self):

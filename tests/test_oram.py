@@ -123,11 +123,11 @@ class TestObliviousStructure:
         trace = Trace()
         oram = PathORAM(16, trace=trace, seed=7)
         oram.read(3)
-        offsets = trace.offsets("oram_tree")
+        offsets = trace.offsets_array("oram_tree").tolist()
         # Fetch: each path bucket read + cleared; write-back: written again.
         assert len(offsets) == 3 * (oram.height + 1)
         # Path property: consecutive read buckets are parent/child.
-        reads = trace.offsets("oram_tree", op="read")
+        reads = trace.offsets_array("oram_tree", op="read").tolist()
         for parent, child in zip(reads, reads[1:]):
             assert (child - 1) // 2 == parent
 
@@ -137,7 +137,7 @@ class TestObliviousStructure:
             trace = Trace()
             oram = PathORAM(16, trace=trace, seed=8)
             oram.read(block)
-            lengths.add(len(trace.offsets("oram_tree")))
+            lengths.add(len(trace.offsets_array("oram_tree").tolist()))
         assert len(lengths) == 1
 
     def test_positions_refresh_on_access(self):

@@ -80,7 +80,7 @@ class TestOracleEquivalence:
                        trace=trace, seed=seed)
             values, failed_at = _drive(oram, ops)
             results.append((values, failed_at, _state(oram),
-                            trace.signature() if traced else None))
+                            trace.signature_digest() if traced else None))
         assert results[0] == results[1]
 
     def test_overflow_raises_at_the_oracles_op(self):
@@ -90,7 +90,7 @@ class TestOracleEquivalence:
             trace = Trace()
             oram = cls(64, bucket_size=1, stash_limit=0, trace=trace, seed=6)
             _, failed_at = _drive(oram, ops)
-            failures.append((failed_at, trace.signature(), _state(oram)))
+            failures.append((failed_at, trace.signature_digest(), _state(oram)))
         assert failures[0][0] is not None
         assert failures[0] == failures[1]
 
@@ -128,7 +128,7 @@ class TestOracleEquivalence:
                    seed=3)
             traces.append(trace)
         assert 0 < len(traces[0]) < 3 * 9 * (2 * 600 + 200)
-        assert traces[0].signature() == traces[1].signature()
+        assert traces[0] == traces[1]
 
     def test_deferred_and_immediate_traces_agree(self):
         rng = random.Random(4)
@@ -141,7 +141,7 @@ class TestOracleEquivalence:
         with later.deferred_trace():
             _drive(later, ops)
             assert len(t_later) == 0
-        assert t_now.signature() == t_later.signature()
+        assert t_now == t_later
         assert _state(now) == _state(later)
 
 
@@ -193,7 +193,9 @@ class TestObliviousness:
     def _paths(trace, oram):
         """Per-access (offsets, ops) rows of the bucket-tree trace."""
         per_access = 3 * (oram.height + 1)
-        offs, ops = trace.project_arrays(TREE_REGION)
+        rids, _, ops = trace.columns()
+        offs = trace.offsets_array(TREE_REGION)
+        ops = ops[rids == trace.region_index(TREE_REGION)]
         assert offs.size % per_access == 0
         return (offs.reshape(-1, per_access).astype(np.int64),
                 ops.reshape(-1, per_access))

@@ -103,8 +103,8 @@ class TestRecursivePathORAM:
         flat.read(7)
         # Recursive access touches strictly more tree buckets (two
         # trees: map + data).
-        assert len(trace.offsets("oram_tree")) > len(
-            flat_trace.offsets("oram_tree")
+        assert len(trace.offsets_array("oram_tree")) > len(
+            flat_trace.offsets_array("oram_tree")
         )
 
     def test_accumulation_workload(self):

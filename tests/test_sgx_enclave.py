@@ -156,7 +156,7 @@ class TestAllocation:
         enclave = Enclave(seed=0)
         arr = enclave.alloc(10, itemsize=8)
         arr.read(3)
-        assert enclave.trace.offsets(arr.name) == [3]
+        assert enclave.trace.offsets_array(arr.name).tolist() == [3]
 
     def test_alloc_names_unique(self):
         enclave = Enclave(seed=0)

@@ -6,31 +6,38 @@ from hypothesis import given, strategies as st
 
 from repro.sgx.memory import (
     CACHELINE_BYTES,
-    MemoryAccess,
     RegionLayout,
     Trace,
     TracedArray,
 )
+from repro.sgx.observer import CACHELINE, coarsen
+from tests.oracles import trace_tuples
+
+
+def _line(offset, itemsize):
+    """Cacheline of one access at ``offset`` of ``itemsize``-byte items."""
+    return int(coarsen(np.asarray([offset]), CACHELINE, itemsize)[0])
 
 
 class TestMemoryAccess:
+    """The cacheline one access falls in (``coarsen`` of one offset)."""
+
     def test_cacheline_of_first_element(self):
-        assert MemoryAccess("g", 0, "read").cacheline(8) == 0
+        assert _line(0, 8) == 0
 
     def test_cacheline_boundary_8_byte_items(self):
         # 8 elements of 8 bytes fill one 64-byte line.
-        assert MemoryAccess("g", 7, "read").cacheline(8) == 0
-        assert MemoryAccess("g", 8, "read").cacheline(8) == 1
+        assert _line(7, 8) == 0
+        assert _line(8, 8) == 1
 
     def test_cacheline_boundary_4_byte_items(self):
-        assert MemoryAccess("g", 15, "read").cacheline(4) == 0
-        assert MemoryAccess("g", 16, "read").cacheline(4) == 1
+        assert _line(15, 4) == 0
+        assert _line(16, 4) == 1
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.sampled_from([1, 2, 4, 8, 16]))
     def test_cacheline_matches_byte_arithmetic(self, offset, itemsize):
-        access = MemoryAccess("r", offset, "write")
-        assert access.cacheline(itemsize) == (offset * itemsize) // CACHELINE_BYTES
+        assert _line(offset, itemsize) == (offset * itemsize) // CACHELINE_BYTES
 
 
 class TestTrace:
@@ -38,7 +45,9 @@ class TestTrace:
         trace = Trace()
         trace.record("a", 1, "read")
         trace.record("b", 2, "write")
-        assert [a.region for a in trace] == ["a", "b"]
+        rids, offs, ops = trace.columns()
+        assert [trace.region_names[r] for r in rids] == ["a", "b"]
+        assert offs.tolist() == [1, 2] and ops.tolist() == [0, 1]
         assert len(trace) == 2
 
     def test_equality_is_sequence_equality(self):
@@ -63,26 +72,31 @@ class TestTrace:
         trace.record("g", 0, "read")
         trace.record("h", 5, "write")
         trace.record("g", 3, "write")
-        assert [a.offset for a in trace.project("g")] == [0, 3]
+        assert trace.offsets_array("g").tolist() == [0, 3]
+        assert trace.offsets_array("h").tolist() == [5]
+        assert trace.offsets_array("absent").tolist() == []
 
     def test_offsets_filters_by_op(self):
         trace = Trace()
         trace.record("g", 0, "read")
         trace.record("g", 1, "write")
         trace.record("g", 2, "read")
-        assert trace.offsets("g") == [0, 1, 2]
-        assert trace.offsets("g", op="write") == [1]
+        assert trace.offsets_array("g").tolist() == [0, 1, 2]
+        assert trace.offsets_array("g", op="write").tolist() == [1]
 
     def test_cachelines_projection(self):
         trace = Trace()
         for offset in (0, 7, 8, 17):
             trace.record("g", offset, "read")
-        assert trace.cachelines("g", itemsize=8) == [0, 0, 1, 2]
+        lines = coarsen(trace.offsets_array("g"), CACHELINE, itemsize=8)
+        assert lines.tolist() == [0, 0, 1, 2]
 
     def test_signature_is_hashable(self):
-        trace = Trace()
-        trace.record("g", 0, "read")
-        assert hash(trace.signature()) == hash((("g", 0, "read"),))
+        trace, same = Trace(), Trace()
+        for t in (trace, same):
+            t.record("g", 0, "read")
+        assert trace_tuples(trace) == (("g", 0, "read"),)
+        assert len({trace.signature_digest(), same.signature_digest()}) == 1
 
 
 class TestTracedArray:
@@ -97,7 +111,7 @@ class TestTracedArray:
         arr = TracedArray("g", [0.0] * 4, trace=trace)
         arr.read(2)
         arr.write(3, 1.0)
-        assert trace.signature() == (("g", 2, "read"), ("g", 3, "write"))
+        assert trace_tuples(trace) == (("g", 2, "read"), ("g", 3, "write"))
 
     def test_untraced_mode_records_nothing(self):
         arr = TracedArray("g", [0.0] * 4, trace=None)
@@ -189,7 +203,8 @@ class TestTraceReserve:
         trace.record("g", 3, "read")
         trace.record_block("g", 0, m // 2, "write")
         rest = m - 1 - m // 2
-        trace.record_batch("h", np.arange(rest) % 7, "read")
+        trace.record_columns(np.full(rest, trace.region_id("h")),
+                             np.arange(rest) % 7, np.zeros(rest, np.uint8))
 
     @pytest.mark.parametrize("m", [1, 255, 256, 257, 5000])
     def test_appends_after_reserve_do_not_reallocate(self, m):
@@ -267,25 +282,24 @@ class TestRecordPeriodic:
         ((3, 1), ("read", "write"), ((2, 5), (3, (0, 2)))),
     ])
     def test_equals_record_batch(self, offsets, ops, repeats):
+        # The batch append of the expanded stream, one scalar record each.
         periodic, batch = Trace(), Trace()
         periodic.record("x", 1, "read")
         batch.record("x", 1, "read")
         periodic.record_periodic("g", offsets, ops, repeats)
-        stream = self._expand(offsets, ops, repeats)
-        if stream:
-            offs, codes = zip(*stream)
-            batch.record_batch("g", np.asarray(offs), list(codes))
-        assert periodic.signature() == batch.signature()
+        for offset, op in self._expand(offsets, ops, repeats):
+            batch.record("g", offset, op)
+        assert periodic == batch
 
     def test_widens_past_int32(self):
         trace = Trace()
         trace.record_periodic("g", (0,), ("read",), ((3, 2**31),))
-        assert trace.offsets("g") == [0, 2**31, 2**32]
+        assert trace.offsets_array("g").tolist() == [0, 2**31, 2**32]
 
     def test_negative_slot_stride_within_bounds_is_accepted(self):
         trace = Trace()
         trace.record_periodic("g", (0, 3), ("read", "write"), ((4, (1, -1)),))
-        assert trace.offsets("g") == [0, 3, 1, 2, 2, 1, 3, 0]
+        assert trace.offsets_array("g").tolist() == [0, 3, 1, 2, 2, 1, 3, 0]
 
     def test_record_open_leaves_offsets_to_the_writer(self):
         trace = Trace()
@@ -293,8 +307,8 @@ class TestRecordPeriodic:
         offs = trace.record_open("g", ("read", "write"), 4, max_offset=9)
         assert len(offs) == 4 and len(trace) == 5
         offs[:] = [9, 8, 7, 6]
-        assert trace.offsets("g") == [9, 8, 7, 6]
-        assert trace.offsets("g", "write") == [8, 6]
+        assert trace.offsets_array("g").tolist() == [9, 8, 7, 6]
+        assert trace.offsets_array("g", "write").tolist() == [8, 6]
         with pytest.raises(ValueError):
             trace.record_open("g", ("read", "write"), 3, max_offset=1)
 

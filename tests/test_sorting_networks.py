@@ -76,7 +76,7 @@ class TestApplyNetworkTraced:
             trace = Trace()
             arr = TracedArray("s", data, trace=trace)
             apply_network_traced(arr, odd_even_merge_network(4))
-            signatures.append(trace.signature())
+            signatures.append(trace.signature_digest())
         assert signatures[0] == signatures[1]
 
     def test_key_function(self):
