@@ -29,6 +29,7 @@ from pathlib import Path
 
 from repro.audit import AuditRecorder, make_manifest, verify_log
 from repro.audit.verify import generate_proof, verify_proof_payload
+from repro.dp.accountant import epsilon_for
 from repro.fl.client import TrainingConfig
 from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
@@ -87,13 +88,17 @@ def test_audit_overhead():
     ciphertexts = result.ciphertext_bytes(accepted)
     upload_bytes = sum(len(b) for b in ciphertexts.values())
 
+    config = _bench_config()
     manifest = make_manifest(
         data={"spec": "tiny", "seed": 0, "n_clients": N_CLIENTS,
               "samples_per_client": SAMPLES_PER_CLIENT,
               "labels_per_client": 2, "partition_seed": 0},
         model={"name": "tiny_mlp", "seed": 0},
-        config=_bench_config(),
+        config=config,
     )
+    # The verifier checks the committed budget against the manifest.
+    epsilon = epsilon_for(config.sample_rate, config.noise_multiplier, 1,
+                          config.delta)
 
     with tempfile.TemporaryDirectory() as tmp:
         log_path = Path(tmp) / "audit.jsonl"
@@ -103,7 +108,7 @@ def test_audit_overhead():
         with AuditRecorder(log_path, manifest) as recorder:
             recorder.record_round(
                 0, accepted=accepted, ciphertexts=ciphertexts,
-                weights_after=aggregate, epsilon=0.5, clip=1.0,
+                weights_after=aggregate, epsilon=epsilon, clip=1.0,
                 partials=report.partials, degraded=report.degraded,
                 n_shards=report.n_shards)
         commit_s = time.perf_counter() - t0

@@ -51,7 +51,8 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     parser.add_argument(
         "--dropout-rate", type=float, metavar="P", default=0.0,
         help="inject client dropouts at rate P per (round, client); "
-             "the accountant then charges realized cohort sizes",
+             "the accountant still charges every round at the sample "
+             "rate, since dropouts follow the enclave's draw",
     )
     parser.add_argument(
         "--shards", type=int, metavar="N", default=None,

@@ -46,7 +46,10 @@ _RECORD_DOMAIN = b"olive-audit-record:"
 #: nk + d (no power-of-two padding), which changes the fold order of
 #: equal indices and so the aggregate bits.  Version 4: the enclave's
 #: sampling and noise come from streams keyed on the round index.
-LOG_VERSION = 4
+#: Version 5: every round's epsilon is charged at q (fault runs
+#: committed an under-reported budget before), shards start on live
+#: leaves only, and a malformed upload is rejected, not fatal.
+LOG_VERSION = 5
 
 
 class AuditError(Exception):

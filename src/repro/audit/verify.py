@@ -10,6 +10,9 @@ adversary:
    editing a logged ciphertext still cannot make the logged bytes
    hash to the committed Merkle root without breaking SHA-256
    (:class:`~repro.audit.log.AuditCommitmentError` names the round).
+   Each round's epsilon must also equal the closed form for its round
+   count at the manifest's ``(q, sigma, delta)``: every released round
+   is charged at q, so the budget needs no replay to check.
 3. **Replay** -- an attacker who re-mints chain *and* commitments
    around a forged aggregate is caught by re-running the round from
    the manifest's seeds through the deterministic runtime: the
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import obs
+from ..dp.accountant import PrivacyAccountant
 from .log import (
     AuditCommitmentError,
     AuditProofError,
@@ -88,24 +92,38 @@ def _round_ciphertexts(record: dict) -> dict[int, bytes]:
             for cid, blob in record["ciphertexts"].items()}
 
 
-def verify_round_commitment(record: dict) -> None:
-    """Recompute the Merkle root from the logged bytes; compare."""
+def verify_round_commitment(record: dict, olive: dict) -> None:
+    """Recompute the Merkle root from the logged bytes, and round r's
+    epsilon from the manifest's ``olive`` section (r + 1 rounds at q);
+    compare both with the record."""
+    r = record["round"]
     ciphertexts = _round_ciphertexts(record)
     accepted = [int(c) for c in record["accepted"]]
     missing = set(accepted) - set(ciphertexts)
     if missing:
         raise AuditCommitmentError(
-            f"round {record['round']}: accepted clients "
-            f"{sorted(missing)[:4]} have no logged ciphertext",
-            round_index=record["round"],
+            f"round {r}: accepted clients {sorted(missing)[:4]} have no "
+            "logged ciphertext",
+            round_index=r,
         )
     recomputed = upload_merkle_root(
         {cid: ciphertexts[cid] for cid in accepted})
     if recomputed != record["merkle_root"]:
         raise AuditCommitmentError(
-            f"round {record['round']}: logged ciphertexts do not hash to "
-            f"the committed Merkle root (leaf bytes tampered)",
-            round_index=record["round"],
+            f"round {r}: logged ciphertexts do not hash to the committed "
+            "Merkle root (leaf bytes tampered)",
+            round_index=r,
+        )
+    expected = PrivacyAccountant(
+        olive["sample_rate"], olive["noise_multiplier"], olive["delta"],
+        steps=r + 1,
+    ).epsilon
+    if float(record["epsilon"]) != expected:
+        raise AuditCommitmentError(
+            f"round {r}: committed epsilon {record['epsilon']!r} is not "
+            f"{expected!r}, the budget of {r + 1} round(s) at the "
+            "manifest's (q, sigma, delta)",
+            round_index=r,
         )
 
 
@@ -268,6 +286,7 @@ def verify_log(
             path=str(path),
             sealed=bool(records) and records[-1].get("type") == "seal",
         )
+        olive = records[0]["manifest"]["olive"]
         for record in rounds:
             n_shards = record.get("n_shards",
                                   len(record.get("partials", ())))
@@ -278,7 +297,7 @@ def verify_log(
                 degraded=bool(record.get("degraded")),
             )
             if round_index is None or record["round"] == round_index:
-                verify_round_commitment(record)
+                verify_round_commitment(record, olive)
                 verdict.merkle_ok = True
             report.rounds.append(verdict)
         if round_index is not None and not any(

@@ -29,7 +29,9 @@ from .olive import OliveSystem
 #: noise-only round.  Version 5: the enclave's sampling and noise are
 #: keyed on the round, and the checkpoint carries ``round_index``.
 #: Version 6: the checkpoint carries the shard service's leaf pool.
-CHECKPOINT_VERSION = 6
+#: Version 7: the ledger is the released-round count alone, every round
+#: charged at q (earlier fault runs under-charged their budget).
+CHECKPOINT_VERSION = 7
 
 
 def save_checkpoint(system: OliveSystem, path: str | Path) -> None:
@@ -39,7 +41,6 @@ def save_checkpoint(system: OliveSystem, path: str | Path) -> None:
         "rounds": system.accountant.steps,
         "round_index": system.round_index,
         "leaf_pool": system.shard_service.pool_state(),
-        "realized_rates": list(system.accountant.realized_rates),
         "sample_rate": system.config.sample_rate,
         "noise_multiplier": system.config.noise_multiplier,
         "delta": system.config.delta,
@@ -89,14 +90,13 @@ def load_checkpoint(system: OliveSystem, path: str | Path) -> dict:
                 f"checkpoint {field_name}={meta[field_name]} differs from "
                 f"system config; refusing to restore the privacy ledger"
             )
-    rounds, realized_rates = _ledger(meta)
+    rounds = _ledger(meta)
     round_index = _round_index(meta)
     spawned, dead = _leaf_pool(meta)
     system.shard_service.restore_pool(spawned, dead)
     system.global_weights = weights.copy()
     system.model.set_flat(system.global_weights)
     system.accountant.steps = rounds
-    system.accountant.realized_rates = realized_rates
     system.round_index = round_index
     if system.clipper is not None:
         system.clipper.clip = float(meta["clip"])
@@ -157,28 +157,17 @@ def _leaf_pool(meta: dict) -> tuple[int, list[int]]:
     return spawned, dead
 
 
-def _ledger(meta: dict) -> tuple[int, list[float]]:
-    """The checkpoint's privacy ledger, refused unless every entry is valid.
-
-    A bad entry must fail here, not in the accountant: a negative or NaN
-    rate would be dropped from epsilon (an under-reported budget), and a
-    rate above 1 or a negative round count would only raise mid-round,
-    after the next update was already released.
-    """
+def _ledger(meta: dict) -> int:
+    """The checkpoint's released-round count, refused unless it is a
+    non-negative integer (a bad count would only raise mid-round, after
+    the next update was already released)."""
     rounds = meta["rounds"]
     if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 0:
         raise ValueError(
             f"checkpoint rounds={rounds!r} is not a non-negative integer; "
             "refusing to restore the privacy ledger"
         )
-    realized_rates = [float(q) for q in meta["realized_rates"]]
-    for q in realized_rates:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(
-                f"checkpoint realized_rates holds {q!r}, outside [0, 1]; "
-                "refusing to restore the privacy ledger"
-            )
-    return rounds, realized_rates
+    return rounds
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:

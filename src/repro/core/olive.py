@@ -20,8 +20,9 @@ runtime (:mod:`repro.runtime`): the whole cohort trains as stacked
 tensors in one batched flush, with per-``(round, client)`` seed
 derivation (bit-identical results however the cohort is chunked),
 deterministic fault injection, retries and per-client timeouts settled
-from the fault plan, and a minimum-quorum completion policy; under
-fault injection the DP accountant charges the realized cohort fraction.
+from the fault plan, and a minimum-quorum completion policy.  The DP
+accountant charges every released round at the configured sampling
+rate: clients lost after the enclave's draw buy no amplification.
 
 Every round aggregates through the shard service
 (:class:`repro.runtime.ShardedAggregator`) with the system's enclave as
@@ -188,9 +189,8 @@ class OliveSystem:
         set (subject to ``min_quorum``); the DP *denominator* stays the
         expected participant count qN, so the guarantee is unaffected
         (dropouts only add averaging noise, the standard DP-FedAVG
-        treatment), while the *accountant* charges the realized cohort
-        fraction when fault injection is active.  An empty Poisson draw
-        releases a noise-only round, charged like any other.
+        treatment), and the accountant charges the round at q.  An empty
+        Poisson draw releases a noise-only round, charged like any other.
         ``traced=True`` records every leaf fold, at any shard count.
 
         The round is number :attr:`round_index`, which advances only
@@ -272,12 +272,7 @@ class OliveSystem:
             )
             self.model.set_flat(self.global_weights)
             with obs.span("accountant"):
-                if self.runtime_config.use_realized_accounting():
-                    self.accountant.step_realized(
-                        len(accepted) / max(1, len(self.clients))
-                    )
-                else:
-                    self.accountant.step()
+                self.accountant.step()
                 # One read per round: the gauge, the round log and the
                 # audit record all carry this value.
                 epsilon = self.accountant.epsilon

@@ -28,7 +28,6 @@ bit-identical to it -- the audit replay compares epsilons exactly.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -41,10 +40,9 @@ DEFAULT_ORDERS: tuple[int, ...] = tuple(range(2, 64)) + (
 )
 
 
-# Bound on the number of cached one-step curves.  Realized-cohort
-# accounting can see up to N + 1 distinct rates (survivors / N) and
-# noise_multiplier_for bisects over ~20 sigmas; one curve is 69 floats,
-# so a full cache stays around a few MB.
+# Bound on the number of cached one-step curves.  A system reads one
+# curve per (q, sigma) and noise_multiplier_for bisects over ~20
+# sigmas; one curve is 69 floats, so a full cache stays around a few MB.
 _CURVE_CACHE_SIZE = 1024
 
 
@@ -157,15 +155,15 @@ def noise_multiplier_for(
 
 @dataclass
 class PrivacyAccountant:
-    """Accumulates per-round RDP and reports the running budget.
+    """Counts released rounds and reports the running budget.
 
-    Two kinds of rounds compose (RDP adds across mechanisms):
-
-    * :meth:`step` -- a round at the *configured* sampling rate (the
-      paper's fixed-q accounting);
-    * :meth:`step_realized` -- a round charged at the cohort fraction
-      that actually survived (dropouts, stragglers, rejections), used
-      by the cohort runtime under fault injection.
+    Every released round is charged at the *configured* sampling rate
+    q: the enclave samples each client with probability exactly q, and
+    clients lost after the draw (dropouts, stragglers, rejected
+    uploads) fail on hosts the threat model does not trust, so they buy
+    no amplification.  The budget is then a closed form of
+    ``(q, sigma, delta)`` and the round count, which a verifier can
+    recompute from an audit log's manifest.
     """
 
     sampling_rate: float
@@ -173,55 +171,34 @@ class PrivacyAccountant:
     delta: float
     orders: tuple[int, ...] = DEFAULT_ORDERS
     steps: int = field(default=0)
-    realized_rates: list[float] = field(default_factory=list)
 
     def step(self, rounds: int = 1) -> None:
         """Consume one (or more) subsampled-Gaussian rounds."""
         self.steps += rounds
 
     def step_realized(self, realized_rate: float) -> None:
-        """Consume one round at the *realized* cohort fraction.
+        """Charge one round at the configured q (``realized_rate`` is
+        ignored, so no caller can under-charge).
 
-        ``realized_rate`` is survivors / N.  A round where nobody
-        survived releases only data-independent noise and costs no
-        budget (q = 0 contributes zero RDP), so it is recorded as 0
-        and skipped in the epsilon computation.
+        Nothing in the package calls this: it is kept only because the
+        round benchmark's tracer patches it by name, like
+        :meth:`repro.core.aggregation.AggregatorSpec.run_traced`.
         """
-        if not 0.0 <= realized_rate <= 1.0:
-            raise ValueError("realized rate must be in [0, 1]")
-        self.realized_rates.append(float(realized_rate))
-
-    @property
-    def total_steps(self) -> int:
-        """All rounds consumed, fixed-rate and realized alike."""
-        return self.steps + len(self.realized_rates)
+        self.step()
 
     @property
     def epsilon(self) -> float:
         """Current (epsilon, delta)-DP budget at the configured delta.
 
-        Recomputed from the ledger on every read (callers may assign
-        ``steps`` / ``realized_rates`` directly), over the cached
-        one-round curves: O(orders) arithmetic per distinct rate.
+        Exactly ``epsilon_for(q, sigma, steps, delta, orders)``,
+        recomputed on every read (a checkpoint restore assigns
+        ``steps`` directly) over the cached one-round curve.
         """
-        realized = [q for q in self.realized_rates if q > 0.0]
-        if self.steps == 0 and not realized:
+        if self.steps == 0:
             return 0.0
         if (self.noise_multiplier <= 0
                 or self.noise_multiplier * self.noise_multiplier == 0.0):
             # Noiseless (or underflowing-sigma) runs: no DP guarantee.
             return math.inf
-        total_rdp = [0.0] * len(self.orders)
-        if self.steps:
-            rdp = compute_rdp(
-                self.sampling_rate, self.noise_multiplier, self.steps,
-                self.orders,
-            )
-            total_rdp = [a + b for a, b in zip(total_rdp, rdp)]
-        # Group realized rounds by rate: RDP composes additively, and
-        # equal-rate rounds share one compute_rdp call.
-        for q, count in Counter(realized).items():
-            rdp = compute_rdp(q, self.noise_multiplier, count, self.orders)
-            total_rdp = [a + b for a, b in zip(total_rdp, rdp)]
-        eps, _ = rdp_to_dp(total_rdp, self.orders, self.delta)
-        return eps
+        return epsilon_for(self.sampling_rate, self.noise_multiplier,
+                           self.steps, self.delta, self.orders)

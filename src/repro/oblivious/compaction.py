@@ -4,8 +4,8 @@ The differentially oblivious scheme of Section 5.4 hides the per-index
 histogram of gradient indices by *padding*: appending dummy weights so
 the adversary-visible histogram is a noised version of the true one.
 Padding is the only randomization available to a DO mechanism built on
-data structures (only one-sided, non-negative noise can be realized by
-adding dummies -- Case et al., cited in the paper), which is one of the
+data structures (only one-sided, non-negative noise can be added as
+dummies -- Case et al., cited in the paper), which is one of the
 two reasons the paper concludes DO is unattractive for FL.
 
 These helpers stay deliberately simple: they operate on index/value

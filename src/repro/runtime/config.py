@@ -37,12 +37,6 @@ class RuntimeConfig:
     survive decryption for the enclave to aggregate and release; below
     it the round aborts with :class:`QuorumNotMetError`.
 
-    ``realized_accounting`` selects whether the DP accountant charges
-    each round at the realized cohort fraction (survivors / N) instead
-    of the configured sampling rate; ``None`` (default) enables it
-    exactly when fault injection is active, keeping fault-free
-    deployments on the paper's fixed-q accounting.
-
     ``vector_chunk`` bounds how many clients are stacked into one
     tensor batch -- peak memory grows with ``chunk * d`` while
     throughput saturates well below the default, so mega-cohorts
@@ -57,7 +51,6 @@ class RuntimeConfig:
     backoff_cap_s: float = 1.0
     min_quorum: float = 0.0
     faults: FaultConfig = field(default_factory=FaultConfig)
-    realized_accounting: bool | None = None
 
     def __post_init__(self) -> None:
         if self.executor != "vectorized":
@@ -75,9 +68,3 @@ class RuntimeConfig:
             raise ValueError("backoff seconds must be >= 0")
         if self.client_timeout_s is not None and self.client_timeout_s <= 0:
             raise ValueError("client_timeout_s must be positive when set")
-
-    def use_realized_accounting(self) -> bool:
-        """Resolve the ``realized_accounting`` tri-state."""
-        if self.realized_accounting is not None:
-            return self.realized_accounting
-        return self.faults.active

@@ -274,14 +274,10 @@ class _LeafRound:
         """Decrypt/verify one upload and stage it for the next fold."""
         enclave = self.leaf.enclave
         assert delivery.ciphertext is not None
-        if self._quantize_bits is not None:
-            indices, values = enclave.load_quantized_gradient(
-                delivery.client_id, delivery.ciphertext
-            )
-        else:
-            indices, values = enclave.load_gradient(
-                delivery.client_id, delivery.ciphertext
-            )
+        indices, values = enclave.load_gradient(
+            delivery.client_id, delivery.ciphertext, self.d,
+            self._quantize_bits,
+        )
         self.pending.append(LocalUpdate(delivery.client_id, indices, values))
         self.accepted += 1
 
@@ -580,7 +576,10 @@ class ShardedAggregator:
         """
         cfg = self.config
         t0 = time.perf_counter()
-        leaf = self._leaves[shard_index % len(self._leaves)]
+        # A leaf whose machine died stays in the pool (indices are
+        # stable), but no shard may start on it.
+        alive = [lf for lf in self._leaves if lf.alive]
+        leaf = alive[shard_index % len(alive)] if alive else self._spawn_leaf()
         outcome = ShardOutcome(shard_index=shard_index,
                                leaf_index=leaf.index,
                                assigned=len(deliveries))

@@ -120,24 +120,6 @@ def seal(key: bytes, plaintext: bytes, nonce: bytes | None = None) -> Ciphertext
     return Ciphertext(nonce=nonce, body=body, tag=tag)
 
 
-def seal_batch(
-    keys: list[bytes], payloads: list[bytes], nonces: list[bytes]
-) -> list[Ciphertext]:
-    """Seal one contiguous chunk of uploads (mega-cohort client path).
-
-    Per-message AE state (subkeys, keystream, tag) is inherently
-    per-key, so sealing stays a loop -- but one tight loop over a
-    pre-encoded chunk, producing ciphertexts byte-identical to
-    per-client :func:`seal` calls with the same nonces.
-    """
-    if not (len(keys) == len(payloads) == len(nonces)):
-        raise ValueError("keys/payloads/nonces length mismatch")
-    return [
-        seal(key, payload, nonce=nonce)
-        for key, payload, nonce in zip(keys, payloads, nonces)
-    ]
-
-
 def open_sealed(key: bytes, ct: Ciphertext) -> bytes:
     """Verify and decrypt; raises :class:`AuthenticationError` on forgery."""
     if len(key) != KEY_BYTES:

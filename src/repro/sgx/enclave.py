@@ -70,10 +70,11 @@ class EnclaveSecurityError(Exception):
     """A protocol violation detected inside the enclave (abort round).
 
     ``reason`` is a stable machine-readable label (``"unsampled"``,
-    ``"duplicate"``, ``"replay"``, ``"corrupt"``, ``"checkpoint"``,
-    ``"attestation"``) so callers -- the cohort runtime's failure-reason
-    accounting and the shard coordinator's dedup-vs-reject decisions --
-    can adjudicate without parsing the message.
+    ``"duplicate"``, ``"replay"``, ``"corrupt"``, ``"malformed"``,
+    ``"checkpoint"``, ``"attestation"``) so callers -- the cohort
+    runtime's failure-reason accounting and the shard coordinator's
+    dedup-vs-reject decisions -- can adjudicate without parsing the
+    message.
     """
 
     def __init__(self, message: str, *, reason: str = "security") -> None:
@@ -456,13 +457,17 @@ class Enclave:
             return int(round_index), partial
 
     def load_gradient(
-        self, client_id: int, ciphertext: crypto.Ciphertext
+        self, client_id: int, ciphertext: crypto.Ciphertext, d: int,
+        quantize_bits: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Decrypt and verify one client contribution.
+        """Decrypt, verify and decode one client contribution.
 
         Rejects clients outside the sampled set and ciphertexts that
-        fail AE verification, raising :class:`EnclaveSecurityError` --
-        the injection defence of Algorithm 1 line 8.
+        fail AE verification -- the injection defence of Algorithm 1
+        line 8 -- and authenticated payloads that do not decode to
+        indices in ``[0, d)``, in the quantized wire format when
+        ``quantize_bits`` is set.  Each raises
+        :class:`EnclaveSecurityError` before the upload is accepted.
         """
         with obs.span("ecall.load_gradient", hist="ecall.wall_s",
                       client=client_id):
@@ -476,32 +481,28 @@ class Enclave:
                     f"client {client_id}: gradient failed authentication",
                     reason="corrupt",
                 ) from exc
-            self._record_upload(client_id, digest)
-            obs.add("enclave.gradients_loaded")
-            obs.add("enclave.bytes_decrypted", len(ciphertext.body))
-            return crypto.decode_sparse_gradient(payload)
-
-    def load_quantized_gradient(
-        self, client_id: int, ciphertext: crypto.Ciphertext
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Decrypt, verify, and dequantize a compact client upload."""
-        with obs.span("ecall.load_quantized_gradient", hist="ecall.wall_s",
-                      client=client_id):
-            digest = self._guard_upload(client_id, ciphertext)
-            key = self.keystore.get(client_id)
             try:
-                payload = crypto.open_sealed(key, ciphertext)
-            except crypto.AuthenticationError as exc:
+                if quantize_bits is None:
+                    indices, values = crypto.decode_sparse_gradient(payload)
+                else:
+                    indices, levels, scale = \
+                        crypto.decode_quantized_gradient(payload)
+                    values = levels.astype(np.float64) * scale
+                # Indices decode from u32, so only the upper end can fail.
+                if indices.size and indices.max() >= d:
+                    raise ValueError(
+                        f"gradient index {indices.max()} outside a model "
+                        f"of {d} weights")
+            except ValueError as exc:
                 obs.add("enclave.gradients_rejected")
                 raise EnclaveSecurityError(
-                    f"client {client_id}: gradient failed authentication",
-                    reason="corrupt",
+                    f"client {client_id}: malformed gradient ({exc})",
+                    reason="malformed",
                 ) from exc
             self._record_upload(client_id, digest)
             obs.add("enclave.gradients_loaded")
             obs.add("enclave.bytes_decrypted", len(ciphertext.body))
-            indices, levels, scale = crypto.decode_quantized_gradient(payload)
-            return indices, levels.astype(np.float64) * scale
+            return indices, values
 
     # ------------------------------------------------------------------
     # Enclave-private randomness (DP noise must be drawn inside)

@@ -46,6 +46,7 @@ from repro.audit.cli import main as audit_main
 from repro.audit.log import LOG_VERSION
 from repro.audit.verify import generate_proof, verify_proof_payload
 from repro.core.olive import OliveConfig, OliveSystem
+from repro.dp.accountant import epsilon_for
 from repro.fl.client import TrainingConfig
 from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
@@ -391,6 +392,33 @@ class TestReplay:
         assert all(v.merkle_ok for v in report.rounds)
         assert all(v.replay_ok is None for v in report.rounds)
 
+    def test_wrong_committed_epsilon_fails_without_replay(self, tmp_path):
+        # The recorder chains round 1 correctly around a budget that is
+        # not the closed form for two rounds at q (here: one charged at
+        # a smaller realized rate).  The manifest alone exposes it.
+        config = _config()
+        path = tmp_path / "audit.jsonl"
+        manifest = make_manifest(data=DATA, model=MODEL, config=config)
+        with AuditRecorder(path, manifest) as recorder:
+            record_round = recorder.record_round
+
+            def lying(round_index, **kwargs):
+                if round_index == 1:
+                    kwargs["epsilon"] = epsilon_for(0.25, 1.12, 2, 1e-5)
+                return record_round(round_index, **kwargs)
+
+            recorder.record_round = lying
+            system = _build(config)
+            system.audit = recorder
+            system.run(3)
+        verify_chain(read_records(path))
+        with pytest.raises(AuditCommitmentError,
+                           match="round 1: committed epsilon") as e:
+            verify_log(path, replay=False, strict=True)
+        assert e.value.round_index == 1
+        assert e.value.exit_code == 4
+        assert audit_main([str(path), "--strict", "--no-replay"]) == 4
+
     def test_aggregate_digest_is_bit_sensitive(self):
         w = np.arange(16, dtype=np.float64)
         d0 = aggregate_digest(w)
@@ -449,7 +477,7 @@ class TestOneLeafAndLegacyLogs:
 
     def test_manifest_carries_the_log_version(self, tmp_path):
         path = _recorded_run(tmp_path, rounds=1)
-        assert read_records(path)[0]["version"] == LOG_VERSION == 4
+        assert read_records(path)[0]["version"] == LOG_VERSION == 5
 
     def test_version1_log_is_refused(self, tmp_path):
         # Recorded under the SeedSequence derivation: its rounds cannot
@@ -486,6 +514,18 @@ class TestOneLeafAndLegacyLogs:
         with pytest.raises(AuditVersionError, match="version 3") as e:
             verify_log(path, strict=True)
         assert e.value.exit_code == 7
+
+    def test_version4_log_is_refused(self, tmp_path):
+        # Recorded while fault runs charged the realized cohort fraction:
+        # its committed epsilons may under-report the budget.
+        path = _recorded_run(tmp_path, rounds=1)
+        records = copy.deepcopy(read_records(path))
+        records[0]["version"] = 4
+        _rewrite(path, chain_records(records))
+        for replay in (True, False):
+            with pytest.raises(AuditVersionError, match="version 4") as e:
+                verify_log(path, strict=True, replay=replay)
+            assert e.value.exit_code == 7
 
     def test_unknown_executor_is_refused_by_name(self, tmp_path):
         path = _recorded_run(tmp_path, rounds=1)
@@ -553,7 +593,7 @@ class TestCheckpointAuditContinuity:
         save_checkpoint(system, tmp_path / "ckpt.npz")
         with np.load(tmp_path / "ckpt.npz") as archive:
             meta = json.loads(str(archive["meta"]))
-        assert meta["version"] == 6
+        assert meta["version"] == 7
         assert meta["audit_head"] == recorder.head
         assert meta["audit_rounds"] == meta["round_index"] == 2
         system.close()

@@ -110,13 +110,15 @@ class TestLedgerValidation:
         [0.5, -0.25], [math.nan], [1.5], [0.5, math.inf],
     ])
     def test_bad_realized_rate_refused(self, ckpt, rates):
-        _rewrite_meta(ckpt, realized_rates=rates)
+        # A realized-rate ledger is what a version-6 checkpoint carried;
+        # a fault run's ledger under-charged its budget, so any such
+        # file is refused, whatever rates it holds.
+        _rewrite_meta(ckpt, realized_rates=rates, version=6)
         restored = _system(seed=9)
-        with pytest.raises(ValueError, match="realized_rates"):
+        with pytest.raises(ValueError, match="version 6"):
             load_checkpoint(restored, ckpt)
         # Nothing was restored: the fresh ledger is untouched.
         assert restored.accountant.steps == 0
-        assert restored.accountant.realized_rates == []
 
     @pytest.mark.parametrize("rounds", [-1, 2.5, "3", True])
     def test_bad_round_count_refused(self, ckpt, rounds):
@@ -169,11 +171,15 @@ class TestLedgerValidation:
         with pytest.raises(ValueError, match="restore a pool of 1"):
             load_checkpoint(restored, ckpt)
 
-    def test_boundary_rates_restore(self, ckpt):
-        _rewrite_meta(ckpt, realized_rates=[0.0, 1.0, 299 / 600])
-        restored = _system(seed=9)
-        load_checkpoint(restored, ckpt)
-        assert restored.accountant.realized_rates == [0.0, 1.0, 299 / 600]
+    def test_boundary_rates_restore(self, tmp_path):
+        # q = 1 (no subsampling) is the top of the accepted range.
+        system = _system(sample_rate=1.0)
+        system.run(2)
+        save_checkpoint(system, tmp_path / "ckpt.npz")
+        restored = _system(seed=9, sample_rate=1.0)
+        load_checkpoint(restored, tmp_path / "ckpt.npz")
+        assert restored.accountant.steps == 2
+        assert restored.accountant.epsilon == system.accountant.epsilon
 
     @pytest.mark.parametrize("field", ["sample_rate", "noise_multiplier",
                                        "delta"])

@@ -250,7 +250,7 @@ class TestSecurityProperties:
             attacker_key, crypto.encode_sparse_gradient([0], [9999.0])
         )
         with pytest.raises(EnclaveSecurityError):
-            system.enclave.load_gradient(0, forged)
+            system.enclave.load_gradient(0, forged, system.d)
 
     def test_unsampled_injection_rejected(self):
         from repro.sgx import crypto
@@ -261,7 +261,7 @@ class TestSecurityProperties:
             system.client_keys[5], crypto.encode_sparse_gradient([0], [1.0])
         )
         with pytest.raises(EnclaveSecurityError):
-            system.enclave.load_gradient(5, ct)
+            system.enclave.load_gradient(5, ct, system.d)
 
     def test_noise_actually_applied(self):
         # sigma = 0 vs sigma > 0 must give different trajectories.

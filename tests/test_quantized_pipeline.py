@@ -95,7 +95,7 @@ class TestEnclaveQuantizedLoad:
                              np.asarray([0.5, -0.25]))
         ct = encrypt_quantized_update(update, keys[0], bits=10,
                                       rng=np.random.default_rng(0))
-        idx, val = enclave.load_quantized_gradient(0, ct)
+        idx, val = enclave.load_gradient(0, ct, 8, quantize_bits=10)
         assert idx.tolist() == [2, 7]
         assert val.dtype == np.float64
         # Dequantization error bounded by one level (scale).
@@ -106,7 +106,8 @@ class TestEnclaveQuantizedLoad:
         enclave, keys = self._provisioned()
         levels, scale = [-511, -3, 0, 1, 255, 511], 0.1 / 511
         raw = crypto.encode_quantized_gradient(range(6), levels, scale)
-        _, val = enclave.load_quantized_gradient(0, crypto.seal(keys[0], raw))
+        _, val = enclave.load_gradient(0, crypto.seal(keys[0], raw), 8,
+                                     quantize_bits=10)
         assert val.tolist() == [level * scale for level in levels]
 
     def test_unsampled_rejected(self):
@@ -119,7 +120,7 @@ class TestEnclaveQuantizedLoad:
         from repro.sgx.enclave import EnclaveSecurityError
 
         with pytest.raises(EnclaveSecurityError):
-            enclave.load_quantized_gradient(0, ct)
+            enclave.load_gradient(0, ct, 8, quantize_bits=8)
 
     def test_forged_rejected(self):
         enclave, keys = self._provisioned()
@@ -130,7 +131,7 @@ class TestEnclaveQuantizedLoad:
         from repro.sgx.enclave import EnclaveSecurityError
 
         with pytest.raises(EnclaveSecurityError):
-            enclave.load_quantized_gradient(0, ct)
+            enclave.load_gradient(0, ct, 8, quantize_bits=8)
 
 
 class TestQuantizedOlive:

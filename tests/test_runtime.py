@@ -316,18 +316,11 @@ class TestRuntimeConfigValidation:
         with pytest.raises(ValueError):
             RuntimeConfig(client_timeout_s=0.0)
 
-    def test_realized_accounting_tristate(self):
-        assert not RuntimeConfig().use_realized_accounting()
-        assert RuntimeConfig(
-            faults=FaultConfig(dropout_rate=0.1)
-        ).use_realized_accounting()
-        assert RuntimeConfig(
-            realized_accounting=True
-        ).use_realized_accounting()
-        assert not RuntimeConfig(
-            faults=FaultConfig(dropout_rate=0.1),
-            realized_accounting=False,
-        ).use_realized_accounting()
+    def test_realized_accounting_field_is_gone(self):
+        # Every released round is charged at q; there is no switch.
+        with pytest.raises(TypeError):
+            RuntimeConfig(realized_accounting=True)
+        assert not hasattr(RuntimeConfig(), "use_realized_accounting")
 
 
 # -- fault settlement: recorded values and the per-client loop ----------

@@ -3,8 +3,8 @@
 Covers the fault model end to end: injected faults only ever *exclude*
 clients (never change surviving bits), the quorum completion policy,
 retry exhaustion, analytic straggler drops, enclave replay/duplicate
-rejection, realized-cohort privacy accounting, checkpoint round-trips,
-and the runtime telemetry counters.
+rejection, fixed-q privacy accounting under faults, checkpoint
+round-trips, and the runtime telemetry counters.
 """
 
 import json
@@ -114,8 +114,7 @@ class TestFaultIsolation:
             clean_log = clean.run_round()
             replay_log = replayed.run_round()
         # Every upload was delivered twice; the enclave accepted one
-        # copy of each, so the round matches the clean one except for
-        # the accountant (realized accounting activates with faults).
+        # copy of each, so the round matches the clean one.
         assert set(replay_log.updates) == set(clean_log.updates)
         assert np.array_equal(clean_log.weights_after,
                               replay_log.weights_after)
@@ -138,7 +137,7 @@ class TestQuorum:
             # privacy budget consumed.
             assert np.array_equal(system.global_weights, weights_before)
             assert system.history == []
-            assert system.accountant.total_steps == 0
+            assert system.accountant.steps == 0
 
     def test_failed_round_weights_unchanged_by_retry(self):
         # Quorum failure then a clean round: the clean round proceeds.
@@ -176,8 +175,7 @@ class TestRetriesAndStragglers:
         faults = FaultConfig(transient_failure_rate=1.0,
                              transient_failures=2)
         runtime = RuntimeConfig(max_retries=2, backoff_base_s=0.0,
-                                faults=faults,
-                                realized_accounting=False)
+                                faults=faults)
         with make_system(runtime) as faulty, make_system() as clean:
             sink = obs.MemorySink()
             with obs.session(sinks=[sink]):
@@ -244,17 +242,17 @@ class TestEnclaveReplayDefence:
     def test_same_ciphertext_twice_rejected(self):
         enclave, keys = self._provisioned()
         ct = crypto.seal(keys[0], crypto.encode_sparse_gradient([1], [1.0]))
-        enclave.load_gradient(0, ct)
+        enclave.load_gradient(0, ct, 8)
         with pytest.raises(EnclaveSecurityError, match="already contributed"):
-            enclave.load_gradient(0, ct)
+            enclave.load_gradient(0, ct, 8)
 
     def test_second_upload_same_client_rejected(self):
         enclave, keys = self._provisioned()
         ct1 = crypto.seal(keys[0], crypto.encode_sparse_gradient([1], [1.0]))
         ct2 = crypto.seal(keys[0], crypto.encode_sparse_gradient([2], [2.0]))
-        enclave.load_gradient(0, ct1)
+        enclave.load_gradient(0, ct1, 8)
         with pytest.raises(EnclaveSecurityError, match="already contributed"):
-            enclave.load_gradient(0, ct2)
+            enclave.load_gradient(0, ct2, 8)
 
     def test_failed_decrypt_does_not_burn_the_slot(self):
         enclave, keys = self._provisioned()
@@ -264,17 +262,17 @@ class TestEnclaveReplayDefence:
             good.tag,
         )
         with pytest.raises(EnclaveSecurityError, match="authentication"):
-            enclave.load_gradient(0, bad)
+            enclave.load_gradient(0, bad, 8)
         # The tampered upload must not lock client 0 out of the round.
-        idx, val = enclave.load_gradient(0, good)
+        idx, val = enclave.load_gradient(0, good, 8)
         assert (idx.tolist(), val.tolist()) == ([1], [1.0])
 
     def test_replay_state_resets_on_new_round(self):
         enclave, keys = self._provisioned()
         ct = crypto.seal(keys[0], crypto.encode_sparse_gradient([1], [1.0]))
-        enclave.load_gradient(0, ct)
+        enclave.load_gradient(0, ct, 8)
         enclave.sample_clients([0, 1], 1.0, 1)
-        idx, val = enclave.load_gradient(0, ct)
+        idx, val = enclave.load_gradient(0, ct, 8)
         assert (idx.tolist(), val.tolist()) == ([1], [1.0])
 
     def test_rejections_counted(self):
@@ -282,13 +280,16 @@ class TestEnclaveReplayDefence:
         ct = crypto.seal(keys[0], crypto.encode_sparse_gradient([1], [1.0]))
         sink = obs.MemorySink()
         with obs.session(sinks=[sink]):
-            enclave.load_gradient(0, ct)
+            enclave.load_gradient(0, ct, 8)
             with pytest.raises(EnclaveSecurityError):
-                enclave.load_gradient(0, ct)
+                enclave.load_gradient(0, ct, 8)
         assert sink.last_values("counter")["runtime.rejected"] == 1
 
 
 class TestRealizedAccounting:
+    """Every released round is charged at the configured q: clients lost
+    after the enclave's draw buy no amplification."""
+
     def test_step_realized_matches_fixed_rate_epsilon(self):
         fixed = PrivacyAccountant(sampling_rate=0.5, noise_multiplier=1.1,
                                   delta=1e-5)
@@ -297,23 +298,24 @@ class TestRealizedAccounting:
         fixed.step(3)
         for _ in range(3):
             realized.step_realized(0.5)
-        assert realized.epsilon == pytest.approx(fixed.epsilon, rel=1e-9)
+        assert realized.epsilon == fixed.epsilon
 
-    def test_smaller_realized_cohort_costs_less(self):
+    def test_empty_realized_cohort_costs_a_full_round(self):
+        acc = PrivacyAccountant(sampling_rate=0.5, noise_multiplier=1.1,
+                                delta=1e-5)
+        acc.step_realized(0.0)
+        assert acc.steps == 1
+        assert acc.epsilon == epsilon_for(0.5, 1.1, 1, 1e-5) > 0
+
+    def test_smaller_realized_cohort_costs_the_same(self):
         small = PrivacyAccountant(sampling_rate=0.5, noise_multiplier=1.1,
                                   delta=1e-5)
         large = PrivacyAccountant(sampling_rate=0.5, noise_multiplier=1.1,
                                   delta=1e-5)
         small.step_realized(0.2)
         large.step_realized(0.8)
-        assert 0 < small.epsilon < large.epsilon
-
-    def test_empty_round_costs_nothing(self):
-        acc = PrivacyAccountant(sampling_rate=0.5, noise_multiplier=1.1,
-                                delta=1e-5)
-        acc.step_realized(0.0)
-        assert acc.epsilon == 0.0
-        assert acc.total_steps == 1
+        assert small.epsilon == large.epsilon == epsilon_for(0.5, 1.1, 1,
+                                                             1e-5) > 0
 
     def test_mixed_steps_compose_additively(self):
         acc = PrivacyAccountant(sampling_rate=0.5, noise_multiplier=1.1,
@@ -321,51 +323,41 @@ class TestRealizedAccounting:
         acc.step()
         acc.step_realized(0.25)
         solo = epsilon_for(0.5, 1.1, 1, 1e-5)
-        assert acc.epsilon > solo  # extra round costs extra budget
+        assert acc.epsilon == epsilon_for(0.5, 1.1, 2, 1e-5) > solo
 
-    def test_invalid_realized_rate_rejected(self):
-        acc = PrivacyAccountant(sampling_rate=0.5, noise_multiplier=1.1,
-                                delta=1e-5)
-        with pytest.raises(ValueError):
-            acc.step_realized(1.5)
-
-    def test_system_uses_realized_rate_under_faults(self):
+    def test_system_charges_q_under_faults(self):
         faults = FaultConfig(dropout_rate=0.4)
         with make_system(RuntimeConfig(faults=faults)) as system:
             log = system.run_round()
-        survivors = len(log.updates)
-        assert system.accountant.steps == 0
-        assert system.accountant.realized_rates == [
-            survivors / len(system.clients)
-        ]
-        assert log.epsilon == pytest.approx(
-            epsilon_for(survivors / len(system.clients), 0.8, 1, 1e-5)
-        )
+        assert len(log.updates) < len(system.clients)
+        assert system.accountant.steps == 1
+        assert log.epsilon == epsilon_for(1.0, 0.8, 1, 1e-5)
 
     def test_fault_free_system_keeps_fixed_rate_accounting(self):
         with make_system() as system:
-            system.run_round()
+            log = system.run_round()
         assert system.accountant.steps == 1
-        assert system.accountant.realized_rates == []
+        assert log.epsilon == epsilon_for(1.0, 0.8, 1, 1e-5)
 
 
 class TestCheckpointRealizedRates:
     def test_roundtrip_preserves_realized_ledger(self, tmp_path):
+        # A fault run's ledger is its released-round count, nothing more.
         faults = FaultConfig(dropout_rate=0.4)
         with make_system(RuntimeConfig(faults=faults)) as system:
             system.run(2)
             path = tmp_path / "ckpt.npz"
             save_checkpoint(system, path)
             eps_before = system.accountant.epsilon
-            rates = list(system.accountant.realized_rates)
 
         with make_system(RuntimeConfig(faults=faults)) as fresh:
             meta = load_checkpoint(fresh, path)
-        assert meta["version"] == 6
-        assert fresh.accountant.realized_rates == rates
-        assert fresh.accountant.epsilon == pytest.approx(eps_before)
+        assert meta["version"] == 7
+        assert "realized_rates" not in meta
+        assert fresh.accountant.steps == 2
+        assert fresh.accountant.epsilon == eps_before
 
-    @pytest.mark.parametrize("version", [1, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 3, 4, 5, 6])
     def test_older_checkpoint_versions_refused(self, tmp_path, version):
         with make_system() as system:
             system.run_round()
@@ -374,7 +366,8 @@ class TestCheckpointRealizedRates:
         # Rewrite the archive with older metadata: its draws came from
         # another seed derivation (version 4: sequential enclave
         # sampling and noise), or it lacks the shard service's leaf pool
-        # (version 5), so resuming would fork the run.
+        # (version 5), so resuming would fork the run.  A version-6
+        # ledger may hold realized rates that under-charged the budget.
         with np.load(path, allow_pickle=False) as archive:
             weights = archive["global_weights"]
             meta = json.loads(str(archive["meta"]))
@@ -383,7 +376,7 @@ class TestCheckpointRealizedRates:
 
         with make_system() as fresh:
             with pytest.raises(ValueError,
-                               match=f"version {version} .* version 6"):
+                               match=f"version {version} .* version 7"):
                 load_checkpoint(fresh, path)
             assert fresh.accountant.steps == 0
 

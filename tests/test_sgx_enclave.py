@@ -247,7 +247,7 @@ class TestGradientLoading:
     def test_valid_gradient_accepted(self):
         enclave, keys = self._provisioned()
         ct = crypto.seal(keys[1], crypto.encode_sparse_gradient([2, 5], [1.0, -1.0]))
-        idx, val = enclave.load_gradient(1, ct)
+        idx, val = enclave.load_gradient(1, ct, 8)
         assert idx.dtype == np.int64 and val.dtype == np.float64
         assert idx.tolist() == [2, 5]
         assert val.tolist() == [1.0, -1.0]
@@ -258,21 +258,21 @@ class TestGradientLoading:
         enclave._sampled = {0}
         ct = crypto.seal(keys[1], crypto.encode_sparse_gradient([1], [1.0]))
         with pytest.raises(EnclaveSecurityError, match="not securely sampled"):
-            enclave.load_gradient(1, ct)
+            enclave.load_gradient(1, ct, 8)
 
     def test_wrong_key_rejected(self):
         enclave, keys = self._provisioned()
         attacker_key = crypto.generate_key(b"attacker")
         ct = crypto.seal(attacker_key, crypto.encode_sparse_gradient([1], [1.0]))
         with pytest.raises(EnclaveSecurityError, match="authentication"):
-            enclave.load_gradient(1, ct)
+            enclave.load_gradient(1, ct, 8)
 
     def test_replay_under_other_client_id_rejected(self):
         # Ciphertext from client 1 replayed as client 2's contribution.
         enclave, keys = self._provisioned()
         ct = crypto.seal(keys[1], crypto.encode_sparse_gradient([1], [1.0]))
         with pytest.raises(EnclaveSecurityError):
-            enclave.load_gradient(2, ct)
+            enclave.load_gradient(2, ct, 8)
 
     def test_tampered_ciphertext_rejected(self):
         enclave, keys = self._provisioned()
@@ -281,7 +281,28 @@ class TestGradientLoading:
             ct.nonce, bytes([ct.body[0] ^ 0xFF]) + ct.body[1:], ct.tag
         )
         with pytest.raises(EnclaveSecurityError):
-            enclave.load_gradient(0, forged)
+            enclave.load_gradient(0, forged, 8)
+
+    @pytest.mark.parametrize("quantize_bits", [None, 8])
+    def test_malformed_payload_rejected_before_acceptance(
+            self, quantize_bits):
+        enclave, keys = self._provisioned()
+
+        def encode(idx):
+            if quantize_bits is None:
+                return crypto.encode_sparse_gradient(idx, [1.0] * len(idx))
+            return crypto.encode_quantized_gradient(idx, [1] * len(idx), 0.5)
+
+        for raw in (encode([1, 2])[:-1], encode([1, 8]), b"\x00"):
+            with pytest.raises(EnclaveSecurityError,
+                               match="malformed") as e:
+                enclave.load_gradient(0, crypto.seal(keys[0], raw), 8,
+                                      quantize_bits)
+            assert e.value.reason == "malformed"
+        # None of them was recorded: the client may still contribute.
+        idx, _ = enclave.load_gradient(
+            0, crypto.seal(keys[0], encode([1, 7])), 8, quantize_bits)
+        assert idx.tolist() == [1, 7]
 
 
 class TestEnclaveNoise:

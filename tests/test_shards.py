@@ -225,6 +225,43 @@ class TestFaultFreeSharding:
         assert 3 not in report.accepted_clients
         assert len(report.accepted_clients) == 59
 
+    @pytest.mark.parametrize("quantize_bits", [None, 8])
+    @pytest.mark.parametrize("defect", ["truncated", "index_out_of_range"])
+    def test_malformed_upload_rejected_with_reason(self, quantize_bits,
+                                                   defect):
+        # An authenticated upload that does not decode to indices in
+        # [0, d) is a per-upload reject, not a crashed round, and the
+        # client is not marked accepted.
+        svc = AttestationService(signing_key=b"k" * 32,
+                                 platform_secret=b"p" * 32)
+        root = Enclave(attestation_service=svc, seed=7)
+        keys = provision_enclave_with_clients(root, range(6))
+
+        def encode(idx):
+            if quantize_bits is None:
+                return crypto.encode_sparse_gradient(idx, [0.5] * len(idx))
+            return crypto.encode_quantized_gradient(idx, [3] * len(idx),
+                                                    0.1)
+
+        deliveries = []
+        for cid in range(6):
+            payload = encode([1, 2 + cid])
+            if cid == 3:
+                payload = (payload[:-1] if defect == "truncated"
+                           else encode([1, D]))
+            deliveries.append(Delivery(
+                client_id=cid, ciphertext=crypto.seal(keys[cid], payload),
+                result=None))
+        service = ShardedAggregator(root, ShardConfig(shards=2), entropy=1)
+        aggregate, report = service.aggregate_round(
+            0, deliveries, D, sampled=set(range(6)),
+            quantize_bits=quantize_bits)
+        assert report.rejected == {3: "malformed"}
+        assert report.accepted_clients == [0, 1, 2, 4, 5]
+        assert sum(o.rejected.get("malformed", 0)
+                   for o in report.outcomes) == 1
+        assert aggregate[5] == 0.0 and aggregate[1] != 0.0
+
     def test_unsampled_upload_rejected(self):
         root, deliveries = build_root()
         service = ShardedAggregator(root, ShardConfig(shards=2), entropy=1)
@@ -437,14 +474,14 @@ class TestEnclaveCheckpoint:
         enclave.begin_round(sampled={7})
         payload = crypto.encode_sparse_gradient([0, 1], [0.5, -0.5])
         ct = crypto.seal(keys[7], payload)
-        enclave.load_gradient(7, ct)
+        enclave.load_gradient(7, ct, 8)
         # Same bytes again inside the round: replay, refused.
         with pytest.raises(EnclaveSecurityError) as err:
-            enclave.load_gradient(7, ct)
+            enclave.load_gradient(7, ct, 8)
         assert err.value.reason == "duplicate"
         # New round without resampling: the regression begin_round fixes.
         enclave.begin_round()
-        idx, vals = enclave.load_gradient(7, ct)
+        idx, vals = enclave.load_gradient(7, ct, 8)
         assert (idx.tolist(), vals.tolist()) == ([0, 1], [0.5, -0.5])
 
     def test_record_partial_refuses_replay_and_overlap(self):
@@ -760,6 +797,24 @@ class TestOliveShardIntegration:
                          aggregator=aggregator) as system:
             system.run_round()
         assert seen == [aggregator, aggregator]
+
+    def test_shards_never_start_on_dead_leaves(self):
+        # Fatal crashes kill leaves in early rounds; a later round may
+        # seal partials only under leaves that were alive when it began.
+        faults = EnclaveFaultConfig(leaf_crash_rate=0.5,
+                                    crash_fatal_rate=1.0)
+        shards = ShardConfig(shards=3, oblivious_batch=4,
+                             max_shard_retries=8, faults=faults)
+        killed = 0
+        with make_system(shards=shards, seed=0, n_clients=24) as system:
+            for _ in range(4):
+                dead = set(system.shard_service.pool_state()["dead"])
+                killed += len(dead) > 0
+                log = system.run_round()
+                report = log.shard_report
+                assert not dead & {leaf for _, leaf, _ in report.partials}
+                assert not dead & {o.leaf_index for o in report.outcomes}
+        assert killed
 
     def test_sharded_rejects_surface_in_outcomes(self):
         runtime = RuntimeConfig(faults=FaultConfig(corrupt_rate=1.0))
