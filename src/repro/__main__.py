@@ -171,8 +171,6 @@ def main(argv: Sequence[str] | None = None) -> None:
         logs = system.run(4)
         logger.info("  accuracy after 4 rounds: %.3f",
                     system.evaluate(x, y))
-        logger.info("  privacy spent: epsilon = %.2f (delta = %g)",
-                    logs[-1].epsilon, config.delta)
 
         if shards is not None:
             reports = [lg.shard_report for lg in logs]
@@ -197,6 +195,10 @@ def main(argv: Sequence[str] | None = None) -> None:
         logger.info("  oblivious aggregation verified: %s (%d recorded "
                     "accesses)", traces_equal(a.trace, b.trace),
                     len(a.trace))
+        # The traced round is released too, so it is charged.
+        logger.info("  privacy spent over %d rounds: epsilon = %.2f "
+                    "(delta = %g)", system.round_index, a.epsilon,
+                    config.delta)
         other.close()
         system.close()
         if recorder is not None:

@@ -23,7 +23,7 @@ from .. import obs
 from ..core.olive import OliveRoundLog
 from ..fl.client import TrainingConfig
 from ..fl.models import Sequential
-from ..runtime import STREAM_TEACHER, TrainTask, run_train_tasks
+from ..runtime import STREAM_TEACHER, replay_indices
 from ..serving.engine import ServedBatch
 from .classifiers import (
     JacAttack,
@@ -91,44 +91,35 @@ def build_teacher(
     yielding several observation samples per (round, label).
 
     All replays are independent and run through the cohort runtime's
-    client core (:func:`repro.runtime.run_train_tasks`).  Each replay's
+    client core (:func:`repro.runtime.replay_indices`).  Each replay's
     randomness derives from its ``(round, label, shard)`` identity, so
     the teacher does not depend on the order the replays run in.
     """
     splits = max(1, config.teacher_samples_per_label)
-    tasks: list[TrainTask] = []
-    slots: list[tuple[int, int]] = []  # (round_index, label) per task
-    for log in logs:
-        for label, x in test_data_by_label.items():
-            for shard_idx, shard in enumerate(
-                np.array_split(np.arange(len(x)), splits)
-            ):
-                if len(shard) == 0:
-                    continue
-                tasks.append(TrainTask(
-                    seed_key=(log.round_index, int(label), shard_idx),
-                    stream=STREAM_TEACHER,
-                    entropy=config.seed,
-                    weights=log.weights_before,
-                    x=x[shard],
-                    y=np.full(len(shard), label),
-                    training=training,
-                ))
-                slots.append((log.round_index, int(label)))
-
+    shards = {
+        label: [(i, shard) for i, shard in enumerate(
+            np.array_split(np.arange(len(x)), splits)) if len(shard)]
+        for label, x in test_data_by_label.items()
+    }
     teacher: dict[int, dict[int, list[frozenset[int]]]] = {
         log.round_index: {int(label): [] for label in test_data_by_label}
         for log in logs
     }
     with obs.span("attack.build_teacher", rounds=len(logs),
                   labels=len(test_data_by_label), splits=splits,
-                  tasks=len(tasks)):
-        index_sets = run_train_tasks(model, tasks)
-        for (round_index, label), indices in zip(slots, index_sets):
-            teacher[round_index][label].append(
-                coarsen_indices(indices, config.granularity)
-            )
-            obs.add("attack.teacher_samples")
+                  tasks=len(logs) * sum(map(len, shards.values()))):
+        for log in logs:
+            for label, x in test_data_by_label.items():
+                for shard_idx, shard in shards[label]:
+                    indices = replay_indices(
+                        model, log.weights_before, x[shard],
+                        np.full(len(shard), label), training,
+                        entropy=config.seed, stream=STREAM_TEACHER,
+                        key=(log.round_index, int(label), shard_idx),
+                    )
+                    teacher[log.round_index][int(label)].append(
+                        coarsen_indices(indices, config.granularity))
+                    obs.add("attack.teacher_samples")
     return teacher
 
 

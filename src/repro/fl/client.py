@@ -3,7 +3,8 @@
 Implements ``EncClient`` of Algorithm 1: starting from the current
 global weights, run local SGD over the private shard, take the model
 delta, top-k sparsify it, L2-clip the surviving values, and encrypt the
-``(index, value)`` records for the enclave under the RA-negotiated key.
+``(index, value)`` records for the enclave under the RA-negotiated key
+(the sealing step is :func:`repro.runtime.jobs.seal_update`).
 
 There is one client path and it is batched: :func:`client_updates`
 trains C same-shape clients as one model stack (leading client axis,
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sgx import crypto
 from .datasets import ClientData
 from .models import Sequential
 from .sparsify import l2_clip, random_k, threshold, top_k, top_ratio
@@ -214,20 +214,3 @@ def client_updates(
         LocalUpdate(client_id=data.client_id, indices=idx, values=val)
         for data, idx, val in zip(datas, indices, values)
     ]
-
-
-def encrypt_update(update: LocalUpdate, key: bytes) -> crypto.Ciphertext:
-    """EncClient line 22: seal the sparse gradient under the RA key."""
-    payload = crypto.encode_sparse_gradient(update.indices, update.values)
-    return crypto.seal(key, payload)
-
-
-def encrypt_quantized_update(
-    update: LocalUpdate, key: bytes, bits: int, rng: np.random.Generator
-) -> crypto.Ciphertext:
-    """Quantize (QSGD) then seal: the bandwidth-saving upload path."""
-    from .quantize import quantize_stochastic
-
-    q = quantize_stochastic(update, bits, rng)
-    payload = crypto.encode_quantized_gradient(q.indices, q.levels, q.scale)
-    return crypto.seal(key, payload)

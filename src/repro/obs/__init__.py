@@ -15,11 +15,9 @@ telemetry disabled these are single-attribute-check no-ops, so the hot
 paths stay unmeasurably close to uninstrumented speed (see the
 overhead guard in ``benchmarks/bench_trace_engine.py``).
 
-Since the flight-recorder PR the layer is also a distributed tracer:
-spans carry ``trace_id``/``span_id``/``parent_id``, contexts propagate
-explicitly across thread boundaries
-(:func:`current_context` / ``span(parent=...)``), and the recording
-renders as a round-health report (:mod:`repro.obs.report`,
+Spans carry ``trace_id``/``span_id``/``parent_id`` and nest on a
+thread-local stack, so a recording rebuilds one span tree per round;
+it renders as a round-health report (:mod:`repro.obs.report`,
 ``python -m repro report``) or diffs against another run
 (:mod:`repro.obs.diffing`).
 """
@@ -32,10 +30,8 @@ from .telemetry import (
     Span,
     SpanStats,
     Telemetry,
-    TraceContext,
     add,
     configure,
-    current_context,
     disable,
     enabled,
     event,
@@ -56,10 +52,8 @@ __all__ = [
     "Span",
     "SpanStats",
     "Telemetry",
-    "TraceContext",
     "add",
     "configure",
-    "current_context",
     "disable",
     "dump_jsonl",
     "enabled",

@@ -16,9 +16,10 @@ events; histograms from the last ``hist`` snapshot per name.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
+
+from .sinks import read_jsonl
 
 #: Histogram fields compared per name.
 _HIST_FIELDS = ("p50", "p95", "p99", "max")
@@ -84,20 +85,13 @@ def summarize_events(events: list[dict]) -> tuple[dict, dict]:
 
 
 def load_summary(path: str | Path) -> tuple[dict, dict]:
-    """Parse one telemetry JSONL archive into comparison summaries."""
-    events: list[dict] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:  # tolerate a torn final line
-                continue
-            if isinstance(event, dict):
-                events.append(event)
-    return summarize_events(events)
+    """Parse one telemetry JSONL archive into comparison summaries.
+
+    A torn final line is dropped; a corrupt line anywhere else raises
+    (:func:`repro.obs.sinks.read_jsonl`) rather than silently losing
+    spans from the comparison.
+    """
+    return summarize_events(read_jsonl(path))
 
 
 def diff_runs(

@@ -19,9 +19,10 @@ bench archives) into the questions an operator actually asks:
 
 ``--strict`` makes structural damage fatal (non-zero exit): any
 unparseable line or any span whose ``parent_id`` never appears in its
-trace ("orphans" -- the signature of dropped worker telemetry).  CI
-feeds the chaos-smoke archive through strict mode so a regression in
-context propagation fails the build, not just the aesthetics.
+trace ("orphans" -- the signature of a truncated or spliced recording,
+whose parent spans never reached the stream).  CI feeds the chaos-smoke
+archive through strict mode so a broken span tree fails the build, not
+just the aesthetics.
 """
 
 from __future__ import annotations
@@ -121,10 +122,8 @@ def build_recording(rec: FlightRecording) -> FlightRecording:
     for trace in by_id.values():
         trace.children.sort(key=lambda n: n.t_start)
 
-    # Snapshots: last-per-name wins (a stream may carry several,
-    # e.g. worker exits plus the coordinator's final flush); span
-    # summaries and incremental worker events are skipped -- the
-    # merged coordinator snapshot already includes them.
+    # Snapshots: last-per-name wins (a stream may carry several, e.g.
+    # one per ``obs.session`` flush); span summaries are skipped.
     for event in rec.events:
         kind = event.get("type")
         if kind == "counter":

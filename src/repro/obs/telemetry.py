@@ -3,23 +3,17 @@
 The simulator's performance story (Figures 10-12, Table 1) depends on
 knowing *where* a round spends its time -- client training vs ECALL
 decryption vs the oblivious kernel vs cost-model replay.  This module
-is the single instrumentation substrate for the whole stack, and since
-the flight-recorder PR it is also a *distributed tracer*: every span
-carries ``trace_id``/``span_id``/``parent_id``, contexts can propagate
-explicitly across thread boundaries, and the event stream
-reconstructs one causally-linked tree per round even when parts of it
-were recorded on other threads.
+is the single instrumentation substrate for the whole stack.  Every
+span carries ``trace_id``/``span_id``/``parent_id``, so the event
+stream reconstructs one causally-linked tree per round.
 
 * :func:`span` -- a nested context manager recording wall time, CPU
   time, and (opt-in) the tracemalloc memory high-water mark of one
-  phase.  Spans know their parents: ``span("round")`` containing
-  ``span("aggregate")`` yields the path ``"round/aggregate"``.  An
-  explicit ``parent=`` :class:`TraceContext` (captured with
-  :func:`current_context`, handed to work on another thread) re-roots
-  the span under a remote parent -- the remote span then carries the
-  coordinator's ``trace_id`` and full path, so the stream needs no
-  path rewriting.  ``hist=`` additionally records the span's wall time
-  into the named histogram.
+  phase.  Spans nest on a thread-local stack: ``span("round")``
+  containing ``span("aggregate")`` yields the path
+  ``"round/aggregate"``, and a span's parent is always the innermost
+  open span of its own thread.  ``hist=`` additionally records the
+  span's wall time into the named histogram.
 * :func:`add` / :func:`gauge` -- cumulative counters (accesses
   recorded, bytes sealed, clients dropped) and last-value gauges.
   Gauge sets are also emitted to sinks as timestamped events so
@@ -90,22 +84,6 @@ class _NoopSpan:
 
 #: The singleton no-op span (allocation-free disabled fast path).
 NOOP_SPAN = _NoopSpan()
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """A portable reference to an open span: ship it to a worker.
-
-    Carries everything a remote child span needs to link itself into
-    the originating tree -- the trace id, the parent's span id, and the
-    parent's full path (so the child's path continues the tree without
-    any rewriting).  Hand it to work running on another thread, whose
-    span stack starts empty.
-    """
-
-    trace_id: str
-    span_id: str
-    path: str = ""
 
 
 @dataclass
@@ -217,10 +195,9 @@ class Span:
 
     __slots__ = ("_tel", "name", "attrs", "path", "depth", "_t_start",
                  "_t0_wall", "_t0_cpu", "_mem0", "trace_id", "span_id",
-                 "parent_id", "_parent_ctx", "_hist")
+                 "parent_id", "_hist")
 
     def __init__(self, tel: "Telemetry", name: str, attrs: dict,
-                 parent: TraceContext | None = None,
                  hist: str | None = None) -> None:
         self._tel = tel
         self.name = name
@@ -234,7 +211,6 @@ class Span:
         self.trace_id = ""
         self.span_id = ""
         self.parent_id: str | None = None
-        self._parent_ctx = parent
         self._hist = hist
 
     def set(self, **attrs: Any) -> "Span":
@@ -245,17 +221,7 @@ class Span:
     def __enter__(self) -> "Span":
         tel = self._tel
         stack = tel._stack()
-        ctx = self._parent_ctx
-        if ctx is not None:
-            # Explicit (possibly remote) parent wins over the local
-            # stack: remote spans then share one path family
-            # regardless of where the work physically ran.
-            self.trace_id = ctx.trace_id
-            self.parent_id = ctx.span_id
-            self.path = (ctx.path + "/" + self.name) if ctx.path \
-                else self.name
-            self.depth = self.path.count("/")
-        elif stack:
+        if stack:
             parent = stack[-1]
             self.trace_id = parent.trace_id
             self.parent_id = parent.span_id
@@ -297,8 +263,8 @@ class Telemetry:
 
     A module-level instance (:func:`get_telemetry`) serves the whole
     process; tests may build private instances.  All mutation is
-    guarded by one lock; the span stack is thread-local so parallel
-    client runners each get a coherent nesting.
+    guarded by one lock; the span stack is thread-local, so a thread
+    that opens spans (the serving dispatcher) nests its own tree.
     """
 
     def __init__(self, enabled: bool = False, sinks: Sequence[Any] = (),
@@ -348,33 +314,21 @@ class Telemetry:
             self._ids = itertools.count(1)
 
     def _next_id(self, prefix: str) -> str:
-        # itertools.count.__next__ is atomic under the GIL, so thread
-        # workers opening spans in parallel never share an id.
+        # itertools.count.__next__ is atomic under the GIL, so spans
+        # opened on different threads never share an id.
         return f"{prefix}{next(self._ids):x}"
 
     # -- recording -------------------------------------------------------
-    def span(self, name: str, *, parent: TraceContext | None = None,
-             hist: str | None = None, **attrs: Any) -> Span | _NoopSpan:
+    def span(self, name: str, *, hist: str | None = None,
+             **attrs: Any) -> Span | _NoopSpan:
         """Open a span; no-op (and allocation-free) when disabled.
 
-        ``parent`` re-roots the span under an explicit (possibly
-        remote) :class:`TraceContext`; ``hist`` additionally records
-        the span's wall seconds into the named histogram on exit.
+        ``hist`` additionally records the span's wall seconds into the
+        named histogram on exit.
         """
         if not self._enabled:
             return NOOP_SPAN
-        return Span(self, name, attrs, parent=parent, hist=hist)
-
-    def current_context(self) -> TraceContext | None:
-        """The innermost open span on this thread, as a portable ref."""
-        if not self._enabled:
-            return None
-        stack = getattr(self._local, "stack", None)
-        if not stack:
-            return None
-        top = stack[-1]
-        return TraceContext(trace_id=top.trace_id, span_id=top.span_id,
-                            path=top.path)
+        return Span(self, name, attrs, hist=hist)
 
     def add(self, name: str, value: float = 1.0) -> None:
         """Increment a cumulative counter."""
@@ -533,19 +487,12 @@ def reset() -> None:
     _GLOBAL.reset()
 
 
-def span(name: str, *, parent: TraceContext | None = None,
-         hist: str | None = None, **attrs: Any) -> Span | _NoopSpan:
+def span(name: str, *, hist: str | None = None,
+         **attrs: Any) -> Span | _NoopSpan:
     """Open a span on the global instance (no-op when disabled)."""
     if not _GLOBAL._enabled:
         return NOOP_SPAN
-    return Span(_GLOBAL, name, attrs, parent=parent, hist=hist)
-
-
-def current_context() -> TraceContext | None:
-    """Portable context of the open span (None when disabled/empty)."""
-    if not _GLOBAL._enabled:
-        return None
-    return _GLOBAL.current_context()
+    return Span(_GLOBAL, name, attrs, hist=hist)
 
 
 def add(name: str, value: float = 1.0) -> None:

@@ -35,7 +35,6 @@ from .cohort import (
     CohortRuntime,
     Delivery,
     record_failure_reason,
-    run_train_tasks,
 )
 from .config import QuorumNotMetError, RuntimeConfig
 from .faults import (
@@ -47,14 +46,7 @@ from .faults import (
     LeafFaultPlan,
     RootFaultPlan,
 )
-from .jobs import (
-    ClientJob,
-    ClientJobResult,
-    TrainTask,
-    WorkerContext,
-    execute_client_jobs_batch,
-    execute_train_task,
-)
+from .jobs import ClientJobResult, replay_indices
 from .seeding import (
     STREAM_DH,
     STREAM_ENCLAVE,
@@ -99,7 +91,6 @@ __all__ = [
     "STREAM_TEACHER",
     "STREAM_TRAIN",
     "ClientFaultPlan",
-    "ClientJob",
     "ClientJobResult",
     "ClientOutcome",
     "CohortResult",
@@ -117,13 +108,9 @@ __all__ = [
     "ShardOutcome",
     "ShardRoundReport",
     "ShardedAggregator",
-    "TrainTask",
-    "WorkerContext",
     "derive_nonce",
     "derive_rng",
-    "execute_client_jobs_batch",
-    "execute_train_task",
     "plan_shards",
     "record_failure_reason",
-    "run_train_tasks",
+    "replay_indices",
 ]

@@ -36,14 +36,7 @@ from ..fl.models import Sequential
 from ..sgx.crypto import Ciphertext
 from .config import QuorumNotMetError, RuntimeConfig
 from .faults import ClientFaultPlan, FaultInjector
-from .jobs import (
-    ClientJob,
-    ClientJobResult,
-    TrainTask,
-    WorkerContext,
-    execute_client_jobs_batch,
-    execute_train_task,
-)
+from .jobs import ClientJobResult, run_clients
 
 #: Terminal per-client statuses after one round.
 STATUS_OK = "ok"
@@ -175,7 +168,7 @@ def _tamper(ciphertext: Ciphertext) -> Ciphertext:
 
 
 class CohortRuntime:
-    """Executes sampled cohorts as seeded, batched client jobs."""
+    """Executes sampled cohorts through the batched client core."""
 
     def __init__(
         self,
@@ -186,12 +179,11 @@ class CohortRuntime:
         keys: dict[int, bytes] | None = None,
     ) -> None:
         self.config = config
+        self.model = model
+        self.clients = {c.client_id: c for c in clients}
         self.entropy = int(entropy)
         self.keys = keys
         self.injector = FaultInjector(config.faults, self.entropy)
-        self._context = WorkerContext(
-            model=model, clients={c.client_id: c for c in clients},
-            weights=np.zeros(max(model.num_params, 1)))
 
     # -- cohort execution ----------------------------------------------
     def run_cohort(
@@ -217,10 +209,9 @@ class CohortRuntime:
         """
         cfg = self.config
         forced = forced_dropouts or set()
-        self._context.weights = weights
 
         outcomes: dict[int, ClientOutcome] = {}
-        jobs: list[ClientJob] = []
+        survivors: list[int] = []
         for cid in sorted(cohort):
             plan = self.injector.plan(round_index, cid)
             if cid in forced or plan.dropped:
@@ -243,25 +234,23 @@ class CohortRuntime:
                 continue
             outcomes[cid] = outcome = self._settle_retries(cid, plan)
             if outcome.status == STATUS_OK:
-                jobs.append(ClientJob(
-                    round_index=round_index, client_id=cid,
-                    entropy=self.entropy, training=training, clip=clip,
-                    quantize_bits=quantize_bits,
-                    key=self.keys.get(cid) if self.keys is not None else None,
-                    attempt=outcome.retries,
-                ))
+                survivors.append(cid)
 
         chunk = cfg.vector_chunk
-        with obs.span("train", clients=len(jobs),
-                      chunks=math.ceil(len(jobs) / chunk)):
+        with obs.span("train", clients=len(survivors),
+                      chunks=math.ceil(len(survivors) / chunk)):
             wait = max((o.latency_s for o in outcomes.values()
                         if o.status in (STATUS_OK, STATUS_FAILED)),
                        default=0.0)
             if wait > 0.0:
                 time.sleep(wait)
-            for start in range(0, len(jobs), chunk):
-                for res in execute_client_jobs_batch(
-                        self._context, jobs[start:start + chunk]):
+            for start in range(0, len(survivors), chunk):
+                for res in run_clients(
+                        self.model, self.clients,
+                        survivors[start:start + chunk], weights,
+                        round_index=round_index, entropy=self.entropy,
+                        training=training, clip=clip,
+                        quantize_bits=quantize_bits, keys=self.keys):
                     outcome = outcomes[res.client_id]
                     outcome.result = res
                     outcome.latency_s += res.train_seconds
@@ -346,11 +335,3 @@ class CohortRuntime:
                 f"quorum requires {need}"
             )
         obs.add("runtime.quorum_met")
-
-
-def run_train_tasks(model: Sequential,
-                    tasks: list[TrainTask]) -> list[np.ndarray]:
-    """Run independent local-training replays (attack teacher,
-    ablations) through the client core; order-preserving."""
-    context = WorkerContext(model=model, clients={}, weights=np.zeros(1))
-    return [execute_train_task(context, task) for task in tasks]

@@ -4,8 +4,9 @@ The package trains through one layer stack with a leading client axis
 (``repro.fl.models``) and one client core (``repro.fl.client`` /
 ``repro.runtime.jobs``).  This module keeps the per-client scalar code
 that stack replaced -- layers, loss, sparsifiers, the local-training
-loop, dropout reseeding, the per-client job body and the one-client-at-
-a-time cohort loop with its retry/backoff handling, and the trainers
+loop, dropout reseeding, the per-client job body (with its own job and
+context types) and the one-client-at-a-time cohort loop with its
+retry/backoff handling, and the trainers
 that drove the scalar stack directly -- plus the term-by-term RDP expansion
 of the privacy accountant, the per-bucket Path ORAM access, the
 element-at-a-time aggregation recorders, comparator-at-a-time sorting
@@ -64,7 +65,7 @@ from repro.runtime.cohort import (
 )
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.faults import ClientFaultPlan, FaultInjector
-from repro.runtime.jobs import ClientJob, ClientJobResult, WorkerContext
+from repro.runtime.jobs import ClientJobResult
 from repro.runtime.seeding import (
     STREAM_MODEL,
     STREAM_TRAIN,
@@ -590,6 +591,29 @@ class TransientWorkerError(RuntimeError):
     """An injected transient execution failure; retryable."""
 
 
+@dataclasses.dataclass
+class WorkerContext:
+    """The state every job of the per-client loop reads."""
+
+    model: Sequential
+    clients: dict[int, ClientData]
+    weights: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class ClientJob:
+    """One client's work order for one round of the per-client loop."""
+
+    round_index: int
+    client_id: int
+    entropy: int
+    training: TrainingConfig
+    clip: float | None = None
+    quantize_bits: int | None = None
+    key: bytes | None = None      # seal the update when set (enclave mode)
+    attempt: int = 0              # injected transient failures before it
+
+
 def execute_client_job(ctx: WorkerContext, job: ClientJob,
                        delay_s: float = 0.0,
                        fail_attempts: int = 0) -> ClientJobResult:
@@ -615,9 +639,9 @@ def execute_client_job(ctx: WorkerContext, job: ClientJob,
 
     if job.key is None:
         return ClientJobResult(
-            client_id=job.client_id, round_index=job.round_index,
+            client_id=job.client_id,
             ciphertext=None, indices=update.indices, values=update.values,
-            upload_bytes=0, train_seconds=train_seconds, attempt=job.attempt,
+            train_seconds=train_seconds,
         )
 
     if job.quantize_bits is not None:
@@ -634,10 +658,9 @@ def execute_client_job(ctx: WorkerContext, job: ClientJob,
     nonce = derive_nonce(job.entropy, job.round_index, job.client_id)
     ciphertext = crypto.seal(job.key, payload, nonce=nonce)
     return ClientJobResult(
-        client_id=job.client_id, round_index=job.round_index,
+        client_id=job.client_id,
         ciphertext=ciphertext, indices=None, values=None,
-        upload_bytes=len(ciphertext.to_bytes()),
-        train_seconds=train_seconds, attempt=job.attempt,
+        train_seconds=train_seconds,
     )
 
 

@@ -151,3 +151,19 @@ class TestMainDispatch:
         with pytest.raises(SystemExit) as e:
             repro_main(["audit", str(recorded_log), "--strict"])
         assert e.value.code == 0
+
+
+class TestDemoBudget:
+    def test_printed_epsilon_is_the_logs_last_round(self, tmp_path, capsys):
+        # The demo releases a fifth, traced round after its four
+        # training rounds; the budget it prints must include it.
+        from repro.__main__ import main as repro_main
+        from repro.audit.log import read_records
+
+        path = tmp_path / "demo.jsonl"
+        repro_main(["--audit-log", str(path)])
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if "privacy spent" in ln)
+        rounds = [r for r in read_records(path) if r["type"] == "round"]
+        assert f"over {len(rounds)} rounds" in line
+        assert f"epsilon = {rounds[-1]['epsilon']:.2f} " in line

@@ -7,12 +7,12 @@ from repro.fl.client import (
     LocalUpdate,
     TrainingConfig,
     client_updates,
-    encrypt_update,
     local_deltas,
 )
 from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
 from repro.fl.server import FederatedSimulation, ServerConfig, run_ldp_round
+from repro.runtime.jobs import seal_update
 from repro.sgx import crypto
 
 from .oracles import softmax_cross_entropy
@@ -121,7 +121,7 @@ class TestEncryptUpdate:
         _, clients, model = _setup()
         update = _update(model, clients[0], TRAIN, np.random.default_rng(0))
         key = crypto.generate_key(b"client-0")
-        ct = encrypt_update(update, key)
+        ct = seal_update(update, key)
         idx, val = crypto.decode_sparse_gradient(crypto.open_sealed(key, ct))
         assert idx.tolist() == update.indices.tolist()
         assert np.allclose(val, update.values)

@@ -301,35 +301,6 @@ class TestTraceContext:
             pass
         assert a.trace_id != b.trace_id
 
-    def test_explicit_parent_wins_over_stack(self):
-        tel = Telemetry(enabled=True)
-        remote = obs.TraceContext(trace_id="T", span_id="S", path="round")
-        with tel.span("unrelated"):
-            with tel.span("client", parent=remote) as sp:
-                assert sp.trace_id == "T"
-                assert sp.parent_id == "S"
-                assert sp.path == "round/client"
-                assert sp.depth == 1
-
-    def test_current_context_reflects_open_span(self):
-        tel = Telemetry(enabled=True)
-        assert tel.current_context() is None
-        with tel.span("round") as r:
-            ctx = tel.current_context()
-            assert ctx.trace_id == r.trace_id
-            assert ctx.span_id == r.span_id
-            assert ctx.path == "round"
-        assert tel.current_context() is None
-
-    def test_current_context_none_when_disabled(self):
-        assert obs.current_context() is None
-
-    def test_trace_context_pickles(self):
-        import pickle
-
-        ctx = obs.TraceContext(trace_id="t1", span_id="s1", path="round")
-        assert pickle.loads(pickle.dumps(ctx)) == ctx
-
 
 class TestHistogram:
     def test_percentiles_land_in_right_buckets(self):

@@ -224,6 +224,25 @@ class TestDiffing:
         text = diffing.render_diff(paths, hists)
         assert "round/client" in text and "!" in text
 
+    def test_torn_final_line_is_dropped(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        self._archive(path)
+        with open(path, "a") as fh:
+            fh.write('{"type": "span", "name": "cli')
+        paths, hists = diffing.load_summary(path)
+        assert paths["round/client"]["count"] == 4
+        assert set(hists) == {"runtime.train_s"}
+
+    def test_corrupt_interior_line_raises(self, tmp_path):
+        # Skipping it would drop spans from the comparison unnoticed.
+        path = tmp_path / "a.jsonl"
+        self._archive(path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(2, "NOT JSON\n")
+        path.write_text("".join(lines))
+        with pytest.raises(json.JSONDecodeError):
+            diffing.load_summary(path)
+
     def test_check_regression_diff_mode(self, tmp_path, capsys):
         import sys
         from pathlib import Path

@@ -24,8 +24,7 @@ from repro.runtime import (
     CohortRuntime,
     FaultConfig,
     RuntimeConfig,
-    TrainTask,
-    run_train_tasks,
+    replay_indices,
 )
 from repro.serving.cli import _quick_model
 from repro.serving.engine import ObliviousInferenceEngine
@@ -182,19 +181,20 @@ class TestTeacherReplay:
                 x = gen.sample(np.full(9, label), rng)
                 for shard, idx in enumerate(
                         np.array_split(np.arange(9), 2)):
-                    tasks.append(TrainTask(
-                        seed_key=(log.round_index, label, shard),
-                        stream=STREAM_TEACHER, entropy=ENTROPY,
-                        weights=log.weights_before, x=x[idx],
-                        y=np.full(len(idx), label), training=training,
-                    ))
-        got = run_train_tasks(build_model("tiny_mlp", seed=0), tasks)
+                    tasks.append(((log.round_index, label, shard),
+                                  log.weights_before, x[idx],
+                                  np.full(len(idx), label)))
+        model = build_model("tiny_mlp", seed=0)
+        got = [replay_indices(model, weights, x, y, training,
+                              entropy=ENTROPY, stream=STREAM_TEACHER,
+                              key=key)
+               for key, weights, x, y in tasks]
         template = oracles.build_model("tiny_mlp", seed=0)
-        for task, indices in zip(tasks, got):
+        for (key, weights, x, y), indices in zip(tasks, got):
             ref = oracles.train_once(
-                template, task.weights, ClientData(-1, task.x, task.y),
-                task.training, task.entropy, task.stream, task.stream,
-                (*task.seed_key, 0),
+                template, weights, ClientData(-1, x, y),
+                training, ENTROPY, STREAM_TEACHER, STREAM_TEACHER,
+                (*key, 0),
             )
             assert np.array_equal(indices, ref.indices)
 

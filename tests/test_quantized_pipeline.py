@@ -5,13 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.olive import OliveConfig, OliveSystem
-from repro.fl.client import (
-    LocalUpdate,
-    TrainingConfig,
-    encrypt_quantized_update,
-)
+from repro.fl.client import LocalUpdate, TrainingConfig
 from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
+from repro.runtime.jobs import seal_update
 from repro.sgx import crypto
 from repro.sgx.enclave import Enclave, provision_enclave_with_clients
 
@@ -93,8 +90,8 @@ class TestEnclaveQuantizedLoad:
         enclave, keys = self._provisioned()
         update = LocalUpdate(0, np.asarray([2, 7], dtype=np.int64),
                              np.asarray([0.5, -0.25]))
-        ct = encrypt_quantized_update(update, keys[0], bits=10,
-                                      rng=np.random.default_rng(0))
+        ct = seal_update(update, keys[0], quantize_bits=10,
+                         q_rng=np.random.default_rng(0))
         idx, val = enclave.load_gradient(0, ct, 8, quantize_bits=10)
         assert idx.tolist() == [2, 7]
         assert val.dtype == np.float64
@@ -115,8 +112,8 @@ class TestEnclaveQuantizedLoad:
         enclave._sampled = {1}
         update = LocalUpdate(0, np.asarray([1], dtype=np.int64),
                              np.asarray([1.0]))
-        ct = encrypt_quantized_update(update, keys[0], 8,
-                                      np.random.default_rng(0))
+        ct = seal_update(update, keys[0], quantize_bits=8,
+                         q_rng=np.random.default_rng(0))
         from repro.sgx.enclave import EnclaveSecurityError
 
         with pytest.raises(EnclaveSecurityError):
@@ -126,8 +123,8 @@ class TestEnclaveQuantizedLoad:
         enclave, keys = self._provisioned()
         update = LocalUpdate(0, np.asarray([1], dtype=np.int64),
                              np.asarray([1.0]))
-        ct = encrypt_quantized_update(update, crypto.generate_key(b"evil"),
-                                      8, np.random.default_rng(0))
+        ct = seal_update(update, crypto.generate_key(b"evil"),
+                         quantize_bits=8, q_rng=np.random.default_rng(0))
         from repro.sgx.enclave import EnclaveSecurityError
 
         with pytest.raises(EnclaveSecurityError):

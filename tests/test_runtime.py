@@ -333,10 +333,10 @@ SETTLE_CLIENTS = 16
 
 # Recorded from the per-client retry loop (``oracles.run_cohort_loop``)
 # on the round below.  Clients 3, 5, 13, 14 draw two injected failures.
-_OK1 = ("ok", None, 1, 0, 0)
-_DROP = ("dropped", "dropout", 0, 0, None)
-_SLOW = ("straggler", "straggler", 0, 0, None)
-_TWICE = {1: ("failed", "transient", 2, 1, None), 2: ("ok", None, 3, 2, 2)}
+_OK1 = ("ok", None, 1, 0)
+_DROP = ("dropped", "dropout", 0, 0)
+_SLOW = ("straggler", "straggler", 0, 0)
+_TWICE = {1: ("failed", "transient", 2, 1), 2: ("ok", None, 3, 2)}
 RECORDED = {
     max_retries: {
         "outcomes": {
@@ -404,8 +404,7 @@ def settle_round(config, loop=False):
 
 
 def outcome_rows(result):
-    return {cid: (o.status, o.reason, o.attempts, o.retries,
-                  None if o.result is None else o.result.attempt)
+    return {cid: (o.status, o.reason, o.attempts, o.retries)
             for cid, o in result.outcomes.items()}
 
 
