@@ -31,6 +31,7 @@ scalar-loop cells of the 16,384, 65,536 and 100,000 rows are
 **extrapolated**, not measured, and so are their speedups.
 """
 
+import math
 import os
 import time
 
@@ -59,6 +60,10 @@ QUICK_CLIENTS = 1024
 LOOP_CAP = 4096
 FULL_SWEEP = (4096, 16384, 65536, 100_000)
 MIN_VECTORIZED_SPEEDUP = 10.0
+#: Timed passes, and runtime rounds per pass (one oracle round each);
+#: each side keeps its fastest round.
+PASSES = 3
+RUNTIME_RUNS = 4
 
 
 def _cohort(n_clients):
@@ -70,56 +75,66 @@ def _cohort(n_clients):
     return clients, keys
 
 
-def _runtime_round(n_clients, reps, warm=1):
-    """Best-of-``reps`` wall seconds of one cohort round through the
-    runtime (after ``warm`` warm-up rounds), plus the last round's
-    ciphertexts."""
+def _runtime_round(n_clients):
+    """One cohort round through the runtime: ``round_index -> {client:
+    ciphertext bytes}``."""
     clients, keys = _cohort(n_clients)
     model = build_model("tiny_mlp", seed=0)
     runtime = CohortRuntime(RuntimeConfig(), model, clients,
                             entropy=ENTROPY, keys=keys)
     cohort, weights = [c.client_id for c in clients], model.get_flat()
-    times = []
-    for r in range(warm + reps):
-        t0 = time.perf_counter()
-        result = runtime.run_cohort(r, cohort, weights, TRAIN)
-        if r >= warm:
-            times.append(time.perf_counter() - t0)
-    sealed = {d.client_id: d.ciphertext.to_bytes() for d in result.deliveries}
-    return min(times), sealed
+
+    def one_round(round_index):
+        result = runtime.run_cohort(round_index, cohort, weights, TRAIN)
+        return {d.client_id: d.ciphertext.to_bytes()
+                for d in result.deliveries}
+
+    return one_round
 
 
-def _oracle_round(n_clients, reps, warm=1, round_index=None):
-    """The scalar per-client loop: derive, train, seal each client.
-
-    Returns best-of-``reps`` wall seconds and the ciphertexts of the
-    last round (``round_index`` pins that round's identity).
-    """
+def _oracle_round(n_clients):
+    """The scalar per-client loop -- derive, train, seal each client --
+    as ``round_index -> {client: ciphertext bytes}``."""
     clients, keys = _cohort(n_clients)
     template = oracles.build_model("tiny_mlp", seed=0)
     ctx = oracles.WorkerContext(model=template,
                                 clients={c.client_id: c for c in clients},
                                 weights=template.get_flat())
-    times, sealed = [], {}
-    for r in range(warm + reps):
-        rnd = r if round_index is None else round_index
-        t0 = time.perf_counter()
-        for c in clients:
-            job = oracles.ClientJob(round_index=rnd, client_id=c.client_id,
-                                    entropy=ENTROPY, training=TRAIN,
-                                    key=keys[c.client_id])
-            sealed[c.client_id] = oracles.execute_client_job(ctx, job)
-        if r >= warm:
-            times.append(time.perf_counter() - t0)
-    return min(times), {cid: res.ciphertext.to_bytes()
-                        for cid, res in sealed.items()}
+
+    def one_round(round_index):
+        return {
+            c.client_id: oracles.execute_client_job(ctx, oracles.ClientJob(
+                round_index=round_index, client_id=c.client_id,
+                entropy=ENTROPY, training=TRAIN, key=keys[c.client_id],
+            )).ciphertext.to_bytes()
+            for c in clients
+        }
+
+    return one_round
+
+
+def _best_walls(rounds, passes):
+    """Fastest wall seconds of each ``(round function, runs)`` pair over
+    ``passes`` passes; a pass runs every function ``runs`` times in turn.
+
+    Interleaving puts a burst of host load on every side, and each side
+    keeps its minimum: noise only ever adds time.  The short runtime
+    round runs more often per pass than the ~10x longer oracle round.
+    The identity check runs first and warms both paths.
+    """
+    best = [math.inf] * len(rounds)
+    for p in range(passes):
+        for i, (one_round, runs) in enumerate(rounds):
+            for _ in range(runs):
+                t0 = time.perf_counter()
+                one_round(p)
+                best[i] = min(best[i], time.perf_counter() - t0)
+    return best
 
 
 def _assert_identical(n_clients):
     """The runtime and the oracle loop agree byte-for-byte (ciphertexts)."""
-    _, vectorized = _runtime_round(n_clients, reps=1, warm=0)
-    _, oracle = _oracle_round(n_clients, reps=1, warm=0, round_index=0)
-    assert vectorized == oracle, (
+    assert _runtime_round(n_clients)(0) == _oracle_round(n_clients)(0), (
         "cohort runtime diverged from the scalar oracle loop"
     )
 
@@ -128,22 +143,20 @@ def test_megacohort_speedup():
     _assert_identical(IDENTITY_CLIENTS)
 
     series = []
-    if QUICK:
-        sweep = (QUICK_CLIENTS,)
-        oracle_reps, vector_reps = 2, 3
-    else:
-        sweep = FULL_SWEEP
-        oracle_reps, vector_reps = 2, 2
-
+    sweep = (QUICK_CLIENTS,) if QUICK else FULL_SWEEP
     per_client = None
     quick_speedup = None
     for n in sweep:
-        vector_wall, _ = _runtime_round(n, reps=vector_reps)
         if n <= LOOP_CAP or QUICK:
-            oracle_wall, _ = _oracle_round(n, reps=oracle_reps)
+            oracle_wall, vector_wall = _best_walls(
+                [(_oracle_round(n), 1), (_runtime_round(n), RUNTIME_RUNS)],
+                passes=PASSES)
             per_client = oracle_wall / n
             kind = "measured"
         else:
+            # Nothing to interleave with: the round is seconds long.
+            [vector_wall] = _best_walls([(_runtime_round(n), 1)],
+                                        passes=PASSES)
             oracle_wall = per_client * n
             kind = "extrapolated"
         speedup = oracle_wall / vector_wall

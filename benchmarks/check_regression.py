@@ -37,7 +37,9 @@ Two telemetry-aware extensions ride on the flight-recorder layer:
   when total wall clock hides it;
 * ``--diff BASE CURRENT`` compares two telemetry archives through
   :mod:`repro.obs.diffing` and reports per-span-path and per-histogram
-  deltas -- *which phase* regressed, not just that something did.
+  deltas -- *which phase* regressed, not just that something did.  It
+  exits 1 on a regression and 2 on an archive with a corrupt interior
+  line, naming the archive and the line.
 """
 
 from __future__ import annotations
@@ -209,7 +211,8 @@ def report_gated_metrics(baseline_path: Path, results_dir: Path) -> None:
 def run_diff(base: Path, cur: Path, tolerance: float, grace: float,
              baseline_path: Path | None = None,
              results_dir: Path | None = None) -> int:
-    """Compare two telemetry archives phase-by-phase; 1 on regression."""
+    """Compare two telemetry archives phase-by-phase; 1 on regression,
+    2 on a corrupt archive."""
     try:
         from repro.obs import diffing
     except ImportError:
@@ -217,7 +220,11 @@ def run_diff(base: Path, cur: Path, tolerance: float, grace: float,
             0, str(Path(__file__).resolve().parent.parent / "src"))
         from repro.obs import diffing
 
-    path_deltas, hist_deltas = diffing.diff_runs(base, cur)
+    try:
+        path_deltas, hist_deltas = diffing.diff_runs(base, cur)
+    except json.JSONDecodeError as exc:
+        print(f"telemetry diff: FAIL ({exc})")
+        return 2
     print(diffing.render_diff(path_deltas, hist_deltas,
                               tolerance=tolerance, grace_s=grace))
     if baseline_path is not None and results_dir is not None:

@@ -10,8 +10,8 @@ Reproduction of Kato, Cao & Yoshikawa (VLDB 2023).  Subpackages:
   Batcher's bitonic sorting network, oblivious shuffle.
 * :mod:`repro.oram` -- Path ORAM comparator.
 * :mod:`repro.fl` -- FL substrate: numpy models, synthetic datasets,
-  clients, sparsification, and plain DP-FedAVG.
-* :mod:`repro.dp` -- Gaussian mechanism, RDP accountant, LDP/shuffle
+  clients and sparsification.
+* :mod:`repro.dp` -- noise settings, RDP accountant, LDP/shuffle
   baselines.
 * :mod:`repro.core` -- the paper's contribution: the Linear / Baseline
   / Advanced / PathORAM aggregators, grouping optimization, DO

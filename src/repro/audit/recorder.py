@@ -127,6 +127,12 @@ class AuditRecorder:
                     f"accepted clients {sorted(missing)[:4]} have no "
                     "logged ciphertext"
                 )
+            unbound = set(ciphertexts) - set(accepted)
+            if unbound:
+                raise ValueError(
+                    f"ciphertexts of clients {sorted(unbound)[:4]} outside "
+                    "the accepted set would not be bound by the Merkle root"
+                )
             record = {
                 "type": "round",
                 "round": int(round_index),
@@ -135,8 +141,7 @@ class AuditRecorder:
                     str(cid): ciphertexts[cid].hex()
                     for cid in sorted(ciphertexts)
                 },
-                "merkle_root": upload_merkle_root(
-                    {cid: ciphertexts[cid] for cid in sorted(accepted)}),
+                "merkle_root": upload_merkle_root(ciphertexts),
                 "aggregate_sha256": aggregate_digest(weights_after),
                 "epsilon": float(epsilon),
                 "clip": float(clip),

@@ -106,8 +106,14 @@ def verify_round_commitment(record: dict, olive: dict) -> None:
             "logged ciphertext",
             round_index=r,
         )
-    recomputed = upload_merkle_root(
-        {cid: ciphertexts[cid] for cid in accepted})
+    unbound = set(ciphertexts) - set(accepted)
+    if unbound:
+        raise AuditCommitmentError(
+            f"round {r}: logged ciphertexts of clients {sorted(unbound)[:4]} "
+            "are outside the accepted set the Merkle root binds",
+            round_index=r,
+        )
+    recomputed = upload_merkle_root(ciphertexts)
     if recomputed != record["merkle_root"]:
         raise AuditCommitmentError(
             f"round {r}: logged ciphertexts do not hash to the committed "

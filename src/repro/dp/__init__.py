@@ -1,5 +1,6 @@
-"""Differential privacy: Gaussian mechanism, RDP (moments) accountant,
-and the LDP / shuffle-model baselines for the Table 1 comparison."""
+"""Differential privacy: noise-config validation, RDP (moments)
+accountant, and the LDP / shuffle-model baselines for the Table 1
+comparison."""
 
 from .adaptive_clipping import AdaptiveClipper
 from .accountant import (
@@ -14,10 +15,10 @@ from .ldp import (
     gaussian_ldp_sigma,
     local_epsilon_for_central,
     perturb_local,
+    run_ldp_round,
     shuffle_amplified_epsilon,
 )
 from .mechanisms import (
-    gaussian_perturb,
     sensitivity_of_mean,
     validate_noise_config,
 )
@@ -29,11 +30,11 @@ __all__ = [
     "compute_rdp",
     "epsilon_for",
     "gaussian_ldp_sigma",
-    "gaussian_perturb",
     "local_epsilon_for_central",
     "noise_multiplier_for",
     "perturb_local",
     "rdp_to_dp",
+    "run_ldp_round",
     "sensitivity_of_mean",
     "validate_noise_config",
     "shuffle_amplified_epsilon",

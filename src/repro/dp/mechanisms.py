@@ -1,38 +1,15 @@
-"""Differential privacy mechanisms used by OLIVE's server side.
+"""Settings of OLIVE's server-side Gaussian mechanism.
 
 DP-FedAVG adds Gaussian noise calibrated to the per-client L2 clipping
 bound C before releasing the averaged update (Algorithm 1 line 12):
 ``(sum_i Delta_i + N(0, (sigma * C)^2 I)) / (q N)``.  ``sigma`` is the
 *noise multiplier* (noise stddev divided by the clip), the quantity the
-moments accountant consumes.
+moments accountant consumes.  The enclave draws the noise
+(:meth:`repro.sgx.enclave.Enclave.gauss_vector`); this module checks
+the settings and states the sensitivity.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-
-def gaussian_perturb(
-    aggregate: np.ndarray,
-    clip: float,
-    noise_multiplier: float,
-    denominator: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Noise and normalize a summed update.
-
-    Parameters mirror Algorithm 1: ``aggregate`` is the plain sum of
-    clipped client deltas, ``denominator`` is ``q * N`` (the expected
-    participant count), ``noise_multiplier`` is sigma.
-    """
-    if clip <= 0:
-        raise ValueError("clip must be positive")
-    if denominator <= 0:
-        raise ValueError("denominator must be positive")
-    if noise_multiplier < 0:
-        raise ValueError("noise multiplier must be non-negative")
-    noise = rng.normal(0.0, noise_multiplier * clip, size=aggregate.shape)
-    return (aggregate + noise) / denominator
 
 
 def validate_noise_config(

@@ -129,7 +129,8 @@ def read_jsonl(path: str | Path, strict: bool = False) -> list[dict]:
 
     A truncated *final* line (the mark a killed recorder leaves) is
     silently dropped unless ``strict``; corruption anywhere else
-    always raises.
+    always raises a :class:`json.JSONDecodeError` that names ``path``
+    and whose ``lineno`` is the corrupt line of the stream.
     """
     events = []
     with open(path) as fh:
@@ -140,7 +141,10 @@ def read_jsonl(path: str | Path, strict: bool = False) -> list[dict]:
             continue
         try:
             events.append(json.loads(line))
-        except json.JSONDecodeError:
+        except json.JSONDecodeError as exc:
             if strict or i != last:
-                raise
+                start = sum(len(ln) + 1 for ln in lines[:i])
+                raise json.JSONDecodeError(
+                    f"corrupt JSONL stream {path}", "\n".join(lines),
+                    start + exc.pos) from exc
     return events

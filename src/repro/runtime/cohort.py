@@ -5,7 +5,7 @@ sampled cohort through.  It applies the deterministic fault plan per
 ``(round, client)``, settles retries of injected transient failures and
 drops stragglers past the per-client timeout from that plan, trains the
 survivors as stacked tensors in ``vector_chunk``-sized chunks, and
-enforces the minimum-quorum completion policy.
+sets the minimum-quorum threshold the shard service enforces.
 
 Two invariants the tests pin:
 
@@ -34,7 +34,7 @@ from ..fl.client import TrainingConfig
 from ..fl.datasets import ClientData
 from ..fl.models import Sequential
 from ..sgx.crypto import Ciphertext
-from .config import QuorumNotMetError, RuntimeConfig
+from .config import RuntimeConfig
 from .faults import ClientFaultPlan, FaultInjector
 from .jobs import ClientJobResult, run_clients
 
@@ -95,13 +95,12 @@ class Delivery:
 
     ``duplicate`` marks the second copy of a replayed ciphertext;
     ``corrupt`` marks in-transit tampering.  Both are transport faults
-    the enclave must reject -- the runtime stages them, the enclave (or
-    the plain-mode caller) adjudicates.
+    the enclave must reject -- the runtime stages them, the enclave
+    adjudicates.
     """
 
     client_id: int
-    ciphertext: Ciphertext | None
-    result: ClientJobResult
+    ciphertext: Ciphertext
     duplicate: bool = False
     corrupt: bool = False
 
@@ -130,26 +129,23 @@ class CohortResult:
                 hist[o.reason] = hist.get(o.reason, 0) + 1
         return dict(sorted(hist.items()))
 
-    def ciphertext_bytes(self, accepted: Iterable[int] | None = None) -> dict[int, bytes]:
-        """Sealed upload bytes per client, in canonical delivery order.
+    def ciphertext_bytes(self, accepted: Iterable[int]) -> dict[int, bytes]:
+        """Sealed upload bytes of the ``accepted`` clients, in canonical
+        delivery order.
 
         One entry per client -- the *original* delivery, never a
         replayed duplicate (exactly the copy the enclave accepted).
-        ``accepted`` restricts the map to those clients; this is what
-        the audit recorder commits to, so the bytes here must be the
-        bytes that crossed the aggregation boundary, corruption
-        included.
+        This is what the audit recorder commits to, so the bytes here
+        must be the bytes that crossed the aggregation boundary,
+        corruption included.
         """
-        wanted = None if accepted is None else {int(c) for c in accepted}
+        wanted = {int(c) for c in accepted}
         blobs: dict[int, bytes] = {}
         for delivery in self.deliveries:
             cid = delivery.client_id
-            if delivery.duplicate or cid in blobs:
+            if delivery.duplicate or cid in blobs or cid not in wanted:
                 continue
-            if wanted is not None and cid not in wanted:
-                continue
-            if delivery.ciphertext is not None:
-                blobs[cid] = delivery.ciphertext.to_bytes()
+            blobs[cid] = delivery.ciphertext.to_bytes()
         return blobs
 
 
@@ -176,7 +172,7 @@ class CohortRuntime:
         model: Sequential,
         clients: list[ClientData],
         entropy: int,
-        keys: dict[int, bytes] | None = None,
+        keys: dict[int, bytes],
     ) -> None:
         self.config = config
         self.model = model
@@ -264,20 +260,19 @@ class CohortRuntime:
             assert outcome.result is not None
             plan = outcome.plan
             ciphertext = outcome.result.ciphertext
-            corrupt = bool(plan and plan.corrupt and ciphertext is not None)
+            corrupt = bool(plan and plan.corrupt)
             if corrupt:
                 ciphertext = _tamper(ciphertext)
                 obs.add("runtime.corrupted")
             result.deliveries.append(Delivery(
-                client_id=cid, ciphertext=ciphertext,
-                result=outcome.result, corrupt=corrupt,
+                client_id=cid, ciphertext=ciphertext, corrupt=corrupt,
             ))
-            if plan and plan.replay and ciphertext is not None:
+            if plan and plan.replay:
                 # The network delivers the same bytes twice; exactly
                 # one copy may count.
                 result.deliveries.append(Delivery(
                     client_id=cid, ciphertext=ciphertext,
-                    result=outcome.result, duplicate=True, corrupt=corrupt,
+                    duplicate=True, corrupt=corrupt,
                 ))
                 obs.add("runtime.replays_injected")
         obs.gauge("runtime.completed_cohort", len(result.completed))
@@ -324,14 +319,3 @@ class CohortRuntime:
     def quorum_threshold(self, sampled: int) -> int:
         """Clients that must survive for the round to complete."""
         return math.ceil(self.config.min_quorum * sampled)
-
-    def check_quorum(self, survivors: int, sampled: int) -> None:
-        """Abort the round when the completion policy is unmet."""
-        need = self.quorum_threshold(sampled)
-        if survivors < need:
-            obs.add("runtime.quorum_failed")
-            raise QuorumNotMetError(
-                f"only {survivors}/{sampled} clients survived; "
-                f"quorum requires {need}"
-            )
-        obs.add("runtime.quorum_met")

@@ -1,9 +1,8 @@
 """The client core: EncClient of Algorithm 1 for a chunk of clients.
 
 :func:`run_clients` trains a chunk of the sampled cohort as stacked
-tensors (:func:`~repro.fl.client.client_updates`), then either seals
-each update under its client key (enclave mode) or returns the plain
-sparse update (reference-simulation mode).  Every client's randomness
+tensors (:func:`~repro.fl.client.client_updates`), then seals each
+update under its client key.  Every client's randomness
 -- batch order, dropout masks, random-k, QSGD dither, AE nonce -- is
 derived from its ``(round, client)`` identity (see
 :mod:`repro.runtime.seeding`), so a client produces the same bits in
@@ -33,17 +32,8 @@ class ClientJobResult:
     """What one client upload produced."""
 
     client_id: int
-    ciphertext: crypto.Ciphertext | None
-    indices: np.ndarray | None    # plain mode only (no keys)
-    values: np.ndarray | None
+    ciphertext: crypto.Ciphertext
     train_seconds: float
-
-    def to_update(self) -> LocalUpdate:
-        """The plain-mode sparse update (enclave mode decrypts instead)."""
-        if self.indices is None or self.values is None:
-            raise ValueError("sealed result: decrypt through the enclave")
-        return LocalUpdate(client_id=self.client_id,
-                           indices=self.indices, values=self.values)
 
 
 def seal_update(
@@ -79,14 +69,14 @@ def run_clients(
     training: TrainingConfig,
     clip: float | None,
     quantize_bits: int | None,
-    keys: dict[int, bytes] | None,
+    keys: dict[int, bytes],
 ) -> list[ClientJobResult]:
     """Train, sparsify, clip and seal one chunk of clients, in ``cids``
     order; pure in its arguments.
 
-    ``keys`` is ``None`` (plain mode) or holds every client's key.
-    Clients whose shards share a shape train as one stacked batch; the
-    uniform-k payloads of a batch encode in one record-array pass.
+    ``keys`` holds every client's key.  Clients whose shards share a
+    shape train as one stacked batch; the uniform-k payloads of a batch
+    encode in one record-array pass.
     Each result's ``train_seconds`` is its batch's measured training
     time amortized over the batch's clients.
     """
@@ -116,11 +106,6 @@ def run_clients(
                 # histogram counts clients, not batches.
                 for _ in batch:
                     obs.observe("runtime.train_s", per_client)
-            if keys is None:
-                for u in updates:
-                    results[u.client_id] = ClientJobResult(
-                        u.client_id, None, u.indices, u.values, per_client)
-                continue
             payloads: list[bytes | None] = [None] * len(batch)
             q_rngs: list[np.random.Generator | None] = [None] * len(batch)
             if quantize_bits is not None:
@@ -141,7 +126,7 @@ def run_clients(
                                    derive_nonce(entropy, round_index, c),
                                    quantize_bits=quantize_bits,
                                    q_rng=q_rng, payload=payload),
-                    None, None, per_client)
+                    per_client)
         return [results[c] for c in cids]
 
 

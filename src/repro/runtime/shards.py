@@ -273,7 +273,6 @@ class _LeafRound:
     def ingest(self, delivery: Delivery) -> None:
         """Decrypt/verify one upload and stage it for the next fold."""
         enclave = self.leaf.enclave
-        assert delivery.ciphertext is not None
         indices, values = enclave.load_gradient(
             delivery.client_id, delivery.ciphertext, self.d,
             self._quantize_bits,
@@ -495,8 +494,7 @@ class ShardedAggregator:
                 groups.append([dv])
 
         upload_bytes = max(
-            (len(dv.ciphertext.to_bytes()) for dv in ordered
-             if dv.ciphertext is not None), default=0,
+            (len(dv.ciphertext.to_bytes()) for dv in ordered), default=0,
         )
         n_shards = plan_shards(len(groups), d, upload_bytes, cfg)
         self.ensure_leaves(min(n_shards, len(groups)) or 1)
@@ -585,8 +583,8 @@ class ShardedAggregator:
                                assigned=len(deliveries))
 
         upload_bytes = max(
-            (len(dv.ciphertext.to_bytes()) for dv in deliveries
-             if dv.ciphertext is not None), default=0,
+            (len(dv.ciphertext.to_bytes()) for dv in deliveries),
+            default=0,
         )
         working_set = self._estimate_working_set(len(deliveries), d,
                                                  upload_bytes)

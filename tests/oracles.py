@@ -608,9 +608,9 @@ class ClientJob:
     client_id: int
     entropy: int
     training: TrainingConfig
+    key: bytes                    # the client's sealing key
     clip: float | None = None
     quantize_bits: int | None = None
-    key: bytes | None = None      # seal the update when set (enclave mode)
     attempt: int = 0              # injected transient failures before it
 
 
@@ -637,13 +637,6 @@ def execute_client_job(ctx: WorkerContext, job: ClientJob,
     train_seconds = time.perf_counter() - t0
     obs.observe("runtime.train_s", train_seconds)
 
-    if job.key is None:
-        return ClientJobResult(
-            client_id=job.client_id,
-            ciphertext=None, indices=update.indices, values=update.values,
-            train_seconds=train_seconds,
-        )
-
     if job.quantize_bits is not None:
         from repro.fl.quantize import quantize_stochastic
 
@@ -658,8 +651,7 @@ def execute_client_job(ctx: WorkerContext, job: ClientJob,
     nonce = derive_nonce(job.entropy, job.round_index, job.client_id)
     ciphertext = crypto.seal(job.key, payload, nonce=nonce)
     return ClientJobResult(
-        client_id=job.client_id,
-        ciphertext=ciphertext, indices=None, values=None,
+        client_id=job.client_id, ciphertext=ciphertext,
         train_seconds=train_seconds,
     )
 
@@ -711,7 +703,7 @@ def run_cohort_loop(
     weights: np.ndarray,
     training: TrainingConfig,
     *,
-    keys: dict[int, bytes] | None = None,
+    keys: dict[int, bytes],
     clip: float | None = None,
     quantize_bits: int | None = None,
     forced_dropouts: set[int] | None = None,
@@ -745,7 +737,7 @@ def run_cohort_loop(
             job = ClientJob(
                 round_index=round_index, client_id=cid, entropy=entropy,
                 training=training, clip=clip, quantize_bits=quantize_bits,
-                key=keys.get(cid) if keys is not None else None,
+                key=keys[cid],
             )
             outcome = _collect_with_retries(config, ctx, job, plan)
         outcomes[cid] = outcome
@@ -756,16 +748,15 @@ def run_cohort_loop(
         outcome = outcomes[cid]
         plan = outcome.plan
         ciphertext = outcome.result.ciphertext
-        corrupt = bool(plan.corrupt and ciphertext is not None)
+        corrupt = plan.corrupt
         if corrupt:
             ciphertext = _tamper(ciphertext)
             obs.add("runtime.corrupted")
         result.deliveries.append(Delivery(
-            client_id=cid, ciphertext=ciphertext, result=outcome.result,
-            corrupt=corrupt))
-        if plan.replay and ciphertext is not None:
+            client_id=cid, ciphertext=ciphertext, corrupt=corrupt))
+        if plan.replay:
             result.deliveries.append(Delivery(
-                client_id=cid, ciphertext=ciphertext, result=outcome.result,
+                client_id=cid, ciphertext=ciphertext,
                 duplicate=True, corrupt=corrupt))
             obs.add("runtime.replays_injected")
     obs.gauge("runtime.completed_cohort", len(result.completed))

@@ -26,7 +26,6 @@ from repro.dp.accountant import (
 from repro.fl.client import TrainingConfig
 from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
-from repro.fl.server import ServerConfig
 from repro.runtime import FaultConfig, RuntimeConfig
 
 from . import oracles
@@ -216,8 +215,7 @@ class TestConfigRejection:
     @pytest.mark.parametrize("value", [0.0, -0.5, 1.01, math.nan])
     def test_server_config_rejects_sample_rate(self, value):
         with pytest.raises(ValueError, match="sample_rate"):
-            ServerConfig(sample_rate=value)
+            OliveConfig(sample_rate=value)
 
     def test_boundary_values_accepted(self):
         assert OliveConfig(sample_rate=1.0, delta=0.5).sample_rate == 1.0
-        assert ServerConfig(sample_rate=1.0).sample_rate == 1.0

@@ -51,11 +51,14 @@ from repro.fl.client import TrainingConfig
 from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
 from repro.runtime import (
+    CohortResult,
+    Delivery,
     EnclaveFaultConfig,
     FaultConfig,
     RuntimeConfig,
     ShardConfig,
 )
+from repro.sgx import crypto
 
 DATA = {"spec": "tiny", "seed": 0, "n_clients": 12,
         "samples_per_client": 20, "labels_per_client": 2,
@@ -289,6 +292,35 @@ class TestRecorderWiring:
                 0, accepted=[1, 2], ciphertexts={1: b"x"},
                 weights_after=np.zeros(4), epsilon=0.1, clip=1.0)
 
+    def test_ciphertext_outside_accepted_rejected(self, tmp_path):
+        # Every logged ciphertext must be a Merkle leaf; an extra one
+        # would sit in the log unbound by the root.
+        manifest = make_manifest(data=DATA, model=MODEL, config=_config())
+        recorder = AuditRecorder(tmp_path / "log.jsonl", manifest)
+        with pytest.raises(ValueError, match="outside\\s+the accepted"):
+            recorder.record_round(
+                0, accepted=[1], ciphertexts={1: b"x", 2: b"y"},
+                weights_after=np.zeros(4), epsilon=0.1, clip=1.0)
+        assert recorder.rounds == 0
+
+    def test_ciphertext_bytes_are_the_accepted_originals(self):
+        # The map the recorder commits to: one original upload per
+        # accepted client, never a replayed copy or a rejected upload.
+        key = crypto.generate_key(b"k")
+        cts = {cid: crypto.seal(key, b"upload %d" % cid) for cid in range(3)}
+        deliveries = [
+            Delivery(0, cts[0]),
+            Delivery(0, crypto.seal(key, b"replayed"), duplicate=True),
+            Delivery(1, cts[1], corrupt=True),
+            Delivery(2, cts[2]),
+        ]
+        result = CohortResult(round_index=0, sampled=[0, 1, 2], outcomes={},
+                              deliveries=deliveries)
+        assert result.ciphertext_bytes([2, 0]) == {
+            0: cts[0].to_bytes(), 2: cts[2].to_bytes()}
+        with pytest.raises(TypeError):
+            result.ciphertext_bytes()
+
     def test_close_is_idempotent(self, tmp_path):
         path = _recorded_run(tmp_path, rounds=1)
         records = read_records(path)
@@ -371,6 +403,23 @@ class TestReplay:
         with pytest.raises(AuditCommitmentError, match="Merkle root") as e:
             verify_log(path, strict=True)
         assert e.value.round_index == 0
+        assert e.value.exit_code == 4
+
+    def test_unbound_ciphertext_fails_commitment(self, tmp_path):
+        # A re-minted log that stores a ciphertext the Merkle root does
+        # not bind fails at the commitment layer, naming the round.
+        path = _recorded_run(tmp_path, rounds=2)
+        records = copy.deepcopy(read_records(path))
+        for r in records:
+            if r.get("type") == "round" and r["round"] == 1:
+                cid = next(iter(r["ciphertexts"]))
+                stray = max(map(int, r["accepted"]), default=0) + 100
+                r["ciphertexts"][str(stray)] = r["ciphertexts"][cid]
+        _rewrite(path, chain_records(records))
+        with pytest.raises(AuditCommitmentError,
+                           match="round 1: .*outside the accepted") as e:
+            verify_log(path, replay=False, strict=True)
+        assert e.value.round_index == 1
         assert e.value.exit_code == 4
 
     def test_forged_partial_digest_fails_replay(self, tmp_path):

@@ -240,3 +240,23 @@ class TestObsCeilings:
             {"ecall.wall_s": {"max_p95": 0.01}}),
             tmp_path, tolerance=1.5, grace=0.0)
         assert ok
+
+
+class TestDiffCorruptArchive:
+    def _archive(self, path, corrupt_line=None):
+        lines = [json.dumps({"type": "span_summary", "path": f"round/{i}",
+                             "count": 1, "wall_s": 0.1}) for i in range(3)]
+        if corrupt_line is not None:
+            lines.insert(corrupt_line - 1, "NOT JSON")
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_corrupt_interior_line_names_archive_and_line(self, tmp_path,
+                                                          capsys):
+        base = self._archive(tmp_path / "base.jsonl")
+        cur = self._archive(tmp_path / "cur.jsonl", corrupt_line=2)
+        assert main(["--diff", str(base), str(cur)]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL" in out and f"{cur}: line 2 " in out
+        assert main(["--diff", str(cur), str(base)]) == 2
+        assert f"{cur}: line 2 " in capsys.readouterr().out

@@ -8,7 +8,6 @@ from repro.core.obliviousness import traces_equal
 from repro.fl.client import TrainingConfig
 from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
-from repro.fl.server import ServerConfig
 from repro.sgx.enclave import EnclaveSecurityError
 
 
@@ -39,7 +38,7 @@ class TestConfig:
     def test_grouped_advanced_allowed(self):
         assert OliveConfig(aggregator="advanced", group_size=4).group_size == 4
 
-    @pytest.mark.parametrize("config_cls", [OliveConfig, ServerConfig])
+    @pytest.mark.parametrize("config_cls", [OliveConfig])
     @pytest.mark.parametrize("field,value", [
         ("noise_multiplier", -0.5), ("noise_multiplier", float("nan")),
         ("expected_clients", 0), ("expected_clients", -3),
@@ -50,7 +49,7 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             config_cls(**{field: value})
 
-    @pytest.mark.parametrize("config_cls", [OliveConfig, ServerConfig])
+    @pytest.mark.parametrize("config_cls", [OliveConfig])
     def test_no_dp_and_explicit_denominator_allowed(self, config_cls):
         config = config_cls(noise_multiplier=0.0, expected_clients=1)
         assert config.noise_multiplier == 0.0

@@ -1,4 +1,5 @@
-"""Tests for DP mechanisms, the RDP accountant, and LDP baselines."""
+"""Tests for the round's Gaussian mechanism, the RDP accountant, and LDP
+baselines."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.olive import OliveConfig, OliveSystem
 from repro.dp.accountant import (
     DEFAULT_ORDERS,
     PrivacyAccountant,
@@ -20,36 +22,61 @@ from repro.dp.ldp import (
     perturb_local,
     shuffle_amplified_epsilon,
 )
-from repro.dp.mechanisms import gaussian_perturb, sensitivity_of_mean
+from repro.dp.mechanisms import sensitivity_of_mean
+from repro.fl.client import TrainingConfig
+from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
+from repro.fl.models import build_model
+from repro.fl.sparsify import densify
+
+
+def _released_delta(model_name="tiny_mlp", noise_multiplier=0.0, clip=1.0,
+                    expected_clients=None, noise_only=False):
+    """One ``OliveSystem`` round at q = 1 over four clients; returns
+    the released update and the round log.  ``noise_only`` drops every
+    sampled client, so the release is the enclave's noise alone."""
+    spec = next(s for s in SPECS.values() if s.model_name == model_name)
+    clients = partition_clients(SyntheticClassData(spec, seed=0), 4, 8, 2,
+                                seed=0)
+    system = OliveSystem(
+        build_model(model_name, seed=0), clients,
+        OliveConfig(sample_rate=1.0, noise_multiplier=noise_multiplier,
+                    expected_clients=expected_clients, aggregator="linear",
+                    training=TrainingConfig(batch_size=4, clip=clip)),
+        seed=0)
+    dropouts = {c.client_id for c in clients} if noise_only else None
+    log = system.run_round(dropouts=dropouts)
+    return log.weights_after - log.weights_before, log
 
 
 class TestGaussianPerturb:
+    """Algorithm 1 line 12 as an ``OliveSystem`` round releases it:
+    ``(sum_i Delta_i + N(0, (sigma * C)^2 I)) / denominator``."""
+
     def test_zero_noise_is_plain_average(self):
-        agg = np.asarray([2.0, 4.0])
-        out = gaussian_perturb(agg, clip=1.0, noise_multiplier=0.0,
-                               denominator=2.0, rng=np.random.default_rng(0))
-        assert np.allclose(out, [1.0, 2.0])
+        delta, log = _released_delta()
+        total = sum(densify(u.indices, u.values, delta.size)
+                    for u in log.updates.values())
+        assert len(log.updates) == 4
+        assert np.allclose(delta, total / 4.0)  # q N = 4
 
     def test_noise_scale(self):
-        agg = np.zeros(20_000)
-        out = gaussian_perturb(agg, clip=2.0, noise_multiplier=1.5,
-                               denominator=1.0, rng=np.random.default_rng(0))
-        assert abs(out.std() - 3.0) < 0.1  # sigma * C = 1.5 * 2
+        delta, _ = _released_delta("mnist_mlp", noise_multiplier=1.5,
+                                   clip=2.0, expected_clients=1,
+                                   noise_only=True)
+        assert abs(delta.std() - 3.0) < 0.1  # sigma * C = 1.5 * 2
 
     def test_denominator_scales_noise_too(self):
-        agg = np.zeros(20_000)
-        out = gaussian_perturb(agg, clip=1.0, noise_multiplier=1.0,
-                               denominator=10.0, rng=np.random.default_rng(0))
-        assert abs(out.std() - 0.1) < 0.01
+        delta, _ = _released_delta("mnist_mlp", noise_multiplier=1.0,
+                                   expected_clients=10, noise_only=True)
+        assert abs(delta.std() - 0.1) < 0.01
 
     def test_invalid_params(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            gaussian_perturb(np.zeros(1), 0.0, 1.0, 1.0, rng)
-        with pytest.raises(ValueError):
-            gaussian_perturb(np.zeros(1), 1.0, -1.0, 1.0, rng)
-        with pytest.raises(ValueError):
-            gaussian_perturb(np.zeros(1), 1.0, 1.0, 0.0, rng)
+        with pytest.raises(ValueError, match="clip"):
+            TrainingConfig(clip=0.0)
+        with pytest.raises(ValueError, match="noise_multiplier"):
+            OliveConfig(noise_multiplier=-1.0)
+        with pytest.raises(ValueError, match="expected_clients"):
+            OliveConfig(expected_clients=0)
 
     def test_sensitivity(self):
         assert sensitivity_of_mean(2.0, 100.0) == pytest.approx(0.02)

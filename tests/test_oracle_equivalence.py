@@ -17,8 +17,8 @@ from repro.attack.classifiers import NnAttack, NnSingleAttack, _nn_features
 from repro.fl.client import TrainingConfig
 from repro.fl.datasets import SPECS, ClientData, SyntheticClassData, partition_clients
 from repro.fl.models import accuracy, build_model
-from repro.fl.server import run_ldp_round
 from repro.core.olive import OliveConfig, OliveSystem
+from repro.dp.ldp import run_ldp_round
 from repro.runtime import (
     STREAM_TEACHER,
     CohortRuntime,
@@ -49,20 +49,19 @@ def _replay_config(executor, faults=None):
     return RuntimeConfig(faults=faults or FaultConfig())
 
 
-def _keys(clients, sealed):
-    return ({c.client_id: crypto.generate_key(b"k%d" % c.client_id)
-             for c in clients} if sealed else None)
+def _keys(clients):
+    return {c.client_id: crypto.generate_key(b"k%d" % c.client_id)
+            for c in clients}
 
 
 def _cohort(executor, training, clients, *, model_name="tiny_mlp",
-            sealed=True, quantize_bits=None, round_index=0, faults=None):
+            quantize_bits=None, round_index=0, faults=None):
     """Run one cohort round under the runtime a run recorded with
-    ``executor`` ran as; returns ``{client_id: bytes or (idx, val)}``
-    per delivery."""
+    ``executor`` ran as; returns each delivery's flags and ciphertext
+    bytes."""
     model = build_model(model_name, seed=0)
     runtime = CohortRuntime(_replay_config(executor, faults), model,
-                            clients, ENTROPY,
-                            keys=_keys(clients, sealed))
+                            clients, ENTROPY, keys=_keys(clients))
     result = runtime.run_cohort(
         round_index, [c.client_id for c in clients], model.get_flat(),
         training, quantize_bits=quantize_bits,
@@ -70,7 +69,7 @@ def _cohort(executor, training, clients, *, model_name="tiny_mlp",
     return _deliveries(result)
 
 
-def _oracle_cohort(training, clients, *, model_name="tiny_mlp", sealed=True,
+def _oracle_cohort(training, clients, *, model_name="tiny_mlp",
                    quantize_bits=None, round_index=0, faults=None):
     """The same round as the scalar per-client loop."""
     template = oracles.build_model(model_name, seed=0)
@@ -78,22 +77,14 @@ def _oracle_cohort(training, clients, *, model_name="tiny_mlp", sealed=True,
         RuntimeConfig(backoff_base_s=0.0, faults=faults or FaultConfig()),
         template, clients, ENTROPY, round_index,
         [c.client_id for c in clients], template.get_flat(), training,
-        keys=_keys(clients, sealed), quantize_bits=quantize_bits,
+        keys=_keys(clients), quantize_bits=quantize_bits,
     )
     return _deliveries(result)
 
 
 def _deliveries(result):
-    return [(d.client_id, d.duplicate, d.corrupt,
-             d.ciphertext.to_bytes() if d.ciphertext is not None
-             else _payload(d.result))
+    return [(d.client_id, d.duplicate, d.corrupt, d.ciphertext.to_bytes())
             for d in result.deliveries]
-
-
-def _payload(result):
-    if result.ciphertext is not None:
-        return result.ciphertext.to_bytes()
-    return (result.indices.tolist(), result.values.tolist())
 
 
 class TestExecutorsMatchOracle:
@@ -125,10 +116,11 @@ class TestExecutorsMatchOracle:
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_plain_and_quantized(self, executor):
+        # Plain f64 values and QSGD levels, both sealed.
         training = TrainingConfig(local_lr=0.1, batch_size=8)
         clients = _clients()
-        assert _cohort(executor, training, clients, sealed=False) == \
-            _oracle_cohort(training, clients, sealed=False)
+        assert _cohort(executor, training, clients) == \
+            _oracle_cohort(training, clients)
         assert _cohort(executor, training, clients, quantize_bits=4) == \
             _oracle_cohort(training, clients, quantize_bits=4)
 

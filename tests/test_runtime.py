@@ -20,7 +20,6 @@ from repro.core.olive import OliveConfig, OliveSystem
 from repro.fl.client import TrainingConfig
 from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
-from repro.fl.server import FederatedSimulation, ServerConfig
 from repro.runtime import (
     STATUS_OK,
     STREAM_DH,
@@ -235,13 +234,17 @@ class TestExecutorEquivalence:
 
 
 class TestSimulationEquivalence:
+    """The CDP-FL configuration (``linear`` aggregator) is chunking
+    invariant too."""
+
     def _sim(self, runtime):
         gen = SyntheticClassData(SPECS["tiny"], seed=0)
         clients = partition_clients(gen, 8, 20, 2, seed=0)
-        return FederatedSimulation(
-            model=build_model("tiny_mlp", seed=0), clients=clients,
-            training=TRAIN, server=ServerConfig(sample_rate=0.8),
-            seed=2, runtime_config=runtime,
+        return OliveSystem(
+            build_model("tiny_mlp", seed=0), clients,
+            OliveConfig(sample_rate=0.8, aggregator="linear",
+                        training=TRAIN),
+            seed=2, runtime=runtime,
         )
 
     @pytest.mark.parametrize("executor,workers", [
@@ -250,25 +253,7 @@ class TestSimulationEquivalence:
     def test_parallel_matches_serial(self, executor, workers):
         with self._sim(one_client_chunks()) as serial, \
                 self._sim(recorded_runtime(executor, workers)) as parallel:
-            a_logs = serial.run(2)
-            b_logs = parallel.run(2)
-        for a, b in zip(a_logs, b_logs):
-            assert a.participants == b.participants
-            assert np.array_equal(a.weights_after, b.weights_after)
-            for cid in a.updates:
-                assert np.array_equal(a.updates[cid].values,
-                                      b.updates[cid].values)
-
-    def test_plain_mode_rejects_transport_faults(self):
-        gen = SyntheticClassData(SPECS["tiny"], seed=0)
-        clients = partition_clients(gen, 4, 10, 2, seed=0)
-        with pytest.raises(ValueError, match="encrypted"):
-            FederatedSimulation(
-                model=build_model("tiny_mlp", seed=0), clients=clients,
-                runtime_config=RuntimeConfig(
-                    faults=FaultConfig(corrupt_rate=0.5)
-                ),
-            )
+            assert_logs_identical(serial.run(2), parallel.run(2))
 
 
 class TestTeacherEquivalence:

@@ -58,7 +58,7 @@ def traced_service_round(updates, d, n_shards, batch, aggregator,
     root = Enclave(attestation_service=svc, seed=3)
     keys = provision_enclave_with_clients(root, [u.client_id for u in updates])
     deliveries = [
-        Delivery(client_id=u.client_id, result=None,
+        Delivery(client_id=u.client_id,
                  ciphertext=crypto.seal(keys[u.client_id],
                                         crypto.encode_sparse_gradient(
                                             u.indices, u.values)))

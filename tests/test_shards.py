@@ -78,7 +78,7 @@ def build_root(n=60, seed=7):
         payload = crypto.encode_sparse_gradient(idx, rng.normal(size=K))
         ct = crypto.seal(keys[cid], payload,
                          nonce=bytes(12) + cid.to_bytes(4, "big"))
-        deliveries.append(Delivery(client_id=cid, ciphertext=ct, result=None))
+        deliveries.append(Delivery(client_id=cid, ciphertext=ct))
     root.begin_round(sampled=range(n))
     return root, deliveries
 
@@ -202,7 +202,7 @@ class TestFaultFreeSharding:
         dup = deliveries[5]
         deliveries.append(Delivery(client_id=dup.client_id,
                                    ciphertext=dup.ciphertext,
-                                   result=None, duplicate=True))
+                                   duplicate=True))
         service = ShardedAggregator(root, ShardConfig(shards=4), entropy=1)
         _, report = service.aggregate_round(0, deliveries, D,
                                          sampled=set(range(60)))
@@ -217,7 +217,7 @@ class TestFaultFreeSharding:
                                      body=bad.body[:-1] + b"\x00",
                                      tag=bad.tag)
         deliveries[3] = Delivery(client_id=3, ciphertext=tampered,
-                                 result=None, corrupt=True)
+                                 corrupt=True)
         service = ShardedAggregator(root, ShardConfig(shards=4), entropy=1)
         _, report = service.aggregate_round(0, deliveries, D,
                                          sampled=set(range(60)))
@@ -250,8 +250,7 @@ class TestFaultFreeSharding:
                 payload = (payload[:-1] if defect == "truncated"
                            else encode([1, D]))
             deliveries.append(Delivery(
-                client_id=cid, ciphertext=crypto.seal(keys[cid], payload),
-                result=None))
+                client_id=cid, ciphertext=crypto.seal(keys[cid], payload)))
         service = ShardedAggregator(root, ShardConfig(shards=2), entropy=1)
         aggregate, report = service.aggregate_round(
             0, deliveries, D, sampled=set(range(6)),

@@ -5,8 +5,8 @@ per-client seed derivation, local training over a leading client axis,
 axis-1 sparsification, chunked batched sealing -- produces results
 **bit-identical** to the per-client loop (``tests/oracles.py::
 run_cohort_loop``) that trains, retries and seals one client at a time,
-across every sparsifier, both FL algorithms, encrypted/plain/quantized
-modes, and injected faults.  Also pins the per-client seed derivation
+across every sparsifier, both FL algorithms, plain and quantized
+payloads, and injected faults.  Also pins the per-client seed derivation
 the cohort draws from, and the ``clip_override`` falsy-zero regression.
 """
 
@@ -45,16 +45,14 @@ def make_clients(model_name="tiny_mlp", n_clients=N_CLIENTS, samples=20):
 
 
 def run_round(training, *, loop=False, rounds=1, clients=None,
-              model_name="tiny_mlp", sealed=True, faults=None,
+              model_name="tiny_mlp", faults=None,
               vector_chunk=8192, n_clients=N_CLIENTS, samples=20,
               **cohort_kwargs):
     """``rounds`` cohort rounds through the runtime, or through the
     per-client oracle loop when ``loop``."""
     clients = clients or make_clients(model_name, n_clients, samples)
-    keys = None
-    if sealed:
-        keys = {c.client_id: crypto.generate_key(b"k%d" % c.client_id)
-                for c in clients}
+    keys = {c.client_id: crypto.generate_key(b"k%d" % c.client_id)
+            for c in clients}
     config = RuntimeConfig(vector_chunk=vector_chunk, backoff_base_s=0.0,
                            faults=faults or FaultConfig())
     cohort = [c.client_id for c in clients]
@@ -70,7 +68,7 @@ def run_round(training, *, loop=False, rounds=1, clients=None,
 
 
 def assert_rounds_identical(a_rounds, b_rounds):
-    """Outcomes and delivery bytes/arrays must match exactly."""
+    """Outcomes and delivery bytes must match exactly."""
     assert len(a_rounds) == len(b_rounds)
     for a, b in zip(a_rounds, b_rounds):
         assert {cid: (o.status, o.attempts, o.retries)
@@ -80,11 +78,7 @@ def assert_rounds_identical(a_rounds, b_rounds):
         assert len(a.deliveries) == len(b.deliveries)
         for da, db in zip(a.deliveries, b.deliveries):
             assert da.client_id == db.client_id
-            if da.ciphertext is not None:
-                assert da.ciphertext.to_bytes() == db.ciphertext.to_bytes()
-            else:
-                assert np.array_equal(da.result.indices, db.result.indices)
-                assert np.array_equal(da.result.values, db.result.values)
+            assert da.ciphertext.to_bytes() == db.ciphertext.to_bytes()
 
 
 class TestBatchedSeeding:
@@ -152,12 +146,6 @@ class TestVectorizedEquivalence:
         )
         assert_rounds_identical(run_round(training, loop=True),
                                 run_round(training))
-
-    def test_plain_mode(self):
-        training = TrainingConfig(local_epochs=1, local_lr=0.1,
-                                  batch_size=8, sparse_ratio=0.1, clip=1.0)
-        assert_rounds_identical(run_round(training, loop=True, sealed=False),
-                                run_round(training, sealed=False))
 
     def test_quantized_uploads(self):
         training = TrainingConfig(local_epochs=1, local_lr=0.1,
