@@ -18,6 +18,12 @@ It also records ``sort_pad_ratio``: the untraced bitonic sort at
 runs at exactly n, so the ratio is ~0.5; a sort that padded to the next
 power of two would read ~1.0, and the CI regression gate caps it.
 
+And it records ``advanced_trace_ratio``: the Advanced kernel's trace
+length over the paper's two-sort Algorithm 4 (``3m + d + 8 C(m)``
+accesses, ``m = nk + d``) at the ``wide`` round shape.  It is a count,
+not a timing, so its CI ceiling cannot flake; a kernel that went back
+to two full sorts would read 1.0.
+
 Set ``TRACE_BENCH_QUICK=1`` to run a reduced workload (CI).
 """
 
@@ -31,11 +37,12 @@ import numpy as np
 
 from repro import obs
 from repro.core.aggregation import (
+    advanced_trace_length,
     aggregate_advanced,
     aggregate_baseline,
     aggregate_linear,
 )
-from repro.oblivious.sort import bitonic_sort_numpy
+from repro.oblivious.sort import bitonic_sort_numpy, comparator_count
 from repro.sgx.memory import Trace
 from tests.oracles import (
     ref_advanced_traced,
@@ -105,6 +112,18 @@ def _sort_pad_ratio() -> dict:
             "ratio": best["probe"] / best["power"]}
 
 
+#: The ``wide`` round's shape: 7 uploads of k = 5,089 on the d = 50,890
+#: MNIST MLP.
+WIDE_N, WIDE_K, WIDE_D = 7, 5089, 50890
+
+
+def _advanced_trace_ratio() -> float:
+    """Advanced trace length over the two-sort one at the ``wide`` shape."""
+    nk, d = WIDE_N * WIDE_K, WIDE_D
+    m = nk + d
+    return advanced_trace_length(nk, d) / (3 * m + d + 8 * comparator_count(m))
+
+
 def test_trace_engine_speedup(benchmark):
     updates = make_synthetic_updates(N, K, D, seed=0)
 
@@ -156,11 +175,15 @@ def test_trace_engine_speedup(benchmark):
           f"{sort_pad_ratio['power_seconds']:.4f}",
           f"{sort_pad_ratio['ratio']:.2f}"]],
     )
+    advanced_trace_ratio = _advanced_trace_ratio()
+    print(f"Advanced trace length over the two-sort one at n={WIDE_N}, "
+          f"k={WIDE_K}, d={WIDE_D}: {advanced_trace_ratio:.4f}")
     save_results("trace_engine", {
         "workload": {"n": N, "k": K, "d": D, "quick": QUICK},
         "series": series,
         "sort_pad_ratio": sort_pad_ratio["ratio"],
         "sort_pad_seconds": sort_pad_ratio,
+        "advanced_trace_ratio": advanced_trace_ratio,
     })
     benchmark.extra_info["series"] = series
 

@@ -49,7 +49,11 @@ _RECORD_DOMAIN = b"olive-audit-record:"
 #: Version 5: every round's epsilon is charged at q (fault runs
 #: committed an under-reported budget before), shards start on live
 #: leaves only, and a malformed upload is rejected, not fatal.
-LOG_VERSION = 5
+#: Version 6: Advanced sorts on unique ``(index, input position)`` keys
+#: (merge of the client and dummy runs, compaction for the second
+#: sort), which fixes the fold order of equal indices and so changes
+#: the aggregate bits.
+LOG_VERSION = 6
 
 
 class AuditError(Exception):

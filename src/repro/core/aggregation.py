@@ -17,14 +17,20 @@ regression tests pin this against the reference recorders in
 
 Algorithms:
 
-=============  =========================  ==========================
+=============  =========================  ================================
 name           paper                      complexity (time / space)
-=============  =========================  ==========================
-``linear``     Alg. 5, "Linear"           O(nk) / O(nk + d)
-``baseline``   Alg. 3, "Baseline"         O(nk d / c) / O(nk + d)
-``advanced``   Alg. 4, "Advanced"         O((nk+d) log^2 (nk+d)) / O(nk+d)
-``path_oram``  Sec. 5, ORAM baseline      O((nk+d) log d) ORAM accesses
-=============  =========================  ==========================
+=============  =========================  ================================
+``linear``     Alg. 5, "Linear"           O(nk) / O(m)
+``baseline``   Alg. 3, "Baseline"         O(nk d / c) / O(m)
+``advanced``   Alg. 4, "Advanced"         O(nk log^2 nk + m log m) / O(m)
+``path_oram``  Sec. 5, ORAM baseline      O(m log d) ORAM accesses
+=============  =========================  ================================
+
+with ``m = nk + d``.  ``advanced`` sorts only the nk client entries,
+merges them with the d dummies (already in index order) and compacts
+the fold's survivors to the front where the paper runs a second sort
+of all m; with unique ``(index, input position)`` keys its output
+equals the paper's two-sort instantiation bit for bit.
 
 ``linear`` is fully oblivious for dense gradients (Prop. 3.1) but leaks
 every sparse index (Prop. 3.2); ``baseline`` is fully oblivious at
@@ -48,7 +54,13 @@ import numpy as np
 from .. import obs
 from ..fl.client import LocalUpdate
 from ..fl.sparsify import densify
-from ..oblivious.sort import bitonic_sort_traced_columns, comparator_count
+from ..oblivious.compaction import compact_traced_columns, compaction_access_count
+from ..oblivious.sort import (
+    bitonic_merge_traced_columns,
+    bitonic_sort_traced_columns,
+    comparator_count,
+    merge_comparator_count,
+)
 from ..oram.path_oram import PathORAM
 from ..sgx.memory import OP_READ, OP_WRITE, Trace
 
@@ -259,38 +271,64 @@ def _fold_sorted(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return out_idx, out_val
 
 
+def advanced_trace_length(nk: int, d: int) -> int:
+    """Accesses one traced :func:`aggregate_advanced` call records:
+    fill, client sort, merge, fold, compaction and read-out."""
+    m = nk + d
+    return (m + 4 * comparator_count(nk) + 4 * merge_comparator_count(m)
+            + 2 * m + compaction_access_count(m) + d)
+
+
 @_kernel_span("kernel.advanced")
 def aggregate_advanced(
     updates: Sequence[LocalUpdate], d: int, *, trace: Trace | None = None
 ) -> np.ndarray:
     """Advanced aggregation (Algorithm 4, stage-vectorized).
 
-    initialization -> bitonic sort by index -> folding -> bitonic sort
-    -> first d values.  Every phase touches memory in an order fixed by
-    ``nk + d`` alone: the fill is linear, both bitonic sorts follow the
-    length-determined comparator network, and oblivious folding is one
+    initialization -> bitonic sort of the client entries -> bitonic
+    merge with the dummies -> folding -> compaction -> first d values.
+    ``g`` holds the d dummies ``(j, 0)`` in descending index order,
+    then the nk client entries.  Sort keys are ``(index << 32) | input
+    position`` (dummy ``j`` takes position ``nk + j``), so they are
+    unique: the order every phase produces is the one any correct
+    sorting network gives, and the result equals Algorithm 4's two-sort
+    instantiation bit for bit.  Sorting ``g[d:]`` leaves a falling run
+    and a rising one, which the merge's half-cleaners sort; after the
+    fold the d survivors are already in index order, so an
+    order-preserving compaction moves them to the front where the
+    paper runs a second sort.
+
+    Every phase touches memory in an order fixed by ``(nk, d)`` alone:
+    the fill and read-out are linear, the sort, merge and compaction
+    follow length-determined schedules, and oblivious folding is one
     linear pass whose conditional carry/flush happens in registers
     (Prop. 5.2).  With a trace, every phase appends its accesses in
-    batches: the fill and output scans as contiguous blocks, each sort
-    stage as one comparator batch, and the folding pass as the
-    ``read 0, (read pos, write pos-1)..., write m-1`` stream -- the
-    exact sequence of the element-at-a-time formulation.
+    batches -- the exact sequence of the element-at-a-time formulation
+    in ``tests/oracles.py``.
     """
     idx, val = _concat_updates(updates)
     _validate(idx, d)
-    m = len(idx) + d
-    work_idx = np.concatenate([idx, np.arange(d, dtype=np.int64)])
-    work_val = np.concatenate([val, np.zeros(d)])
+    nk = len(idx)
+    m = nk + d
+    if d > M0 or m > 1 << 32:
+        raise ValueError("Advanced keys need d <= M0 and nk + d <= 2**32")
 
-    # Initialization (lines 1-3): inputs, then d zero-valued weights.
-    # The kernel's whole trace (fill, two sorts, fold, read-out) is
-    # length-determined, so it is reserved once and appends in place.
+    # Initialization (lines 1-3): d dummies, falling, then the inputs.
+    # The kernel's whole trace is length-determined, so it is reserved
+    # once and appends in place.
+    keys = np.empty(m, dtype=np.int64)
+    dummies = np.arange(d - 1, -1, -1, dtype=np.int64)
+    keys[:d] = (dummies << 32) | (nk + dummies)
+    keys[d:] = (idx << 32) | np.arange(nk, dtype=np.int64)
+    vals = np.concatenate([np.zeros(d), val])
     if trace is not None:
-        trace.reserve(3 * m + d + 8 * comparator_count(m))
+        trace.reserve(advanced_trace_length(nk, d))
         trace.record_block(G_REGION, 0, m, "write")
 
-    # First oblivious sort by index (lines 4-5).
-    bitonic_sort_traced_columns(trace, G_REGION, work_idx, work_val)
+    # Oblivious sort by index (lines 4-5): the client run, then the
+    # merge of the falling dummy run with the rising client run.
+    bitonic_sort_traced_columns(trace, G_REGION, keys[d:], vals[d:], base=d)
+    bitonic_merge_traced_columns(trace, G_REGION, keys, vals)
 
     # Oblivious folding (lines 6-14): one linear pass whose conditional
     # carry/flush happens in registers; the trace is read 0, then
@@ -299,10 +337,10 @@ def aggregate_advanced(
         trace.record(G_REGION, 0, "read")
         trace.record_periodic(G_REGION, (1, 0), ("read", "write"), ((m - 1, 1),))
         trace.record(G_REGION, m - 1, "write")
-    folded_idx, folded_val = _fold_sorted(work_idx, work_val)
+    folded_idx, folded_val = _fold_sorted(keys >> 32, vals)
 
-    # Second oblivious sort (lines 15-16) and output (line 17).
-    bitonic_sort_traced_columns(trace, G_REGION, folded_idx, folded_val)
+    # Survivors to the front (lines 15-16) and output (line 17).
+    compact_traced_columns(trace, G_REGION, folded_idx, folded_val, dead=M0)
     if trace is not None:
         trace.record_block(G_REGION, 0, d, "read")
     if not np.array_equal(folded_idx[:d], np.arange(d)):

@@ -22,7 +22,8 @@ from typing import Iterator
 
 import numpy as np
 
-from ..oblivious.sort import network_stage_offsets
+from ..oblivious.compaction import compaction_stage_offsets
+from ..oblivious.sort import merge_stage_offsets, network_stage_offsets
 
 G_ITEMSIZE = 8
 G_STAR_ITEMSIZE = 4
@@ -117,16 +118,14 @@ def baseline_stream_chunks(
     yield from _rechunk(_baseline_segments(nk, d, block), chunk_size)
 
 
-def _sort_segments(m: int) -> Iterator[np.ndarray]:
-    """The bitonic sort's cacheline stream, one network stage at a time."""
-    for stage in network_stage_offsets(m):
-        yield np.floor_divide(stage, _G_LINE_ELEMS, out=stage)
-
-
 def _advanced_segments(nk: int, d: int) -> Iterator[np.ndarray]:
     m = nk + d
     yield np.arange(m, dtype=np.int64) // _G_LINE_ELEMS
-    yield from _sort_segments(m)
+    # The client sort covers g[d:m); the merge and compaction all of g.
+    for stage in network_stage_offsets(nk):
+        yield (stage + d) // _G_LINE_ELEMS
+    for stage in merge_stage_offsets(m):
+        yield np.floor_divide(stage, _G_LINE_ELEMS, out=stage)
     # Folding: read 0, (read pos, write pos-1) pairs, final write.
     fold = np.empty(2 * m, dtype=np.int64)
     fold[0] = 0
@@ -135,15 +134,16 @@ def _advanced_segments(nk: int, d: int) -> Iterator[np.ndarray]:
     fold[2:-1:2] = (pos - 1) // _G_LINE_ELEMS
     fold[-1] = (m - 1) // _G_LINE_ELEMS
     yield fold
-    yield from _sort_segments(m)
+    for stage in compaction_stage_offsets(m):
+        yield np.floor_divide(stage, _G_LINE_ELEMS, out=stage)
     yield np.arange(d, dtype=np.int64) // _G_LINE_ELEMS
 
 
 def advanced_stream_chunks(
     nk: int, d: int, chunk_size: int = DEFAULT_CHUNK_ACCESSES
 ) -> Iterator[np.ndarray]:
-    """Advanced: fill + two bitonic sorts + folding + output scan, in
-    chunks of ``chunk_size`` accesses."""
+    """Advanced: fill + client sort + merge + folding + compaction +
+    output scan, in chunks of ``chunk_size`` accesses."""
     yield from _rechunk(_advanced_segments(nk, d), chunk_size)
 
 

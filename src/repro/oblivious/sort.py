@@ -33,8 +33,13 @@ mirror stage).  Everything here is built from those strides:
   sequence of the comparator-at-a-time formulation that
   ``tests/oracles.py`` keeps);
 * :func:`bitonic_sort_numpy` -- the same network without a trace;
-* :func:`network_stage_offsets` / :func:`network_access_offsets` -- the
-  recorded offset stream, per stage or whole, for the cost model.
+* :func:`bitonic_merge_traced_columns` -- the half-cleaner stages
+  :func:`merge_stages` alone, which sort a column that falls, then
+  rises (Advanced aggregation merges its client run with the dummies
+  this way);
+* :func:`network_stage_offsets` / :func:`merge_stage_offsets` /
+  :func:`network_access_offsets` -- the recorded offset stream, per
+  stage or whole, for the cost model.
 """
 
 from __future__ import annotations
@@ -66,6 +71,21 @@ def bitonic_stages(n: int) -> Iterator[tuple[int, bool]]:
         k *= 2
 
 
+def merge_stages(n: int) -> Iterator[tuple[int, bool]]:
+    """The stages that sort a V-shaped column, as ``(j, False)`` pairs.
+
+    A column that falls, then rises, then runs into the virtual
+    ``+inf`` tail is a bitonic sequence of length ``P``, the power of
+    two at or above ``n``; the half-cleaners ``j = P/2, ..., 1`` sort it.
+    These are the last merge of the full network with its mirror stage
+    replaced by the plain ``j = P/2`` stage.
+    """
+    j = (1 << max(n - 1, 0).bit_length()) // 2
+    while j >= 1:
+        yield j, False
+        j //= 2
+
+
 def _stage_rows(n: int, j: int) -> tuple[int, int]:
     """``(full, part)``: the stage's full rows of ``2j`` elements and the
     comparators of its partial last row (``0`` when it has none)."""
@@ -73,13 +93,22 @@ def _stage_rows(n: int, j: int) -> tuple[int, int]:
     return full, max(0, tail - j)
 
 
-def comparator_count(n: int) -> int:
-    """Number of comparators in the length-``n`` network (any ``n >= 0``)."""
+def _comparators(n: int, stages: Iterator[tuple[int, bool]]) -> int:
     total = 0
-    for j, _ in bitonic_stages(n):
+    for j, _ in stages:
         full, part = _stage_rows(n, j)
         total += full * j + part
     return total
+
+
+def comparator_count(n: int) -> int:
+    """Number of comparators in the length-``n`` network (any ``n >= 0``)."""
+    return _comparators(n, bitonic_stages(n))
+
+
+def merge_comparator_count(n: int) -> int:
+    """Number of comparators in :func:`merge_stages` at length ``n``."""
+    return _comparators(n, merge_stages(n))
 
 
 #: Per-comparator op pattern: read i, read j, write i, write j.
@@ -162,8 +191,38 @@ def _compare_exchange(columns: tuple[np.ndarray, ...], j: int, mirror: bool) -> 
         _swap([(c[lo], c[hi]) for c in columns])
 
 
+def _run_stages(
+    span: str, stages, trace, region: str, base: int,
+    keys: np.ndarray, payloads: tuple[np.ndarray, ...],
+) -> None:
+    """Apply the ``stages(n)`` schedule to the columns in place, recording
+    each comparator's ``read i, read j, write i, write j`` at offsets
+    shifted by ``base`` when ``trace`` is given."""
+    n = len(keys)
+    for p in payloads:
+        if len(p) != n:
+            raise ValueError("payload length mismatch")
+    if n <= 1:
+        return
+    columns = (keys,) + payloads
+    with obs.span(span, n=n, traced=trace is not None):
+        offsets = None
+        if trace is not None:
+            offsets = trace.record_open(region, _RRWW,
+                                        4 * _comparators(n, stages(n)),
+                                        max_offset=base + n - 1)
+            pos = 0
+        for j, mirror in stages(n):
+            if offsets is not None:
+                pos += _stage_offsets(n, j, mirror, offsets[pos:])
+            _compare_exchange(columns, j, mirror)
+        if base and offsets is not None:
+            offsets += base
+
+
 def bitonic_sort_traced_columns(
-    trace, region: str, keys: np.ndarray, *payloads: np.ndarray
+    trace, region: str, keys: np.ndarray, *payloads: np.ndarray,
+    base: int = 0,
 ) -> None:
     """Batched oblivious sort over 1-D numpy columns, recording into ``trace``.
 
@@ -177,25 +236,26 @@ def bitonic_sort_traced_columns(
     comparators within a stage are disjoint, both the data result and
     the recorded access sequence are identical to the
     comparator-at-a-time formulation; ``trace=None`` degrades to a pure
-    :func:`bitonic_sort_numpy`.
+    :func:`bitonic_sort_numpy`.  The columns may be a slice of a
+    larger region that starts at element ``base``: the trace then
+    records offsets ``base + i``.
     """
-    n = len(keys)
-    for p in payloads:
-        if len(p) != n:
-            raise ValueError("payload length mismatch")
-    if n <= 1:
-        return
-    columns = (keys,) + payloads
-    with obs.span("kernel.bitonic_sort", n=n, traced=trace is not None):
-        offsets = None
-        if trace is not None:
-            offsets = trace.record_open(region, _RRWW, 4 * comparator_count(n),
-                                        max_offset=n - 1)
-            pos = 0
-        for j, mirror in bitonic_stages(n):
-            if offsets is not None:
-                pos += _stage_offsets(n, j, mirror, offsets[pos:])
-            _compare_exchange(columns, j, mirror)
+    _run_stages("kernel.bitonic_sort", bitonic_stages, trace, region, base,
+                keys, payloads)
+
+
+def bitonic_merge_traced_columns(
+    trace, region: str, keys: np.ndarray, *payloads: np.ndarray
+) -> None:
+    """Sort V-shaped ``keys`` (non-increasing, then non-decreasing) in
+    place with the :func:`merge_stages` half-cleaners, recording like
+    :func:`bitonic_sort_traced_columns`.
+
+    The schedule depends on ``len(keys)`` alone; only its correctness
+    needs the V shape.
+    """
+    _run_stages("kernel.bitonic_merge", merge_stages, trace, region, 0,
+                keys, payloads)
 
 
 def bitonic_sort_numpy(keys: np.ndarray, *payloads: np.ndarray) -> None:
@@ -207,6 +267,14 @@ def bitonic_sort_numpy(keys: np.ndarray, *payloads: np.ndarray) -> None:
     bitonic_sort_traced_columns(None, "", keys, *payloads)
 
 
+def _stages_offsets(n: int, stages) -> Iterator[np.ndarray]:
+    for j, mirror in stages:
+        full, part = _stage_rows(n, j)
+        out = np.empty(4 * (full * j + part), dtype=np.int64)
+        _stage_offsets(n, j, mirror, out)
+        yield out
+
+
 def network_stage_offsets(n: int) -> Iterator[np.ndarray]:
     """The traced sort's element offsets, one stage at a time.
 
@@ -215,11 +283,12 @@ def network_stage_offsets(n: int) -> Iterator[np.ndarray]:
     Lets the cost model stream the network without materializing all
     of it.
     """
-    for j, mirror in bitonic_stages(n):
-        full, part = _stage_rows(n, j)
-        out = np.empty(4 * (full * j + part), dtype=np.int64)
-        _stage_offsets(n, j, mirror, out)
-        yield out
+    return _stages_offsets(n, bitonic_stages(n))
+
+
+def merge_stage_offsets(n: int) -> Iterator[np.ndarray]:
+    """:func:`network_stage_offsets` of the traced merge."""
+    return _stages_offsets(n, merge_stages(n))
 
 
 def network_access_offsets(n: int) -> np.ndarray:

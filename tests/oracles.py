@@ -9,8 +9,10 @@ context types) and the one-client-at-a-time cohort loop with its
 retry/backoff handling, and the trainers
 that drove the scalar stack directly -- plus the term-by-term RDP expansion
 of the privacy accountant, the per-bucket Path ORAM access, the
-element-at-a-time aggregation recorders, comparator-at-a-time sorting
-networks and shuffle, the per-access address-stream generators, and
+element-at-a-time aggregation recorders, the paper's two-sort Advanced
+kernel (vectorized, traced, and its address streams), the
+comparator-at-a-time sorting and merge networks, compaction and
+shuffle, the per-access address-stream generators, and
 the element-at-a-time LRU cost replayer, the per-record struct
 codecs of the upload wire formats, the per-client RA loop with
 three builtin ``pow`` modexps per client, and the per-access tuple
@@ -41,12 +43,20 @@ from repro.core.aggregation import (
     M0,
     WEIGHTS_PER_CACHELINE,
     _concat_updates,
+    _fold_sorted,
     _validate,
 )
-from repro.core.streams import LINE_BYTES, G_ITEMSIZE, G_STAR_ITEMSIZE
+from repro.core.streams import (
+    DEFAULT_CHUNK_ACCESSES,
+    G_ITEMSIZE,
+    G_STAR_ITEMSIZE,
+    LINE_BYTES,
+    _rechunk,
+)
 from repro.fl.client import LocalUpdate, TrainingConfig
 from repro.fl.datasets import SPECS, ClientData, SyntheticClassData
 from repro.oblivious.primitives import o_mov, o_swap
+from repro.oblivious.sort import bitonic_sort_numpy, network_stage_offsets
 from repro.oram.path_oram import DUMMY, StashOverflow
 from repro.runtime.cohort import (
     REASON_DROPOUT,
@@ -1207,7 +1217,37 @@ def ref_baseline_traced(updates, d, trace,
     return np.asarray(g_star.snapshot(), dtype=np.float64)
 
 
-def ref_advanced_traced(updates, d, trace):
+def _unique_keys(idx, nk_offset=0):
+    """Unique sort keys ``(index << 32) | input position``."""
+    return (idx << 32) | (nk_offset + np.arange(len(idx), dtype=np.int64))
+
+
+def two_sort_advanced(updates, d):
+    """Algorithm 4 as the paper instantiates it, with unique keys:
+    inputs then dummies, a bitonic sort of all ``m = nk + d``, the fold,
+    and a second bitonic sort that brings the survivors to the front.
+
+    Untraced and vectorized.  With unique keys every correct sorting
+    network yields the same order, so the production kernel must equal
+    this bit for bit.
+    """
+    idx, val = _concat_updates(updates)
+    _validate(idx, d)
+    nk = len(idx)
+    keys = np.concatenate([_unique_keys(idx),
+                           _unique_keys(np.arange(d, dtype=np.int64), nk)])
+    vals = np.concatenate([val, np.zeros(d)])
+    bitonic_sort_numpy(keys, vals)
+    folded_idx, folded_val = _fold_sorted(keys >> 32, vals)
+    bitonic_sort_numpy(folded_idx, folded_val)
+    assert np.array_equal(folded_idx[:d], np.arange(d))
+    return folded_val[:d].copy()
+
+
+def two_sort_advanced_traced(updates, d, trace):
+    """The paper's Algorithm 4, element at a time: fill, a sort of all
+    ``m``, fold, a second sort of all ``m``, read-out (``3m + d +
+    8 C(m)`` accesses)."""
     idx, val = _concat_updates(updates)
     m = len(idx) + d
     g = TracedArray.zeros(G_REGION, m, trace=trace, itemsize=8)
@@ -1216,22 +1256,99 @@ def ref_advanced_traced(updates, d, trace):
     for j in range(d):
         g.write(len(idx) + j, (j, 0.0))
     apply_network_traced(g, bitonic_network(m), key=lambda w: w[0])
-    carry_idx, carry_val = g.read(0)
+    _fold_traced(g, m)
+    apply_network_traced(g, bitonic_network(m), key=lambda w: w[0])
+    return _read_out(g, d)
+
+
+def _fold_traced(g, m, index=lambda key: key):
+    """Oblivious folding: the last of every equal-index run keeps
+    ``(index, run sum)``, every other cell becomes ``(M0, 0)``; ``g``
+    holds ``(key, value)`` pairs in key order."""
+    carry_key, carry_val = g.read(0)
+    carry_idx = index(carry_key)
     for pos in range(1, m):
-        nxt_idx, nxt_val = g.read(pos)
+        nxt_key, nxt_val = g.read(pos)
+        nxt_idx = index(nxt_key)
         flag = nxt_idx == carry_idx
         prior = o_mov(flag, (M0, 0.0), (carry_idx, carry_val))
         g.write(pos - 1, prior)
         carry_val = o_mov(flag, carry_val + nxt_val, nxt_val)
         carry_idx = nxt_idx
     g.write(m - 1, (carry_idx, carry_val))
-    apply_network_traced(g, bitonic_network(m), key=lambda w: w[0])
+
+
+def _read_out(g, d):
     out = np.empty(d)
     for j in range(d):
         index, value = g.read(j)
         assert index == j
         out[j] = value
     return out
+
+
+def bitonic_merge_network(n: int) -> Iterator[tuple[int, int, bool]]:
+    """Half-cleaners ``i <-> i + j`` for ``j = P/2, ..., 1`` (``P`` the
+    power of two at or above ``n``): they sort any falling-then-rising
+    column, reading past ``n`` as ``+inf``."""
+    j = 1
+    while j < n:
+        j *= 2
+    j //= 2
+    while j >= 1:
+        for i in range(n):
+            if i & j == 0 and i + j < n:
+                yield i, i + j, True
+        j //= 2
+
+
+def compaction_shifts(n: int) -> list[int]:
+    """Shifts ``1, 2, 4, ...`` below ``n``."""
+    shifts, s = [], 1
+    while s < n:
+        shifts.append(s)
+        s *= 2
+    return shifts
+
+
+def compact_traced(g, dead):
+    """Order-preserving compaction, element at a time: in stage ``s``
+    cell ``i`` takes ``g[i + s]`` if that element moves, keeps its own
+    element if it stays, and becomes ``dead`` otherwise.  A live cell
+    ``(index, value)`` at position ``p`` moves when bit ``s`` of
+    ``p - index`` is set."""
+    n = len(g)
+    for s in compaction_shifts(n):
+        for i in range(n):
+            own = g.read(i)
+            own_moves = own[0] != dead[0] and (i - own[0]) & s
+            cell = o_mov(own_moves, dead, own)
+            if i + s < n:
+                nxt = g.read(i + s)
+                enters = nxt[0] != dead[0] and (i + s - nxt[0]) & s
+                cell = o_mov(enters, nxt, cell)
+            g.write(i, cell)
+
+
+def ref_advanced_traced(updates, d, trace):
+    """The production schedule, comparator and element at a time:
+    falling dummies then inputs, a sort of the inputs, the merge, the
+    fold, the compaction, the read-out."""
+    idx, val = _concat_updates(updates)
+    nk = len(idx)
+    m = nk + d
+    g = TracedArray.zeros(G_REGION, m, trace=trace, itemsize=8)
+    for p in range(d):
+        j = d - 1 - p
+        g.write(p, ((j << 32) | (nk + j), 0.0))
+    for pos in range(nk):
+        g.write(d + pos, ((int(idx[pos]) << 32) | pos, float(val[pos])))
+    client = ((i + d, j + d, up) for i, j, up in bitonic_network(nk))
+    apply_network_traced(g, client, key=lambda w: w[0])
+    apply_network_traced(g, bitonic_merge_network(m), key=lambda w: w[0])
+    _fold_traced(g, m, index=lambda key: key >> 32)
+    compact_traced(g, (M0, 0.0))
+    return _read_out(g, d)
 
 
 # ---------------------------------------------------------------------------
@@ -1271,40 +1388,111 @@ def baseline_stream(nk: int, d: int) -> Iterator[int]:
             yield target
 
 
+def _fold_stream(m: int) -> Iterator[int]:
+    yield 0
+    for pos in range(1, m):
+        yield pos // _G_LINE_ELEMS
+        yield (pos - 1) // _G_LINE_ELEMS
+    yield (m - 1) // _G_LINE_ELEMS
+
+
 def advanced_stream(nk: int, d: int) -> Iterator[int]:
-    """Advanced: fill + two bitonic sorts + folding + output scan."""
+    """Advanced: fill + client sort + merge + folding + compaction +
+    output scan."""
+    m = nk + d
+    for pos in range(m):
+        yield pos // _G_LINE_ELEMS
+    for pos in network_offsets(nk):
+        yield (pos + d) // _G_LINE_ELEMS
+    for i, j, _ in bitonic_merge_network(m):
+        yield from (i // _G_LINE_ELEMS, j // _G_LINE_ELEMS) * 2
+    yield from _fold_stream(m)
+    for s in compaction_shifts(m):
+        for i in range(m):
+            yield i // _G_LINE_ELEMS
+            if i + s < m:
+                yield (i + s) // _G_LINE_ELEMS
+            yield i // _G_LINE_ELEMS
+    for j in range(d):
+        yield j // _G_LINE_ELEMS
+
+
+def two_sort_advanced_stream(nk: int, d: int) -> Iterator[int]:
+    """The paper's Advanced: fill + two bitonic sorts of all ``m`` +
+    folding + output scan."""
     m = nk + d
     for pos in range(m):
         yield pos // _G_LINE_ELEMS
     sort_lines = (np.fromiter(network_offsets(m), dtype=np.int64)
                   // _G_LINE_ELEMS).tolist()
     yield from sort_lines
-    yield 0
-    for pos in range(1, m):
-        yield pos // _G_LINE_ELEMS
-        yield (pos - 1) // _G_LINE_ELEMS
-    yield (m - 1) // _G_LINE_ELEMS
+    yield from _fold_stream(m)
     yield from sort_lines
     for j in range(d):
         yield j // _G_LINE_ELEMS
 
 
-def grouped_stream(n: int, k: int, d: int, group_size: int) -> Iterator[int]:
-    """Grouped Advanced: per-group Advanced + carry pass + read-out."""
+def _two_sort_segments(nk: int, d: int) -> Iterator[np.ndarray]:
+    m = nk + d
+    yield np.arange(m, dtype=np.int64) // _G_LINE_ELEMS
+    yield from (stage // _G_LINE_ELEMS for stage in network_stage_offsets(m))
+    yield np.fromiter(_fold_stream(m), dtype=np.int64, count=2 * m)
+    yield from (stage // _G_LINE_ELEMS for stage in network_stage_offsets(m))
+    yield np.arange(d, dtype=np.int64) // _G_LINE_ELEMS
+
+
+def two_sort_advanced_stream_chunks(
+    nk: int, d: int, chunk_size: int = DEFAULT_CHUNK_ACCESSES
+) -> Iterator[np.ndarray]:
+    """:func:`two_sort_advanced_stream` as chunks of ``chunk_size``
+    accesses, one network stage at a time (the emitter
+    ``repro.core.streams`` carried before the kernel dropped the
+    second sort)."""
+    yield from _rechunk(_two_sort_segments(nk, d), chunk_size)
+
+
+def _group_sizes(n: int, group_size: int) -> list[int]:
     if group_size < 1:
         raise ValueError("group size must be positive")
     full_groups, rem = divmod(n, group_size)
-    sizes = [group_size] * full_groups + ([rem] if rem else [])
+    return [group_size] * full_groups + ([rem] if rem else [])
+
+
+def grouped_stream(n: int, k: int, d: int, group_size: int,
+                   two_sort: bool = False) -> Iterator[int]:
+    """Grouped Advanced: per-group Advanced (the paper's two-sort one
+    with ``two_sort``) + carry pass + read-out."""
+    sizes = _group_sizes(n, group_size)
     m_max = group_size * k + d
     acc_base = _region_lines(m_max, _G_LINE_ELEMS)
     acc_lines = _region_lines(d, _G_STAR_LINE_ELEMS)
+    per_group = two_sort_advanced_stream if two_sort else advanced_stream
     for h in sizes:
-        yield from advanced_stream(h * k, d)
+        yield from per_group(h * k, d)
         for line in range(acc_lines):
             yield acc_base + line
             yield acc_base + line
     for line in range(acc_lines):
         yield acc_base + line
+
+
+def two_sort_grouped_stream_chunks(
+    n: int, k: int, d: int, group_size: int,
+    chunk_size: int = DEFAULT_CHUNK_ACCESSES,
+) -> Iterator[np.ndarray]:
+    """``grouped_stream(..., two_sort=True)`` as chunks."""
+    sizes = _group_sizes(n, group_size)
+    acc_base = _region_lines(group_size * k + d, _G_LINE_ELEMS)
+    acc = acc_base + np.arange(_region_lines(d, _G_STAR_LINE_ELEMS),
+                               dtype=np.int64)
+
+    def segments():
+        for h in sizes:
+            yield from _two_sort_segments(h * k, d)
+            yield np.repeat(acc, 2)
+        yield acc
+
+    yield from _rechunk(segments(), chunk_size)
 
 
 # ---------------------------------------------------------------------------

@@ -526,7 +526,21 @@ class TestOneLeafAndLegacyLogs:
 
     def test_manifest_carries_the_log_version(self, tmp_path):
         path = _recorded_run(tmp_path, rounds=1)
-        assert read_records(path)[0]["version"] == LOG_VERSION == 5
+        assert read_records(path)[0]["version"] == LOG_VERSION == 6
+
+    def test_version5_log_is_refused_by_name(self, tmp_path):
+        # Version 5 aggregated Advanced with tie-ordered sort keys: its
+        # aggregates cannot replay, so the log is refused, not replayed
+        # into a mismatch.
+        path = _recorded_run(tmp_path, rounds=1)
+        records = copy.deepcopy(read_records(path))
+        records[0]["version"] = 5
+        _rewrite(path, chain_records(records))
+        for replay in (True, False):
+            with pytest.raises(AuditVersionError, match="version 5") as e:
+                verify_log(path, strict=True, replay=replay)
+            assert e.value.exit_code == 7
+        assert audit_main([str(path), "--strict"]) == 7
 
     def test_version1_log_is_refused(self, tmp_path):
         # Recorded under the SeedSequence derivation: its rounds cannot

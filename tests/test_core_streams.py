@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.aggregation import (
+    advanced_trace_length,
     aggregate_advanced,
     aggregate_baseline,
     aggregate_linear,
@@ -25,8 +26,10 @@ from repro.core.streams import (
     grouped_stream_chunks,
     linear_stream_chunks,
 )
+from repro.core.grouping import aggregate_grouped
 from repro.fl.client import LocalUpdate
-from repro.oblivious.sort import network_access_offsets
+from repro.oblivious.compaction import compaction_stage_offsets
+from repro.oblivious.sort import merge_stage_offsets, network_access_offsets
 from repro.sgx.cost import CostModel, CostParameters
 from repro.sgx.memory import Trace
 from tests.oracles import (
@@ -130,6 +133,24 @@ class TestStreamsAreKernelTraceImages:
                 self._emitted(chunks, chunk_size), trace_cachelines(trace, nk),
                 err_msg=kernel.__name__,
             )
+
+
+    @given(n=st.integers(1, 7), k=st.integers(1, 5), d=st.integers(1, 60),
+           group_size=st.integers(1, 4), seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_grouped(self, n, k, d, group_size, seed):
+        # The grouped stream is each group's Advanced image plus the
+        # carry accumulator's lines, which start past the largest group's
+        # buffer and which the kernel trace does not record.
+        k = min(k, d)
+        updates = make_updates(seed, n, d, k)
+        trace = Trace()
+        aggregate_grouped(updates, d, group_size, trace=trace)
+        stream = np.concatenate(list(grouped_stream_chunks(
+            n, k, d, group_size, chunk_size=333)))
+        acc_base = -(-(group_size * k + d) * G_ITEMSIZE // LINE_BYTES)
+        np.testing.assert_array_equal(stream[stream < acc_base],
+                                      trace_cachelines(trace, n * k))
 
 
 class TestStreamValidation:
@@ -286,24 +307,28 @@ class TestStreamsThroughCostModel:
 
 
 def monolithic_advanced_stream(nk: int, d: int) -> np.ndarray:
-    """The Advanced stream built whole: fill, sort, fold, sort, read-out."""
+    """The Advanced stream built whole: fill, client sort, merge, fold,
+    compaction, read-out."""
     m = nk + d
-    sort_lines = network_access_offsets(m) // 8
     pos = np.arange(1, m, dtype=np.int64)
     fold = np.empty(2 * m, dtype=np.int64)
     fold[0] = 0
     fold[1:-1:2] = pos // 8
     fold[2:-1:2] = (pos - 1) // 8
     fold[-1] = (m - 1) // 8
-    return np.concatenate([np.arange(m, dtype=np.int64) // 8, sort_lines,
-                           fold, sort_lines,
+    whole = lambda stages: np.concatenate([np.empty(0, np.int64), *stages])
+    return np.concatenate([np.arange(m, dtype=np.int64) // 8,
+                           (network_access_offsets(nk) + d) // 8,
+                           whole(merge_stage_offsets(m)) // 8,
+                           fold,
+                           whole(compaction_stage_offsets(m)) // 8,
                            np.arange(d, dtype=np.int64) // 8])
 
 
 class TestAdvancedStreamIsChunked:
-    """The Advanced emitter streams its sorts one network stage at a
-    time: same accesses as the whole stream, memory bounded by the
-    chunk size rather than the network."""
+    """The Advanced emitter streams its sort, merge and compaction one
+    stage at a time: same accesses as the whole stream, memory bounded
+    by the chunk size rather than the network."""
 
     @pytest.mark.parametrize("nk,d", [(1, 1), (5, 11), (96, 160), (300, 724)])
     @pytest.mark.parametrize("chunk_size", [97, 4096, 1 << 19])
@@ -315,9 +340,8 @@ class TestAdvancedStreamIsChunked:
     def test_peak_memory_bounded_at_two_to_the_sixteen(self):
         import tracemalloc
 
-        nk, d = 30_000, 35_536  # m = 2**16: the sorts are 17.8M accesses
-        m = nk + d
-        expected = 2 * 4 * (m // 2) * 16 * 17 // 2 + 3 * m + d
+        nk, d = 30_000, 35_536  # m = 2**16: 12.5M accesses
+        expected = advanced_trace_length(nk, d)
         tracemalloc.start()
         try:
             total = 0
@@ -327,6 +351,6 @@ class TestAdvancedStreamIsChunked:
         finally:
             tracemalloc.stop()
         assert total == expected
-        # Whole-stream emission held >= 142 MB (one sort's int64 lines);
-        # chunks are 4 MB and a stage is 1 MB.
+        # Whole-stream emission would hold >= 100 MB of int64 lines;
+        # chunks are 4 MB and a stage is at most 1.6 MB.
         assert peak < 24 * 2**20, peak

@@ -7,14 +7,23 @@ from hypothesis import given, settings, strategies as st
 import itertools
 
 from repro.oblivious.sort import (
+    bitonic_merge_traced_columns,
     bitonic_sort_numpy,
     bitonic_sort_traced_columns,
     comparator_count,
+    merge_comparator_count,
+    merge_stage_offsets,
     network_access_offsets,
     network_stage_offsets,
 )
 from repro.sgx.memory import Trace, TracedArray
-from tests.oracles import bitonic_network, bitonic_sort_traced, network_offsets
+from tests.oracles import (
+    apply_network_traced,
+    bitonic_merge_network,
+    bitonic_network,
+    bitonic_sort_traced,
+    network_offsets,
+)
 
 
 class TestNetwork:
@@ -306,3 +315,75 @@ class TestTraceIsAFunctionOfLength:
             traces.append(trace)
         assert traces[0] == traces[1]
         assert len(traces[0]) == 4 * comparator_count(n)
+
+
+class TestMergeStages:
+    """The half-cleaners that merge a falling run with a rising one."""
+
+    @staticmethod
+    def _offsets(n):
+        stages = list(merge_stage_offsets(n))
+        return np.concatenate(stages) if stages else np.empty(0, np.int64)
+
+    @pytest.mark.parametrize("n", list(range(40)) + [63, 64, 65, 1000])
+    def test_schedule_matches_oracle(self, n):
+        network = list(bitonic_merge_network(n))
+        assert merge_comparator_count(n) == len(network)
+        expected = [o for i, j, _ in network for o in (i, j, i, j)]
+        assert self._offsets(n).tolist() == expected
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_sorts_every_falling_then_rising_zero_one_input(self, n):
+        # 0-1 principle for bitonic inputs: a falling run (ones, then
+        # zeros) followed by a rising run (zeros, then ones).
+        pairs = self._offsets(n).reshape(-1, 4)[:, :2].tolist()
+        for split in range(n + 1):
+            for a in range(split + 1):
+                for b in range(n - split + 1):
+                    bits = ([1] * a + [0] * (split - a)
+                            + [0] * (n - split - b) + [1] * b)
+                    keys = np.asarray(bits)
+                    for i, j in pairs:
+                        keys[i], keys[j] = min(keys[i], keys[j]), max(keys[i], keys[j])
+                    assert np.all(np.diff(keys) >= 0), bits
+                    keys = np.asarray(bits)
+                    bitonic_merge_traced_columns(None, "g", keys)
+                    assert np.all(np.diff(keys) >= 0), bits
+
+    @given(st.lists(st.integers(-50, 50), max_size=200),
+           st.lists(st.integers(-50, 50), max_size=200))
+    @settings(max_examples=60, deadline=None)
+    def test_merges_any_falling_and_rising_runs(self, falling, rising):
+        keys = np.asarray(sorted(falling, reverse=True) + sorted(rising),
+                          dtype=np.int64)
+        payload = keys.astype(np.float64) * 2
+        bitonic_merge_traced_columns(None, "g", keys, payload)
+        assert keys.tolist() == sorted(falling + rising)
+        assert (payload == keys * 2).all()
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 13])
+    def test_traced_merge_matches_comparator_loop(self, n):
+        rng = np.random.default_rng(n)
+        split = n // 3
+        keys = np.concatenate([np.sort(rng.integers(0, 9, split))[::-1],
+                               np.sort(rng.integers(0, 9, n - split))])
+        t_new, t_ref = Trace(), Trace()
+        arr = TracedArray("s", keys.tolist(), trace=t_ref)
+        apply_network_traced(arr, bitonic_merge_network(n))
+        bitonic_merge_traced_columns(t_new, "s", keys)
+        assert t_new == t_ref
+        assert keys.tolist() == arr.snapshot()
+
+
+class TestBaseOffset:
+    @pytest.mark.parametrize("n,base", [(0, 4), (1, 3), (6, 10), (33, 7)])
+    def test_sorting_a_slice_records_shifted_offsets(self, n, base):
+        rng = np.random.default_rng(n)
+        column = rng.integers(0, 100, size=base + n)
+        head = column[:base].copy()
+        trace = Trace()
+        bitonic_sort_traced_columns(trace, "g", column[base:], base=base)
+        assert column[:base].tolist() == head.tolist()
+        assert np.all(np.diff(column[base:]) >= 0)
+        np.testing.assert_array_equal(trace.columns()[1],
+                                      network_access_offsets(n) + base)
