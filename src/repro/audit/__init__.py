@@ -52,7 +52,6 @@ from .merkle import (
     leaf_hash,
     merkle_root,
     node_hash,
-    root_over_payloads,
     upload_leaf,
     verify_inclusion,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "partial_digest",
     "read_records",
     "record_hash",
-    "root_over_payloads",
     "upload_leaf",
     "upload_merkle_root",
     "verify_chain",

@@ -52,8 +52,13 @@ _RECORD_DOMAIN = b"olive-audit-record:"
 #: Version 6: Advanced sorts on unique ``(index, input position)`` keys
 #: (merge of the client and dummy runs, compaction for the second
 #: sort), which fixes the fold order of equal indices and so changes
-#: the aggregate bits.
-LOG_VERSION = 6
+#: the aggregate bits.  Version 7: the manifest's ``shards``,
+#: ``shards.faults`` and ``olive`` sections lost nine fields no caller
+#: varied (``min_shard_quorum``, ``clip_target_quantile`` and the
+#: like), and the Advanced fold sums each equal-index run in order
+#: instead of differencing one running sum, which changes the
+#: aggregate bits.
+LOG_VERSION = 7
 
 
 class AuditError(Exception):

@@ -73,11 +73,6 @@ def merkle_root(leaves: list[bytes]) -> bytes:
     return node_hash(merkle_root(leaves[:k]), merkle_root(leaves[k:]))
 
 
-def root_over_payloads(payloads: list[bytes]) -> bytes:
-    """Convenience: hash raw leaf payloads, then take the root."""
-    return merkle_root([leaf_hash(p) for p in payloads])
-
-
 @dataclass(frozen=True)
 class InclusionProof:
     """An audit path proving one leaf is under a committed root.

@@ -253,7 +253,9 @@ def _fold_sorted(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Vectorized oblivious-folding semantics on an index-sorted array.
 
     The last element of every equal-index run keeps ``(index, run
-    sum)``; every other position becomes ``(M0, 0)``.
+    sum)``; every other position becomes ``(M0, 0)``.  Each run is
+    summed in order from zero, as Algorithm 4's carry adds it, so a
+    run's sum never depends on the runs before it.
     """
     m = len(idx)
     if m == 0:
@@ -261,13 +263,13 @@ def _fold_sorted(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarr
     last = np.empty(m, dtype=bool)
     last[:-1] = idx[:-1] != idx[1:]
     last[-1] = True
-    csum = np.cumsum(val)
-    run_totals = csum[last]
-    run_totals[1:] -= csum[last][:-1]
+    run_id = np.empty(m, dtype=np.int64)
+    run_id[0] = 0
+    np.cumsum(last[:-1], out=run_id[1:])
     out_idx = np.full(m, M0, dtype=np.int64)
     out_val = np.zeros(m)
     out_idx[last] = idx[last]
-    out_val[last] = run_totals
+    out_val[last] = np.bincount(run_id, weights=val)
     return out_idx, out_val
 
 

@@ -73,8 +73,6 @@ class OliveConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
     expected_clients: int | None = None
     adaptive_clipping: bool = False
-    clip_target_quantile: float = 0.5
-    clip_learning_rate: float = 0.2
     quantize_bits: int | None = None  # QSGD upload compression when set
 
     def __post_init__(self) -> None:
@@ -135,11 +133,7 @@ class OliveSystem:
         self.round_index = 0
         self.clipper: AdaptiveClipper | None = None
         if config.adaptive_clipping:
-            self.clipper = AdaptiveClipper(
-                initial_clip=config.training.clip,
-                target_quantile=config.clip_target_quantile,
-                learning_rate=config.clip_learning_rate,
-            )
+            self.clipper = AdaptiveClipper(initial_clip=config.training.clip)
         self.runtime_config = runtime or RuntimeConfig()
         self.runtime = CohortRuntime(
             self.runtime_config, copy.deepcopy(model), clients,

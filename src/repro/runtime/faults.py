@@ -142,8 +142,9 @@ class EnclaveFaultConfig:
       (restart impossible; the shard fails over to a surviving leaf)
       rather than a process crash (restart in place);
     * ``leaf_straggler_rate`` / ``leaf_straggler_delay_s`` -- the
-      attempt is delayed; delays are adjudicated against the per-shard
-      deadline *analytically* so decisions replay deterministically;
+      attempt is delayed by an exponential draw around the mean;
+      delays are adjudicated against the per-shard deadline
+      *analytically* so decisions replay deterministically;
     * ``root_restart_rate`` -- per round: the root enclave restarts
       partway through combining sealed partials and recovers from its
       own checkpoint.
@@ -153,7 +154,6 @@ class EnclaveFaultConfig:
     crash_fatal_rate: float = 0.5
     leaf_straggler_rate: float = 0.0
     leaf_straggler_delay_s: float = 0.05   # mean injected delay
-    leaf_straggler_jitter: bool = True
     root_restart_rate: float = 0.0
 
     def __post_init__(self) -> None:
@@ -233,11 +233,8 @@ class EnclaveFaultInjector:
         crash_fraction = float(rng.random()) if crash else None
         fatal = crash and rng.random() < cfg.crash_fatal_rate
         straggler = rng.random() < cfg.leaf_straggler_rate
-        delay = 0.0
-        if straggler:
-            delay = (float(rng.exponential(cfg.leaf_straggler_delay_s))
-                     if cfg.leaf_straggler_jitter
-                     else cfg.leaf_straggler_delay_s)
+        delay = (float(rng.exponential(cfg.leaf_straggler_delay_s))
+                 if straggler else 0.0)
         return LeafFaultPlan(crash_fraction=crash_fraction, fatal=fatal,
                              delay_s=delay)
 

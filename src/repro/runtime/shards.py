@@ -11,8 +11,9 @@ leaf folds uploads into its partial aggregate as they arrive (in
 batches of ``oblivious_batch``, each through the caller's oblivious
 kernel) instead of waiting for a per-round barrier.  A traced round
 threads one :class:`~repro.sgx.memory.Trace` through every leaf fold
-in execution order, crash re-runs included: what an adversary holding
-every leaf host observes.
+in execution order: what an adversary holding every leaf host
+observes.  A sealed checkpoint follows every fold, so a crash re-runs
+only uploads not yet folded and no fold appears twice.
 
 The topology is born robustness-first, with a full server-side fault
 model (:class:`repro.runtime.faults.EnclaveFaultConfig`):
@@ -63,7 +64,7 @@ import numpy as np
 from .. import obs
 from ..fl.client import LocalUpdate
 from ..sgx import crypto
-from ..sgx.cost import CostParameters
+from ..sgx.cost import CLOCK_HZ, CostParameters
 from ..sgx.enclave import DEFAULT_EPC_BYTES, Enclave, EnclaveSecurityError
 from ..sgx.memory import Trace
 from .cohort import Delivery
@@ -80,6 +81,17 @@ _PARTIAL_DOMAIN = b"olive-partial:"
 _PER_UPLOAD_OVERHEAD = 96
 #: Fixed per-leaf enclave overhead (code, heap, keystore) in the sizing model.
 _LEAF_FIXED_BYTES = 8 * 1024 * 1024
+#: Share of a leaf's EPC the planner fills before adding a leaf.
+_EPC_UTILIZATION = 0.8
+#: Most leaves an EPC-aware plan spawns.
+_MAX_SHARDS = 64
+#: Modeled retry backoff: ``_BACKOFF_BASE_S * 2**(attempt - 1)``, capped.
+_BACKOFF_BASE_S = 0.01
+_BACKOFF_CAP_S = 1.0
+#: The paging price of an oversubscribed leaf: the cost model's page
+#: size and EWB/ELDU round trip at the paper machine's clock.
+_PAGING = CostParameters()
+_PAGE_FAULT_S = _PAGING.cycles_epc_page_fault / CLOCK_HZ
 
 
 def _core():
@@ -105,45 +117,42 @@ class ShardConfig:
     penalty is then charged and flagged).  ``oblivious_batch`` is the
     async-ingest granularity: uploads are folded into the partial
     aggregate through the service's kernel every that-many accepted
-    uploads, and sealed checkpoints are cut every
-    ``checkpoint_every_batches`` folds (checkpoints are fold-aligned by
-    construction, which is what makes recovery bit-identical).
+    uploads, and a sealed checkpoint is cut after every fold
+    (checkpoints are fold-aligned by construction, which is what makes
+    recovery bit-identical).
     """
 
     shards: int | None = None
-    max_shards: int = 64
     epc_bytes: int = DEFAULT_EPC_BYTES
-    epc_utilization: float = 0.8
     oblivious_batch: int = 64
-    checkpoint_every_batches: int = 1
     shard_deadline_s: float | None = None
     max_shard_retries: int = 2
-    backoff_base_s: float = 0.01
-    backoff_cap_s: float = 1.0
-    min_shard_quorum: float = 0.0
     faults: EnclaveFaultConfig = field(default_factory=EnclaveFaultConfig)
 
     def __post_init__(self) -> None:
         if self.shards is not None and self.shards < 1:
             raise ValueError("shards must be >= 1 when set")
-        if self.max_shards < 1:
-            raise ValueError("max_shards must be >= 1")
-        if not 0.0 < self.epc_utilization <= 1.0:
-            raise ValueError("epc_utilization must be in (0, 1]")
         if self.epc_bytes < 1:
             raise ValueError("epc_bytes must be positive")
         if self.oblivious_batch < 1:
             raise ValueError("oblivious_batch must be >= 1")
-        if self.checkpoint_every_batches < 1:
-            raise ValueError("checkpoint_every_batches must be >= 1")
         if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:
             raise ValueError("shard_deadline_s must be positive when set")
         if self.max_shard_retries < 0:
             raise ValueError("max_shard_retries must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff seconds must be >= 0")
-        if not 0.0 <= self.min_shard_quorum <= 1.0:
-            raise ValueError("min_shard_quorum must be in [0, 1]")
+
+
+def _leaf_footprint(d: int, upload_bytes: int) -> tuple[int, int]:
+    """A leaf's round working set as ``(fixed bytes, bytes per upload)``.
+
+    The fixed part is the dense partial aggregate (``8d`` bytes) and
+    the enclave's own overhead; each staged upload adds its ciphertext,
+    its decrypted sparse form, and replay-defence bookkeeping.  The
+    planner sizes leaves with it and :meth:`ShardedAggregator._run_shard`
+    charges paging against it.
+    """
+    return (_LEAF_FIXED_BYTES + 8 * d,
+            2 * max(1, upload_bytes) + _PER_UPLOAD_OVERHEAD)
 
 
 def plan_shards(
@@ -151,24 +160,20 @@ def plan_shards(
 ) -> int:
     """EPC-aware leaf count for one round's upload volume.
 
-    A leaf's round working set is its dense partial aggregate (``8d``
-    bytes), a fixed enclave overhead, and per-upload staging (the
-    ciphertext, its decrypted sparse form, and replay-defence
-    bookkeeping).  The shard count is the smallest that fits every
-    leaf's set inside ``epc_utilization`` of the EPC, clamped to
-    ``max_shards`` -- the same EPC-pressure reasoning the cost model
-    charges paging penalties for (Figures 11-12), applied at sizing
-    time instead of after the fact.
+    The shard count is the smallest that fits every leaf's working set
+    (:func:`_leaf_footprint`) inside 80% of the EPC, clamped to 64
+    leaves -- the same EPC-pressure reasoning the cost model charges
+    paging penalties for (Figures 11-12), applied at sizing time
+    instead of after the fact.
     """
     if config.shards is not None:
         return config.shards
     if n_uploads <= 0:
         return 1
-    budget = int(config.epc_utilization * config.epc_bytes)
-    budget -= 8 * d + _LEAF_FIXED_BYTES
-    per_upload = 2 * max(1, upload_bytes) + _PER_UPLOAD_OVERHEAD
+    fixed, per_upload = _leaf_footprint(d, upload_bytes)
+    budget = int(_EPC_UTILIZATION * config.epc_bytes) - fixed
     capacity = max(1, budget // per_upload) if budget > 0 else 1
-    return max(1, min(config.max_shards, math.ceil(n_uploads / capacity)))
+    return max(1, min(_MAX_SHARDS, math.ceil(n_uploads / capacity)))
 
 
 @dataclass
@@ -189,7 +194,9 @@ class ShardOutcome:
     deadline_misses: int = 0
     epc_oversubscribed: bool = False
     completed: bool = False
-    latency_s: float = 0.0        # simulated parallel-leaf latency
+    #: Modeled parallel-leaf latency: the measured leaf wall plus the
+    #: analytic paging, backoff and deadline charges.
+    latency_s: float = 0.0
     wall_s: float = 0.0           # measured coordinator wall
 
 
@@ -219,8 +226,8 @@ class ShardRoundReport:
     #: order (shard order, then ingest order).
     updates: dict[int, LocalUpdate] = field(default_factory=dict)
     #: ``(trace position, position in updates)`` where each leaf fold of
-    #: a traced round starts, in execution order, crash re-runs
-    #: included (empty when the round is untraced).
+    #: a traced round starts, in execution order (empty when the round
+    #: is untraced).
     folds: list[tuple[int, int]] = field(default_factory=list)
 
     @property
@@ -374,9 +381,6 @@ class ShardedAggregator:
         self.group_size = group_size
         self.injector = EnclaveFaultInjector(config.faults, self.entropy)
         self._leaves: list[_Leaf] = []
-        self._paging_penalty_s_per_page = (
-            CostParameters().cycles_epc_page_fault / 3.8e9
-        )
 
     # -- leaf pool ------------------------------------------------------
     def _spawn_leaf(self) -> _Leaf:
@@ -429,15 +433,12 @@ class ShardedAggregator:
 
     def _next_leaf(self, after_index: int) -> _Leaf:
         """The failover target: next surviving leaf, else a fresh spawn."""
-        alive = [lf for lf in self._leaves if lf.alive]
-        if not alive:
-            return self._spawn_leaf()
-        for offset in range(1, len(self._leaves) + 1):
-            candidate = self._leaves[(after_index + offset)
-                                     % len(self._leaves)]
+        n = len(self._leaves)
+        for offset in range(1, n + 1):
+            candidate = self._leaves[(after_index + offset) % n]
             if candidate.alive:
                 return candidate
-        return alive[0]
+        return self._spawn_leaf()
 
     # -- round orchestration -------------------------------------------
     def aggregate_round(
@@ -493,10 +494,12 @@ class ShardedAggregator:
             else:
                 groups.append([dv])
 
-        upload_bytes = max(
-            (len(dv.ciphertext.to_bytes()) for dv in ordered), default=0,
-        )
-        n_shards = plan_shards(len(groups), d, upload_bytes, cfg)
+        # Each upload's size is measured once: the plan takes the
+        # round's largest, each shard's paging check its own largest.
+        group_bytes = [max(len(dv.ciphertext.to_bytes()) for dv in grp)
+                       for grp in groups]
+        n_shards = plan_shards(len(groups), d, max(group_bytes, default=0),
+                               cfg)
         self.ensure_leaves(min(n_shards, len(groups)) or 1)
 
         with obs.span("shard.round", index=round_index, shards=n_shards,
@@ -510,6 +513,7 @@ class ShardedAggregator:
                         for dv in grp]
                 outcome, blob, folded = self._run_shard(
                     round_index, shard_index, flat, sampled, d,
+                    max(group_bytes[shard_index::n_shards], default=0),
                     quantize_bits, rejected, fold,
                 )
                 outcomes.append(outcome)
@@ -551,11 +555,6 @@ class ShardedAggregator:
         return aggregate, report
 
     # -- one shard ------------------------------------------------------
-    def _estimate_working_set(self, assigned: int, d: int,
-                              upload_bytes: int) -> int:
-        return (_LEAF_FIXED_BYTES + 8 * d
-                + assigned * (2 * upload_bytes + _PER_UPLOAD_OVERHEAD))
-
     def _run_shard(
         self,
         round_index: int,
@@ -563,14 +562,16 @@ class ShardedAggregator:
         deliveries: list[Delivery],
         sampled: set[int],
         d: int,
+        upload_bytes: int,
         quantize_bits: int | None,
         rejected: dict[int, str],
         fold: Callable[[list[LocalUpdate], int], np.ndarray],
     ) -> tuple[ShardOutcome, bytes | None, list[LocalUpdate]]:
         """Ingest one shard with retry, restart, failover, and deadline.
 
-        Returns the outcome, the sealed partial (``None`` on failure)
-        and the shard's accepted updates in fold order.
+        ``upload_bytes`` is the shard's largest upload.  Returns the
+        outcome, the sealed partial (``None`` on failure) and the
+        shard's accepted updates in fold order.
         """
         cfg = self.config
         t0 = time.perf_counter()
@@ -582,19 +583,14 @@ class ShardedAggregator:
                                leaf_index=leaf.index,
                                assigned=len(deliveries))
 
-        upload_bytes = max(
-            (len(dv.ciphertext.to_bytes()) for dv in deliveries),
-            default=0,
-        )
-        working_set = self._estimate_working_set(len(deliveries), d,
-                                                 upload_bytes)
+        fixed, per_upload = _leaf_footprint(d, upload_bytes)
+        working_set = fixed + len(deliveries) * per_upload
         if working_set > cfg.epc_bytes:
             outcome.epc_oversubscribed = True
             obs.add("shard.epc_oversubscribed")
-            params = CostParameters()
             excess_pages = math.ceil(
-                (working_set - cfg.epc_bytes) / params.page_bytes)
-            outcome.latency_s += excess_pages * self._paging_penalty_s_per_page
+                (working_set - cfg.epc_bytes) / _PAGING.page_bytes)
+            outcome.latency_s += excess_pages * _PAGE_FAULT_S
 
         ckpt: crypto.Ciphertext | None = None
         ckpt_pos = 0
@@ -602,7 +598,6 @@ class ShardedAggregator:
         resume_pos = 0
         attempt = 0
         batch_every = cfg.oblivious_batch
-        ckpt_every = cfg.oblivious_batch * cfg.checkpoint_every_batches
 
         leaf.enclave.begin_round(sampled=sampled)
         state = _LeafRound(leaf, d, fold, quantize_bits)
@@ -657,7 +652,7 @@ class ShardedAggregator:
                             and state.pending):
                         state.fold()
                     if (state.accepted and not state.pending
-                            and state.accepted % ckpt_every == 0
+                            and state.accepted % batch_every == 0
                             and pos > ckpt_pos):
                         with obs.span("shard.checkpoint",
                                       shard=shard_index, leaf=leaf.index):
@@ -669,11 +664,6 @@ class ShardedAggregator:
 
             if not crashed:
                 blob = state.seal_partial(round_index, shard_index)
-                accepted_frac = (state.accepted / len(deliveries)
-                                 if deliveries else 1.0)
-                if accepted_frac < cfg.min_shard_quorum:
-                    obs.add("shard.quorum_failed")
-                    return self._shard_failed(outcome, t0)
                 outcome.accepted = state.accepted
                 outcome.leaf_index = leaf.index
                 outcome.completed = True
@@ -722,9 +712,8 @@ class ShardedAggregator:
                 rejected[delivery.client_id] = exc.reason
 
     def _backoff(self, attempt: int) -> float:
-        cfg = self.config
-        backoff = min(cfg.backoff_base_s * (2.0 ** (attempt - 1)),
-                      cfg.backoff_cap_s)
+        backoff = min(_BACKOFF_BASE_S * (2.0 ** (attempt - 1)),
+                      _BACKOFF_CAP_S)
         obs.observe("shard.backoff_s", backoff)
         return backoff
 

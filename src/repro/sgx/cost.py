@@ -42,6 +42,10 @@ from .. import obs
 #: per-batch classification overhead until sort locality degrades).
 CHUNK_ACCESSES = 1 << 19
 
+#: Clock of the paper machine (Xeon E-2174G, 3.8 GHz): converts
+#: modeled cycles to seconds.
+CLOCK_HZ = 3.8e9
+
 
 def _sort_key(values: np.ndarray, upper: int) -> np.ndarray:
     """Cheapest dtype for a stable argsort of ``values`` in [0, upper].
@@ -458,8 +462,8 @@ class CostReport:
 
     @property
     def seconds(self) -> float:
-        """Simulated seconds at the paper machine's 3.8 GHz."""
-        return self.cycles / 3.8e9
+        """Simulated seconds at the paper machine's clock."""
+        return self.cycles / CLOCK_HZ
 
     def merge(self, other: "CostReport") -> "CostReport":
         return CostReport(
@@ -494,8 +498,8 @@ class ReplayStats:
 
     @property
     def seconds(self) -> float:
-        """Simulated seconds at the paper machine's 3.8 GHz."""
-        return self.cycles / 3.8e9
+        """Simulated seconds at the paper machine's clock."""
+        return self.cycles / CLOCK_HZ
 
     def as_gauges(self) -> dict[str, int]:
         """Flat ``cost.<field>`` mapping for telemetry gauges."""

@@ -12,11 +12,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.aggregation import advanced_trace_length, aggregate_advanced
+from repro.core.aggregation import (
+    advanced_trace_length,
+    aggregate_advanced,
+    aggregate_baseline,
+    aggregate_linear,
+    aggregate_path_oram,
+)
 from repro.fl.client import LocalUpdate
 from repro.oblivious.sort import comparator_count
 from repro.sgx.memory import Trace
-from tests.oracles import two_sort_advanced, two_sort_advanced_traced
+from tests.oracles import (
+    ref_advanced_traced,
+    two_sort_advanced,
+    two_sort_advanced_traced,
+)
 
 
 def random_updates(seed, n, k, d):
@@ -74,6 +84,31 @@ class TestEqualsTwoSortOracle:
     def test_wide_round_shape(self):
         n, k, d = 2, 5089, 50890
         assert_matches_two_sort(random_updates(0, n, k, d), d)
+
+
+class TestKernelsAgreeBitForBit:
+    """Every aggregator adds each index's values in input order from
+    zero, so all of them release the same bits.  Grouped aggregation is
+    left out: it sums each group first and then adds the group sums, a
+    different association of the same values."""
+
+    @given(shape=shapes(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_linear_baseline_advanced_and_oram(self, shape, seed):
+        n, k, d = shape
+        updates = random_updates(seed, n, k, d)
+        expected = aggregate_linear(updates, d).tobytes()
+        assert aggregate_baseline(updates, d).tobytes() == expected
+        assert aggregate_advanced(updates, d).tobytes() == expected
+        assert aggregate_path_oram(updates, d, seed=seed).tobytes() == expected
+
+    @given(shape=shapes(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_advanced_equals_the_element_at_a_time_carry(self, shape, seed):
+        n, k, d = shape
+        updates = random_updates(seed, n, k, d)
+        carried = ref_advanced_traced(updates, d, Trace())
+        assert aggregate_advanced(updates, d).tobytes() == carried.tobytes()
 
 
 class TestTraceIsAFunctionOfShape:

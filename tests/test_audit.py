@@ -526,7 +526,25 @@ class TestOneLeafAndLegacyLogs:
 
     def test_manifest_carries_the_log_version(self, tmp_path):
         path = _recorded_run(tmp_path, rounds=1)
-        assert read_records(path)[0]["version"] == LOG_VERSION == 6
+        assert read_records(path)[0]["version"] == LOG_VERSION == 7
+
+    def test_version6_log_is_refused_by_version(self, tmp_path):
+        # Version 6 manifests still carried knobs no caller set, such as
+        # ``shards.min_shard_quorum``, and folded Advanced runs by
+        # differencing a running sum: the log is refused by its version
+        # (exit 7) before any section is rebuilt (exit 5).
+        path = _recorded_run(tmp_path, rounds=1,
+                             shards=ShardConfig(shards=2))
+        records = copy.deepcopy(read_records(path))
+        records[0]["version"] = 6
+        records[0]["manifest"]["shards"]["min_shard_quorum"] = 0.0
+        _rewrite(path, chain_records(records))
+        for replay in (True, False):
+            with pytest.raises(AuditVersionError, match="version 6") as e:
+                verify_log(path, strict=True, replay=replay)
+            assert e.value.exit_code == 7
+        assert audit_main([str(path), "--strict"]) == 7
+        assert audit_main([str(path), "--strict", "--no-replay"]) == 7
 
     def test_version5_log_is_refused_by_name(self, tmp_path):
         # Version 5 aggregated Advanced with tie-ordered sort keys: its

@@ -8,7 +8,7 @@ from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
 
 
-def _system(adaptive, initial_clip, seed=0, rounds_quantile=0.5):
+def _system(adaptive, initial_clip, seed=0):
     gen = SyntheticClassData(SPECS["tiny"], seed=0)
     clients = partition_clients(gen, 12, 30, 2, seed=0)
     return OliveSystem(
@@ -16,7 +16,6 @@ def _system(adaptive, initial_clip, seed=0, rounds_quantile=0.5):
         OliveConfig(
             sample_rate=0.8, noise_multiplier=0.5, aggregator="advanced",
             adaptive_clipping=adaptive,
-            clip_target_quantile=rounds_quantile,
             training=TrainingConfig(local_epochs=2, local_lr=0.3,
                                     sparse_ratio=0.2, clip=initial_clip),
         ),

@@ -128,29 +128,31 @@ class TestPlanning:
         assert plan_shards(10**6, D, 500, ShardConfig(shards=3)) == 3
 
     def test_epc_aware_sizing_grows_with_uploads(self):
-        cfg = ShardConfig(epc_bytes=16 * 1024 * 1024, max_shards=64)
+        cfg = ShardConfig(epc_bytes=16 * 1024 * 1024)
         small = plan_shards(1_000, D, 500, cfg)
         large = plan_shards(200_000, D, 500, cfg)
         assert small == 1
         assert large > small
 
     def test_max_shards_caps_the_plan(self):
-        cfg = ShardConfig(epc_bytes=9 * 1024 * 1024, max_shards=4)
-        assert plan_shards(10**7, D, 2000, cfg) == 4
+        # 80% of 9 MiB cannot hold a leaf's fixed working set, so every
+        # leaf takes one upload and the plan clamps at 64 leaves.
+        cfg = ShardConfig(epc_bytes=9 * 1024 * 1024)
+        assert plan_shards(10**7, D, 2000, cfg) == 64
 
     def test_zero_uploads_one_shard(self):
         assert plan_shards(0, D, 0, ShardConfig()) == 1
 
     @pytest.mark.parametrize("kwargs", [
         {"shards": 0},
-        {"epc_utilization": 0.0},
-        {"epc_utilization": 1.5},
+        {"shards": -1},
+        {"epc_bytes": 0},
         {"oblivious_batch": 0},
-        {"checkpoint_every_batches": 0},
+        {"oblivious_batch": -1},
         {"shard_deadline_s": 0.0},
         {"max_shard_retries": -1},
-        {"min_shard_quorum": 1.5},
-        {"max_shards": 0},
+        {"shard_deadline_s": -1.0},
+        {"epc_bytes": -1},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -299,11 +301,12 @@ class TestRecovery:
         assert aggregate.tobytes() == clean_agg.tobytes()
 
     def test_crash_before_any_checkpoint_resumes_from_zero(self):
-        clean_agg, _ = self._clean()
-        # Checkpoint cadence longer than the shard: ckpt stays None.
+        # A batch larger than the shard: no fold, so no checkpoint,
+        # before the crash.
+        clean_agg, _, _, _ = run_shards(oblivious_batch=100)
         inj = stub_injector({(0, 0): LeafFaultPlan(crash_fraction=0.9)})
         aggregate, report, _, _ = run_shards(injector=inj,
-                                             checkpoint_every_batches=100)
+                                             oblivious_batch=100)
         out = report.outcomes[0]
         assert out.crashes == 1 and out.checkpoints == 0
         # Re-ingesting from zero must not double-count anything.
@@ -363,10 +366,9 @@ class TestRecovery:
         assert aggregate.tobytes() == clean_agg.tobytes()
 
     def test_permanently_slow_shard_degrades_the_round(self):
-        faults = EnclaveFaultConfig(leaf_straggler_rate=1.0,
-                                    leaf_straggler_delay_s=10.0,
-                                    leaf_straggler_jitter=False)
-        _, report, _, _ = run_shards(faults=faults, shard_deadline_s=1.0,
+        inj = stub_injector({(s, a): LeafFaultPlan(delay_s=10.0)
+                             for s in range(4) for a in range(3)})
+        _, report, _, _ = run_shards(injector=inj, shard_deadline_s=1.0,
                                      max_shard_retries=2)
         assert report.degraded
         assert report.completion_rate == 0.0
@@ -734,21 +736,28 @@ class TestOliveShardIntegration:
         assert log.trace == reference
 
     def test_traced_crash_rerun_stays_in_the_trace(self):
-        # A crash after the first fold loses the second batch; the
-        # adversary saw its fold, so the trace keeps both runs of it.
+        # Every fold is checkpointed, so a crash loses only the unfolded
+        # batch: the re-run resumes at the last checkpoint and the trace
+        # holds each executed fold once, in execution order.
         inj = stub_injector({(0, 0): LeafFaultPlan(crash_fraction=0.9)})
         with make_system(shards=ShardConfig(
-                shards=2, oblivious_batch=2,
-                checkpoint_every_batches=100)) as system:
+                shards=2, oblivious_batch=2)) as system:
             system.shard_service.injector = inj
             log = system.run_round(traced=True)
         report = log.shard_report
-        assert report.outcomes[0].crashes == 1
+        out = report.outcomes[0]
+        assert out.crashes == 1 and out.restarts == 1
         firsts = [first for _, first in report.folds]
-        # Shard 0 (six uploads, crash at position 5) folds 0, 2, then
-        # restarts from zero: 0, 2, 4; shard 1 folds 6, 8, 10.
-        assert firsts == [0, 2, 0, 2, 4, 6, 8, 10]
+        # Shard 0 (six uploads, crash at position 5) folds 0, 2 and
+        # checkpoints after each, loses upload 4, then resumes at 4;
+        # shard 1 folds 6, 8, 10.
+        assert firsts == [0, 2, 4, 6, 8, 10]
         assert sorted(log.updates) == log.participants == list(range(12))
+        updates = list(log.updates.values())
+        reference = Trace()
+        for lo, hi in zip(firsts, firsts[1:] + [len(updates)]):
+            AGGREGATORS["advanced"].run(updates[lo:hi], system.d, reference)
+        assert log.trace == reference
 
     def test_adaptive_clipping_at_any_shard_count(self):
         runtime = RuntimeConfig()
