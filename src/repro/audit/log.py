@@ -2,9 +2,12 @@
 
 Each record commits to its predecessor: ``record["prev"]`` is the
 predecessor's record hash and ``record["hash"]`` is the SHA-256 of the
-record's own canonical JSON (sorted keys, minimal separators, domain
-prefix) *excluding* the hash field itself.  The chain starts from an
-all-zero genesis value, so
+record's own canonical JSON (sorted keys, ``json.dumps``'s default
+separators, domain prefix) *excluding* the hash field itself and a
+round's logged ``ciphertexts``.  Those bytes (base64, one entry per
+accepted client) are bound once, through the round's ``merkle_root``,
+which the hashed body carries.  The chain starts from an all-zero
+genesis value, so
 
 * editing any record breaks its own hash,
 * reordering or dropping an interior record breaks the successor's
@@ -15,9 +18,11 @@ all-zero genesis value, so
 
 Record types, in mandatory order: one ``manifest`` (how to rebuild the
 recorded run), ``round`` records with consecutive indices from 0, one
-``seal``.  The writer appends and flushes one line per record so a
-crashed run leaves a prefix that still chain-verifies (minus the seal,
-i.e. detectably incomplete).
+``seal``.  The writer serializes each record once -- the canonical
+body it hashes is the line it writes, with the ciphertexts and the hash
+appended -- and flushes one line per record, so a crashed run leaves a
+prefix that still chain-verifies (minus the seal, i.e. detectably
+incomplete).
 
 Verification failures raise the distinct exception taxonomy the CLI
 maps to exit codes: :class:`AuditChainError` (edited / reordered
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from binascii import b2a_base64
 from pathlib import Path
 
 #: Chain value the first record commits to.
@@ -57,8 +63,10 @@ _RECORD_DOMAIN = b"olive-audit-record:"
 #: varied (``min_shard_quorum``, ``clip_target_quantile`` and the
 #: like), and the Advanced fold sums each equal-index run in order
 #: instead of differencing one running sum, which changes the
-#: aggregate bits.
-LOG_VERSION = 7
+#: aggregate bits.  Version 8: a round's hashed body carries the
+#: Merkle root but not the ciphertexts, which ride in the line once, as
+#: base64, outside the record hash.
+LOG_VERSION = 8
 
 
 class AuditError(Exception):
@@ -112,11 +120,24 @@ class AuditVersionError(AuditError):
     exit_code = 7
 
 
+#: Fields a record line carries outside its hashed body: the record
+#: hash itself, and the ciphertext bytes the body's Merkle root binds.
+_UNHASHED = ("hash", "ciphertexts")
+
+
+def _canonical(body: dict) -> str:
+    return json.dumps(body, sort_keys=True)
+
+
+def _digest(canonical: str) -> str:
+    return hashlib.sha256(_RECORD_DOMAIN + canonical.encode()).hexdigest()
+
+
 def record_hash(record: dict) -> str:
-    """Hash of one record's canonical JSON, excluding its own hash."""
-    body = {k: v for k, v in record.items() if k != "hash"}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(_RECORD_DOMAIN + blob.encode()).hexdigest()
+    """Hash of one record's canonical JSON, excluding its own hash and
+    its logged ciphertexts."""
+    return _digest(_canonical(
+        {k: v for k, v in record.items() if k not in _UNHASHED}))
 
 
 def chain_records(records: list[dict]) -> list[dict]:
@@ -146,18 +167,31 @@ class AuditLogWriter:
         self.records_written = 0
         self._file = open(self.path, "w")
 
-    def append(self, record: dict) -> str:
-        """Chain, hash, and persist one record; returns its hash."""
+    def append(self, record: dict,
+               ciphertexts: dict[int, bytes] | None = None) -> str:
+        """Chain, hash, and persist one record; returns its hash.
+
+        ``ciphertexts`` (client id -> sealed bytes) is written into the
+        line as ``{"<id>": "<base64>"}`` beside the hashed body, which
+        must bind it (a round's ``merkle_root``).
+        """
         if self._file is None:
             raise AuditError("audit log already sealed/closed")
-        rec = dict(record)
-        rec["prev"] = self.head
-        rec["hash"] = record_hash(rec)
-        self._file.write(json.dumps(rec, sort_keys=True) + "\n")
+        body = dict(record)
+        body["prev"] = self.head
+        canonical = _canonical(body)
+        digest = _digest(canonical)
+        extra = ""
+        if ciphertexts is not None:
+            # Decimal ids and base64 text need no JSON escaping.
+            extra = ', "ciphertexts": {' + ", ".join(
+                f'"{int(cid)}": "{b2a_base64(blob, newline=False).decode()}"'
+                for cid, blob in ciphertexts.items()) + "}"
+        self._file.write(f'{canonical[:-1]}{extra}, "hash": "{digest}"}}\n')
         self._file.flush()
-        self.head = rec["hash"]
+        self.head = digest
         self.records_written += 1
-        return rec["hash"]
+        return digest
 
     def close(self) -> None:
         if self._file is not None:
@@ -185,9 +219,13 @@ def read_records(path: str | Path) -> list[dict]:
 
 
 def verify_chain(records: list[dict], require_seal: bool = True) -> None:
-    """Structural verification: hashes, links, ordering, the manifest's
-    format version, and the seal.
+    """Structural verification: the manifest's format version, hashes,
+    links, ordering, and the seal.
 
+    The version is read first: how a record is hashed is part of the
+    format, so a log of another version is refused by its version
+    (:class:`AuditVersionError`), not by hashes this code would compute
+    differently.
     Raises :class:`AuditChainError`, :class:`AuditVersionError` or
     :class:`AuditTruncationError`; returns ``None`` when the chain is
     intact and complete.
@@ -196,6 +234,14 @@ def verify_chain(records: list[dict], require_seal: bool = True) -> None:
     """
     if not records:
         raise AuditTruncationError("audit log is empty")
+    if records[0].get("type") != "manifest":
+        raise AuditChainError("first record must be the run manifest")
+    version = records[0].get("version")
+    if version != LOG_VERSION:
+        raise AuditVersionError(
+            f"log format version {version!r} is not the supported version "
+            f"{LOG_VERSION}; its rounds cannot be replayed by this code"
+        )
     prev = GENESIS
     for i, record in enumerate(records):
         if record.get("prev") != prev:
@@ -213,14 +259,6 @@ def verify_chain(records: list[dict], require_seal: bool = True) -> None:
             )
         prev = record["hash"]
 
-    if records[0].get("type") != "manifest":
-        raise AuditChainError("first record must be the run manifest")
-    version = records[0].get("version")
-    if version != LOG_VERSION:
-        raise AuditVersionError(
-            f"log format version {version!r} is not the supported version "
-            f"{LOG_VERSION}; its rounds cannot be replayed by this code"
-        )
     rounds = [r for r in records[1:] if r.get("type") == "round"]
     for expected_index, record in enumerate(rounds):
         if record.get("round") != expected_index:

@@ -64,13 +64,22 @@ def _split(n: int) -> int:
 
 
 def merkle_root(leaves: list[bytes]) -> bytes:
-    """Root over pre-hashed leaves (outputs of :func:`leaf_hash`)."""
+    """Root over pre-hashed leaves (outputs of :func:`leaf_hash`).
+
+    Built bottom-up: each level hashes adjacent pairs and carries an
+    unpaired last node up unchanged, which yields exactly the RFC 6962
+    tree (split at the largest power of two below n).
+    """
     if not leaves:
         return EMPTY_ROOT
-    if len(leaves) == 1:
-        return leaves[0]
-    k = _split(len(leaves))
-    return node_hash(merkle_root(leaves[:k]), merkle_root(leaves[k:]))
+    level = list(leaves)
+    while len(level) > 1:
+        paired = [node_hash(level[i], level[i + 1])
+                  for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,14 @@ round, appends one chained record committing to
   for ``python -m repro audit`` to re-run the round bit-identically
   from the manifest's seeds and detect a forged aggregate.
 
-The logged ciphertext *bytes* ride along with their commitment: client
-session keys are ephemeral per deployment (fresh RA on every run), so
-a replay regenerates identical plaintexts and aggregates but not
-identical ciphertext bytes -- upload commitments therefore verify
-against the logged bytes (tamper evidence + inclusion proofs), while
-the aggregate commitment verifies against deterministic replay.
+The logged ciphertext *bytes* ride along with their commitment, once,
+as base64 in the record's line but outside its hashed body: the body
+binds them through the Merkle root.  Client session keys are ephemeral
+per deployment (fresh RA on every run), so a replay regenerates
+identical plaintexts and aggregates but not identical ciphertext bytes
+-- upload commitments therefore verify against the logged bytes
+(tamper evidence + inclusion proofs), while the aggregate commitment
+verifies against deterministic replay.
 """
 
 from __future__ import annotations
@@ -137,10 +139,6 @@ class AuditRecorder:
                 "type": "round",
                 "round": int(round_index),
                 "accepted": [int(c) for c in sorted(accepted)],
-                "ciphertexts": {
-                    str(cid): ciphertexts[cid].hex()
-                    for cid in sorted(ciphertexts)
-                },
                 "merkle_root": upload_merkle_root(ciphertexts),
                 "aggregate_sha256": aggregate_digest(weights_after),
                 "epsilon": float(epsilon),
@@ -156,7 +154,8 @@ class AuditRecorder:
                 ]
                 record["degraded"] = bool(degraded)
                 record["n_shards"] = int(n_shards or len(partials))
-            digest = self._writer.append(record)
+            digest = self._writer.append(
+                record, {cid: ciphertexts[cid] for cid in sorted(ciphertexts)})
             self.rounds += 1
             obs.add("audit.rounds_recorded")
             obs.add("audit.uploads_committed", len(ciphertexts))

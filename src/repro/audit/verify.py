@@ -33,6 +33,7 @@ function of the recorded seeds.
 
 from __future__ import annotations
 
+import base64
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,8 +89,15 @@ def load_round_records(records: list[dict]) -> list[dict]:
 
 
 def _round_ciphertexts(record: dict) -> dict[int, bytes]:
-    return {int(cid): bytes.fromhex(blob)
-            for cid, blob in record["ciphertexts"].items()}
+    """The round's logged ciphertexts (base64 in the line); bytes that
+    do not decode fail the commitment check."""
+    try:
+        return {int(cid): base64.b64decode(blob, validate=True)
+                for cid, blob in record.get("ciphertexts", {}).items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise AuditCommitmentError(
+            f"round {record['round']}: logged ciphertexts do not decode "
+            f"({exc})", round_index=record["round"]) from exc
 
 
 def verify_round_commitment(record: dict, olive: dict) -> None:

@@ -4,7 +4,8 @@ Implements ``EncClient`` of Algorithm 1: starting from the current
 global weights, run local SGD over the private shard, take the model
 delta, top-k sparsify it, L2-clip the surviving values, and encrypt the
 ``(index, value)`` records for the enclave under the RA-negotiated key
-(the sealing step is :func:`repro.runtime.jobs.seal_update`).
+(the sealing step is :func:`repro.runtime.jobs.run_clients`, one
+:func:`~repro.sgx.crypto.seal_batch` per shape batch).
 
 There is one client path and it is batched: :func:`client_updates`
 trains C same-shape clients as one model stack (leading client axis,

@@ -131,12 +131,12 @@ class Histogram:
         self.vmin = math.inf
         self.vmax = -math.inf
 
-    def observe(self, value: float) -> None:
-        """Record one observation."""
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` (one by default)."""
         value = float(value)
-        self.counts[self._bucket_index(value)] += 1
-        self.count += 1
-        self.total += value
+        self.counts[self._bucket_index(value)] += count
+        self.count += count
+        self.total += value * count
         if value < self.vmin:
             self.vmin = value
         if value > self.vmax:
@@ -350,18 +350,20 @@ class Telemetry:
                 for sink in self.sinks:
                     sink.emit(event)
 
-    def observe(self, name: str, value: float) -> None:
-        """Record one observation into the named histogram."""
+    def observe(self, name: str, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` into the named
+        histogram (a batch's amortized per-item time, say)."""
         if not self._enabled:
             return
         with self._lock:
-            self._observe_locked(name, value)
+            self._observe_locked(name, value, count)
 
-    def _observe_locked(self, name: str, value: float) -> None:
+    def _observe_locked(self, name: str, value: float,
+                        count: int = 1) -> None:
         h = self.histograms.get(name)
         if h is None:
             h = self.histograms[name] = Histogram()
-        h.observe(value)
+        h.observe(value, count)
 
     def event(self, name: str, **attrs: Any) -> None:
         """Emit a timestamped point event linked to the open span."""
@@ -509,11 +511,11 @@ def gauge(name: str, value: float) -> None:
     _GLOBAL.gauge(name, value)
 
 
-def observe(name: str, value: float) -> None:
+def observe(name: str, value: float, count: int = 1) -> None:
     """Record into a global histogram (no-op when disabled)."""
     if not _GLOBAL._enabled:
         return
-    _GLOBAL.observe(name, value)
+    _GLOBAL.observe(name, value, count)
 
 
 def event(name: str, **attrs: Any) -> None:

@@ -7,9 +7,11 @@ update under its client key.  Every client's randomness
 derived from its ``(round, client)`` identity (see
 :mod:`repro.runtime.seeding`), so a client produces the same bits in
 any chunk, at any position, after any number of retries.
-:func:`seal_update` is the one encode-and-seal path for an upload, and
-:func:`replay_indices` runs one keyed local-training replay (the
-attack teacher) through the same core.
+Each shape batch is sealed in one :func:`~repro.sgx.crypto.seal_batch`
+call; :func:`encode_update` is the one encoder of an upload and
+:func:`seal_update` seals one upload through the same AE path.
+:func:`replay_indices` runs one keyed local-training replay (the attack
+teacher) through the same core.
 """
 
 from __future__ import annotations
@@ -36,26 +38,32 @@ class ClientJobResult:
     train_seconds: float
 
 
-def seal_update(
-    update: LocalUpdate, key: bytes, nonce: bytes | None = None, *,
-    quantize_bits: int | None = None,
+def encode_update(
+    update: LocalUpdate, *, quantize_bits: int | None = None,
     q_rng: np.random.Generator | None = None,
-    payload: bytes | None = None,
-) -> crypto.Ciphertext:
-    """EncClient line 22: encode one update and seal it under ``key``.
+) -> bytes:
+    """EncClient line 22's plaintext: one update in its wire format.
 
     With ``quantize_bits`` the values are QSGD-quantized first, dithered
-    by ``q_rng``; otherwise ``payload``, when given, is the update's
-    pre-encoded sparse gradient.  ``nonce=None`` draws a random nonce.
+    by ``q_rng``.
     """
     if quantize_bits is not None:
         from ..fl.quantize import quantize_stochastic
 
         q = quantize_stochastic(update, quantize_bits, q_rng)
-        payload = crypto.encode_quantized_gradient(q.indices, q.levels, q.scale)
-    elif payload is None:
-        payload = crypto.encode_sparse_gradient(update.indices, update.values)
-    return crypto.seal(key, payload, nonce=nonce)
+        return crypto.encode_quantized_gradient(q.indices, q.levels, q.scale)
+    return crypto.encode_sparse_gradient(update.indices, update.values)
+
+
+def seal_update(
+    update: LocalUpdate, key: bytes, nonce: bytes | None = None, *,
+    quantize_bits: int | None = None,
+    q_rng: np.random.Generator | None = None,
+) -> crypto.Ciphertext:
+    """EncClient line 22 for one update: encode it and seal it under
+    ``key``.  ``nonce=None`` draws a random nonce."""
+    return crypto.seal(key, encode_update(update, quantize_bits=quantize_bits,
+                                          q_rng=q_rng), nonce=nonce)
 
 
 def run_clients(
@@ -76,7 +84,7 @@ def run_clients(
 
     ``keys`` holds every client's key.  Clients whose shards share a
     shape train as one stacked batch; the uniform-k payloads of a batch
-    encode in one record-array pass.
+    encode in one record-array pass, and each batch seals in one call.
     Each result's ``train_seconds`` is its batch's measured training
     time amortized over the batch's clients.
     """
@@ -106,13 +114,14 @@ def run_clients(
                 # histogram counts clients, not batches.
                 for _ in batch:
                     obs.observe("runtime.train_s", per_client)
-            payloads: list[bytes | None] = [None] * len(batch)
-            q_rngs: list[np.random.Generator | None] = [None] * len(batch)
             if quantize_bits is not None:
                 # The dither draws from its own sub-stream of the
                 # client's identity, so it is chunk-invariant too.
-                q_rngs = [derive_rng(entropy, STREAM_TRAIN, round_index, c, 1)
-                          for c in batch]
+                payloads = [
+                    encode_update(u, quantize_bits=quantize_bits,
+                                  q_rng=derive_rng(entropy, STREAM_TRAIN,
+                                                   round_index, c, 1))
+                    for c, u in zip(batch, updates)]
             elif all(u.indices.shape == updates[0].indices.shape
                      for u in updates):
                 # Uniform-k sparsifiers (top_k, random_k).
@@ -120,13 +129,13 @@ def run_clients(
                     np.stack([u.indices for u in updates]),
                     np.stack([u.values for u in updates]),
                 )
-            for c, u, q_rng, payload in zip(batch, updates, q_rngs, payloads):
-                results[c] = ClientJobResult(
-                    c, seal_update(u, keys[c],
-                                   derive_nonce(entropy, round_index, c),
-                                   quantize_bits=quantize_bits,
-                                   q_rng=q_rng, payload=payload),
-                    per_client)
+            else:
+                payloads = [encode_update(u) for u in updates]
+            sealed = crypto.seal_batch(
+                [keys[c] for c in batch], payloads,
+                [derive_nonce(entropy, round_index, c) for c in batch])
+            for c, ciphertext in zip(batch, sealed):
+                results[c] = ClientJobResult(c, ciphertext, per_client)
         return [results[c] for c in cids]
 
 

@@ -9,7 +9,8 @@ one-leaf topology whose ``oblivious_batch`` covers the cohort: one
 kernel call folds every accepted upload.  Ingest is asynchronous: a
 leaf folds uploads into its partial aggregate as they arrive (in
 batches of ``oblivious_batch``, each through the caller's oblivious
-kernel) instead of waiting for a per-round barrier.  A traced round
+kernel) instead of waiting for a per-round barrier, and unseals each
+slice of arrivals up to the next fold in one ECALL.  A traced round
 threads one :class:`~repro.sgx.memory.Trace` through every leaf fold
 in execution order: what an adversary holding every leaf host
 observes.  A sealed checkpoint follows every fold, so a crash re-runs
@@ -277,15 +278,34 @@ class _LeafRound:
         self._fold = fold
         self._quantize_bits = quantize_bits
 
-    def ingest(self, delivery: Delivery) -> None:
-        """Decrypt/verify one upload and stage it for the next fold."""
-        enclave = self.leaf.enclave
-        indices, values = enclave.load_gradient(
-            delivery.client_id, delivery.ciphertext, self.d,
-            self._quantize_bits,
-        )
-        self.pending.append(LocalUpdate(delivery.client_id, indices, values))
-        self.accepted += 1
+    def ingest(self, deliveries: list[Delivery]) -> list:
+        """Decrypt/verify a slice of uploads in one ECALL and stage the
+        accepted ones for the next fold; returns the enclave's verdict
+        per upload (see :meth:`Enclave.load_gradient`)."""
+        results = self.leaf.enclave.load_gradient(
+            deliveries, self.d, self._quantize_bits)
+        for delivery, result in zip(deliveries, results):
+            if not isinstance(result, EnclaveSecurityError):
+                self.pending.append(LocalUpdate(delivery.client_id, *result))
+                self.accepted += 1
+        return results
+
+    def slice_end(self, pos: int, limit: int, batch_every: int) -> int:
+        """Where the ingest slice starting at ``pos`` ends (exclusive).
+
+        A slice ends where the per-upload loop could next fold or cut a
+        checkpoint, so folding and checkpointing after each slice puts
+        them at the same positions.  A fold happens when the
+        ``batch_every``-th upload since the last one is accepted, so the
+        slice holds at most that many uploads.  Right after a fold a
+        checkpoint follows every refused upload until the next
+        acceptance, so the slice is then one upload.  ``limit`` is the
+        crash position or the end of the shard.
+        """
+        if self.accepted and not self.pending \
+                and self.accepted % batch_every == 0:
+            return min(limit, pos + 1)
+        return min(limit, pos + batch_every - self.accepted % batch_every)
 
     def fold(self) -> None:
         """Fold the pending batch through the oblivious kernel."""
@@ -323,11 +343,16 @@ class _LeafRound:
 def _open_partial(
     channel_key: bytes, blob: bytes
 ) -> tuple[int, int, int, list[int], np.ndarray]:
-    """Root-side verify+decode of one sealed partial aggregate."""
+    """Root-side verify+decode of one sealed partial aggregate.
+
+    Bytes too short to be a ciphertext, a failed tag and an
+    authenticated payload too short for its own counts all raise
+    :class:`EnclaveSecurityError` (``reason="corrupt"``).
+    """
     try:
         payload = crypto.open_sealed(channel_key,
                                      crypto.Ciphertext.from_bytes(blob))
-    except crypto.AuthenticationError as exc:
+    except (crypto.AuthenticationError, ValueError) as exc:
         raise EnclaveSecurityError(
             "partial aggregate failed authentication", reason="corrupt"
         ) from exc
@@ -335,18 +360,23 @@ def _open_partial(
         raise EnclaveSecurityError(
             "unrecognized partial format", reason="corrupt"
         )
-    off = len(PARTIAL_MAGIC)
-    round_index, shard_index, leaf_index = struct.unpack_from(
-        ">III", payload, off)
-    off += 12
-    (count,) = struct.unpack_from(">I", payload, off)
-    off += 4
-    ids = np.frombuffer(payload, dtype=">u8", count=count, offset=off)
-    off += 8 * count
-    (size,) = struct.unpack_from(">I", payload, off)
-    off += 4
-    vec = np.frombuffer(payload, dtype=np.float64, count=size,
-                        offset=off).copy()
+    try:
+        off = len(PARTIAL_MAGIC)
+        round_index, shard_index, leaf_index = struct.unpack_from(
+            ">III", payload, off)
+        off += 12
+        (count,) = struct.unpack_from(">I", payload, off)
+        off += 4
+        ids = np.frombuffer(payload, dtype=">u8", count=count, offset=off)
+        off += 8 * count
+        (size,) = struct.unpack_from(">I", payload, off)
+        off += 4
+        vec = np.frombuffer(payload, dtype=np.float64, count=size,
+                            offset=off).copy()
+    except (struct.error, ValueError) as exc:
+        raise EnclaveSecurityError(
+            f"truncated partial aggregate ({exc})", reason="corrupt"
+        ) from exc
     return round_index, shard_index, leaf_index, [int(v) for v in ids], vec
 
 
@@ -496,7 +526,7 @@ class ShardedAggregator:
 
         # Each upload's size is measured once: the plan takes the
         # round's largest, each shard's paging check its own largest.
-        group_bytes = [max(len(dv.ciphertext.to_bytes()) for dv in grp)
+        group_bytes = [max(dv.ciphertext.nbytes for dv in grp)
                        for grp in groups]
         n_shards = plan_shards(len(groups), d, max(group_bytes, default=0),
                                cfg)
@@ -641,13 +671,17 @@ class ShardedAggregator:
                           attempt=attempt):
                 pos = resume_pos
                 crashed = False
+                limit = len(deliveries) if crash_pos is None else crash_pos
                 while pos < len(deliveries):
-                    if crash_pos is not None and pos == crash_pos:
+                    if pos == crash_pos:
                         crashed = True
                         break
-                    self._ingest_one(state, deliveries[pos], outcome,
-                                     rejected)
-                    pos += 1
+                    end = state.slice_end(pos, limit, batch_every)
+                    batch = deliveries[pos:end]
+                    for delivery, result in zip(batch, state.ingest(batch)):
+                        if isinstance(result, EnclaveSecurityError):
+                            self._refused(delivery, result, outcome, rejected)
+                    pos = end
                     if (state.accepted % batch_every == 0
                             and state.pending):
                         state.fold()
@@ -693,23 +727,21 @@ class ShardedAggregator:
                 kill=plan.fatal, move=plan.fatal)
             resume_pos = ckpt_pos
 
-    def _ingest_one(self, state: _LeafRound, delivery: Delivery,
-                    outcome: ShardOutcome, rejected: dict[int, str]) -> None:
-        try:
-            state.ingest(delivery)
-        except EnclaveSecurityError as exc:
-            if exc.reason in ("duplicate", "replay"):
-                # Replayed bytes or a second contribution: the enclave
-                # already holds exactly one accepted copy.
-                outcome.deduped += 1
-                obs.add("shard.uploads_deduped")
-                return
-            outcome.rejected[exc.reason] = (
-                outcome.rejected.get(exc.reason, 0) + 1)
-            obs.add("shard.uploads_rejected")
-            obs.add(f"shard.reject_reason.{exc.reason}")
-            if not delivery.duplicate:
-                rejected[delivery.client_id] = exc.reason
+    def _refused(self, delivery: Delivery, exc: EnclaveSecurityError,
+                 outcome: ShardOutcome, rejected: dict[int, str]) -> None:
+        """Account for one upload the leaf enclave refused."""
+        if exc.reason in ("duplicate", "replay"):
+            # Replayed bytes or a second contribution: the enclave
+            # already holds exactly one accepted copy.
+            outcome.deduped += 1
+            obs.add("shard.uploads_deduped")
+            return
+        outcome.rejected[exc.reason] = (
+            outcome.rejected.get(exc.reason, 0) + 1)
+        obs.add("shard.uploads_rejected")
+        obs.add(f"shard.reject_reason.{exc.reason}")
+        if not delivery.duplicate:
+            rejected[delivery.client_id] = exc.reason
 
     def _backoff(self, attempt: int) -> float:
         backoff = min(_BACKOFF_BASE_S * (2.0 ** (attempt - 1)),

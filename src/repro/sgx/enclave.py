@@ -285,37 +285,6 @@ class Enclave:
         """This round's securely sampled participant set."""
         return set(self._sampled)
 
-    def _guard_upload(
-        self, client_id: int, ciphertext: crypto.Ciphertext
-    ) -> bytes:
-        """Replay defence, checked *before* spending a decryption.
-
-        One contribution per sampled client per round, and no
-        ciphertext may be accepted twice -- a replayed (or duplicated)
-        upload would double a client's weight in the aggregate.
-        """
-        if client_id not in self._sampled:
-            obs.add("enclave.gradients_rejected")
-            raise EnclaveSecurityError(
-                f"client {client_id} was not securely sampled this round",
-                reason="unsampled",
-            )
-        digest = hashlib.sha256(ciphertext.to_bytes()).digest()
-        if client_id in self._loaded_clients:
-            obs.add("enclave.gradients_rejected")
-            obs.add("runtime.rejected")
-            raise EnclaveSecurityError(
-                f"client {client_id} already contributed this round",
-                reason="duplicate",
-            )
-        if digest in self._seen_digests:
-            obs.add("enclave.gradients_rejected")
-            obs.add("runtime.rejected")
-            raise EnclaveSecurityError(
-                f"client {client_id}: replayed ciphertext", reason="replay"
-            )
-        return digest
-
     def _record_upload(self, client_id: int, digest: bytes) -> None:
         """Mark an upload accepted (only after successful decryption)."""
         self._loaded_clients.add(client_id)
@@ -457,52 +426,92 @@ class Enclave:
             return int(round_index), partial
 
     def load_gradient(
-        self, client_id: int, ciphertext: crypto.Ciphertext, d: int,
-        quantize_bits: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Decrypt, verify and decode one client contribution.
+        self, uploads: Sequence, d: int, quantize_bits: int | None = None,
+    ) -> list[tuple[np.ndarray, np.ndarray] | EnclaveSecurityError]:
+        """Decrypt, verify and decode a batch of client uploads in one ECALL.
 
-        Rejects clients outside the sampled set and ciphertexts that
-        fail AE verification -- the injection defence of Algorithm 1
-        line 8 -- and authenticated payloads that do not decode to
-        indices in ``[0, d)``, in the quantized wire format when
-        ``quantize_bits`` is set.  Each raises
-        :class:`EnclaveSecurityError` before the upload is accepted.
+        ``uploads`` are deliveries (``client_id`` and ``ciphertext``
+        each), in arrival order.  The batch is authenticated and
+        decoded in one pass (:func:`~repro.sgx.crypto.open_batch`,
+        :func:`~repro.sgx.crypto.decode_gradients`, in the quantized
+        wire format when ``quantize_bits`` is set), then walked in
+        order.  Each upload is refused, with the
+        :class:`EnclaveSecurityError` naming its client in its place,
+        when its client was not sampled this round (the injection
+        defence of Algorithm 1 line 8), already contributed
+        (``"duplicate"``), or sent bytes already accepted (``"replay"``)
+        -- one contribution per client, so a replayed upload cannot
+        double a client's weight -- and otherwise when it fails AE
+        verification (``"corrupt"``) or does not decode to finite
+        values at indices in ``[0, d)`` (``"malformed"``).  An accepted
+        upload comes back as ``(int64 indices, float64 values)``; the
+        state and counters left equal those of loading the uploads one
+        at a time.
         """
         with obs.span("ecall.load_gradient", hist="ecall.wall_s",
-                      client=client_id):
-            digest = self._guard_upload(client_id, ciphertext)
-            key = self.keystore.get(client_id)
-            try:
-                payload = crypto.open_sealed(key, ciphertext)
-            except crypto.AuthenticationError as exc:
-                obs.add("enclave.gradients_rejected")
-                raise EnclaveSecurityError(
-                    f"client {client_id}: gradient failed authentication",
-                    reason="corrupt",
-                ) from exc
-            try:
-                if quantize_bits is None:
-                    indices, values = crypto.decode_sparse_gradient(payload)
+                      uploads=len(uploads)):
+            # Only uploads that can pass the static guards spend a
+            # decryption; a second copy within the batch is opened too
+            # and refused in the walk.
+            opened = [i for i, up in enumerate(uploads)
+                      if up.client_id in self._sampled
+                      and up.client_id in self.keystore]
+            plaintexts = crypto.open_batch(
+                [self.keystore.get(uploads[i].client_id) for i in opened],
+                [uploads[i].ciphertext for i in opened])
+            authentic = [i for i, p in zip(opened, plaintexts) if p is not None]
+            decoded = dict(zip(authentic, crypto.decode_gradients(
+                [p for p in plaintexts if p is not None], d,
+                quantized=quantize_bits is not None)))
+
+            results: list = []
+            for i, up in enumerate(uploads):
+                cid = up.client_id
+                if cid not in self._sampled:
+                    results.append(EnclaveSecurityError(
+                        f"client {cid} was not securely sampled this round",
+                        reason="unsampled"))
+                    continue
+                digest = hashlib.sha256(up.ciphertext.to_bytes()).digest()
+                if cid in self._loaded_clients:
+                    reason = "duplicate"
+                    message = f"client {cid} already contributed this round"
+                elif digest in self._seen_digests:
+                    reason, message = "replay", f"client {cid}: replayed ciphertext"
+                elif cid not in self.keystore:
+                    reason, message = "security", f"no RA key for client {cid}"
+                elif i not in decoded:
+                    reason = "corrupt"
+                    message = f"client {cid}: gradient failed authentication"
+                elif isinstance(decoded[i], ValueError):
+                    reason = "malformed"
+                    message = f"client {cid}: malformed gradient ({decoded[i]})"
                 else:
-                    indices, levels, scale = \
-                        crypto.decode_quantized_gradient(payload)
-                    values = levels.astype(np.float64) * scale
-                # Indices decode from u32, so only the upper end can fail.
-                if indices.size and indices.max() >= d:
-                    raise ValueError(
-                        f"gradient index {indices.max()} outside a model "
-                        f"of {d} weights")
-            except ValueError as exc:
-                obs.add("enclave.gradients_rejected")
-                raise EnclaveSecurityError(
-                    f"client {client_id}: malformed gradient ({exc})",
-                    reason="malformed",
-                ) from exc
-            self._record_upload(client_id, digest)
-            obs.add("enclave.gradients_loaded")
-            obs.add("enclave.bytes_decrypted", len(ciphertext.body))
-            return indices, values
+                    self._record_upload(cid, digest)
+                    results.append(decoded[i])
+                    continue
+                results.append(EnclaveSecurityError(message, reason=reason))
+
+            if obs.enabled():
+                self._count_loads(uploads, results)
+            return results
+
+    @staticmethod
+    def _count_loads(uploads: Sequence, results: list) -> None:
+        """The counters loading ``uploads`` one at a time would leave."""
+        reasons = [r.reason for r in results
+                   if isinstance(r, EnclaveSecurityError)]
+        rejected = sum(reason != "security" for reason in reasons)
+        refused = sum(reason in ("duplicate", "replay") for reason in reasons)
+        if rejected:
+            obs.add("enclave.gradients_rejected", rejected)
+        if refused:
+            obs.add("runtime.rejected", refused)
+        if len(reasons) < len(results):
+            obs.add("enclave.gradients_loaded", len(results) - len(reasons))
+            obs.add("enclave.bytes_decrypted", sum(
+                len(up.ciphertext.body) for up, r in zip(uploads, results)
+                if not isinstance(r, EnclaveSecurityError)))
 
     # ------------------------------------------------------------------
     # Enclave-private randomness (DP noise must be drawn inside)

@@ -14,7 +14,8 @@ kernel (vectorized, traced, and its address streams), the
 comparator-at-a-time sorting and merge networks, compaction and
 shuffle, the per-access address-stream generators, and
 the element-at-a-time LRU cost replayer, the per-record struct
-codecs of the upload wire formats, the per-client RA loop with
+codecs of the upload wire formats, the per-message AE seal/open and
+the per-upload enclave ingest loop, the per-client RA loop with
 three builtin ``pow`` modexps per client, and the per-access tuple
 projection of a trace (word and cacheline), verbatim, so the equivalence
 tests can pin the production path to them bit for bit.  Nothing in
@@ -26,6 +27,8 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import hashlib
+import hmac
 import math
 import random
 import struct
@@ -85,6 +88,7 @@ from repro.runtime.seeding import (
 from repro.sgx import attestation, crypto
 from repro.sgx.attestation import DiffieHellman, client_attest
 from repro.sgx.cost import CostModel, CostReport
+from repro.sgx.enclave import EnclaveSecurityError
 from repro.sgx.memory import Trace, TracedArray
 
 
@@ -1636,6 +1640,116 @@ def decode_quantized_gradient(
         indices.append(idx)
         levels.append(level)
     return indices, levels, scale
+
+
+# ----------------------------------------------------------------------
+# Authenticated encryption and enclave ingest, one message at a time
+# ----------------------------------------------------------------------
+def seal_one(key: bytes, plaintext: bytes, nonce: bytes) -> crypto.Ciphertext:
+    """Encrypt-then-MAC one message: its own keystream XOR and an
+    ``hmac.new`` tag."""
+    enc_key = crypto.derive_key(key, "enc")
+    mac_key = crypto.derive_key(key, "mac")
+    stream = hashlib.shake_256(enc_key + nonce).digest(len(plaintext))
+    body = bytes(a ^ b for a, b in zip(plaintext, stream))
+    tag = hmac.new(mac_key, nonce + body, hashlib.sha256).digest()
+    return crypto.Ciphertext(nonce=nonce, body=body, tag=tag)
+
+
+def open_one(key: bytes, ct: crypto.Ciphertext) -> bytes:
+    """Verify and decrypt one message; raises ``AuthenticationError``."""
+    enc_key = crypto.derive_key(key, "enc")
+    mac_key = crypto.derive_key(key, "mac")
+    expected = hmac.new(mac_key, ct.nonce + ct.body, hashlib.sha256).digest()
+    if not hmac.compare_digest(expected, ct.tag):
+        raise crypto.AuthenticationError("tag verification failed")
+    stream = hashlib.shake_256(enc_key + ct.nonce).digest(len(ct.body))
+    return bytes(a ^ b for a, b in zip(ct.body, stream))
+
+
+def _decode_upload(payload: bytes, d: int, quantize_bits):
+    if quantize_bits is None:
+        indices, values = decode_sparse_gradient(payload)
+        scale = 1.0
+    else:
+        indices, levels, scale = decode_quantized_gradient(payload)
+        values = (np.asarray(levels, dtype=np.int64).astype(np.float64)
+                  * scale)
+    indices = np.asarray(indices, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if indices.size and indices.max() >= d:
+        raise ValueError(f"gradient index {indices.max()} outside a model "
+                         f"of {d} weights")
+    if not math.isfinite(scale):
+        raise ValueError("non-finite quantization scale")
+    if not all(math.isfinite(v) for v in values.tolist()):
+        raise ValueError("non-finite gradient value")
+    return indices, values
+
+
+def load_gradient_loop(enclave, uploads, d: int, quantize_bits=None) -> list:
+    """``Enclave.load_gradient``, one upload at a time: the guards,
+    then :func:`open_one` and the struct decoders, per upload.
+
+    Returns what the batch ECALL returns, and leaves the enclave's
+    replay-defence state and counters as it does.
+    """
+    results: list = []
+    for up in uploads:
+        cid, ct = up.client_id, up.ciphertext
+        try:
+            if cid not in enclave._sampled:
+                obs.add("enclave.gradients_rejected")
+                raise EnclaveSecurityError(
+                    f"client {cid} was not securely sampled this round",
+                    reason="unsampled")
+            digest = hashlib.sha256(ct.to_bytes()).digest()
+            if cid in enclave._loaded_clients:
+                obs.add("enclave.gradients_rejected")
+                obs.add("runtime.rejected")
+                raise EnclaveSecurityError(
+                    f"client {cid} already contributed this round",
+                    reason="duplicate")
+            if digest in enclave._seen_digests:
+                obs.add("enclave.gradients_rejected")
+                obs.add("runtime.rejected")
+                raise EnclaveSecurityError(
+                    f"client {cid}: replayed ciphertext", reason="replay")
+            key = enclave.keystore.get(cid)
+            try:
+                payload = open_one(key, ct)
+            except crypto.AuthenticationError as exc:
+                obs.add("enclave.gradients_rejected")
+                raise EnclaveSecurityError(
+                    f"client {cid}: gradient failed authentication",
+                    reason="corrupt") from exc
+            try:
+                decoded = _decode_upload(payload, d, quantize_bits)
+            except ValueError as exc:
+                obs.add("enclave.gradients_rejected")
+                raise EnclaveSecurityError(
+                    f"client {cid}: malformed gradient ({exc})",
+                    reason="malformed") from exc
+        except EnclaveSecurityError as exc:
+            results.append(exc)
+            continue
+        enclave._loaded_clients.add(cid)
+        enclave._seen_digests.add(digest)
+        obs.add("enclave.gradients_loaded")
+        obs.add("enclave.bytes_decrypted", len(ct.body))
+        results.append(decoded)
+    return results
+
+
+def load_upload(enclave, client_id: int, ciphertext, d: int,
+                quantize_bits=None):
+    """One upload through the production batch ECALL: its decoded
+    ``(indices, values)``, or its ``EnclaveSecurityError`` raised."""
+    [result] = enclave.load_gradient([Delivery(client_id, ciphertext)], d,
+                                     quantize_bits)
+    if isinstance(result, EnclaveSecurityError):
+        raise result
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ rounds with leaf crashes, failover, and degraded completion must audit
 clean.
 """
 
+import base64
 import copy
 import dataclasses
 import hashlib
@@ -263,7 +264,7 @@ class TestRecorderWiring:
         rounds = [r for r in records if r["type"] == "round"]
         assert [r["round"] for r in rounds] == [0, 1, 2]
         for r in rounds:
-            cts = {int(c): bytes.fromhex(b)
+            cts = {int(c): base64.b64decode(b)
                    for c, b in r["ciphertexts"].items()}
             assert sorted(cts) == r["accepted"]
             assert upload_merkle_root(cts) == r["merkle_root"]
@@ -396,9 +397,9 @@ class TestReplay:
         for r in records:
             if r.get("type") == "round" and r["round"] == 0:
                 cid = next(iter(r["ciphertexts"]))
-                blob = bytearray.fromhex(r["ciphertexts"][cid])
+                blob = bytearray(base64.b64decode(r["ciphertexts"][cid]))
                 blob[3] ^= 0xFF
-                r["ciphertexts"][cid] = bytes(blob).hex()
+                r["ciphertexts"][cid] = base64.b64encode(blob).decode()
         _rewrite(path, chain_records(records))
         with pytest.raises(AuditCommitmentError, match="Merkle root") as e:
             verify_log(path, strict=True)
@@ -526,7 +527,20 @@ class TestOneLeafAndLegacyLogs:
 
     def test_manifest_carries_the_log_version(self, tmp_path):
         path = _recorded_run(tmp_path, rounds=1)
-        assert read_records(path)[0]["version"] == LOG_VERSION == 7
+        assert read_records(path)[0]["version"] == LOG_VERSION == 8
+
+    def test_version7_log_is_refused_by_version(self, tmp_path):
+        # Version 7 hashed each round's ciphertexts (hex) into its
+        # record body; a version-8 verifier refuses it by its version.
+        path = _recorded_run(tmp_path, rounds=1)
+        records = copy.deepcopy(read_records(path))
+        records[0]["version"] = 7
+        _rewrite(path, chain_records(records))
+        for replay in (True, False):
+            with pytest.raises(AuditVersionError, match="version 7") as e:
+                verify_log(path, strict=True, replay=replay)
+            assert e.value.exit_code == 7
+        assert audit_main([str(path), "--strict"]) == 7
 
     def test_version6_log_is_refused_by_version(self, tmp_path):
         # Version 6 manifests still carried knobs no caller set, such as

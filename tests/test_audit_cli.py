@@ -5,6 +5,7 @@ gates match on them, so this is a compatibility surface, not an
 implementation detail.
 """
 
+import base64
 import copy
 import json
 
@@ -79,9 +80,9 @@ class TestExitCodes:
         def mutate(records):
             record = records[2]  # round 1
             cid = next(iter(record["ciphertexts"]))
-            blob = bytearray.fromhex(record["ciphertexts"][cid])
+            blob = bytearray(base64.b64decode(record["ciphertexts"][cid]))
             blob[0] ^= 0x01
-            record["ciphertexts"][cid] = bytes(blob).hex()
+            record["ciphertexts"][cid] = base64.b64encode(blob).decode()
             records[:] = chain_records(records)
         path = _tampered_copy(recorded_log, tmp_path, mutate)
         assert audit_main([str(path), "--strict"]) == 4

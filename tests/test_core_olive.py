@@ -10,6 +10,8 @@ from repro.fl.datasets import SPECS, SyntheticClassData, partition_clients
 from repro.fl.models import build_model
 from repro.sgx.enclave import EnclaveSecurityError
 
+from .oracles import load_upload
+
 
 TRAIN = TrainingConfig(local_epochs=1, local_lr=0.1, batch_size=8,
                        sparse_ratio=0.1, clip=1.0)
@@ -249,7 +251,7 @@ class TestSecurityProperties:
             attacker_key, crypto.encode_sparse_gradient([0], [9999.0])
         )
         with pytest.raises(EnclaveSecurityError):
-            system.enclave.load_gradient(0, forged, system.d)
+            load_upload(system.enclave, 0, forged, system.d)
 
     def test_unsampled_injection_rejected(self):
         from repro.sgx import crypto
@@ -260,7 +262,7 @@ class TestSecurityProperties:
             system.client_keys[5], crypto.encode_sparse_gradient([0], [1.0])
         )
         with pytest.raises(EnclaveSecurityError):
-            system.enclave.load_gradient(5, ct, system.d)
+            load_upload(system.enclave, 5, ct, system.d)
 
     def test_noise_actually_applied(self):
         # sigma = 0 vs sigma > 0 must give different trajectories.

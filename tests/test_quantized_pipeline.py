@@ -92,7 +92,7 @@ class TestEnclaveQuantizedLoad:
                              np.asarray([0.5, -0.25]))
         ct = seal_update(update, keys[0], quantize_bits=10,
                          q_rng=np.random.default_rng(0))
-        idx, val = enclave.load_gradient(0, ct, 8, quantize_bits=10)
+        idx, val = oracles.load_upload(enclave, 0, ct, 8, quantize_bits=10)
         assert idx.tolist() == [2, 7]
         assert val.dtype == np.float64
         # Dequantization error bounded by one level (scale).
@@ -103,7 +103,7 @@ class TestEnclaveQuantizedLoad:
         enclave, keys = self._provisioned()
         levels, scale = [-511, -3, 0, 1, 255, 511], 0.1 / 511
         raw = crypto.encode_quantized_gradient(range(6), levels, scale)
-        _, val = enclave.load_gradient(0, crypto.seal(keys[0], raw), 8,
+        _, val = oracles.load_upload(enclave, 0, crypto.seal(keys[0], raw), 8,
                                      quantize_bits=10)
         assert val.tolist() == [level * scale for level in levels]
 
@@ -117,7 +117,7 @@ class TestEnclaveQuantizedLoad:
         from repro.sgx.enclave import EnclaveSecurityError
 
         with pytest.raises(EnclaveSecurityError):
-            enclave.load_gradient(0, ct, 8, quantize_bits=8)
+            oracles.load_upload(enclave, 0, ct, 8, quantize_bits=8)
 
     def test_forged_rejected(self):
         enclave, keys = self._provisioned()
@@ -128,7 +128,7 @@ class TestEnclaveQuantizedLoad:
         from repro.sgx.enclave import EnclaveSecurityError
 
         with pytest.raises(EnclaveSecurityError):
-            enclave.load_gradient(0, ct, 8, quantize_bits=8)
+            oracles.load_upload(enclave, 0, ct, 8, quantize_bits=8)
 
 
 class TestQuantizedOlive:

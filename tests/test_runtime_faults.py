@@ -37,6 +37,8 @@ from repro.sgx.enclave import (
     provision_enclave_with_clients,
 )
 
+from .oracles import load_upload
+
 TRAIN = TrainingConfig(local_epochs=1, local_lr=0.1, batch_size=8,
                        sparse_ratio=0.1, clip=1.0)
 
@@ -242,17 +244,17 @@ class TestEnclaveReplayDefence:
     def test_same_ciphertext_twice_rejected(self):
         enclave, keys = self._provisioned()
         ct = crypto.seal(keys[0], crypto.encode_sparse_gradient([1], [1.0]))
-        enclave.load_gradient(0, ct, 8)
+        load_upload(enclave, 0, ct, 8)
         with pytest.raises(EnclaveSecurityError, match="already contributed"):
-            enclave.load_gradient(0, ct, 8)
+            load_upload(enclave, 0, ct, 8)
 
     def test_second_upload_same_client_rejected(self):
         enclave, keys = self._provisioned()
         ct1 = crypto.seal(keys[0], crypto.encode_sparse_gradient([1], [1.0]))
         ct2 = crypto.seal(keys[0], crypto.encode_sparse_gradient([2], [2.0]))
-        enclave.load_gradient(0, ct1, 8)
+        load_upload(enclave, 0, ct1, 8)
         with pytest.raises(EnclaveSecurityError, match="already contributed"):
-            enclave.load_gradient(0, ct2, 8)
+            load_upload(enclave, 0, ct2, 8)
 
     def test_failed_decrypt_does_not_burn_the_slot(self):
         enclave, keys = self._provisioned()
@@ -262,17 +264,17 @@ class TestEnclaveReplayDefence:
             good.tag,
         )
         with pytest.raises(EnclaveSecurityError, match="authentication"):
-            enclave.load_gradient(0, bad, 8)
+            load_upload(enclave, 0, bad, 8)
         # The tampered upload must not lock client 0 out of the round.
-        idx, val = enclave.load_gradient(0, good, 8)
+        idx, val = load_upload(enclave, 0, good, 8)
         assert (idx.tolist(), val.tolist()) == ([1], [1.0])
 
     def test_replay_state_resets_on_new_round(self):
         enclave, keys = self._provisioned()
         ct = crypto.seal(keys[0], crypto.encode_sparse_gradient([1], [1.0]))
-        enclave.load_gradient(0, ct, 8)
+        load_upload(enclave, 0, ct, 8)
         enclave.sample_clients([0, 1], 1.0, 1)
-        idx, val = enclave.load_gradient(0, ct, 8)
+        idx, val = load_upload(enclave, 0, ct, 8)
         assert (idx.tolist(), val.tolist()) == ([1], [1.0])
 
     def test_rejections_counted(self):
@@ -280,9 +282,9 @@ class TestEnclaveReplayDefence:
         ct = crypto.seal(keys[0], crypto.encode_sparse_gradient([1], [1.0]))
         sink = obs.MemorySink()
         with obs.session(sinks=[sink]):
-            enclave.load_gradient(0, ct, 8)
+            load_upload(enclave, 0, ct, 8)
             with pytest.raises(EnclaveSecurityError):
-                enclave.load_gradient(0, ct, 8)
+                load_upload(enclave, 0, ct, 8)
         assert sink.last_values("counter")["runtime.rejected"] == 1
 
 

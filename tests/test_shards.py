@@ -475,14 +475,14 @@ class TestEnclaveCheckpoint:
         enclave.begin_round(sampled={7})
         payload = crypto.encode_sparse_gradient([0, 1], [0.5, -0.5])
         ct = crypto.seal(keys[7], payload)
-        enclave.load_gradient(7, ct, 8)
+        oracles.load_upload(enclave, 7, ct, 8)
         # Same bytes again inside the round: replay, refused.
         with pytest.raises(EnclaveSecurityError) as err:
-            enclave.load_gradient(7, ct, 8)
+            oracles.load_upload(enclave, 7, ct, 8)
         assert err.value.reason == "duplicate"
         # New round without resampling: the regression begin_round fixes.
         enclave.begin_round()
-        idx, vals = enclave.load_gradient(7, ct, 8)
+        idx, vals = oracles.load_upload(enclave, 7, ct, 8)
         assert (idx.tolist(), vals.tolist()) == ([0, 1], [0.5, -0.5])
 
     def test_record_partial_refuses_replay_and_overlap(self):
